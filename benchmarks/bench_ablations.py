@@ -2,7 +2,8 @@
 
 Not paper tables -- these quantify the deltas introduced by:
 
-* ``gain_mode``: exact O(n*m) re-evaluation vs the O(m) fast estimate;
+* ``gain_mode``: the exact after-toggle residue vs the O(m) fast
+  frozen-bases estimate;
 * ``mandatory_moves``: the paper's perform-even-negative rule vs
   skip-non-positive;
 * ``reseed_rounds``: 0 (paper-literal single Phase 2) vs 10.
@@ -50,9 +51,9 @@ def test_ablation_gain_mode(benchmark, report):
         rows,
         headers=["gain mode", "time (s)", "iterations", "recall", "precision"],
         title="Ablation -- exact vs fast gain evaluation\n"
-              "(fast trades the O(n*m) per-candidate scan for an O(m) "
-              "frozen-bases estimate; the acted cluster's ledger stays "
-              "exact either way)",
+              "(fast scores an O(m) frozen-bases estimate instead of "
+              "the exact after-toggle residue; the acted cluster's "
+              "ledger stays exact either way)",
     )
     report("ablation_gain_mode", text)
     fast_row, exact_row = rows

@@ -64,7 +64,7 @@ from ..obs.events import ActionEvent, IterationEvent, SeedEvent
 from ..obs.perf.counters import WorkCounters
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import gain_engine
-from .actions import ROW, evaluate_toggle
+from .actions import ROW
 from .cluster import DeltaCluster
 from .clustering import Clustering
 from .constraints import Constraints
@@ -151,8 +151,8 @@ class _State:
 
     ``row_member`` is ``k x M`` boolean, ``col_member`` is ``k x N``.
     ``residues`` and ``volumes`` always reflect the current membership
-    exactly.  When ``fast`` gain evaluation is active the state also keeps,
-    per cluster ``c``:
+    exactly.  The state also keeps the sufficient statistics the gain
+    engine scores every lane from, per cluster ``c``:
 
     * ``row_sums[c, i]`` / ``row_counts[c, i]`` -- sum / count of the
       specified entries of row ``i`` over *c's member columns*, for every
@@ -183,7 +183,6 @@ class _State:
         values: np.ndarray,
         mask: np.ndarray,
         seeds: Sequence[Seed],
-        fast: bool,
         work: Optional[WorkCounters] = None,
     ) -> None:
         self.values = values
@@ -202,21 +201,19 @@ class _State:
         #: Global modification counter (sum-free companion of ``stamp``):
         #: lets the gain engine answer "did anything change?" in O(1).
         self.rev = 0
-        self.fast = fast
-        if fast:
-            n_rows, n_cols = values.shape
-            self.row_sums = np.zeros((self.k, n_rows))
-            self.row_counts = np.zeros((self.k, n_rows), dtype=np.int64)
-            self.row_counts_f = np.zeros((self.k, n_rows))
-            self.col_sums = np.zeros((self.k, n_cols))
-            self.col_counts = np.zeros((self.k, n_cols), dtype=np.int64)
-            self.col_counts_f = np.zeros((self.k, n_cols))
+        n_rows, n_cols = values.shape
+        self.row_sums = np.zeros((self.k, n_rows))
+        self.row_counts = np.zeros((self.k, n_rows), dtype=np.int64)
+        self.row_counts_f = np.zeros((self.k, n_rows))
+        self.col_sums = np.zeros((self.k, n_cols))
+        self.col_counts = np.zeros((self.k, n_cols), dtype=np.int64)
+        self.col_counts_f = np.zeros((self.k, n_cols))
         for c in range(self.k):
             self.refresh_cluster(c)
 
     # -- bookkeeping ---------------------------------------------------
     def refresh_cluster(self, c: int) -> None:
-        """Recompute cluster ``c``'s exact statistics (and fast caches)."""
+        """Recompute cluster ``c``'s exact statistics and caches."""
         rows = np.flatnonzero(self.row_member[c])
         cols = np.flatnonzero(self.col_member[c])
         if rows.size == 0 or cols.size == 0:
@@ -231,55 +228,50 @@ class _State:
             if w is not None:
                 w.residue_evals += 1
                 w.cells_scanned += int(self.volumes[c])
-        if self.fast:
-            self.row_sums[c] = self.filled[:, cols].sum(axis=1)
-            self.row_counts[c] = self.mask[:, cols].sum(axis=1)
-            self.col_sums[c] = self.filled[rows, :].sum(axis=0)
-            self.col_counts[c] = self.mask[rows, :].sum(axis=0)
-            self.row_counts_f[c] = self.row_counts[c]
-            self.col_counts_f[c] = self.col_counts[c]
+        self.row_sums[c] = self.filled[:, cols].sum(axis=1)
+        self.row_counts[c] = self.mask[:, cols].sum(axis=1)
+        self.col_sums[c] = self.filled[rows, :].sum(axis=0)
+        self.col_counts[c] = self.mask[rows, :].sum(axis=0)
+        self.row_counts_f[c] = self.row_counts[c]
+        self.col_counts_f[c] = self.col_counts[c]
         self.volumes_f[c] = self.volumes[c]
         self.stamp[c] += 1
         self.rev += 1
 
     def toggle(self, kind: str, index: int, c: int) -> None:
-        """Flip one membership bit and update the fast caches incrementally."""
+        """Flip one membership bit and update the caches incrementally."""
         if self.work is not None:
             self.work.toggles += 1
         if kind == ROW:
             joining = not self.row_member[c, index]
             self.row_member[c, index] = joining
-            if self.fast:
-                sign = 1.0 if joining else -1.0
-                self.col_sums[c] += sign * self.filled[index]
-                self.col_counts[c] += (1 if joining else -1) * self.mask[index]
-                self.col_counts_f[c] += sign * self.mask[index]
+            sign = 1.0 if joining else -1.0
+            self.col_sums[c] += sign * self.filled[index]
+            self.col_counts[c] += (1 if joining else -1) * self.mask[index]
+            self.col_counts_f[c] += sign * self.mask[index]
         else:
             joining = not self.col_member[c, index]
             self.col_member[c, index] = joining
-            if self.fast:
-                sign = 1.0 if joining else -1.0
-                self.row_sums[c] += sign * self.filled[:, index]
-                self.row_counts[c] += (1 if joining else -1) * self.mask[:, index]
-                self.row_counts_f[c] += sign * self.mask[:, index]
+            sign = 1.0 if joining else -1.0
+            self.row_sums[c] += sign * self.filled[:, index]
+            self.row_counts[c] += (1 if joining else -1) * self.mask[:, index]
+            self.row_counts_f[c] += sign * self.mask[:, index]
         self.stamp[c] += 1
         self.rev += 1
 
     def snapshot(self) -> dict:
         if self.work is not None:
             self.work.snapshots += 1
-        state = {
+        return {
             "row_member": self.row_member.copy(),
             "col_member": self.col_member.copy(),
             "residues": self.residues.copy(),
             "volumes": self.volumes.copy(),
+            "row_sums": self.row_sums.copy(),
+            "row_counts": self.row_counts.copy(),
+            "col_sums": self.col_sums.copy(),
+            "col_counts": self.col_counts.copy(),
         }
-        if self.fast:
-            state["row_sums"] = self.row_sums.copy()
-            state["row_counts"] = self.row_counts.copy()
-            state["col_sums"] = self.col_sums.copy()
-            state["col_counts"] = self.col_counts.copy()
-        return state
 
     def restore(self, state: dict) -> None:
         if self.work is not None:
@@ -288,210 +280,17 @@ class _State:
         self.col_member[...] = state["col_member"]
         self.residues[...] = state["residues"]
         self.volumes[...] = state["volumes"]
-        if self.fast:
-            self.row_sums[...] = state["row_sums"]
-            self.row_counts[...] = state["row_counts"]
-            self.col_sums[...] = state["col_sums"]
-            self.col_counts[...] = state["col_counts"]
-            self.row_counts_f[...] = self.row_counts
-            self.col_counts_f[...] = self.col_counts
+        self.row_sums[...] = state["row_sums"]
+        self.row_counts[...] = state["row_counts"]
+        self.col_sums[...] = state["col_sums"]
+        self.col_counts[...] = state["col_counts"]
+        self.row_counts_f[...] = self.row_counts
+        self.col_counts_f[...] = self.col_counts
         self.volumes_f[...] = self.volumes
         # Every cluster may have changed; stamps only ever move forward
         # so no lane cached before the restore can masquerade as fresh.
         self.stamp += 1
         self.rev += 1
-
-    # -- gain evaluation -----------------------------------------------
-    def exact_candidate(self, kind: str, index: int, c: int) -> Tuple[float, int]:
-        residue, volume = evaluate_toggle(
-            self.values, self.row_member[c], self.col_member[c], kind, index
-        )
-        w = self.work
-        if w is not None:
-            w.residue_evals += 1
-            w.toggle_evals += 1
-            w.cells_scanned += volume
-        return residue, volume
-
-    def line_residue(self, kind: str, index: int, c: int) -> float:
-        """Mean |residual| of one row/column against cluster ``c``'s bases.
-
-        Measures how well the line fits the cluster's current shifting
-        pattern -- the admission test of r-residue mode (a line worse than
-        the target may not join, however little it would dilute the mean).
-        Returns 0.0 for a line with no specified entries on the cluster.
-        """
-        _, _, line_res = self._candidate_parts(kind, index, c)
-        return line_res
-
-    def fast_candidate(self, kind: str, index: int, c: int) -> Tuple[float, int]:
-        """O(m) / O(n) residue estimate after toggling ``index`` in ``c``.
-
-        Freezes the cluster's bases and folds the toggled line's residue
-        contribution in (addition) or out (removal) of the volume-weighted
-        mean.
-        """
-        new_residue, new_volume, _ = self._candidate_parts(kind, index, c)
-        return new_residue, new_volume
-
-    def candidate_parts_batch(
-        self, kind: str, index: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_candidate_parts` across ALL k clusters.
-
-        One (k x N) / (k x M) pass instead of k separate O(m) calls --
-        the hot path of fast-mode FLOC, where per-call numpy overhead
-        would otherwise dominate.  Returns ``(new_residues, new_volumes,
-        line_residues, line_counts, widths)`` arrays of length k; the
-        first three are numerically identical to the per-cluster path,
-        ``line_counts`` is the number of specified entries the toggled
-        line has on each cluster, and ``widths`` the cluster's extent
-        along the toggled line (member column count for a row toggle) --
-        exposed for missingness-aware admission experiments (see
-        :func:`_gain`'s docstring for the rejected variant).
-        """
-        if kind == ROW:
-            member = self.col_member                     # (k, N)
-            line_values = self.values[index]             # (N,)
-            line_mask = self.mask[index]
-            base_sums = self.col_sums                    # (k, N)
-            base_counts = self.col_counts
-            line_sums = self.row_sums[:, index]          # (k,)
-            line_counts = self.row_counts[:, index]
-            line_counts_f = self.row_counts_f[:, index]
-            removing = self.row_member[:, index]
-        else:
-            member = self.row_member                     # (k, M)
-            line_values = self.values[:, index]
-            line_mask = self.mask[:, index]
-            base_sums = self.row_sums
-            base_counts = self.row_counts
-            line_sums = self.col_sums[:, index]
-            line_counts = self.col_counts[:, index]
-            line_counts_f = self.col_counts_f[:, index]
-            removing = self.col_member[:, index]
-
-        # Cached float views: no astype conversions on the hot path.
-        volumes = self.volumes_f
-        residues = self.residues
-
-        # All denominators are >= 1 by construction, so no errstate
-        # context is needed anywhere on this path.
-        line_base = line_sums / np.maximum(line_counts_f, 1.0)
-        cross_base = np.where(
-            base_counts > 0,
-            base_sums / np.maximum(base_counts, 1),
-            0.0,
-        )
-        totals = (base_sums * member).sum(axis=1)
-        counts = (base_counts * member).sum(axis=1)
-        grand = np.where(counts > 0, totals / np.maximum(counts, 1), 0.0)
-
-        filled_line = np.where(line_mask, line_values, 0.0)
-        deviations = np.abs(
-            filled_line[None, :]
-            - line_base[:, None]
-            - cross_base
-            + grand[:, None]
-        )
-        relevant = member & line_mask[None, :]
-        line_residues = np.where(relevant, deviations, 0.0).sum(axis=1)
-        line_residues = np.where(
-            line_counts > 0, line_residues / np.maximum(line_counts_f, 1.0), 0.0
-        )
-
-        add_volumes = volumes + line_counts_f
-        remove_volumes = volumes - line_counts_f
-        add_residues = (
-            volumes * residues + line_counts_f * line_residues
-        ) / np.maximum(add_volumes, 1.0)
-        remove_residues = np.maximum(
-            (volumes * residues - line_counts_f * line_residues)
-            / np.maximum(remove_volumes, 1.0),
-            0.0,
-        )
-        new_volumes = np.where(removing, remove_volumes, add_volumes)
-        new_residues = np.where(removing, remove_residues, add_residues)
-
-        # Toggling a fully-missing line never changes anything.
-        untouched = line_counts == 0
-        new_volumes = np.where(untouched, volumes, new_volumes)
-        new_residues = np.where(untouched, residues, new_residues)
-        # Removing the whole volume empties the cluster.
-        emptied = removing & ~untouched & (remove_volumes <= 0)
-        new_volumes = np.where(emptied, 0.0, new_volumes)
-        new_residues = np.where(emptied, 0.0, new_residues)
-        line_residues = np.where(untouched | emptied, 0.0, line_residues)
-        widths = member.sum(axis=1)
-        w = self.work
-        if w is not None:
-            w.batch_evals += 1
-            w.toggle_evals += self.k
-            w.cells_scanned += int(line_counts.sum())
-        return (
-            new_residues,
-            new_volumes.astype(np.int64),
-            line_residues,
-            line_counts,
-            widths,
-        )
-
-    def _candidate_parts(
-        self, kind: str, index: int, c: int
-    ) -> Tuple[float, int, float]:
-        """(new_residue, new_volume, line_residue) of one candidate toggle."""
-        volume = int(self.volumes[c])
-        residue = float(self.residues[c])
-        w = self.work
-        if w is not None:
-            w.toggle_evals += 1
-            w.cells_scanned += int(
-                self.row_counts[c, index] if kind == ROW
-                else self.col_counts[c, index]
-            )
-        if kind == ROW:
-            member_axis = self.col_member[c]
-            line_values = self.values[index, member_axis]
-            base_sums = self.col_sums[c, member_axis]
-            base_counts = self.col_counts[c, member_axis]
-            line_sum = float(self.row_sums[c, index])
-            line_count = int(self.row_counts[c, index])
-            removing = bool(self.row_member[c, index])
-        else:
-            member_axis = self.row_member[c]
-            line_values = self.values[member_axis, index]
-            base_sums = self.row_sums[c, member_axis]
-            base_counts = self.row_counts[c, member_axis]
-            line_sum = float(self.col_sums[c, index])
-            line_count = int(self.col_counts[c, index])
-            removing = bool(self.col_member[c, index])
-
-        if line_count == 0:
-            # Toggling a fully-missing line never changes the residue.
-            return residue, volume, 0.0
-        if removing and volume - line_count <= 0:
-            return 0.0, 0, 0.0
-
-        line_mask = ~np.isnan(line_values)
-        line_base = line_sum / line_count
-        with np.errstate(invalid="ignore"):
-            cross_base = np.where(
-                base_counts > 0, base_sums / np.maximum(base_counts, 1), 0.0
-            )
-        total = float(base_sums.sum())
-        count = int(base_counts.sum())
-        grand = total / count if count else 0.0
-        deviations = np.abs(line_values - line_base - cross_base + grand)
-        line_residue = float(deviations[line_mask].sum()) / line_count
-        if removing:
-            new_volume = volume - line_count
-            new_residue = max(
-                (volume * residue - line_count * line_residue) / new_volume, 0.0
-            )
-        else:
-            new_volume = volume + line_count
-            new_residue = (volume * residue + line_count * line_residue) / new_volume
-        return new_residue, new_volume, line_residue
 
 
 def _masked_mean_abs_residue(sub: np.ndarray, sub_mask: np.ndarray) -> float:
@@ -706,12 +505,7 @@ def floc(
                 )
                 for row_member, col_member in seed_list
             ]
-        # The gain engine scores every candidate lane from the incremental
-        # sufficient statistics, so the caches are always maintained (they
-        # also power the weighted ordering's gain estimates).
-        state = _State(
-            matrix.values, matrix.mask, seed_list, fast=True, work=work
-        )
+        state = _State(matrix.values, matrix.mask, seed_list, work=work)
     initial_residue = float(state.residues.mean())
     if tracer.enabled:
         for c in range(state.k):
@@ -1065,8 +859,6 @@ def _gain(
     residue_target: Optional[float],
     line_residue: Optional[float] = None,
     is_addition: bool = False,
-    line_count: Optional[int] = None,
-    width: Optional[int] = None,
 ) -> float:
     """Gain of one candidate action.
 
@@ -1080,14 +872,10 @@ def _gain(
     cluster's mean dilutes one junk line at a time below the target
     (the exact leak Cheng & Church's node addition guards against).
 
-    ``line_count`` and ``width`` are accepted (and plumbed by the batch
-    evaluator) for experimentation with missingness-aware admission; a
-    sqrt(line_count / width) discount was tried and REJECTED -- loosening
-    admission for sparse lines lets junk in faster than it rescues
-    borderline members, and measured recall dropped at every missing
-    fraction (see DESIGN.md section 4).  The plain test is used.
+    The engine scores whole lanes with
+    :func:`~repro.core.gain_engine.gain_lane`, the vector form of this
+    ladder; this scalar is its reference (property-tested bit for bit).
     """
-    del line_count, width  # see docstring: discount rejected empirically
     if residue_target is None:
         return old_residue - new_residue
     scale = max(old_residue, residue_target)

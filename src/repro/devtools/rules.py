@@ -57,14 +57,6 @@ DCL008
     injectable clock seam (``repro.obs.perf.bench.DEFAULT_CLOCK``, an
     attribute reference to :attr:`repro.obs.tracer.Tracer.clock`), and
     per-run records are content-addressed rather than timestamped.
-DCL009
-    No per-slot scalar gain evaluators (``.exact_candidate()`` /
-    ``.fast_candidate()``) in core outside the batched engine module
-    (``repro/core/gain_engine.py``).  The sweep hot path scores whole
-    lanes through :class:`repro.core.gain_engine.GainEngine`; a scalar
-    call re-introduces the per-action O(n*m) rescan the engine exists
-    to amortize, and silently bypasses its caches, counters, and the
-    swappable scoring-backend boundary.
 """
 
 from __future__ import annotations
@@ -87,7 +79,6 @@ __all__ = [
     "MutableGlobalWriteRule",
     "ExceptionSwallowRule",
     "PerfWallClockRule",
-    "ScalarEvaluatorRule",
 ]
 
 
@@ -879,46 +870,6 @@ class PerfWallClockRule(Rule):
                 )
 
 
-# ----------------------------------------------------------------------
-# DCL009 -- no per-slot scalar gain evaluators in core sweep code
-# ----------------------------------------------------------------------
-#: Method names of the per-slot scalar evaluators the batched engine
-#: replaced.  Matched as attribute calls (``state.exact_candidate(...)``)
-#: since the receiver's type is not statically resolvable.
-_SCALAR_EVALUATORS = {"exact_candidate", "fast_candidate"}
-
-
-class ScalarEvaluatorRule(Rule):
-    """DCL009: core must score through the engine, not scalar rescans."""
-
-    code = "DCL009"
-    summary = (
-        "no .exact_candidate()/.fast_candidate() calls in src/repro/core/ "
-        "outside gain_engine.py: sweep scoring goes through the batched "
-        "GainEngine lanes (caches, counters, backend protocol)"
-    )
-
-    def applies(self, path: str) -> bool:
-        p = _posix(path)
-        return _in_core(p) and not p.endswith("/gain_engine.py")
-
-    def check(self, ctx: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _SCALAR_EVALUATORS
-            ):
-                yield self._violation(
-                    ctx, node,
-                    f".{func.attr}() is a per-slot scalar rescan; score "
-                    "through repro.core.gain_engine.GainEngine lanes so "
-                    "the sweep stays batched (and counted)",
-                )
-
-
 #: Registry, in code order.  ``lint.py`` instantiates from here; tests
 #: can construct individual rules directly.
 RULES: Tuple[Type[Rule], ...] = (
@@ -930,7 +881,6 @@ RULES: Tuple[Type[Rule], ...] = (
     MutableGlobalWriteRule,
     ExceptionSwallowRule,
     PerfWallClockRule,
-    ScalarEvaluatorRule,
 )
 
 

@@ -143,7 +143,7 @@ def make_primitives_payload(
     values[rng.random((600, 80)) < 0.1] = np.nan
     mask = ~np.isnan(values)
     seeds = bernoulli_seeds(600, 80, 16, 0.15, rng)
-    state = _State(values, mask, seeds, fast=True, work=work)
+    state = _State(values, mask, seeds, work=work)
     row_member = np.zeros(600, dtype=bool)
     row_member[:120] = True
     col_member = np.zeros(80, dtype=bool)
@@ -268,56 +268,43 @@ def _primitives_residue_scan(work: WorkCounters) -> Dict[str, object]:
     return {"reps": reps, "volume": int(state.volumes[0])}
 
 
-def _primitives_fast_batch(work: WorkCounters) -> Dict[str, object]:
-    _, _, _, state = make_primitives_payload(work=work)
-    reps = 200
-    checksum = 0.0
-    for _ in range(reps):
-        new_res, _, _, _, _ = state.candidate_parts_batch("row", 400)
-        checksum += float(new_res.sum())
-    return {"reps": reps, "checksum": round(checksum, 9)}
-
-
 def _primitives_exact_lane(work: WorkCounters) -> Dict[str, object]:
-    from ...core.gain_engine import ResidueBackend
+    from ...core.gain_engine import exact_lane
 
     _, _, _, state = make_primitives_payload(work=work)
-    backend = ResidueBackend()
     reps = 50
     checksum = 0.0
     for _ in range(reps):
-        lane = backend.exact_lane(state, "row", 0)
+        lane = exact_lane(state, "row", 0)
         checksum += float(lane.new_residues.sum())
     return {"reps": reps, "width": 600, "checksum": round(checksum, 9)}
 
 
 def _primitives_exact_lane_block(work: WorkCounters) -> Dict[str, object]:
-    from ...core.gain_engine import _BLOCK, ResidueBackend
+    from ...core.gain_engine import _BLOCK, exact_context, exact_lane
 
     _, _, _, state = make_primitives_payload(work=work)
-    backend = ResidueBackend()
     reps = 50
     checksum = 0.0
     for rep in range(reps):
         # One context amortized over the sweep's block rebuilds -- the
         # shape _resync_block drives during a real Phase 2 iteration.
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = exact_context(state, "row", 0)
         for start in range(0, 600, _BLOCK):
             sel = np.arange(start, min(start + _BLOCK, 600), dtype=np.intp)
-            lane = backend.exact_lane(state, "row", 0, sel=sel, ctx=ctx)
+            lane = exact_lane(state, "row", 0, sel=sel, ctx=ctx)
             checksum += float(lane.new_residues.sum())
     return {"reps": reps, "block": _BLOCK, "checksum": round(checksum, 9)}
 
 
 def _primitives_estimate_lane(work: WorkCounters) -> Dict[str, object]:
-    from ...core.gain_engine import ResidueBackend
+    from ...core.gain_engine import estimate_lane
 
     _, _, _, state = make_primitives_payload(work=work)
-    backend = ResidueBackend()
     reps = 200
     checksum = 0.0
     for _ in range(reps):
-        lane = backend.estimate_lane(state, "row", 0)
+        lane = estimate_lane(state, "row", 0)
         checksum += float(lane.new_residues.sum())
     return {"reps": reps, "checksum": round(checksum, 9)}
 
@@ -381,12 +368,6 @@ register_workload(
     "50 repetitions of the exact cluster residue refresh (600x80 state)",
     ("primitives",),
     _primitives_residue_scan,
-)
-register_workload(
-    "primitives_fast_batch",
-    "200 repetitions of the 16-cluster vectorized fast-gain batch",
-    ("primitives",),
-    _primitives_fast_batch,
 )
 register_workload(
     "primitives_exact_lane",

@@ -486,51 +486,6 @@ class TestPerfWallClock:
 
 
 # ----------------------------------------------------------------------
-# DCL009 -- no per-slot scalar gain evaluators in core sweep code
-# ----------------------------------------------------------------------
-ENGINE_PATH = "src/repro/core/gain_engine.py"
-
-
-class TestScalarEvaluator:
-    @pytest.mark.parametrize("method", ["exact_candidate", "fast_candidate"])
-    def test_scalar_evaluator_call_fires_in_core(self, method):
-        src = (
-            "__all__ = ['sweep']\n"
-            f"def sweep(state):\n    return state.{method}('row', 0, 0)\n"
-        )
-        assert codes(lint_source(src, CORE_PATH)) == ["DCL009"]
-
-    def test_defining_the_method_is_ok(self):
-        # floc.py *defines* exact_candidate; only call sites re-enter
-        # the per-slot rescan path.
-        src = (
-            "__all__ = []\n"
-            "class _State:  # noqa fixture\n"
-            "    def exact_candidate(self, kind, index, c):\n"
-            "        return 0.0, 0\n"
-        )
-        assert lint_source(src, CORE_PATH) == []
-
-    def test_engine_module_exempt(self):
-        src = (
-            "__all__ = ['lane']\n"
-            "def lane(state):\n    return state.exact_candidate('row', 0, 0)\n"
-        )
-        assert lint_source(src, ENGINE_PATH) == []
-
-    def test_outside_core_exempt(self):
-        src = (
-            "__all__ = ['probe']\n"
-            "def probe(state):\n    return state.exact_candidate('row', 0, 0)\n"
-        )
-        assert lint_source(src, OTHER_PATH) == []
-
-    def test_tests_exempt(self):
-        src = "def test_x(state):\n    state.fast_candidate('row', 0, 0)\n"
-        assert lint_source(src, TEST_PATH) == []
-
-
-# ----------------------------------------------------------------------
 # Suppression comments
 # ----------------------------------------------------------------------
 class TestSuppression:
@@ -689,7 +644,7 @@ class TestEngine:
     def test_registry_is_complete(self):
         assert [cls.code for cls in RULES] == [
             "DCL001", "DCL002", "DCL003", "DCL004", "DCL005", "DCL006",
-            "DCL007", "DCL008", "DCL009",
+            "DCL007", "DCL008",
         ]
 
     def test_collect_files_skips_pycache(self, tmp_path):

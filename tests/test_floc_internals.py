@@ -3,7 +3,7 @@
 The public behaviour is covered by test_floc.py; these pin down the
 pieces that are easy to break silently: the r-residue gain table, the
 score function, alpha seed trimming, dead-slot reseeding, and the
-incremental fast-gain caches.
+incremental sufficient-statistic caches.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.actions import evaluate_toggle
 from repro.core.constraints import Constraints
 from repro.core.floc import (
     _State,
@@ -19,7 +20,9 @@ from repro.core.floc import (
     _score,
     _trim_seed_to_alpha,
 )
+from repro.core.gain_engine import estimate_lane, exact_lane
 from repro.core.seeding import bernoulli_seeds
+from tests.oracles import frozen_bases_parts
 
 NAN = float("nan")
 
@@ -66,7 +69,7 @@ class TestScore:
         values = np.ones((10, 10))
         seeds = bernoulli_seeds(10, 10, len(residues), 0.5,
                                 np.random.default_rng(0))
-        state = _State(values, ~np.isnan(values), seeds, fast=False)
+        state = _State(values, ~np.isnan(values), seeds)
         state.residues[:] = residues
         state.volumes[:] = volumes
         return state
@@ -129,7 +132,7 @@ class TestReseedDeadSlots:
         rng = np.random.default_rng(rng_seed)
         values = rng.uniform(0, 100, size=(40, 20))
         seeds = bernoulli_seeds(40, 20, k, 0.3, rng)
-        return _State(values, ~np.isnan(values), seeds, fast=True), rng
+        return _State(values, ~np.isnan(values), seeds), rng
 
     def test_floor_cluster_reseeded(self):
         state, rng = self.make_state()
@@ -195,7 +198,7 @@ class TestFastCaches:
         values[rng.random((20, 12)) < 0.15] = np.nan
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(20, 12, 2, 0.4, rng)
-        state = _State(values, mask, seeds, fast=True)
+        state = _State(values, mask, seeds)
         for step in range(60):
             kind = "row" if rng.random() < 0.5 else "col"
             index = int(rng.integers(0, 20 if kind == "row" else 12))
@@ -220,12 +223,16 @@ class TestFastCaches:
         rng = np.random.default_rng(5)
         values = rng.normal(size=(30, 10))
         seeds = bernoulli_seeds(30, 10, 1, 0.4, rng)
-        state = _State(values, ~np.isnan(values), seeds, fast=True)
+        state = _State(values, ~np.isnan(values), seeds)
+        lane = estimate_lane(state, "row", 0)
         outside = np.flatnonzero(~state.row_member[0])
         for index in outside[:5]:
-            fast_res, fast_vol = state.fast_candidate("row", int(index), 0)
-            exact_res, exact_vol = state.exact_candidate("row", int(index), 0)
-            assert fast_vol == exact_vol
+            fast_res = float(lane.new_residues[index])
+            exact_res, exact_vol = evaluate_toggle(
+                values, state.row_member[0], state.col_member[0],
+                "row", int(index),
+            )
+            assert int(lane.new_volumes[index]) == exact_vol
             # Frozen-bases estimate: same ballpark, not exact.
             assert fast_res == pytest.approx(exact_res, rel=0.5, abs=0.5)
 
@@ -234,7 +241,7 @@ class TestFastCaches:
         values = rng.normal(size=(25, 14))
         values[rng.random((25, 14)) < 0.2] = np.nan
         seeds = bernoulli_seeds(25, 14, 4, 0.35, rng)
-        state = _State(values, ~np.isnan(values), seeds, fast=True)
+        state = _State(values, ~np.isnan(values), seeds)
         # Include degenerate clusters: one at the floor, one tiny.
         state.row_member[3] = False
         state.row_member[3, :2] = True
@@ -242,15 +249,15 @@ class TestFastCaches:
         state.col_member[3, :2] = True
         state.refresh_cluster(3)
         for kind, limit in (("row", 25), ("col", 14)):
-            for index in range(limit):
-                batch = state.candidate_parts_batch(kind, index)
-                for c in range(4):
-                    single = state._candidate_parts(kind, index, c)
-                    assert float(batch[0][c]) == pytest.approx(
+            for c in range(4):
+                lane = estimate_lane(state, kind, c)
+                for index in range(limit):
+                    single = frozen_bases_parts(state, kind, index, c)
+                    assert float(lane.new_residues[index]) == pytest.approx(
                         single[0], rel=1e-12, abs=1e-12
                     ), (kind, index, c)
-                    assert int(batch[1][c]) == single[1]
-                    assert float(batch[2][c]) == pytest.approx(
+                    assert int(lane.new_volumes[index]) == single[1]
+                    assert float(lane.line_residues[index]) == pytest.approx(
                         single[2], rel=1e-12, abs=1e-12
                     )
 
@@ -258,7 +265,7 @@ class TestFastCaches:
         rng = np.random.default_rng(6)
         values = rng.normal(size=(15, 8))
         seeds = bernoulli_seeds(15, 8, 2, 0.4, rng)
-        state = _State(values, ~np.isnan(values), seeds, fast=True)
+        state = _State(values, ~np.isnan(values), seeds)
         snapshot = state.snapshot()
         for __ in range(10):
             state.toggle("row", int(rng.integers(0, 15)), int(rng.integers(0, 2)))
@@ -273,7 +280,7 @@ class TestSnapshotRestoreProperty:
 
     Twin construction: both states apply the same prefix ``t1``; one then
     detours through ``t2`` and restores the snapshot.  Every piece of
-    state -- membership, residues, occupancy counts, fast caches -- and
+    state -- membership, residues, occupancy counts, sufficient statistics -- and
     every subsequent toggle-gain evaluation must be bitwise identical to
     the twin that never detoured.  (The checkpoint/resume parity of
     ``repro.runtime`` rests on this class of exact-undo invariant.)
@@ -300,8 +307,8 @@ class TestSnapshotRestoreProperty:
             np.random.default_rng(seed + 1),
         )
         return (
-            _State(values, mask, seeds, fast=True),
-            _State(values, mask, seeds, fast=True),
+            _State(values, mask, seeds),
+            _State(values, mask, seeds),
         )
 
     def _apply(self, state, ops):
@@ -333,11 +340,14 @@ class TestSnapshotRestoreProperty:
             self._assert_bit_identical(
                 getattr(state, attr), getattr(twin, attr), attr
             )
-        for kind, limit in (("row", self.N_ROWS), ("col", self.N_COLS)):
-            for index in range(limit):
-                parts_a = state.candidate_parts_batch(kind, index)
-                parts_b = twin.candidate_parts_batch(kind, index)
-                for part_a, part_b in zip(parts_a, parts_b):
-                    self._assert_bit_identical(
-                        part_a, part_b, (kind, index)
-                    )
+        for kind in ("row", "col"):
+            for c in range(self.K):
+                for scorer in (estimate_lane, exact_lane):
+                    lane_a = scorer(state, kind, c)
+                    lane_b = scorer(twin, kind, c)
+                    for name in ("new_residues", "new_volumes",
+                                 "line_residues", "line_counts"):
+                        self._assert_bit_identical(
+                            getattr(lane_a, name), getattr(lane_b, name),
+                            (scorer.__name__, kind, c, name),
+                        )

@@ -1,13 +1,13 @@
 """Property tests for the batched gain engine (``repro.core.gain_engine``).
 
 The engine's whole claim is *equivalence*: the batched exact evaluator,
-its block-windowed and scalar forms, and the vectorised gain ladder must
-reproduce the per-action oracle path (``exact_candidate`` /
-``evaluate_toggle`` / scalar ``_gain``) -- exactly where exactness is
-promised (volumes, chosen actions, bitwise-identical lane entries) and
-to float tolerance where the oracle recomputes from scratch (residues).
-The WorkCounters accounting rules of the batched counters are pinned
-here too.
+its block-windowed form, and the vectorised gain ladder must reproduce
+the per-action oracles (``evaluate_toggle``'s full-submatrix rescan, the
+scalar frozen-bases fold in ``tests/oracles.py``, scalar ``_gain``) --
+exactly where exactness is promised (volumes, chosen actions,
+bitwise-identical lane entries) and to float tolerance where the oracle
+recomputes from scratch (residues).  The WorkCounters accounting rules
+of the batched counters are pinned here too.
 """
 
 import numpy as np
@@ -17,39 +17,56 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.gain_engine as ge
+from repro.core.actions import evaluate_toggle
+from repro.core.constraints import Constraints
 from repro.core.floc import _State, _gain, floc
-from repro.core.gain_engine import GainEngine, ResidueBackend, gain_lane
+from repro.core.gain_engine import (
+    GainEngine, estimate_lane, exact_context, exact_lane, gain_lane,
+)
 from repro.core.seeding import bernoulli_seeds
 from repro.data.synthetic import generate_embedded
 from repro.obs.perf.counters import WorkCounters
+from tests.oracles import frozen_bases_parts
+
+NAN = float("nan")
 
 # -- strategies --------------------------------------------------------
 
 
-def matrices_with_missing(min_side=3, max_side=10):
-    side = st.integers(min_side, max_side)
-    return side.flatmap(
-        lambda n: side.flatmap(
-            lambda m: arrays(
-                np.float64,
-                (n, m),
-                elements=st.one_of(
-                    st.floats(
-                        min_value=-1e4, max_value=1e4,
-                        allow_nan=False, allow_infinity=False,
-                    ),
-                    st.just(float("nan")),
-                ),
-            )
-        )
-    )
+@st.composite
+def matrices_with_missing(draw, min_side=3, max_side=10):
+    """Matrices with scattered NaNs, optionally NaN-heavy, plus any
+    number of all-missing rows and columns (up to a fully missing
+    matrix)."""
+    n = draw(st.integers(min_side, max_side))
+    m = draw(st.integers(min_side, max_side))
+    values = draw(arrays(
+        np.float64,
+        (n, m),
+        elements=st.one_of(
+            st.floats(
+                min_value=-1e4, max_value=1e4,
+                allow_nan=False, allow_infinity=False,
+            ),
+            st.just(NAN),
+        ),
+    )).copy()
+    if draw(st.booleans()):  # NaN-heavy: blank a further random pattern
+        values[draw(arrays(np.bool_, (n, m)))] = NAN
+    values[draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = NAN
+    values[:, draw(st.lists(st.integers(0, m - 1), max_size=m))] = NAN
+    return values
 
 
 def make_state(values, seed, k, work=None):
     mask = ~np.isnan(values)
     rng = np.random.default_rng(seed)
     seeds = bernoulli_seeds(values.shape[0], values.shape[1], k, 0.4, rng)
-    return _State(values, mask, seeds, fast=True, work=work)
+    return _State(values, mask, seeds, work=work)
+
+
+def lane_size(values, kind):
+    return values.shape[0] if kind == "row" else values.shape[1]
 
 
 # -- exact lane vs the per-action oracle -------------------------------
@@ -59,18 +76,24 @@ class TestExactLaneOracle:
     @given(matrices_with_missing(), st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
     def test_lane_matches_exact_candidate(self, values, seed, k):
-        """Full-lane residues/volumes == per-action evaluate_toggle rescans."""
+        """Full-lane residues/volumes == per-action evaluate_toggle
+        rescans; line residues == the frozen-bases oracle's."""
         state = make_state(values, seed, k)
-        backend = ResidueBackend()
         for kind in ("row", "col"):
-            size = values.shape[0] if kind == "row" else values.shape[1]
             for c in range(k):
-                lane = backend.exact_lane(state, kind, c)
-                for i in range(size):
-                    oracle_res, oracle_vol = state.exact_candidate(kind, i, c)
+                lane = exact_lane(state, kind, c)
+                for i in range(lane_size(values, kind)):
+                    oracle_res, oracle_vol = evaluate_toggle(
+                        values, state.row_member[c], state.col_member[c],
+                        kind, i,
+                    )
                     assert int(lane.new_volumes[i]) == oracle_vol
                     assert float(lane.new_residues[i]) == pytest.approx(
                         oracle_res, rel=1e-9, abs=1e-9
+                    )
+                    _, _, line_res = frozen_bases_parts(state, kind, i, c)
+                    assert float(lane.line_residues[i]) == pytest.approx(
+                        line_res, rel=1e-9, abs=1e-9
                     )
 
     @given(matrices_with_missing(), st.integers(0, 2**32 - 1), st.integers(1, 4))
@@ -78,15 +101,12 @@ class TestExactLaneOracle:
     def test_chosen_action_matches_oracle_argmax(self, values, seed, k):
         """best_action's winner == argmax of per-action oracle gains."""
         state = make_state(values, seed, k)
-        from repro.core.constraints import Constraints
-
         engine = GainEngine(
             state, Constraints(min_rows=1, min_cols=1),
             alpha=0.0, residue_target=None, gain_mode="exact",
         )
         for kind in ("row", "col"):
-            size = values.shape[0] if kind == "row" else values.shape[1]
-            for index in range(min(size, 4)):
+            for index in range(min(lane_size(values, kind), 4)):
                 picked = engine.best_action(kind, index)
                 gains = {}
                 for c in range(k):
@@ -101,7 +121,10 @@ class TestExactLaneOracle:
                             continue
                         if kind == "col" and (n_c < 1 or m_c - 1 < 1):
                             continue
-                    res, _ = state.exact_candidate(kind, index, c)
+                    res, _ = evaluate_toggle(
+                        values, state.row_member[c], state.col_member[c],
+                        kind, index,
+                    )
                     gains[c] = _gain(
                         float(state.residues[c]), int(state.volumes[c]),
                         res, 0, residue_target=None,
@@ -123,34 +146,35 @@ class TestExactLaneOracle:
                 )
 
 
-# -- estimate lane vs candidate_parts_batch (bitwise) ------------------
+# -- estimate lane vs the scalar frozen-bases oracle -------------------
 
 
 class TestEstimateLane:
     @given(matrices_with_missing(), st.integers(0, 2**32 - 1), st.integers(1, 4))
     @settings(max_examples=60, deadline=None)
-    def test_estimate_lane_bitwise_equals_batch(self, values, seed, k):
+    def test_estimate_lane_matches_frozen_bases_oracle(self, values, seed, k):
         state = make_state(values, seed, k)
-        backend = ResidueBackend()
         for kind in ("row", "col"):
-            size = values.shape[0] if kind == "row" else values.shape[1]
-            lanes = [backend.estimate_lane(state, kind, c) for c in range(k)]
-            for index in range(size):
-                new_res, new_vol, line_res, _, _ = state.candidate_parts_batch(
-                    kind, index
-                )
-                for c in range(k):
-                    assert lanes[c].new_residues[index] == new_res[c]
-                    assert lanes[c].new_volumes[index] == new_vol[c]
-                    assert lanes[c].line_residues[index] == line_res[c]
+            for c in range(k):
+                lane = estimate_lane(state, kind, c)
+                for index in range(lane_size(values, kind)):
+                    new_res, new_vol, line_res = frozen_bases_parts(
+                        state, kind, index, c
+                    )
+                    assert int(lane.new_volumes[index]) == new_vol
+                    assert float(lane.new_residues[index]) == pytest.approx(
+                        new_res, rel=1e-9, abs=1e-9
+                    )
+                    assert float(lane.line_residues[index]) == pytest.approx(
+                        line_res, rel=1e-9, abs=1e-9
+                    )
 
 
-# -- block / scalar forms are bitwise-identical to the full lane -------
+# -- block windows are bitwise-identical to the full lane --------------
 
 
 class TestBlockAndScalarParity:
-    def test_block_sel_and_exact_one_bitwise_equal_full_lane(self):
-        backend = ResidueBackend()
+    def test_block_and_one_slot_bitwise_equal_full_lane(self):
         rng = np.random.default_rng(42)
         for _ in range(10):
             N = int(rng.integers(8, 80))
@@ -160,39 +184,44 @@ class TestBlockAndScalarParity:
             values[rng.random((N, M)) < 0.15] = np.nan
             mask = ~np.isnan(values)
             seeds = bernoulli_seeds(N, M, k, 0.3, rng)
-            state = _State(values, mask, seeds, fast=True, work=None)
+            state = _State(values, mask, seeds, work=None)
             for kind in ("row", "col"):
                 size = N if kind == "row" else M
                 for c in range(k):
-                    ctx = backend.exact_context(state, kind, c)
-                    full = backend.exact_lane(state, kind, c, ctx=ctx)
+                    ctx = exact_context(state, kind, c)
+                    full = exact_lane(state, kind, c, ctx=ctx)
                     bs = int(rng.integers(1, size + 1))
                     sel = rng.permutation(size)[:bs].astype(np.intp)
-                    blk = backend.exact_lane(state, kind, c, sel=sel, ctx=ctx)
+                    blk = exact_lane(state, kind, c, sel=sel, ctx=ctx)
                     for name in ("new_residues", "new_volumes", "line_residues"):
                         assert np.array_equal(
                             getattr(full, name)[sel], getattr(blk, name)
                         ), name
+                    # A one-slot block is the lane's scalar form.
                     for i in rng.integers(0, size, size=min(4, size)):
-                        i = int(i)
-                        nr, nv, lr = backend.exact_one(state, kind, i, c, ctx)
-                        assert nr == full.new_residues[i]
-                        assert nv == full.new_volumes[i]
-                        assert lr == full.line_residues[i]
+                        one = exact_lane(
+                            state, kind, c,
+                            sel=np.array([i], dtype=np.intp), ctx=ctx,
+                        )
+                        for name in (
+                            "new_residues", "new_volumes", "line_residues",
+                        ):
+                            assert getattr(one, name)[0] == getattr(
+                                full, name
+                            )[i], name
 
     def test_ctx_reuse_bitwise_equals_fresh_ctx(self):
-        backend = ResidueBackend()
         rng = np.random.default_rng(7)
         values = rng.normal(size=(40, 12))
         values[rng.random((40, 12)) < 0.1] = np.nan
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(40, 12, 3, 0.3, rng)
-        state = _State(values, mask, seeds, fast=True, work=None)
+        state = _State(values, mask, seeds, work=None)
         for kind in ("row", "col"):
             for c in range(3):
-                ctx = backend.exact_context(state, kind, c)
-                with_ctx = backend.exact_lane(state, kind, c, ctx=ctx)
-                without = backend.exact_lane(state, kind, c)
+                ctx = exact_context(state, kind, c)
+                with_ctx = exact_lane(state, kind, c, ctx=ctx)
+                without = exact_lane(state, kind, c)
                 for name in ("new_residues", "new_volumes", "line_residues"):
                     assert np.array_equal(
                         getattr(with_ctx, name), getattr(without, name)
@@ -244,14 +273,13 @@ class TestCounterAccounting:
         values[rng.random((60, 20)) < 0.1] = np.nan
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(60, 20, 4, 0.3, rng)
-        return _State(values, mask, seeds, fast=True, work=work)
+        return _State(values, mask, seeds, work=work)
 
     def test_exact_context_counts_one_residue_eval_of_volume_cells(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
         before = work.copy()
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = exact_context(state, "row", 0)
         assert work.residue_evals == before.residue_evals + 1
         assert work.cells_scanned == before.cells_scanned + ctx.volume
         assert work.toggle_evals == before.toggle_evals
@@ -260,10 +288,9 @@ class TestCounterAccounting:
     def test_exact_lane_counts_batch_and_per_slot_toggles(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = exact_context(state, "row", 0)
         before = work.copy()
-        lane = backend.exact_lane(state, "row", 0, ctx=ctx)
+        lane = exact_lane(state, "row", 0, ctx=ctx)
         assert work.batch_evals == before.batch_evals + 1
         assert work.lane_builds == before.lane_builds + 1
         assert work.toggle_evals == before.toggle_evals + 60
@@ -274,32 +301,16 @@ class TestCounterAccounting:
     def test_block_lane_scans_only_selected_slots(self):
         work = WorkCounters()
         state = self._payload(work)
-        backend = ResidueBackend()
-        ctx = backend.exact_context(state, "row", 0)
+        ctx = exact_context(state, "row", 0)
         sel = np.arange(10, dtype=np.intp)
         before = work.copy()
-        lane = backend.exact_lane(state, "row", 0, sel=sel, ctx=ctx)
+        lane = exact_lane(state, "row", 0, sel=sel, ctx=ctx)
         assert work.batch_evals == before.batch_evals + 1
         assert work.toggle_evals == before.toggle_evals + 10
         assert work.cells_scanned == (
             before.cells_scanned + int(lane.line_counts.sum())
         )
         assert lane.line_counts.size == 10
-
-    def test_exact_one_counts_one_toggle_of_line_count_cells(self):
-        work = WorkCounters()
-        state = self._payload(work)
-        backend = ResidueBackend()
-        ctx = backend.exact_context(state, "row", 0)
-        full = backend.exact_lane(state, "row", 0, ctx=ctx)
-        before = work.copy()
-        backend.exact_one(state, "row", 5, 0, ctx)
-        assert work.toggle_evals == before.toggle_evals + 1
-        assert work.cells_scanned == (
-            before.cells_scanned + int(full.line_counts[5])
-        )
-        assert work.batch_evals == before.batch_evals
-        assert work.lane_builds == before.lane_builds
 
 
 # -- full-run identity: engine caching policies are invisible ----------
@@ -313,14 +324,15 @@ def _fingerprint(res):
 
 
 class _EagerEngine(GainEngine):
-    """Engine with lazy-scalar consults and block windows disabled."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._lazy_kinds = frozenset()
+    """Paranoia-mode engine: no block windows, and every lane rebuilt
+    from scratch at every consult."""
 
     def begin_sweep(self, order):
         pass
+
+    def best_action(self, kind, index):
+        self.invalidate_all()
+        return super().best_action(kind, index)
 
 
 class TestRunIdentity:
@@ -345,9 +357,7 @@ class TestRunIdentity:
         values = rng.normal(size=(50, 15))
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(50, 15, 3, 0.3, rng)
-        state = _State(values, mask, seeds, fast=True, work=None)
-        from repro.core.constraints import Constraints
-
+        state = _State(values, mask, seeds, work=None)
         engine = GainEngine(
             state, Constraints(min_rows=1, min_cols=1),
             alpha=0.0, residue_target=2.0, gain_mode="exact",
