@@ -41,8 +41,9 @@ Two gain-evaluation modes are provided:
     benchmarked as an ablation.
 
 Both modes consult :class:`~repro.core.gain_engine.GainEngine`, which
-caches lane scores per cluster and invalidates them through the state's
-per-cluster modification stamps -- see that module's docstring for the
+caches lane scores per cluster, invalidates them through the state's
+per-cluster modification stamps, and scans each sweep from one
+performed action to the next -- see that module's docstring for the
 design and DESIGN.md for the derivation.
 
 The run is observable end to end: pass a :class:`repro.obs.Tracer` to
@@ -173,9 +174,10 @@ class _State:
       contiguous memory;
     * ``stamp`` -- a per-cluster modification counter, bumped by every
       operation that can change a cluster's statistics
-      (:meth:`toggle`, :meth:`refresh_cluster`, :meth:`restore`).  The
-      gain engine keys its lane caches on it; it never repeats a value,
-      so a cached lane is valid iff its recorded stamp still matches.
+      (:meth:`toggle`, :meth:`refresh_cluster`, and :meth:`restore` for
+      the clusters that changed since the snapshot).  The gain engine
+      keys its lane caches on it; it never repeats a value, so a cached
+      lane is valid iff its recorded stamp still matches.
     """
 
     def __init__(
@@ -271,6 +273,7 @@ class _State:
             "row_counts": self.row_counts.copy(),
             "col_sums": self.col_sums.copy(),
             "col_counts": self.col_counts.copy(),
+            "stamp": self.stamp.copy(),
         }
 
     def restore(self, state: dict) -> None:
@@ -287,10 +290,15 @@ class _State:
         self.row_counts_f[...] = self.row_counts
         self.col_counts_f[...] = self.col_counts
         self.volumes_f[...] = self.volumes
-        # Every cluster may have changed; stamps only ever move forward
-        # so no lane cached before the restore can masquerade as fresh.
-        self.stamp += 1
-        self.rev += 1
+        # A cluster whose stamp has not moved since the snapshot holds
+        # the snapshot's statistics already, so its cached lanes stay
+        # valid.  The others get a fresh stamp: stamps only ever move
+        # forward, so no lane cached before the restore can masquerade
+        # as fresh.
+        moved = self.stamp != state["stamp"]
+        if moved.any():
+            self.stamp[moved] += 1
+            self.rev += 1
 
 
 def _masked_mean_abs_residue(sub: np.ndarray, sub_mask: np.ndarray) -> float:
@@ -449,8 +457,10 @@ def floc(
         continue.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  When given, the run
-        emits span timings (``phase1``, ``gain_eval``, ``perform_action``,
-        ``reseed``) and typed events (:class:`~repro.obs.events.SeedEvent`,
+        emits span timings (``phase1``, ``gain_eval`` -- one per sweep
+        scan of :meth:`~repro.core.gain_engine.GainEngine.next_action`,
+        ``perform_action``, ``reseed``) and typed events
+        (:class:`~repro.obs.events.SeedEvent`,
         :class:`~repro.obs.events.ActionEvent`,
         :class:`~repro.obs.events.IterationEvent`) to the tracer's sinks,
         and updates its metrics registry (``actions_performed``,
@@ -518,6 +528,13 @@ def floc(
                 volume=int(state.volumes[c]),
             ))
 
+    # One engine for every round: the lanes of clusters a reseed round
+    # leaves alone stay cached, while ``refresh_cluster`` moves the
+    # stamps of the reseeded ones.
+    engine = gain_engine.GainEngine(
+        state, active, alpha, residue_target, gain_mode, tracer,
+        mandatory_moves=mandatory_moves,
+    )
     history: List[float] = []
     iteration_times: List[float] = []
     n_actions = 0
@@ -526,8 +543,7 @@ def floc(
     rounds = reseed_rounds + 1 if residue_target is not None else 1
     for round_index in range(rounds):
         iters, acts, round_converged = _phase2(
-            state, matrix, ordering, gain_mode, alpha, active,
-            residue_target, mandatory_moves, generator,
+            state, engine, matrix, ordering, residue_target, generator,
             max_iterations, tol, tracer,
             history, iteration_times, n_iterations,
         )
@@ -578,13 +594,10 @@ def floc(
 
 def _phase2(
     state: _State,
+    engine: "gain_engine.GainEngine",
     matrix: DataMatrix,
     ordering: str,
-    gain_mode: str,
-    alpha: float,
-    active: Constraints,
     residue_target: Optional[float],
-    mandatory_moves: bool,
     generator: np.random.Generator,
     max_iterations: int,
     tol: float,
@@ -601,9 +614,6 @@ def _phase2(
     best_score = _score(state, residue_target)
     best_state = state.snapshot()
     slots = action_slots(matrix.n_rows, matrix.n_cols)
-    engine = gain_engine.GainEngine(
-        state, active, alpha, residue_target, gain_mode, tracer
-    )
     n_actions = 0
     n_iterations = 0
     converged = False
@@ -618,22 +628,23 @@ def _phase2(
         iteration_start: Optional[dict] = None
         with tracer.span("ordering", scheme=ordering):
             order = _ordered_slots(engine, slots, ordering, generator)
-        # The sweep consults ``order`` front to back; registering it
-        # lets the engine rebuild dirtied wide lanes for just the next
-        # block of consult positions instead of every slot.
+        # The sweep consults ``order`` front to back; the engine scans
+        # it from one performed action to the next (rebuilding dirtied
+        # wide lanes for just the next block of consult positions).
         engine.begin_sweep(order)
         performed: List[_PerformedAction] = []
         iter_best = np.inf
         iter_best_idx = -1
-        for kind, index in order:
+        position = 0
+        while True:
             with tracer.span("gain_eval") as gain_span:
-                choice = engine.best_action(kind, index)
+                hit = engine.next_action(position)
             tracer.observe("gain_eval_ns", gain_span.elapsed * 1e9)
-            if choice is None:
-                continue
+            if hit is None:
+                break
+            position, kind, index, choice = hit
+            position += 1
             c, new_residue, new_volume, gain = choice
-            if not mandatory_moves and gain <= 0.0:
-                continue
             if iteration_start is None:
                 iteration_start = state.snapshot()
             with tracer.span("perform_action"):

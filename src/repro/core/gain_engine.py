@@ -32,9 +32,12 @@ Three layers (see DESIGN.md section "The batched gain engine"):
     consult still scores against the *current* state (sequential
     semantics are preserved bit for bit; the paranoia-mode test in
     ``tests/test_gain_engine.py`` rebuilds every lane at every consult
-    and checks the full run is identical).  Wide exact lanes (at least
-    ``_BLOCK + _BLOCK // 2`` slots) are rebuilt in block windows of the
-    sweep's consult order; every other lane is rebuilt whole.
+    and checks the full run is identical).  The sweep scan
+    (:meth:`GainEngine.next_action`) reads the lanes' column maxima to
+    jump from one performed action to the next instead of consulting
+    every slot.  Wide exact lanes (at least ``_BLOCK + _BLOCK // 2``
+    slots) are rebuilt in block windows of the sweep's consult order;
+    every other lane is rebuilt whole.
 
 Cross-cluster constraints (Cons_o overlap, Cons_c coverage) and the
 exact alpha-occupancy check depend on *other* clusters' state, so they
@@ -155,9 +158,11 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
         base_sums / np.maximum(base_counts, 1),
         0.0,
     )
-    total = (base_sums * member).sum()
-    count = (base_counts * member).sum()
-    grand = np.where(count > 0, total / np.maximum(count, 1), 0.0)
+    # The member base counts sum to the cluster's (integer) volume, so
+    # the grand mean divides by the ledger instead of a second reduce.
+    total = float((base_sums * member).sum())
+    count = int(state.volumes[c])
+    grand = total / count if count else 0.0
 
     # In-place passes over the one (S, base) temporary.
     deviations = filled - line_base[:, None]
@@ -166,10 +171,9 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
     np.abs(deviations, out=deviations)
     relevant = member[None, :] & mask
     deviations *= relevant
-    line_residues = deviations.sum(axis=1)
-    line_residues = np.where(
-        line_counts > 0, line_residues / np.maximum(line_counts_f, 1.0), 0.0
-    )
+    # A line with no specified entry on the cluster divides 0.0 by 1.0
+    # here; the ``untouched`` overlay below pins it to 0.0 regardless.
+    line_residues = deviations.sum(axis=1) / np.maximum(line_counts_f, 1.0)
 
     add_volumes = volume + line_counts_f
     remove_volumes = volume - line_counts_f
@@ -184,13 +188,18 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
     new_volumes = np.where(removing, remove_volumes, add_volumes)
     new_residues = np.where(removing, remove_residues, add_residues)
 
+    # The overlays are rare (lines with no specified entry on the
+    # cluster, removals that empty it): skip their passes when idle.
     untouched = line_counts == 0
-    new_volumes = np.where(untouched, volume, new_volumes)
-    new_residues = np.where(untouched, residue, new_residues)
+    if untouched.any():
+        new_volumes = np.where(untouched, volume, new_volumes)
+        new_residues = np.where(untouched, residue, new_residues)
+        line_residues = np.where(untouched, 0.0, line_residues)
     emptied = removing & ~untouched & (remove_volumes <= 0)
-    new_volumes = np.where(emptied, 0.0, new_volumes)
-    new_residues = np.where(emptied, 0.0, new_residues)
-    line_residues = np.where(untouched | emptied, 0.0, line_residues)
+    if emptied.any():
+        new_volumes = np.where(emptied, 0.0, new_volumes)
+        new_residues = np.where(emptied, 0.0, new_residues)
+        line_residues = np.where(emptied, 0.0, line_residues)
 
     w = state.work
     if w is not None:
@@ -612,13 +621,16 @@ def _overlap_blocked(
 #: are ever consulted before the cluster changes again.
 _BLOCK = 128
 
+#: One consult's answer: ``(cluster, new_residue, new_volume, gain)``.
+Choice = Tuple[int, float, int, float]
+
 
 class _LaneSet:
     """Per-kind cache of lanes: scores, gains, per-cluster versions."""
 
     __slots__ = (
         "scores", "raw", "proxy", "versions", "move",
-        "best_gain", "rev_seen", "ctx",
+        "hits", "rev_seen", "ctx",
         "full", "win_end", "win_floor",
     )
 
@@ -628,7 +640,11 @@ class _LaneSet:
         self.proxy: Optional[np.ndarray] = None
         self.versions = np.full(k, -1, dtype=np.int64)
         self.move = self.raw
-        self.best_gain: Optional[np.ndarray] = None
+        #: Consult positions (in the registered sweep order of this
+        #: kind) whose best gain leads to a performed action -- the
+        #: full-lane scan's stops.  Dropped with every rebuild and every
+        #: new sweep order; recomputed by the next scan that needs it.
+        self.hits: Optional[np.ndarray] = None
         #: Global state revision this set was last synced against -- an
         #: O(1) scalar check that skips the per-cluster stamp compare on
         #: the (common) consults where nothing changed.
@@ -649,13 +665,19 @@ class _LaneSet:
 
 
 class GainEngine:
-    """Scores all candidate actions of a sweep from cached lanes.
+    """Finds and scores the actions of FLOC's Phase-2 sweeps.
 
-    One engine serves one :func:`~repro.core.floc._phase2` call.  Lanes
-    are rebuilt lazily when the state's per-cluster modification stamp
-    moves past the cached version -- a performed action therefore costs
-    two lane rebuilds (its cluster's row and column lanes) at the next
-    consult instead of a full sweep rescore.
+    One engine serves a whole :func:`~repro.core.floc.floc` call: every
+    sweep of every reseed round.  Lanes are rebuilt lazily when the
+    state's per-cluster modification stamp moves past the cached
+    version -- a performed action therefore costs at most two lane
+    rebuilds (its cluster's row and column lanes), while a cluster that
+    a rollback or a reseed round leaves unchanged keeps its lanes.
+
+    :meth:`next_action` is the sweep's consult loop: from a consult
+    position it jumps to the next slot whose best action is performed,
+    so the caller makes one call per performed action, not one per
+    slot.  :meth:`best_action` consults a single slot.
     """
 
     def __init__(
@@ -666,6 +688,7 @@ class GainEngine:
         residue_target: Optional[float],
         gain_mode: str,
         tracer: Tracer = NULL_TRACER,
+        mandatory_moves: bool = False,
     ) -> None:
         self.state = state
         self.constraints = constraints
@@ -673,6 +696,7 @@ class GainEngine:
         self.residue_target = residue_target
         self.fast_mode = gain_mode == "fast"
         self.tracer = tracer
+        self.mandatory_moves = mandatory_moves
         n_rows = state.row_member.shape[1]
         n_cols = state.col_member.shape[1]
         self._sizes = {ROW: n_rows, COL: n_cols}
@@ -695,12 +719,16 @@ class GainEngine:
         #: Memo of the "already violating alpha" healing rule, keyed by
         #: the cluster's modification stamp.
         self._alpha_memo: Dict[int, Tuple[int, bool]] = {}
-        #: Per-kind consult order of the current sweep (and its inverse,
-        #: slot index -> consult position), registered by
-        #: :meth:`begin_sweep`.  ``None`` disables block windows for the
-        #: kind -- the safe default for direct ``best_action`` callers.
-        self._seq: Dict[str, Optional[np.ndarray]] = {ROW: None, COL: None}
+        #: The sweep registered by :meth:`begin_sweep`, per kind: the
+        #: slot indices in consult order (``_seq``) and their positions
+        #: in the whole sweep (``_gpos``).  ``_pos`` inverts ``_seq``
+        #: (slot index -> consult position) for kinds whose exact lanes
+        #: are block-windowed, and is ``None`` for every other kind.
+        empty = np.zeros(0, dtype=np.intp)
+        self._seq: Dict[str, np.ndarray] = {ROW: empty, COL: empty}
+        self._gpos: Dict[str, np.ndarray] = {ROW: empty, COL: empty}
         self._pos: Dict[str, Optional[np.ndarray]] = {ROW: None, COL: None}
+        self._n_slots = 0
 
     # -- lane maintenance ----------------------------------------------
     def _member(self, kind: str, c: int) -> np.ndarray:
@@ -781,7 +809,7 @@ class GainEngine:
             lanes.move = np.where(lanes.proxy, BLOCKED_GAIN, lanes.raw)
         else:
             lanes.move = lanes.raw
-        lanes.best_gain = None
+        lanes.hits = None
 
     def invalidate_all(self) -> None:
         """Drop every cached lane (testing hook; normal invalidation is
@@ -789,6 +817,7 @@ class GainEngine:
         for lanes in self._move.values():
             lanes.versions.fill(-1)
             lanes.rev_seen = -1
+            lanes.hits = None
             lanes.ctx.clear()
             lanes.full.fill(False)
             lanes.win_end.fill(0)
@@ -798,146 +827,64 @@ class GainEngine:
             lanes.rev_seen = -1
 
     def begin_sweep(self, order: Sequence[Tuple[str, int]]) -> None:
-        """Register a sweep's consult order, enabling block windows.
+        """Register a sweep's consult order for :meth:`next_action`.
 
-        ``order`` must be the exact sequence of ``(kind, index)`` slots
-        the caller will pass to :meth:`best_action`, each slot exactly
-        once -- :func:`~repro.core.floc._phase2` consults the ordered
-        slots front to back, so a dirtied wide lane needs scores only
-        for the *next* ``_BLOCK`` consult positions, not all S slots.
-        Applies to exact cheap-path move lanes wide enough to amortise
-        the window bookkeeping (at least ``_BLOCK + _BLOCK // 2``
-        slots); every other path (fast mode, the expensive constraint
-        walk, direct consults without a registered order) keeps full
-        builds.  Scores are bit-identical either way (the block
-        evaluator is an exact slice of the full lane), so enabling
-        windows never changes results.
+        ``order`` is the sequence of ``(kind, index)`` slots the sweep
+        consults front to back, each slot exactly once.  It also enables
+        block windows: a dirtied wide exact lane then needs scores only
+        for the *next* ``_BLOCK`` consult positions of its kind, not all
+        S slots.  Windows apply to exact cheap-path move lanes wide
+        enough to amortise their bookkeeping (at least
+        ``_BLOCK + _BLOCK // 2`` slots); every other path (fast mode,
+        the expensive constraint walk) keeps full builds.  Scores are
+        bit-identical either way (the block evaluator is an exact slice
+        of the full lane), so windows never change results.
         """
-        if self.fast_mode or self._expensive:
-            return
-        per_kind: Dict[str, List[int]] = {ROW: [], COL: []}
-        for kind, index in order:
-            per_kind[kind].append(index)
-        for kind in (ROW, COL):
+        n_slots = len(order)
+        is_row = np.fromiter(
+            (kind == ROW for kind, _ in order), dtype=bool, count=n_slots
+        )
+        indices = np.fromiter(
+            (index for _, index in order), dtype=np.intp, count=n_slots
+        )
+        self._n_slots = n_slots
+        windows = not (self.fast_mode or self._expensive)
+        for kind, of_kind in ((ROW, is_row), (COL, ~is_row)):
+            gpos = np.flatnonzero(of_kind)
+            seq = indices[gpos]
+            self._gpos[kind] = gpos
+            self._seq[kind] = seq
+            self._pos[kind] = None
+            lanes = self._move[kind]
+            lanes.hits = None
             size = self._sizes[kind]
-            seq_list = per_kind[kind]
-            if size < _BLOCK + _BLOCK // 2 or len(seq_list) != size:
-                self._seq[kind] = None
+            if not windows or size < _BLOCK + _BLOCK // 2 or seq.size != size:
                 continue
-            seq = np.asarray(seq_list, dtype=np.intp)
             pos = np.full(size, -1, dtype=np.intp)
             pos[seq] = np.arange(size, dtype=np.intp)
             if (pos < 0).any():  # not a permutation of every slot
-                self._seq[kind] = None
                 continue
-            self._seq[kind] = seq
             self._pos[kind] = pos
-            lanes = self._move[kind]
             # The new order voids every window (positions renumbered);
             # full lanes stay valid -- their entries cover any order.
             lanes.win_end.fill(0)
             lanes.win_floor = 0
 
-    # -- consult: best action for one slot -----------------------------
-    def best_action(
-        self, kind: str, index: int
-    ) -> Optional[Tuple[int, float, int, float]]:
-        """Highest-gain unblocked action of one slot, or ``None``.
+    def _prepare(self, kind: str, u: int) -> int:
+        """Make ``kind``'s move lanes valid at its consult position ``u``.
 
-        Same contract as the scalar ``_best_action`` it replaces:
-        negative gains are eligible (the caller's ``mandatory_moves``
-        policy decides whether they are performed), ties go to the
-        lowest cluster index.
+        Returns the end (exclusive) of the consult positions they now
+        hold valid: every position for full lanes, the nearest window
+        expiry for block-windowed ones.
         """
         lanes = self._move[kind]
-        if (
-            not self.fast_mode
-            and not self._expensive
-            and self._seq[kind] is not None
-        ):
-            return self._best_action_block(lanes, kind, index)
-        self._ensure(lanes, kind, exact=not self.fast_mode)
-        if not self._expensive:
-            best_gain = lanes.best_gain
-            if best_gain is None:
-                # Elementwise max over the k lanes is a fast contiguous
-                # reduce; the winning cluster index is only needed for
-                # the one consulted slot, so a k-element argmax at
-                # consult time (same lowest-index tie rule) beats a full
-                # (k, S) argmax here.
-                best_gain = lanes.best_gain = lanes.move.max(axis=0)
-            gain = float(best_gain[index])
-            if self.tracer.enabled:
-                blocked = int((lanes.move[:, index] == BLOCKED_GAIN).sum())
-                if blocked:
-                    self.tracer.inc("actions_blocked_by_constraint", blocked)
-            if gain == BLOCKED_GAIN:
-                return None
-            c = int(np.argmax(lanes.move[:, index]))
-            scores = lanes.scores[c]
-            assert scores is not None
-            return (
-                c,
-                float(scores.new_residues[index]),
-                int(scores.new_volumes[index]),
-                gain,
-            )
-        column = lanes.move[:, index]
-        if self.tracer.enabled:
-            blocked = int((column == BLOCKED_GAIN).sum())
-            if blocked:
-                self.tracer.inc("actions_blocked_by_constraint", blocked)
-        for c in np.argsort(-column, kind="stable"):
-            gain = float(column[c])
-            if gain == BLOCKED_GAIN:
-                break
-            if self._consult_blocked(kind, index, int(c)):
-                if self.tracer.enabled:
-                    self.tracer.inc("actions_blocked_by_constraint")
-                continue
-            scores = lanes.scores[int(c)]
-            assert scores is not None
-            return (
-                int(c),
-                float(scores.new_residues[index]),
-                int(scores.new_volumes[index]),
-                gain,
-            )
-        return None
-
-    def _best_action_block(
-        self, lanes: _LaneSet, kind: str, index: int
-    ) -> Optional[Tuple[int, float, int, float]]:
-        """Cheap-path consult against block-windowed lanes.
-
-        Invariant: after :meth:`_resync_block`, every cluster's lane is
-        valid at the consulted position (full, or inside its window),
-        so the column read below is exactly what an eager full rebuild
-        would have produced.  Positions only move forward within a
-        sweep (the :meth:`begin_sweep` contract), so entries behind the
-        current position are never read again.
-        """
-        state = self.state
-        t = int(self._pos[kind][index])
-        if lanes.rev_seen != state.rev or t >= lanes.win_floor:
-            self._resync_block(lanes, kind, t)
-        column = lanes.move[:, index]
-        if self.tracer.enabled:
-            blocked = int((column == BLOCKED_GAIN).sum())
-            if blocked:
-                self.tracer.inc("actions_blocked_by_constraint", blocked)
-        gain = float(column.max())
-        if gain == BLOCKED_GAIN:
-            return None
-        c = int(np.argmax(column))
-        scores = lanes.scores[c]
-        assert scores is not None
-        return (
-            c,
-            float(scores.new_residues[index]),
-            int(scores.new_volumes[index]),
-            gain,
-        )
+        size = self._seq[kind].size
+        if self._pos[kind] is None:
+            self._ensure(lanes, kind, exact=not self.fast_mode)
+            return size
+        if lanes.rev_seen != self.state.rev or u >= lanes.win_floor:
+            self._resync_block(lanes, kind, u)
+        return min(lanes.win_floor, size)
 
     def _resync_block(self, lanes: _LaneSet, kind: str, t: int) -> None:
         """Make every cluster's lane valid at consult position ``t``.
@@ -945,12 +892,12 @@ class GainEngine:
         Stale clusters rebuild a fresh ``_BLOCK``-wide window starting
         at ``t`` (reusing the epoch's cached :class:`ExactContext` when
         only the window expired); initial builds stay full -- the first
-        sweeps consult every slot.
+        sweeps consult every slot.  Positions only move forward within
+        a sweep, so entries behind ``t`` are never read again.
         """
         state = self.state
         lanes.rev_seen = state.rev
         seq = self._seq[kind]
-        assert seq is not None
         size = seq.size
         stamp = state.stamp
         floor = size + 1  # sentinel: no pending window expiry
@@ -980,7 +927,178 @@ class GainEngine:
             if end < floor:
                 floor = end
         lanes.win_floor = floor
-        lanes.best_gain = None
+
+    # -- consult: the sweep scan and single slots -----------------------
+    def next_action(self, t: int) -> Optional[Tuple[int, str, int, Choice]]:
+        """The sweep's next performed action at or after position ``t``.
+
+        Returns ``(position, kind, index, choice)`` for the first slot of
+        the registered order whose best action is performed -- a gain
+        above zero, or any unblocked gain under ``mandatory_moves`` --
+        or ``None`` when no later slot acts.  The answer, and every lane
+        build on the way, equals consulting :meth:`best_action` slot by
+        slot: a kind's lanes are brought up to date only when one of its
+        slots lies at or before the hit, where the slot-by-slot loop
+        would build them.  The scan reads the lanes' column maxima: the
+        cached ``hits`` of full lanes, one gather per window of
+        block-windowed lanes, and on the expensive path (cross-cluster
+        constraints, alpha) the maximum as an upper bound whose slots
+        the consult-time walk confirms one by one.
+        """
+        bound = self._n_slots
+        hit: Optional[Tuple[str, int, Choice]] = None
+        cursor = {
+            kind: int(self._gpos[kind].searchsorted(t)) for kind in (ROW, COL)
+        }
+        start: Dict[str, int] = {}
+        walks: List[Tuple[int, int]] = []
+        while True:
+            # Advance the kind whose next unscanned slot comes first, so
+            # no lane is built beyond a hit the other kind finds earlier.
+            kind: Optional[str] = None
+            first = bound
+            for candidate in (ROW, COL):
+                u = cursor[candidate]
+                gpos = self._gpos[candidate]
+                if u < gpos.size and gpos[u] < first:
+                    kind, first = candidate, int(gpos[u])
+            if kind is None:
+                break
+            u = cursor[kind]
+            gpos = self._gpos[kind]
+            start.setdefault(kind, u)
+            end = min(self._prepare(kind, u), int(gpos.searchsorted(bound)))
+            found = self._search(kind, u, end, walks)
+            if found is None:
+                cursor[kind] = end
+            else:
+                v, choice = found
+                bound = int(gpos[v])
+                hit = (kind, int(self._seq[kind][v]), choice)
+                cursor[kind] = gpos.size
+        if self.tracer.enabled:
+            self._count_blocked(start, bound, walks)
+        if hit is None:
+            return None
+        kind, index, choice = hit
+        return bound, kind, index, choice
+
+    def _acts(self, gains: np.ndarray) -> np.ndarray:
+        """Mask of best gains whose slot the scan stops at.
+
+        On the cheap paths a stop is a performed action.  On the
+        expensive path the walk confirms each stop; traced runs walk
+        every unblocked slot, so the blocked-candidate count stays the
+        slot-by-slot one.
+        """
+        if self.mandatory_moves or (self._expensive and self.tracer.enabled):
+            return gains != BLOCKED_GAIN
+        return ~(gains <= 0.0)
+
+    def _search(
+        self, kind: str, u: int, end: int, walks: List[Tuple[int, int]]
+    ) -> Optional[Tuple[int, Choice]]:
+        """First position in ``[u, end)`` of ``kind`` whose action is
+        performed, with its choice.  ``walks`` collects the sweep
+        positions and blocked-candidate counts of constraint walks."""
+        lanes = self._move[kind]
+        seq = self._seq[kind]
+        if self._pos[kind] is not None:
+            # Window entries are valid only inside ``[u, end)``.
+            best = lanes.move[:, seq[u:end]].max(axis=0)
+            stops = u + np.flatnonzero(self._acts(best))
+        else:
+            hits = lanes.hits
+            if hits is None:
+                hits = lanes.hits = np.flatnonzero(
+                    self._acts(lanes.move.max(axis=0)[seq])
+                )
+            stops = hits[hits.searchsorted(u):hits.searchsorted(end)]
+        for v in stops:
+            index = int(seq[v])
+            if not self._expensive:
+                return int(v), self._cheap_choice(lanes, index)
+            choice, blocked = self._walk(lanes, kind, index)
+            if blocked:
+                walks.append((int(self._gpos[kind][v]), blocked))
+            if choice is not None and (
+                self.mandatory_moves or not choice[3] <= 0.0
+            ):
+                return int(v), choice
+        return None
+
+    def _count_blocked(
+        self, start: Dict[str, int], bound: int, walks: List[Tuple[int, int]]
+    ) -> None:
+        """``actions_blocked_by_constraint`` of one scan: the blocked
+        lane entries of every slot it consulted (up to and including
+        the hit at ``bound``) plus the walks' blocked candidates."""
+        blocked = sum(n for position, n in walks if position <= bound)
+        for kind, u in start.items():
+            upto = int(self._gpos[kind].searchsorted(bound, side="right"))
+            columns = self._move[kind].move[:, self._seq[kind][u:upto]]
+            blocked += int((columns == BLOCKED_GAIN).sum())
+        if blocked:
+            self.tracer.inc("actions_blocked_by_constraint", blocked)
+
+    def best_action(self, kind: str, index: int) -> Optional[Choice]:
+        """Highest-gain unblocked action of one slot, or ``None``.
+
+        Negative gains are eligible (whether they are performed is
+        :meth:`next_action`'s ``mandatory_moves`` rule), ties go to the
+        lowest cluster index.  On a block-windowed kind, consults must
+        follow the registered order.
+        """
+        lanes = self._move[kind]
+        pos = self._pos[kind]
+        self._prepare(kind, 0 if pos is None else int(pos[index]))
+        column = lanes.move[:, index]
+        if self.tracer.enabled:
+            blocked = int((column == BLOCKED_GAIN).sum())
+            if blocked:
+                self.tracer.inc("actions_blocked_by_constraint", blocked)
+        if not self._expensive:
+            choice = self._cheap_choice(lanes, index)
+            return None if choice[3] == BLOCKED_GAIN else choice
+        choice, blocked = self._walk(lanes, kind, index)
+        if blocked:
+            self.tracer.inc("actions_blocked_by_constraint", blocked)
+        return choice
+
+    @staticmethod
+    def _choice(lanes: _LaneSet, c: int, index: int, gain: float) -> Choice:
+        scores = lanes.scores[c]
+        assert scores is not None
+        return (
+            c,
+            float(scores.new_residues[index]),
+            int(scores.new_volumes[index]),
+            gain,
+        )
+
+    def _cheap_choice(self, lanes: _LaneSet, index: int) -> Choice:
+        """The slot's top lane entry (lowest cluster index on ties)."""
+        column = lanes.move[:, index]
+        c = int(np.argmax(column))
+        return self._choice(lanes, c, index, float(column[c]))
+
+    def _walk(
+        self, lanes: _LaneSet, kind: str, index: int
+    ) -> Tuple[Optional[Choice], int]:
+        """Candidates of one slot in descending-gain order, verified
+        against the consult-time constraints: the first unblocked one
+        (or ``None``) and how many were blocked before it."""
+        column = lanes.move[:, index]
+        blocked = 0
+        for c in np.argsort(-column, kind="stable"):
+            gain = float(column[c])
+            if gain == BLOCKED_GAIN:
+                break
+            if self._consult_blocked(kind, index, int(c)):
+                blocked += 1
+                continue
+            return self._choice(lanes, int(c), index, gain), blocked
+        return None, blocked
 
     # -- consult-time (non-cacheable) blocking --------------------------
     def _consult_blocked(self, kind: str, index: int, c: int) -> bool:

@@ -6,8 +6,8 @@ It owns three optional facilities:
 * **spans** -- ``with tracer.span("phase1", k=k) as sp:`` times a region
   (``sp.elapsed`` afterwards).  Span timings are always folded into the
   per-name aggregates returned by :meth:`Tracer.summary`; the individual
-  records are forwarded to sinks only when ``emit_spans=True`` (per-slot
-  ``gain_eval`` spans would otherwise flood a JSONL trace).
+  records are forwarded to sinks only when ``emit_spans=True`` (the
+  per-scan ``gain_eval`` spans would otherwise flood a JSONL trace).
 * **typed events** -- :meth:`Tracer.emit` takes an
   :class:`~repro.obs.events.TraceEvent`, merges the current context
   (e.g. ``restart=2``) and hands the flat dict to every sink.

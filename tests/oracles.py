@@ -5,10 +5,11 @@ functions here score one candidate toggle at a time with plain,
 independent arithmetic, so a lane entry can be compared with the value
 a per-candidate evaluation gives.  The exact after-toggle oracle is
 ``repro.core.actions.evaluate_toggle`` (a full submatrix rescan); this
-module holds the frozen-bases one.
+module holds the frozen-bases one, and the slot-by-slot reference of the
+engine's sweep scan.
 """
 
-from typing import Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -69,3 +70,28 @@ def frozen_bases_parts(state, kind: str, index: int, c: int) -> Tuple[float, int
         new_volume = volume + line_count
         new_residue = (volume * residue + line_count * line_residue) / new_volume
     return new_residue, new_volume, line_residue
+
+
+def sequential_next_action(
+    engine, order: Sequence[Tuple[str, int]], t: int, invalidate: bool = True
+) -> Optional[tuple]:
+    """Slot-by-slot reference of ``GainEngine.next_action``.
+
+    Consults every slot of ``order`` from position ``t`` on with
+    ``best_action`` -- after dropping every cached lane, unless
+    ``invalidate`` is false -- and returns ``(position, kind, index,
+    choice)`` for the first one whose action the sweep performs (a
+    positive gain, or any unblocked gain under ``mandatory_moves``), or
+    ``None``.
+    """
+    for position in range(t, len(order)):
+        kind, index = order[position]
+        if invalidate:
+            engine.invalidate_all()
+        choice = engine.best_action(kind, index)
+        if choice is None:
+            continue
+        if not engine.mandatory_moves and choice[3] <= 0.0:
+            continue
+        return position, kind, index, choice
+    return None

@@ -334,12 +334,21 @@ class TestSnapshotRestoreProperty:
         self._apply(twin, t1)
         snapshot = state.snapshot()
         self._apply(state, t2)
+        detour_stamp = state.stamp.copy()
         state.restore(snapshot)
         for attr in ("row_member", "col_member", "residues", "volumes",
                      "row_sums", "row_counts", "col_sums", "col_counts"):
             self._assert_bit_identical(
                 getattr(state, attr), getattr(twin, attr), attr
             )
+        # Stamps: a cluster the detour left alone keeps its stamp (and
+        # so its cached lanes); a detoured one gets a never-seen stamp.
+        detoured = np.zeros(self.K, dtype=bool)
+        detoured[[cluster % self.K for _, _, cluster in t2]] = True
+        self._assert_bit_identical(
+            state.stamp[~detoured], twin.stamp[~detoured], "stamp"
+        )
+        assert (state.stamp[detoured] > detour_stamp[detoured]).all()
         for kind in ("row", "col"):
             for c in range(self.K):
                 for scorer in (estimate_lane, exact_lane):

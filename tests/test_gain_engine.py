@@ -25,8 +25,10 @@ from repro.core.gain_engine import (
 )
 from repro.core.seeding import bernoulli_seeds
 from repro.data.synthetic import generate_embedded
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf.counters import WorkCounters
-from tests.oracles import frozen_bases_parts
+from repro.obs.tracer import Tracer
+from tests.oracles import frozen_bases_parts, sequential_next_action
 
 NAN = float("nan")
 
@@ -324,15 +326,84 @@ def _fingerprint(res):
 
 
 class _EagerEngine(GainEngine):
-    """Paranoia-mode engine: no block windows, and every lane rebuilt
+    """Paranoia-mode engine: no block windows, and the sweep scan
+    replaced by the slot-by-slot reference loop that rebuilds every lane
     from scratch at every consult."""
 
     def begin_sweep(self, order):
-        pass
+        self._sweep = list(order)
 
-    def best_action(self, kind, index):
-        self.invalidate_all()
-        return super().best_action(kind, index)
+    def next_action(self, t):
+        return sequential_next_action(self, self._sweep, t)
+
+
+class _SlotEngine(GainEngine):
+    """The cached engine consulted slot by slot: the lane builds the
+    sweep scan must reproduce."""
+
+    def begin_sweep(self, order):
+        super().begin_sweep(order)
+        self._sweep = list(order)
+
+    def next_action(self, t):
+        return sequential_next_action(self, self._sweep, t, invalidate=False)
+
+
+def _embedded(rows, cols, missing=0.0):
+    dataset = generate_embedded(
+        rows, cols, 3, cluster_shape=(max(rows // 8, 4), 6), noise=1.0, rng=0
+    )
+    values = dataset.matrix.values.copy()
+    if missing:
+        values[np.random.default_rng(1).random(values.shape) < missing] = NAN
+    return values
+
+
+#: Run-identity cases: (label, input shape + missing fraction, floc kwargs).
+_IDENTITY_CASES = [
+    # Row lanes of >= 192 slots: the exact path scans block windows.
+    ("exact-block-greedy", (200, 12, 0.0),
+     dict(gain_mode="exact", ordering="greedy", max_iterations=6)),
+    ("exact-block-fixed-mandatory", (200, 12, 0.0),
+     dict(gain_mode="exact", ordering="fixed", mandatory_moves=True,
+          max_iterations=3)),
+] + [
+    (f"{mode}-{ordering}-{extra}", (60, 16, 0.0), dict(
+        gain_mode=mode, ordering=ordering,
+        mandatory_moves=extra == "mandatory",
+        max_iterations=4 if extra == "mandatory" else 8,
+    ))
+    for mode in ("exact", "fast")
+    for ordering in ("fixed", "random", "weighted", "greedy")
+    for extra in ("plain", "mandatory")
+] + [
+    (f"{mode}-alpha-reseed", (60, 16, 0.2), dict(
+        gain_mode=mode, alpha=0.6, reseed_rounds=2, max_iterations=8,
+    ))
+    for mode in ("exact", "fast")
+] + [
+    (f"{mode}-cons-o-{ordering}", (60, 16, 0.0), dict(
+        gain_mode=mode, ordering=ordering, reseed_rounds=1,
+        constraints=Constraints(max_overlap=0.2), max_iterations=8,
+    ))
+    for mode in ("exact", "fast")
+    for ordering in ("random", "greedy")
+] + [
+    ("exact-alpha-mandatory", (60, 16, 0.2), dict(
+        gain_mode="exact", alpha=0.6, mandatory_moves=True, max_iterations=4,
+    )),
+    ("exact-literal", (60, 16, 0.0), dict(
+        gain_mode="exact", residue_target=None, max_iterations=5,
+    )),
+]
+
+
+def _identity_run(shape, kwargs, **extra):
+    rows, cols, missing = shape
+    options = dict(residue_target=2.0, rng=7)
+    options.update(kwargs)
+    options.update(extra)
+    return floc(_embedded(rows, cols, missing), 6, **options)
 
 
 class TestRunIdentity:
@@ -352,6 +423,72 @@ class TestRunIdentity:
         eager = floc(dataset.matrix, 8, **kwargs)
         assert _fingerprint(cached) == _fingerprint(eager)
 
+    @pytest.mark.parametrize(
+        "shape,kwargs", [case[1:] for case in _IDENTITY_CASES],
+        ids=[case[0] for case in _IDENTITY_CASES],
+    )
+    def test_scan_engine_bit_identical_to_eager(
+        self, shape, kwargs, monkeypatch
+    ):
+        cached = _identity_run(shape, kwargs)
+        monkeypatch.setattr(ge, "GainEngine", _EagerEngine)
+        eager = _identity_run(shape, kwargs)
+        assert _fingerprint(cached) == _fingerprint(eager)
+        assert cached.history == eager.history
+
+    @pytest.mark.parametrize("label", [
+        "exact-block-greedy", "fast-greedy-plain", "exact-cons-o-random",
+        "fast-alpha-reseed", "exact-alpha-mandatory",
+    ])
+    def test_traced_metrics_match_sequential_reference(
+        self, label, monkeypatch
+    ):
+        """The scan counts ``actions_blocked_by_constraint`` per consulted
+        slot, exactly as the slot-by-slot loop does."""
+        shape, kwargs = next(case[1:] for case in _IDENTITY_CASES
+                             if case[0] == label)
+
+        def traced_metrics():
+            tracer = Tracer(metrics=MetricsRegistry())
+            _identity_run(shape, kwargs, tracer=tracer)
+            snapshot = tracer.snapshot_metrics()
+            histograms = {
+                name: hist["count"]
+                for name, hist in snapshot["histograms"].items()
+            }
+            return snapshot["counters"], snapshot["gauges"], histograms
+
+        scanned = traced_metrics()
+        monkeypatch.setattr(ge, "GainEngine", _EagerEngine)
+        reference = traced_metrics()
+        assert scanned == reference
+        assert scanned[0].get("actions_blocked_by_constraint", 0) > 0
+
+    @pytest.mark.parametrize("label", [
+        "exact-block-greedy", "exact-block-fixed-mandatory",
+        "fast-random-plain", "exact-cons-o-greedy", "fast-alpha-reseed",
+    ])
+    def test_scan_builds_the_lanes_of_the_slot_loop(self, label, monkeypatch):
+        """Lanes are built only where a slot-by-slot consult builds them,
+        so every work counter matches the per-slot loop's."""
+        shape, kwargs = next(case[1:] for case in _IDENTITY_CASES
+                             if case[0] == label)
+        scanned = WorkCounters()
+        _identity_run(shape, kwargs, work=scanned)
+        monkeypatch.setattr(ge, "GainEngine", _SlotEngine)
+        slot_by_slot = WorkCounters()
+        _identity_run(shape, kwargs, work=slot_by_slot)
+        assert scanned.as_dict() == slot_by_slot.as_dict()
+
+    def test_gain_eval_spans_track_performed_actions(self):
+        """One ``gain_eval`` span per scan: one per performed action plus
+        one closing scan per sweep, not one per slot."""
+        tracer = Tracer(metrics=MetricsRegistry())
+        result = _identity_run((60, 16, 0.0), dict(gain_mode="fast"),
+                               tracer=tracer)
+        spans = result.trace_summary["spans"]["gain_eval"]["count"]
+        assert spans == result.n_actions + result.n_iterations
+
     def test_invalidate_all_preserves_best_action(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=(50, 15))
@@ -366,6 +503,58 @@ class TestRunIdentity:
         engine.invalidate_all()
         again = [engine.best_action("row", i) for i in range(50)]
         assert first == again
+
+
+# -- precise invalidation: restore keeps unchanged clusters' lanes -----
+
+
+class TestPreciseInvalidation:
+    def _engine(self, work):
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(40, 12))
+        seeds = bernoulli_seeds(40, 12, 2, 0.4, rng)
+        state = _State(values, ~np.isnan(values), seeds, work=work)
+        engine = GainEngine(
+            state, Constraints(min_rows=1, min_cols=1),
+            alpha=0.0, residue_target=2.0, gain_mode="exact",
+        )
+        return state, engine
+
+    @staticmethod
+    def _consult_both_kinds(engine):
+        engine.best_action("row", 0)
+        engine.best_action("col", 0)
+
+    def test_restore_rebuilds_only_the_changed_cluster(self):
+        work = WorkCounters()
+        state, engine = self._engine(work)
+        self._consult_both_kinds(engine)
+        lanes = {kind: engine._move[kind].scores[0] for kind in ("row", "col")}
+        stamp = state.stamp.copy()
+        snapshot = state.snapshot()
+        state.toggle("row", 5, 1)
+        toggled_stamp = int(state.stamp[1])
+        state.restore(snapshot)
+        assert state.stamp[0] == stamp[0]
+        assert state.stamp[1] > toggled_stamp
+        before = work.batch_evals
+        self._consult_both_kinds(engine)
+        # Cluster 1's row and column lanes, nothing of cluster 0.
+        assert work.batch_evals - before == 2
+        for kind in ("row", "col"):
+            assert engine._move[kind].scores[0] is lanes[kind]
+
+    def test_restore_without_changes_rebuilds_nothing(self):
+        work = WorkCounters()
+        state, engine = self._engine(work)
+        self._consult_both_kinds(engine)
+        stamp, rev = state.stamp.copy(), state.rev
+        state.restore(state.snapshot())
+        assert np.array_equal(state.stamp, stamp)
+        assert state.rev == rev
+        before = work.batch_evals
+        self._consult_both_kinds(engine)
+        assert work.batch_evals == before
 
 
 # -- satellite: empty-action sweeps take no snapshots ------------------
