@@ -226,7 +226,23 @@ def cmd_mine(args: argparse.Namespace) -> int:
     ``docs/ROBUSTNESS.md``).  Exit code 3 signals graceful degradation:
     some restarts were lost after exhausting retries.
     """
-    matrix = _load_matrix(args.matrix)
+    # Fail on a bad --out before any mining runs, not after it.
+    if args.out:
+        out = Path(args.out)
+        problem = (
+            f"directory {out.parent} does not exist"
+            if not out.parent.is_dir()
+            else "it is a directory" if out.is_dir() else None
+        )
+        if problem is not None:
+            print(f"cannot write --out {out}: {problem}", file=sys.stderr)
+            return 2
+    try:
+        matrix = _load_matrix(args.matrix)
+    except OSError as exc:
+        print(f"cannot read matrix {args.matrix}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
     supervised = (
         args.workers is not None
         or args.task_timeout is not None

@@ -35,10 +35,11 @@ Two gain-evaluation modes are provided:
 ``fast``
     An O(m) (resp. O(n)) approximation that freezes the cluster's bases
     while estimating the residue contribution of the toggled row/column;
-    the acted cluster's exact residue is recomputed once per *performed*
-    action so the objective is always tracked exactly.  This trades a
-    little per-move greediness accuracy for an additional speedup and is
-    benchmarked as an ablation.
+    the acted cluster's exact residue -- and the one axis of sums the
+    toggle moved -- is recomputed once per *performed* action so the
+    objective is always tracked exactly.  This trades a little per-move
+    greediness accuracy for an additional speedup; it is the mining
+    default and is benchmarked against ``exact`` as an ablation.
 
 Both modes consult :class:`~repro.core.gain_engine.GainEngine`, which
 caches lane scores per cluster, invalidates them through the state's
@@ -65,7 +66,7 @@ from ..obs.events import ActionEvent, IterationEvent, SeedEvent
 from ..obs.perf.counters import WorkCounters
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import gain_engine
-from .actions import ROW
+from .actions import COL, ROW
 from .cluster import DeltaCluster
 from .clustering import Clustering
 from .constraints import Constraints
@@ -163,7 +164,17 @@ class _State:
       over *c's member rows* for every column.
 
     Row toggles leave ``row_sums`` invariant and update ``col_sums`` in
-    O(N); column toggles do the reverse in O(M).
+    O(N); column toggles do the reverse in O(M).  The integer counts stay
+    exact under toggles; the float sums drift in their last bits.
+
+    Fast mode keeps the *freshness invariant*: whenever the gain engine
+    consults, every statistic is bitwise equal to a full
+    :meth:`refresh_cluster`.  Each performed action restores it with
+    ``refresh_cluster(c, moved=kind)``, which recomputes only what the
+    toggle moved; initialisation, reseeds and best-prefix replays end in
+    full refreshes, and snapshots are taken of fresh states.  Exact mode
+    lets the sums drift between the full refreshes that close each
+    improving sweep.
 
     Two kinds of derived state ride along:
 
@@ -214,29 +225,42 @@ class _State:
             self.refresh_cluster(c)
 
     # -- bookkeeping ---------------------------------------------------
-    def refresh_cluster(self, c: int) -> None:
-        """Recompute cluster ``c``'s exact statistics and caches."""
+    def refresh_cluster(self, c: int, moved: Optional[str] = None) -> None:
+        """Recompute cluster ``c``'s exact statistics and caches.
+
+        With ``moved=None`` every statistic is rebuilt from the
+        membership.  ``moved=kind`` is the cheap form after one
+        :meth:`toggle` of that kind on a *fresh* cluster (every array
+        bitwise equal to a full refresh): only the toggled axis's float
+        sums (``col_sums`` after a row toggle, ``row_sums`` after a
+        column toggle), the residue and the volume are recomputed.  The
+        other axis's sums did not change, and the toggle kept the
+        integer counts and their float copies exact, so the result is
+        bitwise the full refresh's.
+        """
         rows = np.flatnonzero(self.row_member[c])
         cols = np.flatnonzero(self.col_member[c])
         if rows.size == 0 or cols.size == 0:
             self.residues[c] = 0.0
             self.volumes[c] = 0
         else:
-            sub = self.values[np.ix_(rows, cols)]
-            sub_mask = ~np.isnan(sub)
-            self.volumes[c] = int(sub_mask.sum())
-            self.residues[c] = _masked_mean_abs_residue(sub, sub_mask)
+            residue, volume = _mean_abs_residue(self.filled, self.mask, rows, cols)
+            self.residues[c] = residue
+            self.volumes[c] = volume
             w = self.work
             if w is not None:
                 w.residue_evals += 1
-                w.cells_scanned += int(self.volumes[c])
-        self.row_sums[c] = self.filled[:, cols].sum(axis=1)
-        self.row_counts[c] = self.mask[:, cols].sum(axis=1)
-        self.col_sums[c] = self.filled[rows, :].sum(axis=0)
-        self.col_counts[c] = self.mask[rows, :].sum(axis=0)
-        self.row_counts_f[c] = self.row_counts[c]
-        self.col_counts_f[c] = self.col_counts[c]
+                w.cells_scanned += volume
         self.volumes_f[c] = self.volumes[c]
+        if moved != ROW:
+            self.row_sums[c] = self.filled[:, cols].sum(axis=1)
+        if moved != COL:
+            self.col_sums[c] = self.filled[rows, :].sum(axis=0)
+        if moved is None:
+            self.row_counts[c] = self.mask[:, cols].sum(axis=1)
+            self.col_counts[c] = self.mask[rows, :].sum(axis=0)
+            self.row_counts_f[c] = self.row_counts[c]
+            self.col_counts_f[c] = self.col_counts[c]
         self.stamp[c] += 1
         self.rev += 1
 
@@ -301,23 +325,26 @@ class _State:
             self.rev += 1
 
 
-def _masked_mean_abs_residue(sub: np.ndarray, sub_mask: np.ndarray) -> float:
-    """Mean |r_ij| given a pre-computed specified-entry mask."""
-    volume = int(sub_mask.sum())
-    if volume == 0:
-        return 0.0
-    filled = np.where(sub_mask, sub, 0.0)
+def _mean_abs_residue(
+    filled: np.ndarray, mask: np.ndarray, rows: np.ndarray, cols: np.ndarray
+) -> Tuple[float, int]:
+    """``(mean |r_ij|, volume)`` of the submatrix ``rows x cols``.
+
+    ``filled`` is the zero-filled matrix and ``mask`` its specified-entry
+    mask.  A row or column with no specified entry sums to exactly 0.0,
+    so its base needs no overlay: it is never read at a specified cell.
+    """
+    sub = filled.take(rows, axis=0).take(cols, axis=1)
+    sub_mask = mask.take(rows, axis=0).take(cols, axis=1)
     row_counts = sub_mask.sum(axis=1)
-    col_counts = sub_mask.sum(axis=0)
-    row_base = np.where(
-        row_counts > 0, filled.sum(axis=1) / np.maximum(row_counts, 1), 0.0
-    )
-    col_base = np.where(
-        col_counts > 0, filled.sum(axis=0) / np.maximum(col_counts, 1), 0.0
-    )
-    grand = filled.sum() / volume
+    volume = int(row_counts.sum())
+    if volume == 0:
+        return 0.0, 0
+    row_base = sub.sum(axis=1) / np.maximum(row_counts, 1)
+    col_base = sub.sum(axis=0) / np.maximum(sub_mask.sum(axis=0), 1)
+    grand = sub.sum() / volume
     raw = sub - row_base[:, None] - col_base[None, :] + grand
-    return float(np.abs(np.where(sub_mask, raw, 0.0)).sum() / volume)
+    return float(np.abs(np.where(sub_mask, raw, 0.0)).sum() / volume), volume
 
 
 def _build_seeds(
@@ -409,7 +436,11 @@ def floc(
         plus the ``"greedy"`` descending-gain extension (see
         :func:`repro.core.ordering.greedy_order`).
     gain_mode:
-        ``"exact"`` or ``"fast"`` -- see the module docstring.
+        ``"exact"`` or ``"fast"`` -- see the module docstring.  Fast mode
+        refreshes only what each performed action moved (the freshness
+        invariant of ``_State``); both modes keep a sweep whose best
+        prefix is the whole sweep in place instead of rolling it back and
+        replaying it.
     residue_target:
         When ``None`` (the paper-literal default) the objective is the
         average residue and an action's gain is the residue reduction it
@@ -472,11 +503,12 @@ def floc(
     work:
         Optional :class:`~repro.obs.perf.counters.WorkCounters` the run
         accumulates its deterministic work counts into (residue
-        evaluations, cells scanned, toggle evaluations, ...).  Counting
-        obeys the same invariant as tracing -- it never draws random
-        numbers and never changes the result -- and its contribution is
-        additionally mirrored into the tracer's metrics registry as
-        ``perf.*`` counters when both are given.  Pass the same object
+        evaluations, cells scanned, toggle evaluations, rollbacks that
+        change the state, ...).  Counting obeys the same invariant as
+        tracing -- it never draws random numbers and never changes the
+        result -- and its contribution is additionally mirrored into the
+        tracer's metrics registry as ``perf.*`` counters when both are
+        given.  Pass the same object
         across runs to accumulate a session total.  ``None`` (the
         default) disables counting entirely.
 
@@ -650,9 +682,10 @@ def _phase2(
             with tracer.span("perform_action"):
                 state.toggle(kind, index, c)
                 if engine.fast_mode:
-                    # The estimate guided the choice; one refresh makes
-                    # the ledger (and the caches) exact again.
-                    state.refresh_cluster(c)
+                    # The estimate guided the choice; one refresh of
+                    # what the toggle moved makes the ledger (and the
+                    # caches) exact again.
+                    state.refresh_cluster(c, moved=kind)
                 else:
                     # The lane score IS the exact after-toggle residue,
                     # and the toggle kept the sufficient statistics
@@ -686,12 +719,10 @@ def _phase2(
             improved = True
             best_score = iter_best
             assert iteration_start is not None  # an action was performed
-            state.restore(iteration_start)
-            for kind, index, c in performed[: iter_best_idx + 1]:
-                state.toggle(kind, index, c)
-            touched = {c for _, _, c in performed[: iter_best_idx + 1]}
-            for c in touched:
-                state.refresh_cluster(c)
+            _adopt_best_prefix(
+                state, iteration_start, performed, iter_best_idx + 1,
+                engine.fast_mode,
+            )
             best_state = state.snapshot()
             history.append(float(state.residues.mean()))
         else:
@@ -720,9 +751,36 @@ def _phase2(
             ))
         if converged:
             break
-    if not converged:
-        state.restore(best_state)
+    # Without convergence every sweep improved, so the state already is
+    # ``best_state``.
     return n_iterations, n_actions, converged
+
+
+def _adopt_best_prefix(
+    state: _State,
+    iteration_start: dict,
+    performed: List[_PerformedAction],
+    n_best: int,
+    fast_mode: bool,
+) -> None:
+    """Leave ``state`` at the sweep's best prefix ``performed[:n_best]``.
+
+    A shorter prefix rolls back to the sweep start and replays it.  When
+    the prefix is the whole sweep the state already holds it, so the
+    rollback is skipped; fast mode then also skips the refresh, because
+    every acted cluster was refreshed after its last action (their lanes
+    carry over into the next ordering).  Either way the statistics end
+    bitwise equal to those of a replay followed by full refreshes.
+    """
+    prefix = performed[:n_best]
+    if n_best < len(performed):
+        state.restore(iteration_start)
+        for kind, index, c in prefix:
+            state.toggle(kind, index, c)
+    elif fast_mode:
+        return
+    for c in {c for _, _, c in prefix}:
+        state.refresh_cluster(c)
 
 
 def _reseed_dead_slots(

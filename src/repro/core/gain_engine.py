@@ -175,18 +175,16 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
     # here; the ``untouched`` overlay below pins it to 0.0 regardless.
     line_residues = deviations.sum(axis=1) / np.maximum(line_counts_f, 1.0)
 
-    add_volumes = volume + line_counts_f
-    remove_volumes = volume - line_counts_f
-    add_residues = (
-        volume * residue + line_counts_f * line_residues
-    ) / np.maximum(add_volumes, 1.0)
-    remove_residues = np.maximum(
-        (volume * residue - line_counts_f * line_residues)
-        / np.maximum(remove_volumes, 1.0),
+    # One pass for additions and removals: a removal folds in the
+    # negated count (``a + (-b) == a - b`` bitwise), and the clamp is
+    # inert on additions, whose residue is never negative.
+    signed_counts = np.where(removing, -line_counts_f, line_counts_f)
+    new_volumes = volume + signed_counts
+    new_residues = np.maximum(
+        (volume * residue + signed_counts * line_residues)
+        / np.maximum(new_volumes, 1.0),
         0.0,
     )
-    new_volumes = np.where(removing, remove_volumes, add_volumes)
-    new_residues = np.where(removing, remove_residues, add_residues)
 
     # The overlays are rare (lines with no specified entry on the
     # cluster, removals that empty it): skip their passes when idle.
@@ -195,7 +193,7 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
         new_volumes = np.where(untouched, volume, new_volumes)
         new_residues = np.where(untouched, residue, new_residues)
         line_residues = np.where(untouched, 0.0, line_residues)
-    emptied = removing & ~untouched & (remove_volumes <= 0)
+    emptied = removing & ~untouched & (new_volumes <= 0)
     if emptied.any():
         new_volumes = np.where(emptied, 0.0, new_volumes)
         new_residues = np.where(emptied, 0.0, new_residues)

@@ -149,14 +149,9 @@ def greedy_order(
         raise ValueError(
             f"gains has {len(gains)} entries, expected {len(slots)}"
         )
-    indexed = sorted(
-        range(len(slots)), key=lambda i: (-_finite(gains[i]), i)
-    )
-    return [slots[i] for i in indexed]
-
-
-def _finite(gain: float) -> float:
-    return gain if np.isfinite(gain) else float("-1e30")
+    gain_of = np.asarray(gains, dtype=np.float64)
+    gain_of = np.where(np.isfinite(gain_of), gain_of, -1e30)
+    return [slots[i] for i in np.argsort(-gain_of, kind="stable")]
 
 
 def make_order(

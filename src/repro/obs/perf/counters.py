@@ -40,7 +40,9 @@ analysis:
     Phase-2 iterations executed.
 ``snapshots`` / ``restores``
     Full-state copies taken / rolled back by the per-iteration
-    best-clustering bookkeeping.
+    best-clustering bookkeeping.  Only rollbacks that change the state
+    count: a sweep whose best prefix is the whole sweep is kept in
+    place, not restored and replayed.
 
 Counting is strictly passive: every increment reuses a quantity the
 algorithm already computed, no counter path reads a clock or an RNG,

@@ -452,6 +452,16 @@ class StatsdSink(Sink):
         self._transport = None
 
 
+#: OTLP/JSON ``AnyValue`` field of each exact type a record value is
+#: stored under as-is, looked up before the ``isinstance`` chain that
+#: handles subclasses and every other type.
+_ANY_VALUE_FIELD: Dict[type, str] = {
+    bool: "boolValue",
+    float: "doubleValue",
+    str: "stringValue",
+}
+
+
 class OtlpJsonSink(Sink):
     """OpenTelemetry-compatible OTLP/JSON log export to a file.
 
@@ -487,6 +497,11 @@ class OtlpJsonSink(Sink):
     @staticmethod
     def _any_value(value: object) -> Dict[str, object]:
         """One value in OTLP/JSON ``AnyValue`` encoding."""
+        field = _ANY_VALUE_FIELD.get(type(value))
+        if field is not None:
+            return {field: value}
+        if type(value) is int:
+            return {"intValue": str(value)}  # int64 is a string in OTLP/JSON
         if isinstance(value, bool):
             return {"boolValue": value}
         if isinstance(value, int):

@@ -5,11 +5,12 @@ functions here score one candidate toggle at a time with plain,
 independent arithmetic, so a lane entry can be compared with the value
 a per-candidate evaluation gives.  The exact after-toggle oracle is
 ``repro.core.actions.evaluate_toggle`` (a full submatrix rescan); this
-module holds the frozen-bases one, and the slot-by-slot reference of the
-engine's sweep scan.
+module holds the frozen-bases one, the slot-by-slot reference of the
+engine's sweep scan, the masked residue and sorted-key greedy order the
+production code replaced, and the restore-and-replay best-prefix step.
 """
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -95,3 +96,51 @@ def sequential_next_action(
             continue
         return position, kind, index, choice
     return None
+
+
+def masked_mean_abs_residue(sub: np.ndarray, sub_mask: np.ndarray) -> float:
+    """Mean |r_ij| of a gathered submatrix (``NaN`` at unspecified cells)
+    given its specified-entry mask -- the reference of
+    ``repro.core.floc._mean_abs_residue``."""
+    volume = int(sub_mask.sum())
+    if volume == 0:
+        return 0.0
+    filled = np.where(sub_mask, sub, 0.0)
+    row_counts = sub_mask.sum(axis=1)
+    col_counts = sub_mask.sum(axis=0)
+    row_base = np.where(
+        row_counts > 0, filled.sum(axis=1) / np.maximum(row_counts, 1), 0.0
+    )
+    col_base = np.where(
+        col_counts > 0, filled.sum(axis=0) / np.maximum(col_counts, 1), 0.0
+    )
+    grand = filled.sum() / volume
+    raw = sub - row_base[:, None] - col_base[None, :] + grand
+    return float(np.abs(np.where(sub_mask, raw, 0.0)).sum() / volume)
+
+
+def sorted_key_greedy_order(
+    slots: Sequence[Tuple[str, int]], gains: Sequence[float]
+) -> List[Tuple[str, int]]:
+    """Descending-gain order by a per-slot Python sort key, ties in slot
+    order, non-finite gains mapped to -1e30 -- the reference of
+    ``repro.core.ordering.greedy_order``."""
+
+    def finite(gain: float) -> float:
+        return gain if np.isfinite(gain) else float("-1e30")
+
+    indexed = sorted(range(len(slots)), key=lambda i: (-finite(gains[i]), i))
+    return [slots[i] for i in indexed]
+
+
+def replay_best_prefix(state, iteration_start, performed, n_best, fast_mode):
+    """Restore-and-replay reference of ``repro.core.floc._adopt_best_prefix``:
+    always roll back to the sweep start, replay the best prefix and fully
+    refresh every cluster it touched, whatever the prefix's length."""
+    del fast_mode  # the reference takes the same path in both modes
+    state.restore(iteration_start)
+    prefix = performed[:n_best]
+    for kind, index, c in prefix:
+        state.toggle(kind, index, c)
+    for c in {c for _, _, c in prefix}:
+        state.refresh_cluster(c)

@@ -109,6 +109,46 @@ class TestMineAndEvaluate:
         with pytest.raises(SystemExit, match="unsupported"):
             main(["mine", str(bad), "--target", "1.0"])
 
+    def test_missing_matrix_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.npz"
+        code = main(["mine", str(missing), "--target", "1.0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot read matrix" in err and "absent.npz" in err
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_out_in_missing_directory_exits_2_before_mining(
+        self, workspace, capsys, monkeypatch, supervised
+    ):
+        tmp_path, matrix_path, __ = workspace
+        import repro.cli as cli
+
+        def no_mining(*args, **kwargs):
+            raise AssertionError("mining ran before --out was checked")
+
+        monkeypatch.setattr(cli, "mine_delta_clusters", no_mining)
+        monkeypatch.setattr(cli, "_cmd_mine_supervised", no_mining)
+        out = tmp_path / "no" / "such" / "dir" / "found.txt"
+        argv = ["mine", str(matrix_path), "--target", "5.0",
+                "--out", str(out)]
+        if supervised:
+            argv += ["--workers", "1", "--run-dir", str(tmp_path / "run")]
+        code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert "cannot write --out" in captured.err
+        assert "does not exist" in captured.err
+        assert not (tmp_path / "run").exists()
+
+    def test_out_that_is_a_directory_exits_2(self, workspace, capsys):
+        tmp_path, matrix_path, __ = workspace
+        code = main(["mine", str(matrix_path), "--target", "5.0",
+                     "--out", str(tmp_path)])
+        assert code == 2
+        assert "is a directory" in capsys.readouterr().err
+
 
 class TestPredict:
     def test_predict_covered_cell(self, workspace, capsys):

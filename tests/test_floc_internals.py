@@ -6,6 +6,8 @@ score function, alpha seed trimming, dead-slot reseeding, and the
 incremental sufficient-statistic caches.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,13 +18,25 @@ from repro.core.constraints import Constraints
 from repro.core.floc import (
     _State,
     _gain,
+    _mean_abs_residue,
     _reseed_dead_slots,
     _score,
     _trim_seed_to_alpha,
+    floc,
 )
 from repro.core.gain_engine import estimate_lane, exact_lane
 from repro.core.seeding import bernoulli_seeds
-from tests.oracles import frozen_bases_parts
+from repro.data.synthetic import generate_embedded
+from repro.obs.perf.counters import WorkCounters
+from tests.oracles import (
+    frozen_bases_parts,
+    masked_mean_abs_residue,
+    replay_best_prefix,
+)
+
+#: The module itself: ``repro.core`` re-exports the ``floc`` function
+#: under the module's name.
+floc_module = sys.modules[_State.__module__]
 
 NAN = float("nan")
 
@@ -261,6 +275,20 @@ class TestFastCaches:
                         single[2], rel=1e-12, abs=1e-12
                     )
 
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_estimate_removals_clamped_at_zero(self, seed):
+        """On perfectly additive data the removal fold cancels to rounding
+        noise, which can dip below zero; the lane clamps it to +0.0."""
+        rng = np.random.default_rng(seed)
+        values = (rng.normal(size=12)[:, None] * 0.1
+                  + rng.normal(size=8)[None, :] * 0.3 + 0.7)
+        seeds = [(rng.random(12) < 0.5, rng.random(8) < 0.6) for _ in range(2)]
+        state = _State(values, ~np.isnan(values), seeds)
+        for kind in ("row", "col"):
+            for c in range(2):
+                lane = estimate_lane(state, kind, c)
+                assert not np.signbit(lane.new_residues).any(), (kind, c)
+
     def test_snapshot_restore_round_trip(self):
         rng = np.random.default_rng(6)
         values = rng.normal(size=(15, 8))
@@ -360,3 +388,174 @@ class TestSnapshotRestoreProperty:
                             getattr(lane_a, name), getattr(lane_b, name),
                             (scorer.__name__, kind, c, name),
                         )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestResidueOracle:
+    """``_mean_abs_residue`` gathers from the zero-filled matrix and drops
+    the base overlays; it must stay bitwise the masked reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_bitwise_equal_to_masked_reference(self, data):
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 12))
+        # Noisy floats (whose sums round) overlaid with drawn cells:
+        # arbitrary finite values, ±0 and NaN patterns.
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        values = rng.normal(0.0, 10.0 ** data.draw(st.integers(-3, 6)), (n, m))
+        element = st.one_of(
+            st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False),
+            st.sampled_from([0.0, -0.0, NAN]),
+        )
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1), element),
+            max_size=n * m,
+        ))
+        for i, j, value in cells:
+            values[i, j] = value
+        # Blank whole rows/columns too: empty bases must stay inert.
+        values[data.draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = NAN
+        values[:, data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = NAN
+        rows = np.array(sorted(data.draw(st.sets(
+            st.integers(0, n - 1), min_size=1))), dtype=np.intp)
+        cols = np.array(sorted(data.draw(st.sets(
+            st.integers(0, m - 1), min_size=1))), dtype=np.intp)
+        mask = ~np.isnan(values)
+        filled = np.where(mask, values, 0.0)
+
+        residue, volume = _mean_abs_residue(filled, mask, rows, cols)
+
+        sub = values[np.ix_(rows, cols)]
+        sub_mask = ~np.isnan(sub)
+        assert volume == int(sub_mask.sum())
+        assert _same_bits(residue, masked_mean_abs_residue(sub, sub_mask))
+
+
+#: Every ``_State`` array a refresh writes (``stamp`` only keys caches).
+_STAT_FIELDS = (
+    "residues", "volumes", "volumes_f", "row_sums", "row_counts",
+    "row_counts_f", "col_sums", "col_counts", "col_counts_f",
+)
+
+
+def _fresh_checking_refresh(monkeypatch, checked):
+    """Wrap ``refresh_cluster`` so that after every fast-mode action (the
+    ``moved=`` refresh) each state array is checked bitwise against a full
+    refresh of every cluster; the state is then left as it was."""
+    original = _State.refresh_cluster
+
+    def refresh(self, c, moved=None):
+        original(self, c, moved)
+        if moved is None:
+            return
+        before = {name: getattr(self, name).copy() for name in _STAT_FIELDS}
+        stamp, rev, work = self.stamp.copy(), self.rev, self.work
+        self.work = None
+        for cluster in range(self.k):
+            original(self, cluster)
+        for name in _STAT_FIELDS:
+            assert _same_bits(before[name], getattr(self, name)), (name, c, moved)
+        self.stamp[...] = stamp
+        self.rev, self.work = rev, work
+        checked.append(int(self.volumes[c]))
+
+    monkeypatch.setattr(_State, "refresh_cluster", refresh)
+
+
+def _outcome(result):
+    return (
+        [(list(cl.rows), list(cl.cols)) for cl in result.clustering],
+        [float(h).hex() for h in result.history],
+        result.n_iterations,
+        result.n_actions,
+    )
+
+
+class TestFastModeFreshness:
+    """Fast mode refreshes only what a toggle moved; the freshness
+    invariant says the state still equals a full refresh after every
+    performed action, in every cluster."""
+
+    @staticmethod
+    def _matrix(missing, seed):
+        return generate_embedded(
+            60, 14, 2, cluster_shape=(10, 5), noise=1.0,
+            missing_fraction=missing, rng=seed,
+        ).matrix
+
+    @pytest.mark.parametrize("ordering", ["fixed", "weighted", "greedy"])
+    @pytest.mark.parametrize("missing", [0.0, 0.6])
+    def test_state_fresh_after_every_action(self, monkeypatch, ordering, missing):
+        checked = []
+        _fresh_checking_refresh(monkeypatch, checked)
+        result = floc(
+            self._matrix(missing, 3), 3, p=0.3, ordering=ordering,
+            gain_mode="fast", residue_target=4.0, reseed_rounds=2, rng=5,
+        )
+        assert result.n_actions > 0
+        assert len(checked) == result.n_actions
+
+    def test_state_fresh_with_emptied_clusters(self, monkeypatch):
+        # A seed without rows and a NaN-heavy matrix under a 1x1 floor:
+        # clusters start empty and lose their last specified cell.
+        values = self._matrix(0.7, 4).values
+        n, m = values.shape
+        rng = np.random.default_rng(9)
+        seeds = bernoulli_seeds(n, m, 3, 0.3, rng)
+        seeds[0] = (np.zeros(n, dtype=bool), seeds[0][1])
+        checked = []
+        _fresh_checking_refresh(monkeypatch, checked)
+        result = floc(
+            values, 3, seeds=seeds, ordering="fixed", gain_mode="fast",
+            constraints=Constraints(min_rows=1, min_cols=1),
+            mandatory_moves=True, max_iterations=6, rng=2,
+        )
+        assert len(checked) == result.n_actions > 0
+        assert 0 in checked  # some action left a cluster without volume
+
+
+class TestBestPrefix:
+    """A sweep whose best prefix is the whole sweep keeps its state: no
+    rollback, no replay -- and the same result as always replaying."""
+
+    @pytest.mark.parametrize("gain_mode", ["fast", "exact"])
+    @pytest.mark.parametrize("target", [None, 6.0])
+    def test_whole_prefix_skips_restore_with_replay_results(
+        self, monkeypatch, gain_mode, target
+    ):
+        matrix = generate_embedded(
+            80, 16, 2, cluster_shape=(12, 6), noise=1.0, rng=21,
+        ).matrix
+        kwargs = dict(
+            p=0.3, ordering="greedy", gain_mode=gain_mode,
+            residue_target=target, rng=8,
+        )
+        adopt = floc_module._adopt_best_prefix
+        sweeps = []  # (whole prefix?, restores during the step)
+
+        def watched(state, start, performed, n_best, fast_mode):
+            before = state.work.restores
+            adopt(state, start, performed, n_best, fast_mode)
+            sweeps.append((n_best == len(performed),
+                           state.work.restores - before))
+
+        monkeypatch.setattr(floc_module, "_adopt_best_prefix", watched)
+        work = WorkCounters()
+        result = floc(matrix, 3, work=work, **kwargs)
+        assert any(whole for whole, _ in sweeps)
+        assert all(restores == 0 for whole, restores in sweeps if whole)
+        assert all(restores == 1 for whole, restores in sweeps if not whole)
+
+        monkeypatch.setattr(floc_module, "_adopt_best_prefix", replay_best_prefix)
+        forced_work = WorkCounters()
+        forced = floc(matrix, 3, work=forced_work, **kwargs)
+        assert _outcome(result) == _outcome(forced)
+        whole = sum(whole for whole, _ in sweeps)
+        assert work.restores == forced_work.restores - whole
+        for name, value in work:
+            assert value <= getattr(forced_work, name), name

@@ -522,6 +522,26 @@ class TestOtlpJson:
         assert enc(np.float64(2.0)) == {"doubleValue": 2.0}  # float subclass
         assert enc(np.int64(3)) == {"stringValue": "3"}      # via _jsonable
 
+        class Flag(int):
+            pass
+
+        class Name(str):
+            pass
+
+        values = [True, False, 17, 2 ** 70, -0.0, float("inf"), "row",
+                  np.float64(1.25), np.int64(4), np.bool_(True), Flag(5),
+                  Name("n"), None, (2, 3)]
+        # Golden bytes over the exact-type table and the isinstance chain.
+        assert json.dumps([enc(v) for v in values]) == (
+            '[{"boolValue": true}, {"boolValue": false}, '
+            '{"intValue": "17"}, {"intValue": "1180591620717411303424"}, '
+            '{"doubleValue": -0.0}, {"doubleValue": Infinity}, '
+            '{"stringValue": "row"}, {"doubleValue": 1.25}, '
+            '{"stringValue": "4"}, {"stringValue": "True"}, '
+            '{"intValue": "5"}, {"stringValue": "n"}, '
+            '{"stringValue": "None"}, {"stringValue": "(2, 3)"}]'
+        )
+
     def test_write_after_close_raises(self, tmp_path):
         sink = OtlpJsonSink(tmp_path / "l.json")
         sink.close()

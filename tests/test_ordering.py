@@ -2,15 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.ordering import (
     ORDERINGS,
     action_slots,
     fixed_order,
+    greedy_order,
     make_order,
     random_order,
     weighted_order,
 )
+from tests.oracles import sorted_key_greedy_order
 
 
 class TestSlots:
@@ -130,6 +134,22 @@ class TestDispatch:
         slots = action_slots(3, 0)
         order = greedy_order(slots, [1.0, 1.0, 1.0])
         assert order == slots
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            # A small pool forces ties; the extremes probe the -1e30 map.
+            st.sampled_from([
+                0.0, -0.0, 1.0, -1.0, 2.5, -1e30, 1e300, -1e300,
+                float("inf"), float("-inf"), float("nan"),
+            ]),
+            st.floats(allow_nan=True, allow_infinity=True),
+        ),
+        max_size=40,
+    ))
+    def test_greedy_equals_sorted_key_reference(self, gains):
+        slots = action_slots(len(gains), 0)
+        assert greedy_order(slots, gains) == sorted_key_greedy_order(slots, gains)
 
     def test_greedy_length_checked(self):
         from repro.core.ordering import greedy_order
