@@ -2,7 +2,7 @@
 
 Not paper tables -- these quantify the deltas introduced by:
 
-* ``gain_mode``: the exact after-toggle residue vs the O(m) fast
+* ``gain_mode``: the exact after-toggle residue vs the fast
   frozen-bases estimate;
 * ``mandatory_moves``: the paper's perform-even-negative rule vs
   skip-non-positive;
@@ -51,7 +51,7 @@ def test_ablation_gain_mode(benchmark, report):
         rows,
         headers=["gain mode", "time (s)", "iterations", "recall", "precision"],
         title="Ablation -- exact vs fast gain evaluation\n"
-              "(fast scores an O(m) frozen-bases estimate instead of "
+              "(fast scores a frozen-bases estimate instead of "
               "the exact after-toggle residue; the acted cluster's "
               "ledger stays exact either way)",
     )

@@ -22,10 +22,11 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -84,6 +85,38 @@ def _load_matrix(path: str) -> DataMatrix:
     if suffix == ".csv":
         return load_matrix_csv(path, header=False)
     raise SystemExit(f"unsupported matrix format: {path} (use .npz or .csv)")
+
+
+_Loaded = TypeVar("_Loaded")
+
+
+class _UsageError(Exception):
+    """A bad path on the command line: :func:`main` prints the message
+    as one stderr line and exits 2."""
+
+
+def _read(what: str, path: str, load: Callable[[str], _Loaded]) -> _Loaded:
+    """``load(path)``; a file that cannot be read is a usage error."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise _UsageError(
+            f"cannot read {what} {path}: {exc.strerror or exc}"
+        ) from None
+
+
+def _check_writable(flag: str, path: Optional[str]) -> None:
+    """Fail on a ``flag`` path where no file can be created."""
+    if not path:
+        return
+    target = Path(path)
+    if not target.parent.is_dir():
+        problem = f"directory {target.parent} does not exist"
+    elif target.is_dir():
+        problem = "it is a directory"
+    else:
+        return
+    raise _UsageError(f"cannot write {flag} {path}: {problem}")
 
 
 # ----------------------------------------------------------------------
@@ -226,23 +259,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
     ``docs/ROBUSTNESS.md``).  Exit code 3 signals graceful degradation:
     some restarts were lost after exhausting retries.
     """
-    # Fail on a bad --out before any mining runs, not after it.
-    if args.out:
-        out = Path(args.out)
-        problem = (
-            f"directory {out.parent} does not exist"
-            if not out.parent.is_dir()
-            else "it is a directory" if out.is_dir() else None
-        )
-        if problem is not None:
-            print(f"cannot write --out {out}: {problem}", file=sys.stderr)
-            return 2
-    try:
-        matrix = _load_matrix(args.matrix)
-    except OSError as exc:
-        print(f"cannot read matrix {args.matrix}: {exc.strerror or exc}",
-              file=sys.stderr)
-        return 2
+    # Fail on a bad --out or --trace before any mining runs, not after it.
+    _check_writable("--out", args.out)
+    _check_writable("--trace", args.trace)
+    matrix = _read("matrix", args.matrix, _load_matrix)
     supervised = (
         args.workers is not None
         or args.task_timeout is not None
@@ -321,8 +341,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score stored clusters against a matrix (and optional truth)."""
-    matrix = _load_matrix(args.matrix)
-    clusters = load_clusters(args.clusters)
+    matrix = _read("matrix", args.matrix, _load_matrix)
+    clusters = _read("clusters", args.clusters, load_clusters)
+    truth = _read("truth", args.truth, load_clusters) if args.truth else None
     rows = [
         [
             index,
@@ -339,8 +360,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         headers=["cluster", "rows", "cols", "volume", "residue", "diameter"],
         title=f"{len(clusters)} clusters against {args.matrix}",
     ))
-    if args.truth:
-        truth = load_clusters(args.truth)
+    if truth is not None:
         scores = recall_precision(truth, clusters, matrix.shape)
         print(f"\nrecall    = {scores.recall:.3f}")
         print(f"precision = {scores.precision:.3f}")
@@ -350,8 +370,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Predict one cell's value from the clusters covering it."""
-    matrix = _load_matrix(args.matrix)
-    clusters = load_clusters(args.clusters)
+    matrix = _read("matrix", args.matrix, _load_matrix)
+    clusters = _read("clusters", args.clusters, load_clusters)
     covering = [
         c for c in clusters if c.contains(args.row, args.col)
     ]
@@ -983,7 +1003,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # The reader of stdout went away (``repro analyze-trace ... |
+        # head``).  Point stdout at devnull so the interpreter's final
+        # flush stays quiet, and exit like a process killed by SIGPIPE.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 128 + 13
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -181,14 +181,15 @@ class _State:
     * float views of the integer statistics (``volumes_f``,
       ``row_counts_f``, ``col_counts_f``) so the hot paths never repeat
       an ``astype`` conversion, and transposed contiguous copies of the
-      matrix (``filled_T``, ``mask_T``) so column lanes reduce over
+      matrix (``filled_T``, ``mask_T``) so column blocks gather
       contiguous memory;
     * ``stamp`` -- a per-cluster modification counter, bumped by every
       operation that can change a cluster's statistics
       (:meth:`toggle`, :meth:`refresh_cluster`, and :meth:`restore` for
-      the clusters that changed since the snapshot).  The gain engine
-      keys its lane caches on it; it never repeats a value, so a cached
-      lane is valid iff its recorded stamp still matches.
+      the clusters that changed since the snapshot).  The gain engine's
+      lane caches and the :meth:`line_deviations` cache key on it; it
+      never repeats a value, so a cached entry is valid iff its stamp
+      still matches.
     """
 
     def __init__(
@@ -221,6 +222,7 @@ class _State:
         self.col_sums = np.zeros((self.k, n_cols))
         self.col_counts = np.zeros((self.k, n_cols), dtype=np.int64)
         self.col_counts_f = np.zeros((self.k, n_cols))
+        self._deviations: List[Optional[Tuple[int, np.ndarray]]] = [None] * self.k
         for c in range(self.k):
             self.refresh_cluster(c)
 
@@ -233,25 +235,14 @@ class _State:
         :meth:`toggle` of that kind on a *fresh* cluster (every array
         bitwise equal to a full refresh): only the toggled axis's float
         sums (``col_sums`` after a row toggle, ``row_sums`` after a
-        column toggle), the residue and the volume are recomputed.  The
-        other axis's sums did not change, and the toggle kept the
-        integer counts and their float copies exact, so the result is
-        bitwise the full refresh's.
+        column toggle) are recomputed.  The other axis's sums did not
+        change, and the toggle kept the integer counts and their float
+        copies exact, so the result is bitwise the full refresh's.  The
+        volume sums the integer counts; the residue divides the member
+        rows' :meth:`line_deviations` by it.
         """
-        rows = np.flatnonzero(self.row_member[c])
-        cols = np.flatnonzero(self.col_member[c])
-        if rows.size == 0 or cols.size == 0:
-            self.residues[c] = 0.0
-            self.volumes[c] = 0
-        else:
-            residue, volume = _mean_abs_residue(self.filled, self.mask, rows, cols)
-            self.residues[c] = residue
-            self.volumes[c] = volume
-            w = self.work
-            if w is not None:
-                w.residue_evals += 1
-                w.cells_scanned += volume
-        self.volumes_f[c] = self.volumes[c]
+        rows = self.row_member[c].nonzero()[0]
+        cols = self.col_member[c].nonzero()[0]
         if moved != ROW:
             self.row_sums[c] = self.filled[:, cols].sum(axis=1)
         if moved != COL:
@@ -263,6 +254,41 @@ class _State:
             self.col_counts_f[c] = self.col_counts[c]
         self.stamp[c] += 1
         self.rev += 1
+        volume = int(self.row_counts[c].take(rows).sum())
+        self.volumes[c] = volume
+        self.volumes_f[c] = volume
+        member_sums = self.line_deviations(c).take(rows).sum()
+        self.residues[c] = member_sums / volume if volume else 0.0
+        if self.work is not None and rows.size and cols.size:
+            self.work.residue_evals += 1
+            self.work.cells_scanned += volume
+
+    def line_deviations(self, c: int) -> np.ndarray:
+        """Per-line ``|residual|`` sums of cluster ``c``, M rows then N
+        columns: row ``i`` sums ``|d_ij - a_i - b_j + g|`` over its
+        specified cells in c's member columns (the state's bases and
+        grand mean), column ``j`` the same over c's member rows.  One
+        gathered block per axis, cached under ``stamp``."""
+        cached = self._deviations[c]
+        if cached is not None and cached[0] == self.stamp[c]:
+            return cached[1]
+        rows = self.row_member[c].nonzero()[0]
+        cols = self.col_member[c].nonzero()[0]
+        volume = int(self.row_counts[c].take(rows).sum())
+        # An empty base reads 0.0, not a sum drifted off zero; as a line
+        # base it meets only unspecified cells, which the mask drops.
+        row_base = np.where(self.row_counts[c] > 0, self.row_sums[c]
+                            / np.maximum(self.row_counts_f[c], 1.0), 0.0)
+        col_base = np.where(self.col_counts[c] > 0, self.col_sums[c]
+                            / np.maximum(self.col_counts_f[c], 1.0), 0.0)
+        sums = np.concatenate((
+            _block_deviations(self.filled, self.mask, row_base, col_base,
+                              self.col_sums[c], cols, volume),
+            _block_deviations(self.filled_T, self.mask_T, col_base, row_base,
+                              self.row_sums[c], rows, volume),
+        ))
+        self._deviations[c] = (int(self.stamp[c]), sums)
+        return sums
 
     def toggle(self, kind: str, index: int, c: int) -> None:
         """Flip one membership bit and update the caches incrementally."""
@@ -325,26 +351,20 @@ class _State:
             self.rev += 1
 
 
-def _mean_abs_residue(
-    filled: np.ndarray, mask: np.ndarray, rows: np.ndarray, cols: np.ndarray
-) -> Tuple[float, int]:
-    """``(mean |r_ij|, volume)`` of the submatrix ``rows x cols``.
-
-    ``filled`` is the zero-filled matrix and ``mask`` its specified-entry
-    mask.  A row or column with no specified entry sums to exactly 0.0,
-    so its base needs no overlay: it is never read at a specified cell.
-    """
-    sub = filled.take(rows, axis=0).take(cols, axis=1)
-    sub_mask = mask.take(rows, axis=0).take(cols, axis=1)
-    row_counts = sub_mask.sum(axis=1)
-    volume = int(row_counts.sum())
-    if volume == 0:
-        return 0.0, 0
-    row_base = sub.sum(axis=1) / np.maximum(row_counts, 1)
-    col_base = sub.sum(axis=0) / np.maximum(sub_mask.sum(axis=0), 1)
-    grand = sub.sum() / volume
-    raw = sub - row_base[:, None] - col_base[None, :] + grand
-    return float(np.abs(np.where(sub_mask, raw, 0.0)).sum() / volume), volume
+def _block_deviations(
+    filled: np.ndarray, mask: np.ndarray, line_base: np.ndarray, cross_base: np.ndarray,
+    cross_sums: np.ndarray, members: np.ndarray, volume: int,
+) -> np.ndarray:
+    """Per-line ``sum |d - line base - cross base + grand|`` over the
+    specified cells of the ``members`` columns of ``filled``."""
+    grand = float(cross_sums.take(members).sum()) / volume if volume else 0.0
+    block = filled.take(members, axis=1)
+    block -= line_base[:, None]
+    block -= cross_base.take(members)
+    block += grand
+    np.abs(block, out=block)
+    block *= mask.take(members, axis=1)
+    return block.sum(axis=1)
 
 
 def _build_seeds(

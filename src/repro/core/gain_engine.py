@@ -11,13 +11,13 @@ of NumPy passes.
 Three layers (see DESIGN.md section "The batched gain engine"):
 
 **Lane scorers** (:func:`estimate_lane`, :func:`exact_lane`)
-    The delta-cluster mean-absolute-residue measure, scored
-    lane-at-a-time from the state's per-cluster sufficient statistics.
-    The *estimate* lane freezes the cluster's bases (fast mode and
-    action ordering); the *exact* lane is the true after-toggle residue
-    (exact mode) -- no submatrix rescan.  :func:`exact_context` is the
-    exact lane's candidate-independent half, shared by the block
-    rebuilds of one cluster epoch.
+    The delta-cluster mean-absolute-residue measure, scored a lane at
+    a time from the state's per-cluster sufficient statistics.  The
+    *estimate* lane freezes the cluster's bases (fast mode, ordering)
+    and folds ``_State.line_deviations``, the per-line |residual| sums
+    the ledger residue reads too: one pass per cluster epoch.  The
+    *exact* lane is the true after-toggle residue (exact mode), and
+    :func:`exact_context` its candidate-independent half.
 
 **Vectorised policy** (:func:`gain_lane`, the blocking masks)
     Array forms of FLOC's ``_gain`` branch ladder and of the cheap
@@ -127,53 +127,31 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
 
     Freezes the cluster's row/column bases and folds the toggled line's
     residue contribution in (addition) or out (removal) of the
-    volume-weighted mean -- an O(m) estimate per slot, checked against
-    a scalar per-candidate oracle in ``tests/test_gain_engine.py``.
-    The weighted ordering draws its RNG stream from these gains, so a
+    volume-weighted mean -- an O(1) fold per slot of the kind's slice of
+    :meth:`~repro.core.floc._State.line_deviations`, checked against a
+    scalar per-candidate oracle in ``tests/test_gain_engine.py``.  The
+    weighted ordering draws its RNG stream from these gains, so a
     change to the arithmetic here changes results at a fixed seed.
     """
+    n_rows = state.row_member.shape[1]
     if kind == ROW:
-        filled, mask = state.filled, state.mask
+        deviations = state.line_deviations(c)[:n_rows]
         member = state.col_member[c]
-        base_sums, base_counts = state.col_sums[c], state.col_counts[c]
-        line_sums = state.row_sums[c]
         line_counts = state.row_counts[c]
         line_counts_f = state.row_counts_f[c]
         removing = state.row_member[c]
     else:
-        filled, mask = state.filled_T, state.mask_T
+        deviations = state.line_deviations(c)[n_rows:]
         member = state.row_member[c]
-        base_sums, base_counts = state.row_sums[c], state.row_counts[c]
-        line_sums = state.col_sums[c]
         line_counts = state.col_counts[c]
         line_counts_f = state.col_counts_f[c]
         removing = state.col_member[c]
 
     volume = state.volumes_f[c]
     residue = state.residues[c]
-
-    line_base = line_sums / np.maximum(line_counts_f, 1.0)
-    cross_base = np.where(
-        base_counts > 0,
-        base_sums / np.maximum(base_counts, 1),
-        0.0,
-    )
-    # The member base counts sum to the cluster's (integer) volume, so
-    # the grand mean divides by the ledger instead of a second reduce.
-    total = float((base_sums * member).sum())
-    count = int(state.volumes[c])
-    grand = total / count if count else 0.0
-
-    # In-place passes over the one (S, base) temporary.
-    deviations = filled - line_base[:, None]
-    deviations -= cross_base[None, :]
-    deviations += grand
-    np.abs(deviations, out=deviations)
-    relevant = member[None, :] & mask
-    deviations *= relevant
     # A line with no specified entry on the cluster divides 0.0 by 1.0
     # here; the ``untouched`` overlay below pins it to 0.0 regardless.
-    line_residues = deviations.sum(axis=1) / np.maximum(line_counts_f, 1.0)
+    line_residues = deviations / np.maximum(line_counts_f, 1.0)
 
     # One pass for additions and removals: a removal folds in the
     # negated count (``a + (-b) == a - b`` bitwise), and the clamp is
@@ -193,8 +171,9 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
         new_volumes = np.where(untouched, volume, new_volumes)
         new_residues = np.where(untouched, residue, new_residues)
         line_residues = np.where(untouched, 0.0, line_residues)
-    emptied = removing & ~untouched & (new_volumes <= 0)
+    emptied = new_volumes <= 0  # a superset, refined only when non-empty
     if emptied.any():
+        emptied &= removing & ~untouched
         new_volumes = np.where(emptied, 0.0, new_volumes)
         new_residues = np.where(emptied, 0.0, new_residues)
         line_residues = np.where(emptied, 0.0, line_residues)
@@ -209,7 +188,7 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
         new_volumes=new_volumes.astype(np.int64),
         line_residues=line_residues,
         line_counts=line_counts,
-        width=int(member.sum()),
+        width=int(np.count_nonzero(member)),
     )
 
 
@@ -751,9 +730,9 @@ class GainEngine:
         # ``width`` already counts the base axis; only the toggled axis
         # needs a fresh popcount.
         if kind == ROW:
-            n, m = int(member.sum()), scores.width
+            n, m = int(np.count_nonzero(member)), scores.width
         else:
-            n, m = scores.width, int(member.sum())
+            n, m = scores.width, int(np.count_nonzero(member))
         removing = member if sel is None else member[sel]
         gains = gain_lane(
             float(state.residues[c]),

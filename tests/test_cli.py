@@ -1,5 +1,10 @@
 """End-to-end tests of the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -149,8 +154,58 @@ class TestMineAndEvaluate:
         assert code == 2
         assert "is a directory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_trace_in_missing_directory_exits_2_before_mining(
+        self, workspace, capsys, monkeypatch, supervised
+    ):
+        tmp_path, matrix_path, __ = workspace
+        import repro.cli as cli
+
+        def no_mining(*args, **kwargs):
+            raise AssertionError("mining ran before --trace was checked")
+
+        monkeypatch.setattr(cli, "mine_delta_clusters", no_mining)
+        monkeypatch.setattr(cli, "_cmd_mine_supervised", no_mining)
+        trace = tmp_path / "no" / "such" / "trace.jsonl"
+        argv = ["mine", str(matrix_path), "--target", "5.0",
+                "--trace", str(trace)]
+        if supervised:
+            argv += ["--workers", "1", "--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "cannot write --trace" in err and "does not exist" in err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("absent", ["matrix", "clusters", "truth"])
+    def test_evaluate_missing_input_exits_2(self, workspace, capsys, absent):
+        tmp_path, matrix_path, truth_path = workspace
+        paths = {"matrix": matrix_path, "clusters": truth_path,
+                 "truth": truth_path}
+        paths[absent] = tmp_path / "absent.npz"
+        code = main(["evaluate", str(paths["matrix"]), str(paths["clusters"]),
+                     "--truth", str(paths["truth"])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert f"cannot read {absent}" in captured.err
+        assert "absent.npz" in captured.err
+        assert captured.out == ""
+
 
 class TestPredict:
+    @pytest.mark.parametrize("absent", ["matrix", "clusters"])
+    def test_predict_missing_input_exits_2(self, workspace, capsys, absent):
+        tmp_path, matrix_path, truth_path = workspace
+        paths = {"matrix": matrix_path, "clusters": truth_path}
+        paths[absent] = tmp_path / "absent.npz"
+        code = main(["predict", str(paths["matrix"]), str(paths["clusters"]),
+                     "--row", "0", "--col", "0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot read {absent}" in err and "absent.npz" in err
+
     def test_predict_covered_cell(self, workspace, capsys):
         tmp_path, matrix_path, truth_path = workspace
         truth = load_clusters(truth_path)
@@ -176,3 +231,41 @@ class TestPredict:
         ])
         assert code == 1
         assert "no cluster covers" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("command", ["analyze-trace", "evaluate"])
+    def test_closed_pipe_ends_quietly(self, tmp_path, command):
+        """``repro analyze-trace ... | head -1``: the reader is gone before
+        the output is written; the command ends without a traceback,
+        whether the output overflows the stdout buffer or sits in it
+        until exit (``evaluate``'s short table)."""
+        matrix_path = tmp_path / "m.npz"
+        trace_path = tmp_path / "trace.jsonl"
+        clusters_path = tmp_path / "clusters.txt"
+        assert main(["generate", "synthetic", "--rows", "40", "--cols", "10",
+                     "--clusters", "1", "--cluster-rows", "8",
+                     "--cluster-cols", "4", "--seed", "1",
+                     "--out", str(matrix_path)]) == 0
+        assert main(["mine", str(matrix_path), "--target", "4.0", "--k", "2",
+                     "--restarts", "1", "--seed", "1",
+                     "--trace", str(trace_path),
+                     "--out", str(clusters_path)]) == 0
+        argv = {"analyze-trace": [str(trace_path)],
+                "evaluate": [str(matrix_path), str(clusters_path)]}[command]
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)  # a pipe's stdout is buffered
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", command, *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == ""
+        assert proc.returncode == 141

@@ -6,6 +6,7 @@ score function, alpha seed trimming, dead-slot reseeding, and the
 incremental sufficient-statistic caches.
 """
 
+import copy
 import sys
 
 import numpy as np
@@ -18,7 +19,6 @@ from repro.core.constraints import Constraints
 from repro.core.floc import (
     _State,
     _gain,
-    _mean_abs_residue,
     _reseed_dead_slots,
     _score,
     _trim_seed_to_alpha,
@@ -396,12 +396,13 @@ def _same_bits(a, b):
 
 
 class TestResidueOracle:
-    """``_mean_abs_residue`` gathers from the zero-filled matrix and drops
-    the base overlays; it must stay bitwise the masked reference."""
+    """``refresh_cluster`` takes the residue from the shared deviation
+    pass (the state's bases, member lines gathered) and the volume from
+    the integer counts; both must match the masked reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_bitwise_equal_to_masked_reference(self, data):
+    def test_refresh_residue_matches_masked_reference(self, data):
         n = data.draw(st.integers(1, 12))
         m = data.draw(st.integers(1, 12))
         # Noisy floats (whose sums round) overlaid with drawn cells:
@@ -421,19 +422,26 @@ class TestResidueOracle:
         # Blank whole rows/columns too: empty bases must stay inert.
         values[data.draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = NAN
         values[:, data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = NAN
-        rows = np.array(sorted(data.draw(st.sets(
-            st.integers(0, n - 1), min_size=1))), dtype=np.intp)
-        cols = np.array(sorted(data.draw(st.sets(
-            st.integers(0, m - 1), min_size=1))), dtype=np.intp)
-        mask = ~np.isnan(values)
-        filled = np.where(mask, values, 0.0)
+        row_member = np.zeros(n, dtype=bool)
+        col_member = np.zeros(m, dtype=bool)
+        row_member[sorted(data.draw(st.sets(
+            st.integers(0, n - 1), min_size=1)))] = True
+        col_member[sorted(data.draw(st.sets(
+            st.integers(0, m - 1), min_size=1)))] = True
 
-        residue, volume = _mean_abs_residue(filled, mask, rows, cols)
+        state = _State(values, ~np.isnan(values), [(row_member, col_member)])
 
-        sub = values[np.ix_(rows, cols)]
+        sub = values[np.ix_(row_member, col_member)]
         sub_mask = ~np.isnan(sub)
-        assert volume == int(sub_mask.sum())
-        assert _same_bits(residue, masked_mean_abs_residue(sub, sub_mask))
+        assert int(state.volumes[0]) == int(sub_mask.sum())
+        assert state.volumes_f[0] == state.volumes[0]
+        expected = masked_mean_abs_residue(sub, sub_mask)
+        # A residue that cancels to (near) zero keeps rounding noise at
+        # the data's scale, so the relative bound gets that absolute floor.
+        scale = float(np.abs(np.where(sub_mask, sub, 0.0)).max())
+        assert float(state.residues[0]) == pytest.approx(
+            expected, rel=1e-12, abs=1e-12 * scale
+        )
 
 
 #: Every ``_State`` array a refresh writes (``stamp`` only keys caches).
@@ -446,22 +454,24 @@ _STAT_FIELDS = (
 def _fresh_checking_refresh(monkeypatch, checked):
     """Wrap ``refresh_cluster`` so that after every fast-mode action (the
     ``moved=`` refresh) each state array is checked bitwise against a full
-    refresh of every cluster; the state is then left as it was."""
+    refresh of every cluster.  The shadow refresh runs on a deep copy, so
+    the live state's stamps -- and every cache keyed on them -- never see
+    it."""
     original = _State.refresh_cluster
 
     def refresh(self, c, moved=None):
         original(self, c, moved)
         if moved is None:
             return
-        before = {name: getattr(self, name).copy() for name in _STAT_FIELDS}
-        stamp, rev, work = self.stamp.copy(), self.rev, self.work
-        self.work = None
-        for cluster in range(self.k):
-            original(self, cluster)
+        shadow = copy.deepcopy(self)
+        shadow.work = None
+        shadow._deviations = [None] * shadow.k
+        for cluster in range(shadow.k):
+            original(shadow, cluster)
         for name in _STAT_FIELDS:
-            assert _same_bits(before[name], getattr(self, name)), (name, c, moved)
-        self.stamp[...] = stamp
-        self.rev, self.work = rev, work
+            assert _same_bits(getattr(self, name), getattr(shadow, name)), (
+                name, c, moved,
+            )
         checked.append(int(self.volumes[c]))
 
     monkeypatch.setattr(_State, "refresh_cluster", refresh)
@@ -517,6 +527,68 @@ class TestFastModeFreshness:
         )
         assert len(checked) == result.n_actions > 0
         assert 0 in checked  # some action left a cluster without volume
+
+
+def _reuse_checking_deviations(monkeypatch, reuses):
+    """Wrap ``line_deviations`` so that every read is compared bitwise
+    with a fresh pass over the same state; ``reuses`` collects the
+    reads the cache answered."""
+    original = _State.line_deviations
+
+    def deviations(self, c):
+        cached = self._deviations[c]
+        if cached is not None and cached[0] == self.stamp[c]:
+            reuses.append(c)
+        sums = original(self, c)
+        kept = self._deviations[c]
+        self._deviations[c] = None
+        assert _same_bits(sums, original(self, c)), c
+        self._deviations[c] = kept
+        return sums
+
+    monkeypatch.setattr(_State, "line_deviations", deviations)
+
+
+class TestDeviationCache:
+    """The per-cluster deviation pass is cached under the cluster's
+    modification stamp; every read, cached or not, must equal a fresh
+    pass over the current state."""
+
+    @pytest.mark.parametrize("missing", [0.0, 0.3])
+    @pytest.mark.parametrize(
+        "ordering", ["fixed", "random", "weighted", "greedy"]
+    )
+    @pytest.mark.parametrize("gain_mode", ["fast", "exact"])
+    def test_every_reuse_equals_a_fresh_pass(
+        self, monkeypatch, gain_mode, ordering, missing
+    ):
+        reuses = []
+        _reuse_checking_deviations(monkeypatch, reuses)
+        matrix = TestFastModeFreshness._matrix(missing, 3)
+        result = floc(
+            matrix, 3, p=0.3, ordering=ordering, gain_mode=gain_mode,
+            residue_target=4.0, reseed_rounds=2, rng=5,
+        )
+        assert result.n_actions > 0
+        # Exact mode reads the pass only in refreshes (each under a new
+        # stamp) and in the weighted/greedy ordering's estimate lanes.
+        estimated = gain_mode == "fast" or ordering in ("weighted", "greedy")
+        assert bool(reuses) == estimated
+
+    @pytest.mark.parametrize("gain_mode", ["fast", "exact"])
+    @pytest.mark.parametrize("extra", [
+        dict(alpha=0.6),
+        dict(constraints=Constraints(max_overlap=0.2)),
+    ], ids=["alpha", "cons-o"])
+    def test_reuse_under_constraints(self, monkeypatch, gain_mode, extra):
+        reuses = []
+        _reuse_checking_deviations(monkeypatch, reuses)
+        floc(
+            TestFastModeFreshness._matrix(0.3, 4), 3, p=0.3,
+            gain_mode=gain_mode, residue_target=4.0, reseed_rounds=1,
+            rng=6, **extra,
+        )
+        assert reuses
 
 
 class TestBestPrefix:
