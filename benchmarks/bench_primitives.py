@@ -69,5 +69,5 @@ def test_exact_context_build(benchmark, payload):
 
 def test_estimate_lane(benchmark, payload):
     __, __, __, state = payload
-    lane = benchmark(estimate_lane, state, "row", 0)
-    assert lane.new_residues.shape == (600,)
+    lane = benchmark(estimate_lane, state, 0)
+    assert lane.new_residues.shape == (680,)  # 600 rows, then 80 columns

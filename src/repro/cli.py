@@ -96,13 +96,20 @@ class _UsageError(Exception):
 
 
 def _read(what: str, path: str, load: Callable[[str], _Loaded]) -> _Loaded:
-    """``load(path)``; a file that cannot be read is a usage error."""
+    """``load(path)``; a file that cannot be read or parsed is a usage
+    error."""
     try:
         return load(path)
     except OSError as exc:
         raise _UsageError(
             f"cannot read {what} {path}: {exc.strerror or exc}"
         ) from None
+    except ValueError as exc:  # includes UnicodeDecodeError
+        reason = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+        prefix = f"{path}: "
+        if reason.startswith(prefix):
+            reason = reason[len(prefix):]
+        raise _UsageError(f"malformed {what} {path}: {reason}") from None
 
 
 def _check_writable(flag: str, path: Optional[str]) -> None:

@@ -35,17 +35,19 @@ Two gain-evaluation modes are provided:
 ``fast``
     An O(m) (resp. O(n)) approximation that freezes the cluster's bases
     while estimating the residue contribution of the toggled row/column;
-    the acted cluster's exact residue -- and the one axis of sums the
-    toggle moved -- is recomputed once per *performed* action so the
-    objective is always tracked exactly.  This trades a little per-move
-    greediness accuracy for an additional speedup; it is the mining
-    default and is benchmarked against ``exact`` as an ablation.
+    every *performed* action is one fused update (``_State.perform``)
+    that recomputes exactly what the toggle moved -- the cross axis's
+    counts and sums, the volume and the residue -- so the objective is
+    always tracked exactly.  This trades a little per-move greediness
+    accuracy for an additional speedup; it is the mining default and is
+    benchmarked against ``exact`` as an ablation.
 
 Both modes consult :class:`~repro.core.gain_engine.GainEngine`, which
-caches lane scores per cluster, invalidates them through the state's
-per-cluster modification stamps, and scans each sweep from one
-performed action to the next -- see that module's docstring for the
-design and DESIGN.md for the derivation.
+keeps every cluster's gains over all M + N lines (rows first, the
+state's layout), invalidates them through the state's per-cluster
+modification stamps, and scans each sweep from one performed action to
+the next -- see that module's docstring for the design and DESIGN.md
+for the derivation.
 
 The run is observable end to end: pass a :class:`repro.obs.Tracer` to
 stream per-seed / per-action / per-iteration events into sinks (JSONL,
@@ -148,49 +150,60 @@ class FlocResult:
         return self.clustering.average_residue()
 
 
+def _line_view(name: str, cols: bool) -> property:
+    """The row (``cols=False``) or column block of one of ``_State``'s
+    ``(k, M+N)`` line arrays, as a writable view."""
+    def view(state: "_State") -> np.ndarray:
+        lines: np.ndarray = getattr(state, name)
+        return lines[:, state.n_rows:] if cols else lines[:, :state.n_rows]
+    return property(view)
+
+
 class _State:
     """Mutable FLOC state: membership vectors plus per-cluster statistics.
 
-    ``row_member`` is ``k x M`` boolean, ``col_member`` is ``k x N``.
-    ``residues`` and ``volumes`` always reflect the current membership
-    exactly.  The state also keeps the sufficient statistics the gain
-    engine scores every lane from, per cluster ``c``:
-
-    * ``row_sums[c, i]`` / ``row_counts[c, i]`` -- sum / count of the
-      specified entries of row ``i`` over *c's member columns*, for every
-      row of the matrix (so evaluating any row toggle is O(1) for the row
-      base), and
-    * ``col_sums[c, j]`` / ``col_counts[c, j]`` -- the symmetric statistics
-      over *c's member rows* for every column.
-
-    Row toggles leave ``row_sums`` invariant and update ``col_sums`` in
-    O(N); column toggles do the reverse in O(M).  The integer counts stay
-    exact under toggles; the float sums drift in their last bits.
+    Rows and columns are *lines* of one index space, rows first: line
+    ``i < M`` is row ``i``, line ``M + j`` is column ``j``.  Each
+    cluster's line statistics are one row of a ``(k, M+N)`` array:
+    ``member[c, g]`` (does line ``g`` belong to cluster ``c``) and
+    ``sums[c, g]`` / ``counts[c, g]`` -- sum / count of the specified
+    entries of line ``g`` over c's member lines of the *other* axis, for
+    every line of the matrix (``counts_f`` is their float copy), so
+    scoring any toggle starts from O(1) line statistics.
+    ``row_member``/``col_member``, ``row_sums``/``col_sums``,
+    ``row_counts``/``col_counts`` and ``row_counts_f``/``col_counts_f``
+    are writable ``(k, M)`` / ``(k, N)`` views of them.  ``residues`` and
+    ``volumes`` (float copy ``volumes_f``) always reflect the current
+    membership exactly; the integer counts stay exact under toggles,
+    the float sums of exact mode drift in their last bits.
 
     Fast mode keeps the *freshness invariant*: whenever the gain engine
     consults, every statistic is bitwise equal to a full
-    :meth:`refresh_cluster`.  Each performed action restores it with
-    ``refresh_cluster(c, moved=kind)``, which recomputes only what the
-    toggle moved; initialisation, reseeds and best-prefix replays end in
-    full refreshes, and snapshots are taken of fresh states.  Exact mode
-    lets the sums drift between the full refreshes that close each
-    improving sweep.
+    :meth:`refresh_cluster`.  Each performed action keeps it through
+    :meth:`perform`, which recomputes only what the toggle moved;
+    initialisation, reseeds and best-prefix replays end in full
+    refreshes, and snapshots are taken of fresh states.  Exact mode
+    uses :meth:`toggle` and lets the sums drift between the full
+    refreshes that close each improving sweep.
 
-    Two kinds of derived state ride along:
-
-    * float views of the integer statistics (``volumes_f``,
-      ``row_counts_f``, ``col_counts_f``) so the hot paths never repeat
-      an ``astype`` conversion, and transposed contiguous copies of the
-      matrix (``filled_T``, ``mask_T``) so column blocks gather
-      contiguous memory;
-    * ``stamp`` -- a per-cluster modification counter, bumped by every
-      operation that can change a cluster's statistics
-      (:meth:`toggle`, :meth:`refresh_cluster`, and :meth:`restore` for
-      the clusters that changed since the snapshot).  The gain engine's
-      lane caches and the :meth:`line_deviations` cache key on it; it
-      never repeats a value, so a cached entry is valid iff its stamp
-      still matches.
+    ``filled_T``/``mask_T`` are transposed contiguous copies of the
+    matrix, so column blocks gather contiguous memory.  ``stamp`` is a
+    per-cluster modification counter, bumped by every operation that
+    can change a cluster's statistics (:meth:`toggle`, :meth:`perform`,
+    :meth:`refresh_cluster`, and :meth:`restore` for the clusters that
+    changed since the snapshot).  The gain engine's lane caches and the
+    :meth:`line_deviations` cache key on it; it never repeats a value,
+    so a cached entry is valid iff its stamp still matches.
     """
+
+    row_member = _line_view("member", cols=False)
+    col_member = _line_view("member", cols=True)
+    row_sums = _line_view("sums", cols=False)
+    col_sums = _line_view("sums", cols=True)
+    row_counts = _line_view("counts", cols=False)
+    col_counts = _line_view("counts", cols=True)
+    row_counts_f = _line_view("counts_f", cols=False)
+    col_counts_f = _line_view("counts_f", cols=True)
 
     def __init__(
         self,
@@ -206,8 +219,11 @@ class _State:
         self.filled_T = np.ascontiguousarray(self.filled.T)
         self.mask_T = np.ascontiguousarray(mask.T)
         self.k = len(seeds)
-        self.row_member = np.array([seed[0] for seed in seeds], dtype=bool)
-        self.col_member = np.array([seed[1] for seed in seeds], dtype=bool)
+        self.n_rows, n_cols = values.shape
+        n_lines = self.n_rows + n_cols
+        self.member = np.array(
+            [np.concatenate((seed[0], seed[1])) for seed in seeds], dtype=bool
+        ).reshape(self.k, n_lines)
         self.residues = np.zeros(self.k)
         self.volumes = np.zeros(self.k, dtype=np.int64)
         self.volumes_f = np.zeros(self.k)
@@ -215,99 +231,123 @@ class _State:
         #: Global modification counter (sum-free companion of ``stamp``):
         #: lets the gain engine answer "did anything change?" in O(1).
         self.rev = 0
-        n_rows, n_cols = values.shape
-        self.row_sums = np.zeros((self.k, n_rows))
-        self.row_counts = np.zeros((self.k, n_rows), dtype=np.int64)
-        self.row_counts_f = np.zeros((self.k, n_rows))
-        self.col_sums = np.zeros((self.k, n_cols))
-        self.col_counts = np.zeros((self.k, n_cols), dtype=np.int64)
-        self.col_counts_f = np.zeros((self.k, n_cols))
+        self.sums = np.zeros((self.k, n_lines))
+        self.counts = np.zeros((self.k, n_lines), dtype=np.int64)
+        self.counts_f = np.zeros((self.k, n_lines))
         self._deviations: List[Optional[Tuple[int, np.ndarray]]] = [None] * self.k
         for c in range(self.k):
             self.refresh_cluster(c)
 
     # -- bookkeeping ---------------------------------------------------
-    def refresh_cluster(self, c: int, moved: Optional[str] = None) -> None:
-        """Recompute cluster ``c``'s exact statistics and caches.
+    def _members(self, c: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Cluster ``c``'s member rows and member columns."""
+        member = self.member[c]
+        return member[:self.n_rows].nonzero()[0], member[self.n_rows:].nonzero()[0]
 
-        With ``moved=None`` every statistic is rebuilt from the
-        membership.  ``moved=kind`` is the cheap form after one
-        :meth:`toggle` of that kind on a *fresh* cluster (every array
-        bitwise equal to a full refresh): only the toggled axis's float
-        sums (``col_sums`` after a row toggle, ``row_sums`` after a
-        column toggle) are recomputed.  The other axis's sums did not
-        change, and the toggle kept the integer counts and their float
-        copies exact, so the result is bitwise the full refresh's.  The
-        volume sums the integer counts; the residue divides the member
-        rows' :meth:`line_deviations` by it.
+    def refresh_cluster(self, c: int) -> None:
+        """Rebuild cluster ``c``'s statistics from its membership."""
+        rows, cols = self._members(c)
+        split = self.n_rows
+        self.sums[c, :split] = self.filled[:, cols].sum(axis=1)
+        self.sums[c, split:] = self.filled[rows, :].sum(axis=0)
+        self.counts[c, :split] = self.mask[:, cols].sum(axis=1)
+        self.counts[c, split:] = self.mask[rows, :].sum(axis=0)
+        self.counts_f[c] = self.counts[c]
+        self._settle(c, rows, cols, int(self.counts[c, :split].take(rows).sum()))
+
+    def perform(self, kind: str, index: int, c: int) -> None:
+        """Fast mode's action: toggle one membership bit of a *fresh*
+        cluster (every array bitwise equal to a full refresh) and leave
+        it fresh again.
+
+        Only the cross axis's statistics move: a row toggle changes the
+        column counts by the row's mask and the column sums, which are
+        recomputed from the member rows exactly as
+        :meth:`refresh_cluster` does; the other axis is untouched.  The
+        volume moves by the toggled line's own count, which the toggle
+        leaves unchanged, so it stays exact.
         """
-        rows = self.row_member[c].nonzero()[0]
-        cols = self.col_member[c].nonzero()[0]
-        if moved != ROW:
-            self.row_sums[c] = self.filled[:, cols].sum(axis=1)
-        if moved != COL:
-            self.col_sums[c] = self.filled[rows, :].sum(axis=0)
-        if moved is None:
-            self.row_counts[c] = self.mask[:, cols].sum(axis=1)
-            self.col_counts[c] = self.mask[rows, :].sum(axis=0)
-            self.row_counts_f[c] = self.row_counts[c]
-            self.col_counts_f[c] = self.col_counts[c]
+        if self.work is not None:
+            self.work.toggles += 1
+        split = self.n_rows
+        line = index if kind == ROW else split + index
+        step = -1 if self.member[c, line] else 1
+        self.member[c, line] = step > 0
+        rows, cols = self._members(c)
+        if kind == ROW:
+            self.counts[c, split:] += step * self.mask[index]
+            self.counts_f[c, split:] = self.counts[c, split:]
+            self.sums[c, split:] = self.filled[rows, :].sum(axis=0)
+        else:
+            self.counts[c, :split] += step * self.mask_T[index]
+            self.counts_f[c, :split] = self.counts[c, :split]
+            self.sums[c, :split] = self.filled[:, cols].sum(axis=1)
+        volume = int(self.volumes[c]) + step * int(self.counts[c, line])
+        self._settle(c, rows, cols, volume)
+
+    def _settle(self, c: int, rows: np.ndarray, cols: np.ndarray, volume: int) -> None:
+        """Close a statistics update of cluster ``c``: new stamp, the
+        exact ``volume``, and the residue -- the member rows'
+        :meth:`line_deviations` over it."""
         self.stamp[c] += 1
         self.rev += 1
-        volume = int(self.row_counts[c].take(rows).sum())
         self.volumes[c] = volume
         self.volumes_f[c] = volume
-        member_sums = self.line_deviations(c).take(rows).sum()
+        member_sums = self._deviation_pass(c, rows, cols).take(rows).sum()
         self.residues[c] = member_sums / volume if volume else 0.0
         if self.work is not None and rows.size and cols.size:
             self.work.residue_evals += 1
-            self.work.cells_scanned += volume
 
     def line_deviations(self, c: int) -> np.ndarray:
         """Per-line ``|residual|`` sums of cluster ``c``, M rows then N
         columns: row ``i`` sums ``|d_ij - a_i - b_j + g|`` over its
         specified cells in c's member columns (the state's bases and
         grand mean), column ``j`` the same over c's member rows.  One
-        gathered block per axis, cached under ``stamp``."""
+        base computation over all lines and one gathered block per
+        axis, cached under ``stamp``; reads the ledger volume, which is
+        exact whenever a consumer asks."""
         cached = self._deviations[c]
         if cached is not None and cached[0] == self.stamp[c]:
             return cached[1]
-        rows = self.row_member[c].nonzero()[0]
-        cols = self.col_member[c].nonzero()[0]
-        volume = int(self.row_counts[c].take(rows).sum())
+        return self._deviation_pass(c, *self._members(c))
+
+    def _deviation_pass(self, c: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Compute and cache :meth:`line_deviations` of cluster ``c``,
+        whose member rows and columns are ``rows`` and ``cols``."""
+        split = self.n_rows
+        volume = int(self.volumes[c])
         # An empty base reads 0.0, not a sum drifted off zero; as a line
         # base it meets only unspecified cells, which the mask drops.
-        row_base = np.where(self.row_counts[c] > 0, self.row_sums[c]
-                            / np.maximum(self.row_counts_f[c], 1.0), 0.0)
-        col_base = np.where(self.col_counts[c] > 0, self.col_sums[c]
-                            / np.maximum(self.col_counts_f[c], 1.0), 0.0)
-        sums = np.concatenate((
-            _block_deviations(self.filled, self.mask, row_base, col_base,
-                              self.col_sums[c], cols, volume),
-            _block_deviations(self.filled_T, self.mask_T, col_base, row_base,
-                              self.row_sums[c], rows, volume),
+        sums = self.sums[c]
+        base = np.where(self.counts[c] > 0, sums / np.maximum(self.counts_f[c], 1.0), 0.0)
+        deviations = np.concatenate((
+            _block_deviations(self.filled, self.mask, base[:split], base[split:],
+                              sums[split:], cols, volume),
+            _block_deviations(self.filled_T, self.mask_T, base[split:], base[:split],
+                              sums[:split], rows, volume),
         ))
-        self._deviations[c] = (int(self.stamp[c]), sums)
-        return sums
+        self._deviations[c] = (int(self.stamp[c]), deviations)
+        if self.work is not None:
+            self.work.cells_scanned += split * cols.size + (base.size - split) * rows.size
+        return deviations
 
     def toggle(self, kind: str, index: int, c: int) -> None:
-        """Flip one membership bit and update the caches incrementally."""
+        """Flip one membership bit and update the statistics
+        incrementally (exact mode and best-prefix replays)."""
         if self.work is not None:
             self.work.toggles += 1
+        split = self.n_rows
+        line = index if kind == ROW else split + index
+        joining = not self.member[c, line]
+        self.member[c, line] = joining
+        sign = 1.0 if joining else -1.0
         if kind == ROW:
-            joining = not self.row_member[c, index]
-            self.row_member[c, index] = joining
-            sign = 1.0 if joining else -1.0
-            self.col_sums[c] += sign * self.filled[index]
-            self.col_counts[c] += (1 if joining else -1) * self.mask[index]
-            self.col_counts_f[c] += sign * self.mask[index]
+            cross, filled, mask = slice(split, None), self.filled[index], self.mask[index]
         else:
-            joining = not self.col_member[c, index]
-            self.col_member[c, index] = joining
-            sign = 1.0 if joining else -1.0
-            self.row_sums[c] += sign * self.filled[:, index]
-            self.row_counts[c] += (1 if joining else -1) * self.mask[:, index]
-            self.row_counts_f[c] += sign * self.mask[:, index]
+            cross, filled, mask = slice(0, split), self.filled_T[index], self.mask_T[index]
+        self.sums[c, cross] += sign * filled
+        self.counts[c, cross] += (1 if joining else -1) * mask
+        self.counts_f[c, cross] += sign * mask
         self.stamp[c] += 1
         self.rev += 1
 
@@ -315,30 +355,23 @@ class _State:
         if self.work is not None:
             self.work.snapshots += 1
         return {
-            "row_member": self.row_member.copy(),
-            "col_member": self.col_member.copy(),
+            "member": self.member.copy(),
             "residues": self.residues.copy(),
             "volumes": self.volumes.copy(),
-            "row_sums": self.row_sums.copy(),
-            "row_counts": self.row_counts.copy(),
-            "col_sums": self.col_sums.copy(),
-            "col_counts": self.col_counts.copy(),
+            "sums": self.sums.copy(),
+            "counts": self.counts.copy(),
             "stamp": self.stamp.copy(),
         }
 
     def restore(self, state: dict) -> None:
         if self.work is not None:
             self.work.restores += 1
-        self.row_member[...] = state["row_member"]
-        self.col_member[...] = state["col_member"]
+        self.member[...] = state["member"]
         self.residues[...] = state["residues"]
         self.volumes[...] = state["volumes"]
-        self.row_sums[...] = state["row_sums"]
-        self.row_counts[...] = state["row_counts"]
-        self.col_sums[...] = state["col_sums"]
-        self.col_counts[...] = state["col_counts"]
-        self.row_counts_f[...] = self.row_counts
-        self.col_counts_f[...] = self.col_counts
+        self.sums[...] = state["sums"]
+        self.counts[...] = state["counts"]
+        self.counts_f[...] = self.counts
         self.volumes_f[...] = self.volumes
         # A cluster whose stamp has not moved since the snapshot holds
         # the snapshot's statistics already, so its cached lanes stay
@@ -406,14 +439,21 @@ def _build_seeds(
             seed
             if constraints.seed_ok(*seed)
             else bernoulli_seeds(
-                matrix.n_rows, matrix.n_cols, 1,
-                float(p) if np.isscalar(p) else float(list(p)[0]),
+                matrix.n_rows, matrix.n_cols, 1, _slot_p(p, c),
                 rng, constraints.min_rows, constraints.min_cols,
                 tracer=tracer,
             )[0]
-            for seed in candidates
+            for c, seed in enumerate(candidates)
         ]
     raise RuntimeError("could not generate constraint-compliant seeds")
+
+
+def _slot_p(p: Union[float, Sequence[float]], c: int) -> float:
+    """Seed inclusion probability of slot ``c``: a list of ``p`` values
+    cycles across slots, as :func:`~repro.core.seeding.mixed_seeds`
+    does for Phase 1."""
+    values = np.atleast_1d(np.asarray(p, dtype=float))
+    return float(values[c % values.size])
 
 
 def floc(
@@ -700,13 +740,13 @@ def _phase2(
             if iteration_start is None:
                 iteration_start = state.snapshot()
             with tracer.span("perform_action"):
-                state.toggle(kind, index, c)
                 if engine.fast_mode:
-                    # The estimate guided the choice; one refresh of
-                    # what the toggle moved makes the ledger (and the
-                    # caches) exact again.
-                    state.refresh_cluster(c, moved=kind)
+                    # The estimate guided the choice; the fused action
+                    # recomputes what the toggle moved, so the ledger
+                    # (and the caches) are exact again.
+                    state.perform(kind, index, c)
                 else:
+                    state.toggle(kind, index, c)
                     # The lane score IS the exact after-toggle residue,
                     # and the toggle kept the sufficient statistics
                     # current -- assigning the ledger directly avoids a
@@ -862,9 +902,8 @@ def _reseed_dead_slots(
 
     if not dead:
         return False
-    p_value = float(p) if np.isscalar(p) else float(list(p)[0])
-    fresh = bernoulli_seeds(
-        n_rows, n_cols, len(dead), p_value, generator,
+    fresh = mixed_seeds(
+        n_rows, n_cols, len(dead), [_slot_p(p, c) for c in dead], generator,
         active.min_rows, active.min_cols, tracer=tracer,
     )
     for c, (row_member, col_member) in zip(dead, fresh):

@@ -4,19 +4,21 @@ Phase 2 consults one gain per (slot, cluster) pair -- up to k * (M + N)
 candidate toggles per sweep.  Scoring each candidate with its own call
 (a full-submatrix rescan per exact candidate, or one frozen-bases fold
 per slot) leaves nearly all wall time in per-action Python loops.  This
-module scores *lanes* instead: one lane is the vector of scores of
-**every slot of one kind against one cluster**, produced in a handful
-of NumPy passes.
+module scores *lanes* instead: the scores of many slots against one
+cluster, produced in a handful of NumPy passes.  Rows and columns share
+one line index, rows first (line ``i`` is row ``i``, line ``M + j`` is
+column ``j``), as in :class:`~repro.core.floc._State`.
 
 Three layers (see DESIGN.md section "The batched gain engine"):
 
 **Lane scorers** (:func:`estimate_lane`, :func:`exact_lane`)
-    The delta-cluster mean-absolute-residue measure, scored a lane at
-    a time from the state's per-cluster sufficient statistics.  The
-    *estimate* lane freezes the cluster's bases (fast mode, ordering)
-    and folds ``_State.line_deviations``, the per-line |residual| sums
-    the ledger residue reads too: one pass per cluster epoch.  The
-    *exact* lane is the true after-toggle residue (exact mode), and
+    The delta-cluster mean-absolute-residue measure, scored from the
+    state's per-cluster sufficient statistics.  The *estimate* lane
+    freezes the cluster's bases (fast mode, ordering) and scores all
+    M + N lines at once by folding ``_State.line_deviations``, the
+    per-line |residual| sums the ledger residue reads too: one pass and
+    one build per cluster change.  The *exact* lane is the true
+    after-toggle residue of one kind's lines (exact mode), and
     :func:`exact_context` its candidate-independent half.
 
 **Vectorised policy** (:func:`gain_lane`, the blocking masks)
@@ -25,19 +27,21 @@ Three layers (see DESIGN.md section "The batched gain engine"):
     lane of gains with blocked entries at ``-inf`` in O(S) vector work.
 
 **The engine** (:class:`GainEngine`)
-    Caches lanes per (kind, cluster) and invalidates them by comparing
-    the state's per-cluster modification stamps -- a performed action
-    dirties only the acted cluster's lanes, so a sweep costs a few lane
-    builds instead of k * (M + N) scalar evaluations, while every
-    consult still scores against the *current* state (sequential
-    semantics are preserved bit for bit; the paranoia-mode test in
-    ``tests/test_gain_engine.py`` rebuilds every lane at every consult
-    and checks the full run is identical).  The sweep scan
-    (:meth:`GainEngine.next_action`) reads the lanes' column maxima to
-    jump from one performed action to the next instead of consulting
-    every slot.  Wide exact lanes (at least ``_BLOCK + _BLOCK // 2``
-    slots) are rebuilt in block windows of the sweep's consult order;
-    every other lane is rebuilt whole.
+    Keeps every cluster's gains in one ``(k, M+N)`` store and
+    invalidates them by comparing the state's per-cluster modification
+    stamps -- a performed action dirties only the acted cluster, so a
+    sweep costs a few lane builds instead of k * (M + N) scalar
+    evaluations, while every consult still scores against the *current*
+    state (sequential semantics are preserved bit for bit; the
+    paranoia-mode test in ``tests/test_gain_engine.py`` rebuilds every
+    lane at every consult and checks the full run is identical).  The
+    sweep scan (:meth:`GainEngine.next_action`) reads one cached vector
+    of the sweep positions whose column maximum acts and jumps to the
+    next performed action with one ``searchsorted``.  Exact lanes stay
+    per kind and lazy: wide ones (at least ``_BLOCK + _BLOCK // 2``
+    slots) are rebuilt in block windows of the sweep's consult order,
+    and positions of a stale kind or past a window count as unknown
+    until the scan reaches them.
 
 Cross-cluster constraints (Cons_o overlap, Cons_c coverage) and the
 exact alpha-occupancy check depend on *other* clusters' state, so they
@@ -86,21 +90,21 @@ __all__ = [
 
 @dataclass
 class LaneScores:
-    """Scores of every slot of one kind against one cluster.
+    """Scores of the lines of one lane against one cluster.
 
-    All arrays have length S (= M for row lanes, N for column lanes).
-    ``new_residues`` / ``new_volumes`` describe the cluster after the
-    candidate toggle; ``line_residues`` is the toggled line's own
-    frozen-bases residue (the r-residue admission test input);
-    ``line_counts`` the number of specified entries the line has on the
-    cluster; ``width`` the cluster's extent along the toggled line.
+    All arrays have one entry per scored line: M + N (rows first) for
+    an estimate lane, M or N for a full exact lane, the selection for a
+    windowed one.  ``new_residues`` / ``new_volumes`` describe the
+    cluster after the candidate toggle; ``line_residues`` is the toggled
+    line's own frozen-bases residue (the r-residue admission test
+    input); ``line_counts`` the number of specified entries the line
+    has on the cluster.
     """
 
     new_residues: np.ndarray
     new_volumes: np.ndarray
     line_residues: np.ndarray
     line_counts: np.ndarray
-    width: int
 
 
 class ExactContext:
@@ -122,31 +126,24 @@ class ExactContext:
 
 # -- estimate: frozen-bases fold ---------------------------------------
 
-def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
-    """Frozen-bases scores of every slot of one kind against cluster ``c``.
+def estimate_lane(state: "_State", c: int) -> LaneScores:
+    """Frozen-bases scores of every line -- M rows, then N columns --
+    against cluster ``c``.
 
     Freezes the cluster's row/column bases and folds the toggled line's
     residue contribution in (addition) or out (removal) of the
-    volume-weighted mean -- an O(1) fold per slot of the kind's slice of
+    volume-weighted mean -- an O(1) fold per entry of
     :meth:`~repro.core.floc._State.line_deviations`, checked against a
-    scalar per-candidate oracle in ``tests/test_gain_engine.py``.  The
-    weighted ordering draws its RNG stream from these gains, so a
-    change to the arithmetic here changes results at a fixed seed.
+    scalar per-candidate oracle in ``tests/test_gain_engine.py``.  Every
+    operation is elementwise over the line axis, so each entry is
+    bitwise the one a per-kind lane computes.  The weighted ordering
+    draws its RNG stream from these gains, so a change to the
+    arithmetic here changes results at a fixed seed.
     """
-    n_rows = state.row_member.shape[1]
-    if kind == ROW:
-        deviations = state.line_deviations(c)[:n_rows]
-        member = state.col_member[c]
-        line_counts = state.row_counts[c]
-        line_counts_f = state.row_counts_f[c]
-        removing = state.row_member[c]
-    else:
-        deviations = state.line_deviations(c)[n_rows:]
-        member = state.row_member[c]
-        line_counts = state.col_counts[c]
-        line_counts_f = state.col_counts_f[c]
-        removing = state.col_member[c]
-
+    deviations = state.line_deviations(c)
+    line_counts = state.counts[c]
+    line_counts_f = state.counts_f[c]
+    removing = state.member[c]
     volume = state.volumes_f[c]
     residue = state.residues[c]
     # A line with no specified entry on the cluster divides 0.0 by 1.0
@@ -155,7 +152,8 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
 
     # One pass for additions and removals: a removal folds in the
     # negated count (``a + (-b) == a - b`` bitwise), and the clamp is
-    # inert on additions, whose residue is never negative.
+    # inert on additions, whose residue is never negative.  The volumes
+    # stay float: exact integers, far below 2**53.
     signed_counts = np.where(removing, -line_counts_f, line_counts_f)
     new_volumes = volume + signed_counts
     new_residues = np.maximum(
@@ -185,10 +183,9 @@ def estimate_lane(state: "_State", kind: str, c: int) -> LaneScores:
         w.cells_scanned += int(line_counts.sum())
     return LaneScores(
         new_residues=new_residues,
-        new_volumes=new_volumes.astype(np.int64),
+        new_volumes=new_volumes,
         line_residues=line_residues,
         line_counts=line_counts,
-        width=int(np.count_nonzero(member)),
     )
 
 
@@ -265,7 +262,6 @@ def exact_lane(
             new_volumes=new_volumes,
             line_residues=np.zeros(n_out),
             line_counts=line_counts,
-            width=m,
         )
 
     sign = np.where(removing, -1.0, 1.0)
@@ -376,7 +372,6 @@ def exact_lane(
         new_volumes=new_volumes,
         line_residues=line_residues,
         line_counts=line_counts,
-        width=m,
     )
 
 
@@ -602,43 +597,58 @@ _BLOCK = 128
 Choice = Tuple[int, float, int, float]
 
 
-class _LaneSet:
-    """Per-kind cache of lanes: scores, gains, per-cluster versions."""
+class _Part:
+    """Lines of a lane store that are built together -- both kinds
+    (estimate lanes) or one kind (exact lanes) -- with per-cluster
+    versions saying whose entries are current."""
 
     __slots__ = (
-        "scores", "raw", "proxy", "versions", "move",
-        "hits", "rev_seen", "ctx",
-        "full", "win_end", "win_floor",
+        "kind", "lo", "hi", "scores", "versions", "rev_seen", "ctx",
+        "full", "win_end", "win_floor", "gpos", "seq", "pos",
     )
 
-    def __init__(self, k: int, size: int) -> None:
+    def __init__(self, kind: Optional[str], lo: int, hi: int, k: int) -> None:
+        self.kind = kind  # ROW or COL for an exact part, None for both
+        self.lo, self.hi = lo, hi
         self.scores: List[Optional[LaneScores]] = [None] * k
-        self.raw = np.full((k, size), BLOCKED_GAIN)
-        self.proxy: Optional[np.ndarray] = None
         self.versions = np.full(k, -1, dtype=np.int64)
-        self.move = self.raw
-        #: Consult positions (in the registered sweep order of this
-        #: kind) whose best gain leads to a performed action -- the
-        #: full-lane scan's stops.  Dropped with every rebuild and every
-        #: new sweep order; recomputed by the next scan that needs it.
-        self.hits: Optional[np.ndarray] = None
-        #: Global state revision this set was last synced against -- an
-        #: O(1) scalar check that skips the per-cluster stamp compare on
-        #: the (common) consults where nothing changed.
+        #: State revision last synced against: an O(1) check that skips
+        #: the per-cluster stamp compare when nothing changed.
         self.rev_seen = -1
-        #: Cached ``ExactContext`` per windowed cluster, dropped with the
-        #: epoch (same keying as ``versions``).
+        #: Cached ``ExactContext`` per windowed cluster and epoch.
         self.ctx: Dict[int, "ExactContext"] = {}
-        #: Block-window bookkeeping (consult-position space, see
-        #: ``GainEngine.begin_sweep``): a cluster's lane entries are
-        #: valid either everywhere (``full``) or from the position they
-        #: were built at up to ``win_end`` (exclusive) in the registered
-        #: sweep order.  ``win_floor`` is the smallest pending window
-        #: end -- the O(1) "does any window expire by position t?"
-        #: check of the block consult path.
+        #: Block windows (consult positions of this part, see
+        #: ``GainEngine.begin_sweep``): a cluster's entries are valid
+        #: everywhere (``full``) or from where they were built up to
+        #: ``win_end``; ``win_floor`` is the smallest pending window end.
         self.full = np.zeros(k, dtype=bool)
         self.win_end = np.zeros(k, dtype=np.intp)
         self.win_floor = 0
+        #: The registered sweep's positions of this part's lines, their
+        #: part-relative indices in consult order, and for a windowed
+        #: part the inverse of ``seq`` (else ``None``).
+        self.gpos = np.zeros(0, dtype=np.intp)
+        self.seq = self.gpos
+        self.pos: Optional[np.ndarray] = None
+
+
+class _LaneSet:
+    """A ``(k, M+N)`` store of lane gains (rows first) and its parts."""
+
+    __slots__ = ("gains", "parts", "hits")
+
+    def __init__(self, k: int, split: int, n_lines: int, exact: bool) -> None:
+        self.gains = np.full((k, n_lines), BLOCKED_GAIN)
+        self.parts = (
+            [_Part(ROW, 0, split, k), _Part(COL, split, n_lines, k)] if exact
+            else [_Part(None, 0, n_lines, k)]
+        )
+        #: Sweep positions whose column maximum acts (see
+        #: ``GainEngine._acts``), cached until the next build.
+        self.hits: Optional[np.ndarray] = None
+
+    def part(self, line: int) -> _Part:
+        return next(part for part in self.parts if line < part.hi)
 
 
 class GainEngine:
@@ -647,14 +657,17 @@ class GainEngine:
     One engine serves a whole :func:`~repro.core.floc.floc` call: every
     sweep of every reseed round.  Lanes are rebuilt lazily when the
     state's per-cluster modification stamp moves past the cached
-    version -- a performed action therefore costs at most two lane
-    rebuilds (its cluster's row and column lanes), while a cluster that
-    a rollback or a reseed round leaves unchanged keeps its lanes.
+    version -- a performed action therefore costs one estimate lane
+    build (fast mode) or at most two exact ones (its cluster's row and
+    column lanes), while a cluster that a rollback or a reseed round
+    leaves unchanged keeps its lanes.
 
-    :meth:`next_action` is the sweep's consult loop: from a consult
-    position it jumps to the next slot whose best action is performed,
-    so the caller makes one call per performed action, not one per
-    slot.  :meth:`best_action` consults a single slot.
+    Lines are indexed as in :class:`~repro.core.floc._State`, rows
+    first, and every store is ``(k, M+N)``.  :meth:`next_action` is the
+    sweep's consult loop: from a consult position it jumps to the next
+    slot whose best action is performed, so the caller makes one call
+    per performed action, not one per slot.  :meth:`best_action`
+    consults a single slot.
     """
 
     def __init__(
@@ -674,17 +687,9 @@ class GainEngine:
         self.fast_mode = gain_mode == "fast"
         self.tracer = tracer
         self.mandatory_moves = mandatory_moves
-        n_rows = state.row_member.shape[1]
-        n_cols = state.col_member.shape[1]
-        self._sizes = {ROW: n_rows, COL: n_cols}
-        self._move = {ROW: _LaneSet(state.k, n_rows), COL: _LaneSet(state.k, n_cols)}
-        if self.fast_mode:
-            self._order = self._move
-        else:
-            self._order = {
-                ROW: _LaneSet(state.k, n_rows),
-                COL: _LaneSet(state.k, n_cols),
-            }
+        shape = (state.k, state.n_rows, state.member.shape[1])
+        self._move = _LaneSet(*shape, exact=not self.fast_mode)
+        self._order = self._move if self.fast_mode else _LaneSet(*shape, exact=False)
         #: Cross-cluster / exact-occupancy checks that cannot be cached
         #: per lane; verified per consulted candidate instead.
         self._scalar_constraints = (
@@ -696,44 +701,40 @@ class GainEngine:
         #: Memo of the "already violating alpha" healing rule, keyed by
         #: the cluster's modification stamp.
         self._alpha_memo: Dict[int, Tuple[int, bool]] = {}
-        #: The sweep registered by :meth:`begin_sweep`, per kind: the
-        #: slot indices in consult order (``_seq``) and their positions
-        #: in the whole sweep (``_gpos``).  ``_pos`` inverts ``_seq``
-        #: (slot index -> consult position) for kinds whose exact lanes
-        #: are block-windowed, and is ``None`` for every other kind.
-        empty = np.zeros(0, dtype=np.intp)
-        self._seq: Dict[str, np.ndarray] = {ROW: empty, COL: empty}
-        self._gpos: Dict[str, np.ndarray] = {ROW: empty, COL: empty}
-        self._pos: Dict[str, Optional[np.ndarray]] = {ROW: None, COL: None}
+        #: The sweep registered by :meth:`begin_sweep`: the line of every
+        #: consult position.
+        self._lines = np.zeros(0, dtype=np.intp)
         self._n_slots = 0
 
     # -- lane maintenance ----------------------------------------------
-    def _member(self, kind: str, c: int) -> np.ndarray:
-        return self.state.row_member[c] if kind == ROW else self.state.col_member[c]
+    def _line(self, kind: str, index: int) -> int:
+        return index if kind == ROW else self.state.n_rows + index
 
-    def _build_lane(
+    def _build(
         self,
         lanes: _LaneSet,
-        kind: str,
+        part: _Part,
         c: int,
-        exact: bool,
         sel: Optional[np.ndarray] = None,
         ctx: Optional["ExactContext"] = None,
     ) -> None:
+        """Score ``part``'s lines (or the ``sel`` window of an exact
+        part) against cluster ``c`` into ``lanes``."""
         state = self.state
-        if exact:
-            scores = exact_lane(state, kind, c, sel=sel, ctx=ctx)
+        split = state.n_rows
+        member = state.member[c]
+        n = int(np.count_nonzero(member[:split]))
+        m = int(np.count_nonzero(member[split:]))
+        removing = member[part.lo:part.hi]
+        spans: Sequence[Tuple[str, int, int]]
+        if part.kind is None:
+            scores = estimate_lane(state, c)
+            spans = ((ROW, 0, split), (COL, split, member.size))
         else:
-            assert sel is None  # block windows are exact-mode only
-            scores = estimate_lane(state, kind, c)
-        member = self._member(kind, c)
-        # ``width`` already counts the base axis; only the toggled axis
-        # needs a fresh popcount.
-        if kind == ROW:
-            n, m = int(np.count_nonzero(member)), scores.width
-        else:
-            n, m = scores.width, int(np.count_nonzero(member))
-        removing = member if sel is None else member[sel]
+            scores = exact_lane(state, part.kind, c, sel=sel, ctx=ctx)
+            if sel is not None:
+                removing = removing[sel]
+            spans = ((part.kind, 0, removing.size),)
         gains = gain_lane(
             float(state.residues[c]),
             int(state.volumes[c]),
@@ -743,65 +744,54 @@ class GainEngine:
             scores.line_residues,
             ~removing,
         )
-        rb, ab = _structural_bounds(self.constraints, kind, n, m)
-        if rb or ab:
-            blocked = np.where(removing, rb, ab)
-            gains = np.where(blocked, BLOCKED_GAIN, gains)
-        if sel is None:
-            lanes.scores[c] = scores
-            lanes.raw[c] = gains
-            lanes.full[c] = True
-            lanes.win_end[c] = lanes.raw.shape[1]
-            if self.alpha > 0.0:
-                if lanes.proxy is None:
-                    lanes.proxy = np.zeros_like(lanes.raw, dtype=bool)
+        for kind, lo, hi in spans:
+            rb, ab = _structural_bounds(self.constraints, kind, n, m)
+            if rb or ab:
+                gains[lo:hi][np.where(removing[lo:hi], rb, ab)] = BLOCKED_GAIN
+            width = m if kind == ROW else n
+            if self.alpha > 0.0 and part.kind is None and width > 0:
                 # The cheap occupancy proxy: a joining line must itself
                 # meet alpha on the cluster's current extent.
-                lanes.proxy[c] = (
-                    ~removing
-                    & (scores.width > 0)
-                    & (scores.line_counts < self.alpha * scores.width)
-                )
+                gains[lo:hi][
+                    ~removing[lo:hi]
+                    & (scores.line_counts[lo:hi] < self.alpha * width)
+                ] = BLOCKED_GAIN
+        if sel is None:
+            part.scores[c] = scores
+            lanes.gains[c, part.lo:part.hi] = gains
+            part.full[c] = True
+            part.win_end[c] = part.hi - part.lo
         else:
             # Scatter the block into the cluster's full-size store; the
             # entries outside the window keep stale values that the
-            # block consult path never reads.
-            store = lanes.scores[c]
+            # scan treats as unknown.
+            store = part.scores[c]
             assert store is not None  # first builds are always full
             store.new_residues[sel] = scores.new_residues
             store.new_volumes[sel] = scores.new_volumes
-            lanes.raw[c][sel] = gains
-        lanes.versions[c] = state.stamp[c]
-
-    def _ensure(self, lanes: _LaneSet, kind: str, exact: bool) -> None:
-        if lanes.rev_seen == self.state.rev:
-            return
-        lanes.rev_seen = self.state.rev
-        stale = np.flatnonzero(lanes.versions != self.state.stamp)
-        if stale.size == 0:
-            return
-        for c in stale:
-            self._build_lane(lanes, kind, int(c), exact)
-        if self.alpha > 0.0 and self.fast_mode and lanes.proxy is not None:
-            lanes.move = np.where(lanes.proxy, BLOCKED_GAIN, lanes.raw)
-        else:
-            lanes.move = lanes.raw
+            lanes.gains[c, part.lo + sel] = gains
+        part.versions[c] = state.stamp[c]
         lanes.hits = None
+
+    def _ensure(self, lanes: _LaneSet, part: _Part) -> None:
+        if part.rev_seen == self.state.rev:
+            return
+        part.rev_seen = self.state.rev
+        for c in np.flatnonzero(part.versions != self.state.stamp):
+            self._build(lanes, part, int(c))
 
     def invalidate_all(self) -> None:
         """Drop every cached lane (testing hook; normal invalidation is
         driven by the state's modification stamps)."""
-        for lanes in self._move.values():
-            lanes.versions.fill(-1)
-            lanes.rev_seen = -1
+        for lanes in (self._move, self._order):
             lanes.hits = None
-            lanes.ctx.clear()
-            lanes.full.fill(False)
-            lanes.win_end.fill(0)
-            lanes.win_floor = 0
-        for lanes in self._order.values():
-            lanes.versions.fill(-1)
-            lanes.rev_seen = -1
+            for part in lanes.parts:
+                part.versions.fill(-1)
+                part.rev_seen = -1
+                part.ctx.clear()
+                part.full.fill(False)
+                part.win_end.fill(0)
+                part.win_floor = 0
 
     def begin_sweep(self, order: Sequence[Tuple[str, int]]) -> None:
         """Register a sweep's consult order for :meth:`next_action`.
@@ -817,53 +807,39 @@ class GainEngine:
         bit-identical either way (the block evaluator is an exact slice
         of the full lane), so windows never change results.
         """
-        n_slots = len(order)
-        is_row = np.fromiter(
-            (kind == ROW for kind, _ in order), dtype=bool, count=n_slots
+        split = self.state.n_rows
+        self._lines = lines = np.fromiter(
+            (index if kind == ROW else split + index for kind, index in order),
+            dtype=np.intp, count=len(order),
         )
-        indices = np.fromiter(
-            (index for _, index in order), dtype=np.intp, count=n_slots
-        )
-        self._n_slots = n_slots
+        self._n_slots = lines.size
+        self._move.hits = None
         windows = not (self.fast_mode or self._expensive)
-        for kind, of_kind in ((ROW, is_row), (COL, ~is_row)):
-            gpos = np.flatnonzero(of_kind)
-            seq = indices[gpos]
-            self._gpos[kind] = gpos
-            self._seq[kind] = seq
-            self._pos[kind] = None
-            lanes = self._move[kind]
-            lanes.hits = None
-            size = self._sizes[kind]
+        for part in self._move.parts:
+            size = part.hi - part.lo
+            part.gpos = np.flatnonzero((lines >= part.lo) & (lines < part.hi))
+            part.seq = seq = lines[part.gpos] - part.lo
+            part.pos = None
             if not windows or size < _BLOCK + _BLOCK // 2 or seq.size != size:
                 continue
             pos = np.full(size, -1, dtype=np.intp)
             pos[seq] = np.arange(size, dtype=np.intp)
             if (pos < 0).any():  # not a permutation of every slot
                 continue
-            self._pos[kind] = pos
+            part.pos = pos
             # The new order voids every window (positions renumbered);
             # full lanes stay valid -- their entries cover any order.
-            lanes.win_end.fill(0)
-            lanes.win_floor = 0
+            part.win_end.fill(0)
+            part.win_floor = 0
 
-    def _prepare(self, kind: str, u: int) -> int:
-        """Make ``kind``'s move lanes valid at its consult position ``u``.
+    def _prepare(self, part: _Part, u: int) -> None:
+        """Make ``part``'s move lanes valid at its consult position ``u``."""
+        if part.pos is None:
+            self._ensure(self._move, part)
+        elif part.rev_seen != self.state.rev or u >= part.win_floor:
+            self._resync_block(part, u)
 
-        Returns the end (exclusive) of the consult positions they now
-        hold valid: every position for full lanes, the nearest window
-        expiry for block-windowed ones.
-        """
-        lanes = self._move[kind]
-        size = self._seq[kind].size
-        if self._pos[kind] is None:
-            self._ensure(lanes, kind, exact=not self.fast_mode)
-            return size
-        if lanes.rev_seen != self.state.rev or u >= lanes.win_floor:
-            self._resync_block(lanes, kind, u)
-        return min(lanes.win_floor, size)
-
-    def _resync_block(self, lanes: _LaneSet, kind: str, t: int) -> None:
+    def _resync_block(self, part: _Part, t: int) -> None:
         """Make every cluster's lane valid at consult position ``t``.
 
         Stale clusters rebuild a fresh ``_BLOCK``-wide window starting
@@ -873,37 +849,48 @@ class GainEngine:
         a sweep, so entries behind ``t`` are never read again.
         """
         state = self.state
-        lanes.rev_seen = state.rev
-        seq = self._seq[kind]
+        assert part.kind is not None  # windows are exact-mode only
+        part.rev_seen = state.rev
+        seq = part.seq
         size = seq.size
         stamp = state.stamp
         floor = size + 1  # sentinel: no pending window expiry
         for c in range(state.k):
-            if lanes.versions[c] == stamp[c]:
-                if lanes.full[c]:
+            if part.versions[c] == stamp[c]:
+                if part.full[c]:
                     continue
-                end = int(lanes.win_end[c])
+                end = int(part.win_end[c])
                 if t < end:
                     if end < floor:
                         floor = end
                     continue
             else:
-                lanes.ctx.pop(c, None)
-            if lanes.versions[c] == -1:
-                self._build_lane(lanes, kind, c, exact=True)
+                part.ctx.pop(c, None)
+            if part.versions[c] == -1:
+                self._build(self._move, part, c)
                 continue
-            ctx = lanes.ctx.get(c)
+            ctx = part.ctx.get(c)
             if ctx is None:
-                ctx = lanes.ctx[c] = exact_context(state, kind, c)
+                ctx = part.ctx[c] = exact_context(state, part.kind, c)
             end = min(t + _BLOCK, size)
-            self._build_lane(
-                lanes, kind, c, exact=True, sel=seq[t:end], ctx=ctx
-            )
-            lanes.full[c] = False
-            lanes.win_end[c] = end
+            self._build(self._move, part, c, sel=seq[t:end], ctx=ctx)
+            part.full[c] = False
+            part.win_end[c] = end
             if end < floor:
                 floor = end
-        lanes.win_floor = floor
+        part.win_floor = floor
+
+    def _unknown(self, part: _Part, t: int) -> Tuple[int, int]:
+        """The first sweep position at or after ``t`` where ``part``'s
+        entries are not known to be current, and its consult position
+        in the part; the position is ``n_slots`` when there is none."""
+        synced = part.rev_seen == self.state.rev
+        if synced and part.pos is None:
+            return self._n_slots, 0
+        u = int(part.gpos.searchsorted(t))
+        if synced:
+            u = max(u, part.win_floor)
+        return (int(part.gpos[u]) if u < part.gpos.size else self._n_slots), u
 
     # -- consult: the sweep scan and single slots -----------------------
     def next_action(self, t: int) -> Optional[Tuple[int, str, int, Choice]]:
@@ -914,51 +901,69 @@ class GainEngine:
         above zero, or any unblocked gain under ``mandatory_moves`` --
         or ``None`` when no later slot acts.  The answer, and every lane
         build on the way, equals consulting :meth:`best_action` slot by
-        slot: a kind's lanes are brought up to date only when one of its
-        slots lies at or before the hit, where the slot-by-slot loop
-        would build them.  The scan reads the lanes' column maxima: the
-        cached ``hits`` of full lanes, one gather per window of
-        block-windowed lanes, and on the expensive path (cross-cluster
-        constraints, alpha) the maximum as an upper bound whose slots
-        the consult-time walk confirms one by one.
+        slot.  The scan reads one cached ``hits`` vector over the whole
+        sweep (the positions whose lane column maximum acts) with one
+        ``searchsorted``.  A position whose part is stale or lies past
+        its block window is *unknown*; the stops before the first
+        unknown position are known, and only when none of them acts is
+        that part brought up to date, where the slot-by-slot loop would
+        build it.  Stale entries of an unknown part can only add stops
+        at or after its first unknown position, so they never answer.
+        On the expensive path (cross-cluster constraints, alpha) a stop
+        is an upper bound that the consult-time walk confirms.
         """
-        bound = self._n_slots
-        hit: Optional[Tuple[str, int, Choice]] = None
-        cursor = {
-            kind: int(self._gpos[kind].searchsorted(t)) for kind in (ROW, COL)
-        }
-        start: Dict[str, int] = {}
-        walks: List[Tuple[int, int]] = []
+        lanes = self._move
+        n_slots = self._n_slots
+        start = t
+        walks = 0
+        hit: Optional[Tuple[int, Choice]] = None
         while True:
-            # Advance the kind whose next unscanned slot comes first, so
-            # no lane is built beyond a hit the other kind finds earlier.
-            kind: Optional[str] = None
-            first = bound
-            for candidate in (ROW, COL):
-                u = cursor[candidate]
-                gpos = self._gpos[candidate]
-                if u < gpos.size and gpos[u] < first:
-                    kind, first = candidate, int(gpos[u])
-            if kind is None:
+            hits = lanes.hits
+            if hits is None:
+                hits = lanes.hits = np.flatnonzero(
+                    self._acts(lanes.gains.max(axis=0).take(self._lines))
+                )
+            # Stops before the first unknown position are known.
+            bound = n_slots
+            stale: Optional[Tuple[_Part, int]] = None
+            for part in lanes.parts:
+                q, u = self._unknown(part, t)
+                if q < bound:
+                    bound, stale = q, (part, u)
+            lo, hi = hits.searchsorted((t, bound))
+            for stop in hits[lo:hi]:
+                line = int(self._lines[stop])
+                if not self._expensive:
+                    hit = int(stop), self._cheap_choice(line)
+                    break
+                choice, blocked = self._walk(line)
+                walks += blocked
+                if choice is not None and (
+                    self.mandatory_moves or not choice[3] <= 0.0
+                ):
+                    hit = int(stop), choice
+                    break
+            if hit is not None or stale is None:
                 break
-            u = cursor[kind]
-            gpos = self._gpos[kind]
-            start.setdefault(kind, u)
-            end = min(self._prepare(kind, u), int(gpos.searchsorted(bound)))
-            found = self._search(kind, u, end, walks)
-            if found is None:
-                cursor[kind] = end
-            else:
-                v, choice = found
-                bound = int(gpos[v])
-                hit = (kind, int(self._seq[kind][v]), choice)
-                cursor[kind] = gpos.size
+            t = bound
+            self._prepare(*stale)
         if self.tracer.enabled:
-            self._count_blocked(start, bound, walks)
+            # ``actions_blocked_by_constraint`` of the slots the scan
+            # consulted, up to and including the hit.
+            end = n_slots if hit is None else hit[0] + 1
+            columns = lanes.gains[:, self._lines[start:end]]
+            blocked = walks + int((columns == BLOCKED_GAIN).sum())
+            if blocked:
+                self.tracer.inc("actions_blocked_by_constraint", blocked)
         if hit is None:
             return None
-        kind, index, choice = hit
-        return bound, kind, index, choice
+        position, choice = hit
+        kind, index = self._slot(int(self._lines[position]))
+        return position, kind, index, choice
+
+    def _slot(self, line: int) -> Tuple[str, int]:
+        split = self.state.n_rows
+        return (ROW, line) if line < split else (COL, line - split)
 
     def _acts(self, gains: np.ndarray) -> np.ndarray:
         """Mask of best gains whose slot the scan stops at.
@@ -972,52 +977,6 @@ class GainEngine:
             return gains != BLOCKED_GAIN
         return ~(gains <= 0.0)
 
-    def _search(
-        self, kind: str, u: int, end: int, walks: List[Tuple[int, int]]
-    ) -> Optional[Tuple[int, Choice]]:
-        """First position in ``[u, end)`` of ``kind`` whose action is
-        performed, with its choice.  ``walks`` collects the sweep
-        positions and blocked-candidate counts of constraint walks."""
-        lanes = self._move[kind]
-        seq = self._seq[kind]
-        if self._pos[kind] is not None:
-            # Window entries are valid only inside ``[u, end)``.
-            best = lanes.move[:, seq[u:end]].max(axis=0)
-            stops = u + np.flatnonzero(self._acts(best))
-        else:
-            hits = lanes.hits
-            if hits is None:
-                hits = lanes.hits = np.flatnonzero(
-                    self._acts(lanes.move.max(axis=0)[seq])
-                )
-            stops = hits[hits.searchsorted(u):hits.searchsorted(end)]
-        for v in stops:
-            index = int(seq[v])
-            if not self._expensive:
-                return int(v), self._cheap_choice(lanes, index)
-            choice, blocked = self._walk(lanes, kind, index)
-            if blocked:
-                walks.append((int(self._gpos[kind][v]), blocked))
-            if choice is not None and (
-                self.mandatory_moves or not choice[3] <= 0.0
-            ):
-                return int(v), choice
-        return None
-
-    def _count_blocked(
-        self, start: Dict[str, int], bound: int, walks: List[Tuple[int, int]]
-    ) -> None:
-        """``actions_blocked_by_constraint`` of one scan: the blocked
-        lane entries of every slot it consulted (up to and including
-        the hit at ``bound``) plus the walks' blocked candidates."""
-        blocked = sum(n for position, n in walks if position <= bound)
-        for kind, u in start.items():
-            upto = int(self._gpos[kind].searchsorted(bound, side="right"))
-            columns = self._move[kind].move[:, self._seq[kind][u:upto]]
-            blocked += int((columns == BLOCKED_GAIN).sum())
-        if blocked:
-            self.tracer.inc("actions_blocked_by_constraint", blocked)
-
     def best_action(self, kind: str, index: int) -> Optional[Choice]:
         """Highest-gain unblocked action of one slot, or ``None``.
 
@@ -1026,46 +985,47 @@ class GainEngine:
         lowest cluster index.  On a block-windowed kind, consults must
         follow the registered order.
         """
-        lanes = self._move[kind]
-        pos = self._pos[kind]
-        self._prepare(kind, 0 if pos is None else int(pos[index]))
-        column = lanes.move[:, index]
+        line = self._line(kind, index)
+        part = self._move.part(line)
+        pos = part.pos
+        self._prepare(part, 0 if pos is None else int(pos[line - part.lo]))
+        column = self._move.gains[:, line]
         if self.tracer.enabled:
             blocked = int((column == BLOCKED_GAIN).sum())
             if blocked:
                 self.tracer.inc("actions_blocked_by_constraint", blocked)
         if not self._expensive:
-            choice = self._cheap_choice(lanes, index)
+            choice = self._cheap_choice(line)
             return None if choice[3] == BLOCKED_GAIN else choice
-        choice, blocked = self._walk(lanes, kind, index)
+        choice, blocked = self._walk(line)
         if blocked:
             self.tracer.inc("actions_blocked_by_constraint", blocked)
         return choice
 
-    @staticmethod
-    def _choice(lanes: _LaneSet, c: int, index: int, gain: float) -> Choice:
-        scores = lanes.scores[c]
+    def _choice(self, c: int, line: int, gain: float) -> Choice:
+        part = self._move.part(line)
+        scores = part.scores[c]
         assert scores is not None
+        i = line - part.lo
         return (
             c,
-            float(scores.new_residues[index]),
-            int(scores.new_volumes[index]),
+            float(scores.new_residues[i]),
+            int(scores.new_volumes[i]),
             gain,
         )
 
-    def _cheap_choice(self, lanes: _LaneSet, index: int) -> Choice:
+    def _cheap_choice(self, line: int) -> Choice:
         """The slot's top lane entry (lowest cluster index on ties)."""
-        column = lanes.move[:, index]
+        column = self._move.gains[:, line]
         c = int(np.argmax(column))
-        return self._choice(lanes, c, index, float(column[c]))
+        return self._choice(c, line, float(column[c]))
 
-    def _walk(
-        self, lanes: _LaneSet, kind: str, index: int
-    ) -> Tuple[Optional[Choice], int]:
+    def _walk(self, line: int) -> Tuple[Optional[Choice], int]:
         """Candidates of one slot in descending-gain order, verified
         against the consult-time constraints: the first unblocked one
         (or ``None``) and how many were blocked before it."""
-        column = lanes.move[:, index]
+        column = self._move.gains[:, line]
+        kind, index = self._slot(line)
         blocked = 0
         for c in np.argsort(-column, kind="stable"):
             gain = float(column[c])
@@ -1074,13 +1034,13 @@ class GainEngine:
             if self._consult_blocked(kind, index, int(c)):
                 blocked += 1
                 continue
-            return self._choice(lanes, int(c), index, gain), blocked
+            return self._choice(int(c), line, gain), blocked
         return None, blocked
 
     # -- consult-time (non-cacheable) blocking --------------------------
     def _consult_blocked(self, kind: str, index: int, c: int) -> bool:
         state = self.state
-        is_removal = bool(self._member(kind, c)[index])
+        is_removal = bool(state.member[c, self._line(kind, index)])
         if self._scalar_constraints:
             if self.constraints.blocks(
                 state.row_member[c], state.col_member[c], kind, index,
@@ -1135,35 +1095,33 @@ class GainEngine:
         lanes regardless of gain mode -- ordering is only a heuristic,
         exactly as in the scalar implementation.
         """
-        best: Dict[str, np.ndarray] = {}
-        for kind in (ROW, COL):
-            lanes = self._order[kind]
-            self._ensure(lanes, kind, exact=False)
-            gains = lanes.raw
-            if self.alpha > 0.0 and lanes.proxy is not None:
-                gains = np.where(lanes.proxy, BLOCKED_GAIN, gains)
-            if self._scalar_constraints or self.alpha > 0.0:
-                gains = gains.copy()
-            state = self.state
+        lanes = self._order
+        self._ensure(lanes, lanes.parts[0])
+        gains = lanes.gains
+        state = self.state
+        split = state.n_rows
+        constraints = self.constraints
+        if self._scalar_constraints or self.alpha > 0.0:
+            gains = gains.copy()
             for c in range(state.k):
-                member = self._member(kind, c)
-                if self.constraints.max_overlap is not None:
-                    overlap = _overlap_blocked(state, self.constraints, kind, c)
-                    gains[c, overlap] = BLOCKED_GAIN
-                if kind == ROW and self.constraints.require_row_coverage:
-                    cover = state.row_member.sum(axis=0)
-                    gains[c, member & (cover <= 1)] = BLOCKED_GAIN
-                if kind == COL and self.constraints.require_col_coverage:
-                    cover = state.col_member.sum(axis=0)
-                    gains[c, member & (cover <= 1)] = BLOCKED_GAIN
-                if self.alpha > 0.0:
-                    # Removals get the exact occupancy check even at
-                    # ordering time (removals can break alpha in ways
-                    # the joining-line proxy cannot see).
-                    for index in np.flatnonzero(member):
-                        if gains[c, index] == BLOCKED_GAIN:
-                            continue
-                        if self._alpha_blocked(kind, int(index), c):
-                            gains[c, index] = BLOCKED_GAIN
-            best[kind] = gains.max(axis=0)
-        return [float(best[kind][index]) for kind, index in slots]
+                for kind, lane in ((ROW, gains[c, :split]), (COL, gains[c, split:])):
+                    member = state.row_member[c] if kind == ROW else state.col_member[c]
+                    if constraints.max_overlap is not None:
+                        lane[_overlap_blocked(state, constraints, kind, c)] = BLOCKED_GAIN
+                    if kind == ROW and constraints.require_row_coverage:
+                        cover = state.row_member.sum(axis=0)
+                        lane[member & (cover <= 1)] = BLOCKED_GAIN
+                    if kind == COL and constraints.require_col_coverage:
+                        cover = state.col_member.sum(axis=0)
+                        lane[member & (cover <= 1)] = BLOCKED_GAIN
+                    if self.alpha > 0.0:
+                        # Removals get the exact occupancy check even at
+                        # ordering time (removals can break alpha in ways
+                        # the joining-line proxy cannot see).
+                        for index in np.flatnonzero(member):
+                            if lane[index] == BLOCKED_GAIN:
+                                continue
+                            if self._alpha_blocked(kind, int(index), c):
+                                lane[index] = BLOCKED_GAIN
+        best = gains.max(axis=0).tolist()
+        return [best[index if kind == ROW else split + index] for kind, index in slots]

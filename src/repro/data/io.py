@@ -19,6 +19,7 @@ import csv
 import io as _stdlib_io
 import json
 import os
+import zipfile
 from pathlib import Path
 from typing import List, Optional, Sequence, Union
 
@@ -52,8 +53,21 @@ def save_matrix_npz(path: PathLike, matrix: DataMatrix) -> None:
 
 
 def load_matrix_npz(path: PathLike) -> DataMatrix:
-    """Load a matrix written by :func:`save_matrix_npz`."""
-    with np.load(str(path), allow_pickle=False) as archive:
+    """Load a matrix written by :func:`save_matrix_npz`.
+
+    A file that is not such an archive (garbage, a pickle, a bare
+    ``.npy``, an archive without a ``values`` array) raises
+    ``ValueError``.
+    """
+    try:
+        archive = np.load(str(path), allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"{path}: not an .npz archive ({exc})") from None
+    if not isinstance(archive, np.lib.npyio.NpzFile):
+        raise ValueError(f"{path}: not an .npz archive")
+    with archive:
+        if "values" not in archive.files:
+            raise ValueError(f"{path}: the archive holds no 'values' array")
         values = archive["values"]
         row_labels = (
             [str(s) for s in archive["row_labels"]]

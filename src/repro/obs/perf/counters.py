@@ -8,27 +8,32 @@ analysis:
 
 ``residue_evals``
     Exact residue recomputations of a cluster submatrix: one per
-    :meth:`~repro.core.floc._State.refresh_cluster` of a non-empty
-    cluster and one per :class:`~repro.core.gain_engine.ExactContext`
-    build (each context re-derives its cluster's residue from the
-    sufficient statistics).  The O(n*m) unit.
+    refresh (:meth:`~repro.core.floc._State.refresh_cluster`, or the
+    fused fast-mode :meth:`~repro.core.floc._State.perform`) of a
+    non-empty cluster and one per
+    :class:`~repro.core.gain_engine.ExactContext` build (each context
+    re-derives its cluster's residue from the sufficient statistics).
+    The O(n*m) unit.
 ``cells_scanned``
-    Specified cells whose residue contribution was computed, summed
-    over every evaluation: cluster volumes for full scans and context
-    builds, the toggled line's specified-cell count per candidate
-    elsewhere (a lane adds its candidates' line counts, so a block
-    build adds only the selected slots').  The finest-grained cost
-    unit -- directly comparable to the paper's "matrix volume x k"
+    Matrix cells whose residue contribution was computed, summed over
+    every evaluation: ``M*m + N*n`` per
+    :meth:`~repro.core.floc._State.line_deviations` pass (the row block
+    over the ``m`` member columns plus the column block over the ``n``
+    member rows -- the scan behind every refresh), the volume per
+    context build, and the toggled line's specified-cell count per
+    candidate elsewhere (a lane adds its candidates' line counts, so a
+    block build adds only the selected slots').  The finest-grained
+    cost unit -- directly comparable to the paper's "matrix volume x k"
     scaling claim.
 ``toggle_evals``
-    Candidate toggle evaluations of either gain mode: the n_out
-    candidates of every engine lane build (S for a full lane, the
-    block size for a windowed rebuild).
+    Candidate toggle evaluations of either gain mode: the candidates of
+    every engine lane build (M + N for an estimate build, S for a full
+    exact lane, the block size for a windowed rebuild).
 ``batch_evals``
-    Vectorized candidate evaluations: one per gain-engine lane build,
-    estimate or exact (all scored slots of one cluster).  The
-    amortization unit: the more ``toggle_evals`` each ``batch_eval``
-    carries, the better batched.
+    Vectorized candidate evaluations: one per estimate build (every row
+    and column of one cluster at once) and one per exact lane of one
+    kind, full or windowed.  The amortization unit: the more
+    ``toggle_evals`` each ``batch_eval`` carries, the better batched.
 ``lane_builds``
     Sorted-residual *exact* lane constructions
     (:func:`~repro.core.gain_engine.exact_lane`), full or

@@ -304,7 +304,7 @@ def _primitives_estimate_lane(work: WorkCounters) -> Dict[str, object]:
     reps = 200
     checksum = 0.0
     for _ in range(reps):
-        lane = estimate_lane(state, "row", 0)
+        lane = estimate_lane(state, 0)
         checksum += float(lane.new_residues.sum())
     return {"reps": reps, "checksum": round(checksum, 9)}
 

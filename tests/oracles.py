@@ -5,16 +5,18 @@ functions here score one candidate toggle at a time with plain,
 independent arithmetic, so a lane entry can be compared with the value
 a per-candidate evaluation gives.  The exact after-toggle oracle is
 ``repro.core.actions.evaluate_toggle`` (a full submatrix rescan); this
-module holds the frozen-bases one, the slot-by-slot reference of the
-engine's sweep scan, the masked residue and sorted-key greedy order the
-production code replaced, and the restore-and-replay best-prefix step.
+module holds the frozen-bases one (per candidate, and per kind as the
+engine once scored it), the slot-by-slot reference of the engine's sweep
+scan, the masked residue and sorted-key greedy order the production code
+replaced, and the restore-and-replay best-prefix step.
 """
 
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.actions import ROW
+from repro.core.actions import BLOCKED_GAIN, ROW
+from repro.core.gain_engine import LaneScores, _structural_bounds, gain_lane
 
 
 def frozen_bases_parts(state, kind: str, index: int, c: int) -> Tuple[float, int, float]:
@@ -71,6 +73,63 @@ def frozen_bases_parts(state, kind: str, index: int, c: int) -> Tuple[float, int
         new_volume = volume + line_count
         new_residue = (volume * residue + line_count * line_residue) / new_volume
     return new_residue, new_volume, line_residue
+
+
+def per_kind_estimate_lane(state, kind: str, c: int) -> LaneScores:
+    """The estimate lane of one kind, scored one kind at a time: the
+    kind's slice of ``line_deviations`` folded with that kind's counts,
+    each overlay written out as a full select -- the reference that the
+    all-lines ``estimate_lane`` must match bit for bit when its halves
+    are concatenated, rows first."""
+    n_rows = state.row_member.shape[1]
+    if kind == ROW:
+        deviations = state.line_deviations(c)[:n_rows]
+        line_counts = state.row_counts[c]
+        removing = state.row_member[c]
+    else:
+        deviations = state.line_deviations(c)[n_rows:]
+        line_counts = state.col_counts[c]
+        removing = state.col_member[c]
+    line_counts_f = line_counts.astype(np.float64)
+    volume = float(state.volumes[c])
+    residue = state.residues[c]
+    line_residues = deviations / np.maximum(line_counts_f, 1.0)
+    signed_counts = np.where(removing, -line_counts_f, line_counts_f)
+    new_volumes = volume + signed_counts
+    new_residues = np.maximum(
+        (volume * residue + signed_counts * line_residues)
+        / np.maximum(new_volumes, 1.0),
+        0.0,
+    )
+    untouched = line_counts == 0
+    new_volumes = np.where(untouched, volume, new_volumes)
+    new_residues = np.where(untouched, residue, new_residues)
+    line_residues = np.where(untouched, 0.0, line_residues)
+    emptied = removing & ~untouched & (new_volumes <= 0)
+    new_volumes = np.where(emptied, 0.0, new_volumes)
+    new_residues = np.where(emptied, 0.0, new_residues)
+    line_residues = np.where(emptied, 0.0, line_residues)
+    return LaneScores(new_residues, new_volumes, line_residues, line_counts)
+
+
+def per_kind_lane_gains(state, constraints, alpha, residue_target, kind, c):
+    """Gains of one kind's fast-mode move lane, scored one kind at a
+    time from :func:`per_kind_estimate_lane`: the gain ladder, then that
+    kind's structural bounds and joining-line occupancy proxy."""
+    lane = per_kind_estimate_lane(state, kind, c)
+    member = state.row_member[c] if kind == ROW else state.col_member[c]
+    n = int(state.row_member[c].sum())
+    m = int(state.col_member[c].sum())
+    gains = gain_lane(
+        float(state.residues[c]), int(state.volumes[c]), lane.new_residues,
+        lane.new_volumes, residue_target, lane.line_residues, ~member,
+    )
+    removal_blocked, addition_blocked = _structural_bounds(constraints, kind, n, m)
+    blocked = np.where(member, removal_blocked, addition_blocked)
+    width = m if kind == ROW else n
+    if alpha > 0.0:
+        blocked |= ~member & (width > 0) & (lane.line_counts < alpha * width)
+    return np.where(blocked, BLOCKED_GAIN, gains)
 
 
 def sequential_next_action(

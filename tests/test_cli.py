@@ -233,6 +233,75 @@ class TestPredict:
         assert "no cluster covers" in capsys.readouterr().out
 
 
+def _write_malformed(path, kind):
+    """A matrix file of the right suffix whose content cannot be loaded."""
+    import numpy as np
+
+    if kind == "non-numeric-csv":
+        path.write_text("1,2,x\n3,4,5\n")
+    elif kind == "garbage-npz":
+        path.write_bytes(b"definitely not an archive")
+    elif kind == "truncated-npz":
+        np.savez(path, values=np.ones((4, 3)))
+        path.write_bytes(path.read_bytes()[:60])
+    elif kind == "pickled-npz":
+        np.savez(path, values=np.array([{"a": 1}, None], dtype=object))
+    elif kind == "no-values-npz":
+        np.savez(path, other=np.ones((4, 3)))
+
+
+_MALFORMED = [
+    ("non-numeric-csv", "matrix.csv"),
+    ("garbage-npz", "matrix.npz"),
+    ("truncated-npz", "matrix.npz"),
+    ("pickled-npz", "matrix.npz"),
+    ("no-values-npz", "matrix.npz"),
+]
+
+
+class TestMalformedMatrix:
+    """A matrix file that exists but cannot be parsed is a usage error:
+    exit 2, one stderr line naming the file, no traceback."""
+
+    @pytest.mark.parametrize("command", ["mine", "evaluate", "predict"])
+    @pytest.mark.parametrize(
+        "kind,name", _MALFORMED, ids=[kind for kind, _ in _MALFORMED]
+    )
+    def test_malformed_matrix_exits_2(
+        self, workspace, capsys, command, kind, name
+    ):
+        tmp_path, __, truth_path = workspace
+        bad = tmp_path / name
+        _write_malformed(bad, kind)
+        argv = {
+            "mine": ["mine", str(bad), "--target", "1.0"],
+            "evaluate": ["evaluate", str(bad), str(truth_path)],
+            "predict": ["predict", str(bad), str(truth_path),
+                        "--row", "0", "--col", "0"],
+        }[command]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"malformed matrix {bad}: ")
+        assert captured.out == ""
+
+    def test_process_prints_no_traceback(self, tmp_path):
+        bad = tmp_path / "matrix.npz"
+        _write_malformed(bad, "pickled-npz")
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "mine", str(bad), "--target", "1.0"],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+
 class TestClosedStdout:
     @pytest.mark.parametrize("command", ["analyze-trace", "evaluate"])
     def test_closed_pipe_ends_quietly(self, tmp_path, command):

@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from repro.core.actions import evaluate_toggle
 from repro.core.constraints import Constraints
+from repro.core.matrix import DataMatrix
 from repro.core.floc import (
+    _build_seeds,
     _State,
     _gain,
     _reseed_dead_slots,
@@ -191,6 +193,42 @@ class TestReseedDeadSlots:
         same1 = (state.row_member[1] == member_rows).all()
         assert same0 != same1
 
+    def test_mixed_p_redraws_use_the_slots_p(self, monkeypatch):
+        state, rng = self.make_state(rng_seed=1, k=5)
+        drawn = []
+        original = floc_module.mixed_seeds
+
+        def recording(n_rows, n_cols, k, p_values, *args, **kwargs):
+            drawn.extend(p_values[i % len(p_values)] for i in range(k))
+            return original(n_rows, n_cols, k, p_values, *args, **kwargs)
+
+        monkeypatch.setattr(floc_module, "mixed_seeds", recording)
+        p = [0.1, 0.5, 0.9]
+        # Random clusters on uniform data are all far above the target,
+        # so every slot is redrawn, each with its own p.
+        assert _reseed_dead_slots(state, p, Constraints(), rng, residue_target=0.001)
+        assert drawn == [p[c % 3] for c in range(5)]
+
+    def test_phase1_retries_use_the_slots_p(self, monkeypatch):
+        drawn = []
+        original = floc_module.bernoulli_seeds
+
+        def recording(n_rows, n_cols, k, p, *args, **kwargs):
+            drawn.append(p)
+            return original(n_rows, n_cols, k, p, *args, **kwargs)
+
+        monkeypatch.setattr(floc_module, "bernoulli_seeds", recording)
+        matrix = DataMatrix(np.random.default_rng(0).normal(size=(40, 20)))
+        # Seeds drawn at p 0.5 (slots 1 and 3) hold about 200 cells, so
+        # about half break the volume bound and are redrawn -- at 0.5,
+        # not at the list's first p.
+        constraints = Constraints(max_volume=200)
+        seeds = _build_seeds(
+            matrix, 4, [0.05, 0.5], None, constraints, np.random.default_rng(5)
+        )
+        assert all(constraints.seed_ok(*seed) for seed in seeds)
+        assert drawn and set(drawn) == {0.5}
+
     def test_healthy_state_untouched(self):
         state, rng = self.make_state(rng_seed=3)
         before_rows = state.row_member.copy()
@@ -238,7 +276,7 @@ class TestFastCaches:
         values = rng.normal(size=(30, 10))
         seeds = bernoulli_seeds(30, 10, 1, 0.4, rng)
         state = _State(values, ~np.isnan(values), seeds)
-        lane = estimate_lane(state, "row", 0)
+        lane = estimate_lane(state, 0)
         outside = np.flatnonzero(~state.row_member[0])
         for index in outside[:5]:
             fast_res = float(lane.new_residues[index])
@@ -262,16 +300,17 @@ class TestFastCaches:
         state.col_member[3] = False
         state.col_member[3, :2] = True
         state.refresh_cluster(3)
-        for kind, limit in (("row", 25), ("col", 14)):
-            for c in range(4):
-                lane = estimate_lane(state, kind, c)
+        for c in range(4):
+            lane = estimate_lane(state, c)
+            for kind, offset, limit in (("row", 0, 25), ("col", 25, 14)):
                 for index in range(limit):
                     single = frozen_bases_parts(state, kind, index, c)
-                    assert float(lane.new_residues[index]) == pytest.approx(
+                    line = offset + index
+                    assert float(lane.new_residues[line]) == pytest.approx(
                         single[0], rel=1e-12, abs=1e-12
                     ), (kind, index, c)
-                    assert int(lane.new_volumes[index]) == single[1]
-                    assert float(lane.line_residues[index]) == pytest.approx(
+                    assert int(lane.new_volumes[line]) == single[1]
+                    assert float(lane.line_residues[line]) == pytest.approx(
                         single[2], rel=1e-12, abs=1e-12
                     )
 
@@ -284,23 +323,31 @@ class TestFastCaches:
                   + rng.normal(size=8)[None, :] * 0.3 + 0.7)
         seeds = [(rng.random(12) < 0.5, rng.random(8) < 0.6) for _ in range(2)]
         state = _State(values, ~np.isnan(values), seeds)
-        for kind in ("row", "col"):
-            for c in range(2):
-                lane = estimate_lane(state, kind, c)
-                assert not np.signbit(lane.new_residues).any(), (kind, c)
+        for c in range(2):
+            lane = estimate_lane(state, c)
+            assert not np.signbit(lane.new_residues).any(), c
 
     def test_snapshot_restore_round_trip(self):
+        """Fused actions of both kinds, then a restore: every statistic
+        is bitwise the snapshot's, and a full refresh of a deep copy."""
         rng = np.random.default_rng(6)
         values = rng.normal(size=(15, 8))
+        values[rng.random((15, 8)) < 0.2] = NAN
         seeds = bernoulli_seeds(15, 8, 2, 0.4, rng)
         state = _State(values, ~np.isnan(values), seeds)
+        fresh = copy.deepcopy(state)
         snapshot = state.snapshot()
         for __ in range(10):
-            state.toggle("row", int(rng.integers(0, 15)), int(rng.integers(0, 2)))
+            kind = "row" if rng.random() < 0.5 else "col"
+            index = int(rng.integers(0, 15 if kind == "row" else 8))
+            state.perform(kind, index, int(rng.integers(0, 2)))
+        _assert_fresh(state)
         state.restore(snapshot)
-        assert (state.row_member == snapshot["row_member"]).all()
-        assert np.allclose(state.row_sums, snapshot["row_sums"])
-        assert np.allclose(state.residues, snapshot["residues"])
+        for name in ("member", "sums", "counts", "residues", "volumes"):
+            assert _same_bits(getattr(state, name), snapshot[name]), name
+        for name in _STAT_FIELDS:
+            assert _same_bits(getattr(state, name), getattr(fresh, name)), name
+        _assert_fresh(state)
 
 
 class TestSnapshotRestoreProperty:
@@ -377,17 +424,19 @@ class TestSnapshotRestoreProperty:
             state.stamp[~detoured], twin.stamp[~detoured], "stamp"
         )
         assert (state.stamp[detoured] > detour_stamp[detoured]).all()
-        for kind in ("row", "col"):
-            for c in range(self.K):
-                for scorer in (estimate_lane, exact_lane):
-                    lane_a = scorer(state, kind, c)
-                    lane_b = scorer(twin, kind, c)
-                    for name in ("new_residues", "new_volumes",
-                                 "line_residues", "line_counts"):
-                        self._assert_bit_identical(
-                            getattr(lane_a, name), getattr(lane_b, name),
-                            (scorer.__name__, kind, c, name),
-                        )
+        for c in range(self.K):
+            lanes = [(estimate_lane(state, c), estimate_lane(twin, c), "estimate")]
+            lanes += [
+                (exact_lane(state, kind, c), exact_lane(twin, kind, c), kind)
+                for kind in ("row", "col")
+            ]
+            for lane_a, lane_b, label in lanes:
+                for name in ("new_residues", "new_volumes",
+                             "line_residues", "line_counts"):
+                    self._assert_bit_identical(
+                        getattr(lane_a, name), getattr(lane_b, name),
+                        (label, c, name),
+                    )
 
 
 def _same_bits(a, b):
@@ -444,37 +493,41 @@ class TestResidueOracle:
         )
 
 
-#: Every ``_State`` array a refresh writes (``stamp`` only keys caches).
+#: Every ``_State`` array a refresh writes (``stamp`` only keys caches),
+#: and the row/column views of the line arrays.
 _STAT_FIELDS = (
-    "residues", "volumes", "volumes_f", "row_sums", "row_counts",
-    "row_counts_f", "col_sums", "col_counts", "col_counts_f",
+    "member", "residues", "volumes", "volumes_f", "sums", "counts",
+    "counts_f", "row_sums", "row_counts", "row_counts_f", "col_sums",
+    "col_counts", "col_counts_f",
 )
 
 
-def _fresh_checking_refresh(monkeypatch, checked):
-    """Wrap ``refresh_cluster`` so that after every fast-mode action (the
-    ``moved=`` refresh) each state array is checked bitwise against a full
-    refresh of every cluster.  The shadow refresh runs on a deep copy, so
-    the live state's stamps -- and every cache keyed on them -- never see
-    it."""
-    original = _State.refresh_cluster
+def _assert_fresh(state, label=None):
+    """Every statistic of ``state`` is bitwise a full refresh of every
+    cluster.  The shadow refresh runs on a deep copy, so the live state's
+    stamps -- and every cache keyed on them -- never see it."""
+    shadow = copy.deepcopy(state)
+    shadow.work = None
+    shadow._deviations = [None] * shadow.k
+    for cluster in range(shadow.k):
+        shadow.refresh_cluster(cluster)
+    for name in _STAT_FIELDS:
+        assert _same_bits(getattr(state, name), getattr(shadow, name)), (
+            name, label,
+        )
 
-    def refresh(self, c, moved=None):
-        original(self, c, moved)
-        if moved is None:
-            return
-        shadow = copy.deepcopy(self)
-        shadow.work = None
-        shadow._deviations = [None] * shadow.k
-        for cluster in range(shadow.k):
-            original(shadow, cluster)
-        for name in _STAT_FIELDS:
-            assert _same_bits(getattr(self, name), getattr(shadow, name)), (
-                name, c, moved,
-            )
+
+def _fresh_checking_perform(monkeypatch, checked):
+    """Wrap the fused fast-mode action so that after every call each
+    state array is checked bitwise against a full refresh."""
+    original = _State.perform
+
+    def perform(self, kind, index, c):
+        original(self, kind, index, c)
+        _assert_fresh(self, (kind, index, c))
         checked.append(int(self.volumes[c]))
 
-    monkeypatch.setattr(_State, "refresh_cluster", refresh)
+    monkeypatch.setattr(_State, "perform", perform)
 
 
 def _outcome(result):
@@ -487,9 +540,9 @@ def _outcome(result):
 
 
 class TestFastModeFreshness:
-    """Fast mode refreshes only what a toggle moved; the freshness
-    invariant says the state still equals a full refresh after every
-    performed action, in every cluster."""
+    """Fast mode's fused action recomputes only what a toggle moved; the
+    freshness invariant says the state still equals a full refresh after
+    every performed action, in every cluster."""
 
     @staticmethod
     def _matrix(missing, seed):
@@ -502,7 +555,7 @@ class TestFastModeFreshness:
     @pytest.mark.parametrize("missing", [0.0, 0.6])
     def test_state_fresh_after_every_action(self, monkeypatch, ordering, missing):
         checked = []
-        _fresh_checking_refresh(monkeypatch, checked)
+        _fresh_checking_perform(monkeypatch, checked)
         result = floc(
             self._matrix(missing, 3), 3, p=0.3, ordering=ordering,
             gain_mode="fast", residue_target=4.0, reseed_rounds=2, rng=5,
@@ -519,7 +572,7 @@ class TestFastModeFreshness:
         seeds = bernoulli_seeds(n, m, 3, 0.3, rng)
         seeds[0] = (np.zeros(n, dtype=bool), seeds[0][1])
         checked = []
-        _fresh_checking_refresh(monkeypatch, checked)
+        _fresh_checking_perform(monkeypatch, checked)
         result = floc(
             values, 3, seeds=seeds, ordering="fixed", gain_mode="fast",
             constraints=Constraints(min_rows=1, min_cols=1),
@@ -564,12 +617,22 @@ class TestDeviationCache:
     ):
         reuses = []
         _reuse_checking_deviations(monkeypatch, reuses)
+        performed = []
+        perform = _State.perform
+
+        def counted(self, kind, index, c):
+            performed.append(c)
+            perform(self, kind, index, c)
+
+        monkeypatch.setattr(_State, "perform", counted)
         matrix = TestFastModeFreshness._matrix(missing, 3)
         result = floc(
             matrix, 3, p=0.3, ordering=ordering, gain_mode=gain_mode,
             residue_target=4.0, reseed_rounds=2, rng=5,
         )
         assert result.n_actions > 0
+        # Every fast-mode action is one fused update (and one pass).
+        assert len(performed) == (result.n_actions if gain_mode == "fast" else 0)
         # Exact mode reads the pass only in refreshes (each under a new
         # stamp) and in the weighted/greedy ordering's estimate lanes.
         estimated = gain_mode == "fast" or ordering in ("weighted", "greedy")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import repro.core.gain_engine as ge
-from repro.core.actions import evaluate_toggle
+from repro.core.actions import BLOCKED_GAIN, evaluate_toggle
 from repro.core.constraints import Constraints
 from repro.core.floc import _State, _gain, floc
 from repro.core.gain_engine import (
@@ -28,7 +28,12 @@ from repro.data.synthetic import generate_embedded
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.perf.counters import WorkCounters
 from repro.obs.tracer import Tracer
-from tests.oracles import frozen_bases_parts, sequential_next_action
+from tests.oracles import (
+    frozen_bases_parts,
+    per_kind_estimate_lane,
+    per_kind_lane_gains,
+    sequential_next_action,
+)
 
 NAN = float("nan")
 
@@ -69,6 +74,11 @@ def make_state(values, seed, k, work=None):
 
 def lane_size(values, kind):
     return values.shape[0] if kind == "row" else values.shape[1]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 # -- exact lane vs the per-action oracle -------------------------------
@@ -156,20 +166,81 @@ class TestEstimateLane:
     @settings(max_examples=60, deadline=None)
     def test_estimate_lane_matches_frozen_bases_oracle(self, values, seed, k):
         state = make_state(values, seed, k)
-        for kind in ("row", "col"):
-            for c in range(k):
-                lane = estimate_lane(state, kind, c)
+        for c in range(k):
+            lane = estimate_lane(state, c)
+            for kind in ("row", "col"):
+                offset = 0 if kind == "row" else values.shape[0]
                 for index in range(lane_size(values, kind)):
                     new_res, new_vol, line_res = frozen_bases_parts(
                         state, kind, index, c
                     )
-                    assert int(lane.new_volumes[index]) == new_vol
-                    assert float(lane.new_residues[index]) == pytest.approx(
+                    line = offset + index
+                    assert int(lane.new_volumes[line]) == new_vol
+                    assert float(lane.new_residues[line]) == pytest.approx(
                         new_res, rel=1e-9, abs=1e-9
                     )
-                    assert float(lane.line_residues[index]) == pytest.approx(
+                    assert float(lane.line_residues[line]) == pytest.approx(
                         line_res, rel=1e-9, abs=1e-9
                     )
+
+    @staticmethod
+    def _assert_concatenation(state, c):
+        lane = estimate_lane(state, c)
+        halves = [per_kind_estimate_lane(state, kind, c) for kind in ("row", "col")]
+        for name in ("new_residues", "new_volumes", "line_residues", "line_counts"):
+            expected = np.concatenate([getattr(half, name) for half in halves])
+            assert _same_bits(getattr(lane, name), expected), (c, name)
+        return lane
+
+    @given(matrices_with_missing(), st.integers(0, 2**32 - 1), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_all_lines_bitwise_equal_per_kind_lanes(self, values, seed, k):
+        """One lane over M+N lines is the two per-kind lanes, rows first,
+        bit for bit -- NaN-heavy inputs hit the untouched overlay."""
+        state = make_state(values, seed, k)
+        for c in range(k):
+            self._assert_concatenation(state, c)
+
+    def test_overlays_and_per_kind_bounds(self):
+        """Untouched and emptied overlays, and a cluster at the row floor
+        but not the column floor: only its row removals are blocked."""
+        rng = np.random.default_rng(12)
+        values = rng.normal(size=(12, 9))
+        values[3, :] = NAN  # untouched by every cluster
+        values[:, 7] = NAN
+        values[np.ix_([0, 1], [0, 1, 2])] = NAN
+        seeds = bernoulli_seeds(12, 9, 3, 0.5, rng)
+        # Cluster 1: two rows, one of them fully missing on the member
+        # columns, so removing the other row empties it.
+        rows = np.zeros(12, dtype=bool)
+        rows[[0, 5]] = True
+        cols = np.zeros(9, dtype=bool)
+        cols[[0, 1, 2]] = True
+        values[5, [1, 2]] = NAN
+        seeds[1] = (rows, cols)
+        # Cluster 2: at the row floor (3 rows), well above the column floor.
+        rows = np.zeros(12, dtype=bool)
+        rows[[2, 6, 8]] = True
+        seeds[2] = (rows, np.ones(9, dtype=bool))
+        state = _State(values, ~np.isnan(values), seeds)
+        constraints = Constraints(min_rows=3, min_cols=3)
+        lane = self._assert_concatenation(state, 1)
+        assert lane.new_volumes[5] == 0.0 and lane.line_counts[5] > 0  # emptied
+        for c in range(3):
+            lane = self._assert_concatenation(state, c)
+            assert lane.line_counts[3] == 0  # untouched
+        for target, alpha in ((None, 0.0), (2.0, 0.0), (2.0, 0.7)):
+            engine = GainEngine(state, constraints, alpha, target, "fast")
+            engine.best_action("row", 0)
+            for c in range(3):
+                expected = np.concatenate([
+                    per_kind_lane_gains(state, constraints, alpha, target, kind, c)
+                    for kind in ("row", "col")
+                ])
+                assert _same_bits(engine._move.gains[c], expected), (c, target)
+        gains = engine._move.gains[2]
+        assert (gains[:12][state.row_member[2]] == BLOCKED_GAIN).all()
+        assert (gains[12:][state.col_member[2]] != BLOCKED_GAIN).any()
 
 
 # -- block windows are bitwise-identical to the full lane --------------
@@ -529,7 +600,7 @@ class TestPreciseInvalidation:
         work = WorkCounters()
         state, engine = self._engine(work)
         self._consult_both_kinds(engine)
-        lanes = {kind: engine._move[kind].scores[0] for kind in ("row", "col")}
+        lanes = [part.scores[0] for part in engine._move.parts]
         stamp = state.stamp.copy()
         snapshot = state.snapshot()
         state.toggle("row", 5, 1)
@@ -541,8 +612,8 @@ class TestPreciseInvalidation:
         self._consult_both_kinds(engine)
         # Cluster 1's row and column lanes, nothing of cluster 0.
         assert work.batch_evals - before == 2
-        for kind in ("row", "col"):
-            assert engine._move[kind].scores[0] is lanes[kind]
+        for part, lane in zip(engine._move.parts, lanes):
+            assert part.scores[0] is lane
 
     def test_restore_without_changes_rebuilds_nothing(self):
         work = WorkCounters()
