@@ -112,6 +112,13 @@ def _read(what: str, path: str, load: Callable[[str], _Loaded]) -> _Loaded:
         raise _UsageError(f"malformed {what} {path}: {reason}") from None
 
 
+def _seed(text: str) -> int:
+    """``--seed`` type: a non-negative integer, else a usage error."""
+    if not text.isdecimal():
+        raise _UsageError(f"--seed must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _check_writable(flag: str, path: Optional[str]) -> None:
     """Fail on a ``flag`` path where no file can be created."""
     if not path:
@@ -195,6 +202,17 @@ def _print_mining_result(
         _print_metrics(result.metrics)
 
 
+def _mining_params(args: argparse.Namespace) -> Dict[str, Any]:
+    """``mine``'s mining parameters, named as both
+    :func:`mine_delta_clusters` and ``RunConfig`` take them."""
+    return dict(
+        residue_target=args.target, n_restarts=args.restarts, k=args.k,
+        min_rows=args.min_rows, min_cols=args.min_cols, alpha=args.alpha,
+        p=args.p, reseed_rounds=args.reseed_rounds,
+        max_clusters=args.max_clusters,
+    )
+
+
 def _cmd_mine_supervised(
     args: argparse.Namespace, matrix: DataMatrix, tracer: Optional[Tracer]
 ) -> int:
@@ -217,20 +235,12 @@ def _cmd_mine_supervised(
         )
     else:
         config = RunConfig(
-            residue_target=args.target,
-            n_restarts=args.restarts,
-            root_seed=args.seed if args.seed is not None else 0,
-            k=args.k,
-            min_rows=args.min_rows,
-            min_cols=args.min_cols,
-            alpha=args.alpha,
-            p=args.p,
-            reseed_rounds=args.reseed_rounds,
-            max_clusters=args.max_clusters,
+            root_seed=args.seed,
             workers=args.workers if args.workers is not None else 1,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries
             if args.max_retries is not None else 2,
+            **_mining_params(args),
         )
         runtime_result = run_supervised(
             matrix, config, run_dir=args.run_dir, **kwargs,
@@ -284,19 +294,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         if supervised:
             return _cmd_mine_supervised(args, matrix, tracer)
         result = mine_delta_clusters(
-            matrix,
-            residue_target=args.target,
-            k=args.k,
-            n_restarts=args.restarts,
-            max_clusters=args.max_clusters,
-            min_rows=args.min_rows,
-            min_cols=args.min_cols,
-            alpha=args.alpha,
-            p=args.p,
-            reseed_rounds=args.reseed_rounds,
-            rng=args.seed,
-            tracer=tracer,
-            work=work,
+            matrix, rng=args.seed, tracer=tracer, work=work,
+            **_mining_params(args),
         )
     finally:
         if tracer is not None:
@@ -827,7 +826,8 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--p", type=float, default=0.2,
                       help="Phase-1 seed inclusion probability")
     mine.add_argument("--reseed-rounds", type=int, default=10)
-    mine.add_argument("--seed", type=int, default=None)
+    mine.add_argument("--seed", type=_seed, default=0,
+                      help="root seed, the same on every path (default 0)")
     mine.add_argument("--out", default=None, help="write clusters here")
     mine.add_argument("--trace", default=None, metavar="PATH",
                       help="write a JSONL trace (seed/action/iteration "
@@ -869,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--missing", type=float, default=0.0,
                           help="missing fraction (synthetic/yeast) or "
                                "density (movielens)")
-    generate.add_argument("--seed", type=int, default=None)
+    generate.add_argument("--seed", type=_seed, default=None)
     generate.add_argument("--out", required=True, help="output .npz")
     generate.add_argument("--truth-out", default=None,
                           help="write ground-truth clusters here")
@@ -1009,8 +1009,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
     try:
+        # A bad --seed raises _UsageError from inside parse_args.
+        args = parser.parse_args(list(argv) if argv is not None else None)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at exit
         return code

@@ -14,8 +14,8 @@ itself remains the faithful single-run algorithm.
 
 Task decomposition
 ------------------
-A mining session is also available as independent, seed-addressable
-tasks for the supervised runtime (:mod:`repro.runtime`):
+A mining session is a set of independent, seed-addressable restart
+tasks plus one pooling tail, whichever process runs them:
 
 * :func:`restart_seed` derives restart ``i``'s private
   :class:`~numpy.random.SeedSequence` from a root seed -- the same
@@ -24,17 +24,13 @@ tasks for the supervised runtime (:mod:`repro.runtime`):
 * :func:`run_restart` executes exactly one restart from its derived
   seed and returns the :class:`FlocResult`;
 * :func:`pool_mining_results` pools/deduplicates any ordered collection
-  of restart results into a :class:`MiningResult` -- it is the shared
-  tail of :func:`mine_delta_clusters` and of the runtime's
-  checkpoint-replay path, so both produce identical clusterings from
-  identical restart results.
+  of restart results into a :class:`MiningResult`.
 
-Note the sequential front end threads ONE generator through all
-restarts (restart ``i+1``'s stream continues where ``i`` stopped),
-while the task decomposition gives every restart an independent spawned
-stream.  Both are deterministic, but they are *different* deterministic
-schedules: ``mine_delta_clusters(rng=7)`` and a supervised run with
-root seed 7 agree on the contract, not on the bits.
+:func:`mine_delta_clusters` runs these tasks in process; the supervised
+runtime (:mod:`repro.runtime`) runs them on workers.  Its ``rng`` gives
+the root seed -- an integer is the root itself, anything else gives one
+draw from ``resolve_rng(rng)`` -- so ``mine_delta_clusters(rng=7)`` and
+a supervised run with root seed 7 write the same clusters, bit for bit.
 """
 
 from __future__ import annotations
@@ -129,15 +125,19 @@ def mine_delta_clusters(
     max_overlap:
         Pooled clusters overlapping a kept cluster by more than this
         fraction (of the smaller one's cells) are dropped as duplicates.
+    rng:
+        The root seed: an integer is the root itself, anything else gives
+        one draw from ``resolve_rng(rng)``.  Restart ``i`` is
+        :func:`run_restart` with that ``root_seed``, as on a worker.
     tracer:
         Optional :class:`~repro.obs.Tracer` shared by every restart; each
         restart's events carry a ``restart`` context key so a single
         JSONL trace covers the whole session.  Tracing never changes the
         mining result.
     work:
-        Optional :class:`~repro.obs.perf.counters.WorkCounters` shared by
-        every restart; like the tracer it never changes the result.  The
-        pooled :class:`MiningResult` carries the session aggregate.
+        Optional :class:`~repro.obs.perf.counters.WorkCounters` that
+        receives the session total; each restart counts into its own
+        (``runs[i].work``), as on a worker.  It never changes the result.
 
     Returns
     -------
@@ -152,8 +152,8 @@ def mine_delta_clusters(
         raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
     if not 0.0 <= max_overlap <= 1.0:
         raise ValueError(f"max_overlap must be in [0, 1], got {max_overlap}")
-    generator = resolve_rng(rng)
-    constraints = Constraints(min_rows=min_rows, min_cols=min_cols)
+    root_seed = (int(rng) if isinstance(rng, (int, np.integer))
+                 else int(resolve_rng(rng).integers(2**63)))
     if tracer is None:
         tracer = NULL_TRACER
 
@@ -163,23 +163,24 @@ def mine_delta_clusters(
             tracer.push_context(restart=restart)
         try:
             with tracer.span("restart", index=restart):
-                result = floc(
-                    matrix, k,
-                    p=p,
+                runs.append(run_restart(
+                    matrix, restart,
+                    residue_target=residue_target,
+                    root_seed=root_seed,
+                    k=k,
+                    min_rows=min_rows,
+                    min_cols=min_cols,
                     alpha=alpha,
+                    p=p,
+                    reseed_rounds=reseed_rounds,
                     ordering=ordering,
                     gain_mode=gain_mode,
-                    residue_target=residue_target,
-                    reseed_rounds=reseed_rounds,
-                    constraints=constraints,
-                    rng=generator,
                     tracer=tracer,
-                    work=work,
-                )
+                    work=None if work is None else WorkCounters(),
+                ))
         finally:
             if tracer.enabled:
                 tracer.pop_context()
-        runs.append(result)
 
     result_pool = pool_mining_results(
         matrix, runs,
@@ -190,6 +191,8 @@ def mine_delta_clusters(
         max_overlap=max_overlap,
         max_clusters=max_clusters,
     )
+    if work is not None and result_pool.work is not None:
+        work.merge(result_pool.work)
     result_pool.metrics = tracer.snapshot_metrics() if tracer.enabled else None
     result_pool.trace_summary = tracer.summary() if tracer.enabled else None
     return result_pool
@@ -215,8 +218,7 @@ def run_restart(
     restart: int,
     *,
     residue_target: float,
-    root_seed: Optional[int] = None,
-    rng: RngLike = None,
+    root_seed: int,
     k: int = 10,
     min_rows: int = 3,
     min_cols: int = 3,
@@ -231,20 +233,13 @@ def run_restart(
 ) -> FlocResult:
     """Execute one seed-addressable restart of a mining session.
 
-    Exactly one of ``root_seed`` / ``rng`` must be given: ``root_seed``
-    derives the restart's stream via :func:`restart_seed` (the
-    supervised-runtime path), while an explicit ``rng`` lets callers
-    thread their own stream.  All other parameters mirror
-    :func:`mine_delta_clusters` and are forwarded to :func:`floc`.
+    The restart draws only from ``restart_seed(root_seed, restart)``.
+    :func:`mine_delta_clusters` (root seed: its integer ``rng``, or one
+    draw from any other) and the runtime's workers both run restarts
+    here.  Other parameters are forwarded to :func:`floc`.
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    if (root_seed is None) == (rng is None):
-        raise ValueError("pass exactly one of root_seed / rng")
-    if rng is None:
-        assert root_seed is not None  # narrowed by the check above
-        rng = restart_seed(root_seed, restart)
-    generator = resolve_rng(rng)
     constraints = Constraints(min_rows=min_rows, min_cols=min_cols)
     return floc(
         matrix, k,
@@ -255,7 +250,7 @@ def run_restart(
         residue_target=residue_target,
         reseed_rounds=reseed_rounds,
         constraints=constraints,
-        rng=generator,
+        rng=restart_seed(root_seed, restart),
         max_iterations=max_iterations,
         tracer=tracer,
         work=work,
@@ -281,7 +276,7 @@ def pool_mining_results(
     results replayed from a checkpoint store.  The outcome depends only
     on ``runs`` *in order* (pass them sorted by restart index), never on
     completion order or scheduling, which is what makes crash/resume
-    parity possible.
+    parity possible.  ``work`` sums the runs' own counters.
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
@@ -289,19 +284,12 @@ def pool_mining_results(
         raise ValueError(f"residue_target must be positive, got {residue_target}")
     if not 0.0 <= max_overlap <= 1.0:
         raise ValueError(f"max_overlap must be in [0, 1], got {max_overlap}")
-    # Aggregate the restarts' work counters, counting each distinct
-    # object once: per-restart counters sum, while a single accumulator
-    # shared by every restart (the mine_delta_clusters path) already IS
-    # the session total and must not be multiplied by len(runs).
     work_total: Optional[WorkCounters] = None
-    seen_work: set = set()
     for result in runs:
-        if result.work is None or id(result.work) in seen_work:
-            continue
-        seen_work.add(id(result.work))
-        if work_total is None:
-            work_total = WorkCounters()
-        work_total.merge(result.work)
+        if result.work is not None:
+            if work_total is None:
+                work_total = WorkCounters()
+            work_total.merge(result.work)
     pooled: List[DeltaCluster] = []
     for result in runs:
         for cluster in result.clustering:

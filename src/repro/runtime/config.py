@@ -66,6 +66,8 @@ class RunConfig:
             )
         if self.n_restarts < 1:
             raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
+        if self.root_seed < 0:
+            raise ValueError(f"root_seed must be >= 0, got {self.root_seed}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.max_retries < 0:

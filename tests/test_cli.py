@@ -193,6 +193,50 @@ class TestMineAndEvaluate:
         assert captured.out == ""
 
 
+class TestSeed:
+    """One seed rule on every ``mine`` path: plain and supervised runs at
+    the same ``--seed`` (default 0) write the same clusters, and a seed
+    that is not a non-negative integer is a usage error."""
+
+    @pytest.mark.parametrize("seed", [["--seed", "7"], []],
+                             ids=["seed7", "default"])
+    def test_plain_and_supervised_write_same_file(
+        self, workspace, capsys, seed
+    ):
+        tmp_path, matrix_path, __ = workspace
+        argv = ["mine", str(matrix_path), "--target", "5.0", "--k", "4",
+                "--restarts", "2", "--reseed-rounds", "2", *seed]
+        plain, supervised = tmp_path / "plain.txt", tmp_path / "sup.txt"
+        assert main(argv + ["--out", str(plain)]) == 0
+        assert main(argv + ["--workers", "1", "--run-dir",
+                            str(tmp_path / "run"), "--out",
+                            str(supervised)]) == 0
+        capsys.readouterr()
+        assert load_clusters(plain), "expected mined clusters on disk"
+        assert plain.read_bytes() == supervised.read_bytes()
+
+    @pytest.mark.parametrize("command", ["mine", "supervised", "generate"])
+    @pytest.mark.parametrize("seed", ["-1", "abc"])
+    def test_bad_seed_exits_2(self, workspace, capsys, command, seed):
+        tmp_path, matrix_path, __ = workspace
+        run_dir = tmp_path / "run"
+        argv = {
+            "mine": ["mine", str(matrix_path), "--target", "5.0"],
+            "supervised": ["mine", str(matrix_path), "--target", "5.0",
+                           "--workers", "1", "--run-dir", str(run_dir)],
+            "generate": ["generate", "synthetic",
+                         "--out", str(tmp_path / "new.npz")],
+        }[command]
+        assert main(argv + ["--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"--seed must be a non-negative integer, got {seed!r}\n"
+        )
+        assert captured.out == ""
+        assert not run_dir.exists()
+        assert not (tmp_path / "new.npz").exists()
+
+
 class TestPredict:
     @pytest.mark.parametrize("absent", ["matrix", "clusters"])
     def test_predict_missing_input_exits_2(self, workspace, capsys, absent):

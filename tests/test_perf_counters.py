@@ -8,9 +8,9 @@ The acceptance contract for :mod:`repro.obs.perf.counters`:
 * **determinism** -- two counted runs at the same seed produce equal
   counters (no wall-clock, no machine dependence);
 * **conservation** -- counters aggregate without double-counting across
-  the shared-accumulator path (``mine_delta_clusters``), the per-object
-  path (supervised restarts), ``perf.*`` metric mirroring, and the
-  checkpoint round-trip.
+  per-restart counters summed by pooling (in-process and supervised
+  mining alike), ``perf.*`` metric mirroring, and the checkpoint
+  round-trip.
 """
 
 import numpy as np
@@ -159,11 +159,31 @@ class TestAggregation:
             reseed_rounds=2, rng=0, work=work,
         )
         assert work.total() > 0
-        # Pooling merges the shared object exactly once (identity
-        # dedup), returning an equal but fresh counter set.
+        # Each restart counts into its own counters; the caller's object
+        # receives their sum, and the result carries an equal but fresh
+        # counter set.
         assert result.work is not None
         assert result.work == work
         assert result.work is not work
+        expected = WorkCounters()
+        for run in result.runs:
+            assert run.work is not work
+            expected.merge(run.work)
+        assert work == expected
+
+    def test_mining_adds_into_a_used_accumulator(self, matrix):
+        fresh = WorkCounters()
+        mine_delta_clusters(
+            matrix, 2.0, k=3, n_restarts=2, min_volume=9,
+            reseed_rounds=2, rng=0, work=fresh,
+        )
+        work = WorkCounters()
+        work.merge(fresh)
+        mine_delta_clusters(
+            matrix, 2.0, k=3, n_restarts=2, min_volume=9,
+            reseed_rounds=2, rng=0, work=work,
+        )
+        assert work.total() == 2 * fresh.total()
 
     def test_pooling_sums_distinct_per_run_objects(self, matrix):
         runs = [

@@ -57,6 +57,7 @@ class TestRunConfig:
     @pytest.mark.parametrize("kwargs", [
         {"residue_target": 0.0},
         {"residue_target": 1.0, "n_restarts": 0},
+        {"residue_target": 1.0, "root_seed": -1},
         {"residue_target": 1.0, "workers": 0},
         {"residue_target": 1.0, "max_retries": -1},
         {"residue_target": 1.0, "task_timeout": 0.0},

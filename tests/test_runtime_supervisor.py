@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from repro.core.matrix import DataMatrix
-from repro.obs import RingBufferSink, Tracer
+from repro.core.mining import mine_delta_clusters
+from repro.data.synthetic import generate_embedded
+from repro.obs import RingBufferSink, Tracer, WorkCounters
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime import (
     FAULT_PLAN_ENV,
@@ -216,3 +218,43 @@ class TestResume:
         skipped = [r["restart"] for r in ring.records
                    if r["type"] == "task" and r["status"] == "skipped"]
         assert skipped == [0, 1, 2]
+
+
+class TestInProcessParity:
+    """``mine_delta_clusters(rng=S)`` runs the workers' restart task, so
+    it mines what a supervised session with root seed ``S`` mines."""
+
+    PARAMS = dict(residue_target=8.0, n_restarts=3, k=4, reseed_rounds=2)
+
+    @pytest.fixture(params=[0.0, 0.2], ids=["dense", "missing20"])
+    def workload(self, request):
+        return generate_embedded(
+            80, 16, 2, cluster_shape=(16, 8), noise=2.0,
+            missing_fraction=request.param, rng=4,
+        ).matrix
+
+    def test_same_clusters_histories_and_work(self, workload, tmp_path):
+        plain = mine_delta_clusters(workload, rng=13, work=WorkCounters(),
+                                    **self.PARAMS)
+        assert len(plain.clustering) > 0
+        for workers in (1, 2):
+            supervised = run_supervised(
+                workload,
+                RunConfig(root_seed=13, workers=workers, **self.PARAMS),
+                run_dir=tmp_path / f"workers{workers}",
+            ).result
+            assert cluster_shapes(supervised) == cluster_shapes(plain)
+            assert [run.history for run in supervised.runs] \
+                == [run.history for run in plain.runs]
+            assert [run.work for run in supervised.runs] \
+                == [run.work for run in plain.runs]
+            assert supervised.work == plain.work
+
+    def test_non_integer_rng_gives_one_root_seed_draw(self, workload):
+        root = int(np.random.default_rng(5).integers(2**63))
+        drawn = mine_delta_clusters(
+            workload, rng=np.random.default_rng(5), **self.PARAMS)
+        direct = mine_delta_clusters(workload, rng=root, **self.PARAMS)
+        assert cluster_shapes(drawn) == cluster_shapes(direct)
+        assert [run.history for run in drawn.runs] \
+            == [run.history for run in direct.runs]
