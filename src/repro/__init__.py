@@ -79,11 +79,9 @@ from .obs import (
     IterationEvent,
     JsonlSink,
     MetricsRegistry,
-    OtlpJsonSink,
     RetryEvent,
     RingBufferSink,
     SeedEvent,
-    StatsdSink,
     TaskEvent,
     TraceAnalysis,
     TraceDiff,
@@ -91,10 +89,6 @@ from .obs import (
     analyze_records,
     analyze_trace,
     diff_traces,
-    disable_profiling,
-    enable_profiling,
-    profile_report,
-    profiled,
     read_jsonl,
 )
 from .runtime import (
@@ -134,14 +128,12 @@ __all__ = [
     "MetricsRegistry",
     "MiningResult",
     "MovieLensDataset",
-    "OtlpJsonSink",
     "RetryEvent",
     "RingBufferSink",
     "RunConfig",
     "RuntimeResult",
     "SeedEvent",
     "SignificanceReport",
-    "StatsdSink",
     "SyntheticDataset",
     "TaskEvent",
     "TaskFailure",
@@ -157,8 +149,6 @@ __all__ = [
     "clustering_report",
     "derived_matrix",
     "diff_traces",
-    "disable_profiling",
-    "enable_profiling",
     "figure4_cluster",
     "figure4_matrix",
     "fill_missing_with_random",
@@ -178,8 +168,6 @@ __all__ = [
     "pool_mining_results",
     "predict_entry",
     "prediction_error",
-    "profile_report",
-    "profiled",
     "read_jsonl",
     "recall_precision",
     "residue_matrix",

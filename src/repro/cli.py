@@ -20,7 +20,6 @@ settings::
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import shutil
@@ -47,9 +46,9 @@ from .obs.analysis import (
     analyze_trace,
     diff_traces,
 )
-from .obs.export import chrome_trace
+from .obs.export import chrome_trace, otlp_logs
 from .obs.session import collect_session
-from .obs.sinks import OtlpJsonSink, read_jsonl
+from .obs.sinks import read_jsonl
 from .data.io import (
     load_clusters,
     load_matrix_csv,
@@ -119,13 +118,24 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _check_writable(flag: str, path: Optional[str]) -> None:
-    """Fail on a ``flag`` path where no file can be created."""
+def _check_writable(
+    flag: str, path: Optional[str], make_parents: bool = False
+) -> None:
+    """Fail on a ``flag`` path where no file can be created.
+
+    With ``make_parents`` the command creates missing directories, so
+    only the nearest existing ancestor has to be a directory.
+    """
     if not path:
         return
     target = Path(path)
-    if not target.parent.is_dir():
-        problem = f"directory {target.parent} does not exist"
+    ancestor = target.parent
+    while make_parents and not ancestor.exists() and ancestor != ancestor.parent:
+        ancestor = ancestor.parent
+    if not ancestor.exists():
+        problem = f"directory {ancestor} does not exist"
+    elif not ancestor.is_dir():
+        problem = f"{ancestor} is not a directory"
     elif target.is_dir():
         problem = "it is a directory"
     else:
@@ -306,6 +316,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 def cmd_generate(args: argparse.Namespace) -> int:
     """Generate a synthetic / movielens / yeast workload matrix."""
+    _check_writable("--out", args.out)
+    _check_writable("--truth-out", args.truth_out)
     if args.kind == "synthetic":
         dataset = generate_embedded(
             args.rows, args.cols, args.clusters,
@@ -614,22 +626,14 @@ def _load_trace_source(args: argparse.Namespace) -> Optional[List[Dict[str, obje
 
 def cmd_export_trace(args: argparse.Namespace) -> int:
     """Render a session trace as Chrome trace-event JSON, OTLP, or JSONL."""
+    _check_writable("--out", args.out, make_parents=True)
     records = _load_trace_source(args)
     if records is None:
         return 2
     if args.format == "chrome":
         text = json.dumps(chrome_trace(records), sort_keys=True) + "\n"
     elif args.format == "otlp":
-        buffer = io.StringIO()
-        sink = OtlpJsonSink(buffer)
-        try:
-            for record in records:
-                if record.get("type") in ("trace_meta", "session_meta"):
-                    continue
-                sink.write(record)
-        finally:
-            sink.close()
-        text = buffer.getvalue()
+        text = json.dumps(otlp_logs(records)) + "\n"
     else:  # jsonl
         text = "".join(
             json.dumps(record, sort_keys=True) + "\n" for record in records

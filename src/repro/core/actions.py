@@ -20,7 +20,6 @@ from typing import Tuple
 
 import numpy as np
 
-from ..obs.profiling import profiled
 from .residue import mean_abs_residue
 
 __all__ = ["ROW", "COL", "Action", "evaluate_toggle", "toggle_occupancy_ok"]
@@ -74,7 +73,6 @@ def _toggled(member: np.ndarray, index: int) -> np.ndarray:
     return out
 
 
-@profiled
 def evaluate_toggle(
     values: np.ndarray,
     row_member: np.ndarray,
@@ -114,7 +112,6 @@ def evaluate_toggle(
     return mean_abs_residue(sub), volume
 
 
-@profiled
 def toggle_occupancy_ok(
     mask: np.ndarray,
     row_member: np.ndarray,

@@ -15,10 +15,6 @@ All functions take a raw ``float64`` array with ``NaN`` marking missing
 entries.  They are written count-aware (no ``nanmean`` warnings, no NaN
 poisoning) because cluster submatrices routinely contain fully-missing rows
 or columns while FLOC explores.
-
-The public primitives are ``@profiled``: call
-:func:`repro.obs.enable_profiling` and :func:`repro.obs.profile_report`
-to get per-function wall/CPU accounting of a run (dormant otherwise).
 """
 
 from __future__ import annotations
@@ -26,8 +22,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
-
-from ..obs.profiling import profiled
 
 __all__ = [
     "SubmatrixBases",
@@ -67,7 +61,6 @@ class SubmatrixBases(NamedTuple):
     volume: int
 
 
-@profiled
 def compute_bases(sub: np.ndarray) -> SubmatrixBases:
     """Compute all bases of a submatrix in one pass (Definition 3.3)."""
     mask = ~np.isnan(sub)
@@ -84,7 +77,6 @@ def compute_bases(sub: np.ndarray) -> SubmatrixBases:
     return SubmatrixBases(row_base, col_base, grand, row_counts, col_counts, volume)
 
 
-@profiled
 def residue_matrix(sub: np.ndarray) -> np.ndarray:
     """Per-entry residues of a submatrix (Definition 3.4).
 
@@ -96,7 +88,6 @@ def residue_matrix(sub: np.ndarray) -> np.ndarray:
     return np.where(mask, raw, 0.0)
 
 
-@profiled
 def mean_abs_residue(sub: np.ndarray) -> float:
     """Cluster residue: arithmetic mean of |r_ij| (Definition 3.5).
 
@@ -113,7 +104,6 @@ def mean_abs_residue(sub: np.ndarray) -> float:
     return float(np.abs(np.where(mask, raw, 0.0)).sum() / bases.volume)
 
 
-@profiled
 def mean_squared_residue(sub: np.ndarray) -> float:
     """Mean *squared* residue (the Cheng & Church ``H`` score).
 
@@ -131,7 +121,6 @@ def mean_squared_residue(sub: np.ndarray) -> float:
     return float(np.square(np.where(mask, raw, 0.0)).sum() / bases.volume)
 
 
-@profiled
 def submatrix_residue(
     values: np.ndarray, rows: Sequence[int], cols: Sequence[int]
 ) -> float:

@@ -1,18 +1,17 @@
-"""Observability: structured tracing, metrics and profiling for FLOC.
+"""Observability: structured tracing, metrics and trace analytics for FLOC.
 
-The subsystem has four pieces, all optional and all zero-cost when not
-requested:
+Every piece is optional and zero-cost when not requested:
 
 * :mod:`repro.obs.tracer` -- the :class:`Tracer` handle threaded through
   :func:`repro.core.floc.floc` and friends (spans + typed events);
 * :mod:`repro.obs.events` -- the typed event vocabulary
   (:class:`IterationEvent`, :class:`ActionEvent`, :class:`SeedEvent`,
   plus the runtime's :class:`TaskEvent` / :class:`RetryEvent` /
-  :class:`FaultEvent`);
+  :class:`FaultEvent`) and the record-field readers its consumers share;
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms with a
   plain-dict snapshot;
-* :mod:`repro.obs.sinks` -- ring buffer, JSONL writer, console
-  progress reporter, and the statsd / OTLP-JSON exporter sinks;
+* :mod:`repro.obs.sinks` -- ring buffer, JSONL writer and console
+  progress reporter;
 * :mod:`repro.obs.analysis` -- trace analytics: typed per-sweep /
   per-cluster / per-slot aggregates over recorded traces, wave/task
   timelines with straggler detection for runtime traces, plus
@@ -20,10 +19,8 @@ requested:
 * :mod:`repro.obs.session` -- cross-process session traces for the
   supervised runtime: per-process JSONL shards, clock alignment, and
   the byte-deterministic merge;
-* :mod:`repro.obs.export` -- Chrome trace-event / OTLP renderings of
-  merged session traces (``repro export-trace``);
-* :mod:`repro.obs.profiling` -- the ``@profiled`` decorator on the core
-  residue/action primitives plus a wall/CPU report;
+* :mod:`repro.obs.export` -- Chrome trace-event / OTLP/JSON renderings
+  of recorded and merged session traces (``repro export-trace``);
 * :mod:`repro.obs.perf` -- the deterministic work-counter cost model
   (:class:`~repro.obs.perf.counters.WorkCounters`), the environment
   fingerprint, and the ``repro bench`` harness with machine-readable
@@ -61,22 +58,13 @@ from .events import (
     TraceEvent,
     event_fields,
 )
-from .export import chrome_trace, export_chrome, export_otlp
+from .export import chrome_trace, export_chrome, export_otlp, otlp_logs
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .perf import (
     WORK_COUNTER_FIELDS,
     WorkCounters,
     environment_fingerprint,
     git_revision,
-)
-from .profiling import (
-    disable_profiling,
-    enable_profiling,
-    profile_report,
-    profile_snapshot,
-    profiled,
-    profiling_enabled,
-    reset_profile,
 )
 from .session import (
     SessionTrace,
@@ -89,12 +77,9 @@ from .session import (
 )
 from .sinks import (
     ConsoleProgressSink,
-    DatagramTransport,
     JsonlSink,
-    OtlpJsonSink,
     RingBufferSink,
     Sink,
-    StatsdSink,
     read_jsonl,
 )
 from .tracer import NULL_TRACER, Span, Tracer
@@ -104,7 +89,6 @@ __all__ = [
     "ClusterStats",
     "ConsoleProgressSink",
     "Counter",
-    "DatagramTransport",
     "EVENT_TYPES",
     "FaultEvent",
     "Gauge",
@@ -115,7 +99,6 @@ __all__ = [
     "JsonlSink",
     "MetricsRegistry",
     "NULL_TRACER",
-    "OtlpJsonSink",
     "ProcessStats",
     "ResourceEvent",
     "ResourceStats",
@@ -127,7 +110,6 @@ __all__ = [
     "Sink",
     "SlotStats",
     "Span",
-    "StatsdSink",
     "SweepStats",
     "TaskEvent",
     "TaskRun",
@@ -144,8 +126,6 @@ __all__ = [
     "chrome_trace",
     "collect_session",
     "diff_traces",
-    "disable_profiling",
-    "enable_profiling",
     "environment_fingerprint",
     "event_fields",
     "export_chrome",
@@ -153,12 +133,8 @@ __all__ = [
     "git_revision",
     "merge_session",
     "open_worker_tracer",
-    "profile_report",
-    "profile_snapshot",
-    "profiled",
-    "profiling_enabled",
+    "otlp_logs",
     "read_jsonl",
-    "reset_profile",
     "session_id_for",
     "worker_shard_path",
 ]

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .events import EVENT_TYPES
+from .events import EVENT_TYPES, _as_float, _as_int
 from .sinks import read_jsonl
 
 __all__ = [
@@ -80,24 +80,6 @@ DEFAULT_STRAGGLER_FACTOR = 2.0
 
 #: Number of buckets in the shared-edge gain histograms.
 _GAIN_BINS = 8
-
-
-def _as_float(value: object, default: float = 0.0) -> float:
-    if isinstance(value, bool):
-        return default
-    if isinstance(value, (int, float)):
-        return float(value)
-    return default
-
-
-def _as_int(value: object, default: int = 0) -> int:
-    if isinstance(value, bool):
-        return default
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return int(value)
-    return default
 
 
 @dataclass

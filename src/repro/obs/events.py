@@ -202,3 +202,25 @@ def event_fields(kind: str) -> List[str]:
     truth for consumers that validate records.
     """
     return [f.name for f in fields(EVENT_TYPES[kind]) if f.name != "type"]
+
+
+# Record-field readers shared by the trace consumers (analysis, session
+# merge, export, console progress).  A recorded field may be missing,
+# malformed or written by a newer producer; ``bool`` is never a number
+# here even though it subclasses ``int``.
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _as_float(value: object, default: float = 0.0) -> float:
+    if _is_number(value):
+        return float(value)  # type: ignore[arg-type]
+    return default
+
+
+def _as_int(value: object, default: int = 0) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float):
+        return int(value)
+    return default

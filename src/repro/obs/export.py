@@ -8,9 +8,9 @@ Two targets:
   ``chrome://tracing``.  Processes become tracks, with waves and tasks
   on the supervisor track and per-restart sweeps nested under each
   worker track.
-* :func:`export_otlp` -- replay records through
-  :class:`~repro.obs.sinks.OtlpJsonSink` into one OTLP/JSON ``LogsData``
-  document for OTel collectors.
+* :func:`otlp_logs` / :func:`export_otlp` -- one OpenTelemetry
+  OTLP/JSON ``LogsData`` document (one ``logRecord`` per record) for
+  OTel collectors with a JSON file receiver; no OTel SDK needed.
 
 Everything here is a pure function of the input records -- no wall
 clock, no randomness -- so exporting the same merged trace twice is
@@ -23,9 +23,10 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Tuple, Union
 
-from .sinks import OtlpJsonSink
+from .events import _as_float, _is_number
+from .sinks import _jsonable
 
-__all__ = ["chrome_trace", "export_chrome", "export_otlp"]
+__all__ = ["chrome_trace", "export_chrome", "export_otlp", "otlp_logs"]
 
 #: Record types that never become trace events.
 _SKIP_TYPES = ("trace_meta", "session_meta")
@@ -37,15 +38,9 @@ _TID_SWEEPS = 1
 _TID_EVENTS = 2
 _TID_META = 3
 
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _as_float(value: object, default: float = 0.0) -> float:
-    if _is_number(value):
-        return float(value)  # type: ignore[arg-type]
-    return default
+#: OTLP resource ``service.name`` and instrumentation scope name.
+_OTLP_SERVICE_NAME = "repro-floc"
+_OTLP_SCOPE = "repro.obs"
 
 
 def _is_supervisor(process: str) -> bool:
@@ -296,20 +291,60 @@ def export_chrome(
     return out
 
 
+def _any_value(value: object) -> Dict[str, object]:
+    """One record value in OTLP/JSON ``AnyValue`` encoding."""
+    if isinstance(value, bool):
+        return {"boolValue": value}
+    if isinstance(value, int):
+        return {"intValue": str(value)}  # int64 is a string in OTLP/JSON
+    if isinstance(value, float):
+        return {"doubleValue": value}
+    if isinstance(value, str):
+        return {"stringValue": value}
+    return {"stringValue": str(_jsonable(value))}
+
+
+def otlp_logs(records: List[Dict[str, object]]) -> Dict[str, object]:
+    """OTLP/JSON ``LogsData`` document for a list of trace records.
+
+    Each record becomes one ``logRecord``: the body is its ``type``, the
+    attributes are its remaining fields in :func:`_any_value` encoding.
+    Trace/session headers are skipped.
+    """
+    log_records = [
+        {
+            "severityText": "INFO",
+            "body": {"stringValue": str(record.get("type", "event"))},
+            "attributes": [
+                {"key": key, "value": _any_value(value)}
+                for key, value in record.items()
+                if key != "type"
+            ],
+        }
+        for record in records
+        if record.get("type") not in _SKIP_TYPES
+    ]
+    return {
+        "resourceLogs": [{
+            "resource": {
+                "attributes": [{
+                    "key": "service.name",
+                    "value": {"stringValue": _OTLP_SERVICE_NAME},
+                }],
+            },
+            "scopeLogs": [{
+                "scope": {"name": _OTLP_SCOPE},
+                "logRecords": log_records,
+            }],
+        }],
+    }
+
+
 def export_otlp(
-    records: List[Dict[str, object]],
-    path: Union[str, Path],
-    service_name: str = "repro-floc",
+    records: List[Dict[str, object]], path: Union[str, Path]
 ) -> Path:
-    """Replay records through an OTLP/JSON sink into one LogsData file."""
+    """Write :func:`otlp_logs` as one JSON document."""
     out = Path(path)
     out.parent.mkdir(parents=True, exist_ok=True)
-    sink = OtlpJsonSink(out, service_name=service_name)
-    try:
-        for record in records:
-            if record.get("type") in _SKIP_TYPES:
-                continue
-            sink.write(record)
-    finally:
-        sink.close()
+    out.write_text(json.dumps(otlp_logs(records)) + "\n", encoding="utf-8")
     return out

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+from .events import _is_number
 from .sinks import JsonlSink, read_jsonl
 from .tracer import Tracer
 
@@ -284,10 +285,6 @@ class SessionTrace:
     def merge(self, out: Optional[Union[str, Path]] = None) -> Path:
         """Merge every shard in the run dir (:func:`merge_session`)."""
         return merge_session(self.run_dir, out)
-
-
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def collect_session(

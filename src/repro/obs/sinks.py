@@ -1,18 +1,17 @@
 """Trace sinks: where emitted records go.
 
 A sink is anything with ``write(record: dict)`` (and optionally
-``close()``).  Five implementations cover the common needs:
+``close()``).  Three implementations cover the common needs:
 
 * :class:`RingBufferSink` -- bounded in-memory buffer for tests and
   programmatic inspection;
 * :class:`JsonlSink` -- one JSON object per line, the machine-readable
   trace format (:func:`read_jsonl` loads it back);
 * :class:`ConsoleProgressSink` -- human-readable one-line-per-iteration
-  progress reporting for long interactive runs;
-* :class:`StatsdSink` -- statsd line-protocol UDP export (stdlib socket
-  only, injectable transport) for running FLOC as a service;
-* :class:`OtlpJsonSink` -- OpenTelemetry-compatible OTLP/JSON file
-  export for ingestion by OTel collectors.
+  progress reporting for long interactive runs.
+
+OTLP/JSON for OTel collectors is an offline rendering of a recorded
+trace (:func:`repro.obs.export.otlp_logs`), not a live sink.
 
 Records are flat dicts produced by the tracer (typed events merged with
 the tracer context); sinks must not mutate them.
@@ -21,23 +20,19 @@ the tracer context); sinks must not mutate them.
 from __future__ import annotations
 
 import json
-import math
 import os
-import re
-import socket
 import sys
 from collections import deque
 from pathlib import Path
-from typing import Dict, IO, List, Optional, Protocol, Tuple, Union
+from typing import Dict, IO, List, Optional, Union
+
+from .events import _is_number
 
 __all__ = [
     "Sink",
     "RingBufferSink",
     "JsonlSink",
     "ConsoleProgressSink",
-    "StatsdSink",
-    "OtlpJsonSink",
-    "DatagramTransport",
     "read_jsonl",
 ]
 
@@ -270,11 +265,7 @@ class ConsoleProgressSink(Sink):
         elif status == "completed":
             self._n_tasks_done += 1
             elapsed = record.get("elapsed_s")
-            suffix = (
-                f" in {float(elapsed):.2f}s"
-                if isinstance(elapsed, (int, float))
-                and not isinstance(elapsed, bool) else ""
-            )
+            suffix = f" in {float(elapsed):.2f}s" if _is_number(elapsed) else ""
             self._print(f"  task restart {restart} completed{suffix}")
         elif status == "failed":
             self._print(
@@ -296,262 +287,3 @@ class ConsoleProgressSink(Sink):
                 f"{self._n_retries} retr(ies)"
             )
         self._print(summary + " total")
-
-
-class DatagramTransport(Protocol):
-    """What :class:`StatsdSink` needs from its UDP socket (injectable)."""
-
-    def sendto(self, data: bytes, address: Tuple[str, int]) -> int:
-        ...  # pragma: no cover - protocol definition
-
-    def close(self) -> None:
-        ...  # pragma: no cover - protocol definition
-
-
-#: Characters that corrupt a statsd line-protocol packet when they leak
-#: into a metric *name*: ``:`` separates name from value, ``|`` starts
-#: the type (and sample-rate/tag) sections, and newlines split packets
-#: into multiple metrics.  ``@``/``#`` guard the sample-rate and
-#: dogstatsd-tag extensions; whitespace is folded for hygiene.
-_STATSD_UNSAFE = re.compile(r"[:|@#,\s]+")
-
-
-def _statsd_name(text: str) -> str:
-    """A record-derived name component, made line-protocol safe.
-
-    Every delimiter of the statsd wire format is collapsed to ``_`` so
-    a hostile or merely unlucky name (``"a:b|c"``, an origin with a
-    newline) cannot terminate the value early, inject a second metric,
-    or smuggle a type/sample-rate section.  Empty input maps to ``_``
-    rather than producing a nameless metric.
-    """
-    cleaned = _STATSD_UNSAFE.sub("_", text)
-    return cleaned if cleaned else "_"
-
-
-def _statsd_value(value: object) -> Optional[str]:
-    """Format a numeric value for the wire, or ``None`` to drop it.
-
-    Non-finite floats serialize as ``nan``/``inf`` under ``%g`` --
-    tokens statsd servers reject or, worse, mis-parse -- so they are
-    filtered here rather than corrupting the packet.
-    """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    number = float(value)
-    if not math.isfinite(number):
-        return None
-    return f"{number:g}"
-
-
-class StatsdSink(Sink):
-    """Export trace records as statsd line-protocol UDP metrics.
-
-    No dependency beyond the stdlib: metrics are formatted as
-    ``<prefix>.<name>:<value>|<type>`` lines and sent as individual UDP
-    datagrams (fire-and-forget; UDP to a dead endpoint neither blocks
-    nor raises, matching statsd client convention).  Pass ``transport``
-    (anything with ``sendto(data, address)``) to capture the lines in
-    tests or to reuse an existing socket; an injected transport is never
-    closed by the sink.
-
-    The mapping:
-
-    * ``action``    -> ``actions:1|c``, ``admissions/evictions:1|c``,
-      ``action_gain:<gain>|h``
-    * ``iteration`` -> ``iterations:1|c``, ``residue:<r>|g``,
-      ``total_volume:<v>|g``, ``sweep_ms:<t>|ms``,
-      ``sweep_actions:<n>|h``
-    * ``seed``      -> ``seeds.<origin>:1|c``
-    * ``span``      -> ``span.<name>:<t>|ms``
-    * anything else -> ``events.<type>:1|c``
-
-    Record-derived name components (event types, seed origins, span
-    names) and the prefix itself are sanitized against the line
-    protocol's delimiters (``:``, ``|``, newlines, ...) and non-finite
-    values are dropped, so no record content can corrupt a packet --
-    see :func:`_statsd_name` / :func:`_statsd_value`.
-    """
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8125,
-        prefix: str = "floc",
-        transport: Optional[DatagramTransport] = None,
-    ) -> None:
-        self.address = (host, port)
-        self.prefix = _statsd_name(prefix)
-        if transport is None:
-            self._transport: Optional[DatagramTransport] = socket.socket(
-                socket.AF_INET, socket.SOCK_DGRAM
-            )
-            self._owns = True
-        else:
-            self._transport = transport
-            self._owns = False
-        self.n_sent = 0
-
-    def format_record(self, record: Dict[str, object]) -> List[str]:
-        """The statsd lines one record maps to (no I/O; unit-testable)."""
-        p = self.prefix
-        kind = record.get("type", "event")
-        lines: List[str] = []
-        if kind == "action":
-            lines.append(f"{p}.actions:1|c")
-            direction = (
-                "evictions" if record.get("is_removal") else "admissions"
-            )
-            lines.append(f"{p}.{direction}:1|c")
-            gain = _statsd_value(record.get("gain"))
-            if gain is not None:
-                lines.append(f"{p}.action_gain:{gain}|h")
-        elif kind == "iteration":
-            lines.append(f"{p}.iterations:1|c")
-            for name, key, suffix in (
-                ("residue", "residue", "g"),
-                ("total_volume", "total_volume", "g"),
-                ("sweep_actions", "n_actions", "h"),
-            ):
-                value = _statsd_value(record.get(key))
-                if value is not None:
-                    lines.append(f"{p}.{name}:{value}|{suffix}")
-            elapsed = record.get("elapsed_s")
-            if isinstance(elapsed, (int, float)) and not isinstance(elapsed, bool):
-                sweep_ms = _statsd_value(float(elapsed) * 1e3)
-                if sweep_ms is not None:
-                    lines.append(f"{p}.sweep_ms:{sweep_ms}|ms")
-        elif kind == "seed":
-            origin = _statsd_name(str(record.get("origin", "phase1")))
-            lines.append(f"{p}.seeds.{origin}:1|c")
-        elif kind == "span":
-            name = _statsd_name(str(record.get("name", "unnamed")))
-            elapsed_s = record.get("elapsed_s")
-            if isinstance(elapsed_s, (int, float)) and not isinstance(
-                elapsed_s, bool
-            ):
-                span_ms = _statsd_value(float(elapsed_s) * 1e3)
-                if span_ms is not None:
-                    lines.append(f"{p}.span.{name}:{span_ms}|ms")
-        else:
-            lines.append(f"{p}.events.{_statsd_name(str(kind))}:1|c")
-        return lines
-
-    def write(self, record: Dict[str, object]) -> None:
-        if self._transport is None:
-            raise ValueError("StatsdSink is closed")
-        for line in self.format_record(record):
-            self._transport.sendto(line.encode("utf-8"), self.address)
-            self.n_sent += 1
-
-    def close(self) -> None:
-        if self._transport is None:
-            return
-        if self._owns:
-            self._transport.close()
-        self._transport = None
-
-
-#: OTLP/JSON ``AnyValue`` field of each exact type a record value is
-#: stored under as-is, looked up before the ``isinstance`` chain that
-#: handles subclasses and every other type.
-_ANY_VALUE_FIELD: Dict[type, str] = {
-    bool: "boolValue",
-    float: "doubleValue",
-    str: "stringValue",
-}
-
-
-class OtlpJsonSink(Sink):
-    """OpenTelemetry-compatible OTLP/JSON log export to a file.
-
-    Buffers every record as an OTLP ``logRecord`` (body = event type,
-    attributes = the record's remaining fields, mapped per the OTLP/JSON
-    ``AnyValue`` encoding: ``intValue`` as a string, ``doubleValue``,
-    ``boolValue``, ``stringValue``) and writes one ``LogsData`` JSON
-    document on :meth:`close`.  The file can be replayed into any OTel
-    collector with a JSON file receiver; there is no OTel SDK
-    dependency.  Like :class:`JsonlSink`, accepts a path or an open
-    text stream (the latter is left open).
-    """
-
-    def __init__(
-        self,
-        target: Union[str, Path, IO[str]],
-        service_name: str = "repro-floc",
-        scope: str = "repro.obs",
-    ) -> None:
-        if hasattr(target, "write"):
-            self._stream: Optional[IO[str]] = target  # type: ignore[assignment]
-            self._owns = False
-            self.path: Optional[Path] = None
-        else:
-            self.path = Path(target)
-            self._stream = self.path.open("w", encoding="utf-8")
-            self._owns = True
-        self.service_name = service_name
-        self.scope = scope
-        self._records: List[Dict[str, object]] = []
-        self._closed = False
-
-    @staticmethod
-    def _any_value(value: object) -> Dict[str, object]:
-        """One value in OTLP/JSON ``AnyValue`` encoding."""
-        field = _ANY_VALUE_FIELD.get(type(value))
-        if field is not None:
-            return {field: value}
-        if type(value) is int:
-            return {"intValue": str(value)}  # int64 is a string in OTLP/JSON
-        if isinstance(value, bool):
-            return {"boolValue": value}
-        if isinstance(value, int):
-            return {"intValue": str(value)}  # int64 is a string in OTLP/JSON
-        if isinstance(value, float):
-            return {"doubleValue": value}
-        if isinstance(value, str):
-            return {"stringValue": value}
-        return {"stringValue": str(_jsonable(value))}
-
-    def write(self, record: Dict[str, object]) -> None:
-        if self._closed:
-            raise ValueError("OtlpJsonSink is closed")
-        self._records.append({
-            "severityText": "INFO",
-            "body": {"stringValue": str(record.get("type", "event"))},
-            "attributes": [
-                {"key": key, "value": self._any_value(value)}
-                for key, value in record.items()
-                if key != "type"
-            ],
-        })
-
-    def to_payload(self) -> Dict[str, object]:
-        """The full OTLP/JSON ``LogsData`` document (what close writes)."""
-        return {
-            "resourceLogs": [{
-                "resource": {
-                    "attributes": [{
-                        "key": "service.name",
-                        "value": {"stringValue": self.service_name},
-                    }],
-                },
-                "scopeLogs": [{
-                    "scope": {"name": self.scope},
-                    "logRecords": list(self._records),
-                }],
-            }],
-        }
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        stream = self._stream
-        if stream is None:  # pragma: no cover - defensive
-            return
-        json.dump(self.to_payload(), stream, default=_jsonable)
-        stream.write("\n")
-        stream.flush()
-        if self._owns:
-            stream.close()
-        self._stream = None

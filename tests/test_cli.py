@@ -382,3 +382,58 @@ class TestClosedStdout:
             os.close(write_end)
         assert proc.stderr.decode() == ""
         assert proc.returncode == 141
+
+
+class TestOutThroughAFile:
+    """An ``--out`` path that runs through an existing file is a usage
+    error: exit 2, one stderr line, no traceback, nothing written."""
+
+    @staticmethod
+    def _run(*argv):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, check=False,
+            timeout=120,
+        )
+
+    @pytest.mark.parametrize("flag", ["--out", "--truth-out"])
+    def test_generate_exits_2(self, tmp_path, flag):
+        blocker = tmp_path / "m.npz"
+        blocker.write_text("a file, not a directory")
+        paths = {"--out": tmp_path / "g.npz", "--truth-out": None}
+        paths[flag] = blocker / "g.txt"
+        argv = ["generate", "synthetic", "--rows", "12", "--cols", "6",
+                "--out", str(paths["--out"])]
+        if paths["--truth-out"] is not None:
+            argv += ["--truth-out", str(paths["--truth-out"])]
+        proc = self._run(*argv)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"cannot write {flag} ")
+        assert "is not a directory" in proc.stderr
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_export_trace_exits_2(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"type": "seed", "cluster": 0}\n')
+        blocker = tmp_path / "m.npz"
+        blocker.write_text("a file, not a directory")
+        proc = self._run("export-trace", str(trace), "--format", "otlp",
+                         "--out", str(blocker / "x.json"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("cannot write --out ")
+        assert "is not a directory" in proc.stderr
+
+    def test_export_trace_still_creates_missing_directories(self, tmp_path):
+        trace = tmp_path / "trace.jsonl"
+        trace.write_text('{"type": "seed", "cluster": 0}\n')
+        out = tmp_path / "new" / "dir" / "x.json"
+        assert main(["export-trace", str(trace), "--format", "otlp",
+                     "--out", str(out)]) == 0
+        assert out.is_file()

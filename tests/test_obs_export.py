@@ -3,7 +3,18 @@
 import json
 from pathlib import Path
 
-from repro.obs.export import chrome_trace, export_chrome, export_otlp
+import numpy as np
+import pytest
+
+from repro.obs.export import (
+    _any_value,
+    chrome_trace,
+    export_chrome,
+    export_otlp,
+    otlp_logs,
+)
+
+pytestmark = pytest.mark.obs
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 
@@ -144,6 +155,53 @@ class TestChromeTrace:
 
     def test_deterministic(self):
         assert chrome_trace(SESSION_RECORDS) == chrome_trace(SESSION_RECORDS)
+
+
+class TestOtlpJson:
+    def test_payload_structure(self):
+        payload = otlp_logs([{"type": "iteration", "index": 2,
+                              "residue": 1.5, "improved": True}])
+        [resource_logs] = payload["resourceLogs"]
+        assert resource_logs["resource"]["attributes"] == [
+            {"key": "service.name", "value": {"stringValue": "repro-floc"}},
+        ]
+        [scope_logs] = resource_logs["scopeLogs"]
+        assert scope_logs["scope"] == {"name": "repro.obs"}
+        [record] = scope_logs["logRecords"]
+        assert record["body"] == {"stringValue": "iteration"}
+        attrs = {a["key"]: a["value"] for a in record["attributes"]}
+        assert attrs["index"] == {"intValue": "2"}
+        assert attrs["residue"] == {"doubleValue": 1.5}
+        assert attrs["improved"] == {"boolValue": True}
+
+    def test_any_value_encoding(self):
+        enc = _any_value
+        assert enc(True) == {"boolValue": True}          # bool before int
+        assert enc(7) == {"intValue": "7"}
+        assert enc(1.5) == {"doubleValue": 1.5}
+        assert enc("x") == {"stringValue": "x"}
+        assert enc(np.float64(2.0)) == {"doubleValue": 2.0}  # float subclass
+        assert enc(np.int64(3)) == {"stringValue": "3"}      # via _jsonable
+
+        class Flag(int):
+            pass
+
+        class Name(str):
+            pass
+
+        values = [True, False, 17, 2 ** 70, -0.0, float("inf"), "row",
+                  np.float64(1.25), np.int64(4), np.bool_(True), Flag(5),
+                  Name("n"), None, (2, 3)]
+        # Golden bytes over exact types, subclasses and the fallback.
+        assert json.dumps([enc(v) for v in values]) == (
+            '[{"boolValue": true}, {"boolValue": false}, '
+            '{"intValue": "17"}, {"intValue": "1180591620717411303424"}, '
+            '{"doubleValue": -0.0}, {"doubleValue": Infinity}, '
+            '{"stringValue": "row"}, {"doubleValue": 1.25}, '
+            '{"stringValue": "4"}, {"stringValue": "True"}, '
+            '{"intValue": "5"}, {"stringValue": "n"}, '
+            '{"stringValue": "None"}, {"stringValue": "(2, 3)"}]'
+        )
 
 
 class TestExportFiles:

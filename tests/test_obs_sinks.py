@@ -1,6 +1,6 @@
 """Sinks: ring buffer bounds, JSONL round-trip, console progress format,
-statsd / OTLP exporters, and error paths (write-after-close, weird
-payloads, crash-truncated traces)."""
+and error paths (write-after-close, weird payloads, crash-truncated
+traces)."""
 
 import io
 import json
@@ -12,35 +12,14 @@ from repro.obs import (
     ConsoleProgressSink,
     IterationEvent,
     JsonlSink,
-    OtlpJsonSink,
     RingBufferSink,
     SeedEvent,
-    StatsdSink,
     Tracer,
     read_jsonl,
 )
 from repro.obs.sinks import _jsonable
 
 pytestmark = pytest.mark.obs
-
-
-class FakeTransport:
-    """Captures statsd datagrams instead of sending them."""
-
-    def __init__(self):
-        self.datagrams = []
-        self.closed = False
-
-    def sendto(self, data, address):
-        self.datagrams.append((data, address))
-        return len(data)
-
-    def close(self):
-        self.closed = True
-
-    @property
-    def lines(self):
-        return [data.decode("utf-8") for data, _ in self.datagrams]
 
 
 class TestRingBuffer:
@@ -337,239 +316,9 @@ class TestConsoleProgressRuntime:
         assert "2 task(s) completed" in output
 
 
-class TestStatsd:
-    def _sink(self, **kwargs):
-        transport = FakeTransport()
-        return StatsdSink(transport=transport, **kwargs), transport
-
-    def test_action_lines(self):
-        sink, transport = self._sink()
-        sink.write({"type": "action", "kind": "row", "index": 3,
-                    "cluster": 1, "is_removal": False, "gain": 2.5})
-        assert transport.lines == [
-            "floc.actions:1|c",
-            "floc.admissions:1|c",
-            "floc.action_gain:2.5|h",
-        ]
-        assert sink.n_sent == 3
-
-    def test_eviction_counted(self):
-        sink, transport = self._sink()
-        sink.write({"type": "action", "is_removal": True, "gain": 0.25})
-        assert "floc.evictions:1|c" in transport.lines
-
-    def test_iteration_lines(self):
-        sink, transport = self._sink()
-        sink.write({"type": "iteration", "index": 0, "residue": 1.5,
-                    "total_volume": 60, "n_actions": 12, "improved": True,
-                    "elapsed_s": 0.05})
-        assert transport.lines == [
-            "floc.iterations:1|c",
-            "floc.residue:1.5|g",
-            "floc.total_volume:60|g",
-            "floc.sweep_actions:12|h",
-            "floc.sweep_ms:50|ms",
-        ]
-
-    def test_seed_and_span_and_unknown_lines(self):
-        sink, transport = self._sink()
-        sink.write({"type": "seed", "cluster": 0, "origin": "reseed"})
-        sink.write({"type": "span", "name": "phase2_iteration",
-                    "elapsed_s": 0.002})
-        sink.write({"type": "mystery"})
-        assert transport.lines == [
-            "floc.seeds.reseed:1|c",
-            "floc.span.phase2_iteration:2|ms",
-            "floc.events.mystery:1|c",
-        ]
-
-    def test_prefix_respected(self):
-        sink, transport = self._sink(prefix="paper")
-        sink.write({"type": "seed", "cluster": 0})
-        assert transport.lines == ["paper.seeds.phase1:1|c"]
-
-    def test_datagrams_target_configured_address(self):
-        transport = FakeTransport()
-        sink = StatsdSink(host="10.0.0.9", port=9125, transport=transport)
-        sink.write({"type": "seed"})
-        assert transport.datagrams[0][1] == ("10.0.0.9", 9125)
-
-    def test_write_after_close_raises(self):
-        sink, _ = self._sink()
-        sink.close()
-        with pytest.raises(ValueError, match="closed"):
-            sink.write({"type": "seed"})
-
-    def test_injected_transport_not_closed(self):
-        sink, transport = self._sink()
-        sink.close()
-        assert transport.closed is False
-
-    def test_owned_socket_lifecycle(self):
-        # Fire-and-forget UDP to localhost: nothing listens, nothing raises.
-        sink = StatsdSink(host="127.0.0.1", port=18125)
-        sink.write({"type": "seed"})
-        assert sink.n_sent == 1
-        sink.close()
-        sink.close()  # idempotent
-
-    def test_non_numeric_gain_skipped(self):
-        sink, transport = self._sink()
-        sink.write({"type": "action", "is_removal": False, "gain": "nan?"})
-        assert transport.lines == [
-            "floc.actions:1|c", "floc.admissions:1|c",
-        ]
-
-
-class TestStatsdSanitization:
-    """Record content must never corrupt the line protocol (PR 10)."""
-
-    def _sink(self, **kwargs):
-        transport = FakeTransport()
-        return StatsdSink(transport=transport, **kwargs), transport
-
-    def test_delimiters_in_event_type_collapsed(self):
-        sink, transport = self._sink()
-        sink.write({"type": "evil:metric|c\ninjected:9|g"})
-        assert transport.lines == ["floc.events.evil_metric_c_injected_9_g:1|c"]
-        for line in transport.lines:
-            assert "\n" not in line
-            assert line.count(":") == 1 and line.count("|") == 1
-
-    def test_delimiters_in_seed_origin_collapsed(self):
-        sink, transport = self._sink()
-        sink.write({"type": "seed", "origin": "re:seed|phase"})
-        assert transport.lines == ["floc.seeds.re_seed_phase:1|c"]
-
-    def test_delimiters_in_span_name_collapsed(self):
-        sink, transport = self._sink()
-        sink.write({"type": "span", "name": "a|ms\nb:1|c", "elapsed_s": 0.001})
-        assert transport.lines == ["floc.span.a_ms_b_1_c:1|ms"]
-
-    def test_prefix_sanitized(self):
-        sink, transport = self._sink(prefix="bad:prefix|x")
-        assert sink.prefix == "bad_prefix_x"
-        sink.write({"type": "seed", "cluster": 0})
-        assert transport.lines == ["bad_prefix_x.seeds.phase1:1|c"]
-
-    def test_empty_name_component_becomes_underscore(self):
-        sink, transport = self._sink()
-        sink.write({"type": "seed", "origin": ": |"})
-        assert transport.lines == ["floc.seeds._:1|c"]
-
-    def test_whitespace_and_tag_chars_collapsed(self):
-        sink, transport = self._sink()
-        sink.write({"type": "two words,#tagged"})
-        assert transport.lines == ["floc.events.two_words_tagged:1|c"]
-
-    def test_nonfinite_values_dropped(self):
-        sink, transport = self._sink()
-        sink.write({"type": "action", "is_removal": False,
-                    "gain": float("nan")})
-        sink.write({"type": "iteration", "index": 0,
-                    "residue": float("inf"), "total_volume": 60,
-                    "n_actions": 2, "elapsed_s": float("-inf")})
-        assert transport.lines == [
-            "floc.actions:1|c",
-            "floc.admissions:1|c",
-            "floc.iterations:1|c",
-            "floc.total_volume:60|g",
-            "floc.sweep_actions:2|h",
-        ]
-
-    def test_boolean_values_not_numbers(self):
-        sink, transport = self._sink()
-        sink.write({"type": "action", "is_removal": False, "gain": True})
-        assert transport.lines == ["floc.actions:1|c", "floc.admissions:1|c"]
-
-    def test_non_numeric_iteration_fields_dropped(self):
-        sink, transport = self._sink()
-        sink.write({"type": "iteration", "index": 0, "residue": "oops",
-                    "total_volume": None, "n_actions": 3, "elapsed_s": "slow"})
-        assert transport.lines == [
-            "floc.iterations:1|c",
-            "floc.sweep_actions:3|h",
-        ]
-
-
-class TestOtlpJson:
-    def test_payload_structure(self, tmp_path):
-        path = tmp_path / "logs.json"
-        sink = OtlpJsonSink(path, service_name="svc", scope="sc")
-        sink.write({"type": "iteration", "index": 2, "residue": 1.5,
-                    "improved": True})
-        sink.close()
-        payload = json.loads(path.read_text())
-        [resource_logs] = payload["resourceLogs"]
-        assert resource_logs["resource"]["attributes"] == [
-            {"key": "service.name", "value": {"stringValue": "svc"}},
-        ]
-        [scope_logs] = resource_logs["scopeLogs"]
-        assert scope_logs["scope"] == {"name": "sc"}
-        [record] = scope_logs["logRecords"]
-        assert record["body"] == {"stringValue": "iteration"}
-        attrs = {a["key"]: a["value"] for a in record["attributes"]}
-        assert attrs["index"] == {"intValue": "2"}
-        assert attrs["residue"] == {"doubleValue": 1.5}
-        assert attrs["improved"] == {"boolValue": True}
-
-    def test_any_value_encoding(self):
-        enc = OtlpJsonSink._any_value
-        assert enc(True) == {"boolValue": True}          # bool before int
-        assert enc(7) == {"intValue": "7"}
-        assert enc(1.5) == {"doubleValue": 1.5}
-        assert enc("x") == {"stringValue": "x"}
-        assert enc(np.float64(2.0)) == {"doubleValue": 2.0}  # float subclass
-        assert enc(np.int64(3)) == {"stringValue": "3"}      # via _jsonable
-
-        class Flag(int):
-            pass
-
-        class Name(str):
-            pass
-
-        values = [True, False, 17, 2 ** 70, -0.0, float("inf"), "row",
-                  np.float64(1.25), np.int64(4), np.bool_(True), Flag(5),
-                  Name("n"), None, (2, 3)]
-        # Golden bytes over the exact-type table and the isinstance chain.
-        assert json.dumps([enc(v) for v in values]) == (
-            '[{"boolValue": true}, {"boolValue": false}, '
-            '{"intValue": "17"}, {"intValue": "1180591620717411303424"}, '
-            '{"doubleValue": -0.0}, {"doubleValue": Infinity}, '
-            '{"stringValue": "row"}, {"doubleValue": 1.25}, '
-            '{"stringValue": "4"}, {"stringValue": "True"}, '
-            '{"intValue": "5"}, {"stringValue": "n"}, '
-            '{"stringValue": "None"}, {"stringValue": "(2, 3)"}]'
-        )
-
-    def test_write_after_close_raises(self, tmp_path):
-        sink = OtlpJsonSink(tmp_path / "l.json")
-        sink.close()
-        with pytest.raises(ValueError, match="closed"):
-            sink.write({"type": "x"})
-
-    def test_external_stream_left_open(self):
-        buffer = io.StringIO()
-        sink = OtlpJsonSink(buffer)
-        sink.write({"type": "seed", "cluster": 0})
-        sink.close()
-        assert not buffer.closed
-        payload = json.loads(buffer.getvalue())
-        assert payload["resourceLogs"]
-
-    def test_close_idempotent(self, tmp_path):
-        path = tmp_path / "l.json"
-        sink = OtlpJsonSink(path)
-        sink.write({"type": "seed"})
-        sink.close()
-        sink.close()
-        # A single LogsData document, not two.
-        json.loads(path.read_text())
-
-
 class TestWriteAfterClose:
-    """Every sink has a defined post-close behaviour: file/socket-backed
-    sinks raise, purely in-memory sinks tolerate."""
+    """Every sink has a defined post-close behaviour: the file-backed
+    sink raises, purely in-memory sinks tolerate."""
 
     def test_ring_buffer_tolerates(self):
         sink = RingBufferSink()
@@ -583,13 +332,8 @@ class TestWriteAfterClose:
         sink.close()
         sink.write({"type": "action"})
 
-    def test_file_and_socket_sinks_raise(self, tmp_path):
-        sinks = [
-            JsonlSink(tmp_path / "a.jsonl"),
-            OtlpJsonSink(tmp_path / "b.json"),
-            StatsdSink(transport=FakeTransport()),
-        ]
-        for sink in sinks:
-            sink.close()
-            with pytest.raises(ValueError):
-                sink.write({"type": "x"})
+    def test_file_sink_raises(self, tmp_path):
+        sink = JsonlSink(tmp_path / "a.jsonl")
+        sink.close()
+        with pytest.raises(ValueError):
+            sink.write({"type": "x"})

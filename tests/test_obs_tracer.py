@@ -15,10 +15,9 @@ from repro.obs import (
     ActionEvent,
     IterationEvent,
     MetricsRegistry,
-    OtlpJsonSink,
+    JsonlSink,
     RingBufferSink,
     SeedEvent,
-    StatsdSink,
     Tracer,
 )
 
@@ -112,20 +111,12 @@ class TestFlocTracing:
             assert np.array_equal(got.cols, expected.cols)
 
     def test_exporter_sinks_preserve_parity(self, dataset, tmp_path):
-        """StatsdSink + OtlpJsonSink attached: results stay bit-identical."""
-
-        class NullTransport:
-            def sendto(self, data, address):
-                return len(data)
-
-            def close(self):
-                pass
-
+        """JsonlSink + RingBufferSink attached: results stay bit-identical."""
         plain = floc(dataset.matrix, k=3, rng=11, residue_target=2.0,
                      reseed_rounds=2)
         tracer = Tracer(sinks=[
-            StatsdSink(transport=NullTransport()),
-            OtlpJsonSink(tmp_path / "logs.json"),
+            JsonlSink(tmp_path / "trace.jsonl"),
+            RingBufferSink(capacity=100000),
         ])
         traced = floc(dataset.matrix, k=3, rng=11, residue_target=2.0,
                       reseed_rounds=2, tracer=tracer)
