@@ -138,6 +138,8 @@ def _check_writable(
         problem = f"{ancestor} is not a directory"
     elif target.is_dir():
         problem = "it is a directory"
+    elif not os.access(ancestor, os.W_OK | os.X_OK):
+        problem = f"directory {ancestor} is not writable"
     else:
         return
     raise _UsageError(f"cannot write {flag} {path}: {problem}")

@@ -187,11 +187,14 @@ class _State:
     refreshes that close each improving sweep.
 
     ``filled_T``/``mask_T`` are transposed contiguous copies of the
-    matrix, so column blocks gather contiguous memory.  ``stamp`` is a
-    per-cluster modification counter, bumped by every operation that
-    can change a cluster's statistics (:meth:`toggle`, :meth:`perform`,
-    :meth:`refresh_cluster`, and :meth:`restore` for the clusters that
-    changed since the snapshot).  The gain engine's lane caches and the
+    matrix, so column blocks gather contiguous memory.  ``dense`` says
+    the matrix has no missing entry: every mask product is then an
+    exact ``x * 1.0`` and every line of a cluster with member rows and
+    member columns has specified cells, so the deviation pass skips
+    both.  ``stamp`` is a per-cluster modification counter, bumped by
+    every operation that can change a cluster's statistics
+    (:meth:`toggle`, :meth:`perform`, :meth:`refresh_cluster`, and
+    :meth:`restore` for the clusters that changed since the snapshot).  The gain engine's lane caches and the
     :meth:`line_deviations` cache key on it; it never repeats a value,
     so a cached entry is valid iff its stamp still matches.
     """
@@ -218,6 +221,7 @@ class _State:
         self.filled = np.where(mask, values, 0.0)
         self.filled_T = np.ascontiguousarray(self.filled.T)
         self.mask_T = np.ascontiguousarray(mask.T)
+        self.dense = bool(mask.all())
         self.k = len(seeds)
         self.n_rows, n_cols = values.shape
         n_lines = self.n_rows + n_cols
@@ -234,7 +238,10 @@ class _State:
         self.sums = np.zeros((self.k, n_lines))
         self.counts = np.zeros((self.k, n_lines), dtype=np.int64)
         self.counts_f = np.zeros((self.k, n_lines))
-        self._deviations: List[Optional[Tuple[int, np.ndarray]]] = [None] * self.k
+        #: ``(stamp, line_deviations, member rows, member columns)``.
+        self._deviations: List[Optional[Tuple[int, np.ndarray, int, int]]] = (
+            [None] * self.k
+        )
         for c in range(self.k):
             self.refresh_cluster(c)
 
@@ -277,11 +284,11 @@ class _State:
         if kind == ROW:
             self.counts[c, split:] += step * self.mask[index]
             self.counts_f[c, split:] = self.counts[c, split:]
-            self.sums[c, split:] = self.filled[rows, :].sum(axis=0)
+            self.sums[c, split:] = np.add.reduce(self.filled[rows, :], axis=0)
         else:
             self.counts[c, :split] += step * self.mask_T[index]
             self.counts_f[c, :split] = self.counts[c, :split]
-            self.sums[c, :split] = self.filled[:, cols].sum(axis=1)
+            self.sums[c, :split] = np.add.reduce(self.filled[:, cols], axis=1)
         volume = int(self.volumes[c]) + step * int(self.counts[c, line])
         self._settle(c, rows, cols, volume)
 
@@ -293,7 +300,7 @@ class _State:
         self.rev += 1
         self.volumes[c] = volume
         self.volumes_f[c] = volume
-        member_sums = self._deviation_pass(c, rows, cols).take(rows).sum()
+        member_sums = np.add.reduce(self._deviation_pass(c, rows, cols).take(rows))
         self.residues[c] = member_sums / volume if volume else 0.0
         if self.work is not None and rows.size and cols.size:
             self.work.residue_evals += 1
@@ -311,22 +318,39 @@ class _State:
             return cached[1]
         return self._deviation_pass(c, *self._members(c))
 
+    def sizes(self, c: int) -> Tuple[int, int]:
+        """Cluster ``c``'s numbers of member rows and member columns:
+        the ones the current deviation pass recorded, else counted."""
+        cached = self._deviations[c]
+        if cached is not None and cached[0] == self.stamp[c]:
+            return cached[2], cached[3]
+        member = self.member[c]
+        split = self.n_rows
+        return (int(np.count_nonzero(member[:split])),
+                int(np.count_nonzero(member[split:])))
+
     def _deviation_pass(self, c: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Compute and cache :meth:`line_deviations` of cluster ``c``,
         whose member rows and columns are ``rows`` and ``cols``."""
         split = self.n_rows
         volume = int(self.volumes[c])
-        # An empty base reads 0.0, not a sum drifted off zero; as a line
-        # base it meets only unspecified cells, which the mask drops.
         sums = self.sums[c]
-        base = np.where(self.counts[c] > 0, sums / np.maximum(self.counts_f[c], 1.0), 0.0)
+        dense = self.dense
+        if dense and rows.size and cols.size:
+            # Every count is positive, so the empty-base guard is idle.
+            base = sums / self.counts_f[c]
+        else:
+            # An empty base reads 0.0, not a sum drifted off zero; as a
+            # line base it meets only unspecified cells, which the mask
+            # drops.
+            base = np.where(self.counts[c] > 0, sums / np.maximum(self.counts_f[c], 1.0), 0.0)
         deviations = np.concatenate((
-            _block_deviations(self.filled, self.mask, base[:split], base[split:],
-                              sums[split:], cols, volume),
-            _block_deviations(self.filled_T, self.mask_T, base[split:], base[:split],
-                              sums[:split], rows, volume),
+            _block_deviations(self.filled, None if dense else self.mask,
+                              base[:split], base[split:], sums[split:], cols, volume),
+            _block_deviations(self.filled_T, None if dense else self.mask_T,
+                              base[split:], base[:split], sums[:split], rows, volume),
         ))
-        self._deviations[c] = (int(self.stamp[c]), deviations)
+        self._deviations[c] = (int(self.stamp[c]), deviations, rows.size, cols.size)
         if self.work is not None:
             self.work.cells_scanned += split * cols.size + (base.size - split) * rows.size
         return deviations
@@ -385,19 +409,21 @@ class _State:
 
 
 def _block_deviations(
-    filled: np.ndarray, mask: np.ndarray, line_base: np.ndarray, cross_base: np.ndarray,
-    cross_sums: np.ndarray, members: np.ndarray, volume: int,
+    filled: np.ndarray, mask: Optional[np.ndarray], line_base: np.ndarray,
+    cross_base: np.ndarray, cross_sums: np.ndarray, members: np.ndarray, volume: int,
 ) -> np.ndarray:
     """Per-line ``sum |d - line base - cross base + grand|`` over the
-    specified cells of the ``members`` columns of ``filled``."""
-    grand = float(cross_sums.take(members).sum()) / volume if volume else 0.0
+    specified cells of the ``members`` columns of ``filled`` (all of
+    them when ``mask`` is ``None``)."""
+    grand = float(np.add.reduce(cross_sums.take(members))) / volume if volume else 0.0
     block = filled.take(members, axis=1)
     block -= line_base[:, None]
     block -= cross_base.take(members)
     block += grand
     np.abs(block, out=block)
-    block *= mask.take(members, axis=1)
-    return block.sum(axis=1)
+    if mask is not None:
+        block *= mask.take(members, axis=1)
+    return np.add.reduce(block, axis=1)
 
 
 def _build_seeds(
@@ -970,13 +996,13 @@ def _score(state: _State, residue_target: Optional[float]) -> float:
     """
     if residue_target is None:
         return float(state.residues.mean())
-    excess = (
+    excess = np.add.reduce(
         np.maximum(state.residues - residue_target, 0.0) / residue_target
-    ).sum()
+    )
     # Any appreciable relative excess must outweigh any possible volume
     # difference (total volume is bounded by k * matrix size).
     weight = 1e6 * float(state.values.size)
-    return float(excess * weight - state.volumes.sum())
+    return float(excess * weight - np.add.reduce(state.volumes))
 
 
 def _gain(

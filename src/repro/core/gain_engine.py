@@ -62,7 +62,7 @@ per candidate becomes O(n*m*log n) per *lane*.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -85,7 +85,10 @@ __all__ = [
 
 # No ``np.errstate`` anywhere on the hot paths: every division below
 # guards its denominator with ``np.maximum(..., 1)``, so none can raise
-# divide/invalid.
+# divide/invalid.  The per-action paths call reducing ufuncs directly
+# (``np.add.reduce`` for ``.sum()``, ``.nonzero()[0]`` for
+# ``np.flatnonzero``): the same ufunc without the Python wrapper, so
+# the same bits for fewer calls.
 
 
 @dataclass
@@ -180,7 +183,7 @@ def estimate_lane(state: "_State", c: int) -> LaneScores:
     if w is not None:
         w.batch_evals += 1
         w.toggle_evals += line_counts.size
-        w.cells_scanned += int(line_counts.sum())
+        w.cells_scanned += int(np.add.reduce(line_counts))
     return LaneScores(
         new_residues=new_residues,
         new_volumes=new_volumes,
@@ -648,7 +651,8 @@ class _LaneSet:
         self.hits: Optional[np.ndarray] = None
 
     def part(self, line: int) -> _Part:
-        return next(part for part in self.parts if line < part.hi)
+        first = self.parts[0]
+        return first if line < first.hi else self.parts[-1]
 
 
 class GainEngine:
@@ -705,6 +709,9 @@ class GainEngine:
         #: consult position.
         self._lines = np.zeros(0, dtype=np.intp)
         self._n_slots = 0
+        #: ``_structural_bounds`` of each span of a lane build, memoised
+        #: per ``(part kind, member rows, member columns)``.
+        self._bounds: Dict[Tuple[Optional[str], int, int], List[Tuple[bool, bool]]] = {}
 
     # -- lane maintenance ----------------------------------------------
     def _line(self, kind: str, index: int) -> int:
@@ -723,8 +730,6 @@ class GainEngine:
         state = self.state
         split = state.n_rows
         member = state.member[c]
-        n = int(np.count_nonzero(member[:split]))
-        m = int(np.count_nonzero(member[split:]))
         removing = member[part.lo:part.hi]
         spans: Sequence[Tuple[str, int, int]]
         if part.kind is None:
@@ -735,6 +740,15 @@ class GainEngine:
             if sel is not None:
                 removing = removing[sel]
             spans = ((part.kind, 0, removing.size),)
+        # After ``estimate_lane`` the deviation pass is current, so the
+        # sizes it recorded are read instead of recounted.
+        n, m = state.sizes(c)
+        bounds = self._bounds.get((part.kind, n, m))
+        if bounds is None:
+            bounds = self._bounds[part.kind, n, m] = [
+                _structural_bounds(self.constraints, kind, n, m)
+                for kind, _, _ in spans
+            ]
         gains = gain_lane(
             float(state.residues[c]),
             int(state.volumes[c]),
@@ -744,8 +758,7 @@ class GainEngine:
             scores.line_residues,
             ~removing,
         )
-        for kind, lo, hi in spans:
-            rb, ab = _structural_bounds(self.constraints, kind, n, m)
+        for (kind, lo, hi), (rb, ab) in zip(spans, bounds):
             if rb or ab:
                 gains[lo:hi][np.where(removing[lo:hi], rb, ab)] = BLOCKED_GAIN
             width = m if kind == ROW else n
@@ -777,7 +790,7 @@ class GainEngine:
         if part.rev_seen == self.state.rev:
             return
         part.rev_seen = self.state.rev
-        for c in np.flatnonzero(part.versions != self.state.stamp):
+        for c in (part.versions != self.state.stamp).nonzero()[0]:
             self._build(lanes, part, int(c))
 
     def invalidate_all(self) -> None:
@@ -808,9 +821,9 @@ class GainEngine:
         of the full lane), so windows never change results.
         """
         split = self.state.n_rows
-        self._lines = lines = np.fromiter(
-            (index if kind == ROW else split + index for kind, index in order),
-            dtype=np.intp, count=len(order),
+        self._lines = lines = np.array(
+            [index if kind == ROW else split + index for kind, index in order],
+            dtype=np.intp,
         )
         self._n_slots = lines.size
         self._move.hits = None
@@ -907,10 +920,13 @@ class GainEngine:
         its block window is *unknown*; the stops before the first
         unknown position are known, and only when none of them acts is
         that part brought up to date, where the slot-by-slot loop would
-        build it.  Stale entries of an unknown part can only add stops
-        at or after its first unknown position, so they never answer.
-        On the expensive path (cross-cluster constraints, alpha) a stop
-        is an upper bound that the consult-time walk confirms.
+        build it -- at once when ``t`` itself is unknown, as it is
+        after every performed action.  Stale entries of an unknown part
+        can only add stops at or after its first unknown position, so
+        they never answer.  On the cheap path the slot at ``t`` is
+        tested before ``hits`` is rebuilt: it is most often the next
+        stop.  On the expensive path (cross-cluster constraints, alpha)
+        a stop is an upper bound that the consult-time walk confirms.
         """
         lanes = self._move
         n_slots = self._n_slots
@@ -918,11 +934,6 @@ class GainEngine:
         walks = 0
         hit: Optional[Tuple[int, Choice]] = None
         while True:
-            hits = lanes.hits
-            if hits is None:
-                hits = lanes.hits = np.flatnonzero(
-                    self._acts(lanes.gains.max(axis=0).take(self._lines))
-                )
             # Stops before the first unknown position are known.
             bound = n_slots
             stale: Optional[Tuple[_Part, int]] = None
@@ -930,6 +941,21 @@ class GainEngine:
                 q, u = self._unknown(part, t)
                 if q < bound:
                     bound, stale = q, (part, u)
+            if stale is not None and bound == t:
+                # ``t`` itself is unknown: build before reading gains.
+                self._prepare(*stale)
+                continue
+            hits = lanes.hits
+            if hits is None:
+                if not self._expensive and t < bound:
+                    # The slot at ``t`` is known and most often acts.
+                    choice = self._cheap_choice(int(self._lines[t]))
+                    if self._acts(choice[3]):
+                        hit = t, choice
+                        break
+                hits = lanes.hits = self._acts(
+                    np.maximum.reduce(lanes.gains, axis=0).take(self._lines)
+                ).nonzero()[0]
             lo, hi = hits.searchsorted((t, bound))
             for stop in hits[lo:hi]:
                 line = int(self._lines[stop])
@@ -946,7 +972,6 @@ class GainEngine:
             if hit is not None or stale is None:
                 break
             t = bound
-            self._prepare(*stale)
         if self.tracer.enabled:
             # ``actions_blocked_by_constraint`` of the slots the scan
             # consulted, up to and including the hit.
@@ -965,8 +990,9 @@ class GainEngine:
         split = self.state.n_rows
         return (ROW, line) if line < split else (COL, line - split)
 
-    def _acts(self, gains: np.ndarray) -> np.ndarray:
-        """Mask of best gains whose slot the scan stops at.
+    def _acts(self, gains: Union[np.ndarray, float]) -> np.ndarray:
+        """Mask of best gains (an array, or one gain) whose slot the
+        scan stops at.
 
         On the cheap paths a stop is a performed action.  On the
         expensive path the walk confirms each stop; traced runs walk
@@ -974,8 +1000,8 @@ class GainEngine:
         slot-by-slot one.
         """
         if self.mandatory_moves or (self._expensive and self.tracer.enabled):
-            return gains != BLOCKED_GAIN
-        return ~(gains <= 0.0)
+            return np.not_equal(gains, BLOCKED_GAIN)
+        return np.logical_not(np.less_equal(gains, 0.0))
 
     def best_action(self, kind: str, index: int) -> Optional[Choice]:
         """Highest-gain unblocked action of one slot, or ``None``.
@@ -1017,7 +1043,7 @@ class GainEngine:
     def _cheap_choice(self, line: int) -> Choice:
         """The slot's top lane entry (lowest cluster index on ties)."""
         column = self._move.gains[:, line]
-        c = int(np.argmax(column))
+        c = int(column.argmax())
         return self._choice(c, line, float(column[c]))
 
     def _walk(self, line: int) -> Tuple[Optional[Choice], int]:

@@ -157,6 +157,38 @@ def sequential_next_action(
     return None
 
 
+def masked_line_deviations(state, c: int) -> np.ndarray:
+    """``_State.line_deviations(c)`` by the masked block formula on every
+    input: the guarded bases (an empty line reads 0.0) and each axis's
+    gathered block times its mask, summed per line -- the form the
+    state's pass shortens on fully specified matrices."""
+    split = state.n_rows
+    member = state.member[c]
+    rows, cols = np.flatnonzero(member[:split]), np.flatnonzero(member[split:])
+    volume = int(state.volumes[c])
+    sums = state.sums[c]
+    base = np.where(
+        state.counts[c] > 0, sums / np.maximum(state.counts_f[c], 1.0), 0.0
+    )
+
+    def block(filled, mask, line_base, cross_base, cross_sums, members):
+        # ``take`` gathers C-contiguous blocks (``filled[:, members]``
+        # need not be), so each line sums in the production order.
+        grand = float(cross_sums[members].sum()) / volume if volume else 0.0
+        residual = (
+            filled.take(members, axis=1) - line_base[:, None]
+            - cross_base[members] + grand
+        )
+        return (np.abs(residual) * mask.take(members, axis=1)).sum(axis=1)
+
+    return np.concatenate((
+        block(state.filled, state.mask, base[:split], base[split:],
+              sums[split:], cols),
+        block(state.filled_T, state.mask_T, base[split:], base[:split],
+              sums[:split], rows),
+    ))
+
+
 def masked_mean_abs_residue(sub: np.ndarray, sub_mask: np.ndarray) -> float:
     """Mean |r_ij| of a gathered submatrix (``NaN`` at unspecified cells)
     given its specified-entry mask -- the reference of

@@ -147,6 +147,41 @@ class TestMineAndEvaluate:
         assert "does not exist" in captured.err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("supervised", [False, True])
+    @pytest.mark.parametrize("flag", ["--out", "--trace"])
+    def test_unwritable_directory_exits_2_before_mining(
+        self, workspace, capsys, monkeypatch, flag, supervised
+    ):
+        """An existing directory without write permission.  Root ignores
+        permission bits, so ``os.access`` is what reports it here."""
+        tmp_path, matrix_path, __ = workspace
+        import repro.cli as cli
+
+        def no_mining(*args, **kwargs):
+            raise AssertionError(f"mining ran before {flag} was checked")
+
+        locked = tmp_path / "locked"
+        locked.mkdir()
+        access = os.access
+
+        def denied(path, mode, *args, **kwargs):
+            if Path(path) == locked:
+                return False
+            return access(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "mine_delta_clusters", no_mining)
+        monkeypatch.setattr(cli, "_cmd_mine_supervised", no_mining)
+        monkeypatch.setattr(cli.os, "access", denied)
+        argv = ["mine", str(matrix_path), "--target", "5.0",
+                flag, str(locked / "out.txt")]
+        if supervised:
+            argv += ["--workers", "1", "--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"cannot write {flag}" in err and "is not writable" in err
+        assert not (tmp_path / "run").exists()
+
     def test_out_that_is_a_directory_exits_2(self, workspace, capsys):
         tmp_path, matrix_path, __ = workspace
         code = main(["mine", str(matrix_path), "--target", "5.0",
@@ -292,6 +327,10 @@ def _write_malformed(path, kind):
         np.savez(path, values=np.array([{"a": 1}, None], dtype=object))
     elif kind == "no-values-npz":
         np.savez(path, other=np.ones((4, 3)))
+    elif kind == "inf-npz":
+        np.savez(path, values=np.array([[1.0, np.inf], [np.nan, 2.0]]))
+    elif kind == "inf-csv":
+        path.write_text("1,2,3\n4,-inf,5\n")
 
 
 _MALFORMED = [
@@ -300,6 +339,8 @@ _MALFORMED = [
     ("truncated-npz", "matrix.npz"),
     ("pickled-npz", "matrix.npz"),
     ("no-values-npz", "matrix.npz"),
+    ("inf-npz", "matrix.npz"),
+    ("inf-csv", "matrix.csv"),
 ]
 
 

@@ -32,6 +32,7 @@ from repro.data.synthetic import generate_embedded
 from repro.obs.perf.counters import WorkCounters
 from tests.oracles import (
     frozen_bases_parts,
+    masked_line_deviations,
     masked_mean_abs_residue,
     replay_best_prefix,
 )
@@ -652,6 +653,47 @@ class TestDeviationCache:
             rng=6, **extra,
         )
         assert reuses
+
+
+class TestDenseDeviationPass:
+    """On a matrix without missing entries the deviation pass drops the
+    mask product and, when the cluster has member rows and member
+    columns, the empty-base guard; every entry must keep the bits of the
+    masked formula, including clusters with an empty axis, where the
+    guard still applies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_line_deviations_match_masked_formula(self, data):
+        n = data.draw(st.integers(1, 12))
+        m = data.draw(st.integers(1, 12))
+        k = data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        values = rng.normal(0.0, 10.0 ** data.draw(st.integers(-3, 6)), (n, m))
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1),
+                      st.floats(-1e6, 1e6, allow_nan=False,
+                                allow_infinity=False)),
+            max_size=n * m,
+        ))
+        for i, j, value in cells:
+            values[i, j] = value
+        seeds = [
+            (np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n))),
+             np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m))))
+            for _ in range(k)
+        ]
+        state = _State(values, np.ones((n, m), dtype=bool), seeds)
+        assert state.dense
+        for kind, index, c in data.draw(st.lists(st.tuples(
+            st.sampled_from(["row", "col"]), st.integers(0, max(n, m) - 1),
+            st.integers(0, k - 1),
+        ), max_size=6)):
+            state.perform(kind, index % (n if kind == "row" else m), c)
+        for c in range(k):
+            assert _same_bits(
+                state.line_deviations(c), masked_line_deviations(state, c)
+            ), c
 
 
 class TestBestPrefix:

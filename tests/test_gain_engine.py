@@ -537,7 +537,8 @@ class TestRunIdentity:
 
     @pytest.mark.parametrize("label", [
         "exact-block-greedy", "exact-block-fixed-mandatory",
-        "fast-random-plain", "exact-cons-o-greedy", "fast-alpha-reseed",
+        "fast-random-plain", "fast-greedy-plain", "fast-fixed-mandatory",
+        "exact-cons-o-greedy", "fast-alpha-reseed",
     ])
     def test_scan_builds_the_lanes_of_the_slot_loop(self, label, monkeypatch):
         """Lanes are built only where a slot-by-slot consult builds them,
