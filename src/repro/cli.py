@@ -31,6 +31,7 @@ import numpy as np
 
 from .core.matrix import DataMatrix
 from .core.mining import MiningResult, mine_delta_clusters
+from .core.params import ParameterError, check_params
 from .core.predict import predict_entry
 from .obs import (
     ConsoleProgressSink,
@@ -279,6 +280,16 @@ def _cmd_mine_supervised(
     return 0
 
 
+#: ``mine``'s flag of each parameter :func:`check_params` may refuse.
+_MINE_FLAGS = {
+    "residue_target": "--target", "n_restarts": "--restarts", "k": "--k",
+    "min_rows": "--min-rows", "min_cols": "--min-cols", "alpha": "--alpha",
+    "p": "--p", "reseed_rounds": "--reseed-rounds",
+    "max_clusters": "--max-clusters", "workers": "--workers",
+    "max_retries": "--max-retries", "task_timeout": "--task-timeout",
+}
+
+
 def cmd_mine(args: argparse.Namespace) -> int:
     """Mine delta-clusters from a matrix file and print/save them.
 
@@ -292,6 +303,18 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _check_writable("--out", args.out)
     _check_writable("--trace", args.trace)
     matrix = _read("matrix", args.matrix, _load_matrix)
+    # Refuse an out-of-range value once, before any restart runs or is
+    # dispatched (every worker would fail on it alike).
+    try:
+        check_params(
+            matrix.shape, residue_target=args.target, n_restarts=args.restarts,
+            k=args.k, min_rows=args.min_rows, min_cols=args.min_cols,
+            alpha=args.alpha, p=args.p, reseed_rounds=args.reseed_rounds,
+            max_clusters=args.max_clusters, workers=args.workers,
+            max_retries=args.max_retries, task_timeout=args.task_timeout,
+        )
+    except ParameterError as exc:
+        raise _UsageError(f"invalid {_MINE_FLAGS[exc.name]}: {exc}") from None
     supervised = (
         args.workers is not None
         or args.task_timeout is not None

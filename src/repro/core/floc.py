@@ -74,6 +74,7 @@ from .clustering import Clustering
 from .constraints import Constraints
 from .matrix import DataMatrix
 from .ordering import ORDERINGS, action_slots, make_order
+from .params import check_params
 from .rng import RngLike, resolve_rng
 from .seeding import Seed, bernoulli_seeds, mixed_seeds
 
@@ -604,14 +605,11 @@ def floc(
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    if k <= 0:
-        raise ValueError(f"k must be positive, got {k}")
+    check_params(k=k, alpha=alpha, reseed_rounds=reseed_rounds)
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     if gain_mode not in GAIN_MODES:
         raise ValueError(f"gain_mode must be one of {GAIN_MODES}, got {gain_mode!r}")
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     generator = resolve_rng(rng)
@@ -672,7 +670,7 @@ def floc(
             break
         with tracer.span("reseed", round=round_index):
             reseeded = _reseed_dead_slots(
-                state, p, active, generator, residue_target, tracer
+                state, p, active, generator, residue_target, tracer, alpha=alpha
             )
         if not reseeded:
             break
@@ -876,14 +874,17 @@ def _reseed_dead_slots(
     generator: np.random.Generator,
     residue_target: Optional[float],
     tracer: Tracer = NULL_TRACER,
+    alpha: float = 0.0,
 ) -> bool:
     """Replace dead or duplicate clusters with fresh random seeds.
 
     A slot is *dead* when it sits at (or near) the structural floor --
     the search cannot recover it because nothing fits its junk core -- or
     when its residue still exceeds the target.  Of two locked clusters
-    covering nearly the same cells, the smaller is reseeded too.  Returns
-    ``True`` when at least one slot was reseeded.
+    covering nearly the same cells, the smaller is reseeded too.  With
+    ``alpha > 0`` the fresh seeds are trimmed to alpha occupancy, as
+    Phase 1 trims its own.  Returns ``True`` when at least one slot was
+    reseeded.
     """
     n_rows = state.row_member.shape[1]
     n_cols = state.col_member.shape[1]
@@ -932,6 +933,14 @@ def _reseed_dead_slots(
         n_rows, n_cols, len(dead), [_slot_p(p, c) for c in dead], generator,
         active.min_rows, active.min_cols, tracer=tracer,
     )
+    if alpha > 0.0:
+        fresh = [
+            _trim_seed_to_alpha(
+                row_member, col_member, state.mask, alpha,
+                active.min_rows, active.min_cols,
+            )
+            for row_member, col_member in fresh
+        ]
     for c, (row_member, col_member) in zip(dead, fresh):
         state.row_member[c] = row_member
         state.col_member[c] = col_member

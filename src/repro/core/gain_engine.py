@@ -84,11 +84,11 @@ __all__ = [
 ]
 
 # No ``np.errstate`` anywhere on the hot paths: every division below
-# guards its denominator with ``np.maximum(..., 1)``, so none can raise
-# divide/invalid.  The per-action paths call reducing ufuncs directly
-# (``np.add.reduce`` for ``.sum()``, ``.nonzero()[0]`` for
-# ``np.flatnonzero``): the same ufunc without the Python wrapper, so
-# the same bits for fewer calls.
+# guards its denominator with ``np.maximum(..., 1)`` or divides by one
+# that is at least 1 by construction, so none can raise divide/invalid.
+# The per-action paths call reducing ufuncs directly (``np.add.reduce``
+# for ``.sum()``, ``.nonzero()[0]`` for ``np.flatnonzero``): the same
+# ufunc without the Python wrapper, so the same bits for fewer calls.
 
 
 @dataclass
@@ -116,12 +116,16 @@ class ExactContext:
     Built by :func:`exact_context`; valid until the cluster's
     modification stamp moves (the engine keys its cache on exactly
     that).  ``m == 0`` contexts carry only the header fields -- every
-    candidate of such a cluster takes the early-out path.
+    candidate of such a cluster takes the early-out path.  ``n`` and
+    ``m`` count the cluster's members on the candidate and the base
+    axis; ``dense`` and ``overlays`` select :func:`exact_lane`'s
+    shortcuts for fully specified matrices.
     """
 
     __slots__ = (
         "filled", "mask", "cand_member", "line_sums", "line_counts",
-        "line_counts_f", "volume", "residue", "jidx", "m",
+        "line_counts_f", "volume", "residue", "jidx", "m", "n", "dense",
+        "overlays",
         "base_sub_sums", "base_counts_f", "cross_base", "total", "grand0",
         "table", "prefix", "col_off", "col_totals",
     )
@@ -223,6 +227,12 @@ def exact_lane(
     the corresponding entry of the full lane, because all candidate
     arrays are C-contiguous row blocks and every per-candidate
     reduction runs over one contiguous length-``m`` row either way.
+
+    On a fully specified matrix (``ctx.dense``) the mask gathers and
+    multiplies are skipped (``x * 1.0 == x``); when every candidate
+    is moreover active (``ctx.overlays`` false) so are the overlays
+    of empty lines, emptied clusters and dead base lines, and the
+    ``max(., 1)`` guards of denominators that are at least one.
     """
     if ctx is None:
         ctx = exact_context(state, kind, c)
@@ -233,39 +243,51 @@ def exact_lane(
         removing = ctx.cand_member
         line_sums = ctx.line_sums
         line_counts = ctx.line_counts
-        line_counts_f = ctx.line_counts_f
     else:
-        removing = ctx.cand_member[sel]
-        line_sums = ctx.line_sums[sel]
-        line_counts = ctx.line_counts[sel]
-        line_counts_f = ctx.line_counts_f[sel]
+        removing = ctx.cand_member.take(sel)
+        line_sums = ctx.line_sums.take(sel)
+        line_counts = ctx.line_counts.take(sel)
     n_out = line_counts.size
-
-    lcpos = line_counts > 0
-    rem_volumes = volume - line_counts
-    emptied = removing & lcpos & (rem_volumes <= 0)
-    active = lcpos & ~emptied  # == ~(untouched | emptied)
+    dense = ctx.dense
+    overlays = ctx.overlays
+    lden: Union[np.ndarray, float]
 
     w = state.work
     if w is not None:
         w.batch_evals += 1
         w.lane_builds += 1
         w.toggle_evals += n_out
-        w.cells_scanned += int(line_counts.sum())
+        # Dense: every line has one specified cell per base member.
+        w.cells_scanned += n_out * m if dense else int(np.add.reduce(line_counts))
 
-    # One branch-free volume pass covers every inactive case too: an
-    # untouched line has line_counts == 0 on both sides (volume
-    # survives), and an emptied removal has rem_volumes == 0 (every
-    # specified cell of the cluster sat on the toggled line).
-    new_volumes = np.where(removing, rem_volumes, volume + line_counts)
-    new_residues = np.where(emptied, 0.0, residue)
-    if m == 0 or not active.any():
-        return LaneScores(
-            new_residues=new_residues,
-            new_volumes=new_volumes,
-            line_residues=np.zeros(n_out),
-            line_counts=line_counts,
-        )
+    if overlays:
+        lcpos = line_counts > 0
+        rem_volumes = volume - line_counts
+        emptied = removing & lcpos & (rem_volumes <= 0)
+        active = lcpos & ~emptied  # == ~(untouched | emptied)
+        # One branch-free volume pass covers every inactive case too:
+        # an untouched line has line_counts == 0 on both sides (volume
+        # survives), and an emptied removal has rem_volumes == 0
+        # (every specified cell of the cluster sat on the toggled
+        # line).
+        new_volumes = np.where(removing, rem_volumes, volume + line_counts)
+        new_residues = np.where(emptied, 0.0, residue)
+        if m == 0 or not active.any():
+            return LaneScores(
+                new_residues=new_residues,
+                new_volumes=new_volumes,
+                line_residues=np.zeros(n_out),
+                line_counts=line_counts,
+            )
+        # The int volumes convert exactly (far below 2**53).
+        denom_v = np.maximum(new_volumes.astype(np.float64), 1.0)
+        line_counts_f = ctx.line_counts_f if sel is None else ctx.line_counts_f.take(sel)
+        lden = np.maximum(line_counts_f, 1.0)
+    else:
+        # Every line count is m, every new volume volume +- m >= 1.
+        new_volumes = np.where(removing, volume - m, volume + m)
+        denom_v = np.where(removing, float(volume - m), float(volume + m))
+        lden = float(m)
 
     sign = np.where(removing, -1.0, 1.0)
     # C-contiguous gathers of the base-member columns, full or
@@ -275,14 +297,14 @@ def exact_lane(
     jidx = ctx.jidx
     if sel is None:
         sub_filled = ctx.filled.take(jidx, axis=1)    # (n_out, m)
-        sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
+        if not dense:
+            sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
     else:
-        cells = np.ix_(sel, jidx)
-        sub_filled = ctx.filled[cells]
-        sub_mask_f = ctx.mask[cells].astype(np.float64)
-    base_counts_f = ctx.base_counts_f
-
-    lden = np.maximum(line_counts_f, 1.0)
+        sub_filled = ctx.filled.take(sel, axis=0).take(jidx, axis=1)
+        if not dense:
+            sub_mask_f = ctx.mask.take(sel, axis=0).take(jidx, axis=1).astype(
+                np.float64
+            )
     line_base = line_sums / lden
 
     # Centred residuals of every line against its own mean.
@@ -293,38 +315,45 @@ def exact_lane(
     # The toggled line's own frozen-bases residue (the r-residue
     # admission input -- same definition as the estimate lane).
     # In-place passes over one temporary, same op order.
-    dev = centred - ctx.cross_base[None, :]
+    dev = centred - ctx.cross_base
     dev += ctx.grand0
     np.abs(dev, out=dev)
-    dev *= sub_mask_f
-    line_residues = np.where(active, dev.sum(axis=1) / lden, 0.0)
+    if not dense:
+        dev *= sub_mask_f
+    line_residues = np.add.reduce(dev, axis=1) / lden
+    if overlays:
+        line_residues = np.where(active, line_residues, 0.0)
+
+    # Candidate-specific bases, all candidates at once; the +-1
+    # membership folds are one sign-broadcast multiply each
+    # (``x * -1.0 == -x`` bitwise), no bool/int broadcast casts.
+    grand_new = (ctx.total + sign * line_sums) / denom_v
+    sign_col = sign[:, None]
+    base_new_sums = sign_col * sub_filled
+    base_new_sums += ctx.base_sub_sums
+    base_counts_f = ctx.base_counts_f
+    if overlays:
+        if dense:
+            base_new_counts = sign_col + base_counts_f
+        else:
+            base_new_counts = sign_col * sub_mask_f
+            base_new_counts += base_counts_f
+        # ``base / max(count, 1)`` then a rare explicit zero where the
+        # base line lost its last specified cell: the same values as
+        # the branchless np.where form, without its full-size select.
+        pivots = base_new_sums / np.maximum(base_new_counts, 1.0)
+        dead = base_new_counts <= 0
+        if dead.any():
+            pivots[dead] = 0.0
+    else:
+        # Every base line has n >= 2 members: n +- 1 >= 1 per candidate.
+        pivots = base_new_sums / (sign_col + ctx.n)
+    pivots -= grand_new[:, None]                      # (n_out, m)
 
     table = ctx.table
     prefix = ctx.prefix
     col_off = ctx.col_off
-    n = table.shape[1]
-
-    # Candidate-specific bases, all candidates at once.  The int
-    # volumes convert exactly (far below 2**53), so the float view
-    # is the same value the sign-fold arithmetic used to produce;
-    # the +-1 membership folds are one sign-broadcast multiply each
-    # (``x * -1.0 == -x`` bitwise), no bool/int broadcast casts.
-    new_vol_f = new_volumes.astype(np.float64)        # (n_out,)
-    denom_v = np.maximum(new_vol_f, 1.0)
-    grand_new = (ctx.total + sign * line_sums) / denom_v
-    sign_col = sign[:, None]
-    base_new_counts = sign_col * sub_mask_f
-    base_new_counts += base_counts_f
-    base_new_sums = sign_col * sub_filled
-    base_new_sums += ctx.base_sub_sums
-    # ``base / max(count, 1)`` then a rare explicit zero where the
-    # base line lost its last specified cell: the same values as the
-    # branchless np.where form, without its full-size select pass.
-    pivots = base_new_sums / np.maximum(base_new_counts, 1.0)
-    dead = base_new_counts <= 0
-    if dead.any():
-        pivots[dead] = 0.0
-    pivots -= grand_new[:, None]                      # (n_out, m)
+    n = ctx.n
 
     # Rank of each candidate's pivot in each base line's sorted
     # residuals (count of residuals strictly below the pivot).  Both
@@ -357,21 +386,23 @@ def exact_lane(
     pre *= 2.0
     np.subtract(ctx.col_totals, pre, out=pre)
     q += pre
-    sad = q.sum(axis=1)
+    sad = np.add.reduce(q, axis=1)
 
     # The toggled line's own cells: added lines contribute them,
     # removed lines' contributions leave the member-line SAD.
     own = centred - pivots
     np.abs(own, out=own)
-    own *= sub_mask_f
-    own_sums = own.sum(axis=1)
+    if not dense:
+        own *= sub_mask_f
+    own_sums = np.add.reduce(own, axis=1)
 
     np.multiply(own_sums, sign, out=own_sums)
     own_sums += sad
     candidate_res = np.maximum(own_sums / denom_v, 0.0)
-    new_residues = np.where(active, candidate_res, new_residues)
+    if overlays:
+        candidate_res = np.where(active, candidate_res, new_residues)
     return LaneScores(
-        new_residues=new_residues,
+        new_residues=candidate_res,
         new_volumes=new_volumes,
         line_residues=line_residues,
         line_counts=line_counts,
@@ -384,29 +415,33 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     Everything here depends only on the cluster's current state, so
     the engine caches one context per (kind, cluster) modification
     epoch and amortises the O(V log n) table build over every block
-    rebuild of the epoch.
+    rebuild of the epoch.  The line statistics are slices of the
+    state's ``(k, M+N)`` arrays: the candidate kind's lines and the
+    other axis's *base* lines.
     """
+    split = state.n_rows
     if kind == ROW:
+        lines, cross = slice(0, split), slice(split, None)
         filled, mask = state.filled, state.mask
-        cand_member = state.row_member[c]
-        base_member = state.col_member[c]
-        line_sums = state.row_sums[c]
-        line_counts = state.row_counts[c]
-        line_counts_f = state.row_counts_f[c]
-        base_sums_all, base_counts_all = state.col_sums[c], state.col_counts[c]
+        filled_x, mask_x = state.filled_T, state.mask_T
     else:
+        lines, cross = slice(split, None), slice(0, split)
         filled, mask = state.filled_T, state.mask_T
-        cand_member = state.col_member[c]
-        base_member = state.row_member[c]
-        line_sums = state.col_sums[c]
-        line_counts = state.col_counts[c]
-        line_counts_f = state.col_counts_f[c]
-        base_sums_all, base_counts_all = state.row_sums[c], state.row_counts[c]
+        filled_x, mask_x = state.filled, state.mask
+    member = state.member[c]
+    sums = state.sums[c]
+    counts = state.counts[c]
+    cand_member = member[lines]
+    line_sums = sums[lines]
+    line_counts = counts[lines]
+    line_counts_f = state.counts_f[c, lines]
 
     volume = int(state.volumes[c])
     residue = float(state.residues[c])
-    jidx = np.flatnonzero(base_member)
+    jidx = member[cross].nonzero()[0]
+    ridx = cand_member.nonzero()[0]
     m = jidx.size
+    n = ridx.size
 
     w = state.work
     if w is not None:
@@ -424,48 +459,58 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     ctx.residue = residue
     ctx.jidx = jidx
     ctx.m = m
+    ctx.n = n
+    dense = ctx.dense = state.dense
+    # Dense with m > 0 base members and n > 1 candidate members
+    # (volume n*m > m): every line has m specified cells, no removal
+    # empties the cluster and every base line keeps n - 1 >= 1 cells.
+    ctx.overlays = not (dense and m > 0 and volume > m)
     if m == 0:
         return ctx
 
-    base_sub_sums = base_sums_all[jidx]
-    base_sub_counts = base_counts_all[jidx]
+    base_sub_sums = sums[cross].take(jidx)
+    base_sub_counts = counts[cross].take(jidx)
     base_counts_f = base_sub_counts.astype(np.float64)
     ctx.base_sub_sums = base_sub_sums
     ctx.base_counts_f = base_counts_f
-    ctx.cross_base = np.where(
-        base_sub_counts > 0,
-        base_sub_sums / np.maximum(base_counts_f, 1.0),
-        0.0,
-    )
+    if dense and n:
+        # Every base count is n >= 1: the empty-base guard is idle.
+        ctx.cross_base = base_sub_sums / base_counts_f
+    else:
+        ctx.cross_base = np.where(
+            base_sub_counts > 0,
+            base_sub_sums / np.maximum(base_counts_f, 1.0),
+            0.0,
+        )
     # The cluster total is exactly the sum of its member base sums.
-    total = float(base_sub_sums.sum())
+    total = float(np.add.reduce(base_sub_sums))
     ctx.total = total
     ctx.grand0 = total / volume if volume else 0.0
 
-    # Sorted residual table of the member lines, one (contiguous)
-    # row per member of the base axis; +inf-padded so every base
-    # line's specified residuals occupy its sorted prefix.  The inf
-    # padding may leak into the prefix tail, but every read sits at
-    # a rank <= the line's specified count, before the first inf.
-    ridx = np.flatnonzero(cand_member)
-    n = ridx.size
-    cells = np.ix_(ridx, jidx)
-    mem_filled = filled[cells]                        # (n, m)
-    mem_mask = mask[cells]
-    mem_base = line_sums[ridx] / np.maximum(line_counts_f[ridx], 1.0)
-    mem_centred = mem_filled - mem_base[:, None]
-    table = np.ascontiguousarray(
-        np.where(mem_mask, mem_centred, np.inf).T
-    )                                                 # (m, n)
+    # Sorted residual table of the member lines, one (contiguous) row
+    # per member of the base axis, gathered from the transposed copy.
+    # With missing entries it is +inf-padded so every base line's
+    # specified residuals occupy its sorted prefix.  The inf padding
+    # may leak into the prefix tail, but every read sits at a rank <=
+    # the line's specified count, before the first inf.
+    table = filled_x.take(jidx, axis=0).take(ridx, axis=1)    # (m, n)
+    if dense:
+        # Every member line has m specified cells: its count is m.
+        table -= line_sums.take(ridx) / float(m)
+    else:
+        table -= line_sums.take(ridx) / np.maximum(line_counts_f.take(ridx), 1.0)
+        table = np.where(mask_x.take(jidx, axis=0).take(ridx, axis=1), table, np.inf)
     table.sort(axis=1)
     prefix = np.zeros((m, n + 1))
-    np.cumsum(table, axis=1, out=prefix[:, 1:])
-    col_n = base_sub_counts.astype(np.intp)
+    table.cumsum(axis=1, out=prefix[:, 1:])
     col_off = np.arange(m) * (n + 1)
     ctx.table = table
     ctx.prefix = prefix
     ctx.col_off = col_off
-    ctx.col_totals = prefix.take(col_off + col_n)
+    if dense:
+        ctx.col_totals = prefix[:, n]
+    else:
+        ctx.col_totals = prefix.take(col_off + base_sub_counts)
     return ctx
 
 
@@ -735,14 +780,18 @@ class GainEngine:
         if part.kind is None:
             scores = estimate_lane(state, c)
             spans = ((ROW, 0, split), (COL, split, member.size))
+            # After ``estimate_lane`` the deviation pass is current, so
+            # the sizes it recorded are read instead of recounted.
+            n, m = state.sizes(c)
         else:
+            if ctx is None:
+                ctx = exact_context(state, part.kind, c)
             scores = exact_lane(state, part.kind, c, sel=sel, ctx=ctx)
             if sel is not None:
-                removing = removing[sel]
+                removing = removing.take(sel)
             spans = ((part.kind, 0, removing.size),)
-        # After ``estimate_lane`` the deviation pass is current, so the
-        # sizes it recorded are read instead of recounted.
-        n, m = state.sizes(c)
+            # The context counted both axes' members.
+            n, m = (ctx.n, ctx.m) if part.kind == ROW else (ctx.m, ctx.n)
         bounds = self._bounds.get((part.kind, n, m))
         if bounds is None:
             bounds = self._bounds[part.kind, n, m] = [

@@ -47,6 +47,7 @@ from .clustering import Clustering
 from .constraints import Constraints
 from .floc import FlocResult, floc
 from .matrix import DataMatrix
+from .params import check_params
 from .rng import RngLike, resolve_rng
 
 __all__ = [
@@ -146,12 +147,13 @@ def mine_delta_clusters(
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    if residue_target <= 0:
-        raise ValueError(f"residue_target must be positive, got {residue_target}")
-    if n_restarts < 1:
-        raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
-    if not 0.0 <= max_overlap <= 1.0:
-        raise ValueError(f"max_overlap must be in [0, 1], got {max_overlap}")
+    # Every restart would fail on the same bad value: refuse it first.
+    check_params(
+        matrix.shape, residue_target=residue_target, n_restarts=n_restarts,
+        k=k, min_rows=min_rows, min_cols=min_cols, alpha=alpha, p=p,
+        max_overlap=max_overlap, reseed_rounds=reseed_rounds,
+        max_clusters=max_clusters,
+    )
     root_seed = (int(rng) if isinstance(rng, (int, np.integer))
                  else int(resolve_rng(rng).integers(2**63)))
     if tracer is None:
@@ -190,6 +192,7 @@ def mine_delta_clusters(
         min_volume=min_volume,
         max_overlap=max_overlap,
         max_clusters=max_clusters,
+        alpha=alpha,
     )
     if work is not None and result_pool.work is not None:
         work.merge(result_pool.work)
@@ -267,6 +270,7 @@ def pool_mining_results(
     min_cols: int = 3,
     min_volume: int = 25,
     max_overlap: float = 0.5,
+    alpha: float = 0.0,
 ) -> MiningResult:
     """Pool restart results into a deduplicated :class:`MiningResult`.
 
@@ -276,14 +280,17 @@ def pool_mining_results(
     results replayed from a checkpoint store.  The outcome depends only
     on ``runs`` *in order* (pass them sorted by restart index), never on
     completion order or scheduling, which is what makes crash/resume
-    parity possible.  ``work`` sums the runs' own counters.
+    parity possible.  ``work`` sums the runs' own counters.  With
+    ``alpha > 0`` a cluster that fails the alpha-occupancy condition
+    (:meth:`~repro.core.cluster.DeltaCluster.occupancy_ok`) is dropped
+    like one above the residue target.
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    if residue_target <= 0:
-        raise ValueError(f"residue_target must be positive, got {residue_target}")
-    if not 0.0 <= max_overlap <= 1.0:
-        raise ValueError(f"max_overlap must be in [0, 1], got {max_overlap}")
+    check_params(
+        residue_target=residue_target, max_overlap=max_overlap, alpha=alpha,
+        max_clusters=max_clusters,
+    )
     work_total: Optional[WorkCounters] = None
     for result in runs:
         if result.work is not None:
@@ -298,6 +305,8 @@ def pool_mining_results(
             if cluster.volume(matrix) < min_volume:
                 continue
             if cluster.residue(matrix) > residue_target:
+                continue
+            if alpha > 0.0 and not cluster.occupancy_ok(matrix, alpha):
                 continue
             pooled.append(cluster)
     n_pooled = len(pooled)

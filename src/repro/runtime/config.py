@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Union
 
+from ..core.params import check_params
+
 __all__ = ["RunConfig"]
 
 
@@ -60,24 +62,14 @@ class RunConfig:
     )
 
     def __post_init__(self) -> None:
-        if self.residue_target <= 0:
-            raise ValueError(
-                f"residue_target must be positive, got {self.residue_target}"
-            )
-        if self.n_restarts < 1:
-            raise ValueError(f"n_restarts must be >= 1, got {self.n_restarts}")
-        if self.root_seed < 0:
-            raise ValueError(f"root_seed must be >= 0, got {self.root_seed}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.max_retries < 0:
-            raise ValueError(
-                f"max_retries must be >= 0, got {self.max_retries}"
-            )
-        if self.task_timeout is not None and self.task_timeout <= 0:
-            raise ValueError(
-                f"task_timeout must be positive, got {self.task_timeout}"
-            )
+        check_params(
+            residue_target=self.residue_target, n_restarts=self.n_restarts,
+            root_seed=self.root_seed, k=self.k, min_rows=self.min_rows,
+            min_cols=self.min_cols, alpha=self.alpha, p=self.p,
+            max_overlap=self.max_overlap, reseed_rounds=self.reseed_rounds,
+            max_clusters=self.max_clusters, workers=self.workers,
+            max_retries=self.max_retries, task_timeout=self.task_timeout,
+        )
         if isinstance(self.p, (list, tuple)):
             # Normalize to a tuple so to_dict/from_dict round-trips and
             # frozen instances hash consistently.

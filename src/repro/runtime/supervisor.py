@@ -483,6 +483,7 @@ def _finalize(
             min_volume=config.min_volume,
             max_overlap=config.max_overlap,
             max_clusters=config.max_clusters,
+            alpha=config.alpha,
         )
         result.metrics = tracer.snapshot_metrics() if tracer.enabled else None
         result.trace_summary = tracer.summary() if tracer.enabled else None

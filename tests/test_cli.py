@@ -478,3 +478,69 @@ class TestOutThroughAFile:
         assert main(["export-trace", str(trace), "--format", "otlp",
                      "--out", str(out)]) == 0
         assert out.is_file()
+
+
+class TestOutOfRangeParameters:
+    """A mining parameter out of its range is a usage error, refused
+    before any restart runs or is dispatched: exit 2, one stderr line
+    naming the flag, no traceback, no restart record."""
+
+    @pytest.mark.parametrize("mode", ["plain", "supervised"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--k", "0"),
+        ("--target", "-1"),
+        ("--alpha", "2"),
+        ("--p", "1.5"),
+        ("--restarts", "0"),
+        ("--min-rows", "200"),
+        ("--reseed-rounds", "-1"),
+        ("--max-clusters", "-1"),
+    ])
+    def test_exits_2_before_mining(self, workspace, mode, flag, value):
+        tmp_path, matrix_path, __ = workspace
+        run_dir = tmp_path / "run"
+        out = tmp_path / "found.txt"
+        argv = ["mine", str(matrix_path), "--target", "5.0", "--k", "3",
+                "--restarts", "2", "--reseed-rounds", "1", flag, value,
+                "--out", str(out)]
+        if mode == "supervised":
+            argv += ["--workers", "2", "--run-dir", str(run_dir)]
+        proc = TestOutThroughAFile._run(*argv)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(f"invalid {flag}: ")
+        assert proc.stdout == ""
+        assert not run_dir.exists()
+        assert not out.exists()
+
+
+class TestAlphaOccupancy:
+    """With ``--alpha`` every written cluster meets alpha occupancy, on
+    the plain and the supervised path.  Input seed 5 of this shape wrote
+    a violating cluster at both alphas before reseeds were trimmed and
+    pooling checked occupancy."""
+
+    @pytest.mark.parametrize("mode", ["plain", "supervised"])
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_written_clusters_meet_alpha(self, tmp_path, mode, alpha):
+        matrix_path = tmp_path / "sparse.npz"
+        out = tmp_path / "found.txt"
+        assert main([
+            "generate", "synthetic", "--rows", "160", "--cols", "32",
+            "--clusters", "4", "--cluster-rows", "30", "--cluster-cols", "12",
+            "--noise", "2", "--missing", "0.2", "--seed", "5",
+            "--out", str(matrix_path),
+        ]) == 0
+        argv = ["mine", str(matrix_path), "--target", "8", "--k", "8",
+                "--restarts", "4", "--reseed-rounds", "2", "--seed", "5",
+                "--alpha", str(alpha), "--out", str(out)]
+        if mode == "supervised":
+            argv += ["--workers", "2", "--run-dir", str(tmp_path / "run")]
+        proc = TestOutThroughAFile._run(*argv)
+        assert proc.returncode == 0, proc.stderr
+        matrix = load_matrix_npz(matrix_path)
+        clusters = load_clusters(out)
+        assert clusters, "expected mined clusters on disk"
+        for cluster in clusters:
+            assert cluster.occupancy_ok(matrix, alpha), cluster

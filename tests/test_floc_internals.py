@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.actions import evaluate_toggle
+from repro.core.cluster import DeltaCluster
 from repro.core.constraints import Constraints
 from repro.core.matrix import DataMatrix
 from repro.core.floc import (
@@ -229,6 +230,38 @@ class TestReseedDeadSlots:
         )
         assert all(constraints.seed_ok(*seed) for seed in seeds)
         assert drawn and set(drawn) == {0.5}
+
+    def test_reseeds_trimmed_to_alpha(self):
+        """With alpha > 0 a reseeded slot gets Phase 1's trimmed seed:
+        a subset of the same draw that meets alpha unless trimming
+        stopped at the structural floor."""
+        rng = np.random.default_rng(8)
+        values = rng.uniform(0, 100, size=(40, 20))
+        values[rng.random((40, 20)) < 0.4] = np.nan
+        mask = ~np.isnan(values)
+        seeds = bernoulli_seeds(40, 20, 4, 0.3, rng)
+        constraints = Constraints()
+        states = {}
+        for alpha in (0.0, 0.8):
+            state = _State(values, mask, seeds)
+            assert _reseed_dead_slots(
+                state, 0.5, constraints, np.random.default_rng(3),
+                residue_target=0.001, alpha=alpha,
+            )
+            states[alpha] = state
+        untrimmed, trimmed = states[0.0], states[0.8]
+        assert (trimmed.member <= untrimmed.member).all()
+        assert (trimmed.member != untrimmed.member).any()
+        matrix = DataMatrix(values)
+        for c in range(4):
+            cluster = DeltaCluster(
+                np.flatnonzero(trimmed.row_member[c]),
+                np.flatnonzero(trimmed.col_member[c]),
+            )
+            assert cluster.occupancy_ok(matrix, 0.8) or (
+                cluster.n_rows <= constraints.min_rows
+                or cluster.n_cols <= constraints.min_cols
+            )
 
     def test_healthy_state_untouched(self):
         state, rng = self.make_state(rng_seed=3)

@@ -301,6 +301,99 @@ class TestBlockAndScalarParity:
                     ), name
 
 
+# -- dense selections are bitwise the masked formulas ------------------
+
+
+@st.composite
+def dense_states(draw):
+    """A fully specified matrix and k clusters of any membership: empty
+    axes, single members and full extents included."""
+    n = draw(st.integers(1, 9))
+    m = draw(st.integers(1, 8))
+    values = draw(arrays(
+        np.float64, (n, m),
+        elements=st.floats(
+            min_value=-1e4, max_value=1e4,
+            allow_nan=False, allow_infinity=False,
+        ),
+    ))
+    k = draw(st.integers(1, 4))
+    seeds = [
+        (draw(arrays(np.bool_, n)), draw(arrays(np.bool_, m)))
+        for _ in range(k)
+    ]
+    return values, seeds
+
+
+def _assert_dense_matches_masked(values, seeds, sels=()):
+    """Every exact lane (full, and each ``sel`` window) of a dense
+    state equals, bit for bit and counter for counter, the lane built
+    with the dense selections switched off."""
+    mask = np.ones(values.shape, dtype=bool)
+    dense_work, masked_work = WorkCounters(), WorkCounters()
+    dense = _State(values, mask, seeds, work=dense_work)
+    masked = _State(values, mask, seeds, work=masked_work)
+    assert dense.dense
+    masked.dense = False
+    for kind in ("row", "col"):
+        for c in range(len(seeds)):
+            ctx_d = exact_context(dense, kind, c)
+            ctx_m = exact_context(masked, kind, c)
+            assert (ctx_d.n, ctx_d.m) == (ctx_m.n, ctx_m.m)
+            assert ctx_m.overlays
+            for sel in (None,) + tuple(sels):
+                if sel is not None:
+                    sel = sel[sel < lane_size(values, kind)]
+                got = exact_lane(dense, kind, c, sel=sel, ctx=ctx_d)
+                want = exact_lane(masked, kind, c, sel=sel, ctx=ctx_m)
+                for name in (
+                    "new_residues", "new_volumes", "line_residues",
+                    "line_counts",
+                ):
+                    assert _same_bits(getattr(got, name), getattr(want, name)), (
+                        kind, c, sel, name,
+                    )
+    assert dense_work == masked_work
+
+
+class TestDenseSelections:
+    @given(dense_states(), st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_dense_lanes_bitwise_equal_masked(self, state_spec, picks):
+        values, seeds = state_spec
+        _assert_dense_matches_masked(
+            values, seeds, sels=(np.array(picks, dtype=np.intp),),
+        )
+
+    def test_shortcut_edges(self):
+        """The overlay-free shortcut's edges: one candidate-kind member
+        (volume == m, its removal empties the cluster), two members
+        (the first shortcut case), an empty base axis and an empty
+        candidate axis."""
+        rng = np.random.default_rng(5)
+        values = rng.normal(size=(7, 5)) * 10
+        rows, cols = np.zeros(7, dtype=bool), np.zeros(5, dtype=bool)
+        one_row = rows.copy()
+        one_row[3] = True
+        two_rows = one_row.copy()
+        two_rows[5] = True
+        one_col = cols.copy()
+        one_col[1] = True
+        seeds = [
+            (one_row, np.ones(5, dtype=bool)),  # row lane: volume == m
+            (np.ones(7, dtype=bool), one_col),  # column lane: volume == m
+            (two_rows, one_col),  # row lane shortcut at n == 2, m == 1
+            (two_rows, cols),  # empty column axis
+            (rows, np.ones(5, dtype=bool)),  # empty row axis
+        ]
+        windows = (np.array([3, 0, 6], dtype=np.intp), np.array([1], dtype=np.intp))
+        _assert_dense_matches_masked(values, seeds, sels=windows)
+        # The single-member row lane empties on removal: volume 0.
+        state = _State(values, np.ones(values.shape, dtype=bool), seeds)
+        lane = exact_lane(state, "row", 0)
+        assert lane.new_volumes[3] == 0 and lane.new_residues[3] == 0.0
+
+
 # -- vectorised gain ladder vs the scalar ------------------------------
 
 

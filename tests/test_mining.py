@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.core.mining import MiningResult, mine_delta_clusters
+from repro.core.mining import (
+    MiningResult, mine_delta_clusters, pool_mining_results, run_restart,
+)
 from repro.data.synthetic import generate_embedded
 from repro.eval.metrics import recall_precision
 
@@ -30,6 +32,13 @@ class TestValidation:
             mine_delta_clusters(
                 workload.matrix, residue_target=1.0, max_overlap=1.5
             )
+
+    def test_out_of_range_parameters_refused_before_mining(self, workload):
+        for name, value in (("k", 0), ("alpha", 2.0), ("p", 1.5), ("min_rows", 500)):
+            with pytest.raises(ValueError, match=f"^{name} "):
+                mine_delta_clusters(
+                    workload.matrix, residue_target=1.0, **{name: value}
+                )
 
     def test_accepts_raw_array(self, workload):
         result = mine_delta_clusters(
@@ -101,3 +110,30 @@ class TestMining:
         )
         assert len(result.runs) == 2
         assert result.elapsed_seconds > 0.0
+
+
+class TestPoolingOccupancy:
+    def test_alpha_drops_clusters_below_occupancy(self):
+        """Single restarts on sparse input can end below alpha; pooling
+        with ``alpha`` keeps only the clusters that meet it, and
+        ``alpha == 0`` keeps the pool unchanged."""
+        data = generate_embedded(
+            160, 32, 4, cluster_shape=(30, 12), noise=2,
+            missing_fraction=0.2, rng=1,
+        )
+        matrix, alpha = data.matrix, 0.5
+        runs = [
+            run_restart(matrix, restart, residue_target=8.0, root_seed=1,
+                        k=8, alpha=alpha, reseed_rounds=2)
+            for restart in range(4)
+        ]
+        unchecked = pool_mining_results(matrix, runs, residue_target=8.0)
+        checked = pool_mining_results(
+            matrix, runs, residue_target=8.0, alpha=alpha
+        )
+        assert any(not c.occupancy_ok(matrix, alpha) for c in unchecked.clustering)
+        assert checked.clustering.clusters
+        assert all(c.occupancy_ok(matrix, alpha) for c in checked.clustering)
+        assert pool_mining_results(
+            matrix, runs, residue_target=8.0, alpha=0.0
+        ).clustering.clusters == unchecked.clustering.clusters

@@ -30,6 +30,7 @@ MODULES = [
     "repro.core.floc",
     "repro.core.predict",
     "repro.core.mining",
+    "repro.core.params",
     "repro.baselines.cheng_church",
     "repro.baselines.pearson",
     "repro.subspace.grid",
