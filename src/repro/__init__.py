@@ -9,6 +9,9 @@ alternative algorithm of Section 4.4, the paper's synthetic / MovieLens /
 micro-array workloads, and an evaluation harness that regenerates every
 table and figure of the paper's experimental section.
 
+Every public name is imported on first use (:mod:`repro._lazy`), so
+``import repro`` loads no subpackage.
+
 Quickstart
 ----------
 >>> import numpy as np
@@ -22,89 +25,45 @@ Quickstart
 True
 """
 
-from .baselines import (
-    Bicluster,
-    ChengChurchResult,
-    fill_missing_with_random,
-    find_bicluster,
-    find_biclusters,
-    msr,
-    pearson_r,
-)
-from .core import (
-    Action,
-    Clustering,
-    Constraints,
-    DataMatrix,
-    DeltaCluster,
-    FlocResult,
-    MiningResult,
-    floc,
-    impute,
-    mean_abs_residue,
-    mean_squared_residue,
-    mine_delta_clusters,
-    pool_mining_results,
-    predict_entry,
-    prediction_error,
-    residue_matrix,
-    restart_seed,
-    run_restart,
-    submatrix_residue,
-)
-from .data import (
-    MovieLensDataset,
-    SyntheticDataset,
-    YeastDataset,
-    figure4_cluster,
-    figure4_matrix,
-    generate_embedded,
-    generate_ratings,
-    generate_yeast_like,
-)
-from .eval import (
-    ExperimentConfig,
-    SignificanceReport,
-    clustering_report,
-    format_table,
-    recall_precision,
-    residue_significance,
-    run_trial,
-    run_trials,
-)
-from .obs import (
-    ActionEvent,
-    ConsoleProgressSink,
-    FaultEvent,
-    IterationEvent,
-    JsonlSink,
-    MetricsRegistry,
-    RetryEvent,
-    RingBufferSink,
-    SeedEvent,
-    TaskEvent,
-    TraceAnalysis,
-    TraceDiff,
-    Tracer,
-    analyze_records,
-    analyze_trace,
-    diff_traces,
-    read_jsonl,
-)
-from .runtime import (
-    CheckpointStore,
-    DegradationReport,
-    FaultPlan,
-    FaultSpec,
-    RunConfig,
-    RuntimeResult,
-    TaskFailure,
-    resume_run,
-    run_supervised,
-)
-from .subspace import alternative_delta_clusters, clique, derived_matrix
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
+
+_resolve, __dir__ = lazy_exports(__name__, {
+    ".baselines": (
+        "Bicluster", "ChengChurchResult", "fill_missing_with_random",
+        "find_bicluster", "find_biclusters", "msr", "pearson_r",
+    ),
+    ".core": (
+        "Action", "Clustering", "Constraints", "DataMatrix", "DeltaCluster",
+        "FlocResult", "MiningResult", "floc", "impute", "mean_abs_residue",
+        "mean_squared_residue", "mine_delta_clusters", "pool_mining_results",
+        "predict_entry", "prediction_error", "residue_matrix",
+        "restart_seed", "run_restart", "submatrix_residue",
+    ),
+    ".data": (
+        "MovieLensDataset", "SyntheticDataset", "YeastDataset",
+        "figure4_cluster", "figure4_matrix", "generate_embedded",
+        "generate_ratings", "generate_yeast_like",
+    ),
+    ".eval": (
+        "ExperimentConfig", "SignificanceReport", "clustering_report",
+        "format_table", "recall_precision", "residue_significance",
+        "run_trial", "run_trials",
+    ),
+    ".obs": (
+        "ActionEvent", "ConsoleProgressSink", "FaultEvent", "IterationEvent",
+        "JsonlSink", "MetricsRegistry", "RetryEvent", "RingBufferSink",
+        "SeedEvent", "TaskEvent", "TraceAnalysis", "TraceDiff", "Tracer",
+        "analyze_records", "analyze_trace", "diff_traces", "read_jsonl",
+    ),
+    ".runtime": (
+        "CheckpointStore", "DegradationReport", "FaultPlan", "FaultSpec",
+        "RunConfig", "RuntimeResult", "TaskFailure", "resume_run",
+        "run_supervised",
+    ),
+    ".subspace": ("alternative_delta_clusters", "clique", "derived_matrix"),
+})
 
 __all__ = [
     "Action",
@@ -180,3 +139,7 @@ __all__ = [
     "run_trials",
     "submatrix_residue",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _resolve(name)

@@ -25,31 +25,20 @@ import os
 import shutil
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+    TypeVar,
+)
 
 import numpy as np
 
+# Only what ``repro mine`` runs is imported here; each other subcommand
+# imports what it alone needs, so a mining process loads no generator,
+# trace analytics, export or supervisor code it does not use.
+from .core.cluster import DeltaCluster
 from .core.matrix import DataMatrix
 from .core.mining import MiningResult, mine_delta_clusters
 from .core.params import ParameterError, check_params
-from .core.predict import predict_entry
-from .obs import (
-    ConsoleProgressSink,
-    JsonlSink,
-    MetricsRegistry,
-    Sink,
-    Tracer,
-    WorkCounters,
-)
-from .obs.analysis import (
-    DEFAULT_STRAGGLER_FACTOR,
-    TraceAnalysis,
-    analyze_trace,
-    diff_traces,
-)
-from .obs.export import chrome_trace, otlp_logs
-from .obs.session import collect_session
-from .obs.sinks import read_jsonl
 from .data.io import (
     load_clusters,
     load_matrix_csv,
@@ -57,11 +46,15 @@ from .data.io import (
     save_clusters,
     save_matrix_npz,
 )
-from .data.microarray import generate_yeast_like
-from .data.movielens import generate_ratings
-from .data.synthetic import generate_embedded
-from .eval.metrics import recall_precision
 from .eval.reporting import format_histogram, format_table
+from .obs.metrics import MetricsRegistry
+from .obs.perf.counters import WorkCounters
+from .obs.sinks import ConsoleProgressSink, JsonlSink, Sink, read_jsonl
+from .obs.tracer import Tracer
+
+if TYPE_CHECKING:
+    from .obs.analysis import TraceAnalysis
+    from .runtime import RunConfig
 
 __all__ = [
     "build_parser",
@@ -78,21 +71,21 @@ __all__ = [
 ]
 
 
+_Loaded = TypeVar("_Loaded")
+
+
+class _UsageError(Exception):
+    """Bad input on the command line: :func:`main` prints the message
+    as one stderr line and exits 2."""
+
+
 def _load_matrix(path: str) -> DataMatrix:
     suffix = Path(path).suffix.lower()
     if suffix == ".npz":
         return load_matrix_npz(path)
     if suffix == ".csv":
         return load_matrix_csv(path, header=False)
-    raise SystemExit(f"unsupported matrix format: {path} (use .npz or .csv)")
-
-
-_Loaded = TypeVar("_Loaded")
-
-
-class _UsageError(Exception):
-    """A bad path on the command line: :func:`main` prints the message
-    as one stderr line and exits 2."""
+    raise _UsageError(f"unsupported matrix format: {path} (use .npz or .csv)")
 
 
 def _read(what: str, path: str, load: Callable[[str], _Loaded]) -> _Loaded:
@@ -227,37 +220,36 @@ def _mining_params(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 def _cmd_mine_supervised(
-    args: argparse.Namespace, matrix: DataMatrix, tracer: Optional[Tracer]
+    args: argparse.Namespace,
+    matrix: DataMatrix,
+    config: RunConfig,
+    tracer: Optional[Tracer],
 ) -> int:
-    """The fault-tolerant path: ``mine`` under :mod:`repro.runtime`."""
-    from .runtime import RunConfig, resume_run, run_supervised
+    """The fault-tolerant path: ``mine`` under :mod:`repro.runtime`.
+
+    A fresh run and a ``--resume`` take the same ``config``, built from
+    the flags; a resume refuses a run directory whose session differs
+    in any mining flag.
+    """
+    from .runtime import CheckpointError, CheckpointMismatchError, run_supervised
 
     kwargs: Dict[str, Any] = {"session_trace": bool(args.trace)}
     if tracer is not None:
         kwargs["tracer"] = tracer
-    if args.resume:
-        if not args.run_dir:
-            print("--resume requires --run-dir", file=sys.stderr)
-            return 2
-        runtime_result = resume_run(
-            matrix, args.run_dir,
-            workers=args.workers,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            **kwargs,
-        )
-    else:
-        config = RunConfig(
-            root_seed=args.seed,
-            workers=args.workers if args.workers is not None else 1,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries
-            if args.max_retries is not None else 2,
-            **_mining_params(args),
-        )
+    try:
         runtime_result = run_supervised(
-            matrix, config, run_dir=args.run_dir, **kwargs,
+            matrix, config, run_dir=args.run_dir, resume=args.resume, **kwargs,
         )
+    except CheckpointMismatchError as exc:
+        if not exc.fields:
+            raise _UsageError(str(exc)) from None
+        flags = ", ".join(_MINE_FLAGS.get(name, name) for name in exc.fields)
+        raise _UsageError(
+            f"cannot resume {args.run_dir}: its session was mined with "
+            f"different {flags}"
+        ) from None
+    except CheckpointError as exc:
+        raise _UsageError(str(exc)) from None
     if args.trace and runtime_result.session_trace is not None:
         # The merged cross-process session trace stands in for the plain
         # JSONL trace a non-supervised run would have written here.
@@ -280,9 +272,11 @@ def _cmd_mine_supervised(
     return 0
 
 
-#: ``mine``'s flag of each parameter :func:`check_params` may refuse.
+#: ``mine``'s flag of each parameter :func:`check_params` may refuse or
+#: a resumed session may differ in.
 _MINE_FLAGS = {
     "residue_target": "--target", "n_restarts": "--restarts", "k": "--k",
+    "root_seed": "--seed",
     "min_rows": "--min-rows", "min_cols": "--min-cols", "alpha": "--alpha",
     "p": "--p", "reseed_rounds": "--reseed-rounds",
     "max_clusters": "--max-clusters", "workers": "--workers",
@@ -302,6 +296,18 @@ def cmd_mine(args: argparse.Namespace) -> int:
     # Fail on a bad --out or --trace before any mining runs, not after it.
     _check_writable("--out", args.out)
     _check_writable("--trace", args.trace)
+    supervised = (
+        args.workers is not None
+        or args.task_timeout is not None
+        or args.run_dir is not None
+        or args.resume
+    )
+    if args.resume and not args.run_dir:
+        raise _UsageError("--resume requires --run-dir")
+    if supervised:
+        # Imported before the matrix loads, as everything the plain path
+        # runs is: loading modules is start-up cost, not mining time.
+        from .runtime import RunConfig
     matrix = _read("matrix", args.matrix, _load_matrix)
     # Refuse an out-of-range value once, before any restart runs or is
     # dispatched (every worker would fail on it alike).
@@ -315,19 +321,21 @@ def cmd_mine(args: argparse.Namespace) -> int:
         )
     except ParameterError as exc:
         raise _UsageError(f"invalid {_MINE_FLAGS[exc.name]}: {exc}") from None
-    supervised = (
-        args.workers is not None
-        or args.task_timeout is not None
-        or args.run_dir is not None
-        or args.resume
-    )
     tracer = _build_tracer(args, supervised=supervised)
     # --metrics also turns on work counting so the perf.* counters show
     # up in the metrics table (counting is inert: --out is unchanged).
     work = WorkCounters() if args.metrics else None
     try:
         if supervised:
-            return _cmd_mine_supervised(args, matrix, tracer)
+            config = RunConfig(
+                root_seed=args.seed,
+                workers=args.workers if args.workers is not None else 1,
+                task_timeout=args.task_timeout,
+                max_retries=args.max_retries
+                if args.max_retries is not None else 2,
+                **_mining_params(args),
+            )
+            return _cmd_mine_supervised(args, matrix, config, tracer)
         result = mine_delta_clusters(
             matrix, rng=args.seed, tracer=tracer, work=work,
             **_mining_params(args),
@@ -339,40 +347,53 @@ def cmd_mine(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    """Generate a synthetic / movielens / yeast workload matrix."""
-    _check_writable("--out", args.out)
-    _check_writable("--truth-out", args.truth_out)
+def _generate(
+    args: argparse.Namespace,
+) -> Tuple[DataMatrix, List[DeltaCluster]]:
+    """``(matrix, truth clusters)`` of ``generate``'s workload."""
     if args.kind == "synthetic":
-        dataset = generate_embedded(
+        from .data.synthetic import generate_embedded
+
+        synthetic = generate_embedded(
             args.rows, args.cols, args.clusters,
             cluster_shape=(args.cluster_rows, args.cluster_cols),
             noise=args.noise,
             missing_fraction=args.missing,
             rng=args.seed,
         )
-        matrix, truth = dataset.matrix, dataset.embedded
-    elif args.kind == "movielens":
-        dataset = generate_ratings(
+        return synthetic.matrix, synthetic.embedded
+    if args.kind == "movielens":
+        from .data.movielens import generate_ratings
+
+        ratings = generate_ratings(
             n_users=args.rows, n_movies=args.cols,
             n_groups=args.clusters,
             group_size=max(2, args.rows // (3 * max(args.clusters, 1))),
             density=max(args.missing, 0.05),
             rng=args.seed,
         )
-        matrix, truth = dataset.matrix, dataset.groups
-    elif args.kind == "yeast":
-        dataset = generate_yeast_like(
-            n_genes=args.rows, n_conditions=args.cols,
-            n_modules=args.clusters,
-            module_shape=(args.cluster_rows, args.cluster_cols),
-            noise=args.noise,
-            missing_fraction=args.missing,
-            rng=args.seed,
-        )
-        matrix, truth = dataset.matrix, dataset.modules
-    else:  # pragma: no cover - argparse restricts choices
-        raise SystemExit(f"unknown generator {args.kind}")
+        return ratings.matrix, ratings.groups
+    from .data.microarray import generate_yeast_like
+
+    yeast = generate_yeast_like(
+        n_genes=args.rows, n_conditions=args.cols,
+        n_modules=args.clusters,
+        module_shape=(args.cluster_rows, args.cluster_cols),
+        noise=args.noise,
+        missing_fraction=args.missing,
+        rng=args.seed,
+    )
+    return yeast.matrix, yeast.modules
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    """Generate a synthetic / movielens / yeast workload matrix."""
+    _check_writable("--out", args.out)
+    _check_writable("--truth-out", args.truth_out)
+    try:
+        matrix, truth = _generate(args)
+    except ValueError as exc:
+        raise _UsageError(f"cannot generate {args.kind}: {exc}") from None
     save_matrix_npz(args.out, matrix)
     print(f"{args.kind} matrix {matrix.shape} written to {args.out} "
           f"(density {matrix.density:.2f})")
@@ -404,6 +425,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         title=f"{len(clusters)} clusters against {args.matrix}",
     ))
     if truth is not None:
+        from .eval.metrics import recall_precision
+
         scores = recall_precision(truth, clusters, matrix.shape)
         print(f"\nrecall    = {scores.recall:.3f}")
         print(f"precision = {scores.precision:.3f}")
@@ -413,6 +436,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Predict one cell's value from the clusters covering it."""
+    from .core.predict import predict_entry
+
     matrix = _read("matrix", args.matrix, _load_matrix)
     clusters = _read("clusters", args.clusters, load_clusters)
     covering = [
@@ -601,6 +626,8 @@ def _print_analysis(analysis: TraceAnalysis, top_slots: int) -> None:
 
 def cmd_analyze_trace(args: argparse.Namespace) -> int:
     """Aggregate a recorded JSONL trace into per-sweep/cluster/slot stats."""
+    from .obs.analysis import DEFAULT_STRAGGLER_FACTOR, analyze_trace
+
     if not Path(args.trace).is_file():
         print(f"no such trace file: {args.trace}", file=sys.stderr)
         return 2
@@ -608,7 +635,8 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
         analysis = analyze_trace(
             args.trace,
             strict=args.strict,
-            straggler_factor=args.straggler_factor,
+            straggler_factor=DEFAULT_STRAGGLER_FACTOR
+            if args.straggler_factor is None else args.straggler_factor,
         )
     except ValueError as exc:
         print(f"malformed trace: {exc}", file=sys.stderr)
@@ -630,6 +658,8 @@ def _load_trace_source(args: argparse.Namespace) -> Optional[List[Dict[str, obje
     """
     source = Path(args.source)
     if source.is_dir():
+        from .obs.session import collect_session
+
         meta, records = collect_session(source)
         skipped = meta.get("skipped_shards")
         if isinstance(skipped, list) and skipped:
@@ -651,6 +681,8 @@ def _load_trace_source(args: argparse.Namespace) -> Optional[List[Dict[str, obje
 
 def cmd_export_trace(args: argparse.Namespace) -> int:
     """Render a session trace as Chrome trace-event JSON, OTLP, or JSONL."""
+    from .obs.export import chrome_trace, otlp_logs
+
     _check_writable("--out", args.out, make_parents=True)
     records = _load_trace_source(args)
     if records is None:
@@ -675,6 +707,8 @@ def cmd_export_trace(args: argparse.Namespace) -> int:
 
 def cmd_diff_traces(args: argparse.Namespace) -> int:
     """Align two twinned traces' iterations and report divergence."""
+    from .obs.analysis import diff_traces
+
     for path in (args.trace_a, args.trace_b):
         if not Path(path).is_file():
             print(f"no such trace file: {path}", file=sys.stderr)
@@ -931,11 +965,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--top-slots", type=int, default=3, metavar="N",
                          help="gain histograms for the N busiest "
                               "(kind, cluster) slots (default 3)")
-    analyze.add_argument("--straggler-factor", type=float,
-                         default=DEFAULT_STRAGGLER_FACTOR, metavar="X",
+    analyze.add_argument("--straggler-factor", type=float, default=None,
+                         metavar="X",
                          help="a task is a straggler when it runs longer "
-                              "than X times its wave's median "
-                              f"(default {DEFAULT_STRAGGLER_FACTOR})")
+                              "than X times its wave's median (default: "
+                              "repro.obs.analysis.DEFAULT_STRAGGLER_FACTOR)")
     analyze.set_defaults(func=cmd_analyze_trace)
 
     export = sub.add_parser(

@@ -21,11 +21,12 @@ ndarray-parameter mutation (DCL012), float equality (DCL013).
 See ``docs/DEVELOPMENT.md`` for the rule catalogue and the rationale
 behind each invariant.
 
-Re-exports are lazy (PEP 562) so ``python -m repro.devtools.lint``
-does not import the submodule twice (runpy would warn).
+Re-exports are lazy (PEP 562, :mod:`repro._lazy`) so
+``python -m repro.devtools.lint`` does not import the submodule twice
+(runpy would warn).
 """
 
-from typing import List
+from .._lazy import lazy_exports
 
 __all__ = [
     "CallGraph",
@@ -50,41 +51,19 @@ __all__ = [
     "propagate",
 ]
 
-_FROM_RULES = {"FileContext", "RULES", "Rule", "Violation", "all_rules"}
-_FROM_SYMBOLS = {"ProjectSymbols", "build_project"}
-_FROM_CALLGRAPH = {"CallGraph", "build_callgraph"}
-_FROM_DATAFLOW = {
-    "DEEP_RULES",
-    "DeepRule",
-    "all_deep_rules",
-    "deep_lint",
-    "propagate",
-}
+_resolve, __dir__ = lazy_exports(__name__, {
+    ".callgraph": ("CallGraph", "build_callgraph"),
+    ".dataflow": (
+        "DEEP_RULES", "DeepRule", "all_deep_rules", "deep_lint", "propagate",
+    ),
+    ".lint": (
+        "LintReport", "collect_files", "known_codes", "lint_paths",
+        "lint_source", "main",
+    ),
+    ".rules": ("FileContext", "RULES", "Rule", "Violation", "all_rules"),
+    ".symbols": ("ProjectSymbols", "build_project"),
+})
 
 
 def __getattr__(name: str) -> object:
-    if name in _FROM_RULES:
-        from . import rules
-
-        return getattr(rules, name)
-    if name in _FROM_SYMBOLS:
-        from . import symbols
-
-        return getattr(symbols, name)
-    if name in _FROM_CALLGRAPH:
-        from . import callgraph
-
-        return getattr(callgraph, name)
-    if name in _FROM_DATAFLOW:
-        from . import dataflow
-
-        return getattr(dataflow, name)
-    if name in __all__:
-        from . import lint
-
-        return getattr(lint, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> List[str]:
-    return sorted(__all__)
+    return _resolve(name)

@@ -1,20 +1,26 @@
-"""Evaluation: metrics, experiment harness, and table rendering."""
+"""Evaluation: metrics, experiment harness, and table rendering.
 
-from .experiment import ExperimentConfig, TrialResult, generate_workload, run_trial, run_trials
-from .metrics import (
-    RecallPrecision,
-    clustering_report,
-    coverage_sets,
-    jaccard_entries,
-    match_clusters,
-    recall_precision,
-)
-from .reporting import format_records, format_series, format_table
-from .significance import (
-    SignificanceReport,
-    empirical_residue_distribution,
-    residue_significance,
-)
+Each name is imported on first use (:mod:`repro._lazy`): printing a
+table loads no experiment harness.
+"""
+
+from .._lazy import lazy_exports
+
+_resolve, __dir__ = lazy_exports(__name__, {
+    ".experiment": (
+        "ExperimentConfig", "TrialResult", "generate_workload", "run_trial",
+        "run_trials",
+    ),
+    ".metrics": (
+        "RecallPrecision", "clustering_report", "coverage_sets",
+        "jaccard_entries", "match_clusters", "recall_precision",
+    ),
+    ".reporting": ("format_records", "format_series", "format_table"),
+    ".significance": (
+        "SignificanceReport", "empirical_residue_distribution",
+        "residue_significance",
+    ),
+})
 
 __all__ = [
     "ExperimentConfig",
@@ -35,3 +41,7 @@ __all__ = [
     "run_trial",
     "run_trials",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _resolve(name)

@@ -26,63 +26,40 @@ Every piece is optional and zero-cost when not requested:
   fingerprint, and the ``repro bench`` harness with machine-readable
   baselines and regression comparison.
 
+The names below are imported on first use (:mod:`repro._lazy`): a
+process that traces nothing loads no trace analytics or export code.
+
 See ``docs/OBSERVABILITY.md`` for the event schema and recipes.
 """
 
-from .analysis import (
-    ClusterStats,
-    GainHistogram,
-    IterationDelta,
-    ProcessStats,
-    ResourceStats,
-    SessionAnalysis,
-    SlotStats,
-    SweepStats,
-    TaskRun,
-    TraceAnalysis,
-    TraceDiff,
-    WaveStats,
-    analyze_records,
-    analyze_trace,
-    diff_traces,
-)
-from .events import (
-    EVENT_TYPES,
-    ActionEvent,
-    FaultEvent,
-    IterationEvent,
-    ResourceEvent,
-    RetryEvent,
-    SeedEvent,
-    TaskEvent,
-    TraceEvent,
-    event_fields,
-)
-from .export import chrome_trace, export_chrome, export_otlp, otlp_logs
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .perf import (
-    WORK_COUNTER_FIELDS,
-    WorkCounters,
-    environment_fingerprint,
-    git_revision,
-)
-from .session import (
-    SessionTrace,
-    TraceContext,
-    collect_session,
-    merge_session,
-    open_worker_tracer,
-    session_id_for,
-    worker_shard_path,
-)
-from .sinks import (
-    ConsoleProgressSink,
-    JsonlSink,
-    RingBufferSink,
-    Sink,
-    read_jsonl,
-)
-from .tracer import NULL_TRACER, Span, Tracer
+from .._lazy import lazy_exports
+
+_resolve, __dir__ = lazy_exports(__name__, {
+    ".analysis": (
+        "ClusterStats", "GainHistogram", "IterationDelta", "ProcessStats",
+        "ResourceStats", "SessionAnalysis", "SlotStats", "SweepStats",
+        "TaskRun", "TraceAnalysis", "TraceDiff", "WaveStats",
+        "analyze_records", "analyze_trace", "diff_traces",
+    ),
+    ".events": (
+        "EVENT_TYPES", "ActionEvent", "FaultEvent", "IterationEvent",
+        "ResourceEvent", "RetryEvent", "SeedEvent", "TaskEvent", "TraceEvent",
+        "event_fields",
+    ),
+    ".export": ("chrome_trace", "export_chrome", "export_otlp", "otlp_logs"),
+    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".perf.counters": ("WORK_COUNTER_FIELDS", "WorkCounters"),
+    ".perf.fingerprint": ("environment_fingerprint", "git_revision"),
+    ".session": (
+        "SessionTrace", "TraceContext", "collect_session", "merge_session",
+        "open_worker_tracer", "session_id_for", "worker_shard_path",
+    ),
+    ".sinks": (
+        "ConsoleProgressSink", "JsonlSink", "RingBufferSink", "Sink",
+        "read_jsonl",
+    ),
+    ".tracer": ("NULL_TRACER", "Span", "Tracer"),
+})
 
 __all__ = [
     "ActionEvent",
@@ -138,3 +115,7 @@ __all__ = [
     "session_id_for",
     "worker_shard_path",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _resolve(name)

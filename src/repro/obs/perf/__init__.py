@@ -17,11 +17,16 @@ best-of-N wall time) goes through the tracer's injectable clock seam.
 ``workloads`` and ``bench`` import the core lazily and are therefore
 not re-exported here -- import them as submodules
 (``from repro.obs.perf import bench``); the dependency-free counter and
-fingerprint primitives are re-exported for convenience.
+fingerprint primitives are re-exported for convenience, each imported
+on first use (:mod:`repro._lazy`).
 """
 
-from .counters import WORK_COUNTER_FIELDS, WorkCounters
-from .fingerprint import environment_fingerprint, git_revision
+from ..._lazy import lazy_exports
+
+_resolve, __dir__ = lazy_exports(__name__, {
+    ".counters": ("WORK_COUNTER_FIELDS", "WorkCounters"),
+    ".fingerprint": ("environment_fingerprint", "git_revision"),
+})
 
 __all__ = [
     "WORK_COUNTER_FIELDS",
@@ -29,3 +34,7 @@ __all__ = [
     "environment_fingerprint",
     "git_revision",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _resolve(name)

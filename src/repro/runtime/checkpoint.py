@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Union
 
 from ..core.cluster import DeltaCluster
 from ..core.clustering import Clustering
@@ -62,6 +62,11 @@ class CheckpointCorruptionError(CheckpointError):
 
 class CheckpointMismatchError(CheckpointError):
     """A resume targeted a run directory from a different session."""
+
+    def __init__(self, message: str, fields: Sequence[str] = ()) -> None:
+        super().__init__(message)
+        #: The identity fields that differ (none for a schema mismatch).
+        self.fields = tuple(fields)
 
 
 def _canonical(obj: object) -> str:
@@ -186,7 +191,7 @@ class CheckpointStore:
             raise CheckpointError(f"no manifest in run directory: {run_dir}")
         try:
             manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise CheckpointCorruptionError(
                 f"manifest is not valid JSON: {manifest_path}: {exc}"
             ) from exc
@@ -199,7 +204,12 @@ class CheckpointStore:
                 f"manifest schema {manifest.get('schema')!r} is not the "
                 f"supported schema {MANIFEST_SCHEMA}: {manifest_path}"
             )
-        config = RunConfig.from_dict(dict(manifest["config"]))
+        try:
+            config = RunConfig.from_dict(dict(manifest["config"]))
+        except (TypeError, ValueError) as exc:
+            raise CheckpointCorruptionError(
+                f"manifest config is not a RunConfig: {manifest_path}: {exc}"
+            ) from exc
         return cls(run_dir, config, manifest)
 
     # ------------------------------------------------------------------
@@ -287,7 +297,8 @@ class CheckpointStore:
             )
             raise CheckpointMismatchError(
                 "run directory belongs to a different session; "
-                f"mismatched fields: {', '.join(diff)}"
+                f"mismatched fields: {', '.join(diff)}",
+                fields=diff,
             )
 
     # ------------------------------------------------------------------

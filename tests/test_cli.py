@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -27,6 +28,17 @@ def workspace(tmp_path):
     ])
     assert code == 0
     return tmp_path, matrix_path, truth_path
+
+
+def _python(*argv):
+    """Run ``python *argv`` in a fresh process with ``src`` importable."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env,
+        check=False, timeout=120,
+    )
 
 
 class TestGenerate:
@@ -108,11 +120,12 @@ class TestMineAndEvaluate:
         ])
         assert code == 0
 
-    def test_unsupported_format(self, tmp_path):
+    def test_unsupported_format(self, tmp_path, capsys):
         bad = tmp_path / "matrix.xlsx"
         bad.write_text("nope")
-        with pytest.raises(SystemExit, match="unsupported"):
-            main(["mine", str(bad), "--target", "1.0"])
+        assert main(["mine", str(bad), "--target", "1.0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"unsupported matrix format: {bad} (use .npz or .csv)\n"
 
     def test_missing_matrix_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.npz"
@@ -431,14 +444,7 @@ class TestOutThroughAFile:
 
     @staticmethod
     def _run(*argv):
-        src = Path(__file__).resolve().parents[1] / "src"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
-        return subprocess.run(
-            [sys.executable, "-m", "repro", *argv],
-            capture_output=True, text=True, env=env, check=False,
-            timeout=120,
-        )
+        return _python("-m", "repro", *argv)
 
     @pytest.mark.parametrize("flag", ["--out", "--truth-out"])
     def test_generate_exits_2(self, tmp_path, flag):
@@ -544,3 +550,207 @@ class TestAlphaOccupancy:
         assert clusters, "expected mined clusters on disk"
         for cluster in clusters:
             assert cluster.occupancy_ok(matrix, alpha), cluster
+
+
+#: Prints, after ``repro.cli.main(sys.argv[1:])``, the exit code, the
+#: ``repro`` modules loaded and those first loaded after the matrix.
+_IMPORT_PROBE = """
+import json, sys
+import repro.cli as cli
+
+def repro_modules():
+    return {name for name in sys.modules if name.split(".")[0] == "repro"}
+
+loaded = {}
+load = cli.load_matrix_npz
+
+def probe(path):
+    loaded["modules"] = repro_modules()
+    return load(path)
+
+cli.load_matrix_npz = probe
+code = cli.main(sys.argv[1:])
+after = repro_modules()
+print(json.dumps({
+    "code": code,
+    "modules": sorted(after),
+    "after_load": sorted(after - loaded.get("modules", after)),
+}), file=sys.stderr)
+"""
+
+
+class TestImportBudget:
+    """A ``repro mine`` process loads the modules it runs and no others,
+    and loads them all before the matrix: module loading is start-up
+    cost, never mining time."""
+
+    NOT_ON_THE_MINE_PATH = [
+        "repro.baselines", "repro.subspace", "repro.runtime",
+        "repro.devtools", "repro.eval.experiment", "repro.eval.significance",
+        "repro.obs.analysis", "repro.obs.session", "repro.obs.export",
+        "repro.obs.perf.fingerprint", "repro.data.movielens",
+    ]
+
+    @staticmethod
+    def _probe(*argv):
+        proc = _python("-c", _IMPORT_PROBE, *argv)
+        assert "Traceback" not in proc.stderr, proc.stderr
+        report = json.loads(proc.stderr.splitlines()[-1])
+        assert report["code"] == 0, proc.stderr
+        return report
+
+    def test_plain_mine_loads_only_its_path(self, workspace):
+        tmp_path, matrix_path, __ = workspace
+        report = self._probe(
+            "mine", str(matrix_path), "--target", "5.0", "--k", "3",
+            "--restarts", "1", "--reseed-rounds", "1",
+            "--out", str(tmp_path / "found.txt"),
+        )
+        loaded = set(report["modules"])
+        for name in self.NOT_ON_THE_MINE_PATH:
+            assert name not in loaded, f"plain mine imported {name}"
+        assert len(loaded) <= 30, sorted(loaded)
+        assert report["after_load"] == []
+
+    def test_supervised_mine_loads_the_runtime_before_the_matrix(
+        self, workspace
+    ):
+        tmp_path, matrix_path, __ = workspace
+        report = self._probe(
+            "mine", str(matrix_path), "--target", "5.0", "--k", "3",
+            "--restarts", "2", "--reseed-rounds", "1", "--workers", "2",
+            "--run-dir", str(tmp_path / "run"),
+            "--out", str(tmp_path / "found.txt"),
+        )
+        assert "repro.runtime" in report["modules"]
+        assert report["after_load"] == []
+
+    def test_bare_import_loads_no_subpackage(self):
+        proc = _python("-c", (
+            "import sys, repro; print(sorted(name for name in sys.modules "
+            "if name.split('.')[0] == 'repro'))"
+        ))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['repro', 'repro._lazy']"
+
+
+def _assert_usage_error(proc, starts):
+    """Exit 2 with one stderr line starting ``starts``, no traceback."""
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.startswith(starts), proc.stderr
+
+
+class TestRunDirectory:
+    """Run-directory misuse is a usage error on the command line (the
+    library keeps raising ``CheckpointError``): exit 2, one stderr line,
+    no traceback, and the run directory left as it was."""
+
+    @pytest.fixture
+    def session(self, workspace):
+        """A finished supervised session at k 2, and its argv."""
+        tmp_path, matrix_path, __ = workspace
+        run_dir = tmp_path / "run"
+        argv = ["mine", str(matrix_path), "--target", "5.0", "--k", "2",
+                "--restarts", "2", "--reseed-rounds", "1", "--seed", "3",
+                "--workers", "1", "--run-dir", str(run_dir)]
+        proc = TestOutThroughAFile._run(*argv)
+        assert proc.returncode == 0, proc.stderr
+        return tmp_path, run_dir, argv
+
+    @staticmethod
+    def _flag(argv, flag, value):
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        return argv
+
+    @pytest.mark.parametrize("changes,named", [
+        ([("--k", "3")], "--k"),
+        ([("--k", "3"), ("--seed", "4")], "--k, --seed"),
+        ([("--target", "4.0")], "--target"),
+    ])
+    def test_resume_with_other_mining_flags_exits_2(
+        self, session, changes, named
+    ):
+        tmp_path, run_dir, argv = session
+        for flag, value in changes:
+            argv = self._flag(argv, flag, value)
+        manifest = (run_dir / "manifest.json").read_bytes()
+        out = tmp_path / "resumed.txt"
+        proc = TestOutThroughAFile._run(*argv, "--resume", "--out", str(out))
+        _assert_usage_error(proc, f"cannot resume {run_dir}: ")
+        assert proc.stderr.rstrip().endswith(f"different {named}")
+        assert not out.exists()
+        assert (run_dir / "manifest.json").read_bytes() == manifest
+
+    def test_resume_may_change_scheduling_flags(self, session):
+        tmp_path, run_dir, argv = session
+        first, resumed = tmp_path / "first.txt", tmp_path / "resumed.txt"
+        fresh = self._flag(argv, "--run-dir", str(tmp_path / "fresh"))
+        assert TestOutThroughAFile._run(
+            *fresh, "--out", str(first)).returncode == 0
+        proc = TestOutThroughAFile._run(
+            *self._flag(argv, "--workers", "2"), "--max-retries", "0",
+            "--resume", "--out", str(resumed),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert resumed.read_bytes() == first.read_bytes()
+
+    def test_fresh_run_into_initialized_directory_exits_2(self, session):
+        __, run_dir, argv = session
+        manifest = (run_dir / "manifest.json").read_bytes()
+        proc = TestOutThroughAFile._run(*argv)
+        _assert_usage_error(proc, "run directory already initialized: ")
+        assert (run_dir / "manifest.json").read_bytes() == manifest
+
+    @pytest.mark.parametrize("state", ["missing", "empty"])
+    def test_resume_without_a_manifest_exits_2(self, workspace, state):
+        tmp_path, matrix_path, __ = workspace
+        run_dir = tmp_path / "run"
+        if state == "empty":
+            run_dir.mkdir()
+        proc = TestOutThroughAFile._run(
+            "mine", str(matrix_path), "--target", "5.0",
+            "--run-dir", str(run_dir), "--resume",
+        )
+        _assert_usage_error(proc, "no manifest in run directory: ")
+
+    @pytest.mark.parametrize("content", [
+        b"{not json", b"\xff\xfe", b'{"schema": 1, "config": {"bogus": 1}}',
+    ], ids=["not-json", "not-utf8", "bad-config"])
+    def test_resume_from_garbage_manifest_exits_2(self, workspace, content):
+        tmp_path, matrix_path, __ = workspace
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        (run_dir / "manifest.json").write_bytes(content)
+        proc = TestOutThroughAFile._run(
+            "mine", str(matrix_path), "--target", "5.0",
+            "--run-dir", str(run_dir), "--resume",
+        )
+        _assert_usage_error(proc, "manifest ")
+        assert str(run_dir / "manifest.json") in proc.stderr
+
+
+class TestBadInputExitCodes:
+    """Bad input that used to exit 1 or print a traceback: exit 2, one
+    stderr line."""
+
+    def test_unsupported_matrix_format_exits_2(self, workspace):
+        tmp_path, matrix_path, __ = workspace
+        text = tmp_path / "x.txt"
+        text.write_bytes(matrix_path.read_bytes())
+        proc = TestOutThroughAFile._run("mine", str(text), "--target", "5.0")
+        _assert_usage_error(proc, f"unsupported matrix format: {text} ")
+
+    @pytest.mark.parametrize("argv", [
+        ["yeast", "--rows", "0"],
+        ["synthetic", "--rows", "5", "--clusters", "2",
+         "--cluster-rows", "10"],
+    ], ids=["yeast-no-rows", "synthetic-clusters-do-not-fit"])
+    def test_impossible_generate_parameters_exit_2(self, tmp_path, argv):
+        out = tmp_path / "g.npz"
+        proc = TestOutThroughAFile._run(
+            "generate", *argv, "--out", str(out))
+        _assert_usage_error(proc, f"cannot generate {argv[0]}: ")
+        assert not out.exists()

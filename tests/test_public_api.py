@@ -14,9 +14,13 @@ PACKAGES = [
     "repro.subspace",
     "repro.data",
     "repro.eval",
+    "repro.obs",
+    "repro.obs.perf",
+    "repro.runtime",
 ]
 
 MODULES = [
+    "repro._lazy",
     "repro.cli",
     "repro.core.matrix",
     "repro.core.rng",
@@ -93,6 +97,21 @@ def test_public_symbols_documented(name):
             assert getattr(obj, "__doc__", None), (
                 f"{name}.{symbol} lacks a docstring"
             )
+
+
+@pytest.mark.parametrize(
+    "name", ["repro", "repro.obs", "repro.obs.perf", "repro.data",
+             "repro.eval", "repro.devtools"]
+)
+def test_lazy_exports_behave_like_attributes(name):
+    """Lazily exported names show in ``dir()``; an unknown name is an
+    ``AttributeError``, so ``hasattr`` and ``from ... import`` fail as
+    they would on an eager package."""
+    module = importlib.import_module(name)
+    assert set(module.__all__) <= set(dir(module))
+    assert not hasattr(module, "no_such_name")
+    with pytest.raises(ImportError):
+        exec(f"from {name} import no_such_name", {})
 
 
 def _is_type_alias(obj):
