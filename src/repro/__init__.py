@@ -18,8 +18,8 @@ Quickstart
 >>> from repro import DataMatrix, floc
 >>> rng = np.random.default_rng(0)
 >>> values = rng.uniform(0, 100, size=(60, 12))
->>> values[:10, :4] = 50 + rng.uniform(-20, 20, 10)[:, None] \
-...     + rng.uniform(-20, 20, 4)[None, :]
+>>> values[:10, :4] = (50 + rng.uniform(-20, 20, 10)[:, None]
+...                    + rng.uniform(-20, 20, 4)[None, :])
 >>> result = floc(DataMatrix(values), k=1, rng=0)
 >>> result.average_residue < 10
 True

@@ -68,7 +68,7 @@ from ..obs.events import ActionEvent, IterationEvent, SeedEvent
 from ..obs.perf.counters import WorkCounters
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import gain_engine
-from .actions import COL, ROW
+from .actions import ROW
 from .cluster import DeltaCluster
 from .clustering import Clustering
 from .constraints import Constraints
@@ -188,16 +188,24 @@ class _State:
     refreshes that close each improving sweep.
 
     ``filled_T``/``mask_T`` are transposed contiguous copies of the
-    matrix, so column blocks gather contiguous memory.  ``dense`` says
-    the matrix has no missing entry: every mask product is then an
-    exact ``x * 1.0`` and every line of a cluster with member rows and
-    member columns has specified cells, so the deviation pass skips
-    both.  ``stamp`` is a per-cluster modification counter, bumped by
-    every operation that can change a cluster's statistics
-    (:meth:`toggle`, :meth:`perform`, :meth:`refresh_cluster`, and
-    :meth:`restore` for the clusters that changed since the snapshot).  The gain engine's lane caches and the
-    :meth:`line_deviations` cache key on it; it never repeats a value,
-    so a cached entry is valid iff its stamp still matches.
+    matrix, so column blocks gather contiguous memory; ``mask_i`` and
+    ``mask_T_i`` are integer copies of the mask, the rows a toggle adds
+    to or subtracts from the counts.  ``nan_filled``/``nan_filled_T``
+    hold NaN at the unspecified cells, which the deviation pass drops
+    with one ``fmax``.  ``dense`` says the matrix has no missing entry:
+    there is then nothing to drop, and every line of a cluster with
+    member rows and member columns has specified cells, so the pass
+    also skips the base's ``max(count, 1)`` guard.
+    ``member_cells[c]`` is the number of specified cells of c's member
+    lines, each counted over the whole matrix -- the sum of
+    ``counts[c]`` -- kept by every operation that moves membership.
+    ``stamp`` is a per-cluster modification counter, bumped by every
+    operation that can change a cluster's statistics (:meth:`toggle`,
+    :meth:`perform`, :meth:`refresh_cluster`, and :meth:`restore` for
+    the clusters that changed since the snapshot).  The gain engine's
+    lane caches and the :meth:`line_deviations` cache key on it; it
+    never repeats a value, so a cached entry is valid iff its stamp
+    still matches.
     """
 
     row_member = _line_view("member", cols=False)
@@ -222,7 +230,18 @@ class _State:
         self.filled = np.where(mask, values, 0.0)
         self.filled_T = np.ascontiguousarray(self.filled.T)
         self.mask_T = np.ascontiguousarray(mask.T)
+        self.mask_i = mask.astype(np.int64)
+        self.mask_T_i = np.ascontiguousarray(self.mask_i.T)
         self.dense = bool(mask.all())
+        if self.dense:
+            self.nan_filled, self.nan_filled_T = self.filled, self.filled_T
+        else:
+            self.nan_filled = np.where(mask, values, np.nan)
+            self.nan_filled_T = np.ascontiguousarray(self.nan_filled.T)
+        #: Specified cells of every line over the whole matrix.
+        self._line_cells: List[int] = np.concatenate(
+            (self.mask_i.sum(axis=1), self.mask_i.sum(axis=0))
+        ).tolist()
         self.k = len(seeds)
         self.n_rows, n_cols = values.shape
         n_lines = self.n_rows + n_cols
@@ -239,6 +258,7 @@ class _State:
         self.sums = np.zeros((self.k, n_lines))
         self.counts = np.zeros((self.k, n_lines), dtype=np.int64)
         self.counts_f = np.zeros((self.k, n_lines))
+        self.member_cells = np.zeros(self.k, dtype=np.int64)
         #: ``(stamp, line_deviations, member rows, member columns)``.
         self._deviations: List[Optional[Tuple[int, np.ndarray, int, int]]] = (
             [None] * self.k
@@ -253,14 +273,20 @@ class _State:
         return member[:self.n_rows].nonzero()[0], member[self.n_rows:].nonzero()[0]
 
     def refresh_cluster(self, c: int) -> None:
-        """Rebuild cluster ``c``'s statistics from its membership."""
+        """Rebuild cluster ``c``'s statistics from its membership.
+
+        Each line sum adds the member lines of the other axis one at a
+        time, in index order: the rows of a ``take`` gather reduced
+        over axis 0 (for the row sums, of the transposed copy).
+        """
         rows, cols = self._members(c)
         split = self.n_rows
-        self.sums[c, :split] = self.filled[:, cols].sum(axis=1)
-        self.sums[c, split:] = self.filled[rows, :].sum(axis=0)
-        self.counts[c, :split] = self.mask[:, cols].sum(axis=1)
-        self.counts[c, split:] = self.mask[rows, :].sum(axis=0)
+        np.add.reduce(self.filled_T.take(cols, axis=0), axis=0, out=self.sums[c, :split])
+        np.add.reduce(self.filled.take(rows, axis=0), axis=0, out=self.sums[c, split:])
+        np.add.reduce(self.mask_T_i.take(cols, axis=0), axis=0, out=self.counts[c, :split])
+        np.add.reduce(self.mask_i.take(rows, axis=0), axis=0, out=self.counts[c, split:])
         self.counts_f[c] = self.counts[c]
+        self.member_cells[c] = np.add.reduce(self.counts[c])
         self._settle(c, rows, cols, int(self.counts[c, :split].take(rows).sum()))
 
     def perform(self, kind: str, index: int, c: int) -> None:
@@ -279,18 +305,28 @@ class _State:
             self.work.toggles += 1
         split = self.n_rows
         line = index if kind == ROW else split + index
-        step = -1 if self.member[c, line] else 1
-        self.member[c, line] = step > 0
+        joining = not self.member[c, line]
+        self.member[c, line] = joining
         rows, cols = self._members(c)
+        shift = np.add if joining else np.subtract
         if kind == ROW:
-            self.counts[c, split:] += step * self.mask[index]
-            self.counts_f[c, split:] = self.counts[c, split:]
-            self.sums[c, split:] = np.add.reduce(self.filled[rows, :], axis=0)
+            counts = self.counts[c, split:]
+            shift(counts, self.mask_i[index], out=counts)
+            self.counts_f[c, split:] = counts
+            np.add.reduce(self.filled.take(rows, axis=0), axis=0, out=self.sums[c, split:])
         else:
-            self.counts[c, :split] += step * self.mask_T[index]
-            self.counts_f[c, :split] = self.counts[c, :split]
-            self.sums[c, :split] = np.add.reduce(self.filled[:, cols], axis=1)
-        volume = int(self.volumes[c]) + step * int(self.counts[c, line])
+            counts = self.counts[c, :split]
+            shift(counts, self.mask_T_i[index], out=counts)
+            self.counts_f[c, :split] = counts
+            np.add.reduce(self.filled_T.take(cols, axis=0), axis=0, out=self.sums[c, :split])
+        cells = self._line_cells[line]
+        count = int(self.counts[c, line])
+        if joining:
+            self.member_cells[c] += cells
+            volume = int(self.volumes[c]) + count
+        else:
+            self.member_cells[c] -= cells
+            volume = int(self.volumes[c]) - count
         self._settle(c, rows, cols, volume)
 
     def _settle(self, c: int, rows: np.ndarray, cols: np.ndarray, volume: int) -> None:
@@ -341,16 +377,23 @@ class _State:
             # Every count is positive, so the empty-base guard is idle.
             base = sums / self.counts_f[c]
         else:
-            # An empty base reads 0.0, not a sum drifted off zero; as a
-            # line base it meets only unspecified cells, which the mask
-            # drops.
-            base = np.where(self.counts[c] > 0, sums / np.maximum(self.counts_f[c], 1.0), 0.0)
-        deviations = np.concatenate((
-            _block_deviations(self.filled, None if dense else self.mask,
-                              base[:split], base[split:], sums[split:], cols, volume),
-            _block_deviations(self.filled_T, None if dense else self.mask_T,
-                              base[split:], base[:split], sums[:split], rows, volume),
-        ))
+            # An empty base reads 0.0: whenever the pass runs the sums
+            # are fresh, and a line without specified cells sums only
+            # the +0.0 of ``filled``'s unspecified cells.  As a line
+            # base it meets only unspecified cells, which are dropped.
+            base = sums / np.maximum(self.counts_f[c], 1.0)
+        masked = not dense
+        deviations = np.empty(base.size)
+        np.add.reduce(
+            _block_residuals(self.nan_filled, masked, base[:split], base[split:],
+                             sums[split:], cols, volume),
+            axis=1, out=deviations[:split],
+        )
+        np.add.reduce(
+            _block_residuals(self.nan_filled_T, masked, base[split:], base[:split],
+                             sums[:split], rows, volume),
+            axis=1, out=deviations[split:],
+        )
         self._deviations[c] = (int(self.stamp[c]), deviations, rows.size, cols.size)
         if self.work is not None:
             self.work.cells_scanned += split * cols.size + (base.size - split) * rows.size
@@ -365,14 +408,20 @@ class _State:
         line = index if kind == ROW else split + index
         joining = not self.member[c, line]
         self.member[c, line] = joining
-        sign = 1.0 if joining else -1.0
         if kind == ROW:
-            cross, filled, mask = slice(split, None), self.filled[index], self.mask[index]
+            cross, filled, mask = slice(split, None), self.filled[index], self.mask_i[index]
         else:
-            cross, filled, mask = slice(0, split), self.filled_T[index], self.mask_T[index]
-        self.sums[c, cross] += sign * filled
-        self.counts[c, cross] += (1 if joining else -1) * mask
-        self.counts_f[c, cross] += sign * mask
+            cross, filled, mask = slice(0, split), self.filled_T[index], self.mask_T_i[index]
+        # ``x - y`` is ``x + (-y)`` bit for bit, and the float counts are
+        # exact integers: the same bits as adding ``-1.0 *`` the rows.
+        shift = np.add if joining else np.subtract
+        sums = self.sums[c, cross]
+        shift(sums, filled, out=sums)
+        counts = self.counts[c, cross]
+        shift(counts, mask, out=counts)
+        self.counts_f[c, cross] = counts
+        cells = self._line_cells[line]
+        self.member_cells[c] += cells if joining else -cells
         self.stamp[c] += 1
         self.rev += 1
 
@@ -398,6 +447,7 @@ class _State:
         self.counts[...] = state["counts"]
         self.counts_f[...] = self.counts
         self.volumes_f[...] = self.volumes
+        np.add.reduce(self.counts, axis=1, out=self.member_cells)
         # A cluster whose stamp has not moved since the snapshot holds
         # the snapshot's statistics already, so its cached lanes stay
         # valid.  The others get a fresh stamp: stamps only ever move
@@ -409,22 +459,25 @@ class _State:
             self.rev += 1
 
 
-def _block_deviations(
-    filled: np.ndarray, mask: Optional[np.ndarray], line_base: np.ndarray,
+def _block_residuals(
+    values: np.ndarray, masked: bool, line_base: np.ndarray,
     cross_base: np.ndarray, cross_sums: np.ndarray, members: np.ndarray, volume: int,
 ) -> np.ndarray:
-    """Per-line ``sum |d - line base - cross base + grand|`` over the
-    specified cells of the ``members`` columns of ``filled`` (all of
-    them when ``mask`` is ``None``)."""
+    """``|d - line base - cross base + grand|`` on the ``members``
+    columns of ``values``, 0.0 at the unspecified cells: ``values``
+    holds NaN there when ``masked``."""
     grand = float(np.add.reduce(cross_sums.take(members))) / volume if volume else 0.0
-    block = filled.take(members, axis=1)
+    block = values.take(members, axis=1)
     block -= line_base[:, None]
     block -= cross_base.take(members)
     block += grand
     np.abs(block, out=block)
-    if mask is not None:
-        block *= mask.take(members, axis=1)
-    return np.add.reduce(block, axis=1)
+    if masked:
+        # ``fmax`` returns its other operand for a NaN: an unspecified
+        # cell becomes +0.0 (what a ``* 0.0`` mask product made of it),
+        # and ``fmax(|x|, 0.0)`` is ``|x|`` (what ``* 1.0`` made of it).
+        np.fmax(block, 0.0, out=block)
+    return block
 
 
 def _build_seeds(

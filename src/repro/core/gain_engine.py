@@ -153,9 +153,22 @@ def estimate_lane(state: "_State", c: int) -> LaneScores:
     removing = state.member[c]
     volume = state.volumes_f[c]
     residue = state.residues[c]
-    # A line with no specified entry on the cluster divides 0.0 by 1.0
-    # here; the ``untouched`` overlay below pins it to 0.0 regardless.
-    line_residues = deviations / np.maximum(line_counts_f, 1.0)
+    # Overlays for lines with no specified entry on the cluster and for
+    # removals that empty it.  On a fully specified matrix a cluster
+    # with at least two member rows and two member columns has neither:
+    # every row has m >= 2 specified cells on it, every column n >= 2,
+    # and a removal leaves at least (n - 1) * m cells -- so the
+    # ``max(., 1)`` guards of both divisions are idle too.
+    if state.dense:
+        n, m = state.sizes(c)
+        overlays = n < 2 or m < 2
+    else:
+        overlays = True
+    # A line with no specified entry on the cluster divides its
+    # deviation sum, +0.0 (its cells are all unspecified), by 1.0.
+    line_residues = deviations / (
+        np.maximum(line_counts_f, 1.0) if overlays else line_counts_f
+    )
 
     # One pass for additions and removals: a removal folds in the
     # negated count (``a + (-b) == a - b`` bitwise), and the clamp is
@@ -165,29 +178,32 @@ def estimate_lane(state: "_State", c: int) -> LaneScores:
     new_volumes = volume + signed_counts
     new_residues = np.maximum(
         (volume * residue + signed_counts * line_residues)
-        / np.maximum(new_volumes, 1.0),
+        / (np.maximum(new_volumes, 1.0) if overlays else new_volumes),
         0.0,
     )
 
-    # The overlays are rare (lines with no specified entry on the
-    # cluster, removals that empty it): skip their passes when idle.
-    untouched = line_counts == 0
-    if untouched.any():
-        new_volumes = np.where(untouched, volume, new_volumes)
-        new_residues = np.where(untouched, residue, new_residues)
-        line_residues = np.where(untouched, 0.0, line_residues)
-    emptied = new_volumes <= 0  # a superset, refined only when non-empty
-    if emptied.any():
-        emptied &= removing & ~untouched
-        new_volumes = np.where(emptied, 0.0, new_volumes)
-        new_residues = np.where(emptied, 0.0, new_residues)
-        line_residues = np.where(emptied, 0.0, line_residues)
+    if overlays:
+        # Only the residues need overlaying where the overlays apply:
+        # an untouched line moves the volume by +-0.0 and has a line
+        # residue of +0.0 already, and an emptying removal leaves a
+        # volume of exactly V - V = +0.0.  Both passes are skipped
+        # when idle, which they mostly are.
+        untouched = line_counts == 0
+        if np.logical_or.reduce(untouched):
+            new_residues = np.where(untouched, residue, new_residues)
+        if np.minimum.reduce(new_volumes) <= 0.0:
+            # Removals that empty the cluster (and, on an empty one,
+            # the untouched lines, which keep their overlay).
+            emptied = (new_volumes <= 0.0) & removing & ~untouched
+            new_residues = np.where(emptied, 0.0, new_residues)
+            line_residues = np.where(emptied, 0.0, line_residues)
 
     w = state.work
     if w is not None:
         w.batch_evals += 1
         w.toggle_evals += line_counts.size
-        w.cells_scanned += int(np.add.reduce(line_counts))
+        # The sum of ``line_counts``, from the state's ledger.
+        w.cells_scanned += int(state.member_cells[c])
     return LaneScores(
         new_residues=new_residues,
         new_volumes=new_volumes,
@@ -798,6 +814,7 @@ class GainEngine:
                 _structural_bounds(self.constraints, kind, n, m)
                 for kind, _, _ in spans
             ]
+        is_addition = ~removing
         gains = gain_lane(
             float(state.residues[c]),
             int(state.volumes[c]),
@@ -805,24 +822,28 @@ class GainEngine:
             scores.new_volumes,
             self.residue_target,
             scores.line_residues,
-            ~removing,
+            is_addition,
         )
         for (kind, lo, hi), (rb, ab) in zip(spans, bounds):
-            if rb or ab:
-                gains[lo:hi][np.where(removing[lo:hi], rb, ab)] = BLOCKED_GAIN
-            width = m if kind == ROW else n
-            if self.alpha > 0.0 and part.kind is None and width > 0:
-                # The cheap occupancy proxy: a joining line must itself
-                # meet alpha on the cluster's current extent.
-                gains[lo:hi][
-                    ~removing[lo:hi]
-                    & (scores.line_counts[lo:hi] < self.alpha * width)
-                ] = BLOCKED_GAIN
+            if rb and ab:
+                gains[lo:hi] = BLOCKED_GAIN
+            elif rb or ab:
+                gains[lo:hi][(removing if rb else is_addition)[lo:hi]] = BLOCKED_GAIN
+            if self.alpha > 0.0 and part.kind is None:
+                width = m if kind == ROW else n
+                if width > 0:
+                    # The cheap occupancy proxy: a joining line must
+                    # itself meet alpha on the cluster's current extent.
+                    gains[lo:hi][
+                        is_addition[lo:hi]
+                        & (scores.line_counts[lo:hi] < self.alpha * width)
+                    ] = BLOCKED_GAIN
         if sel is None:
             part.scores[c] = scores
             lanes.gains[c, part.lo:part.hi] = gains
-            part.full[c] = True
-            part.win_end[c] = part.hi - part.lo
+            if part.kind is not None:  # block windows are exact-only
+                part.full[c] = True
+                part.win_end[c] = part.hi - part.lo
         else:
             # Scatter the block into the cluster's full-size store; the
             # entries outside the window keep stale values that the
@@ -997,9 +1018,14 @@ class GainEngine:
             hits = lanes.hits
             if hits is None:
                 if not self._expensive and t < bound:
-                    # The slot at ``t`` is known and most often acts.
+                    # The slot at ``t`` is known and most often acts
+                    # (``_acts`` of one gain on the cheap path).
                     choice = self._cheap_choice(int(self._lines[t]))
-                    if self._acts(choice[3]):
+                    gain = choice[3]
+                    if (
+                        gain != BLOCKED_GAIN if self.mandatory_moves
+                        else not gain <= 0.0
+                    ):
                         hit = t, choice
                         break
                 hits = lanes.hits = self._acts(
@@ -1039,9 +1065,8 @@ class GainEngine:
         split = self.state.n_rows
         return (ROW, line) if line < split else (COL, line - split)
 
-    def _acts(self, gains: Union[np.ndarray, float]) -> np.ndarray:
-        """Mask of best gains (an array, or one gain) whose slot the
-        scan stops at.
+    def _acts(self, gains: np.ndarray) -> np.ndarray:
+        """Mask of the best gains whose slot the scan stops at.
 
         On the cheap paths a stop is a performed action.  On the
         expensive path the walk confirms each stop; traced runs walk

@@ -12,9 +12,10 @@ so their output is bit-identical across runs and machines.
 The built-in workloads are grouped into *suites*:
 
 ``smoke``
-    Seconds-scale runs of both gain modes plus a pooled mining
-    session -- the CI perf gate (`.github/workflows/ci.yml` compares
-    their counters against ``benchmarks/baselines/BENCH_smoke.json``).
+    Seconds-scale runs of both gain modes, a pooled mining session and
+    counted restarts on input with missing entries -- the CI perf gate
+    (`.github/workflows/ci.yml` compares their counters against
+    ``benchmarks/baselines/BENCH_smoke.json``).
 ``scaling``
     Cells of the Tables 2/3 response-time sweep, sharing
     :func:`scaling_cell_config` with ``benchmarks/bench_table2_3_scaling.py``
@@ -237,6 +238,36 @@ def _smoke_mining(work: WorkCounters) -> Dict[str, object]:
     }
 
 
+def _smoke_mining_sparse(work: WorkCounters) -> Dict[str, object]:
+    from ...core.mining import run_restart
+    from ...data.synthetic import generate_embedded
+
+    # 20% missing entries: the masked deviation pass and the estimate
+    # lane's overlays, which every dense workload skips, run here.
+    dataset = generate_embedded(
+        100, 20, 3, cluster_shape=(15, 8), noise=1.0, missing_fraction=0.2,
+        rng=1,
+    )
+    runs = [
+        run_restart(
+            dataset.matrix, restart,
+            residue_target=4.0,
+            root_seed=13,
+            k=4,
+            reseed_rounds=2,
+            max_iterations=10,
+            work=work,
+        )
+        for restart in range(3)
+    ]
+    return {
+        "n_restarts": len(runs),
+        "n_actions": sum(run.n_actions for run in runs),
+        "average_residue": [round(run.average_residue, 12) for run in runs],
+        "total_volume": sum(run.clustering.total_volume() for run in runs),
+    }
+
+
 def _scaling_cell(
     n_rows: int, n_cols: int, k: int, gain_mode: Optional[str] = None
 ) -> Runner:
@@ -326,6 +357,12 @@ register_workload(
     "3-restart mining session with pooling, 100x20 embedded workload",
     ("smoke",),
     _smoke_mining,
+)
+register_workload(
+    "smoke_mining_sparse",
+    "3 counted restarts on a 100x20 embedded workload, 20% missing",
+    ("smoke",),
+    _smoke_mining_sparse,
 )
 register_workload(
     "scaling_100x20_k6",

@@ -170,8 +170,20 @@ class CheckpointStore:
                 f"run directory already initialized: {manifest_path}; "
                 "use CheckpointStore.open() / --resume to continue it"
             )
-        run_dir.mkdir(parents=True, exist_ok=True)
-        (run_dir / "restarts").mkdir(exist_ok=True)
+        try:
+            run_dir.mkdir(parents=True, exist_ok=True)
+            (run_dir / "restarts").mkdir(exist_ok=True)
+        except OSError as exc:
+            # A file at the run directory, or on the path to it.
+            blocker = next(
+                (path for path in (run_dir, *run_dir.parents)
+                 if path.exists() and not path.is_dir()),
+                None,
+            )
+            reason = f"{blocker} is not a directory" if blocker else exc.strerror
+            raise CheckpointError(
+                f"cannot create run directory {run_dir}: {reason}"
+            ) from exc
         manifest: Dict[str, object] = {
             "schema": MANIFEST_SCHEMA,
             "config": config.to_dict(),

@@ -732,6 +732,28 @@ class TestRunDirectory:
         assert str(run_dir / "manifest.json") in proc.stderr
 
 
+    @pytest.mark.parametrize("through", [False, True],
+                             ids=["file", "path-through-file"])
+    def test_run_dir_through_a_file_exits_2(self, workspace, through):
+        tmp_path, matrix_path, __ = workspace
+        blocker = tmp_path / "afile"
+        blocker.write_text("a file, not a run directory")
+        run_dir = blocker / "sub" if through else blocker
+        out = tmp_path / "mined.txt"
+        proc = TestOutThroughAFile._run(
+            "mine", str(matrix_path), "--target", "5.0", "--k", "2",
+            "--restarts", "2", "--workers", "2", "--run-dir", str(run_dir),
+            "--out", str(out),
+        )
+        _assert_usage_error(
+            proc,
+            f"cannot create run directory {run_dir}: {blocker} is not a "
+            "directory",
+        )
+        assert blocker.read_text() == "a file, not a run directory"
+        assert not out.exists()
+
+
 class TestBadInputExitCodes:
     """Bad input that used to exit 1 or print a traceback: exit 2, one
     stderr line."""

@@ -693,7 +693,10 @@ class TestDenseDeviationPass:
     mask product and, when the cluster has member rows and member
     columns, the empty-base guard; every entry must keep the bits of the
     masked formula, including clusters with an empty axis, where the
-    guard still applies."""
+    guard still applies.  With missing entries (NaN cells and blanked
+    lines drawn onto the same values) the pass gathers NaN-holding
+    blocks, drops the unspecified cells with ``fmax`` and guards the
+    base with ``max(count, 1)`` alone: the same bits again."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -718,15 +721,97 @@ class TestDenseDeviationPass:
         ]
         state = _State(values, np.ones((n, m), dtype=bool), seeds)
         assert state.dense
+        holed = values.copy()
+        for i, j in data.draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
+            max_size=n * m,
+        )):
+            holed[i, j] = NAN
+        holed[data.draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = NAN
+        holed[:, data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = NAN
+        masked = _State(holed, ~np.isnan(holed), seeds)
         for kind, index, c in data.draw(st.lists(st.tuples(
             st.sampled_from(["row", "col"]), st.integers(0, max(n, m) - 1),
             st.integers(0, k - 1),
         ), max_size=6)):
-            state.perform(kind, index % (n if kind == "row" else m), c)
-        for c in range(k):
-            assert _same_bits(
-                state.line_deviations(c), masked_line_deviations(state, c)
-            ), c
+            for target in (state, masked):
+                target.perform(kind, index % (n if kind == "row" else m), c)
+        for target in (state, masked):
+            for c in range(k):
+                assert _same_bits(
+                    target.line_deviations(c), masked_line_deviations(target, c)
+                ), c
+
+
+class TestMaskedLedgers:
+    """Paranoia over NaN-heavy runs: after every ``perform``, ``toggle``,
+    ``refresh_cluster`` and ``restore``, each cluster's ``member_cells``
+    ledger equals the sum of its line counts (the estimate lane reads
+    it as the cells it scans), and whenever the deviation pass runs,
+    every line without a specified cell on the cluster sums to exactly
+    +0.0 (the masked base divides it by 1.0 instead of selecting 0.0)."""
+
+    @staticmethod
+    def _matrix(seed):
+        values = generate_embedded(
+            60, 14, 2, cluster_shape=(10, 5), noise=1.0,
+            missing_fraction=0.6, rng=seed,
+        ).matrix.values.copy()
+        values[[4, 31], :] = NAN  # all-missing rows
+        values[:, 9] = NAN  # and an all-missing column
+        return values
+
+    @pytest.mark.parametrize("ordering", ["fixed", "greedy"])
+    @pytest.mark.parametrize("gain_mode", ["fast", "exact"])
+    def test_ledgers_after_every_operation(
+        self, monkeypatch, gain_mode, ordering
+    ):
+        checked = {}
+
+        def check_ledger(state, label):
+            for c in range(state.k):
+                assert state.member_cells[c] == int(state.counts[c].sum()), (
+                    label, c,
+                )
+            checked[label] = checked.get(label, 0) + 1
+
+        for name in ("perform", "toggle", "refresh_cluster", "restore"):
+            original = getattr(_State, name)
+
+            def wrapped(self, *args, _original=original, _name=name):
+                _original(self, *args)
+                check_ledger(self, _name)
+
+            monkeypatch.setattr(_State, name, wrapped)
+        deviation_pass = _State._deviation_pass
+
+        def checked_pass(self, c, rows, cols):
+            empty = self.sums[c][self.counts[c] == 0]
+            assert empty.tobytes() == bytes(empty.nbytes), c
+            checked["pass"] = checked.get("pass", 0) + 1
+            return deviation_pass(self, c, rows, cols)
+
+        monkeypatch.setattr(_State, "_deviation_pass", checked_pass)
+        reseed = floc_module._reseed_dead_slots
+        reseeded = []
+
+        def recording(*args, **kwargs):
+            reseeded.append(reseed(*args, **kwargs))
+            return reseeded[-1]
+
+        monkeypatch.setattr(floc_module, "_reseed_dead_slots", recording)
+        result = floc(
+            self._matrix(5), 4, p=0.3, ordering=ordering,
+            gain_mode=gain_mode, residue_target=3.0, reseed_rounds=3,
+            constraints=Constraints(min_rows=3, min_cols=3),
+            rng=15, work=WorkCounters(),
+        )
+        assert result.n_actions > 0
+        action = "perform" if gain_mode == "fast" else "toggle"
+        assert checked[action] >= result.n_actions
+        assert any(reseeded)
+        assert checked["restore"] > 0
+        assert checked["pass"] > 0
 
 
 class TestBestPrefix:

@@ -242,6 +242,41 @@ class TestEstimateLane:
         assert (gains[:12][state.row_member[2]] == BLOCKED_GAIN).all()
         assert (gains[12:][state.col_member[2]] != BLOCKED_GAIN).any()
 
+    def test_overlays_where_the_fold_rounds_off(self):
+        """The overlays' values hold where the fold would not give them:
+        an untouched line keeps the cluster's residue itself, not
+        ``V * R / V``, and a removal that empties the cluster scores
+        0.0.  A residue is planted for which both folds round off."""
+        rng = np.random.default_rng(3)
+        values = rng.normal(size=(8, 6))
+        values[3, :] = NAN  # untouched by the cluster
+        values[np.ix_([1, 2, 4], [0, 1, 2])] = NAN  # row 0 holds every cell
+        rows = np.zeros(8, dtype=bool)
+        rows[[0, 1, 2, 4]] = True
+        cols = np.zeros(6, dtype=bool)
+        cols[[0, 1, 2]] = True
+        state = _State(values, ~np.isnan(values), [(rows, cols)])
+        assert state.volumes[0] == 3
+        state.residues[0] = 0.1  # 3 * 0.1 / 3 != 0.1
+        lane = self._assert_concatenation(state, 0)
+        assert lane.line_counts[3] == 0
+        assert _same_bits(lane.new_residues[3], np.float64(0.1))
+        assert lane.new_residues[0] == 0.0 and lane.line_residues[0] == 0.0
+
+    def test_dense_clusters_with_one_row_or_column_keep_overlays(self):
+        """On a fully specified matrix the overlays and guards are
+        skipped only from two member rows and two member columns up: a
+        one-row or one-column cluster still empties on a removal."""
+        values = np.random.default_rng(4).normal(size=(7, 5))
+        one_row, one_col = np.zeros(7, dtype=bool), np.zeros(5, dtype=bool)
+        one_row[2], one_col[1] = True, True
+        seeds = [(one_row, np.ones(5, dtype=bool)), (np.ones(7, dtype=bool), one_col)]
+        state = _State(values, np.ones((7, 5), dtype=bool), seeds)
+        assert state.dense
+        for c in range(2):
+            lane = self._assert_concatenation(state, c)
+            assert (lane.new_volumes >= 0.0).all() and np.isfinite(lane.new_residues).all()
+
 
 # -- block windows are bitwise-identical to the full lane --------------
 

@@ -73,8 +73,17 @@ class TestWorkCounters:
 class TestParity:
     """Counting must not perturb the algorithm in any observable way."""
 
-    @pytest.mark.parametrize("gain_mode", ["exact", "fast"])
-    def test_counted_run_identical_to_uncounted(self, matrix, gain_mode):
+    @pytest.mark.parametrize("gain_mode,missing", [
+        ("exact", 0.0), ("fast", 0.0),
+        ("exact", 0.2), ("exact", 0.5), ("fast", 0.2), ("fast", 0.5),
+    ], ids=["exact", "fast", "exact-0.2", "exact-0.5", "fast-0.2", "fast-0.5"])
+    def test_counted_run_identical_to_uncounted(self, matrix, gain_mode, missing):
+        if missing:
+            # The masked paths: NaN-holding blocks, the guarded base and
+            # the ``member_cells`` ledger the estimate lane counts from.
+            values = matrix.values.copy()
+            values[np.random.default_rng(3).random(values.shape) < missing] = np.nan
+            matrix = DataMatrix(values)
         kwargs = dict(
             k=3, residue_target=2.0, gain_mode=gain_mode,
             reseed_rounds=2, max_iterations=10, rng=7,

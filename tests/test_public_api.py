@@ -1,6 +1,7 @@
 """Public-surface sanity: exports exist, __all__ lists are honest, and
 the example scripts at least compile."""
 
+import doctest
 import importlib
 import pathlib
 import py_compile
@@ -124,6 +125,14 @@ def test_version_string():
     import repro
 
     assert repro.__version__.count(".") == 2
+
+
+def test_package_docstring_examples_run():
+    import repro
+
+    results = doctest.testmod(repro)
+    assert results.attempted > 0
+    assert results.failed == 0
 
 
 EXAMPLES = sorted(
