@@ -658,7 +658,9 @@ def floc(
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    check_params(k=k, alpha=alpha, reseed_rounds=reseed_rounds)
+    check_params(
+        residue_target=residue_target, k=k, alpha=alpha, reseed_rounds=reseed_rounds
+    )
     if ordering not in ORDERINGS:
         raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
     if gain_mode not in GAIN_MODES:

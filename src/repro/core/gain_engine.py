@@ -22,9 +22,11 @@ Three layers (see DESIGN.md section "The batched gain engine"):
     :func:`exact_context` its candidate-independent half.
 
 **Vectorised policy** (:func:`gain_lane`, the blocking masks)
-    Array forms of FLOC's ``_gain`` branch ladder and of the cheap
-    (cluster-local) constraint checks, so a lane of raw scores becomes a
-    lane of gains with blocked entries at ``-inf`` in O(S) vector work.
+    Array forms of FLOC's ``_gain`` branch ladder and of the
+    cluster-local constraint checks -- the structural floor, Cons_v and
+    Definition 3.1's alpha-occupancy (:func:`occupancy_blocked`) -- so a
+    lane of raw scores becomes a lane of gains with blocked entries at
+    ``-inf`` in vector work.
 
 **The engine** (:class:`GainEngine`)
     Keeps every cluster's gains in one ``(k, M+N)`` store and
@@ -43,12 +45,13 @@ Three layers (see DESIGN.md section "The batched gain engine"):
     and positions of a stale kind or past a window count as unknown
     until the scan reaches them.
 
-Cross-cluster constraints (Cons_o overlap, Cons_c coverage) and the
-exact alpha-occupancy check depend on *other* clusters' state, so they
-cannot live in a per-cluster lane cache: the engine applies them at
-consult time, walking candidates in descending-gain order and verifying
-only the few that could win.  At ordering time the state is frozen, so
-they are applied as whole-lane vector masks instead.
+Cross-cluster constraints (Cons_o overlap, Cons_c coverage) depend on
+*other* clusters' state, so they cannot live in a per-cluster lane
+cache: the engine applies them at consult time, walking candidates in
+descending-gain order and verifying only the few that could win.  At
+ordering time the state is frozen, so they are applied as whole-lane
+vector masks instead.  Alpha-occupancy depends on the acted cluster
+alone and is a lane mask like the structural bounds.
 
 The exact lane's core trick: with row means fixed under a row toggle,
 the after-toggle deviation sum of a member column ``j`` is the sum of
@@ -67,7 +70,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from ..obs.tracer import NULL_TRACER, Tracer
-from .actions import BLOCKED_GAIN, COL, ROW, toggle_occupancy_ok
+from .actions import BLOCKED_GAIN, COL, ROW
 from .constraints import Constraints
 
 if TYPE_CHECKING:  # circular at runtime: floc imports this module
@@ -81,6 +84,7 @@ __all__ = [
     "exact_context",
     "exact_lane",
     "gain_lane",
+    "occupancy_blocked",
 ]
 
 # No ``np.errstate`` anywhere on the hot paths: every division below
@@ -100,14 +104,12 @@ class LaneScores:
     windowed one.  ``new_residues`` / ``new_volumes`` describe the
     cluster after the candidate toggle; ``line_residues`` is the toggled
     line's own frozen-bases residue (the r-residue admission test
-    input); ``line_counts`` the number of specified entries the line
-    has on the cluster.
+    input).
     """
 
     new_residues: np.ndarray
     new_volumes: np.ndarray
     line_residues: np.ndarray
-    line_counts: np.ndarray
 
 
 class ExactContext:
@@ -208,7 +210,6 @@ def estimate_lane(state: "_State", c: int) -> LaneScores:
         new_residues=new_residues,
         new_volumes=new_volumes,
         line_residues=line_residues,
-        line_counts=line_counts,
     )
 
 
@@ -293,7 +294,6 @@ def exact_lane(
                 new_residues=new_residues,
                 new_volumes=new_volumes,
                 line_residues=np.zeros(n_out),
-                line_counts=line_counts,
             )
         # The int volumes convert exactly (far below 2**53).
         denom_v = np.maximum(new_volumes.astype(np.float64), 1.0)
@@ -421,7 +421,6 @@ def exact_lane(
         new_residues=candidate_res,
         new_volumes=new_volumes,
         line_residues=line_residues,
-        line_counts=line_counts,
     )
 
 
@@ -593,6 +592,58 @@ def _structural_bounds(
     return removal_blocked, addition_blocked
 
 
+def occupancy_blocked(
+    state: "_State", alpha: float, kind: str, c: int,
+    sel: Optional[np.ndarray] = None,
+) -> Optional[np.ndarray]:
+    """Definition 3.1's alpha-occupancy over one lane: whether each
+    toggle of one kind's lines (or of the ``sel`` window) against
+    cluster ``c`` is blocked, or ``None`` when none is.
+
+    A toggle is blocked when a line of the toggled cluster fails
+    ``count / width >= alpha`` (the comparison of
+    :func:`~repro.core.actions.toggle_occupancy_ok`) while the cluster
+    meets alpha now: a cluster below alpha may still move, so it can
+    heal, and one without rows or columns meets alpha.  Read from the
+    exact integer ``counts[c]`` and the candidates' mask cells.
+    """
+    split = state.n_rows
+    member, counts = state.member[c], state.counts[c]
+    if kind == ROW:
+        own, cross, mask = slice(0, split), slice(split, None), state.mask
+    else:
+        own, cross, mask = slice(split, None), slice(0, split), state.mask_T
+    cross_idx = member[cross].nonzero()[0]
+    if cross_idx.size == 0:  # every toggled cluster lacks the other kind
+        return None
+    own_member = member[own]
+    own_fits = counts[own] / cross_idx.size >= alpha
+    n = int(np.count_nonzero(own_member))
+    cross_counts = counts[cross].take(cross_idx)
+    if n and not (own_fits[own_member].all() and (cross_counts / n >= alpha).all()):
+        return None
+    cand = np.arange(own_member.size) if sel is None else sel
+    if sel is not None:
+        own_member, own_fits = own_member.take(sel), own_fits.take(sel)
+    # The member lines' counts stay put, and an addition must fit
+    # itself.  A cross line counts the toggled line's cell over n + 1
+    # lines (addition) or n - 1 (removal; none left fits).  The cluster
+    # meets alpha, so a line fails only for want of an addition's cell
+    # (``(count + 1) / (n + 1) >= count / n``) or by losing a removal's
+    # (``count / (n - 1) >= count / n``): only those lines are gathered.
+    blocked = ~(own_member | own_fits)
+    needs = cross_idx[~(cross_counts / (n + 1) >= alpha)]
+    if needs.size:
+        cells = mask[np.ix_(cand, needs)]
+        blocked |= ~own_member & ~np.logical_and.reduce(cells, axis=1)
+    if n > 1:
+        loses = cross_idx[~((cross_counts - 1) / (n - 1) >= alpha)]
+        if loses.size:
+            cells = mask[np.ix_(cand, loses)]
+            blocked |= own_member & np.logical_or.reduce(cells, axis=1)
+    return blocked
+
+
 def _overlap_blocked(
     state: "_State", constraints: Constraints, kind: str, c: int
 ) -> np.ndarray:
@@ -755,17 +806,13 @@ class GainEngine:
         shape = (state.k, state.n_rows, state.member.shape[1])
         self._move = _LaneSet(*shape, exact=not self.fast_mode)
         self._order = self._move if self.fast_mode else _LaneSet(*shape, exact=False)
-        #: Cross-cluster / exact-occupancy checks that cannot be cached
-        #: per lane; verified per consulted candidate instead.
-        self._scalar_constraints = (
+        #: Cross-cluster checks that cannot be cached per lane; verified
+        #: per consulted candidate instead.
+        self._expensive = (
             constraints.max_overlap is not None
             or constraints.require_row_coverage
             or constraints.require_col_coverage
         )
-        self._expensive = self._scalar_constraints or alpha > 0.0
-        #: Memo of the "already violating alpha" healing rule, keyed by
-        #: the cluster's modification stamp.
-        self._alpha_memo: Dict[int, Tuple[int, bool]] = {}
         #: The sweep registered by :meth:`begin_sweep`: the line of every
         #: consult position.
         self._lines = np.zeros(0, dtype=np.intp)
@@ -829,15 +876,10 @@ class GainEngine:
                 gains[lo:hi] = BLOCKED_GAIN
             elif rb or ab:
                 gains[lo:hi][(removing if rb else is_addition)[lo:hi]] = BLOCKED_GAIN
-            if self.alpha > 0.0 and part.kind is None:
-                width = m if kind == ROW else n
-                if width > 0:
-                    # The cheap occupancy proxy: a joining line must
-                    # itself meet alpha on the cluster's current extent.
-                    gains[lo:hi][
-                        is_addition[lo:hi]
-                        & (scores.line_counts[lo:hi] < self.alpha * width)
-                    ] = BLOCKED_GAIN
+            if self.alpha > 0.0:
+                blocked = occupancy_blocked(state, self.alpha, kind, c, sel)
+                if blocked is not None:
+                    gains[lo:hi][blocked] = BLOCKED_GAIN
         if sel is None:
             part.scores[c] = scores
             lanes.gains[c, part.lo:part.hi] = gains
@@ -995,8 +1037,8 @@ class GainEngine:
         can only add stops at or after its first unknown position, so
         they never answer.  On the cheap path the slot at ``t`` is
         tested before ``hits`` is rebuilt: it is most often the next
-        stop.  On the expensive path (cross-cluster constraints, alpha)
-        a stop is an upper bound that the consult-time walk confirms.
+        stop.  On the expensive path (cross-cluster constraints) a stop
+        is an upper bound that the consult-time walk confirms.
         """
         lanes = self._move
         n_slots = self._n_slots
@@ -1126,63 +1168,21 @@ class GainEngine:
         (or ``None``) and how many were blocked before it."""
         column = self._move.gains[:, line]
         kind, index = self._slot(line)
+        state = self.state
         blocked = 0
         for c in np.argsort(-column, kind="stable"):
             gain = float(column[c])
             if gain == BLOCKED_GAIN:
                 break
-            if self._consult_blocked(kind, index, int(c)):
+            if self.constraints.blocks(
+                state.row_member[c], state.col_member[c], kind, index,
+                bool(state.member[c, line]), int(c),
+                state.row_member, state.col_member,
+            ):
                 blocked += 1
                 continue
             return self._choice(int(c), line, gain), blocked
         return None, blocked
-
-    # -- consult-time (non-cacheable) blocking --------------------------
-    def _consult_blocked(self, kind: str, index: int, c: int) -> bool:
-        state = self.state
-        is_removal = bool(state.member[c, self._line(kind, index)])
-        if self._scalar_constraints:
-            if self.constraints.blocks(
-                state.row_member[c], state.col_member[c], kind, index,
-                is_removal, c, state.row_member, state.col_member,
-            ):
-                return True
-        if self.alpha > 0.0:
-            if self.fast_mode and not is_removal:
-                return False  # the cheap proxy already ran in the lane
-            return self._alpha_blocked(kind, index, c)
-        return False
-
-    def _alpha_blocked(self, kind: str, index: int, c: int) -> bool:
-        """Exact Definition-3.1 occupancy with the healing rule.
-
-        A candidate violating alpha is blocked only when the cluster
-        currently satisfies alpha -- an already-violating cluster (e.g.
-        a fresh random seed) may keep moving until it heals.
-        """
-        state = self.state
-        if toggle_occupancy_ok(
-            state.mask, state.row_member[c], state.col_member[c],
-            kind, index, self.alpha,
-        ):
-            return False
-        memo = self._alpha_memo.get(c)
-        stamp = int(state.stamp[c])
-        if memo is not None and memo[0] == stamp:
-            return memo[1]
-        rows = np.flatnonzero(state.row_member[c])
-        cols = np.flatnonzero(state.col_member[c])
-        if rows.size == 0 or cols.size == 0:
-            verdict = True
-        else:
-            sub_mask = state.mask[np.ix_(rows, cols)]
-            row_frac = sub_mask.sum(axis=1) / cols.size
-            col_frac = sub_mask.sum(axis=0) / rows.size
-            verdict = bool(
-                (row_frac >= self.alpha).all() and (col_frac >= self.alpha).all()
-            )
-        self._alpha_memo[c] = (stamp, verdict)
-        return verdict
 
     # -- ordering: per-slot best-gain estimates -------------------------
     def ordering_gains(self, slots: Sequence[Tuple[str, int]]) -> List[float]:
@@ -1201,7 +1201,7 @@ class GainEngine:
         state = self.state
         split = state.n_rows
         constraints = self.constraints
-        if self._scalar_constraints or self.alpha > 0.0:
+        if self._expensive:
             gains = gains.copy()
             for c in range(state.k):
                 for kind, lane in ((ROW, gains[c, :split]), (COL, gains[c, split:])):
@@ -1214,14 +1214,5 @@ class GainEngine:
                     if kind == COL and constraints.require_col_coverage:
                         cover = state.col_member.sum(axis=0)
                         lane[member & (cover <= 1)] = BLOCKED_GAIN
-                    if self.alpha > 0.0:
-                        # Removals get the exact occupancy check even at
-                        # ordering time (removals can break alpha in ways
-                        # the joining-line proxy cannot see).
-                        for index in np.flatnonzero(member):
-                            if lane[index] == BLOCKED_GAIN:
-                                continue
-                            if self._alpha_blocked(kind, int(index), c):
-                                lane[index] = BLOCKED_GAIN
         best = gains.max(axis=0).tolist()
         return [best[index if kind == ROW else split + index] for kind, index in slots]

@@ -11,7 +11,7 @@ the *same* session (see :mod:`repro.runtime.checkpoint`).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..core.params import check_params
@@ -31,7 +31,7 @@ class RunConfig:
     """
 
     # -- mining parameters (identity-bearing) --------------------------
-    residue_target: float = 0.0
+    residue_target: float
     n_restarts: int = 1
     root_seed: int = 0
     k: int = 10

@@ -6,7 +6,8 @@ independent arithmetic, so a lane entry can be compared with the value
 a per-candidate evaluation gives.  The exact after-toggle oracle is
 ``repro.core.actions.evaluate_toggle`` (a full submatrix rescan); this
 module holds the frozen-bases one (per candidate, and per kind as the
-engine once scored it), the slot-by-slot reference of the engine's sweep
+engine once scored it), the toggle-by-toggle alpha-occupancy rule of its
+lane masks, the slot-by-slot reference of the engine's sweep
 scan, the masked residue and sorted-key greedy order the production code
 replaced, and the restore-and-replay best-prefix step.
 """
@@ -15,7 +16,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.actions import BLOCKED_GAIN, ROW
+from repro.core.actions import BLOCKED_GAIN, ROW, toggle_occupancy_ok
 from repro.core.gain_engine import LaneScores, _structural_bounds, gain_lane
 
 
@@ -109,13 +110,33 @@ def per_kind_estimate_lane(state, kind: str, c: int) -> LaneScores:
     new_volumes = np.where(emptied, 0.0, new_volumes)
     new_residues = np.where(emptied, 0.0, new_residues)
     line_residues = np.where(emptied, 0.0, line_residues)
-    return LaneScores(new_residues, new_volumes, line_residues, line_counts)
+    return LaneScores(new_residues, new_volumes, line_residues)
+
+
+def occupancy_blocked_reference(state, alpha: float, kind: str, index: int, c: int) -> bool:
+    """Whether alpha-occupancy blocks one toggle against cluster ``c``:
+    the toggled cluster fails ``toggle_occupancy_ok`` (Definition 3.1)
+    while the cluster meets alpha now, rescanned from the mask.  A
+    cluster below alpha may move (it can heal); one without rows or
+    columns meets alpha."""
+    row_member, col_member = state.row_member[c], state.col_member[c]
+    if toggle_occupancy_ok(state.mask, row_member, col_member, kind, index, alpha):
+        return False
+    rows, cols = np.flatnonzero(row_member), np.flatnonzero(col_member)
+    if rows.size == 0 or cols.size == 0:
+        return True
+    sub_mask = state.mask[np.ix_(rows, cols)]
+    return bool(
+        (sub_mask.sum(axis=1) / cols.size >= alpha).all()
+        and (sub_mask.sum(axis=0) / rows.size >= alpha).all()
+    )
 
 
 def per_kind_lane_gains(state, constraints, alpha, residue_target, kind, c):
     """Gains of one kind's fast-mode move lane, scored one kind at a
     time from :func:`per_kind_estimate_lane`: the gain ladder, then that
-    kind's structural bounds and joining-line occupancy proxy."""
+    kind's structural bounds and, toggle by toggle,
+    :func:`occupancy_blocked_reference`."""
     lane = per_kind_estimate_lane(state, kind, c)
     member = state.row_member[c] if kind == ROW else state.col_member[c]
     n = int(state.row_member[c].sum())
@@ -126,9 +147,11 @@ def per_kind_lane_gains(state, constraints, alpha, residue_target, kind, c):
     )
     removal_blocked, addition_blocked = _structural_bounds(constraints, kind, n, m)
     blocked = np.where(member, removal_blocked, addition_blocked)
-    width = m if kind == ROW else n
     if alpha > 0.0:
-        blocked |= ~member & (width > 0) & (lane.line_counts < alpha * width)
+        blocked |= [
+            occupancy_blocked_reference(state, alpha, kind, index, c)
+            for index in range(member.size)
+        ]
     return np.where(blocked, BLOCKED_GAIN, gains)
 
 

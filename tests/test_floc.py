@@ -7,6 +7,7 @@ from repro.core.cluster import DeltaCluster
 from repro.core.constraints import Constraints
 from repro.core.floc import FlocResult, floc
 from repro.core.matrix import DataMatrix
+from repro.core.params import ParameterError
 from repro.core.seeding import seeds_from_clusters
 from repro.data.synthetic import generate_embedded
 from repro.eval.metrics import recall_precision
@@ -40,6 +41,11 @@ class TestValidation:
     def test_alpha_checked(self):
         with pytest.raises(ValueError, match="alpha"):
             floc(self.matrix, 1, alpha=2.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    def test_residue_target_checked(self, target):
+        with pytest.raises(ParameterError, match="residue_target"):
+            floc(self.matrix, 1, residue_target=target)
 
     def test_max_iterations_checked(self):
         with pytest.raises(ValueError, match="max_iterations"):

@@ -22,6 +22,7 @@ from repro.core.constraints import Constraints
 from repro.core.floc import _State, _gain, floc
 from repro.core.gain_engine import (
     GainEngine, estimate_lane, exact_context, exact_lane, gain_lane,
+    occupancy_blocked,
 )
 from repro.core.seeding import bernoulli_seeds
 from repro.data.synthetic import generate_embedded
@@ -30,6 +31,7 @@ from repro.obs.perf.counters import WorkCounters
 from repro.obs.tracer import Tracer
 from tests.oracles import (
     frozen_bases_parts,
+    occupancy_blocked_reference,
     per_kind_estimate_lane,
     per_kind_lane_gains,
     sequential_next_action,
@@ -187,7 +189,7 @@ class TestEstimateLane:
     def _assert_concatenation(state, c):
         lane = estimate_lane(state, c)
         halves = [per_kind_estimate_lane(state, kind, c) for kind in ("row", "col")]
-        for name in ("new_residues", "new_volumes", "line_residues", "line_counts"):
+        for name in ("new_residues", "new_volumes", "line_residues"):
             expected = np.concatenate([getattr(half, name) for half in halves])
             assert _same_bits(getattr(lane, name), expected), (c, name)
         return lane
@@ -225,10 +227,10 @@ class TestEstimateLane:
         state = _State(values, ~np.isnan(values), seeds)
         constraints = Constraints(min_rows=3, min_cols=3)
         lane = self._assert_concatenation(state, 1)
-        assert lane.new_volumes[5] == 0.0 and lane.line_counts[5] > 0  # emptied
+        assert lane.new_volumes[5] == 0.0 and state.counts[1, 5] > 0  # emptied
         for c in range(3):
             lane = self._assert_concatenation(state, c)
-            assert lane.line_counts[3] == 0  # untouched
+            assert state.counts[c, 3] == 0  # untouched
         for target, alpha in ((None, 0.0), (2.0, 0.0), (2.0, 0.7)):
             engine = GainEngine(state, constraints, alpha, target, "fast")
             engine.best_action("row", 0)
@@ -259,7 +261,7 @@ class TestEstimateLane:
         assert state.volumes[0] == 3
         state.residues[0] = 0.1  # 3 * 0.1 / 3 != 0.1
         lane = self._assert_concatenation(state, 0)
-        assert lane.line_counts[3] == 0
+        assert state.counts[0, 3] == 0
         assert _same_bits(lane.new_residues[3], np.float64(0.1))
         assert lane.new_residues[0] == 0.0 and lane.line_residues[0] == 0.0
 
@@ -276,6 +278,101 @@ class TestEstimateLane:
         for c in range(2):
             lane = self._assert_concatenation(state, c)
             assert (lane.new_volumes >= 0.0).all() and np.isfinite(lane.new_residues).all()
+
+
+# -- alpha-occupancy lane masks vs the scalar rule ---------------------
+
+
+@st.composite
+def occupancy_states(draw):
+    """Matrices from one line up, fully specified to NaN-heavy, with
+    all-missing lines, and clusters that may be empty, hold one row or
+    one column, or any member lines."""
+    n_rows, n_cols = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=(n_rows, n_cols))
+    density = draw(st.sampled_from((1.0, 0.9, 0.75, 0.6, 0.4, 0.1)))
+    values[rng.random(values.shape) >= density] = NAN
+    values[draw(st.lists(st.integers(0, n_rows - 1), max_size=1)), :] = NAN
+    values[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=1))] = NAN
+    seeds = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows, cols = rng.random(n_rows) < 0.5, rng.random(n_cols) < 0.5
+        shape = draw(st.sampled_from(("any", "any", "empty", "one row", "one column")))
+        if shape == "empty":
+            rows[:] = False
+        elif shape != "any":
+            line = rows if shape == "one row" else cols
+            line[:] = False
+            line[rng.integers(line.size)] = True
+        seeds.append((rows, cols))
+    return values, seeds
+
+
+class TestOccupancyMask:
+    @given(occupancy_states(), st.sampled_from((1 / 3, 0.5, 0.6, 1.0)), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_lane_masks_match_scalar_rule(self, spec, alpha, data):
+        """Every lane's alpha-blocked entries are the toggles
+        ``occupancy_blocked_reference`` blocks, entry by entry: the
+        estimate lanes of fast mode, the full exact lanes and ``sel``
+        windows of them."""
+        values, seeds = spec
+        state = _State(values, ~np.isnan(values), seeds)
+        constraints = Constraints(min_rows=1, min_cols=1)
+        split = values.shape[0]
+
+        def expected(kind, c, lines):
+            member = (state.row_member if kind == "row" else state.col_member)[c]
+            n, m = int(state.row_member[c].sum()), int(state.col_member[c].sum())
+            removal, addition = ge._structural_bounds(constraints, kind, n, m)
+            alpha_blocked = np.array([
+                occupancy_blocked_reference(state, alpha, kind, int(i), c)
+                for i in lines
+            ], dtype=bool)
+            got = occupancy_blocked(state, alpha, kind, c, lines)
+            assert np.array_equal(
+                alpha_blocked, np.zeros_like(alpha_blocked) if got is None else got
+            ), (kind, c, lines)
+            return alpha_blocked | np.where(member.take(lines), removal, addition)
+
+        fast = GainEngine(state, constraints, alpha, 2.0, "fast")
+        exact = GainEngine(state, constraints, alpha, 2.0, "exact")
+        fast.best_action("row", 0)
+        exact.best_action("row", 0)
+        exact.best_action("col", 0)
+        for c in range(len(seeds)):
+            for kind, lo, size in (("row", 0, split), ("col", split, values.shape[1])):
+                lines = np.arange(size, dtype=np.intp)
+                want = expected(kind, c, lines)
+                for engine in (fast, exact):
+                    got = engine._move.gains[c, lo:lo + size] == BLOCKED_GAIN
+                    assert np.array_equal(got, want), (engine.fast_mode, kind, c)
+                sel = np.array(data.draw(st.lists(
+                    st.integers(0, size - 1), min_size=1, max_size=size, unique=True,
+                )), dtype=np.intp)
+                exact._build(exact._move, exact._move.part(lo), c, sel=sel)
+                got = exact._move.gains[c, lo + sel] == BLOCKED_GAIN
+                assert np.array_equal(got, expected(kind, c, sel)), (kind, c, sel)
+
+    def test_removal_that_breaks_a_column_is_blocked(self):
+        """Removing the one member row specified on a member column at
+        the alpha boundary is blocked in every lane, and the other
+        removal and the additions are not; a cluster below alpha blocks
+        nothing."""
+        values = np.arange(12.0).reshape(4, 3)
+        values[1, 0] = NAN  # column 0: 1 of the 2 member rows
+        rows = np.array([True, True, False, False])
+        state = _State(values, ~np.isnan(values), [(rows, np.ones(3, dtype=bool))])
+        blocked = occupancy_blocked(state, 0.5, "row", 0)
+        assert blocked is not None
+        assert blocked.tolist() == [True, False, False, False]
+        constraints = Constraints(min_rows=1, min_cols=1)
+        for gain_mode in ("fast", "exact"):
+            engine = GainEngine(state, constraints, 0.5, 2.0, gain_mode)
+            engine.best_action("row", 0)
+            assert (engine._move.gains[0, :4] == BLOCKED_GAIN).tolist() == blocked.tolist()
+        assert occupancy_blocked(state, 0.7, "row", 0) is None  # row 1: 2/3
 
 
 # -- block windows are bitwise-identical to the full lane --------------
@@ -381,10 +478,7 @@ def _assert_dense_matches_masked(values, seeds, sels=()):
                     sel = sel[sel < lane_size(values, kind)]
                 got = exact_lane(dense, kind, c, sel=sel, ctx=ctx_d)
                 want = exact_lane(masked, kind, c, sel=sel, ctx=ctx_m)
-                for name in (
-                    "new_residues", "new_volumes", "line_residues",
-                    "line_counts",
-                ):
+                for name in ("new_residues", "new_volumes", "line_residues"):
                     assert _same_bits(getattr(got, name), getattr(want, name)), (
                         kind, c, sel, name,
                     )
@@ -491,12 +585,12 @@ class TestCounterAccounting:
         state = self._payload(work)
         ctx = exact_context(state, "row", 0)
         before = work.copy()
-        lane = exact_lane(state, "row", 0, ctx=ctx)
+        exact_lane(state, "row", 0, ctx=ctx)
         assert work.batch_evals == before.batch_evals + 1
         assert work.lane_builds == before.lane_builds + 1
         assert work.toggle_evals == before.toggle_evals + 60
         assert work.cells_scanned == (
-            before.cells_scanned + int(lane.line_counts.sum())
+            before.cells_scanned + int(state.row_counts[0].sum())
         )
 
     def test_block_lane_scans_only_selected_slots(self):
@@ -509,9 +603,9 @@ class TestCounterAccounting:
         assert work.batch_evals == before.batch_evals + 1
         assert work.toggle_evals == before.toggle_evals + 10
         assert work.cells_scanned == (
-            before.cells_scanned + int(lane.line_counts.sum())
+            before.cells_scanned + int(state.row_counts[0].take(sel).sum())
         )
-        assert lane.line_counts.size == 10
+        assert lane.new_volumes.size == 10
 
 
 # -- full-run identity: engine caching policies are invisible ----------

@@ -1,7 +1,12 @@
 """Unit tests for the multi-restart mining front end."""
 
+import numpy as np
 import pytest
 
+from repro.core.cluster import DeltaCluster
+from repro.core.clustering import Clustering
+from repro.core.floc import FlocResult
+from repro.core.matrix import DataMatrix
 from repro.core.mining import (
     MiningResult, mine_delta_clusters, pool_mining_results, run_restart,
 )
@@ -114,19 +119,32 @@ class TestMining:
 
 class TestPoolingOccupancy:
     def test_alpha_drops_clusters_below_occupancy(self):
-        """Single restarts on sparse input can end below alpha; pooling
-        with ``alpha`` keeps only the clusters that meet it, and
-        ``alpha == 0`` keeps the pool unchanged."""
+        """Pooling with ``alpha`` keeps only the clusters that meet it,
+        whichever run holds them, and ``alpha == 0`` keeps the pool
+        unchanged.  FLOC's lanes block the moves that break alpha, so a
+        hand-built run holds the violator: the planted cluster of lowest
+        residue, one of whose columns is blanked on 16 of its 30 rows."""
         data = generate_embedded(
             160, 32, 4, cluster_shape=(30, 12), noise=2,
             missing_fraction=0.2, rng=1,
         )
-        matrix, alpha = data.matrix, 0.5
+        alpha = 0.5
+        planted = min(data.embedded, key=lambda c: c.residue(data.matrix))
+        rows, cols = np.asarray(planted.rows), np.asarray(planted.cols)
+        values = data.matrix.values.copy()
+        values[rows[:16], cols[0]] = np.nan
+        matrix = DataMatrix(values)
+        held = DeltaCluster(rows, cols)
+        assert not held.occupancy_ok(matrix, alpha)
         runs = [
             run_restart(matrix, restart, residue_target=8.0, root_seed=1,
                         k=8, alpha=alpha, reseed_rounds=2)
             for restart in range(4)
         ]
+        runs.append(FlocResult(
+            clustering=Clustering(matrix, [held]), n_iterations=0,
+            initial_residue=0.0,
+        ))
         unchecked = pool_mining_results(matrix, runs, residue_target=8.0)
         checked = pool_mining_results(
             matrix, runs, residue_target=8.0, alpha=alpha

@@ -61,9 +61,12 @@ class TestRunConfig:
         {"residue_target": 1.0, "workers": 0},
         {"residue_target": 1.0, "max_retries": -1},
         {"residue_target": 1.0, "task_timeout": 0.0},
+        {},
     ])
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        # ``residue_target`` has no default: a config without one is
+        # refused by the constructor itself.
+        with pytest.raises(ValueError if kwargs else TypeError):
             RunConfig(**kwargs)
 
     def test_restart_indices(self, config):
