@@ -97,12 +97,29 @@ def _read(what: str, path: str, load: Callable[[str], _Loaded]) -> _Loaded:
         raise _UsageError(
             f"cannot read {what} {path}: {exc.strerror or exc}"
         ) from None
-    except ValueError as exc:  # includes UnicodeDecodeError
+    # ValueError includes UnicodeDecodeError; a cluster file with a
+    # negative index raises IndexError.
+    except (ValueError, IndexError) as exc:
         reason = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
         prefix = f"{path}: "
         if reason.startswith(prefix):
             reason = reason[len(prefix):]
         raise _UsageError(f"malformed {what} {path}: {reason}") from None
+
+
+def _check_fit(
+    what: str, path: str, clusters: Sequence[DeltaCluster],
+    matrix: DataMatrix, matrix_path: str,
+) -> None:
+    """Clusters with an index outside the matrix are a usage error."""
+    for cluster in clusters:
+        for axis, indices, size in (("row", cluster.rows, matrix.n_rows),
+                                    ("column", cluster.cols, matrix.n_cols)):
+            if indices and indices[-1] >= size:
+                raise _UsageError(
+                    f"{what} in {path} do not fit {matrix_path}: {axis} index "
+                    f"{indices[-1]} out of range for {size} {axis}s"
+                )
 
 
 def _seed(text: str) -> int:
@@ -407,7 +424,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score stored clusters against a matrix (and optional truth)."""
     matrix = _read("matrix", args.matrix, _load_matrix)
     clusters = _read("clusters", args.clusters, load_clusters)
+    _check_fit("clusters", args.clusters, clusters, matrix, args.matrix)
     truth = _read("truth", args.truth, load_clusters) if args.truth else None
+    if truth is not None:
+        _check_fit("truth clusters", args.truth, truth, matrix, args.matrix)
     rows = [
         [
             index,
@@ -440,6 +460,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     matrix = _read("matrix", args.matrix, _load_matrix)
     clusters = _read("clusters", args.clusters, load_clusters)
+    _check_fit("clusters", args.clusters, clusters, matrix, args.matrix)
+    for flag, index, size, axis in (("--row", args.row, matrix.n_rows, "rows"),
+                                    ("--col", args.col, matrix.n_cols, "columns")):
+        if not 0 <= index < size:
+            raise _UsageError(
+                f"invalid {flag}: {index} is outside the matrix's {size} {axis}"
+            )
     covering = [
         c for c in clusters if c.contains(args.row, args.col)
     ]

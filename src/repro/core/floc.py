@@ -42,6 +42,13 @@ Two gain-evaluation modes are provided:
     accuracy for an additional speedup; it is the mining default and is
     benchmarked against ``exact`` as an ablation.
 
+What one action barely moves is kept in ledgers instead of being
+recomputed per action: each cluster's toggle signs (``_State.sign``),
+its relative residue excess and the exact total volume that
+:func:`_score` reads, and the specified cells of its member lines.
+Every ledger keeps the bits of the formula it replaces (DESIGN.md §5,
+"What a fast-mode action no longer recomputes").
+
 Both modes consult :class:`~repro.core.gain_engine.GainEngine`, which
 keeps every cluster's gains over all M + N lines (rows first, the
 state's layout), invalidates them through the state's per-cluster
@@ -198,7 +205,13 @@ class _State:
     also skips the base's ``max(count, 1)`` guard.
     ``member_cells[c]`` is the number of specified cells of c's member
     lines, each counted over the whole matrix -- the sum of
-    ``counts[c]`` -- kept by every operation that moves membership.
+    ``counts[c]`` -- kept by every operation that moves membership, as
+    is ``sign`` (-1.0 at member lines, +1.0 elsewhere: the sign of
+    each line's toggle).  ``total_volume`` (the exact sum of
+    ``volumes``) and, for the ``residue_target`` the state was built
+    with, ``excess`` (each cluster's ``max(residue - target, 0) /
+    target``) are the score ledgers, kept by every residue or volume
+    write (:meth:`set_score` for exact mode's actions).
     ``stamp`` is a per-cluster modification counter, bumped by every
     operation that can change a cluster's statistics (:meth:`toggle`,
     :meth:`perform`, :meth:`refresh_cluster`, and :meth:`restore` for
@@ -223,8 +236,10 @@ class _State:
         mask: np.ndarray,
         seeds: Sequence[Seed],
         work: Optional[WorkCounters] = None,
+        residue_target: Optional[float] = None,
     ) -> None:
         self.values = values
+        self.residue_target = residue_target
         self.mask = mask
         self.work = work
         self.filled = np.where(mask, values, 0.0)
@@ -251,6 +266,10 @@ class _State:
         self.residues = np.zeros(self.k)
         self.volumes = np.zeros(self.k, dtype=np.int64)
         self.volumes_f = np.zeros(self.k)
+        #: Score ledgers: the exact total volume and, for the state's
+        #: ``residue_target``, each cluster's relative residue excess.
+        self.total_volume = 0
+        self.excess = np.zeros(self.k)
         self.stamp = np.zeros(self.k, dtype=np.int64)
         #: Global modification counter (sum-free companion of ``stamp``):
         #: lets the gain engine answer "did anything change?" in O(1).
@@ -259,6 +278,8 @@ class _State:
         self.counts = np.zeros((self.k, n_lines), dtype=np.int64)
         self.counts_f = np.zeros((self.k, n_lines))
         self.member_cells = np.zeros(self.k, dtype=np.int64)
+        #: -1.0 at member lines, +1.0 elsewhere: a toggle's sign.
+        self.sign = np.where(self.member, -1.0, 1.0)
         #: ``(stamp, line_deviations, member rows, member columns)``.
         self._deviations: List[Optional[Tuple[int, np.ndarray, int, int]]] = (
             [None] * self.k
@@ -287,6 +308,7 @@ class _State:
         np.add.reduce(self.mask_i.take(rows, axis=0), axis=0, out=self.counts[c, split:])
         self.counts_f[c] = self.counts[c]
         self.member_cells[c] = np.add.reduce(self.counts[c])
+        self.sign[c] = np.where(self.member[c], -1.0, 1.0)
         self._settle(c, rows, cols, int(self.counts[c, :split].take(rows).sum()))
 
     def perform(self, kind: str, index: int, c: int) -> None:
@@ -307,6 +329,7 @@ class _State:
         line = index if kind == ROW else split + index
         joining = not self.member[c, line]
         self.member[c, line] = joining
+        self.sign[c, line] = -1.0 if joining else 1.0
         rows, cols = self._members(c)
         shift = np.add if joining else np.subtract
         if kind == ROW:
@@ -335,12 +358,31 @@ class _State:
         :meth:`line_deviations` over it."""
         self.stamp[c] += 1
         self.rev += 1
-        self.volumes[c] = volume
-        self.volumes_f[c] = volume
+        self._set_volume(c, volume)
         member_sums = np.add.reduce(self._deviation_pass(c, rows, cols).take(rows))
-        self.residues[c] = member_sums / volume if volume else 0.0
+        self._set_residue(c, member_sums / volume if volume else 0.0)
         if self.work is not None and rows.size and cols.size:
             self.work.residue_evals += 1
+
+    def set_score(self, c: int, residue: float, volume: int) -> None:
+        """Record cluster ``c``'s residue and exact volume (exact mode's
+        action, whose lane scored both), keeping the score ledgers."""
+        self._set_volume(c, volume)
+        self._set_residue(c, residue)
+
+    def _set_volume(self, c: int, volume: int) -> None:
+        self.total_volume += volume - int(self.volumes[c])
+        self.volumes[c] = volume
+        self.volumes_f[c] = volume
+
+    def _set_residue(self, c: int, residue: float) -> None:
+        # ``excess[c]`` keeps the bits of the vector form
+        # ``np.maximum(residues - target, 0.0) / target``: the same
+        # IEEE operations, and ``max`` keeps a NaN as ``np.maximum`` does.
+        self.residues[c] = residue
+        target = self.residue_target
+        if target is not None:
+            self.excess[c] = max(residue - target, 0.0) / target
 
     def line_deviations(self, c: int) -> np.ndarray:
         """Per-line ``|residual|`` sums of cluster ``c``, M rows then N
@@ -384,16 +426,22 @@ class _State:
             base = sums / np.maximum(self.counts_f[c], 1.0)
         masked = not dense
         deviations = np.empty(base.size)
-        np.add.reduce(
-            _block_residuals(self.nan_filled, masked, base[:split], base[split:],
-                             sums[split:], cols, volume),
-            axis=1, out=deviations[:split],
-        )
-        np.add.reduce(
-            _block_residuals(self.nan_filled_T, masked, base[split:], base[:split],
-                             sums[:split], rows, volume),
-            axis=1, out=deviations[split:],
-        )
+        for values_x, lines, cross, members, out in (
+            (self.nan_filled_T, slice(0, split), slice(split, None), cols,
+             deviations[:split]),
+            (self.nan_filled, slice(split, None), slice(0, split), rows,
+             deviations[split:]),
+        ):
+            block = _block_residuals(values_x, masked, base[lines], base[cross],
+                                     sums[cross], members, volume)
+            # Each line sums its members as a contiguous row of the
+            # ``(lines, members)`` block would: one at a time below 8
+            # members, as this layout's column-wise reduce does, and
+            # pairwise from 8 on, so from there a contiguous copy.
+            if members.size < 8:
+                np.add.reduce(block, axis=0, out=out)
+            else:
+                np.add.reduce(np.ascontiguousarray(block.T), axis=1, out=out)
         self._deviations[c] = (int(self.stamp[c]), deviations, rows.size, cols.size)
         if self.work is not None:
             self.work.cells_scanned += split * cols.size + (base.size - split) * rows.size
@@ -408,6 +456,7 @@ class _State:
         line = index if kind == ROW else split + index
         joining = not self.member[c, line]
         self.member[c, line] = joining
+        self.sign[c, line] = -1.0 if joining else 1.0
         if kind == ROW:
             cross, filled, mask = slice(split, None), self.filled[index], self.mask_i[index]
         else:
@@ -448,6 +497,11 @@ class _State:
         self.counts_f[...] = self.counts
         self.volumes_f[...] = self.volumes
         np.add.reduce(self.counts, axis=1, out=self.member_cells)
+        self.sign[...] = np.where(self.member, -1.0, 1.0)
+        self.total_volume = int(np.add.reduce(self.volumes))
+        target = self.residue_target
+        if target is not None:
+            self.excess[...] = np.maximum(self.residues - target, 0.0) / target
         # A cluster whose stamp has not moved since the snapshot holds
         # the snapshot's statistics already, so its cached lanes stay
         # valid.  The others get a fresh stamp: stamps only ever move
@@ -460,16 +514,19 @@ class _State:
 
 
 def _block_residuals(
-    values: np.ndarray, masked: bool, line_base: np.ndarray,
+    values_x: np.ndarray, masked: bool, line_base: np.ndarray,
     cross_base: np.ndarray, cross_sums: np.ndarray, members: np.ndarray, volume: int,
 ) -> np.ndarray:
-    """``|d - line base - cross base + grand|`` on the ``members``
-    columns of ``values``, 0.0 at the unspecified cells: ``values``
-    holds NaN there when ``masked``."""
+    """``|d - line base - cross base + grand|`` on the ``members`` lines
+    of the other axis, as a ``(members, lines)`` block, 0.0 at the
+    unspecified cells: ``values_x`` is the matrix with the other axis
+    first, holding NaN there when ``masked``.  Every broadcast runs
+    along the long line axis, and each cell sees the same operations
+    in the same order as in a ``(lines, members)`` block."""
     grand = float(np.add.reduce(cross_sums.take(members))) / volume if volume else 0.0
-    block = values.take(members, axis=1)
-    block -= line_base[:, None]
-    block -= cross_base.take(members)
+    block = values_x.take(members, axis=0)
+    block -= line_base
+    block -= cross_base.take(members)[:, None]
     block += grand
     np.abs(block, out=block)
     if masked:
@@ -686,7 +743,10 @@ def floc(
                 )
                 for row_member, col_member in seed_list
             ]
-        state = _State(matrix.values, matrix.mask, seed_list, work=work)
+        state = _State(
+            matrix.values, matrix.mask, seed_list, work=work,
+            residue_target=residue_target,
+        )
     initial_residue = float(state.residues.mean())
     if tracer.enabled:
         for c in range(state.k):
@@ -785,6 +845,7 @@ def _phase2(
     best_score = _score(state, residue_target)
     best_state = state.snapshot()
     slots = action_slots(matrix.n_rows, matrix.n_cols)
+    tracing = tracer.enabled
     n_actions = 0
     n_iterations = 0
     converged = False
@@ -808,9 +869,12 @@ def _phase2(
         iter_best_idx = -1
         position = 0
         while True:
-            with tracer.span("gain_eval") as gain_span:
+            if tracing:
+                with tracer.span("gain_eval") as gain_span:
+                    hit = engine.next_action(position)
+                tracer.observe("gain_eval_ns", gain_span.elapsed * 1e9)
+            else:
                 hit = engine.next_action(position)
-            tracer.observe("gain_eval_ns", gain_span.elapsed * 1e9)
             if hit is None:
                 break
             position, kind, index, choice = hit
@@ -830,11 +894,9 @@ def _phase2(
                     # and the toggle kept the sufficient statistics
                     # current -- assigning the ledger directly avoids a
                     # full submatrix rescan per performed action.
-                    state.residues[c] = new_residue
-                    state.volumes[c] = new_volume
-                    state.volumes_f[c] = new_volume
+                    state.set_score(c, new_residue, new_volume)
             performed.append((kind, index, c))
-            if tracer.enabled:
+            if tracing:
                 tracer.inc("actions_performed")
                 tracer.emit(ActionEvent(
                     kind=kind,
@@ -1060,13 +1122,19 @@ def _score(state: _State, residue_target: Optional[float]) -> float:
     """
     if residue_target is None:
         return float(state.residues.mean())
-    excess = np.add.reduce(
-        np.maximum(state.residues - residue_target, 0.0) / residue_target
-    )
+    if residue_target == state.residue_target:
+        # The state keeps both terms for the target it was built with.
+        excess = np.add.reduce(state.excess)
+        volume = state.total_volume
+    else:
+        excess = np.add.reduce(
+            np.maximum(state.residues - residue_target, 0.0) / residue_target
+        )
+        volume = int(np.add.reduce(state.volumes))
     # Any appreciable relative excess must outweigh any possible volume
     # difference (total volume is bounded by k * matrix size).
     weight = 1e6 * float(state.values.size)
-    return float(excess * weight - np.add.reduce(state.volumes))
+    return float(excess * weight - volume)
 
 
 def _gain(

@@ -43,7 +43,16 @@ Three layers (see DESIGN.md section "The batched gain engine"):
     per kind and lazy: wide ones (at least ``_BLOCK + _BLOCK // 2``
     slots) are rebuilt in block windows of the sweep's consult order,
     and positions of a stale kind or past a window count as unknown
-    until the scan reaches them.
+    until the scan reaches them.  A fast-mode engine has one estimate
+    part and no unknown position once it is synced, so its scan syncs
+    that part and reads the gains directly.
+
+Lanes read the toggle signs from the state's ledger (``_State.sign``,
+-1.0 at member lines): a removal's negated count and the misfit
+branch's +-1 are one multiply and one subtract.  On a matrix with
+missing entries the estimate lane applies its ``max(., 1)`` guards and
+overlays only when a line count is zero or a removal empties the
+cluster, which two reductions test.
 
 Cross-cluster constraints (Cons_o overlap, Cons_c coverage) depend on
 *other* clusters' state, so they cannot live in a per-cluster lane
@@ -125,7 +134,7 @@ class ExactContext:
     """
 
     __slots__ = (
-        "filled", "mask", "cand_member", "line_sums", "line_counts",
+        "filled", "mask", "cand_member", "cand_sign", "line_sums", "line_counts",
         "line_counts_f", "volume", "residue", "jidx", "m", "n", "dense",
         "overlays",
         "base_sub_sums", "base_counts_f", "cross_base", "total", "grand0",
@@ -155,50 +164,49 @@ def estimate_lane(state: "_State", c: int) -> LaneScores:
     removing = state.member[c]
     volume = state.volumes_f[c]
     residue = state.residues[c]
+    # One pass for additions and removals: a removal folds in the
+    # negated count (``-1.0 * x == -x`` and ``a + (-b) == a - b``
+    # bitwise), and the clamp is inert on additions, whose residue is
+    # never negative.  The volumes stay float: exact integers, far
+    # below 2**53.
+    signed_counts = state.sign[c] * line_counts_f
+    new_volumes = volume + signed_counts
     # Overlays for lines with no specified entry on the cluster and for
-    # removals that empty it.  On a fully specified matrix a cluster
-    # with at least two member rows and two member columns has neither:
-    # every row has m >= 2 specified cells on it, every column n >= 2,
-    # and a removal leaves at least (n - 1) * m cells -- so the
-    # ``max(., 1)`` guards of both divisions are idle too.
-    if state.dense:
-        n, m = state.sizes(c)
-        overlays = n < 2 or m < 2
+    # removals that empty it, with the ``max(., 1)`` guards of the two
+    # divisions; each is idle unless its test fires, and then changes
+    # no other entry's bits.  On a fully specified matrix a cluster
+    # with at least two member rows and two member columns needs no
+    # test: every row has m >= 2 specified cells on it, every column
+    # n >= 2, and a removal leaves at least (n - 1) * m cells.
+    if state.dense and min(state.sizes(c)) >= 2:
+        untouched = emptying = False
     else:
-        overlays = True
+        untouched = np.minimum.reduce(line_counts) == 0
+        emptying = np.minimum.reduce(new_volumes) <= 0.0
     # A line with no specified entry on the cluster divides its
     # deviation sum, +0.0 (its cells are all unspecified), by 1.0.
     line_residues = deviations / (
-        np.maximum(line_counts_f, 1.0) if overlays else line_counts_f
+        np.maximum(line_counts_f, 1.0) if untouched else line_counts_f
     )
-
-    # One pass for additions and removals: a removal folds in the
-    # negated count (``a + (-b) == a - b`` bitwise), and the clamp is
-    # inert on additions, whose residue is never negative.  The volumes
-    # stay float: exact integers, far below 2**53.
-    signed_counts = np.where(removing, -line_counts_f, line_counts_f)
-    new_volumes = volume + signed_counts
     new_residues = np.maximum(
         (volume * residue + signed_counts * line_residues)
-        / (np.maximum(new_volumes, 1.0) if overlays else new_volumes),
+        / (np.maximum(new_volumes, 1.0) if emptying else new_volumes),
         0.0,
     )
-
-    if overlays:
-        # Only the residues need overlaying where the overlays apply:
-        # an untouched line moves the volume by +-0.0 and has a line
-        # residue of +0.0 already, and an emptying removal leaves a
-        # volume of exactly V - V = +0.0.  Both passes are skipped
-        # when idle, which they mostly are.
-        untouched = line_counts == 0
-        if np.logical_or.reduce(untouched):
-            new_residues = np.where(untouched, residue, new_residues)
-        if np.minimum.reduce(new_volumes) <= 0.0:
-            # Removals that empty the cluster (and, on an empty one,
-            # the untouched lines, which keep their overlay).
-            emptied = (new_volumes <= 0.0) & removing & ~untouched
-            new_residues = np.where(emptied, 0.0, new_residues)
-            line_residues = np.where(emptied, 0.0, line_residues)
+    # Only the residues need overlaying: an untouched line moves the
+    # volume by +-0.0 and has a line residue of +0.0 already, and an
+    # emptying removal leaves a volume of exactly V - V = +0.0.
+    if untouched:
+        untouched_lines = line_counts == 0
+        new_residues = np.where(untouched_lines, residue, new_residues)
+    if emptying:
+        # Removals that empty the cluster (and, on an empty one, the
+        # untouched lines, which keep their overlay).
+        emptied = (new_volumes <= 0.0) & removing
+        if untouched:
+            emptied &= ~untouched_lines
+        new_residues = np.where(emptied, 0.0, new_residues)
+        line_residues = np.where(emptied, 0.0, line_residues)
 
     w = state.work
     if w is not None:
@@ -305,7 +313,7 @@ def exact_lane(
         denom_v = np.where(removing, float(volume - m), float(volume + m))
         lden = float(m)
 
-    sign = np.where(removing, -1.0, 1.0)
+    sign = ctx.cand_sign if sel is None else ctx.cand_sign.take(sel)
     # C-contiguous gathers of the base-member columns, full or
     # ``sel``-restricted: either way each candidate occupies one
     # contiguous length-m row, so every per-candidate reduction
@@ -467,6 +475,7 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     ctx.filled = filled
     ctx.mask = mask
     ctx.cand_member = cand_member
+    ctx.cand_sign = state.sign[c, lines]
     ctx.line_sums = line_sums
     ctx.line_counts = line_counts
     ctx.line_counts_f = line_counts_f
@@ -539,6 +548,7 @@ def gain_lane(
     residue_target: Optional[float],
     line_residues: np.ndarray,
     is_addition: np.ndarray,
+    sign: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Vector form of :func:`repro.core.floc._gain` over one lane.
 
@@ -547,7 +557,10 @@ def gain_lane(
     (highest priority) over the feasibility branch over the reduction
     default.  Every arithmetic expression is bit-equal to the scalar
     code's -- additions only commute, the +-1 adjustments fold to
-    ``x + (+-1.0)``, and a bool addend contributes exactly ``1.0``.
+    ``x - sign`` (``a - (-b) == a + b``), and a bool addend contributes
+    exactly ``1.0``.  ``sign`` is +1.0 at additions and -1.0 at
+    removals (``_State.sign``); it is derived from ``is_addition`` when
+    not given.
     """
     if residue_target is None:
         return old_residue - new_residues
@@ -561,8 +574,9 @@ def gain_lane(
         f_val += is_addition  # the +1.0 admission bonus for additions
     gains = np.where(feasible, f_val, reduction)
     misfit = line_residues > residue_target
-    mis_val = reduction + np.where(is_addition, -1.0, 1.0)
-    return np.where(misfit, mis_val, gains)
+    if sign is None:
+        sign = np.where(is_addition, 1.0, -1.0)
+    return np.where(misfit, reduction - sign, gains)
 
 
 def _structural_bounds(
@@ -839,6 +853,7 @@ class GainEngine:
         split = state.n_rows
         member = state.member[c]
         removing = member[part.lo:part.hi]
+        sign = state.sign[c, part.lo:part.hi]
         spans: Sequence[Tuple[str, int, int]]
         if part.kind is None:
             scores = estimate_lane(state, c)
@@ -852,6 +867,7 @@ class GainEngine:
             scores = exact_lane(state, part.kind, c, sel=sel, ctx=ctx)
             if sel is not None:
                 removing = removing.take(sel)
+                sign = sign.take(sel)
             spans = ((part.kind, 0, removing.size),)
             # The context counted both axes' members.
             n, m = (ctx.n, ctx.m) if part.kind == ROW else (ctx.m, ctx.n)
@@ -870,6 +886,7 @@ class GainEngine:
             self.residue_target,
             scores.line_residues,
             is_addition,
+            sign,
         )
         for (kind, lo, hi), (rb, ab) in zip(spans, bounds):
             if rb and ab:
@@ -1049,14 +1066,20 @@ class GainEngine:
             # Stops before the first unknown position are known.
             bound = n_slots
             stale: Optional[Tuple[_Part, int]] = None
-            for part in lanes.parts:
-                q, u = self._unknown(part, t)
-                if q < bound:
-                    bound, stale = q, (part, u)
-            if stale is not None and bound == t:
-                # ``t`` itself is unknown: build before reading gains.
-                self._prepare(*stale)
-                continue
+            if self.fast_mode:
+                # One estimate part, with no unknown position once
+                # synced: sync it unless the sweep is over.
+                if t < n_slots:
+                    self._ensure(lanes, lanes.parts[0])
+            else:
+                for part in lanes.parts:
+                    q, u = self._unknown(part, t)
+                    if q < bound:
+                        bound, stale = q, (part, u)
+                if stale is not None and bound == t:
+                    # ``t`` itself is unknown: build before reading gains.
+                    self._prepare(*stale)
+                    continue
             hits = lanes.hits
             if hits is None:
                 if not self._expensive and t < bound:

@@ -776,3 +776,76 @@ class TestBadInputExitCodes:
             "generate", *argv, "--out", str(out))
         _assert_usage_error(proc, f"cannot generate {argv[0]}: ")
         assert not out.exists()
+
+
+class TestClustersOutsideTheMatrix:
+    """``evaluate`` and ``predict`` on clusters or a cell that do not fit
+    the matrix: exit 2, one stderr line, no traceback."""
+
+    @pytest.fixture
+    def tiny(self, tmp_path):
+        path = tmp_path / "tiny.npz"
+        assert main(["generate", "synthetic", "--rows", "20", "--cols", "8",
+                     "--clusters", "1", "--cluster-rows", "5",
+                     "--cluster-cols", "3", "--seed", "1",
+                     "--out", str(path)]) == 0
+        return path
+
+    @staticmethod
+    def _bigger(tmp_path):
+        """Clusters of the 150-row workspace matrix, reaching row 149."""
+        path = tmp_path / "bigger.txt"
+        path.write_text("rows: 0 1 149\ncols: 0 1 2\n")
+        return path
+
+    def test_evaluate_clusters_of_a_bigger_matrix(self, workspace, tiny):
+        tmp_path = workspace[0]
+        bigger = self._bigger(tmp_path)
+        proc = TestOutThroughAFile._run("evaluate", str(tiny), str(bigger))
+        _assert_usage_error(
+            proc, f"clusters in {bigger} do not fit {tiny}: row index 149 "
+                  "out of range for 20 rows")
+
+    def test_evaluate_truth_of_a_bigger_matrix(self, workspace, tiny):
+        tmp_path = workspace[0]
+        fits = tmp_path / "fits.txt"
+        fits.write_text("rows: 0 1 2\ncols: 0 1 2\n")
+        wide = tmp_path / "wide.txt"
+        wide.write_text("rows: 0 1 2\ncols: 0 1 29\n")
+        proc = TestOutThroughAFile._run(
+            "evaluate", str(tiny), str(fits), "--truth", str(wide))
+        _assert_usage_error(
+            proc, f"truth clusters in {wide} do not fit {tiny}: column index "
+                  "29 out of range for 8 columns")
+
+    def test_negative_cluster_index(self, workspace):
+        tmp_path, matrix_path, __ = workspace
+        negative = tmp_path / "negative.txt"
+        negative.write_text("rows: -1 2\ncols: 0 1\n")
+        proc = TestOutThroughAFile._run(
+            "evaluate", str(matrix_path), str(negative))
+        _assert_usage_error(
+            proc, f"malformed clusters {negative}: negative row index: -1")
+
+    def test_predict_clusters_of_a_bigger_matrix(self, workspace, tiny):
+        tmp_path = workspace[0]
+        bigger = self._bigger(tmp_path)
+        proc = TestOutThroughAFile._run(
+            "predict", str(tiny), str(bigger), "--row", "0", "--col", "0")
+        _assert_usage_error(
+            proc, f"clusters in {bigger} do not fit {tiny}: row index 149 "
+                  "out of range for 20 rows")
+
+    @pytest.mark.parametrize("flag, index, message", [
+        ("--row", "500", "invalid --row: 500 is outside the matrix's 150 rows"),
+        ("--row", "-1", "invalid --row: -1 is outside the matrix's 150 rows"),
+        ("--col", "30", "invalid --col: 30 is outside the matrix's 30 columns"),
+    ], ids=["row-past-the-end", "negative-row", "col-past-the-end"])
+    def test_predict_cell_outside_the_matrix(self, workspace, flag, index,
+                                             message):
+        __, matrix_path, truth_path = workspace
+        cell = {"--row": "1", "--col": "1", flag: index}
+        proc = TestOutThroughAFile._run(
+            "predict", str(matrix_path), str(truth_path),
+            "--row", cell["--row"], "--col", cell["--col"])
+        _assert_usage_error(proc, message)

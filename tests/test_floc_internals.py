@@ -700,8 +700,10 @@ class TestDenseDeviationPass:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_line_deviations_match_masked_formula(self, data):
-        n = data.draw(st.integers(1, 12))
-        m = data.draw(st.integers(1, 12))
+        # Up to 20 lines per axis: blocks below 8 members, from 8 on
+        # (where NumPy sums a row pairwise) and from 16 on.
+        n = data.draw(st.integers(1, 20))
+        m = data.draw(st.integers(1, 20))
         k = data.draw(st.integers(1, 4))
         rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
         values = rng.normal(0.0, 10.0 ** data.draw(st.integers(-3, 6)), (n, m))
@@ -744,11 +746,15 @@ class TestDenseDeviationPass:
 
 class TestMaskedLedgers:
     """Paranoia over NaN-heavy runs: after every ``perform``, ``toggle``,
-    ``refresh_cluster`` and ``restore``, each cluster's ``member_cells``
-    ledger equals the sum of its line counts (the estimate lane reads
-    it as the cells it scans), and whenever the deviation pass runs,
-    every line without a specified cell on the cluster sums to exactly
-    +0.0 (the masked base divides it by 1.0 instead of selecting 0.0)."""
+    ``refresh_cluster``, ``restore`` and ``set_score``, each cluster's
+    ``member_cells`` ledger equals the sum of its line counts (the
+    estimate lane reads it as the cells it scans), its ``sign`` row is
+    -1.0 at member lines and +1.0 elsewhere, ``total_volume`` is the
+    exact sum of the volumes and ``excess`` has the bits of the
+    relative excess ``_score`` derives from the residues; and whenever
+    the deviation pass runs, every line without a specified cell on
+    the cluster sums to exactly +0.0 (the masked base divides it by 1.0
+    instead of selecting 0.0)."""
 
     @staticmethod
     def _matrix(seed):
@@ -772,9 +778,15 @@ class TestMaskedLedgers:
                 assert state.member_cells[c] == int(state.counts[c].sum()), (
                     label, c,
                 )
+            sign = np.where(state.member, -1.0, 1.0)
+            assert state.sign.tobytes() == sign.tobytes(), label
+            assert state.total_volume == int(state.volumes.sum()), label
+            excess = np.maximum(state.residues - 3.0, 0.0) / 3.0
+            assert state.excess.tobytes() == excess.tobytes(), label
             checked[label] = checked.get(label, 0) + 1
 
-        for name in ("perform", "toggle", "refresh_cluster", "restore"):
+        for name in ("perform", "toggle", "refresh_cluster", "restore",
+                     "set_score"):
             original = getattr(_State, name)
 
             def wrapped(self, *args, _original=original, _name=name):
@@ -811,6 +823,8 @@ class TestMaskedLedgers:
         assert any(reseeded)
         assert checked["restore"] > 0
         assert checked["pass"] > 0
+        if gain_mode == "exact":
+            assert checked["set_score"] >= result.n_actions
 
 
 class TestBestPrefix:
