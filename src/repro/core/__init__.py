@@ -1,5 +1,14 @@
-"""Core delta-cluster model and the FLOC mining algorithm."""
+"""Core delta-cluster model and the FLOC mining algorithm.
 
+Every name but :mod:`~repro.core.predict`'s is imported eagerly: mining
+loads those modules anyway, and a lazy name that shares its submodule's
+name (the function :func:`floc` in :mod:`repro.core.floc`) would be
+replaced by the module once the submodule is imported.  Prediction
+loads on first use (:mod:`repro._lazy`), so a mining process does not
+load it.
+"""
+
+from .._lazy import lazy_exports
 from .actions import Action, evaluate_toggle, toggle_occupancy_ok
 from .cluster import DeltaCluster
 from .clustering import Clustering
@@ -21,7 +30,6 @@ from .ordering import (
     random_order,
     weighted_order,
 )
-from .predict import impute, predict_entry, prediction_error
 from .residue import (
     compute_bases,
     mean_abs_residue,
@@ -37,6 +45,10 @@ from .seeding import (
     seeds_from_clusters,
     volume_seeds,
 )
+
+_resolve, __dir__ = lazy_exports(__name__, {
+    ".predict": ("impute", "predict_entry", "prediction_error"),
+})
 
 __all__ = [
     "Action",
@@ -75,3 +87,7 @@ __all__ = [
     "volume_seeds",
     "weighted_order",
 ]
+
+
+def __getattr__(name: str) -> object:
+    return _resolve(name)

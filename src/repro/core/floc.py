@@ -71,7 +71,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.events import ActionEvent, IterationEvent, SeedEvent
 from ..obs.perf.counters import WorkCounters
 from ..obs.tracer import NULL_TRACER, Tracer
 from . import gain_engine
@@ -749,6 +748,9 @@ def floc(
         )
     initial_residue = float(state.residues.mean())
     if tracer.enabled:
+        # The event vocabulary loads only for a traced run.
+        from ..obs.events import SeedEvent
+
         for c in range(state.k):
             tracer.emit(SeedEvent(
                 cluster=c,
@@ -846,6 +848,8 @@ def _phase2(
     best_state = state.snapshot()
     slots = action_slots(matrix.n_rows, matrix.n_cols)
     tracing = tracer.enabled
+    if tracing:
+        from ..obs.events import ActionEvent, IterationEvent
     n_actions = 0
     n_iterations = 0
     converged = False
@@ -1063,6 +1067,8 @@ def _reseed_dead_slots(
         state.col_member[c] = col_member
         state.refresh_cluster(c)
         if tracer.enabled:
+            from ..obs.events import SeedEvent
+
             tracer.inc("reseeds")
             tracer.emit(SeedEvent(
                 cluster=c,

@@ -37,11 +37,14 @@ from __future__ import annotations
 
 import time
 from types import TracebackType
-from typing import Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
 
-from .events import TraceEvent
-from .metrics import MetricsRegistry
-from .sinks import Sink
+if TYPE_CHECKING:
+    # Annotations only: an untraced process loads no event vocabulary,
+    # metrics registry or sink code (see DESIGN.md, "Start-up").
+    from .events import TraceEvent
+    from .metrics import MetricsRegistry
+    from .sinks import Sink
 
 __all__ = ["Span", "Tracer", "NULL_TRACER"]
 

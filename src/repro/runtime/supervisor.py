@@ -49,14 +49,12 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from tempfile import mkdtemp
-from typing import Callable, Dict, List, Optional, Set, Union
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Set, Union
 
 import numpy as np
 
 from ..core.matrix import DataMatrix
 from ..core.mining import MiningResult, pool_mining_results
-from ..obs.events import FaultEvent, RetryEvent, TaskEvent
-from ..obs.session import SessionTrace
 from ..obs.tracer import NULL_TRACER, Tracer
 from .checkpoint import (
     CheckpointError,
@@ -66,6 +64,9 @@ from .checkpoint import (
 from .config import RunConfig
 from .faults import load_plan_from_env
 from .worker import TaskPayload, execute_restart_task
+
+if TYPE_CHECKING:
+    from ..obs.session import SessionTrace
 
 __all__ = [
     "BACKOFF_STREAM_KEY",
@@ -170,9 +171,25 @@ def _emit_plan_fault(
     for spec in plan.specs:
         if (spec.restart is None or spec.restart == restart) \
                 and attempt < spec.attempts:
+            from ..obs.events import FaultEvent
+
             tracer.emit(FaultEvent(site=spec.site, kind=spec.kind,
                                    restart=restart, attempt=attempt))
             return
+
+
+def _emit_task(
+    tracer: Tracer, restart: int, status: str, attempt: int = 0,
+    elapsed_s: float = 0.0, error: Optional[str] = None,
+) -> None:
+    """Emit a :class:`~repro.obs.events.TaskEvent` when tracing: an
+    untraced session builds no event and loads no event vocabulary."""
+    if tracer.enabled:
+        from ..obs.events import TaskEvent
+
+        tracer.emit(TaskEvent(restart=restart, status=status,
+                              attempt=attempt, elapsed_s=elapsed_s,
+                              error=error))
 
 
 def _observe_telemetry(tracer: Tracer, telemetry: object) -> None:
@@ -243,8 +260,8 @@ def _run_wave(
                     task.restart, task.attempt
                 )
             task.started = clock()
-            tracer.emit(TaskEvent(restart=task.restart, status="dispatched",
-                                  attempt=task.attempt))
+            _emit_task(tracer, restart=task.restart, status="dispatched",
+                       attempt=task.attempt)
             futures[executor.submit(execute_restart_task, payload)] = task
 
         pending = set(futures)
@@ -265,23 +282,20 @@ def _run_wave(
                     ack = future.result()
                 except BrokenProcessPool as exc:
                     outcomes[task.restart] = f"crash: {exc}"
-                    tracer.emit(TaskEvent(
-                        restart=task.restart, status="failed",
-                        attempt=task.attempt, elapsed_s=elapsed,
-                        error="BrokenProcessPool"))
+                    _emit_task(tracer, restart=task.restart, status="failed",
+                               attempt=task.attempt, elapsed_s=elapsed,
+                               error="BrokenProcessPool")
                 except Exception as exc:
                     outcomes[task.restart] = (
                         f"exception: {type(exc).__name__}: {exc}"
                     )
-                    tracer.emit(TaskEvent(
-                        restart=task.restart, status="failed",
-                        attempt=task.attempt, elapsed_s=elapsed,
-                        error=type(exc).__name__))
+                    _emit_task(tracer, restart=task.restart, status="failed",
+                               attempt=task.attempt, elapsed_s=elapsed,
+                               error=type(exc).__name__)
                 else:
                     outcomes[task.restart] = None
-                    tracer.emit(TaskEvent(
-                        restart=task.restart, status="completed",
-                        attempt=task.attempt, elapsed_s=elapsed))
+                    _emit_task(tracer, restart=task.restart, status="completed",
+                               attempt=task.attempt, elapsed_s=elapsed)
                     tracer.inc("runtime.ack.digest_ok",
                                int(bool(ack.get("digest"))))
                     _observe_telemetry(tracer, ack.get("telemetry"))
@@ -293,10 +307,9 @@ def _run_wave(
             outcomes[task.restart] = (
                 f"timeout: exceeded wave budget of {budget:.3f}s"
             )
-            tracer.emit(TaskEvent(
-                restart=task.restart, status="failed",
-                attempt=task.attempt,
-                elapsed_s=clock() - task.started, error="Timeout"))
+            _emit_task(tracer, restart=task.restart, status="failed",
+                       attempt=task.attempt,
+                       elapsed_s=clock() - task.started, error="Timeout")
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
         _terminate_stragglers(executor)
@@ -364,6 +377,8 @@ def run_supervised(
 
     session: Optional[SessionTrace] = None
     if session_trace:
+        from ..obs.session import SessionTrace
+
         session = SessionTrace.create(run_dir, config.identity())
         # attach() returns the tracer to use from here on: the caller's
         # (now also feeding the supervisor shard) or, when the caller's
@@ -375,7 +390,7 @@ def run_supervised(
         completed: Set[int] = store.completed_restarts()
         skipped = sorted(completed)
         for restart in skipped:
-            tracer.emit(TaskEvent(restart=restart, status="skipped"))
+            _emit_task(tracer, restart=restart, status="skipped")
             tracer.inc("runtime.tasks.skipped")
 
         attempts: Dict[int, int] = {
@@ -428,10 +443,14 @@ def run_supervised(
                         delay = _backoff_delay(backoff_rng, backoff_base,
                                                attempt)
                         wave_backoff = max(wave_backoff, delay)
-                        tracer.emit(RetryEvent(
-                            restart=restart, attempt=attempt, backoff_s=delay,
-                            remaining=config.max_retries - attempt - 1,
-                            error=kind))
+                        if tracer.enabled:
+                            from ..obs.events import RetryEvent
+
+                            tracer.emit(RetryEvent(
+                                restart=restart, attempt=attempt,
+                                backoff_s=delay,
+                                remaining=config.max_retries - attempt - 1,
+                                error=kind))
                         tracer.inc("runtime.retries")
                         pending.append(restart)
                     else:

@@ -42,9 +42,7 @@ except ImportError:  # pragma: no cover - e.g. Windows
 from ..core.matrix import DataMatrix
 from ..core.mining import run_restart
 from ..data.io import write_json_atomic
-from ..obs.events import ResourceEvent
 from ..obs.perf.counters import WorkCounters
-from ..obs.session import open_worker_tracer
 from ..obs.tracer import NULL_TRACER, Tracer
 from .checkpoint import record_digest, result_to_record
 from .config import RunConfig
@@ -127,6 +125,8 @@ def execute_restart_task(payload: TaskPayload) -> Dict[str, object]:
 
     tracer: Tracer = NULL_TRACER
     if isinstance(trace_ctx, dict):
+        from ..obs.session import open_worker_tracer
+
         tracer = open_worker_tracer(run_dir, trace_ctx, restart, attempt)
     try:
         inject("worker_start", restart, attempt)
@@ -169,6 +169,8 @@ def execute_restart_task(payload: TaskPayload) -> Dict[str, object]:
         if telemetry is not None:
             record["telemetry"] = telemetry
             if tracer.enabled:
+                from ..obs.events import ResourceEvent
+
                 tracer.emit(ResourceEvent(
                     restart=restart,
                     attempt=attempt,

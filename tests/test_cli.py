@@ -589,6 +589,14 @@ class TestImportBudget:
         "repro.devtools", "repro.eval.experiment", "repro.eval.significance",
         "repro.obs.analysis", "repro.obs.session", "repro.obs.export",
         "repro.obs.perf.fingerprint", "repro.data.movielens",
+        "repro.obs.events", "repro.obs.sinks", "repro.obs.metrics",
+        "repro.core.predict", "repro.commands",
+    ]
+
+    #: Trace code an untraced run, plain or supervised, does not load.
+    TRACE_CODE = [
+        "repro.obs.events", "repro.obs.sinks", "repro.obs.metrics",
+        "repro.obs.session",
     ]
 
     @staticmethod
@@ -609,7 +617,7 @@ class TestImportBudget:
         loaded = set(report["modules"])
         for name in self.NOT_ON_THE_MINE_PATH:
             assert name not in loaded, f"plain mine imported {name}"
-        assert len(loaded) <= 30, sorted(loaded)
+        assert len(loaded) <= 25, sorted(loaded)
         assert report["after_load"] == []
 
     def test_supervised_mine_loads_the_runtime_before_the_matrix(
@@ -622,7 +630,30 @@ class TestImportBudget:
             "--run-dir", str(tmp_path / "run"),
             "--out", str(tmp_path / "found.txt"),
         )
-        assert "repro.runtime" in report["modules"]
+        loaded = set(report["modules"])
+        assert "repro.runtime" in loaded
+        for name in self.TRACE_CODE + ["repro.commands"]:
+            assert name not in loaded, f"untraced supervised mine imported {name}"
+        assert len(loaded) <= 31, sorted(loaded)
+        assert report["after_load"] == []
+
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_traced_mine_loads_its_trace_code_before_the_matrix(
+        self, workspace, supervised
+    ):
+        tmp_path, matrix_path, __ = workspace
+        argv = ["mine", str(matrix_path), "--target", "5.0", "--k", "3",
+                "--restarts", "2", "--reseed-rounds", "1",
+                "--trace", str(tmp_path / "trace.jsonl"), "--progress",
+                "--metrics", "--out", str(tmp_path / "found.txt")]
+        if supervised:
+            argv += ["--workers", "2", "--run-dir", str(tmp_path / "run")]
+        report = self._probe(*argv)
+        loaded = set(report["modules"])
+        for name in self.TRACE_CODE:
+            if name == "repro.obs.session" and not supervised:
+                continue
+            assert name in loaded, f"traced mine did not import {name}"
         assert report["after_load"] == []
 
     def test_bare_import_loads_no_subpackage(self):
@@ -849,3 +880,79 @@ class TestClustersOutsideTheMatrix:
             "predict", str(matrix_path), str(truth_path),
             "--row", cell["--row"], "--col", cell["--col"])
         _assert_usage_error(proc, message)
+
+
+class TestBenchBadPaths:
+    """``repro bench`` paths that cannot be written or read are usage
+    errors: exit 2 with one stderr line, before any workload runs."""
+
+    @staticmethod
+    def _run(*flags):
+        return TestOutThroughAFile._run(
+            "bench", "run", "--suite", "smoke", "--repeats", "1", *flags)
+
+    def test_out_that_is_a_directory(self, tmp_path):
+        results = tmp_path / "results"
+        proc = self._run("--out", str(tmp_path), "--results-dir", str(results))
+        _assert_usage_error(proc, f"cannot write --out {tmp_path}: ")
+        assert proc.stderr.rstrip().endswith("it is a directory")
+        assert not results.exists()
+
+    def test_out_through_a_file(self, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("a file, not a directory")
+        results = tmp_path / "results"
+        proc = self._run("--out", str(blocker / "x.json"),
+                         "--results-dir", str(results))
+        _assert_usage_error(proc, f"cannot write --out {blocker / 'x.json'}: ")
+        assert proc.stderr.rstrip().endswith(f"{blocker} is not a directory")
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_results_dir_through_a_file(self, tmp_path):
+        blocker = tmp_path / "afile"
+        blocker.write_text("a file, not a directory")
+        out = tmp_path / "doc.json"
+        proc = self._run("--out", str(out), "--results-dir", str(blocker / "sub"))
+        _assert_usage_error(
+            proc, f"cannot write --results-dir {blocker / 'sub'}: ")
+        assert proc.stderr.rstrip().endswith(f"{blocker} is not a directory")
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_compare_names_a_document_that_is_not_json(self, tmp_path):
+        garbage = tmp_path / "g.json"
+        garbage.write_text("not json\n")
+        proc = TestOutThroughAFile._run(
+            "bench", "compare", str(garbage), str(garbage))
+        _assert_usage_error(
+            proc, f"malformed bench document {garbage}: Expecting value")
+
+
+HELP_TEXTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_help.json").read_text("utf-8"))
+
+
+class TestSurface:
+    """The command line and ``repro.cli``'s names stay as they were
+    when the subcommands other than ``mine`` moved to
+    ``repro.commands``."""
+
+    @pytest.mark.parametrize("command", sorted(HELP_TEXTS))
+    def test_help_text_unchanged(self, command, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = command.split()[1:]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 0
+        text = capsys.readouterr().out
+        # Before Python 3.10 argparse titles the options section
+        # "optional arguments".
+        text = text.replace("\noptional arguments:\n", "\noptions:\n")
+        assert text == HELP_TEXTS[command]
+
+    def test_public_names_resolve_to_documented_callables(self):
+        import repro.cli as cli
+
+        for name in cli.__all__:
+            value = getattr(cli, name)
+            assert callable(value), name
+            assert value.__doc__, name

@@ -23,6 +23,7 @@ PACKAGES = [
 MODULES = [
     "repro._lazy",
     "repro.cli",
+    "repro.commands",
     "repro.core.matrix",
     "repro.core.rng",
     "repro.core.residue",
