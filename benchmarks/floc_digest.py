@@ -8,7 +8,8 @@ deterministically: the clusters, the bits of ``history``,
 
 The grid: gain modes ``fast`` and ``exact`` x orderings ``fixed``,
 ``random``, ``weighted`` and ``greedy`` x inputs (dense; 20% missing;
-60% missing with blanked rows and columns) form the groups; each group
+60% missing with blanked rows and columns; every other cell of two
+columns outside the planted clusters missing) form the groups; each group
 runs six variants (residue target, no target, alpha 0.5, Cons_o,
 mandatory moves, reseed rounds).
 
@@ -50,7 +51,7 @@ VARIANTS: Tuple[Tuple[str, Dict[str, object]], ...] = (
 
 
 def inputs() -> Dict[str, DataMatrix]:
-    """The three input matrices, 60 x 14 with three planted clusters."""
+    """The four input matrices, 60 x 14 with three planted clusters."""
     def embedded(missing: float, seed: int) -> np.ndarray:
         return generate_embedded(
             60, 14, 3, cluster_shape=(12, 6), noise=2.0,
@@ -60,10 +61,15 @@ def inputs() -> Dict[str, DataMatrix]:
     blanked = embedded(0.6, 3)
     blanked[[4, 31], :] = np.nan
     blanked[:, [2, 9]] = np.nan
+    # Columns 2 and 6 lie outside this seed's planted clusters: a masked
+    # matrix whose clusters can still have fully specified lanes.
+    holed = embedded(0.0, 4)
+    holed[::2, [2, 6]] = np.nan
     return {
         "dense": DataMatrix(embedded(0.0, 1)),
         "missing20": DataMatrix(embedded(0.2, 2)),
         "missing60_blanked": DataMatrix(blanked),
+        "holes_outside": DataMatrix(holed),
     }
 
 

@@ -423,7 +423,7 @@ def cmd_export_trace(args: argparse.Namespace) -> int:
 
 def cmd_diff_traces(args: argparse.Namespace) -> int:
     """Align two twinned traces' iterations and report divergence."""
-    from .obs.analysis import diff_traces
+    from .obs.analysis import UnpairedIteration, diff_traces
 
     for path in (args.trace_a, args.trace_b):
         if not Path(path).is_file():
@@ -468,6 +468,9 @@ def cmd_diff_traces(args: argparse.Namespace) -> int:
     print(f"final residue delta  = {diff.final_residue_delta:.6g}")
     if first is None:
         print(f"no divergence beyond tol={args.tol:g}")
+    elif isinstance(first, UnpairedIteration):
+        print(f"first divergence at iteration {first.index} "
+              f"(only in {first.side})")
     else:
         print(f"first divergence at iteration {first.index} "
               f"(|delta| {abs(first.residue_delta):.6g} > tol {args.tol:g})")

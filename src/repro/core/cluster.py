@@ -20,13 +20,6 @@ from .residue import mean_abs_residue, residue_matrix
 __all__ = ["DeltaCluster"]
 
 
-def _normalize_indices(indices: Iterable[int], limit: int, kind: str) -> Tuple[int, ...]:
-    out = sorted({int(i) for i in indices})
-    if out and (out[0] < 0 or out[-1] >= limit):
-        raise IndexError(f"{kind} index out of range [0, {limit}): {out[0]}..{out[-1]}")
-    return tuple(out)
-
-
 class DeltaCluster:
     """An immutable delta-cluster ``(I, J)``.
 

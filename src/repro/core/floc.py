@@ -193,15 +193,15 @@ class _State:
     uses :meth:`toggle` and lets the sums drift between the full
     refreshes that close each improving sweep.
 
-    ``filled_T``/``mask_T`` are transposed contiguous copies of the
-    matrix, so column blocks gather contiguous memory; ``mask_i`` and
+    ``mask`` (``True`` at the specified cells) is derived from the NaN
+    of ``values``; ``filled`` holds 0.0 at the unspecified cells.
+    ``values_T``/``filled_T``/``mask_T`` are transposed contiguous
+    copies, so column blocks gather contiguous memory; ``mask_i`` and
     ``mask_T_i`` are integer copies of the mask, the rows a toggle adds
-    to or subtracts from the counts.  ``nan_filled``/``nan_filled_T``
-    hold NaN at the unspecified cells, which the deviation pass drops
-    with one ``fmax``.  ``dense`` says the matrix has no missing entry:
-    there is then nothing to drop, and every line of a cluster with
-    member rows and member columns has specified cells, so the pass
-    also skips the base's ``max(count, 1)`` guard.
+    to or subtracts from the counts.  The deviation pass reads
+    ``values``/``values_T`` and drops their NaN with one ``fmax``.  A
+    fully specified matrix takes the same formulas (DESIGN.md §5,
+    "Fully specified contexts").
     ``member_cells[c]`` is the number of specified cells of c's member
     lines, each counted over the whole matrix -- the sum of
     ``counts[c]`` -- kept by every operation that moves membership, as
@@ -232,26 +232,21 @@ class _State:
     def __init__(
         self,
         values: np.ndarray,
-        mask: np.ndarray,
         seeds: Sequence[Seed],
+        *,
         work: Optional[WorkCounters] = None,
         residue_target: Optional[float] = None,
     ) -> None:
         self.values = values
         self.residue_target = residue_target
-        self.mask = mask
+        self.mask = mask = ~np.isnan(values)
         self.work = work
+        self.values_T = np.ascontiguousarray(values.T)
         self.filled = np.where(mask, values, 0.0)
         self.filled_T = np.ascontiguousarray(self.filled.T)
         self.mask_T = np.ascontiguousarray(mask.T)
         self.mask_i = mask.astype(np.int64)
         self.mask_T_i = np.ascontiguousarray(self.mask_i.T)
-        self.dense = bool(mask.all())
-        if self.dense:
-            self.nan_filled, self.nan_filled_T = self.filled, self.filled_T
-        else:
-            self.nan_filled = np.where(mask, values, np.nan)
-            self.nan_filled_T = np.ascontiguousarray(self.nan_filled.T)
         #: Specified cells of every line over the whole matrix.
         self._line_cells: List[int] = np.concatenate(
             (self.mask_i.sum(axis=1), self.mask_i.sum(axis=0))
@@ -413,25 +408,19 @@ class _State:
         split = self.n_rows
         volume = int(self.volumes[c])
         sums = self.sums[c]
-        dense = self.dense
-        if dense and rows.size and cols.size:
-            # Every count is positive, so the empty-base guard is idle.
-            base = sums / self.counts_f[c]
-        else:
-            # An empty base reads 0.0: whenever the pass runs the sums
-            # are fresh, and a line without specified cells sums only
-            # the +0.0 of ``filled``'s unspecified cells.  As a line
-            # base it meets only unspecified cells, which are dropped.
-            base = sums / np.maximum(self.counts_f[c], 1.0)
-        masked = not dense
+        # An empty base reads 0.0: whenever the pass runs the sums are
+        # fresh, and a line without specified cells sums only the +0.0
+        # of ``filled``'s unspecified cells.  As a line base it meets
+        # only unspecified cells, which are dropped.
+        base = sums / np.maximum(self.counts_f[c], 1.0)
         deviations = np.empty(base.size)
         for values_x, lines, cross, members, out in (
-            (self.nan_filled_T, slice(0, split), slice(split, None), cols,
+            (self.values_T, slice(0, split), slice(split, None), cols,
              deviations[:split]),
-            (self.nan_filled, slice(split, None), slice(0, split), rows,
+            (self.values, slice(split, None), slice(0, split), rows,
              deviations[split:]),
         ):
-            block = _block_residuals(values_x, masked, base[lines], base[cross],
+            block = _block_residuals(values_x, base[lines], base[cross],
                                      sums[cross], members, volume)
             # Each line sums its members as a contiguous row of the
             # ``(lines, members)`` block would: one at a time below 8
@@ -513,26 +502,25 @@ class _State:
 
 
 def _block_residuals(
-    values_x: np.ndarray, masked: bool, line_base: np.ndarray,
-    cross_base: np.ndarray, cross_sums: np.ndarray, members: np.ndarray, volume: int,
+    values_x: np.ndarray, line_base: np.ndarray, cross_base: np.ndarray,
+    cross_sums: np.ndarray, members: np.ndarray, volume: int,
 ) -> np.ndarray:
     """``|d - line base - cross base + grand|`` on the ``members`` lines
     of the other axis, as a ``(members, lines)`` block, 0.0 at the
     unspecified cells: ``values_x`` is the matrix with the other axis
-    first, holding NaN there when ``masked``.  Every broadcast runs
-    along the long line axis, and each cell sees the same operations
-    in the same order as in a ``(lines, members)`` block."""
+    first, NaN there.  Every broadcast runs along the long line axis,
+    and each cell sees the same operations in the same order as in a
+    ``(lines, members)`` block."""
     grand = float(np.add.reduce(cross_sums.take(members))) / volume if volume else 0.0
     block = values_x.take(members, axis=0)
     block -= line_base
     block -= cross_base.take(members)[:, None]
     block += grand
     np.abs(block, out=block)
-    if masked:
-        # ``fmax`` returns its other operand for a NaN: an unspecified
-        # cell becomes +0.0 (what a ``* 0.0`` mask product made of it),
-        # and ``fmax(|x|, 0.0)`` is ``|x|`` (what ``* 1.0`` made of it).
-        np.fmax(block, 0.0, out=block)
+    # ``fmax`` returns its other operand for a NaN: an unspecified cell
+    # becomes +0.0 (what a ``* 0.0`` mask product made of it), and
+    # ``fmax(|x|, 0.0)`` is ``|x|`` (what ``* 1.0`` made of it).
+    np.fmax(block, 0.0, out=block)
     return block
 
 
@@ -625,7 +613,8 @@ def floc(
         given.
     alpha:
         Occupancy threshold of Definition 3.1; actions producing a cluster
-        that violates it are blocked.  0 disables the check (dense data).
+        that violates it are blocked.  0 disables the check; on a fully
+        specified matrix every cluster meets any alpha.
     ordering:
         Action order per iteration: ``"fixed"``, ``"random"`` or
         ``"weighted"`` (Section 5.2; ``weighted`` is the paper's best),
@@ -743,8 +732,7 @@ def floc(
                 for row_member, col_member in seed_list
             ]
         state = _State(
-            matrix.values, matrix.mask, seed_list, work=work,
-            residue_target=residue_target,
+            matrix.values, seed_list, work=work, residue_target=residue_target,
         )
     initial_residue = float(state.residues.mean())
     if tracer.enabled:

@@ -49,10 +49,13 @@ Three layers (see DESIGN.md section "The batched gain engine"):
 
 Lanes read the toggle signs from the state's ledger (``_State.sign``,
 -1.0 at member lines): a removal's negated count and the misfit
-branch's +-1 are one multiply and one subtract.  On a matrix with
-missing entries the estimate lane applies its ``max(., 1)`` guards and
-overlays only when a line count is zero or a removal empties the
-cluster, which two reductions test.
+branch's +-1 are one multiply and one subtract.  Dense and masked
+matrices share every formula.  The estimate lane applies its
+``max(., 1)`` guards and overlays only when a line count is zero or a
+removal empties the cluster, which two reductions test; an exact
+context whose candidate lines are all fully specified on the cluster
+(``ExactContext.full``) skips its masks, overlays and guards (DESIGN.md
+§5, "Fully specified contexts").
 
 Cross-cluster constraints (Cons_o overlap, Cons_c coverage) depend on
 *other* clusters' state, so they cannot live in a per-cluster lane
@@ -129,14 +132,14 @@ class ExactContext:
     that).  ``m == 0`` contexts carry only the header fields -- every
     candidate of such a cluster takes the early-out path.  ``n`` and
     ``m`` count the cluster's members on the candidate and the base
-    axis; ``dense`` and ``overlays`` select :func:`exact_lane`'s
-    shortcuts for fully specified matrices.
+    axis.  ``full`` says ``m > 0``, ``n >= 2`` and every candidate line
+    has ``m`` specified cells on the base members: the lane then needs
+    no mask, overlay or guard.
     """
 
     __slots__ = (
         "filled", "mask", "cand_member", "cand_sign", "line_sums", "line_counts",
-        "line_counts_f", "volume", "residue", "jidx", "m", "n", "dense",
-        "overlays",
+        "line_counts_f", "volume", "residue", "jidx", "m", "n", "full",
         "base_sub_sums", "base_counts_f", "cross_base", "total", "grand0",
         "table", "prefix", "col_off", "col_totals",
     )
@@ -174,15 +177,9 @@ def estimate_lane(state: "_State", c: int) -> LaneScores:
     # Overlays for lines with no specified entry on the cluster and for
     # removals that empty it, with the ``max(., 1)`` guards of the two
     # divisions; each is idle unless its test fires, and then changes
-    # no other entry's bits.  On a fully specified matrix a cluster
-    # with at least two member rows and two member columns needs no
-    # test: every row has m >= 2 specified cells on it, every column
-    # n >= 2, and a removal leaves at least (n - 1) * m cells.
-    if state.dense and min(state.sizes(c)) >= 2:
-        untouched = emptying = False
-    else:
-        untouched = np.minimum.reduce(line_counts) == 0
-        emptying = np.minimum.reduce(new_volumes) <= 0.0
+    # no other entry's bits.
+    untouched = np.minimum.reduce(line_counts) == 0
+    emptying = np.minimum.reduce(new_volumes) <= 0.0
     # A line with no specified entry on the cluster divides its
     # deviation sum, +0.0 (its cells are all unspecified), by 1.0.
     line_residues = deviations / (
@@ -253,11 +250,11 @@ def exact_lane(
     arrays are C-contiguous row blocks and every per-candidate
     reduction runs over one contiguous length-``m`` row either way.
 
-    On a fully specified matrix (``ctx.dense``) the mask gathers and
-    multiplies are skipped (``x * 1.0 == x``); when every candidate
-    is moreover active (``ctx.overlays`` false) so are the overlays
+    On a fully specified context (``ctx.full``) the mask gathers and
+    multiplies are skipped (``x * 1.0 == x``), and so are the overlays
     of empty lines, emptied clusters and dead base lines, and the
-    ``max(., 1)`` guards of denominators that are at least one.
+    ``max(., 1)`` guards of denominators that are at least one: the
+    same bits as the masked formulas.
     """
     if ctx is None:
         ctx = exact_context(state, kind, c)
@@ -273,8 +270,7 @@ def exact_lane(
         line_sums = ctx.line_sums.take(sel)
         line_counts = ctx.line_counts.take(sel)
     n_out = line_counts.size
-    dense = ctx.dense
-    overlays = ctx.overlays
+    full = ctx.full
     lden: Union[np.ndarray, float]
 
     w = state.work
@@ -282,10 +278,15 @@ def exact_lane(
         w.batch_evals += 1
         w.lane_builds += 1
         w.toggle_evals += n_out
-        # Dense: every line has one specified cell per base member.
-        w.cells_scanned += n_out * m if dense else int(np.add.reduce(line_counts))
+        # Full: every line has one specified cell per base member.
+        w.cells_scanned += n_out * m if full else int(np.add.reduce(line_counts))
 
-    if overlays:
+    if full:
+        # Every line count is m, every new volume volume +- m >= 1.
+        new_volumes = np.where(removing, volume - m, volume + m)
+        denom_v = np.where(removing, float(volume - m), float(volume + m))
+        lden = float(m)
+    else:
         lcpos = line_counts > 0
         rem_volumes = volume - line_counts
         emptied = removing & lcpos & (rem_volumes <= 0)
@@ -307,11 +308,6 @@ def exact_lane(
         denom_v = np.maximum(new_volumes.astype(np.float64), 1.0)
         line_counts_f = ctx.line_counts_f if sel is None else ctx.line_counts_f.take(sel)
         lden = np.maximum(line_counts_f, 1.0)
-    else:
-        # Every line count is m, every new volume volume +- m >= 1.
-        new_volumes = np.where(removing, volume - m, volume + m)
-        denom_v = np.where(removing, float(volume - m), float(volume + m))
-        lden = float(m)
 
     sign = ctx.cand_sign if sel is None else ctx.cand_sign.take(sel)
     # C-contiguous gathers of the base-member columns, full or
@@ -319,16 +315,11 @@ def exact_lane(
     # contiguous length-m row, so every per-candidate reduction
     # accumulates identically (bit for bit) in both shapes.
     jidx = ctx.jidx
-    if sel is None:
-        sub_filled = ctx.filled.take(jidx, axis=1)    # (n_out, m)
-        if not dense:
-            sub_mask_f = ctx.mask.take(jidx, axis=1).astype(np.float64)
-    else:
-        sub_filled = ctx.filled.take(sel, axis=0).take(jidx, axis=1)
-        if not dense:
-            sub_mask_f = ctx.mask.take(sel, axis=0).take(jidx, axis=1).astype(
-                np.float64
-            )
+    filled = ctx.filled if sel is None else ctx.filled.take(sel, axis=0)
+    sub_filled = filled.take(jidx, axis=1)            # (n_out, m)
+    if not full:
+        mask = ctx.mask if sel is None else ctx.mask.take(sel, axis=0)
+        sub_mask_f = mask.take(jidx, axis=1).astype(np.float64)
     line_base = line_sums / lden
 
     # Centred residuals of every line against its own mean.
@@ -342,10 +333,10 @@ def exact_lane(
     dev = centred - ctx.cross_base
     dev += ctx.grand0
     np.abs(dev, out=dev)
-    if not dense:
+    if not full:
         dev *= sub_mask_f
     line_residues = np.add.reduce(dev, axis=1) / lden
-    if overlays:
+    if not full:
         line_residues = np.where(active, line_residues, 0.0)
 
     # Candidate-specific bases, all candidates at once; the +-1
@@ -356,12 +347,12 @@ def exact_lane(
     base_new_sums = sign_col * sub_filled
     base_new_sums += ctx.base_sub_sums
     base_counts_f = ctx.base_counts_f
-    if overlays:
-        if dense:
-            base_new_counts = sign_col + base_counts_f
-        else:
-            base_new_counts = sign_col * sub_mask_f
-            base_new_counts += base_counts_f
+    if full:
+        # Every base line has n >= 2 cells: n +- 1 >= 1 per candidate.
+        pivots = base_new_sums / (sign_col + ctx.n)
+    else:
+        base_new_counts = sign_col * sub_mask_f
+        base_new_counts += base_counts_f
         # ``base / max(count, 1)`` then a rare explicit zero where the
         # base line lost its last specified cell: the same values as
         # the branchless np.where form, without its full-size select.
@@ -369,9 +360,6 @@ def exact_lane(
         dead = base_new_counts <= 0
         if dead.any():
             pivots[dead] = 0.0
-    else:
-        # Every base line has n >= 2 members: n +- 1 >= 1 per candidate.
-        pivots = base_new_sums / (sign_col + ctx.n)
     pivots -= grand_new[:, None]                      # (n_out, m)
 
     table = ctx.table
@@ -416,14 +404,14 @@ def exact_lane(
     # removed lines' contributions leave the member-line SAD.
     own = centred - pivots
     np.abs(own, out=own)
-    if not dense:
+    if not full:
         own *= sub_mask_f
     own_sums = np.add.reduce(own, axis=1)
 
     np.multiply(own_sums, sign, out=own_sums)
     own_sums += sad
     candidate_res = np.maximum(own_sums / denom_v, 0.0)
-    if overlays:
+    if not full:
         candidate_res = np.where(active, candidate_res, new_residues)
     return LaneScores(
         new_residues=candidate_res,
@@ -484,11 +472,12 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     ctx.jidx = jidx
     ctx.m = m
     ctx.n = n
-    dense = ctx.dense = state.dense
-    # Dense with m > 0 base members and n > 1 candidate members
-    # (volume n*m > m): every line has m specified cells, no removal
-    # empties the cluster and every base line keeps n - 1 >= 1 cells.
-    ctx.overlays = not (dense and m > 0 and volume > m)
+    # m > 0 base members, n >= 2 candidate members and m specified
+    # cells on every candidate line: no removal empties the cluster,
+    # and every base line has n specified cells and keeps n - 1 >= 1.
+    full = ctx.full = bool(
+        m > 0 and n >= 2 and np.minimum.reduce(line_counts) == m
+    )
     if m == 0:
         return ctx
 
@@ -497,8 +486,8 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     base_counts_f = base_sub_counts.astype(np.float64)
     ctx.base_sub_sums = base_sub_sums
     ctx.base_counts_f = base_counts_f
-    if dense and n:
-        # Every base count is n >= 1: the empty-base guard is idle.
+    if full:
+        # Every base count is n >= 2: the empty-base guard is idle.
         ctx.cross_base = base_sub_sums / base_counts_f
     else:
         ctx.cross_base = np.where(
@@ -513,12 +502,12 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
 
     # Sorted residual table of the member lines, one (contiguous) row
     # per member of the base axis, gathered from the transposed copy.
-    # With missing entries it is +inf-padded so every base line's
-    # specified residuals occupy its sorted prefix.  The inf padding
-    # may leak into the prefix tail, but every read sits at a rank <=
-    # the line's specified count, before the first inf.
+    # Unless full it is +inf-padded so every base line's specified
+    # residuals occupy its sorted prefix.  The inf padding may leak
+    # into the prefix tail, but every read sits at a rank <= the line's
+    # specified count, before the first inf.
     table = filled_x.take(jidx, axis=0).take(ridx, axis=1)    # (m, n)
-    if dense:
+    if full:
         # Every member line has m specified cells: its count is m.
         table -= line_sums.take(ridx) / float(m)
     else:
@@ -531,7 +520,7 @@ def exact_context(state: "_State", kind: str, c: int) -> ExactContext:
     ctx.table = table
     ctx.prefix = prefix
     ctx.col_off = col_off
-    if dense:
+    if full:
         ctx.col_totals = prefix[:, n]
     else:
         ctx.col_totals = prefix.take(col_off + base_sub_counts)

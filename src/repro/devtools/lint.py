@@ -273,12 +273,6 @@ class _Suppressions:
         return out
 
 
-def _parse_suppressions(source: str) -> Tuple[Set[str], Dict[int, Set[str]]]:
-    """Back-compat helper: ``(file_level_codes, {lineno: codes})``."""
-    tables = _Suppressions("<memory>", source)
-    return tables.file_level, tables.by_line
-
-
 def lint_source(
     source: str,
     path: str,

@@ -38,7 +38,7 @@ _resolve, __dir__ = lazy_exports(__name__, {
     ".analysis": (
         "ClusterStats", "GainHistogram", "IterationDelta", "ProcessStats",
         "ResourceStats", "SessionAnalysis", "SlotStats", "SweepStats",
-        "TaskRun", "TraceAnalysis", "TraceDiff", "WaveStats",
+        "TaskRun", "TraceAnalysis", "TraceDiff", "UnpairedIteration", "WaveStats",
         "analyze_records", "analyze_trace", "diff_traces",
     ),
     ".events": (
@@ -95,6 +95,7 @@ __all__ = [
     "TraceDiff",
     "TraceEvent",
     "Tracer",
+    "UnpairedIteration",
     "WORK_COUNTER_FIELDS",
     "WaveStats",
     "WorkCounters",

@@ -59,6 +59,7 @@ __all__ = [
     "ResourceStats",
     "TraceAnalysis",
     "IterationDelta",
+    "UnpairedIteration",
     "TraceDiff",
     "analyze_records",
     "analyze_trace",
@@ -773,12 +774,30 @@ class IterationDelta:
 
 
 @dataclass
+class UnpairedIteration:
+    """An ``iteration`` event that only one of two traces holds."""
+
+    key: Dict[str, object]
+    index: int
+    side: str  # "A" or "B": the trace that holds it
+
+
+@dataclass
 class TraceDiff:
-    """Aligned comparison of two traces' ``iteration`` streams."""
+    """Aligned comparison of two traces' ``iteration`` streams: the
+    iterations both traces hold (``deltas``) and those only one holds
+    (``unpaired``), each in alignment order."""
 
     deltas: List[IterationDelta]
-    n_only_a: int
-    n_only_b: int
+    unpaired: List[UnpairedIteration]
+
+    @property
+    def n_only_a(self) -> int:
+        return sum(it.side == "A" for it in self.unpaired)
+
+    @property
+    def n_only_b(self) -> int:
+        return sum(it.side == "B" for it in self.unpaired)
 
     @property
     def max_abs_residue_delta(self) -> float:
@@ -794,12 +813,17 @@ class TraceDiff:
     def final_residue_delta(self) -> float:
         return self.deltas[-1].residue_delta if self.deltas else 0.0
 
-    def first_divergence(self, tol: float = 0.0) -> Optional[IterationDelta]:
-        """First aligned iteration where |residue delta| exceeds ``tol``."""
-        for delta in self.deltas:
-            if abs(delta.residue_delta) > tol:
-                return delta
-        return None
+    def first_divergence(
+        self, tol: float = 0.0
+    ) -> Optional[Union[IterationDelta, UnpairedIteration]]:
+        """First iteration, in alignment order, where the traces part:
+        an aligned one whose |residue delta| exceeds ``tol``, or one
+        that only one trace holds (its run stopped later)."""
+        found: List[Union[IterationDelta, UnpairedIteration]] = [
+            *[d for d in self.deltas if abs(d.residue_delta) > tol][:1],
+            *self.unpaired[:1],
+        ]
+        return min(found, key=lambda it: _alignment(it.key, it.index), default=None)
 
     def to_dict(self, tol: float = 0.0) -> Dict[str, object]:
         first = self.first_divergence(tol)
@@ -814,6 +838,12 @@ class TraceDiff:
             "final_residue_delta": self.final_residue_delta,
             "first_divergence_index": None if first is None else first.index,
         }
+
+
+def _alignment(key: Dict[str, object], index: int) -> Tuple[object, ...]:
+    """Sort key of iteration ``index`` of session ``key``: by session,
+    then index."""
+    return tuple(_sort_token(key.get(name)) for name in _SESSION_KEYS), index
 
 
 def _iteration_index(
@@ -836,7 +866,8 @@ def diff_traces(
 
     Alignment is by ``(trial, restart, iteration index)``.  Iterations
     present in only one trace (one run converged earlier, or performed
-    extra reseed rounds) are counted, not paired.  The canonical use is
+    extra reseed rounds) are listed as unpaired, not paired, and count
+    as a divergence.  The canonical use is
     the frozen-bases gain audit: run twinned sessions with
     ``gain_mode="exact"`` and ``"fast"`` on the same seed and diff the
     traces to see where (and by how much) the estimate steers the search
@@ -844,17 +875,20 @@ def diff_traces(
     """
     index_a = _iteration_index(records_a)
     index_b = _iteration_index(records_b)
-    shared = sorted(
-        set(index_a) & set(index_b),
-        key=lambda pair: (
-            tuple(_sort_token(part) for part in pair[0]),
-            pair[1],
-        ),
+    keys = sorted(
+        set(index_a) | set(index_b),
+        key=lambda pair: _alignment(_key_dict(pair[0]), pair[1]),
     )
     deltas: List[IterationDelta] = []
-    for key, index in shared:
-        a = index_a[(key, index)]
-        b = index_b[(key, index)]
+    unpaired: List[UnpairedIteration] = []
+    for key, index in keys:
+        a = index_a.get((key, index))
+        b = index_b.get((key, index))
+        if a is None or b is None:
+            unpaired.append(UnpairedIteration(
+                key=_key_dict(key), index=index, side="A" if b is None else "B",
+            ))
+            continue
         deltas.append(IterationDelta(
             key=_key_dict(key),
             index=index,
@@ -865,8 +899,4 @@ def diff_traces(
             actions_a=_as_int(a.get("n_actions")),
             actions_b=_as_int(b.get("n_actions")),
         ))
-    return TraceDiff(
-        deltas=deltas,
-        n_only_a=len(set(index_a) - set(index_b)),
-        n_only_b=len(set(index_b) - set(index_a)),
-    )
+    return TraceDiff(deltas=deltas, unpaired=unpaired)

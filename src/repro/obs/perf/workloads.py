@@ -142,9 +142,8 @@ def make_primitives_payload(
     rng = np.random.default_rng(0)
     values = rng.normal(size=(600, 80))
     values[rng.random((600, 80)) < 0.1] = np.nan
-    mask = ~np.isnan(values)
     seeds = bernoulli_seeds(600, 80, 16, 0.15, rng)
-    state = _State(values, mask, seeds, work=work)
+    state = _State(values, seeds, work=work)
     row_member = np.zeros(600, dtype=bool)
     row_member[:120] = True
     col_member = np.zeros(80, dtype=bool)
@@ -242,8 +241,8 @@ def _smoke_mining_sparse(work: WorkCounters) -> Dict[str, object]:
     from ...core.mining import run_restart
     from ...data.synthetic import generate_embedded
 
-    # 20% missing entries: the masked deviation pass and the estimate
-    # lane's overlays, which every dense workload skips, run here.
+    # 20% missing entries: the estimate lane's overlays for lines
+    # without a specified cell on a cluster run here.
     dataset = generate_embedded(
         100, 20, 3, cluster_shape=(15, 8), noise=1.0, missing_fraction=0.2,
         rng=1,

@@ -87,7 +87,7 @@ class TestScore:
         values = np.ones((10, 10))
         seeds = bernoulli_seeds(10, 10, len(residues), 0.5,
                                 np.random.default_rng(0))
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         state.residues[:] = residues
         state.volumes[:] = volumes
         return state
@@ -150,7 +150,7 @@ class TestReseedDeadSlots:
         rng = np.random.default_rng(rng_seed)
         values = rng.uniform(0, 100, size=(40, 20))
         seeds = bernoulli_seeds(40, 20, k, 0.3, rng)
-        return _State(values, ~np.isnan(values), seeds), rng
+        return _State(values, seeds), rng
 
     def test_floor_cluster_reseeded(self):
         state, rng = self.make_state()
@@ -238,12 +238,11 @@ class TestReseedDeadSlots:
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 100, size=(40, 20))
         values[rng.random((40, 20)) < 0.4] = np.nan
-        mask = ~np.isnan(values)
         seeds = bernoulli_seeds(40, 20, 4, 0.3, rng)
         constraints = Constraints()
         states = {}
         for alpha in (0.0, 0.8):
-            state = _State(values, mask, seeds)
+            state = _State(values, seeds)
             assert _reseed_dead_slots(
                 state, 0.5, constraints, np.random.default_rng(3),
                 residue_target=0.001, alpha=alpha,
@@ -284,7 +283,7 @@ class TestFastCaches:
         values[rng.random((20, 12)) < 0.15] = np.nan
         mask = ~np.isnan(values)
         seeds = bernoulli_seeds(20, 12, 2, 0.4, rng)
-        state = _State(values, mask, seeds)
+        state = _State(values, seeds)
         for step in range(60):
             kind = "row" if rng.random() < 0.5 else "col"
             index = int(rng.integers(0, 20 if kind == "row" else 12))
@@ -309,7 +308,7 @@ class TestFastCaches:
         rng = np.random.default_rng(5)
         values = rng.normal(size=(30, 10))
         seeds = bernoulli_seeds(30, 10, 1, 0.4, rng)
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         lane = estimate_lane(state, 0)
         outside = np.flatnonzero(~state.row_member[0])
         for index in outside[:5]:
@@ -327,7 +326,7 @@ class TestFastCaches:
         values = rng.normal(size=(25, 14))
         values[rng.random((25, 14)) < 0.2] = np.nan
         seeds = bernoulli_seeds(25, 14, 4, 0.35, rng)
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         # Include degenerate clusters: one at the floor, one tiny.
         state.row_member[3] = False
         state.row_member[3, :2] = True
@@ -356,7 +355,7 @@ class TestFastCaches:
         values = (rng.normal(size=12)[:, None] * 0.1
                   + rng.normal(size=8)[None, :] * 0.3 + 0.7)
         seeds = [(rng.random(12) < 0.5, rng.random(8) < 0.6) for _ in range(2)]
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         for c in range(2):
             lane = estimate_lane(state, c)
             assert not np.signbit(lane.new_residues).any(), c
@@ -368,7 +367,7 @@ class TestFastCaches:
         values = rng.normal(size=(15, 8))
         values[rng.random((15, 8)) < 0.2] = NAN
         seeds = bernoulli_seeds(15, 8, 2, 0.4, rng)
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         fresh = copy.deepcopy(state)
         snapshot = state.snapshot()
         for __ in range(10):
@@ -410,14 +409,13 @@ class TestSnapshotRestoreProperty:
         rng = np.random.default_rng(seed)
         values = rng.normal(size=(self.N_ROWS, self.N_COLS))
         values[rng.random(size=values.shape) < 0.15] = NAN
-        mask = ~np.isnan(values)
         seeds = bernoulli_seeds(
             self.N_ROWS, self.N_COLS, self.K, 0.4,
             np.random.default_rng(seed + 1),
         )
         return (
-            _State(values, mask, seeds),
-            _State(values, mask, seeds),
+            _State(values, seeds),
+            _State(values, seeds),
         )
 
     def _apply(self, state, ops):
@@ -511,7 +509,7 @@ class TestResidueOracle:
         col_member[sorted(data.draw(st.sets(
             st.integers(0, m - 1), min_size=1)))] = True
 
-        state = _State(values, ~np.isnan(values), [(row_member, col_member)])
+        state = _State(values, [(row_member, col_member)])
 
         sub = values[np.ix_(row_member, col_member)]
         sub_mask = ~np.isnan(sub)
@@ -688,14 +686,12 @@ class TestDeviationCache:
 
 
 class TestDenseDeviationPass:
-    """On a matrix without missing entries the deviation pass drops the
-    mask product and, when the cluster has member rows and member
-    columns, the empty-base guard; every entry must keep the bits of the
-    masked formula, including clusters with an empty axis, where the
-    guard still applies.  With missing entries (NaN cells and blanked
-    lines drawn onto the same values) the pass gathers NaN-holding
-    blocks, drops the unspecified cells with ``fmax`` and guards the
-    base with ``max(count, 1)`` alone: the same bits again."""
+    """The deviation pass runs one formula on every matrix: it gathers
+    blocks of the NaN-holding values, drops the unspecified cells with
+    ``fmax`` and guards the base with ``max(count, 1)``.  On a matrix
+    without missing entries, and on the same values with NaN cells and
+    blanked lines drawn onto them, every entry must keep the bits of
+    the mask-product formula, clusters with an empty axis included."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -720,8 +716,7 @@ class TestDenseDeviationPass:
              np.array(data.draw(st.lists(st.booleans(), min_size=m, max_size=m))))
             for _ in range(k)
         ]
-        state = _State(values, np.ones((n, m), dtype=bool), seeds)
-        assert state.dense
+        state = _State(values, seeds)
         holed = values.copy()
         for i, j in data.draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(0, m - 1)),
@@ -730,7 +725,7 @@ class TestDenseDeviationPass:
             holed[i, j] = NAN
         holed[data.draw(st.lists(st.integers(0, n - 1), max_size=n)), :] = NAN
         holed[:, data.draw(st.lists(st.integers(0, m - 1), max_size=m))] = NAN
-        masked = _State(holed, ~np.isnan(holed), seeds)
+        masked = _State(holed, seeds)
         for kind, index, c in data.draw(st.lists(st.tuples(
             st.sampled_from(["row", "col"]), st.integers(0, max(n, m) - 1),
             st.integers(0, k - 1),

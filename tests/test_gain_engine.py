@@ -68,10 +68,9 @@ def matrices_with_missing(draw, min_side=3, max_side=10):
 
 
 def make_state(values, seed, k, work=None):
-    mask = ~np.isnan(values)
     rng = np.random.default_rng(seed)
     seeds = bernoulli_seeds(values.shape[0], values.shape[1], k, 0.4, rng)
-    return _State(values, mask, seeds, work=work)
+    return _State(values, seeds, work=work)
 
 
 def lane_size(values, kind):
@@ -224,7 +223,7 @@ class TestEstimateLane:
         rows = np.zeros(12, dtype=bool)
         rows[[2, 6, 8]] = True
         seeds[2] = (rows, np.ones(9, dtype=bool))
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         constraints = Constraints(min_rows=3, min_cols=3)
         lane = self._assert_concatenation(state, 1)
         assert lane.new_volumes[5] == 0.0 and state.counts[1, 5] > 0  # emptied
@@ -257,7 +256,7 @@ class TestEstimateLane:
         rows[[0, 1, 2, 4]] = True
         cols = np.zeros(6, dtype=bool)
         cols[[0, 1, 2]] = True
-        state = _State(values, ~np.isnan(values), [(rows, cols)])
+        state = _State(values, [(rows, cols)])
         assert state.volumes[0] == 3
         state.residues[0] = 0.1  # 3 * 0.1 / 3 != 0.1
         lane = self._assert_concatenation(state, 0)
@@ -266,15 +265,13 @@ class TestEstimateLane:
         assert lane.new_residues[0] == 0.0 and lane.line_residues[0] == 0.0
 
     def test_dense_clusters_with_one_row_or_column_keep_overlays(self):
-        """On a fully specified matrix the overlays and guards are
-        skipped only from two member rows and two member columns up: a
-        one-row or one-column cluster still empties on a removal."""
+        """On a fully specified matrix a one-row or one-column cluster
+        still empties on a removal, and the overlays say so."""
         values = np.random.default_rng(4).normal(size=(7, 5))
         one_row, one_col = np.zeros(7, dtype=bool), np.zeros(5, dtype=bool)
         one_row[2], one_col[1] = True, True
         seeds = [(one_row, np.ones(5, dtype=bool)), (np.ones(7, dtype=bool), one_col)]
-        state = _State(values, np.ones((7, 5), dtype=bool), seeds)
-        assert state.dense
+        state = _State(values, seeds)
         for c in range(2):
             lane = self._assert_concatenation(state, c)
             assert (lane.new_volumes >= 0.0).all() and np.isfinite(lane.new_residues).all()
@@ -318,7 +315,7 @@ class TestOccupancyMask:
         estimate lanes of fast mode, the full exact lanes and ``sel``
         windows of them."""
         values, seeds = spec
-        state = _State(values, ~np.isnan(values), seeds)
+        state = _State(values, seeds)
         constraints = Constraints(min_rows=1, min_cols=1)
         split = values.shape[0]
 
@@ -363,7 +360,7 @@ class TestOccupancyMask:
         values = np.arange(12.0).reshape(4, 3)
         values[1, 0] = NAN  # column 0: 1 of the 2 member rows
         rows = np.array([True, True, False, False])
-        state = _State(values, ~np.isnan(values), [(rows, np.ones(3, dtype=bool))])
+        state = _State(values, [(rows, np.ones(3, dtype=bool))])
         blocked = occupancy_blocked(state, 0.5, "row", 0)
         assert blocked is not None
         assert blocked.tolist() == [True, False, False, False]
@@ -387,9 +384,8 @@ class TestBlockAndScalarParity:
             k = int(rng.integers(1, 6))
             values = rng.normal(size=(N, M)) * 3
             values[rng.random((N, M)) < 0.15] = np.nan
-            mask = ~np.isnan(values)
             seeds = bernoulli_seeds(N, M, k, 0.3, rng)
-            state = _State(values, mask, seeds, work=None)
+            state = _State(values, seeds, work=None)
             for kind in ("row", "col"):
                 size = N if kind == "row" else M
                 for c in range(k):
@@ -419,9 +415,8 @@ class TestBlockAndScalarParity:
         rng = np.random.default_rng(7)
         values = rng.normal(size=(40, 12))
         values[rng.random((40, 12)) < 0.1] = np.nan
-        mask = ~np.isnan(values)
         seeds = bernoulli_seeds(40, 12, 3, 0.3, rng)
-        state = _State(values, mask, seeds, work=None)
+        state = _State(values, seeds, work=None)
         for kind in ("row", "col"):
             for c in range(3):
                 ctx = exact_context(state, kind, c)
@@ -433,15 +428,17 @@ class TestBlockAndScalarParity:
                     ), name
 
 
-# -- dense selections are bitwise the masked formulas ------------------
+# -- full contexts are bitwise the masked formulas --------------------
 
 
 @st.composite
-def dense_states(draw):
-    """A fully specified matrix and k clusters of any membership: empty
-    axes, single members and full extents included."""
-    n = draw(st.integers(1, 9))
-    m = draw(st.integers(1, 8))
+def full_states(draw):
+    """A matrix with at least two lines per axis and k clusters of any
+    membership (empty axes, single members and full extents included),
+    fully specified or with holes only in rows outside every cluster
+    and columns outside every cluster, so that lanes stay full."""
+    n = draw(st.integers(2, 9))
+    m = draw(st.integers(2, 8))
     values = draw(arrays(
         np.float64, (n, m),
         elements=st.floats(
@@ -454,51 +451,79 @@ def dense_states(draw):
         (draw(arrays(np.bool_, n)), draw(arrays(np.bool_, m)))
         for _ in range(k)
     ]
+    free_rows = ~np.logical_or.reduce([rows for rows, _ in seeds])
+    free_cols = ~np.logical_or.reduce([cols for _, cols in seeds])
+    holes = draw(arrays(np.bool_, (n, m)))
+    values[holes & (free_rows[:, None] | free_cols)] = NAN
     return values, seeds
 
 
-def _assert_dense_matches_masked(values, seeds, sels=()):
-    """Every exact lane (full, and each ``sel`` window) of a dense
-    state equals, bit for bit and counter for counter, the lane built
-    with the dense selections switched off."""
-    mask = np.ones(values.shape, dtype=bool)
-    dense_work, masked_work = WorkCounters(), WorkCounters()
-    dense = _State(values, mask, seeds, work=dense_work)
-    masked = _State(values, mask, seeds, work=masked_work)
-    assert dense.dense
-    masked.dense = False
+def _pad(values, seeds):
+    """``values`` and ``seeds`` with one all-missing row and one
+    all-missing column appended: no exact context of them is full."""
+    n, m = values.shape
+    padded = np.full((n + 1, m + 1), NAN)
+    padded[:n, :m] = values
+    return padded, [(np.append(rows, False), np.append(cols, False))
+                    for rows, cols in seeds]
+
+
+def _work_delta(work, before):
+    start = before.as_dict()
+    return {name: value - start[name] for name, value in work}
+
+
+def _assert_full_matches_masked(values, seeds, sels=()):
+    """Every exact lane (full, and each ``sel`` window) equals, bit for
+    bit and counter for counter, the lane of the same state padded by
+    an all-missing row and column, which takes the masked formulas.
+    A padded full lane also scores the padding line: one more toggle
+    evaluation, no more cells.  Returns how many contexts were full."""
+    work, padded_work = WorkCounters(), WorkCounters()
+    state = _State(values, seeds, work=work)
+    padded = _State(*_pad(values, seeds), work=padded_work)
+    before, padded_before = work.copy(), padded_work.copy()
+    n_full = full_lanes = 0
     for kind in ("row", "col"):
+        size = lane_size(values, kind)
         for c in range(len(seeds)):
-            ctx_d = exact_context(dense, kind, c)
-            ctx_m = exact_context(masked, kind, c)
-            assert (ctx_d.n, ctx_d.m) == (ctx_m.n, ctx_m.m)
-            assert ctx_m.overlays
+            ctx = exact_context(state, kind, c)
+            ctx_p = exact_context(padded, kind, c)
+            assert (ctx.n, ctx.m) == (ctx_p.n, ctx_p.m)
+            assert not ctx_p.full
+            n_full += ctx.full
             for sel in (None,) + tuple(sels):
                 if sel is not None:
-                    sel = sel[sel < lane_size(values, kind)]
-                got = exact_lane(dense, kind, c, sel=sel, ctx=ctx_d)
-                want = exact_lane(masked, kind, c, sel=sel, ctx=ctx_m)
+                    sel = sel[sel < size]
+                got = exact_lane(state, kind, c, sel=sel, ctx=ctx)
+                want = exact_lane(padded, kind, c, sel=sel, ctx=ctx_p)
+                scored = slice(None) if sel is not None else slice(size)
+                full_lanes += sel is None
                 for name in ("new_residues", "new_volumes", "line_residues"):
-                    assert _same_bits(getattr(got, name), getattr(want, name)), (
+                    assert _same_bits(getattr(got, name), getattr(want, name)[scored]), (
                         kind, c, sel, name,
                     )
-    assert dense_work == masked_work
+    delta = _work_delta(work, before)
+    padded_delta = _work_delta(padded_work, padded_before)
+    assert padded_delta.pop("toggle_evals") == delta.pop("toggle_evals") + full_lanes
+    assert padded_delta == delta
+    return n_full
 
 
 class TestDenseSelections:
-    @given(dense_states(), st.lists(st.integers(0, 8), min_size=1, max_size=6))
+    @given(full_states(), st.lists(st.integers(0, 8), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_dense_lanes_bitwise_equal_masked(self, state_spec, picks):
         values, seeds = state_spec
-        _assert_dense_matches_masked(
+        _assert_full_matches_masked(
             values, seeds, sels=(np.array(picks, dtype=np.intp),),
         )
 
     def test_shortcut_edges(self):
-        """The overlay-free shortcut's edges: one candidate-kind member
-        (volume == m, its removal empties the cluster), two members
-        (the first shortcut case), an empty base axis and an empty
-        candidate axis."""
+        """The full shortcut's edges: one candidate-kind member (volume
+        == m, its removal empties the cluster), two members (the first
+        full case), an empty base axis, an empty candidate axis, and a
+        masked matrix whose row lanes are full and column lanes not."""
         rng = np.random.default_rng(5)
         values = rng.normal(size=(7, 5)) * 10
         rows, cols = np.zeros(7, dtype=bool), np.zeros(5, dtype=bool)
@@ -511,16 +536,26 @@ class TestDenseSelections:
         seeds = [
             (one_row, np.ones(5, dtype=bool)),  # row lane: volume == m
             (np.ones(7, dtype=bool), one_col),  # column lane: volume == m
-            (two_rows, one_col),  # row lane shortcut at n == 2, m == 1
+            (two_rows, one_col),  # full row lane at n == 2, m == 1
             (two_rows, cols),  # empty column axis
             (rows, np.ones(5, dtype=bool)),  # empty row axis
         ]
         windows = (np.array([3, 0, 6], dtype=np.intp), np.array([1], dtype=np.intp))
-        _assert_dense_matches_masked(values, seeds, sels=windows)
+        # Full: cluster 0's column lane, clusters 1 and 2's row lanes.
+        assert _assert_full_matches_masked(values, seeds, sels=windows) == 3
         # The single-member row lane empties on removal: volume 0.
-        state = _State(values, np.ones(values.shape, dtype=bool), seeds)
+        state = _State(values, seeds)
+        assert not exact_context(state, "row", 0).full
         lane = exact_lane(state, "row", 0)
         assert lane.new_volumes[3] == 0 and lane.new_residues[3] == 0.0
+        # Row 3 misses column 4, outside the cluster's columns.
+        holed = values.copy()
+        holed[3, 4] = NAN
+        seeds = [(two_rows, np.arange(5) < 4)]
+        state = _State(holed, seeds)
+        assert exact_context(state, "row", 0).full
+        assert not exact_context(state, "col", 0).full
+        assert _assert_full_matches_masked(holed, seeds, sels=windows) == 1
 
 
 # -- vectorised gain ladder vs the scalar ------------------------------
@@ -566,9 +601,8 @@ class TestCounterAccounting:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(60, 20))
         values[rng.random((60, 20)) < 0.1] = np.nan
-        mask = ~np.isnan(values)
         seeds = bernoulli_seeds(60, 20, 4, 0.3, rng)
-        return _State(values, mask, seeds, work=work)
+        return _State(values, seeds, work=work)
 
     def test_exact_context_counts_one_residue_eval_of_volume_cells(self):
         work = WorkCounters()
@@ -786,9 +820,8 @@ class TestRunIdentity:
     def test_invalidate_all_preserves_best_action(self):
         rng = np.random.default_rng(11)
         values = rng.normal(size=(50, 15))
-        mask = ~np.isnan(values)
         seeds = bernoulli_seeds(50, 15, 3, 0.3, rng)
-        state = _State(values, mask, seeds, work=None)
+        state = _State(values, seeds, work=None)
         engine = GainEngine(
             state, Constraints(min_rows=1, min_cols=1),
             alpha=0.0, residue_target=2.0, gain_mode="exact",
@@ -807,7 +840,7 @@ class TestPreciseInvalidation:
         rng = np.random.default_rng(3)
         values = rng.normal(size=(40, 12))
         seeds = bernoulli_seeds(40, 12, 2, 0.4, rng)
-        state = _State(values, ~np.isnan(values), seeds, work=work)
+        state = _State(values, seeds, work=work)
         engine = GainEngine(
             state, Constraints(min_rows=1, min_cols=1),
             alpha=0.0, residue_target=2.0, gain_mode="exact",

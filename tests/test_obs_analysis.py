@@ -20,6 +20,7 @@ from repro.obs import (
     JsonlSink,
     RingBufferSink,
     Tracer,
+    UnpairedIteration,
     analyze_records,
     analyze_trace,
     diff_traces,
@@ -303,6 +304,25 @@ class TestDiffTraces:
         assert len(diff.deltas) == 1
         assert diff.n_only_a == 1
         assert diff.n_only_b == 0
+
+    def test_unpaired_iteration_is_a_divergence(self):
+        """An iteration only one trace holds diverges: it is the first
+        divergence when no aligned one before it (in session, then
+        index order) exceeds the tolerance."""
+        make = TestHandBuiltStreams.iteration
+        a = [make(0, 5.0), make(1, 4.0), make(2, 3.0)]
+        b = [make(0, 5.0), make(1, 4.5)]
+        diff = diff_traces(a, b)
+        first = diff.first_divergence(tol=1.0)
+        assert isinstance(first, UnpairedIteration)
+        assert (first.index, first.side) == (2, "A")
+        assert diff.to_dict(tol=1.0)["first_divergence_index"] == 2
+        assert diff.first_divergence(tol=0.25).index == 1
+        assert diff_traces([], a).first_divergence().side == "B"
+        a = [make(0, 5.0, restart=0), make(1, 5.0, restart=0), make(0, 7.0, restart=1)]
+        b = [make(0, 5.0, restart=0), make(0, 9.0, restart=1)]
+        first = diff_traces(a, b).first_divergence()
+        assert (first.key, first.index, first.side) == ({"restart": 0}, 1, "A")
 
     def test_sessions_aligned_independently(self):
         make = TestHandBuiltStreams.iteration

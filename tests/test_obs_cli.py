@@ -170,6 +170,24 @@ class TestDiffTracesCommand:
         assert "0 only in A, 0 only in B" in out
         assert "no divergence beyond tol=0" in out
 
+    def test_iterations_on_one_side_diverge(self, trace_path, tmp_path,
+                                            capsys):
+        """A trace against an empty one diverges at its first iteration,
+        in the text and the JSON output."""
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["diff-traces", str(trace_path), str(empty)]) == 0
+        out = capsys.readouterr().out
+        assert "0 aligned iteration(s)" in out
+        assert "first divergence at iteration 0 (only in A)" in out
+        assert "no divergence" not in out
+        assert main([
+            "diff-traces", str(empty), str(trace_path), "--json",
+        ]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["n_only_b"] > 0 and payload["n_aligned"] == 0
+        assert payload["first_divergence_index"] == 0
+
     def test_twinned_runs_diverge(self, matrix_path, trace_path, tmp_path,
                                   capsys):
         other = tmp_path / "other.jsonl"
