@@ -570,12 +570,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="files or directories to lint (default: src)")
     lint.add_argument("--format", choices=("human", "json"), default="human")
     lint.add_argument("--select", default=None, metavar="CODES",
-                      help="comma-separated rule codes (e.g. DCL001,DCL005)")
+                      help="comma-separated rule codes (e.g. DCL005,DCL011)")
     lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--deep", action="store_true",
-                      help="also run the whole-program rules "
-                           "(DCL010-DCL013) over the cross-module "
-                           "call graph")
     lint.add_argument("--call-graph", default=None, metavar="FN",
                       help="print a function's transitive reach "
                            "(qualname or dotted suffix) and exit")

@@ -310,41 +310,26 @@ class _State:
         cluster (every array bitwise equal to a full refresh) and leave
         it fresh again.
 
-        Only the cross axis's statistics move: a row toggle changes the
-        column counts by the row's mask and the column sums, which are
-        recomputed from the member rows exactly as
-        :meth:`refresh_cluster` does; the other axis is untouched.  The
+        It is a :meth:`toggle` whose shifted cross-axis sums are then
+        overwritten by a fresh sum over the member lines, exactly as
+        :meth:`refresh_cluster` computes them; the counts a toggle
+        shifts are exact already, and the other axis is untouched.  The
         volume moves by the toggled line's own count, which the toggle
-        leaves unchanged, so it stays exact.
+        leaves unchanged, so it stays exact.  The stamp moves twice (the
+        toggle's and the settle's), which its contract allows: it only
+        has to never repeat a value.
         """
-        if self.work is not None:
-            self.work.toggles += 1
+        self.toggle(kind, index, c)
         split = self.n_rows
         line = index if kind == ROW else split + index
-        joining = not self.member[c, line]
-        self.member[c, line] = joining
-        self.sign[c, line] = -1.0 if joining else 1.0
         rows, cols = self._members(c)
-        shift = np.add if joining else np.subtract
         if kind == ROW:
-            counts = self.counts[c, split:]
-            shift(counts, self.mask_i[index], out=counts)
-            self.counts_f[c, split:] = counts
             np.add.reduce(self.filled.take(rows, axis=0), axis=0, out=self.sums[c, split:])
         else:
-            counts = self.counts[c, :split]
-            shift(counts, self.mask_T_i[index], out=counts)
-            self.counts_f[c, :split] = counts
             np.add.reduce(self.filled_T.take(cols, axis=0), axis=0, out=self.sums[c, :split])
-        cells = self._line_cells[line]
         count = int(self.counts[c, line])
-        if joining:
-            self.member_cells[c] += cells
-            volume = int(self.volumes[c]) + count
-        else:
-            self.member_cells[c] -= cells
-            volume = int(self.volumes[c]) - count
-        self._settle(c, rows, cols, volume)
+        joined = self.member[c, line]
+        self._settle(c, rows, cols, int(self.volumes[c]) + (count if joined else -count))
 
     def _settle(self, c: int, rows: np.ndarray, cols: np.ndarray, volume: int) -> None:
         """Close a statistics update of cluster ``c``: new stamp, the
@@ -437,7 +422,8 @@ class _State:
 
     def toggle(self, kind: str, index: int, c: int) -> None:
         """Flip one membership bit and update the statistics
-        incrementally (exact mode and best-prefix replays)."""
+        incrementally (exact mode, best-prefix replays, and the first
+        step of :meth:`perform`)."""
         if self.work is not None:
             self.work.toggles += 1
         split = self.n_rows

@@ -8,15 +8,16 @@ explicit :class:`numpy.random.Generator`.  Public entry points accept
 exactly once, here, at the API boundary.
 
 The custom linter (:mod:`repro.devtools`) enforces the discipline:
-rule **DCL001** forbids the legacy global-state API (``np.random.<fn>``)
-and bare ``np.random.default_rng()`` everywhere outside ``tests/``, and
-**DCL004** requires public ``repro.core`` functions to accept their RNG
-as a parameter instead of constructing one.  This module is the single
-place allowed to construct generators from scratch -- hence the
-file-level suppression below.
+rule **DCL011** forbids the legacy global-state API (``np.random.<fn>``)
+and bare ``np.random.default_rng()`` everywhere outside ``tests/``,
+requires public ``repro.core`` functions to accept their RNG as a
+parameter instead of constructing one, and requires core callers of an
+RNG consumer to pass one.  This module is the single place allowed to
+construct generators from scratch -- hence the file-level suppression
+below.
 """
 
-# dcl: disable=DCL001
+# dcl: disable=DCL011
 
 from __future__ import annotations
 

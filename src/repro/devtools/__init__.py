@@ -8,15 +8,16 @@ residue math on matrices with missing entries, and ``__all__`` hygiene.
 
     python -m repro.devtools.lint src/
     repro lint --format json src/
-    repro lint --deep src/            # + whole-program rules DCL010-013
     repro lint --call-graph floc src/ # print a function's reach
 
-``--deep`` builds a project-wide symbol table
-(:mod:`repro.devtools.symbols`), a conservative cross-module call graph
-(:mod:`repro.devtools.callgraph`), and runs fixpoint dataflow rules
-(:mod:`repro.devtools.dataflow`) that close the per-file invariants
-transitively: wall-clock reach (DCL010), RNG threading (DCL011),
-ndarray-parameter mutation (DCL012), float equality (DCL013).
+One pass parses every file once into a project-wide symbol table
+(:mod:`repro.devtools.symbols`), builds a conservative cross-module
+call graph over it (:mod:`repro.devtools.callgraph`), and runs one rule
+per invariant: the module rules of :mod:`repro.devtools.rules` and the
+fixpoint dataflow rules of :mod:`repro.devtools.dataflow` -- wall-clock
+reads, direct and transitive (DCL010), RNG threading, direct and
+transitive (DCL011), ndarray-parameter mutation (DCL012), float
+equality (DCL013).
 
 See ``docs/DEVELOPMENT.md`` for the rule catalogue and the rationale
 behind each invariant.
@@ -30,20 +31,15 @@ from .._lazy import lazy_exports
 
 __all__ = [
     "CallGraph",
-    "DEEP_RULES",
-    "DeepRule",
-    "FileContext",
     "LintReport",
     "ProjectSymbols",
     "RULES",
     "Rule",
     "Violation",
-    "all_deep_rules",
     "all_rules",
     "build_callgraph",
     "build_project",
     "collect_files",
-    "deep_lint",
     "known_codes",
     "lint_paths",
     "lint_source",
@@ -53,14 +49,12 @@ __all__ = [
 
 _resolve, __dir__ = lazy_exports(__name__, {
     ".callgraph": ("CallGraph", "build_callgraph"),
-    ".dataflow": (
-        "DEEP_RULES", "DeepRule", "all_deep_rules", "deep_lint", "propagate",
-    ),
+    ".dataflow": ("propagate",),
     ".lint": (
-        "LintReport", "collect_files", "known_codes", "lint_paths",
-        "lint_source", "main",
+        "LintReport", "RULES", "all_rules", "collect_files", "known_codes",
+        "lint_paths", "lint_source", "main",
     ),
-    ".rules": ("FileContext", "RULES", "Rule", "Violation", "all_rules"),
+    ".rules": ("Rule", "Violation"),
     ".symbols": ("ProjectSymbols", "build_project"),
 })
 

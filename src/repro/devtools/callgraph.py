@@ -17,7 +17,7 @@ every analyzed function ends up in exactly one of three buckets --
   their seed sets;
 * an **unresolved call** (:class:`UnresolvedCall`) with a category
   saying why (``callable-parameter``, ``attribute-dispatch``,
-  ``dynamic-expression``, ...).  ``repro lint --deep`` reports the
+  ``dynamic-expression``, ...).  ``repro lint`` reports the
   per-category totals so the blind spots of the analysis are visible.
 
 A consequence worth knowing: the tracer clock seam
@@ -39,13 +39,14 @@ import ast
 import builtins
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .symbols import (
     ClassSymbol,
     FunctionSymbol,
     ModuleSymbols,
     ProjectSymbols,
+    _dotted_parts,
 )
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "Node",
     "UnresolvedCall",
     "build_callgraph",
-    "reach_report",
     "render_reach",
 ]
 
@@ -186,20 +186,6 @@ class CallGraph:
             },
             "stats": self.stats(),
         }
-
-
-def _dotted_parts(expr: ast.AST) -> Optional[List[str]]:
-    """Flatten a pure ``Name``/``Attribute`` chain, or ``None``."""
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    parts.reverse()
-    return parts
 
 
 _ANNOTATION_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
@@ -475,9 +461,3 @@ def _render_one(graph: CallGraph, root: str, max_depth: int) -> List[str]:
     visit(root, 1)
     return lines
 
-
-def reach_report(
-    graph: CallGraph, roots: Iterable[str]
-) -> Dict[str, Sequence[str]]:
-    """Map each root to its sorted transitive callees (for tooling)."""
-    return {root: graph.transitive_callees(root) for root in sorted(roots)}

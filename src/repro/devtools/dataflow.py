@@ -1,4 +1,4 @@
-"""Fixpoint dataflow over the call graph: the transitive DCL rules.
+"""Fixpoint dataflow over the call graph: the whole-program DCL rules.
 
 :func:`propagate` is a generic backward taint engine: given *seed*
 functions (each with a human-readable reason) it walks caller edges to
@@ -6,23 +6,29 @@ a fixpoint and records, for every reached function, the call site and
 callee it inherited the taint from -- so each violation can print a
 witness chain (``floc -> _phase2 -> timed_helper``) instead of a bare
 "transitively reaches".  Iteration order is sorted everywhere, so the
-result -- and therefore ``repro lint --deep --json`` -- is
+result -- and therefore ``repro lint --format json`` -- is
 byte-deterministic.
 
-The four deep rules (run only under ``--deep``; they are a separate
-registry from the per-file ``RULES`` so plain ``repro lint`` semantics
-are unchanged):
+The four rules here see the whole symbol table and the call graph.
+DCL010 and DCL011 each check one reproducibility invariant in full:
+the direct case in any module they scope, and its closure over calls.
 
 DCL010
-    Closure of DCL002: no *transitive* wall-clock reach from
-    ``src/repro/core/``.  Direct reads are DCL002's job; this rule
-    flags core functions whose callees (at any depth, across modules)
-    hit ``time.*`` / ``datetime.*``.  The tracer clock seam
-    (``Tracer.clock``) is a class attribute, not a ``def``, so calls
-    through it stay unresolved rather than tainting callers -- the seam
-    is sanctioned by construction.
+    Timing goes only through the tracer clock seam.  No wall-clock
+    read (``time.*`` / ``datetime.*``) anywhere in ``src/repro/core/``
+    or ``src/repro/obs/perf/`` -- module level and class bodies
+    included -- and no core function whose callees (at any depth,
+    across modules) read one.  The tracer clock seam (``Tracer.clock``)
+    is a class attribute, not a ``def``, so calls through it stay
+    unresolved rather than tainting callers -- the seam is sanctioned
+    by construction -- and the perf package's bench clock is injected
+    (``bench.DEFAULT_CLOCK``), so counted runs stay bit-identical.
 DCL011
-    Closure of DCL001/DCL004: RNG threading.  A core function whose
+    Every random draw comes from a threaded generator.  No legacy
+    global-state ``np.random.<fn>`` / ``random.<fn>`` call and no bare
+    ``np.random.default_rng()`` outside ``tests/``; no public core
+    function that constructs its RNG (``default_rng``/``resolve_rng``)
+    instead of taking it as a parameter; and a core function whose
     callees consume an RNG (take an ``rng``/``generator``/
     ``random_state`` parameter, or call ``numpy.random.default_rng``)
     must receive a generator itself and pass it explicitly.  Taint
@@ -57,29 +63,23 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Type,
 )
 
-from .callgraph import CallGraph, CallSite, build_callgraph
-from .rules import Violation, _CLOCK_CALLS, _in_core
+from .callgraph import CallGraph, CallSite
+from .rules import Rule, Violation, _in_core, _in_perf, _in_tests
 from .symbols import (
     ClassSymbol,
     FunctionSymbol,
     ModuleSymbols,
     ProjectSymbols,
-    build_project,
 )
 
 __all__ = [
-    "DEEP_RULES",
-    "DeepRule",
+    "ClockSeamRule",
     "FloatEqualityRule",
     "NdarrayParamMutationRule",
     "RngThreadingRule",
     "Taint",
-    "TransitiveWallClockRule",
-    "all_deep_rules",
-    "deep_lint",
     "propagate",
     "witness_chain",
 ]
@@ -143,38 +143,61 @@ def _short_chain(chain: Sequence[str]) -> str:
     return " -> ".join(name.rsplit(".", 2)[-1] for name in chain)
 
 
-class DeepRule:
-    """A whole-program rule: sees the symbol table and the call graph."""
-
-    code: str = ""
-    summary: str = ""
-
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
-        raise NotImplementedError
-
-    def _violation(
-        self, sym_path: str, line: int, col: int, message: str
-    ) -> Violation:
-        return Violation(
-            rule=self.code, path=sym_path, line=line, col=col, message=message
-        )
+#: Calls that read the wall clock.
+_CLOCK_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.perf_counter",
+    "time.perf_counter_ns", "time.monotonic", "time.monotonic_ns",
+    "time.process_time", "time.process_time_ns",
+    "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.datetime.today", "datetime.date.today",
+})
 
 
-class TransitiveWallClockRule(DeepRule):
-    """DCL010: no transitive wall-clock reach from core."""
+class ClockSeamRule(Rule):
+    """DCL010: core and perf timing go only through an injected clock."""
 
     code = "DCL010"
     summary = (
-        "no transitive wall-clock reach from src/repro/core: a core "
-        "function's callees (at any depth) must not read time.* / "
-        "datetime.* (closure of DCL002)"
+        "no wall-clock reads (time.* / datetime.*) in src/repro/core/ or "
+        "src/repro/obs/perf/, and no core function reaching one through "
+        "its callees at any depth: timing goes through the tracer clock "
+        "seam (Tracer.clock) or bench.DEFAULT_CLOCK"
     )
 
     def check(
         self, project: ProjectSymbols, graph: CallGraph
     ) -> Iterator[Violation]:
+        yield from self._direct(project)
+        yield from self._reach(graph)
+
+    def _direct(self, project: ProjectSymbols) -> Iterator[Violation]:
+        """Every wall-clock call in a scoped module, wherever it sits."""
+        for module in project.iter_files():
+            if _in_core(module.path):
+                advice = (
+                    "inside repro.core; use tracer.clock() (the tracer "
+                    "clock seam) instead"
+                )
+            elif _in_perf(module.path):
+                advice = (
+                    "inside repro.obs.perf; inject a clock through "
+                    "bench.DEFAULT_CLOCK so counters and records stay "
+                    "deterministic"
+                )
+            else:
+                continue
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                dotted = module.dotted(node.func)
+                if dotted in _CLOCK_CALLS:
+                    yield self._at(
+                        module, node,
+                        f"{dotted}() reads the wall clock {advice}",
+                    )
+
+    def _reach(self, graph: CallGraph) -> Iterator[Violation]:
+        """Core functions that reach a wall-clock read through calls."""
         seeds: Dict[str, str] = {}
         for qualname in sorted(graph.nodes):
             node = graph.nodes[qualname]
@@ -183,12 +206,10 @@ class TransitiveWallClockRule(DeepRule):
                 seeds[qualname] = hits[0]
         tainted = propagate(graph, seeds)
         for qualname in sorted(tainted):
-            if qualname in seeds:
-                continue  # direct reads are DCL002's per-file finding
             taint = tainted[qualname]
             sym = graph.nodes[qualname].sym
-            if not _in_core(sym.path):
-                continue
+            if taint.parent is None or not _in_core(sym.path):
+                continue  # a reader itself is reported at its call
             chain = witness_chain(tainted, qualname)
             yield self._violation(
                 sym.path,
@@ -202,22 +223,122 @@ class TransitiveWallClockRule(DeepRule):
             )
 
 
-class RngThreadingRule(DeepRule):
-    """DCL011: core callers of RNG consumers must thread a generator."""
+#: ``numpy.random`` names that construct explicit streams and are
+#: therefore allowed (``default_rng`` only with a seed argument).
+_RNG_CONSTRUCTORS = frozenset({
+    "default_rng", "Generator", "SeedSequence", "BitGenerator",
+    "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
+})
+#: stdlib ``random`` attributes that are not the module-level global API.
+_STDLIB_RANDOM_OK = frozenset({"Random", "SystemRandom"})
+#: Calls that mint a generator, by dotted name and by bare name.
+_RNG_FACTORIES = frozenset({
+    "numpy.random.default_rng", "repro.core.rng.resolve_rng",
+})
+_RNG_FACTORY_NAMES = frozenset({"default_rng", "resolve_rng"})
+
+
+class RngThreadingRule(Rule):
+    """DCL011: every random draw comes from a threaded generator."""
 
     code = "DCL011"
     summary = (
-        "core functions whose callees consume an RNG must receive it as "
-        "a parameter and pass it explicitly at every call site "
-        "(closure of DCL001/DCL004)"
+        "no global RNG state (legacy np.random.<fn> / random.<fn> calls, "
+        "bare np.random.default_rng()) outside tests/; public "
+        "repro.core functions take their RNG as a parameter, and core "
+        "callers of an RNG consumer pass one at every call site"
     )
-
-    #: external factories that mint a generator
-    _FACTORIES = frozenset({"numpy.random.default_rng"})
 
     def check(
         self, project: ProjectSymbols, graph: CallGraph
     ) -> Iterator[Violation]:
+        # A bare default_rng() in a public core function is both global
+        # state and an internal construction: report the call once.
+        seen: Set[Tuple[str, int, int]] = set()
+        for found in (
+            self._global_state(project),
+            self._constructions(project),
+            self._threading(graph),
+        ):
+            for violation in found:
+                key = (violation.path, violation.line, violation.col)
+                if key not in seen:
+                    seen.add(key)
+                    yield violation
+
+    def _global_state(self, project: ProjectSymbols) -> Iterator[Violation]:
+        """Legacy global-RNG calls and unseeded generators, outside tests."""
+        for module in project.iter_files():
+            if _in_tests(module.path):
+                continue
+            for node in ast.walk(module.tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                dotted = module.dotted(node.func)
+                if dotted is None:
+                    continue
+                parts = dotted.split(".")
+                if parts[:2] == ["numpy", "random"] and len(parts) == 3:
+                    fn = parts[2]
+                    if fn == "default_rng":
+                        if not node.args and not node.keywords:
+                            yield self._at(
+                                module, node,
+                                "bare np.random.default_rng() seeds from OS "
+                                "entropy; pass a seed/SeedSequence or thread "
+                                "a Generator (see repro.core.rng.resolve_rng)",
+                            )
+                    elif fn not in _RNG_CONSTRUCTORS:
+                        yield self._at(
+                            module, node,
+                            f"np.random.{fn}() uses the legacy global RNG "
+                            "state; thread an explicit np.random.Generator",
+                        )
+                elif parts[0] == "random" and len(parts) == 2:
+                    if parts[1] not in _STDLIB_RANDOM_OK:
+                        yield self._at(
+                            module, node,
+                            f"random.{parts[1]}() mutates the process-wide "
+                            "stdlib RNG; thread an explicit "
+                            "np.random.Generator",
+                        )
+
+    def _constructions(self, project: ProjectSymbols) -> Iterator[Violation]:
+        """Public core functions (and public methods of public classes)
+        that mint a generator instead of taking an ``rng`` parameter."""
+        for module in project.iter_files():
+            if not _in_core(module.path):
+                continue
+            for name in sorted(module.functions):
+                sym = module.functions[name]
+                if (
+                    any(part.startswith("_") for part in name.split("."))
+                    or sym.rng_parameter() is not None
+                    or sym.node is None
+                ):
+                    continue
+                for node in ast.walk(sym.node):
+                    if isinstance(node, ast.Call) and self._mints(
+                        module, node.func
+                    ):
+                        yield self._at(
+                            module, node,
+                            f"public function '{sym.name.split('.')[-1]}' "
+                            "constructs an RNG internally; accept it as an "
+                            "'rng' parameter so callers control the stream",
+                        )
+                        break
+
+    @staticmethod
+    def _mints(module: ModuleSymbols, func: ast.AST) -> bool:
+        dotted = module.dotted(func)
+        if dotted in _RNG_FACTORIES:
+            return True
+        name = dotted.rsplit(".", 1)[-1] if dotted else _name_tail(func)
+        return name in _RNG_FACTORY_NAMES
+
+    def _threading(self, graph: CallGraph) -> Iterator[Violation]:
+        """Core callers that reach an RNG consumer without passing one."""
         seeds: Dict[str, str] = {}
         for qualname in sorted(graph.nodes):
             node = graph.nodes[qualname]
@@ -225,15 +346,14 @@ class RngThreadingRule(DeepRule):
             if spec is not None:
                 seeds[qualname] = f"'{node.sym.name}' (rng parameter '{spec[0]}')"
                 continue
-            factories = sorted(set(node.external_calls) & self._FACTORIES)
-            if factories:
-                seeds[qualname] = f"'{node.sym.name}' (calls {factories[0]})"
+            if "numpy.random.default_rng" in node.external_calls:
+                seeds[qualname] = (
+                    f"'{node.sym.name}' (calls numpy.random.default_rng)"
+                )
         tainted = propagate(
             graph, seeds, follow=lambda site: not site.passes_rng
         )
         for qualname in sorted(tainted):
-            if qualname in seeds:
-                continue  # the consumer itself is threaded (or DCL001/4's job)
             taint = tainted[qualname]
             sym = graph.nodes[qualname].sym
             if not _in_core(sym.path) or taint.site is None:
@@ -249,7 +369,6 @@ class RngThreadingRule(DeepRule):
                     "add an rng parameter and pass it explicitly"
                 ),
             )
-
 
 # -- DCL012 ----------------------------------------------------------------
 
@@ -493,7 +612,7 @@ class _MutationWalker:
                     self.env.pop(element.id, None)
 
 
-class NdarrayParamMutationRule(DeepRule):
+class NdarrayParamMutationRule(Rule):
     """DCL012: core functions must not mutate ndarray parameters."""
 
     code = "DCL012"
@@ -506,20 +625,18 @@ class NdarrayParamMutationRule(DeepRule):
     def check(
         self, project: ProjectSymbols, graph: CallGraph
     ) -> Iterator[Violation]:
-        for sym in project.iter_functions():
-            if not _in_core(sym.path) or sym.node is None:
+        for module in project.iter_files():
+            if not _in_core(module.path):
                 continue
-            tracked = self._tracked_params(project, sym)
-            if not tracked:
-                continue
-            walker = _MutationWalker(self, sym)
-            for violation in walker.run(tracked):
-                yield violation
+            for name in sorted(module.functions):
+                sym = module.functions[name]
+                tracked = self._tracked_params(project, module, sym)
+                if tracked and sym.node is not None:
+                    yield from _MutationWalker(self, sym).run(tracked)
 
     def _tracked_params(
-        self, project: ProjectSymbols, sym: FunctionSymbol
+        self, project: ProjectSymbols, module: ModuleSymbols, sym: FunctionSymbol
     ) -> List[str]:
-        module = project.modules.get(sym.module)
         tracked: List[str] = []
         for index, param in enumerate(sym.params):
             if index == 0 and sym.has_implicit_self:
@@ -536,12 +653,10 @@ class NdarrayParamMutationRule(DeepRule):
     @staticmethod
     def _is_state_annotation(
         project: ProjectSymbols,
-        module: Optional[ModuleSymbols],
+        module: ModuleSymbols,
         annotation: str,
     ) -> bool:
         """Annotation names a project ``*State`` class (cross-module)."""
-        if module is None:
-            return False
         cls: Optional[ClassSymbol]
         for token in annotation.replace('"', " ").replace("'", " ").split():
             cls = project.resolve_class_name(module, token.strip("[],"))
@@ -550,7 +665,7 @@ class NdarrayParamMutationRule(DeepRule):
         return False
 
 
-class FloatEqualityRule(DeepRule):
+class FloatEqualityRule(Rule):
     """DCL013: no float ``==``/``!=`` in core outside sanctioned seams."""
 
     code = "DCL013"
@@ -565,8 +680,7 @@ class FloatEqualityRule(DeepRule):
     def check(
         self, project: ProjectSymbols, graph: CallGraph
     ) -> Iterator[Violation]:
-        for name in sorted(project.modules):
-            module = project.modules[name]
+        for module in project.iter_files():
             if not _in_core(module.path):
                 continue
             for node in ast.walk(module.tree):
@@ -613,7 +727,7 @@ class FloatEqualityRule(DeepRule):
             func = expr.func
             if isinstance(func, ast.Name) and func.id == "float":
                 return "against float(...)"
-            dotted = _call_dotted(module, func)
+            dotted = module.dotted(func)
             if dotted is not None:
                 resolution = project.resolve_callable(dotted)
                 if (
@@ -641,59 +755,3 @@ def _name_tail(expr: ast.AST) -> Optional[str]:
     if isinstance(expr, ast.Name):
         return expr.id
     return None
-
-
-def _call_dotted(module: ModuleSymbols, func: ast.AST) -> Optional[str]:
-    """Resolve a call's func expression to an absolute dotted name."""
-    parts: List[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if not isinstance(node, ast.Name):
-        return None
-    parts.append(node.id)
-    parts.reverse()
-    base = parts[0]
-    if base in module.functions:
-        return f"{module.name}.{parts[0]}" if len(parts) == 1 else None
-    if base in module.imports:
-        return ".".join([module.imports[base], *parts[1:]])
-    return None
-
-
-DEEP_RULES: Tuple[Type[DeepRule], ...] = (
-    TransitiveWallClockRule,
-    RngThreadingRule,
-    NdarrayParamMutationRule,
-    FloatEqualityRule,
-)
-
-
-def all_deep_rules(
-    select: Optional[Sequence[str]] = None,
-) -> List[DeepRule]:
-    """Instantiate the deep registry, optionally filtered to codes."""
-    rules = [cls() for cls in DEEP_RULES]
-    if select is None:
-        return rules
-    wanted = {code.strip().upper() for code in select}
-    return [rule for rule in rules if rule.code in wanted]
-
-
-def deep_lint(
-    files: Mapping[str, str],
-    rules: Optional[Sequence[DeepRule]] = None,
-) -> Tuple[List[Violation], Dict[str, object]]:
-    """Run the deep rules over ``{path: source}``.
-
-    Returns the (unsuppressed -- the caller applies suppressions) sorted
-    violations plus the call-graph statistics block for ``--json``.
-    """
-    project = build_project(files)
-    graph = build_callgraph(project)
-    found: List[Violation] = []
-    for rule in rules if rules is not None else all_deep_rules():
-        found.extend(rule.check(project, graph))
-    found.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    return found, graph.stats()

@@ -1,23 +1,19 @@
 """The linter engine and CLI: ``python -m repro.devtools.lint src/``.
 
-Walks the given files/directories, parses every ``*.py`` file once,
-runs the applicable :mod:`repro.devtools.rules` over each AST, applies
-suppression comments, and reports in a human (``path:line:col: CODE
-message``) or JSON format.  Exit status is 0 when the tree is clean,
-1 when violations were found, 2 on usage errors.
-
-``--deep`` additionally builds the project-wide symbol table and call
-graph (:mod:`repro.devtools.symbols` / :mod:`repro.devtools.callgraph`)
-and runs the transitive rules DCL010-DCL013 from
-:mod:`repro.devtools.dataflow`; the JSON report then carries per-rule
-violation counts plus the call-graph's unresolved-call statistics, and
-is byte-identical across runs.  ``--call-graph FN`` prints a function's
-transitive reach (project edges, external calls, unresolved buckets)
-for debugging.
+Walks the given files/directories, parses every ``*.py`` file once into
+one project-wide symbol table (:mod:`repro.devtools.symbols`), builds
+its cross-module call graph (:mod:`repro.devtools.callgraph`), runs
+every rule of :data:`RULES` over the two, applies suppression comments,
+and reports in a human (``path:line:col: CODE message``) or JSON format.
+The JSON report carries per-rule violation counts plus the call graph's
+unresolved-call statistics, and is byte-identical across runs.  Exit
+status is 0 when the tree is clean, 1 when violations were found, 2 on
+usage errors.  ``--call-graph FN`` prints a function's transitive reach
+(project edges, external calls, unresolved buckets) for debugging.
 
 Suppression syntax
 ------------------
-``# dcl: disable=DCL001`` (comma-separate multiple codes, or ``all``):
+``# dcl: disable=DCL011`` (comma-separate multiple codes, or ``all``):
 
 * on its own line -- disables the code(s) for the whole file; put it
   near the top with a short justification, as :mod:`repro.core.rng`
@@ -26,13 +22,14 @@ Suppression syntax
 
 Malformed codes (``disable=DCL01``) are reported as warnings instead of
 being silently ignored; ``--strict-suppressions`` turns those warnings
--- plus suppressions naming unknown rules or suppressing rules that no
-longer fire there (stale suppressions) -- into a failing exit status.
+-- plus suppressions naming unknown (or retired) rules or suppressing
+rules that no longer fire there (stale suppressions) -- into a failing
+exit status.
 
 The library surface (:func:`lint_source`, :func:`lint_paths`) is what
 the self-tests use: fixture snippets go through :func:`lint_source`
-with a fake path, so path-scoped rules (DCL002/DCL003/DCL004 apply to
-``repro/core/`` only) can be exercised without touching disk.
+with a fake path, so path-scoped rules (DCL003/DCL006/DCL010 apply to
+``repro/core/``) can be exercised without touching disk.
 """
 
 from __future__ import annotations
@@ -45,14 +42,35 @@ import sys
 import tokenize
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
-from .dataflow import DEEP_RULES, DeepRule, all_deep_rules, deep_lint
-from .rules import RULES, FileContext, Rule, Violation, all_rules
+from .callgraph import build_callgraph, render_reach
+from .dataflow import (
+    ClockSeamRule,
+    FloatEqualityRule,
+    NdarrayParamMutationRule,
+    RngThreadingRule,
+)
+from .rules import (
+    DunderAllRule,
+    ExceptionSwallowRule,
+    MutableGlobalWriteRule,
+    NanAggregationRule,
+    Rule,
+    Violation,
+)
+from .symbols import (
+    ModuleSymbols,
+    ProjectSymbols,
+    build_project,
+    module_name_for_path,
+)
 
 __all__ = [
     "LintReport",
+    "RULES",
     "SuppressionWarning",
+    "all_rules",
     "build_parser",
     "collect_files",
     "known_codes",
@@ -64,10 +82,36 @@ __all__ = [
 _SUPPRESS_RE = re.compile(r"#\s*dcl:\s*disable=([A-Za-z0-9_,\s]+)")
 _CODE_RE = re.compile(r"^(ALL|DCL\d{3})$")
 
+#: The rule registry, in code order.  Retired codes (DCL001/002/004/008,
+#: folded into DCL010 and DCL011) are unknown to ``--select`` and to
+#: suppression comments alike.
+RULES: Tuple[Type[Rule], ...] = (
+    NanAggregationRule,
+    DunderAllRule,
+    MutableGlobalWriteRule,
+    ExceptionSwallowRule,
+    ClockSeamRule,
+    RngThreadingRule,
+    NdarrayParamMutationRule,
+    FloatEqualityRule,
+)
+
+
+def all_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
+    """Instantiate the registry, optionally filtered to ``select`` codes."""
+    rules = [cls() for cls in RULES]
+    if select is None:
+        return rules
+    wanted = {code.strip().upper() for code in select}
+    unknown = wanted - {r.code for r in rules}
+    if unknown:
+        raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
+    return [r for r in rules if r.code in wanted]
+
 
 def known_codes() -> Set[str]:
-    """Every registered rule code, per-file and deep."""
-    return {cls.code for cls in RULES} | {cls.code for cls in DEEP_RULES}
+    """Every registered rule code."""
+    return {cls.code for cls in RULES}
 
 
 @dataclass(frozen=True)
@@ -102,7 +146,8 @@ class LintReport:
         self.parse_errors: List[Tuple[str, str]] = []
         self.suppression_warnings: List[SuppressionWarning] = []
         self.stale_suppressions: List[SuppressionWarning] = []
-        self.deep_stats: Optional[Dict[str, object]] = None
+        #: the call graph's statistics (functions, edges, unresolved calls)
+        self.call_graph: Dict[str, object] = {}
 
     @property
     def clean(self) -> bool:
@@ -138,7 +183,7 @@ class LintReport:
             "stale_suppressions": [
                 w.to_dict() for w in self.stale_suppressions
             ],
-            "deep": self.deep_stats,
+            "call_graph": self.call_graph,
         }
 
 
@@ -253,7 +298,7 @@ class _Suppressions:
                 if code == "ALL":
                     live = bool(fired)
                 elif code not in ran_codes:
-                    continue  # rule not run (e.g. --select) -- can't judge
+                    continue  # rule not run here (--select, path scope)
                 else:
                     live = code in fired
                 if live:
@@ -279,28 +324,11 @@ def lint_source(
     rules: Optional[Sequence[Rule]] = None,
 ) -> List[Violation]:
     """Lint one in-memory file; ``path`` drives the path-scoped rules."""
-    found, _, _ = _lint_file(source, path, rules)
-    return found
-
-
-def _lint_file(
-    source: str,
-    path: str,
-    rules: Optional[Sequence[Rule]] = None,
-) -> Tuple[List[Violation], List[Violation], _Suppressions]:
-    """``(kept, raw_pre_suppression, suppression_tables)`` for one file."""
-    if rules is None:
-        rules = all_rules()
-    ctx = FileContext(path, source)
-    suppressions = _Suppressions(path, source)
-    raw: List[Violation] = []
-    for rule in rules:
-        if not rule.applies(ctx.path):
-            continue
-        raw.extend(rule.check(ctx))
-    raw.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    kept = [v for v in raw if not suppressions.suppressed(v)]
-    return kept, raw, suppressions
+    project = ProjectSymbols()
+    project.add_module(ModuleSymbols(module_name_for_path(path), path, source))
+    report = LintReport()
+    _check(project, all_rules() if rules is None else rules, report)
+    return report.violations
 
 
 def collect_files(paths: Iterable[str]) -> List[Path]:
@@ -326,24 +354,14 @@ def collect_files(paths: Iterable[str]) -> List[Path]:
 def lint_paths(
     paths: Iterable[str],
     rules: Optional[Sequence[Rule]] = None,
-    *,
-    deep: bool = False,
-    deep_rules: Optional[Sequence[DeepRule]] = None,
-    check_suppressions: bool = True,
 ) -> LintReport:
-    """Lint every ``*.py`` file under ``paths``.
+    """Lint every ``*.py`` file under ``paths`` as one project.
 
-    With ``deep=True`` the whole-program rules (DCL010-DCL013) run over
-    the same file set and the report carries the call-graph statistics.
-    ``check_suppressions`` collects malformed/unknown/stale suppression
-    records (the CLI decides whether they fail the run).
+    The report also collects malformed/unknown/stale suppression
+    records; the CLI decides whether they fail the run.
     """
-    if rules is None:
-        rules = all_rules()
     report = LintReport()
-    sources: Dict[str, str] = {}
-    raw_by_path: Dict[str, List[Violation]] = {}
-    tables_by_path: Dict[str, _Suppressions] = {}
+    project = ProjectSymbols()
     for path in collect_files(paths):
         try:
             source = path.read_text(encoding="utf-8")
@@ -352,66 +370,36 @@ def lint_paths(
             continue
         report.files_checked += 1
         try:
-            kept, raw, tables = _lint_file(source, str(path), rules)
+            module = ModuleSymbols(module_name_for_path(str(path)), str(path), source)
         except SyntaxError as exc:
             report.parse_errors.append((str(path), f"syntax error: {exc}"))
             continue
-        sources[str(path)] = source
-        raw_by_path[str(path)] = raw
-        tables_by_path[str(path)] = tables
-        report.violations.extend(kept)
-        report.suppression_warnings.extend(tables.warnings)
-
-    active_deep: Sequence[DeepRule] = ()
-    if deep:
-        active_deep = (
-            deep_rules if deep_rules is not None else all_deep_rules()
-        )
-        deep_found, stats = deep_lint(sources, active_deep)
-        report.deep_stats = stats
-        for violation in deep_found:
-            raw_by_path.setdefault(violation.path, []).append(violation)
-            tables = tables_by_path.get(violation.path)
-            if tables is None or not tables.suppressed(violation):
-                report.violations.append(violation)
-
-    if check_suppressions:
-        deep_codes = {rule.code for rule in active_deep}
-        for path_str in sorted(tables_by_path):
-            tables = tables_by_path[path_str]
-            ran = {
-                rule.code for rule in rules if rule.applies(path_str)
-            } | deep_codes
-            report.stale_suppressions.extend(
-                tables.stale(raw_by_path.get(path_str, []), ran)
-            )
-
-    report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
-    report.suppression_warnings.sort(key=lambda w: (w.path, w.line, w.code))
-    report.stale_suppressions.sort(key=lambda w: (w.path, w.line, w.code))
+        project.add_module(module)
+    _check(project, all_rules() if rules is None else rules, report)
     return report
 
 
-def _split_select(
-    select: Sequence[str],
-) -> Tuple[List[str], List[str]]:
-    """Partition ``--select`` codes into (per-file, deep) registries."""
-    per_file_known = {cls.code for cls in RULES}
-    deep_known = {cls.code for cls in DEEP_RULES}
-    per_file: List[str] = []
-    deep: List[str] = []
-    unknown: List[str] = []
-    for raw in select:
-        code = raw.strip().upper()
-        if code in per_file_known:
-            per_file.append(code)
-        elif code in deep_known:
-            deep.append(code)
-        else:
-            unknown.append(code)
-    if unknown:
-        raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-    return per_file, deep
+def _check(
+    project: ProjectSymbols, rules: Sequence[Rule], report: LintReport
+) -> None:
+    """Run ``rules`` over ``project`` and its call graph into ``report``:
+    the violations no comment suppresses, the suppression warnings and
+    the stale suppressions, and the call graph's statistics."""
+    graph = build_callgraph(project)
+    report.call_graph = graph.stats()
+    raw: Dict[str, List[Violation]] = {path: [] for path in project.files}
+    for rule in rules:
+        for violation in rule.check(project, graph):
+            raw.setdefault(violation.path, []).append(violation)
+    for path in sorted(project.files):
+        tables = _Suppressions(path, project.files[path].source)
+        report.violations.extend(v for v in raw[path] if not tables.suppressed(v))
+        report.suppression_warnings.extend(tables.warnings)
+        ran = {rule.code for rule in rules if rule.applies(path)}
+        report.stale_suppressions.extend(tables.stale(raw[path], ran))
+    report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
+    report.suppression_warnings.sort(key=lambda w: (w.path, w.line, w.code))
+    report.stale_suppressions.sort(key=lambda w: (w.path, w.line, w.code))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,9 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based invariant linter for the repro tree "
             "(determinism, clock seam, count-aware residue math, "
-            "RNG threading, __all__ hygiene), with an optional "
-            "whole-program mode (--deep) that checks transitive "
-            "invariants over the cross-module call graph"
+            "RNG threading, __all__ hygiene): one pass over one "
+            "project-wide symbol table and its cross-module call graph"
         ),
     )
     parser.add_argument(
@@ -441,13 +428,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rule registry and exit",
-    )
-    parser.add_argument(
-        "--deep", action="store_true",
-        help=(
-            "also run the whole-program rules (DCL010-DCL013) over the "
-            "cross-module call graph"
-        ),
     )
     parser.add_argument(
         "--call-graph", default=None, metavar="FN",
@@ -468,9 +448,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_call_graph(paths: Sequence[str], pattern: str) -> int:
-    from .callgraph import build_callgraph, render_reach
-    from .symbols import build_project
-
     sources: Dict[str, str] = {}
     for path in collect_files(paths):
         try:
@@ -493,33 +470,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_rules:
         for rule in all_rules():
             print(f"{rule.code}  {rule.summary}")
-        for deep_rule in all_deep_rules():
-            print(f"{deep_rule.code}  (deep) {deep_rule.summary}")
         return 0
     try:
-        if args.select:
-            per_file_select, deep_select = _split_select(
-                args.select.split(",")
-            )
-            rules = all_rules(per_file_select)
-            deep_rules: Optional[Sequence[DeepRule]] = all_deep_rules(
-                deep_select
-            )
-        else:
-            rules = all_rules()
-            deep_rules = None
+        rules = all_rules(args.select.split(",") if args.select else None)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         if args.call_graph is not None:
             return _run_call_graph(args.paths, args.call_graph)
-        report = lint_paths(
-            args.paths,
-            rules,
-            deep=args.deep,
-            deep_rules=deep_rules,
-        )
+        report = lint_paths(args.paths, rules)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -541,17 +501,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = "clean" if report.clean else (
             f"{len(report.violations)} violation(s)"
         )
-        deep_note = ""
-        if report.deep_stats is not None:
-            unresolved = report.deep_stats["unresolved_calls"]
-            assert isinstance(unresolved, dict)
-            deep_note = (
-                f" [deep: {report.deep_stats['functions']} functions, "
-                f"{report.deep_stats['edges']} edges, "
-                f"{unresolved['total']} unresolved calls]"
-            )
+        stats = report.call_graph
+        unresolved = stats["unresolved_calls"]
+        assert isinstance(unresolved, dict)
         print(
-            f"checked {report.files_checked} file(s): {status}{deep_note}",
+            f"checked {report.files_checked} file(s): {status} "
+            f"[call graph: {stats['functions']} functions, "
+            f"{stats['edges']} edges, {unresolved['total']} unresolved calls]",
             file=sys.stderr,
         )
     return 0 if not failed else 1

@@ -1,15 +1,17 @@
-"""Project-wide symbol table for the whole-program analyzer.
+"""Project-wide symbol table: the one parse every lint rule reads.
 
-The per-file rules of :mod:`repro.devtools.rules` see one AST at a time;
-the transitive rules (DCL010-DCL013) need to know, across the whole
-tree, which function a name refers to.  This module builds that table:
+Every rule of :mod:`repro.devtools` -- the ones that look at one module
+and the ones that follow calls across the tree -- needs to know which
+function or module a name refers to.  This module builds that table:
 
 * :class:`ModuleSymbols` -- one parsed module: its top-level functions,
   classes (with methods), and an import table mapping every local alias
   to the fully-dotted name it denotes (``from .actions import
   evaluate_toggle`` binds ``evaluate_toggle`` to
   ``repro.core.actions.evaluate_toggle``; relative imports are resolved
-  against the module's package).
+  against the module's package).  :meth:`ModuleSymbols.dotted` turns a
+  call target into that dotted name (``np.random.seed`` ->
+  ``numpy.random.seed``).
 * :class:`FunctionSymbol` / :class:`ClassSymbol` -- one definition,
   addressed by *qualname* (``repro.core.floc.floc``,
   ``repro.core.floc._State.toggle``).
@@ -19,7 +21,7 @@ tree, which function a name refers to.  This module builds that table:
   dotted name (through re-export chains) to the function or class it
   names -- or reports *why* it could not (external module, dynamic
   attribute, ...).  The callgraph builder turns those reasons into the
-  unresolved-call statistics ``repro lint --deep`` reports.
+  unresolved-call statistics ``repro lint`` reports.
 
 Module naming is lexical: the dotted name is the path after the last
 ``src/`` component (``src/repro/core/floc.py`` -> ``repro.core.floc``);
@@ -94,6 +96,20 @@ def module_name_for_path(path: str) -> str:
     return ".".join(package + [leaf]) if package else leaf
 
 
+def _dotted_parts(expr: ast.AST) -> Optional[List[str]]:
+    """Flatten a pure ``Name``/``Attribute`` chain, or ``None``."""
+    parts: List[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return None
+    parts.append(node.id)
+    parts.reverse()
+    return parts
+
+
 def _parameter_names(node: _FunctionNode) -> Tuple[str, ...]:
     args = node.args
     names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
@@ -161,7 +177,7 @@ class FunctionSymbol:
         return None
 
 
-#: Parameter names that (by convention, enforced by DCL004) carry the
+#: Parameter names that (by convention, enforced by DCL011) carry the
 #: caller-controlled RNG stream.
 _RNG_PARAM_NAMES = ("rng", "generator", "random_state")
 
@@ -289,6 +305,27 @@ class ModuleSymbols:
             node=node,
         )
 
+    # -- name resolution -------------------------------------------------
+    def dotted(self, expr: ast.AST) -> Optional[str]:
+        """Resolve a call target (or any name chain) to an absolute
+        dotted name through this module's imports and definitions.
+
+        ``np.random.seed`` -> ``numpy.random.seed`` (given ``import
+        numpy as np``); ``from time import time`` + ``time`` ->
+        ``time.time``; a top-level ``def f`` -> ``<module>.f``.
+        ``None`` for anything else (method calls on objects, locals,
+        subscripts, ...).
+        """
+        parts = _dotted_parts(expr)
+        if parts is None:
+            return None
+        base = parts[0]
+        if base in self.functions:
+            return f"{self.name}.{base}" if len(parts) == 1 else None
+        if base in self.imports:
+            return ".".join([self.imports[base], *parts[1:]])
+        return None
+
 
 @dataclass(frozen=True)
 class Resolution:
@@ -314,16 +351,24 @@ class ProjectSymbols:
     """All modules of one analyzed tree, indexed by dotted name."""
 
     def __init__(self) -> None:
+        #: every parsed file by path -- two files can share a dotted
+        #: name (two trees without ``src/``), and each is still linted
+        self.files: Dict[str, ModuleSymbols] = {}
         self.modules: Dict[str, ModuleSymbols] = {}
         self.functions: Dict[str, FunctionSymbol] = {}
         self.classes: Dict[str, ClassSymbol] = {}
 
     def add_module(self, module: ModuleSymbols) -> None:
+        self.files[module.path] = module
         self.modules[module.name] = module
         for sym in module.functions.values():
             self.functions[sym.qualname] = sym
         for cls in module.classes.values():
             self.classes[cls.qualname] = cls
+
+    def iter_files(self) -> Iterator[ModuleSymbols]:
+        for path in sorted(self.files):
+            yield self.files[path]
 
     def iter_functions(self) -> Iterator[FunctionSymbol]:
         for qualname in sorted(self.functions):
@@ -417,26 +462,16 @@ class ProjectSymbols:
         return Resolution(reason="missing-method")
 
 
-def build_project(
-    files: Mapping[str, str],
-    *,
-    module_names: Optional[Mapping[str, str]] = None,
-) -> ProjectSymbols:
+def build_project(files: Mapping[str, str]) -> ProjectSymbols:
     """Build a :class:`ProjectSymbols` from ``{path: source}``.
 
-    Files that fail to parse are skipped (the per-file linter already
-    reports them as parse errors).  ``module_names`` optionally
-    overrides the lexical path-to-module mapping per path.
+    Files that fail to parse are skipped (``lint_paths`` reports them
+    as parse errors).
     """
     project = ProjectSymbols()
     for path in sorted(files):
-        name = (
-            module_names[path]
-            if module_names is not None and path in module_names
-            else module_name_for_path(path)
-        )
         try:
-            module = ModuleSymbols(name, path, files[path])
+            module = ModuleSymbols(module_name_for_path(path), path, files[path])
         except SyntaxError:
             continue
         project.add_module(module)

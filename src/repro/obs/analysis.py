@@ -781,6 +781,9 @@ class UnpairedIteration:
     index: int
     side: str  # "A" or "B": the trace that holds it
 
+    def to_dict(self) -> Dict[str, object]:
+        return {"key": dict(self.key), "index": self.index, "side": self.side}
+
 
 @dataclass
 class TraceDiff:
@@ -826,17 +829,26 @@ class TraceDiff:
         return min(found, key=lambda it: _alignment(it.key, it.index), default=None)
 
     def to_dict(self, tol: float = 0.0) -> Dict[str, object]:
+        """The ``--json`` document.  ``first_divergence`` names the
+        session (``key``), the iteration ``index`` and, for an
+        iteration only one trace holds, its ``side`` ("A"/"B"; ``None``
+        for an aligned pair beyond ``tol``), or is ``None``."""
         first = self.first_divergence(tol)
         return {
-            "schema": 1,
+            "schema": 2,
             "deltas": [delta.to_dict() for delta in self.deltas],
+            "unpaired": [it.to_dict() for it in self.unpaired],
             "n_aligned": len(self.deltas),
             "n_only_a": self.n_only_a,
             "n_only_b": self.n_only_b,
             "max_abs_residue_delta": self.max_abs_residue_delta,
             "mean_abs_residue_delta": self.mean_abs_residue_delta,
             "final_residue_delta": self.final_residue_delta,
-            "first_divergence_index": None if first is None else first.index,
+            "first_divergence": None if first is None else {
+                "key": dict(first.key),
+                "index": first.index,
+                "side": first.side if isinstance(first, UnpairedIteration) else None,
+            },
         }
 
 

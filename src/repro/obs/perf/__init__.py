@@ -10,7 +10,7 @@ Three layers, bottom up:
   emits schema-versioned ``BENCH_<suite>.json`` documents, and compares
   them for regressions (``repro bench run/list/compare``).
 
-The whole package is wall-clock-free by construction: lint rule DCL008
+The whole package is wall-clock-free by construction: lint rule DCL010
 bans ``time.*`` calls here, and the one timing need (the harness's
 best-of-N wall time) goes through the tracer's injectable clock seam.
 

@@ -24,7 +24,7 @@ one.
 
 Wall time is read through an injected ``clock`` callable defaulting to
 the tracer's clock seam; this module never calls ``time.*`` directly
-(lint rule DCL008), which keeps every code path reachable from the
+(lint rule DCL010), which keeps every code path reachable from the
 counters wall-clock-free and the documents reproducible.
 """
 
@@ -155,7 +155,7 @@ def record_path(results_dir: Union[str, Path], document: Dict[str, object]) -> P
     """Content-addressed per-run record path under ``results_dir``.
 
     Named by content digest instead of a timestamp so the perf package
-    stays wall-clock-free (DCL008) and identical runs coalesce into one
+    stays wall-clock-free (DCL010) and identical runs coalesce into one
     record instead of piling up duplicates.
     """
     digest = hashlib.sha256(document_bytes(document)).hexdigest()[:12]

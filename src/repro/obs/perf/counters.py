@@ -53,7 +53,7 @@ Counting is strictly passive: every increment reuses a quantity the
 algorithm already computed, no counter path reads a clock or an RNG,
 and a run with counting enabled is bit-identical to one without
 (enforced by the parity test in ``tests/test_perf_counters.py`` and by
-lint rule DCL008, which bans wall-clock calls in this package).
+lint rule DCL010, which bans wall-clock calls in this package).
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ caller-supplied :class:`~repro.obs.perf.counters.WorkCounters`, and
 returns a small dict of deterministic result details.  The bench
 harness (:mod:`repro.obs.perf.bench`) times workloads and packages
 counters + details + environment fingerprint into schema-versioned
-documents; workloads themselves never read a clock (lint rule DCL008)
+documents; workloads themselves never read a clock (lint rule DCL010)
 so their output is bit-identical across runs and machines.
 
 The built-in workloads are grouped into *suites*:

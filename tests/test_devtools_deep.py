@@ -1,13 +1,13 @@
-"""Self-tests for the whole-program analyzer (``repro lint --deep``).
+"""Self-tests for the whole-program side of ``repro lint``.
 
 Covers the three analysis layers (symbol table, call graph, dataflow)
-plus the four transitive rules DCL010-DCL013.  Each rule gets at least
-one *transitive* positive fixture -- a violation spread across two
-modules that no single-file AST rule could see -- alongside negative,
-suppression, and path-scoping cases, following the
+plus the four rules that read them, DCL010-DCL013.  Each rule gets at
+least one *transitive* positive fixture -- a violation spread across
+two modules that no single-file AST rule could see -- alongside
+negative, suppression, and path-scoping cases, following the
 ``tests/test_devtools_lint.py`` pattern.  A golden-file test pins the
 call graph of a small synthetic package, and a determinism test asserts
-two ``--deep --format json`` runs over the real ``src/`` tree are
+two ``--format json`` runs over the real ``src/`` tree are
 byte-identical.
 """
 
@@ -18,15 +18,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools import dataflow
 from repro.devtools.callgraph import build_callgraph, render_reach
-from repro.devtools.dataflow import (
-    DEEP_RULES,
-    all_deep_rules,
-    deep_lint,
-    propagate,
-    witness_chain,
-)
-from repro.devtools.lint import lint_paths, main
+from repro.devtools.dataflow import propagate, witness_chain
+from repro.devtools.lint import RULES, all_rules, lint_paths, main
 from repro.devtools.symbols import build_project, module_name_for_path
 
 pytestmark = pytest.mark.devtools
@@ -41,9 +36,20 @@ OTHER_A = "src/repro/data/alpha.py"
 OTHER_B = "src/repro/data/beta.py"
 
 
-def deep_codes(files, select=None):
-    violations, _ = deep_lint(files, all_deep_rules(select))
-    return [v.rule for v in violations]
+def lint_files(files, select):
+    """The ``select`` rules' unsuppressed findings on ``{path: source}``."""
+    project = build_project(files)
+    graph = build_callgraph(project)
+    found = [
+        violation
+        for rule in all_rules(select)
+        for violation in rule.check(project, graph)
+    ]
+    return sorted(found, key=lambda v: (v.path, v.line, v.col, v.rule))
+
+
+def rule_codes(files, select):
+    return [v.rule for v in lint_files(files, select)]
 
 
 def write_tree(tmp_path, files):
@@ -236,7 +242,7 @@ class TestPropagate:
 
 
 # ----------------------------------------------------------------------
-# DCL010 -- transitive wall-clock reach from core
+# DCL010 -- wall-clock reach from core, direct and transitive
 # ----------------------------------------------------------------------
 class TestTransitiveWallClock:
     FILES = {
@@ -251,7 +257,9 @@ class TestTransitiveWallClock:
     }
 
     def test_transitive_reach_fires_in_core(self):
-        violations, _ = deep_lint(self.FILES, all_deep_rules(["DCL010"]))
+        violations = [
+            v for v in lint_files(self.FILES, ["DCL010"]) if v.path == CORE_A
+        ]
         assert [v.rule for v in violations] == ["DCL010"]
         v = violations[0]
         # The *caller* that only reaches the clock through another
@@ -260,9 +268,13 @@ class TestTransitiveWallClock:
         assert "time.perf_counter" in v.message
         assert "run -> helper" in v.message
 
-    def test_direct_reader_is_left_to_dcl002(self):
-        violations, _ = deep_lint(self.FILES, all_deep_rules(["DCL010"]))
-        assert all(v.path != CORE_B for v in violations)
+    def test_direct_reader_is_reported_at_its_call(self):
+        # The reader is flagged once, at the clock call itself -- not
+        # again at its def line as the seed of the transitive reach.
+        violations = lint_files(self.FILES, ["DCL010"])
+        assert [(v.path, v.line) for v in violations if v.path == CORE_B] == [
+            (CORE_B, 4)
+        ]
 
     def test_clean_chain_is_silent(self):
         files = {
@@ -272,27 +284,30 @@ class TestTransitiveWallClock:
             ),
             CORE_B: "__all__ = []\ndef helper(x):\n    return x * 2\n",
         }
-        assert deep_codes(files, ["DCL010"]) == []
+        assert rule_codes(files, ["DCL010"]) == []
 
     def test_path_scoping_outside_core(self):
         files = {
             OTHER_A: self.FILES[CORE_A],
             OTHER_B: self.FILES[CORE_B],
         }
-        assert deep_codes(files, ["DCL010"]) == []
+        assert rule_codes(files, ["DCL010"]) == []
 
     def test_line_level_suppression(self, tmp_path):
         files = dict(self.FILES)
         files[CORE_A] = files[CORE_A].replace(
             "def run(x):", "def run(x):  # dcl: disable=DCL010"
         )
+        files[CORE_B] = files[CORE_B].replace(
+            "time.perf_counter()", "time.perf_counter()  # dcl: disable=DCL010"
+        )
         write_tree(tmp_path, files)
-        report = lint_paths([str(tmp_path)], deep=True)
+        report = lint_paths([str(tmp_path)])
         assert "DCL010" not in [v.rule for v in report.violations]
 
 
 # ----------------------------------------------------------------------
-# DCL011 -- RNG threading closure
+# DCL011 -- RNG threading, transitive
 # ----------------------------------------------------------------------
 class TestRngThreading:
     FILES = {
@@ -308,7 +323,7 @@ class TestRngThreading:
     }
 
     def test_unthreaded_chain_fires_transitively(self):
-        violations, _ = deep_lint(self.FILES, all_deep_rules(["DCL011"]))
+        violations = lint_files(self.FILES, ["DCL011"])
         paths_lines = {(v.path, v.rule) for v in violations}
         # Both the direct caller and -- transitively -- its caller are
         # flagged: 'outer' never mentions an RNG in its own file/AST.
@@ -327,12 +342,12 @@ class TestRngThreading:
                 "    return middle(data, rng=rng)\n"
             ),
         }
-        assert deep_codes(files, ["DCL011"]) == []
+        assert rule_codes(files, ["DCL011"]) == []
 
     def test_consumer_itself_not_flagged(self):
         assert all(
             v.path != CORE_B
-            for v in deep_lint(self.FILES, all_deep_rules(["DCL011"]))[0]
+            for v in lint_files(self.FILES, ["DCL011"])
         )
 
     def test_path_scoping_outside_core(self):
@@ -340,7 +355,7 @@ class TestRngThreading:
             OTHER_B: self.FILES[CORE_B],
             OTHER_A: self.FILES[CORE_A].replace(".beta", ".beta"),
         }
-        assert deep_codes(files, ["DCL011"]) == []
+        assert rule_codes(files, ["DCL011"]) == []
 
     def test_line_level_suppression(self, tmp_path):
         files = dict(self.FILES)
@@ -352,7 +367,7 @@ class TestRngThreading:
             "    return middle(data)  # dcl: disable=DCL011\n"
         )
         write_tree(tmp_path, files)
-        report = lint_paths([str(tmp_path)], deep=True)
+        report = lint_paths([str(tmp_path)])
         assert "DCL011" not in [v.rule for v in report.violations]
 
 
@@ -368,7 +383,7 @@ class TestNdarrayMutation:
                 "    member[0] = True\n"
             )
         }
-        assert deep_codes(files, ["DCL012"]) == ["DCL012"]
+        assert rule_codes(files, ["DCL012"]) == ["DCL012"]
 
     def test_mutation_through_alias_fires(self):
         files = {
@@ -379,7 +394,7 @@ class TestNdarrayMutation:
                 "    view += 1\n"
             )
         }
-        assert deep_codes(files, ["DCL012"]) == ["DCL012"]
+        assert rule_codes(files, ["DCL012"]) == ["DCL012"]
 
     def test_mutator_method_and_out_fire(self):
         files = {
@@ -390,7 +405,7 @@ class TestNdarrayMutation:
                 "    np.add(b, 1, out=b)\n"
             )
         }
-        assert deep_codes(files, ["DCL012"]) == ["DCL012", "DCL012"]
+        assert rule_codes(files, ["DCL012"]) == ["DCL012", "DCL012"]
 
     def test_copy_kills_the_alias(self):
         files = {
@@ -402,7 +417,7 @@ class TestNdarrayMutation:
                 "    return member\n"
             )
         }
-        assert deep_codes(files, ["DCL012"]) == []
+        assert rule_codes(files, ["DCL012"]) == []
 
     def test_state_class_exemption_is_cross_module(self):
         # The *State class lives in another module: a per-file rule
@@ -421,7 +436,7 @@ class TestNdarrayMutation:
                 "    member[0] = True\n"
             ),
         }
-        violations, _ = deep_lint(files, all_deep_rules(["DCL012"]))
+        violations = lint_files(files, ["DCL012"])
         assert [v.rule for v in violations] == ["DCL012"]
         assert "'member'" in violations[0].message
 
@@ -434,7 +449,7 @@ class TestNdarrayMutation:
                 "        self.member[index] = not self.member[index]\n"
             )
         }
-        assert deep_codes(files, ["DCL012"]) == []
+        assert rule_codes(files, ["DCL012"]) == []
 
     def test_path_scoping_outside_core(self):
         files = {
@@ -444,7 +459,23 @@ class TestNdarrayMutation:
                 "    member[0] = True\n"
             )
         }
-        assert deep_codes(files, ["DCL012"]) == []
+        assert rule_codes(files, ["DCL012"]) == []
+
+    def test_files_sharing_a_module_name_are_each_checked(self, tmp_path):
+        # Without a src/ layout both files are module "m"; the symbol
+        # table keeps one per name, but every parsed file is linted.
+        source = (
+            "import numpy as np\n__all__ = []\n"
+            "def f(member: np.ndarray) -> None:\n"
+            "    member[0] = True\n"
+        )
+        write_tree(tmp_path, {
+            "a/repro/core/m.py": source, "b/repro/core/m.py": source,
+        })
+        report = lint_paths([str(tmp_path)], all_rules(["DCL012"]))
+        assert sorted(Path(v.path).parts[-4] for v in report.violations) == [
+            "a", "b",
+        ]
 
     def test_line_level_suppression(self, tmp_path):
         files = {
@@ -455,7 +486,7 @@ class TestNdarrayMutation:
             )
         }
         write_tree(tmp_path, files)
-        report = lint_paths([str(tmp_path)], deep=True)
+        report = lint_paths([str(tmp_path)])
         assert "DCL012" not in [v.rule for v in report.violations]
 
 
@@ -470,7 +501,7 @@ class TestFloatEquality:
                 "def f(x):\n    return x == 0.5\n"
             )
         }
-        assert deep_codes(files, ["DCL013"]) == ["DCL013"]
+        assert rule_codes(files, ["DCL013"]) == ["DCL013"]
 
     def test_nan_and_float_call_fire(self):
         files = {
@@ -481,7 +512,7 @@ class TestFloatEquality:
             )
         }
         # Two comparisons on the line -> two findings.
-        assert deep_codes(files, ["DCL013"]) == ["DCL013", "DCL013"]
+        assert rule_codes(files, ["DCL013"]) == ["DCL013", "DCL013"]
 
     def test_float_return_across_modules_fires(self):
         # The operand's floatness lives in another module's return
@@ -497,7 +528,7 @@ class TestFloatEquality:
                 "    return residue(sub) == best\n"
             ),
         }
-        violations, _ = deep_lint(files, all_deep_rules(["DCL013"]))
+        violations = lint_files(files, ["DCL013"])
         assert [v.rule for v in violations] == ["DCL013"]
         assert violations[0].path == CORE_A
         assert "repro.core.beta.residue" in violations[0].message
@@ -509,7 +540,7 @@ class TestFloatEquality:
                 "def f(x):\n    return x == 5 and x != 'a'\n"
             )
         }
-        assert deep_codes(files, ["DCL013"]) == []
+        assert rule_codes(files, ["DCL013"]) == []
 
     def test_path_scoping_outside_core(self):
         files = {
@@ -518,7 +549,7 @@ class TestFloatEquality:
                 "def f(x):\n    return x == 0.5\n"
             )
         }
-        assert deep_codes(files, ["DCL013"]) == []
+        assert rule_codes(files, ["DCL013"]) == []
 
     def test_line_level_suppression(self, tmp_path):
         files = {
@@ -529,7 +560,7 @@ class TestFloatEquality:
             )
         }
         write_tree(tmp_path, files)
-        report = lint_paths([str(tmp_path)], deep=True)
+        report = lint_paths([str(tmp_path)])
         assert "DCL013" not in [v.rule for v in report.violations]
 
 
@@ -538,34 +569,36 @@ class TestFloatEquality:
 # ----------------------------------------------------------------------
 class TestDeepEngine:
     def test_deep_registry_is_complete(self):
-        assert [cls.code for cls in DEEP_RULES] == [
+        # One registry: the whole-program rules sit beside the module
+        # rules, and no separate deep registry is left.
+        assert [cls.code for cls in RULES][-4:] == [
             "DCL010", "DCL011", "DCL012", "DCL013",
         ]
+        assert not hasattr(dataflow, "DEEP_RULES")
 
     def test_list_rules_includes_deep(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("DCL010", "DCL011", "DCL012", "DCL013"):
             assert code in out
-        assert "(deep)" in out
+        assert "(deep)" not in out
 
     def test_select_deep_code_runs_only_that_rule(self, tmp_path, capsys):
         write_tree(tmp_path, TestTransitiveWallClock.FILES)
         status = main(
-            [str(tmp_path), "--deep", "--select", "DCL010",
-             "--format", "json"]
+            [str(tmp_path), "--select", "DCL010", "--format", "json"]
         )
         payload = json.loads(capsys.readouterr().out)
         assert status == 1
-        assert payload["rule_counts"] == {"DCL010": 1}
+        # the reader (direct) and its caller (transitive)
+        assert payload["rule_counts"] == {"DCL010": 2}
 
     def test_real_tree_is_deep_clean(self):
-        report = lint_paths([str(SRC)], deep=True)
+        report = lint_paths([str(SRC)])
         assert report.violations == []
         assert report.parse_errors == []
-        assert report.deep_stats is not None
-        assert report.deep_stats["functions"] > 400
-        stats = report.deep_stats["unresolved_calls"]
+        assert report.call_graph["functions"] > 400
+        stats = report.call_graph["unresolved_calls"]
         assert stats["total"] > 0  # conservatism is visible, not silent
         assert report.suppression_warnings == []
         assert report.stale_suppressions == []
@@ -573,7 +606,7 @@ class TestDeepEngine:
     def test_deep_json_runs_are_byte_identical(self):
         cmd = [
             sys.executable, "-m", "repro.devtools.lint",
-            str(SRC), "--deep", "--format", "json",
+            str(SRC), "--format", "json",
         ]
         runs = [
             subprocess.run(
@@ -592,13 +625,18 @@ class TestDeepEngine:
         assert runs[0].returncode == 0, runs[0].stdout + runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
         payload = json.loads(runs[0].stdout)
-        assert payload["deep"]["unresolved_calls"]["total"] > 0
+        assert payload["call_graph"]["unresolved_calls"]["total"] > 0
         assert payload["rule_counts"] == {}
 
-    def test_cli_deep_subcommand(self):
+    def test_cli_deep_subcommand(self, capsys):
+        # --deep is retired: the one pass needs no switch, and the old
+        # flag is a usage error rather than a silent no-op.
         from repro.cli import main as cli_main
 
-        assert cli_main(["lint", "--deep", str(SRC)]) == 0
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["lint", "--deep", str(SRC)])
+        assert exit_info.value.code == 2
+        assert "--deep" in capsys.readouterr().err
 
     def test_cli_call_graph_subcommand(self, capsys):
         from repro.cli import main as cli_main

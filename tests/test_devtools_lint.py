@@ -4,17 +4,31 @@ Every rule gets positive fixtures (a violating snippet must fire) and
 negative fixtures (compliant code must stay silent), suppression
 comments are exercised in both file- and line-level form, and a smoke
 test asserts the real ``src/`` tree is clean -- the same gate CI runs.
+The direct cases of the clock and RNG invariants (once the per-file
+codes DCL001/002/004/008) are checked here under the one rule per
+invariant that now owns them, DCL010 and DCL011; :class:`TestFold`
+pins that they find exactly what the per-file codes found, line for
+line, and that a planted violation in a copy of ``src/`` fails the
+lint.
 """
 
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.devtools.lint import LintReport, collect_files, lint_paths, lint_source, main
-from repro.devtools.rules import RULES, all_rules
+from repro.devtools.lint import (
+    RULES,
+    LintReport,
+    all_rules,
+    collect_files,
+    lint_paths,
+    lint_source,
+    main,
+)
 
 pytestmark = pytest.mark.devtools
 
@@ -31,20 +45,20 @@ def codes(violations):
 
 
 # ----------------------------------------------------------------------
-# DCL001 -- no global RNG state
+# DCL011, direct: no global RNG state
 # ----------------------------------------------------------------------
 class TestGlobalRng:
     def test_legacy_numpy_call_fires(self):
         src = "import numpy as np\n__all__ = []\nx = np.random.rand(3)\n"
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_numpy_seed_fires(self):
         src = "import numpy as np\n__all__ = []\nnp.random.seed(0)\n"
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_bare_default_rng_fires(self):
         src = "import numpy as np\n__all__ = []\ng = np.random.default_rng()\n"
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_seeded_default_rng_ok(self):
         src = "import numpy as np\n__all__ = []\ng = np.random.default_rng(42)\n"
@@ -59,11 +73,11 @@ class TestGlobalRng:
 
     def test_stdlib_random_fires(self):
         src = "import random\n__all__ = []\nx = random.shuffle([1, 2])\n"
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_stdlib_from_import_fires(self):
         src = "from random import choice\n__all__ = []\nx = choice([1, 2])\n"
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_random_class_instances_ok(self):
         src = "import random\n__all__ = []\nr = random.Random(7)\n"
@@ -71,7 +85,7 @@ class TestGlobalRng:
 
     def test_numpy_alias_tracked(self):
         src = "import numpy\n__all__ = []\nnumpy.random.normal(0, 1)\n"
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_tests_tree_exempt(self):
         src = "import numpy as np\nnp.random.seed(0)\n"
@@ -79,7 +93,7 @@ class TestGlobalRng:
 
 
 # ----------------------------------------------------------------------
-# DCL002 -- no wall-clock reads in core/
+# DCL010, direct: no wall-clock reads in core/
 # ----------------------------------------------------------------------
 class TestWallClock:
     @pytest.mark.parametrize(
@@ -88,18 +102,18 @@ class TestWallClock:
     )
     def test_time_calls_fire_in_core(self, call):
         src = f"import time\n__all__ = []\nt = {call}\n"
-        assert codes(lint_source(src, CORE_PATH)) == ["DCL002"]
+        assert codes(lint_source(src, CORE_PATH)) == ["DCL010"]
 
     def test_datetime_now_fires_in_core(self):
         src = (
             "from datetime import datetime\n__all__ = []\n"
             "t = datetime.now()\n"
         )
-        assert codes(lint_source(src, CORE_PATH)) == ["DCL002"]
+        assert codes(lint_source(src, CORE_PATH)) == ["DCL010"]
 
     def test_from_import_perf_counter_fires(self):
         src = "from time import perf_counter\n__all__ = []\nt = perf_counter()\n"
-        assert codes(lint_source(src, CORE_PATH)) == ["DCL002"]
+        assert codes(lint_source(src, CORE_PATH)) == ["DCL010"]
 
     def test_outside_core_exempt(self):
         src = "import time\n__all__ = []\nt = time.perf_counter()\n"
@@ -110,7 +124,7 @@ class TestWallClock:
             "__all__ = []\n"
             "def run(tracer):\n    return tracer.clock()\n"
         )
-        assert "DCL002" not in codes(lint_source(src, CORE_PATH))
+        assert "DCL010" not in codes(lint_source(src, CORE_PATH))
 
 
 # ----------------------------------------------------------------------
@@ -136,7 +150,7 @@ class TestNanAggregation:
 
 
 # ----------------------------------------------------------------------
-# DCL004 -- public core functions accept rng as a parameter
+# DCL011, direct: public core functions accept rng as a parameter
 # ----------------------------------------------------------------------
 class TestRngParameter:
     def test_internal_construction_fires(self):
@@ -146,7 +160,7 @@ class TestRngParameter:
             "    g = np.random.default_rng(0)\n"
             "    return g.uniform(size=n)\n"
         )
-        assert "DCL004" in codes(lint_source(src, CORE_PATH))
+        assert "DCL011" in codes(lint_source(src, CORE_PATH))
 
     def test_resolve_rng_without_param_fires(self):
         src = (
@@ -155,7 +169,7 @@ class TestRngParameter:
             "    g = resolve_rng(None)\n"
             "    return g\n"
         )
-        assert "DCL004" in codes(lint_source(src, CORE_PATH))
+        assert "DCL011" in codes(lint_source(src, CORE_PATH))
 
     def test_rng_parameter_ok(self):
         src = (
@@ -164,7 +178,7 @@ class TestRngParameter:
             "    g = resolve_rng(rng)\n"
             "    return g\n"
         )
-        assert "DCL004" not in codes(lint_source(src, CORE_PATH))
+        assert "DCL011" not in codes(lint_source(src, CORE_PATH))
 
     def test_private_function_exempt(self):
         src = (
@@ -172,7 +186,7 @@ class TestRngParameter:
             "def _helper():\n"
             "    return np.random.default_rng(3)\n"
         )
-        assert "DCL004" not in codes(lint_source(src, CORE_PATH))
+        assert "DCL011" not in codes(lint_source(src, CORE_PATH))
 
     def test_outside_core_exempt(self):
         src = (
@@ -180,7 +194,7 @@ class TestRngParameter:
             "def sample(n):\n"
             "    return np.random.default_rng(0).uniform(size=n)\n"
         )
-        assert "DCL004" not in codes(lint_source(src, OTHER_PATH))
+        assert "DCL011" not in codes(lint_source(src, OTHER_PATH))
 
 
 # ----------------------------------------------------------------------
@@ -438,7 +452,7 @@ class TestExceptionSwallow:
 
 
 # ----------------------------------------------------------------------
-# DCL008 -- no wall-clock reads in obs/perf/
+# DCL010, direct: no wall-clock reads in obs/perf/
 # ----------------------------------------------------------------------
 PERF_PATH = "src/repro/obs/perf/fixture.py"
 
@@ -450,18 +464,18 @@ class TestPerfWallClock:
     )
     def test_time_calls_fire_in_perf(self, call):
         src = f"import time\n__all__ = []\nt = {call}\n"
-        assert codes(lint_source(src, PERF_PATH)) == ["DCL008"]
+        assert codes(lint_source(src, PERF_PATH)) == ["DCL010"]
 
     def test_from_import_perf_counter_fires(self):
         src = "from time import perf_counter\n__all__ = []\nt = perf_counter()\n"
-        assert codes(lint_source(src, PERF_PATH)) == ["DCL008"]
+        assert codes(lint_source(src, PERF_PATH)) == ["DCL010"]
 
     def test_datetime_now_fires_in_perf(self):
         src = (
             "from datetime import datetime\n__all__ = []\n"
             "t = datetime.now()\n"
         )
-        assert codes(lint_source(src, PERF_PATH)) == ["DCL008"]
+        assert codes(lint_source(src, PERF_PATH)) == ["DCL010"]
 
     def test_clock_attribute_reference_ok(self):
         # The seam itself: referencing Tracer.clock (no call) is the
@@ -492,33 +506,33 @@ class TestSuppression:
     VIOLATING = "import numpy as np\n__all__ = []\nnp.random.seed(0)\n"
 
     def test_file_level_disable(self):
-        src = "# dcl: disable=DCL001\n" + self.VIOLATING
+        src = "# dcl: disable=DCL011\n" + self.VIOLATING
         assert lint_source(src, OTHER_PATH) == []
 
     def test_line_level_disable(self):
         src = (
             "import numpy as np\n__all__ = []\n"
-            "np.random.seed(0)  # dcl: disable=DCL001\n"
+            "np.random.seed(0)  # dcl: disable=DCL011\n"
         )
         assert lint_source(src, OTHER_PATH) == []
 
     def test_line_level_only_covers_its_line(self):
         src = (
             "import numpy as np\n__all__ = []\n"
-            "np.random.seed(0)  # dcl: disable=DCL001\n"
+            "np.random.seed(0)  # dcl: disable=DCL011\n"
             "np.random.seed(1)\n"
         )
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
     def test_multiple_codes_and_all(self):
-        src = "# dcl: disable=DCL001, DCL005\nimport numpy as np\nnp.random.seed(0)\ndef f():\n    pass\n"
+        src = "# dcl: disable=DCL011, DCL005\nimport numpy as np\nnp.random.seed(0)\ndef f():\n    pass\n"
         assert lint_source(src, OTHER_PATH) == []
         src_all = "# dcl: disable=all\nimport numpy as np\nnp.random.seed(0)\n"
         assert lint_source(src_all, OTHER_PATH) == []
 
     def test_unrelated_code_not_suppressed(self):
         src = "# dcl: disable=DCL005\n" + self.VIOLATING
-        assert codes(lint_source(src, OTHER_PATH)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH)) == ["DCL011"]
 
 
 # ----------------------------------------------------------------------
@@ -535,7 +549,7 @@ class TestSuppressionValidation:
         )
         report = lint_paths([str(mod)])
         # The malformed code does not suppress...
-        assert [v.rule for v in report.violations] == ["DCL001"]
+        assert [v.rule for v in report.violations] == ["DCL011"]
         # ...and is surfaced as a warning, not dropped on the floor.
         assert [w.kind for w in report.suppression_warnings] == [
             "malformed-code"
@@ -546,7 +560,7 @@ class TestSuppressionValidation:
         mod = tmp_path / "m.py"
         mod.write_text(
             "import numpy as np\n__all__ = []\n"
-            "np.random.seed(0)  # dcl: disable=DCL01,DCL001\n"
+            "np.random.seed(0)  # dcl: disable=DCL01,DCL011\n"
         )
         report = lint_paths([str(mod)])
         assert report.violations == []
@@ -562,16 +576,16 @@ class TestSuppressionValidation:
 
     def test_stale_line_suppression_is_detected(self, tmp_path):
         mod = tmp_path / "m.py"
-        mod.write_text("__all__ = []\nx = 1  # dcl: disable=DCL001\n")
+        mod.write_text("__all__ = []\nx = 1  # dcl: disable=DCL011\n")
         report = lint_paths([str(mod)])
         assert [w.kind for w in report.stale_suppressions] == ["stale"]
-        assert report.stale_suppressions[0].code == "DCL001"
+        assert report.stale_suppressions[0].code == "DCL011"
 
     def test_live_suppression_is_not_stale(self, tmp_path):
         mod = tmp_path / "m.py"
         mod.write_text(
             "import numpy as np\n__all__ = []\n"
-            "np.random.seed(0)  # dcl: disable=DCL001\n"
+            "np.random.seed(0)  # dcl: disable=DCL011\n"
         )
         report = lint_paths([str(mod)])
         assert report.stale_suppressions == []
@@ -582,20 +596,20 @@ class TestSuppressionValidation:
         # The repro.core.rng precedent: a file-level directive
         # sanctions a seam and may outlive any individual firing line.
         mod = tmp_path / "m.py"
-        mod.write_text("# dcl: disable=DCL001\n__all__ = []\nx = 1\n")
+        mod.write_text("# dcl: disable=DCL011\n__all__ = []\nx = 1\n")
         report = lint_paths([str(mod)])
         assert report.stale_suppressions == []
 
     def test_directives_inside_strings_are_ignored(self, tmp_path):
         mod = tmp_path / "m.py"
         mod.write_text(
-            '"""Docs show the syntax: # dcl: disable=DCL001 ..."""\n'
+            '"""Docs show the syntax: # dcl: disable=DCL011 ..."""\n'
             "import numpy as np\n__all__ = []\n"
             "np.random.seed(0)\n"
         )
         report = lint_paths([str(mod)])
         # The docstring neither suppresses nor produces stale warnings.
-        assert [v.rule for v in report.violations] == ["DCL001"]
+        assert [v.rule for v in report.violations] == ["DCL011"]
         assert report.stale_suppressions == []
 
     def test_strict_flag_fails_on_warnings(self, tmp_path, capsys):
@@ -621,10 +635,176 @@ class TestSuppressionValidation:
         )
         main([str(mod), "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["rule_counts"] == {"DCL001": 1}
+        assert payload["rule_counts"] == {"DCL011": 1}
         assert payload["suppression_warnings"] == []
         assert payload["stale_suppressions"] == []
-        assert payload["deep"] is None
+        assert payload["call_graph"]["functions"] == 0
+
+
+# ----------------------------------------------------------------------
+# The fold: DCL010/DCL011 find what DCL001/002/004/008 found
+# ----------------------------------------------------------------------
+#: ``(name, path, source, lines)``: every fixture of the retired
+#: per-file rules, and the lines those rules reported on it (recorded
+#: before they were folded into DCL010 and DCL011).
+FOLDED_FIXTURES = [
+    # DCL001: global RNG state
+    ("legacy-numpy", OTHER_PATH,
+     "import numpy as np\n__all__ = []\nx = np.random.rand(3)\n", [3]),
+    ("numpy-seed", OTHER_PATH,
+     "import numpy as np\n__all__ = []\nnp.random.seed(0)\n", [3]),
+    ("bare-default-rng", OTHER_PATH,
+     "import numpy as np\n__all__ = []\ng = np.random.default_rng()\n", [3]),
+    ("seeded-default-rng", OTHER_PATH,
+     "import numpy as np\n__all__ = []\ng = np.random.default_rng(42)\n", []),
+    ("generator-methods", OTHER_PATH,
+     "import numpy as np\n__all__ = []\n"
+     "g = np.random.default_rng(1)\nx = g.uniform(0, 1, 5)\n", []),
+    ("stdlib-random", OTHER_PATH,
+     "import random\n__all__ = []\nx = random.shuffle([1, 2])\n", [3]),
+    ("stdlib-from-import", OTHER_PATH,
+     "from random import choice\n__all__ = []\nx = choice([1, 2])\n", [3]),
+    ("random-class", OTHER_PATH,
+     "import random\n__all__ = []\nr = random.Random(7)\n", []),
+    ("numpy-alias", OTHER_PATH,
+     "import numpy\n__all__ = []\nnumpy.random.normal(0, 1)\n", [3]),
+    ("tests-tree", TEST_PATH, "import numpy as np\nnp.random.seed(0)\n", []),
+    # DCL002: wall clock in core
+    ("core-time", CORE_PATH, "import time\n__all__ = []\nt = time.time()\n", [3]),
+    ("core-perf-counter", CORE_PATH,
+     "import time\n__all__ = []\nt = time.perf_counter()\n", [3]),
+    ("core-monotonic", CORE_PATH,
+     "import time\n__all__ = []\nt = time.monotonic()\n", [3]),
+    ("core-datetime", CORE_PATH,
+     "from datetime import datetime\n__all__ = []\nt = datetime.now()\n", [3]),
+    ("core-from-import", CORE_PATH,
+     "from time import perf_counter\n__all__ = []\nt = perf_counter()\n", [3]),
+    ("clock-outside-core", OTHER_PATH,
+     "import time\n__all__ = []\nt = time.perf_counter()\n", []),
+    ("tracer-clock-seam", CORE_PATH,
+     "__all__ = []\ndef run(tracer):\n    return tracer.clock()\n", []),
+    # DCL004: public core functions take their RNG
+    ("internal-construction", CORE_PATH,
+     "import numpy as np\n__all__ = ['sample']\ndef sample(n):\n"
+     "    g = np.random.default_rng(0)\n    return g.uniform(size=n)\n", [4]),
+    ("resolve-rng-without-param", CORE_PATH,
+     "from repro.core.rng import resolve_rng\n__all__ = ['sample']\n"
+     "def sample(n):\n    g = resolve_rng(None)\n    return g\n", [4]),
+    ("rng-parameter", CORE_PATH,
+     "from repro.core.rng import resolve_rng\n__all__ = ['sample']\n"
+     "def sample(n, rng=None):\n    g = resolve_rng(rng)\n    return g\n", []),
+    ("private-function", CORE_PATH,
+     "import numpy as np\n__all__ = []\n"
+     "def _helper():\n    return np.random.default_rng(3)\n", []),
+    ("construction-outside-core", OTHER_PATH,
+     "import numpy as np\n__all__ = ['sample']\ndef sample(n):\n"
+     "    return np.random.default_rng(0).uniform(size=n)\n", []),
+    # DCL008: wall clock in obs/perf
+    ("perf-time", PERF_PATH, "import time\n__all__ = []\nt = time.time()\n", [3]),
+    ("perf-perf-counter", PERF_PATH,
+     "import time\n__all__ = []\nt = time.perf_counter()\n", [3]),
+    ("perf-monotonic", PERF_PATH,
+     "import time\n__all__ = []\nt = time.monotonic()\n", [3]),
+    ("perf-from-import", PERF_PATH,
+     "from time import perf_counter\n__all__ = []\nt = perf_counter()\n", [3]),
+    ("perf-datetime", PERF_PATH,
+     "from datetime import datetime\n__all__ = []\nt = datetime.now()\n", [3]),
+    ("perf-clock-attribute", PERF_PATH,
+     "from repro.obs.tracer import Tracer\n__all__ = ['DEFAULT_CLOCK']\n"
+     "DEFAULT_CLOCK = Tracer.clock\n", []),
+    ("perf-injected-clock", PERF_PATH,
+     "__all__ = ['timed']\ndef timed(clock):\n    return clock()\n", []),
+    # The seven findings of the per-file rules that the transitive
+    # rules used to skip as "the per-file rule's job".
+    ("seven-core-a", "src/repro/core/a.py",
+     "import numpy as np\n"
+     "from repro.core.rng import resolve_rng\n"
+     "__all__ = ['draw', 'noise', 'fresh']\n"
+     "def draw(n):\n"
+     "    return resolve_rng(None).uniform(size=n)\n"  # DCL004
+     "def noise(n):\n"
+     "    return np.random.rand(n)\n"  # DCL001
+     "def fresh():\n"
+     "    return np.random.default_rng()\n",  # DCL001 + DCL004
+     [5, 7, 9]),
+    ("seven-core-b", "src/repro/core/b.py",
+     "import time\n"
+     "__all__ = ['T0', 'elapsed']\n"
+     "T0 = time.time()\n"  # DCL002, module level
+     "def elapsed():\n"
+     "    return time.perf_counter() - T0\n",  # DCL002
+     [3, 5]),
+    ("seven-runtime-c", "src/repro/runtime/c.py",
+     "import random\n"
+     "__all__ = ['jitter']\n"
+     "def jitter():\n"
+     "    return random.random()\n",  # DCL001
+     [4]),
+]
+
+#: ``(file under src/repro, appended source, rule)``: one planted
+#: violation per folded check.
+MUTATIONS = [
+    ("core/floc.py", "import time\n_T0 = time.time()\n", "DCL010"),
+    ("obs/perf/counters.py",
+     "import time\ndef _stamp():\n    return time.perf_counter()\n", "DCL010"),
+    ("runtime/supervisor.py",
+     "import numpy as np\ndef _jitter():\n    return np.random.rand()\n",
+     "DCL011"),
+    # Seeded, so only the public-function check can catch it.
+    ("core/seeding.py",
+     "import numpy as np\ndef fresh_stream():\n"
+     "    return np.random.default_rng(7)\n", "DCL011"),
+]
+
+
+class TestFold:
+    @pytest.mark.parametrize(
+        "name,path,source,lines", FOLDED_FIXTURES,
+        ids=[case[0] for case in FOLDED_FIXTURES],
+    )
+    def test_same_findings_as_the_retired_rules(self, name, path, source, lines):
+        found = lint_source(source, path, all_rules(["DCL010", "DCL011"]))
+        assert {(v.path, v.line) for v in found} == {
+            (path, line) for line in lines
+        }
+
+    def test_one_finding_per_call(self):
+        # A bare default_rng() in a public core function is global
+        # state and an internal construction at once: reported once.
+        source = FOLDED_FIXTURES[-3][2]
+        lines = [v.line for v in lint_source(source, "src/repro/core/a.py")]
+        assert lines == [5, 7, 9]
+
+    @pytest.mark.parametrize("code", ["DCL001", "DCL002", "DCL004", "DCL008"])
+    def test_retired_codes_are_unknown(self, code, tmp_path, capsys):
+        assert main(["--select", code, str(tmp_path)]) == 2
+        assert f"unknown rule code(s): {code}" in capsys.readouterr().err
+        mod = tmp_path / "m.py"
+        mod.write_text(f"# dcl: disable={code}\n__all__ = []\n")
+        report = lint_paths([str(mod)])
+        assert [(w.kind, w.code) for w in report.suppression_warnings] == [
+            ("unknown-code", code)
+        ]
+        assert main([str(mod), "--strict-suppressions"]) == 1
+
+    @pytest.mark.parametrize(
+        "target,planted,code", MUTATIONS, ids=[m[0] for m in MUTATIONS]
+    )
+    def test_planted_violation_in_src_fails(self, target, planted, code, tmp_path):
+        tree = tmp_path / "src"
+        shutil.copytree(
+            SRC, tree, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info")
+        )
+        victim = tree / "repro" / target
+        source = victim.read_text()
+        victim.write_text(source + planted)
+        last = len((source + planted).splitlines())
+        report = lint_paths([str(tree)], all_rules([code]))
+        assert not report.clean
+        assert (victim.as_posix(), last, code) in {
+            (v.path, v.line, v.rule) for v in report.violations
+        }
 
 
 # ----------------------------------------------------------------------
@@ -632,10 +812,10 @@ class TestSuppressionValidation:
 # ----------------------------------------------------------------------
 class TestEngine:
     def test_select_filters_rules(self):
-        rules = all_rules(["DCL001"])
-        assert [r.code for r in rules] == ["DCL001"]
+        rules = all_rules(["DCL011"])
+        assert [r.code for r in rules] == ["DCL011"]
         src = "import numpy as np\nnp.random.seed(0)\ndef f():\n    pass\n"
-        assert codes(lint_source(src, OTHER_PATH, rules)) == ["DCL001"]
+        assert codes(lint_source(src, OTHER_PATH, rules)) == ["DCL011"]
 
     def test_select_unknown_code_raises(self):
         with pytest.raises(ValueError, match="DCL999"):
@@ -643,8 +823,8 @@ class TestEngine:
 
     def test_registry_is_complete(self):
         assert [cls.code for cls in RULES] == [
-            "DCL001", "DCL002", "DCL003", "DCL004", "DCL005", "DCL006",
-            "DCL007", "DCL008",
+            "DCL003", "DCL005", "DCL006", "DCL007",
+            "DCL010", "DCL011", "DCL012", "DCL013",
         ]
 
     def test_collect_files_skips_pycache(self, tmp_path):
@@ -670,7 +850,7 @@ class TestEngine:
         payload = json.loads(capsys.readouterr().out)
         assert status == 1
         assert payload["files_checked"] == 1
-        assert [v["rule"] for v in payload["violations"]] == ["DCL002"]
+        assert [v["rule"] for v in payload["violations"]] == ["DCL010"]
 
     def test_main_missing_path_is_usage_error(self, capsys):
         assert main(["definitely/not/a/path"]) == 2
@@ -679,9 +859,11 @@ class TestEngine:
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("DCL001", "DCL002", "DCL003", "DCL004",
-                     "DCL005", "DCL006"):
+        for code in ("DCL003", "DCL005", "DCL006", "DCL007",
+                     "DCL010", "DCL011", "DCL012", "DCL013"):
             assert code in out
+        for retired in ("DCL001", "DCL002", "DCL004", "DCL008"):
+            assert retired not in out
 
 
 # ----------------------------------------------------------------------

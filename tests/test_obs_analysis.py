@@ -316,7 +316,15 @@ class TestDiffTraces:
         first = diff.first_divergence(tol=1.0)
         assert isinstance(first, UnpairedIteration)
         assert (first.index, first.side) == (2, "A")
-        assert diff.to_dict(tol=1.0)["first_divergence_index"] == 2
+        assert diff.to_dict(tol=1.0)["first_divergence"] == {
+            "key": {}, "index": 2, "side": "A",
+        }
+        assert diff.to_dict(tol=0.25)["first_divergence"] == {
+            "key": {}, "index": 1, "side": None,
+        }
+        assert diff.to_dict()["unpaired"] == [
+            {"key": {}, "index": 2, "side": "A"}
+        ]
         assert diff.first_divergence(tol=0.25).index == 1
         assert diff_traces([], a).first_divergence().side == "B"
         a = [make(0, 5.0, restart=0), make(1, 5.0, restart=0), make(0, 7.0, restart=1)]

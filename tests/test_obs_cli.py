@@ -186,7 +186,16 @@ class TestDiffTracesCommand:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_only_b"] > 0 and payload["n_aligned"] == 0
-        assert payload["first_divergence_index"] == 0
+        # The document says which session and which side part first,
+        # and lists every iteration only one side holds.
+        first = payload["first_divergence"]
+        assert (first["index"], first["side"]) == (0, "B")
+        assert first["key"] == payload["unpaired"][0]["key"]
+        assert len(payload["unpaired"]) == payload["n_only_b"]
+        assert {it["side"] for it in payload["unpaired"]} == {"B"}
+        restarts = {it["key"]["restart"] for it in payload["unpaired"]}
+        assert restarts == {0, 1}
+        assert first["key"]["restart"] == 0
 
     def test_twinned_runs_diverge(self, matrix_path, trace_path, tmp_path,
                                   capsys):
@@ -208,10 +217,11 @@ class TestDiffTracesCommand:
             "diff-traces", str(trace_path), str(trace_path), "--json",
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["n_only_a"] == 0
+        assert payload["unpaired"] == []
         assert payload["max_abs_residue_delta"] == 0.0
-        assert payload["first_divergence_index"] is None
+        assert payload["first_divergence"] is None
 
     def test_missing_file_is_usage_error(self, trace_path, capsys):
         assert main([

@@ -1,7 +1,7 @@
 """Tests for the sanctioned RNG seam (:mod:`repro.core.rng`).
 
 ``resolve_rng`` is the only place in the package allowed to construct a
-generator from scratch (rule DCL001 enforces that); these tests pin its
+generator from scratch (rule DCL011 enforces that); these tests pin its
 normalization contract, which every public ``rng=`` parameter relies on.
 """
 
