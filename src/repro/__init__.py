@@ -52,7 +52,7 @@ _resolve, __dir__ = lazy_exports(__name__, {
         "run_trial", "run_trials",
     ),
     ".obs": (
-        "ActionEvent", "ConsoleProgressSink", "FaultEvent", "IterationEvent",
+        "ConsoleProgressSink", "FaultEvent", "IterationEvent",
         "JsonlSink", "MetricsRegistry", "RetryEvent", "RingBufferSink",
         "SeedEvent", "TaskEvent", "TraceAnalysis", "TraceDiff", "Tracer",
         "analyze_records", "analyze_trace", "diff_traces", "read_jsonl",
@@ -67,7 +67,6 @@ _resolve, __dir__ = lazy_exports(__name__, {
 
 __all__ = [
     "Action",
-    "ActionEvent",
     "Bicluster",
     "ChengChurchResult",
     "CheckpointStore",

@@ -480,9 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--strict", action="store_true",
                          help="fail on a truncated final line instead of "
                               "skipping it")
-    analyze.add_argument("--top-slots", type=int, default=3, metavar="N",
-                         help="gain histograms for the N busiest "
-                              "(kind, cluster) slots (default 3)")
     analyze.add_argument("--straggler-factor", type=float, default=None,
                          metavar="X",
                          help="a task is a straggler when it runs longer "

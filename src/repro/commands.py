@@ -20,7 +20,7 @@ from .cli import _check_writable, _load_matrix, _read, _UsageError
 from .core.cluster import DeltaCluster
 from .core.matrix import DataMatrix
 from .data.io import load_clusters, save_clusters, save_matrix_npz
-from .eval.reporting import format_histogram, format_table
+from .eval.reporting import format_table
 from .obs.sinks import read_jsonl
 
 if TYPE_CHECKING:
@@ -188,7 +188,7 @@ def _session_label(key: Dict[str, object]) -> str:
     return " ".join(f"{name}={value}" for name, value in sorted(key.items()))
 
 
-def _print_analysis(analysis: TraceAnalysis, top_slots: int) -> None:
+def _print_analysis(analysis: TraceAnalysis) -> None:
     counts = ", ".join(
         f"{kind}={count}"
         for kind, count in sorted(analysis.event_counts.items())
@@ -196,16 +196,16 @@ def _print_analysis(analysis: TraceAnalysis, top_slots: int) -> None:
     print(f"{analysis.n_records} records ({counts})")
 
     for session in analysis.sessions:
+        label = _session_label(session.key)
         rows = [
             [
                 sweep.index,
                 sweep.residue,
                 sweep.total_volume,
-                sweep.actions_observed,
+                sweep.n_actions,
+                sweep.n_adopted,
                 sweep.admissions,
                 sweep.evictions,
-                sweep.row_actions,
-                sweep.col_actions,
                 sweep.gain_sum,
                 "yes" if sweep.improved else "no",
                 sweep.elapsed_s,
@@ -215,16 +215,30 @@ def _print_analysis(analysis: TraceAnalysis, top_slots: int) -> None:
         print()
         print(format_table(
             rows,
-            headers=["sweep", "residue", "volume", "actions", "adm", "evi",
-                     "row", "col", "gain_sum", "improved", "seconds"],
-            title=f"session [{_session_label(session.key)}]: "
-                  f"{len(session.sweeps)} sweep(s), "
+            headers=["sweep", "residue", "volume", "actions", "adopted",
+                     "adm", "evi", "gain_sum", "improved", "seconds"],
+            title=f"session [{label}]: {len(session.sweeps)} sweep(s), "
                   f"{session.n_actions} action(s)",
             precision=4,
         ))
-        if session.dangling_actions:
-            print(f"  ({session.dangling_actions} dangling action(s) after "
-                  "the last sweep)")
+        rows = [
+            [
+                sweep.index, d.cluster, d.rows_in, d.rows_out,
+                d.cols_in, d.cols_out,
+                f"{d.residue_before:.4f} -> {d.residue:.4f}",
+            ]
+            for sweep in session.sweeps
+            for d in sweep.decisions
+        ]
+        if rows:
+            print()
+            print(format_table(
+                rows,
+                headers=["sweep", "cluster", "+rows", "-rows", "+cols",
+                         "-cols", "residue before -> after"],
+                title=f"session [{label}]: decisions (lines each sweep "
+                      "left admitted and evicted)",
+            ))
 
     if analysis.clusters:
         rows = [
@@ -243,22 +257,6 @@ def _print_analysis(analysis: TraceAnalysis, top_slots: int) -> None:
                      "gain_sum", "last_residue", "last_volume"],
             title="per-cluster lifetime",
             precision=4,
-        ))
-
-    busiest = sorted(
-        analysis.slots, key=lambda s: (-s.actions, s.kind, s.cluster)
-    )[:top_slots]
-    for slot in busiest:
-        if slot.histogram is None:
-            continue
-        print()
-        print(format_histogram(
-            slot.histogram.edges,
-            slot.histogram.counts,
-            title=(
-                f"gain histogram [{slot.kind} x cluster {slot.cluster}]: "
-                f"{slot.actions} action(s), mean gain {slot.gain_mean:.4g}"
-            ),
         ))
 
     if analysis.spans:
@@ -341,7 +339,7 @@ def _print_analysis(analysis: TraceAnalysis, top_slots: int) -> None:
 
 
 def cmd_analyze_trace(args: argparse.Namespace) -> int:
-    """Aggregate a recorded JSONL trace into per-sweep/cluster/slot stats."""
+    """Aggregate a recorded JSONL trace into per-sweep/cluster stats."""
     from .obs.analysis import DEFAULT_STRAGGLER_FACTOR, analyze_trace
 
     if not Path(args.trace).is_file():
@@ -360,7 +358,7 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(analysis.to_dict(), sort_keys=True, indent=2))
     else:
-        _print_analysis(analysis, top_slots=args.top_slots)
+        _print_analysis(analysis)
     return 0
 
 
@@ -469,10 +467,11 @@ def cmd_diff_traces(args: argparse.Namespace) -> int:
     if first is None:
         print(f"no divergence beyond tol={args.tol:g}")
     elif isinstance(first, UnpairedIteration):
-        print(f"first divergence at iteration {first.index} "
-              f"(only in {first.side})")
+        print(f"first divergence at iteration {first.index} of "
+              f"[{_session_label(first.key)}] (only in {first.side})")
     else:
-        print(f"first divergence at iteration {first.index} "
+        print(f"first divergence at iteration {first.index} of "
+              f"[{_session_label(first.key)}] "
               f"(|delta| {abs(first.residue_delta):.6g} > tol {args.tol:g})")
     return 0
 

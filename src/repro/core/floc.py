@@ -57,11 +57,14 @@ the next -- see that module's docstring for the design and DESIGN.md
 for the derivation.
 
 The run is observable end to end: pass a :class:`repro.obs.Tracer` to
-stream per-seed / per-action / per-iteration events into sinks (JSONL,
-ring buffer, console progress) and collect metrics -- see
-``docs/OBSERVABILITY.md``.  All timing goes through the tracer clock;
-instrumentation is inert (and free) without a tracer and never touches
-the RNG stream, so traced and untraced runs are bit-identical.
+stream per-seed and per-sweep events into sinks (JSONL, ring buffer,
+console progress) and collect metrics -- see ``docs/OBSERVABILITY.md``.
+A sweep's record says which lines each acted cluster admitted and
+evicted, so a trace answers why a clustering came out without a record
+per action.  All timing goes through the tracer clock; instrumentation
+is inert (and free) without a tracer and never touches the RNG stream
+or the gain engine, which is built without one, so traced and untraced
+runs do the same work and are bit-identical.
 """
 
 from __future__ import annotations
@@ -662,15 +665,15 @@ def floc(
         emits span timings (``phase1``, ``gain_eval`` -- one per sweep
         scan of :meth:`~repro.core.gain_engine.GainEngine.next_action`,
         ``perform_action``, ``reseed``) and typed events
-        (:class:`~repro.obs.events.SeedEvent`,
-        :class:`~repro.obs.events.ActionEvent`,
-        :class:`~repro.obs.events.IterationEvent`) to the tracer's sinks,
-        and updates its metrics registry (``actions_performed``,
-        ``actions_blocked_by_constraint``, ``gain_eval_ns``,
-        ``residue_after_iteration``, ...).  Tracing never draws random
-        numbers and never changes the result: the clustering, history and
-        RNG stream are bit-identical with and without it.  ``None`` (the
-        default) uses the shared disabled tracer at zero cost.
+        (:class:`~repro.obs.events.SeedEvent` per seed,
+        :class:`~repro.obs.events.IterationEvent` per sweep, with each
+        acted cluster's admitted and evicted lines) to the tracer's
+        sinks, and updates its metrics registry (``actions_performed``,
+        ``gain_eval_ns``, ``residue_after_iteration``, ...).  Tracing
+        never draws random numbers, never reaches the gain engine and
+        never changes the result: the clustering, history, work counts
+        and RNG stream are bit-identical with and without it.  ``None``
+        (the default) uses the shared disabled tracer at zero cost.
     work:
         Optional :class:`~repro.obs.perf.counters.WorkCounters` the run
         accumulates its deterministic work counts into (residue
@@ -739,7 +742,7 @@ def floc(
     # leaves alone stay cached, while ``refresh_cluster`` moves the
     # stamps of the reseeded ones.
     engine = gain_engine.GainEngine(
-        state, active, alpha, residue_target, gain_mode, tracer,
+        state, active, alpha, residue_target, gain_mode,
         mandatory_moves=mandatory_moves,
     )
     history: List[float] = []
@@ -817,13 +820,16 @@ def _phase2(
     best clustering found.  Appends the best residue and wall time of
     every iteration to ``history`` / ``iteration_times`` (index-aligned;
     ``iteration_offset`` numbers the emitted events across reseed
-    rounds).  Returns (iterations, actions, converged)."""
+    rounds).  A traced sweep notes each performed action's
+    ``(cluster, gain)`` and diffs the membership once, at its end, for
+    its :class:`~repro.obs.events.IterationEvent`.  Returns (iterations,
+    actions, converged)."""
     best_score = _score(state, residue_target)
     best_state = state.snapshot()
     slots = action_slots(matrix.n_rows, matrix.n_cols)
     tracing = tracer.enabled
     if tracing:
-        from ..obs.events import ActionEvent, IterationEvent
+        from ..obs.events import IterationEvent
     n_actions = 0
     n_iterations = 0
     converged = False
@@ -843,6 +849,8 @@ def _phase2(
         # wide lanes for just the next block of consult positions).
         engine.begin_sweep(order)
         performed: List[_PerformedAction] = []
+        #: ``(cluster, gain)`` of every performed action; traced only.
+        acted: List[Tuple[int, float]] = []
         iter_best = np.inf
         iter_best_idx = -1
         position = 0
@@ -875,32 +883,21 @@ def _phase2(
                     state.set_score(c, new_residue, new_volume)
             performed.append((kind, index, c))
             if tracing:
-                tracer.inc("actions_performed")
-                tracer.emit(ActionEvent(
-                    kind=kind,
-                    index=index,
-                    cluster=c,
-                    is_removal=not (
-                        state.row_member[c, index] if kind == ROW
-                        else state.col_member[c, index]
-                    ),
-                    gain=float(gain),
-                    residue=float(state.residues[c]),
-                    volume=int(state.volumes[c]),
-                ))
+                acted.append((c, gain))
             score = _score(state, residue_target)
             if score < iter_best:
                 iter_best = score
                 iter_best_idx = len(performed) - 1
         n_actions += len(performed)
 
+        n_adopted = 0
         if iter_best < best_score - tol:
             improved = True
+            n_adopted = iter_best_idx + 1
             best_score = iter_best
             assert iteration_start is not None  # an action was performed
             _adopt_best_prefix(
-                state, iteration_start, performed, iter_best_idx + 1,
-                engine.fast_mode,
+                state, iteration_start, performed, n_adopted, engine.fast_mode,
             )
             best_state = state.snapshot()
             history.append(float(state.residues.mean()))
@@ -915,7 +912,9 @@ def _phase2(
             )
             converged = True
         iteration_times.append(tracer.clock() - iteration_began)
-        if tracer.enabled:
+        if tracing:
+            if performed:
+                tracer.inc("actions_performed", len(performed))
             tracer.set_gauge("residue_after_iteration", history[-1])
             tracer.observe("iteration_seconds", iteration_times[-1])
             tracer.inc("iterations")
@@ -927,12 +926,57 @@ def _phase2(
                 n_actions=len(performed),
                 improved=improved,
                 elapsed_s=iteration_times[-1],
+                n_adopted=n_adopted,
+                clusters=_sweep_clusters(state, iteration_start, acted),
             ))
         if converged:
             break
     # Without convergence every sweep improved, so the state already is
     # ``best_state``.
     return n_iterations, n_actions, converged
+
+
+def _sweep_clusters(
+    state: _State,
+    iteration_start: Optional[dict],
+    acted: List[Tuple[int, float]],
+) -> List[Dict[str, object]]:
+    """The ``clusters`` entries of a traced sweep's ``IterationEvent``.
+
+    One entry per cluster in ``acted`` (the sweep's performed
+    ``(cluster, gain)`` pairs), in ascending cluster order: its action
+    count and gain sum, the lines whose membership the sweep left
+    changed -- the diff of ``state.member`` against the sweep-start
+    snapshot ``iteration_start``, so empty after a rollback -- and its
+    residue before and after.
+    """
+    if iteration_start is None:  # nothing was performed
+        return []
+    actions: Dict[int, int] = {}
+    gain_sums: Dict[int, float] = {}
+    for c, gain in acted:
+        actions[c] = actions.get(c, 0) + 1
+        gain_sums[c] = gain_sums.get(c, 0.0) + gain
+    split = state.n_rows
+    clusters: List[Dict[str, object]] = []
+    for c in sorted(actions):
+        before, after = iteration_start["member"][c], state.member[c]
+        moved = before != after
+        joined = (moved & after).nonzero()[0]
+        left = (moved & before).nonzero()[0]
+        clusters.append({
+            "cluster": c,
+            "actions": actions[c],
+            "gain_sum": gain_sums[c],
+            "rows_in": joined[joined < split].tolist(),
+            "rows_out": left[left < split].tolist(),
+            "cols_in": (joined[joined >= split] - split).tolist(),
+            "cols_out": (left[left >= split] - split).tolist(),
+            "residue_before": float(iteration_start["residues"][c]),
+            "residue": float(state.residues[c]),
+            "volume": int(state.volumes[c]),
+        })
+    return clusters
 
 
 def _adopt_best_prefix(

@@ -81,7 +81,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs.tracer import NULL_TRACER, Tracer
 from .actions import BLOCKED_GAIN, COL, ROW
 from .constraints import Constraints
 
@@ -796,7 +795,6 @@ class GainEngine:
         alpha: float,
         residue_target: Optional[float],
         gain_mode: str,
-        tracer: Tracer = NULL_TRACER,
         mandatory_moves: bool = False,
     ) -> None:
         self.state = state
@@ -804,7 +802,6 @@ class GainEngine:
         self.alpha = alpha
         self.residue_target = residue_target
         self.fast_mode = gain_mode == "fast"
-        self.tracer = tracer
         self.mandatory_moves = mandatory_moves
         shape = (state.k, state.n_rows, state.member.shape[1])
         self._move = _LaneSet(*shape, exact=not self.fast_mode)
@@ -1048,8 +1045,6 @@ class GainEngine:
         """
         lanes = self._move
         n_slots = self._n_slots
-        start = t
-        walks = 0
         hit: Optional[Tuple[int, Choice]] = None
         while True:
             # Stops before the first unknown position are known.
@@ -1091,8 +1086,7 @@ class GainEngine:
                 if not self._expensive:
                     hit = int(stop), self._cheap_choice(line)
                     break
-                choice, blocked = self._walk(line)
-                walks += blocked
+                choice = self._walk(line)
                 if choice is not None and (
                     self.mandatory_moves or not choice[3] <= 0.0
                 ):
@@ -1101,14 +1095,6 @@ class GainEngine:
             if hit is not None or stale is None:
                 break
             t = bound
-        if self.tracer.enabled:
-            # ``actions_blocked_by_constraint`` of the slots the scan
-            # consulted, up to and including the hit.
-            end = n_slots if hit is None else hit[0] + 1
-            columns = lanes.gains[:, self._lines[start:end]]
-            blocked = walks + int((columns == BLOCKED_GAIN).sum())
-            if blocked:
-                self.tracer.inc("actions_blocked_by_constraint", blocked)
         if hit is None:
             return None
         position, choice = hit
@@ -1120,16 +1106,13 @@ class GainEngine:
         return (ROW, line) if line < split else (COL, line - split)
 
     def _acts(self, gains: np.ndarray) -> np.ndarray:
-        """Mask of the best gains whose slot the scan stops at.
-
-        On the cheap paths a stop is a performed action.  On the
-        expensive path the walk confirms each stop; traced runs walk
-        every unblocked slot, so the blocked-candidate count stays the
-        slot-by-slot one.
-        """
-        if self.mandatory_moves or (self._expensive and self.tracer.enabled):
-            return np.not_equal(gains, BLOCKED_GAIN)
-        return np.logical_not(np.less_equal(gains, 0.0))
+        """Mask of the best gains whose slot the scan stops at: a
+        performed action on the cheap paths, an upper bound the walk
+        confirms on the expensive one."""
+        return (
+            np.not_equal(gains, BLOCKED_GAIN) if self.mandatory_moves
+            else np.logical_not(np.less_equal(gains, 0.0))
+        )
 
     def best_action(self, kind: str, index: int) -> Optional[Choice]:
         """Highest-gain unblocked action of one slot, or ``None``.
@@ -1143,18 +1126,10 @@ class GainEngine:
         part = self._move.part(line)
         pos = part.pos
         self._prepare(part, 0 if pos is None else int(pos[line - part.lo]))
-        column = self._move.gains[:, line]
-        if self.tracer.enabled:
-            blocked = int((column == BLOCKED_GAIN).sum())
-            if blocked:
-                self.tracer.inc("actions_blocked_by_constraint", blocked)
         if not self._expensive:
             choice = self._cheap_choice(line)
             return None if choice[3] == BLOCKED_GAIN else choice
-        choice, blocked = self._walk(line)
-        if blocked:
-            self.tracer.inc("actions_blocked_by_constraint", blocked)
-        return choice
+        return self._walk(line)
 
     def _choice(self, c: int, line: int, gain: float) -> Choice:
         part = self._move.part(line)
@@ -1174,14 +1149,13 @@ class GainEngine:
         c = int(column.argmax())
         return self._choice(c, line, float(column[c]))
 
-    def _walk(self, line: int) -> Tuple[Optional[Choice], int]:
+    def _walk(self, line: int) -> Optional[Choice]:
         """Candidates of one slot in descending-gain order, verified
-        against the consult-time constraints: the first unblocked one
-        (or ``None``) and how many were blocked before it."""
+        against the consult-time constraints: the first unblocked one,
+        or ``None``."""
         column = self._move.gains[:, line]
         kind, index = self._slot(line)
         state = self.state
-        blocked = 0
         for c in np.argsort(-column, kind="stable"):
             gain = float(column[c])
             if gain == BLOCKED_GAIN:
@@ -1191,10 +1165,9 @@ class GainEngine:
                 bool(state.member[c, line]), int(c),
                 state.row_member, state.col_member,
             ):
-                blocked += 1
                 continue
-            return self._choice(int(c), line, gain), blocked
-        return None, blocked
+            return self._choice(int(c), line, gain)
+        return None
 
     # -- ordering: per-slot best-gain estimates -------------------------
     def ordering_gains(self, slots: Sequence[Tuple[str, int]]) -> List[float]:

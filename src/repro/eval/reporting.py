@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_records", "format_series", "format_histogram"]
+__all__ = ["format_table", "format_records", "format_series"]
 
 
 def _render_cell(value: object, precision: int) -> str:
@@ -70,35 +70,6 @@ def format_records(
             raise KeyError(f"record missing columns: {missing}")
         rows.append([record[c] for c in columns])
     return format_table(rows, columns, title, precision)
-
-
-def format_histogram(
-    edges: Sequence[float],
-    counts: Sequence[int],
-    title: Optional[str] = None,
-    width: int = 40,
-    precision: int = 3,
-) -> str:
-    """Render a bucketed histogram as aligned rows with ASCII bars.
-
-    ``edges`` must have ``len(counts) + 1`` entries (shared bucket
-    edges).  Bars scale so the fullest bucket spans ``width`` columns;
-    an all-zero histogram renders empty bars rather than dividing by
-    zero.
-    """
-    if len(edges) != len(counts) + 1:
-        raise ValueError(
-            f"edges has {len(edges)} entries, expected {len(counts) + 1}"
-        )
-    peak = max(counts) if counts else 0
-    rows = []
-    for i, count in enumerate(counts):
-        label = f"[{edges[i]:.{precision}g}, {edges[i + 1]:.{precision}g})"
-        if i == len(counts) - 1:
-            label = label[:-1] + "]"
-        bar = "#" * (round(width * count / peak) if peak else 0)
-        rows.append([label, count, bar])
-    return format_table(rows, headers=["bucket", "count", ""], title=title)
 
 
 def format_series(

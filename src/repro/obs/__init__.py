@@ -5,7 +5,7 @@ Every piece is optional and zero-cost when not requested:
 * :mod:`repro.obs.tracer` -- the :class:`Tracer` handle threaded through
   :func:`repro.core.floc.floc` and friends (spans + typed events);
 * :mod:`repro.obs.events` -- the typed event vocabulary
-  (:class:`IterationEvent`, :class:`ActionEvent`, :class:`SeedEvent`,
+  (:class:`IterationEvent`, :class:`SeedEvent`,
   plus the runtime's :class:`TaskEvent` / :class:`RetryEvent` /
   :class:`FaultEvent`) and the record-field readers its consumers share;
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms with a
@@ -13,7 +13,7 @@ Every piece is optional and zero-cost when not requested:
 * :mod:`repro.obs.sinks` -- ring buffer, JSONL writer and console
   progress reporter;
 * :mod:`repro.obs.analysis` -- trace analytics: typed per-sweep /
-  per-cluster / per-slot aggregates over recorded traces, wave/task
+  per-cluster aggregates over recorded traces, wave/task
   timelines with straggler detection for runtime traces, plus
   twinned-run diffing (``repro analyze-trace`` / ``repro diff-traces``);
 * :mod:`repro.obs.session` -- cross-process session traces for the
@@ -36,13 +36,13 @@ from .._lazy import lazy_exports
 
 _resolve, __dir__ = lazy_exports(__name__, {
     ".analysis": (
-        "ClusterStats", "GainHistogram", "IterationDelta", "ProcessStats",
-        "ResourceStats", "SessionAnalysis", "SlotStats", "SweepStats",
+        "ClusterDecision", "ClusterStats", "IterationDelta", "ProcessStats",
+        "ResourceStats", "SessionAnalysis", "SweepStats",
         "TaskRun", "TraceAnalysis", "TraceDiff", "UnpairedIteration", "WaveStats",
         "analyze_records", "analyze_trace", "diff_traces",
     ),
     ".events": (
-        "EVENT_TYPES", "ActionEvent", "FaultEvent", "IterationEvent",
+        "EVENT_TYPES", "FaultEvent", "IterationEvent",
         "ResourceEvent", "RetryEvent", "SeedEvent", "TaskEvent", "TraceEvent",
         "event_fields",
     ),
@@ -62,14 +62,13 @@ _resolve, __dir__ = lazy_exports(__name__, {
 })
 
 __all__ = [
-    "ActionEvent",
+    "ClusterDecision",
     "ClusterStats",
     "ConsoleProgressSink",
     "Counter",
     "EVENT_TYPES",
     "FaultEvent",
     "Gauge",
-    "GainHistogram",
     "Histogram",
     "IterationDelta",
     "IterationEvent",
@@ -85,7 +84,6 @@ __all__ = [
     "SessionAnalysis",
     "SessionTrace",
     "Sink",
-    "SlotStats",
     "Span",
     "SweepStats",
     "TaskEvent",

@@ -1,21 +1,20 @@
 """Trace analytics: typed aggregates over recorded FLOC event streams.
 
-PR 1 taught FLOC to *emit* structured traces (``SeedEvent`` /
-``ActionEvent`` / ``IterationEvent`` streams, see
-:mod:`repro.obs.events`); this module is the consumption side.  It
-parses a recorded trace -- a list of flat record dicts, typically from
-:func:`repro.obs.sinks.read_jsonl` -- into typed aggregates:
+FLOC emits one ``seed`` record per seed and one ``iteration`` record per
+Phase-2 sweep (:mod:`repro.obs.events`); this module is the consumption
+side.  It parses a recorded trace -- a list of flat record dicts,
+typically from :func:`repro.obs.sinks.read_jsonl` -- into typed
+aggregates:
 
-* per **sweep** (one Phase-2 iteration): action counts split by
-  kind/direction, gain sums, membership churn (admissions vs
-  evictions), residue/score/volume straight off the ``iteration``
-  event, and a wall-time breakdown by span name when the trace was
-  recorded with ``emit_spans=True``;
-* per **cluster**: seed/reseed counts, action totals, gain sums, and
-  the last residue/volume the stream reported;
-* per **slot** ``(kind, cluster)``: the gain distribution of every
-  action that hit the slot, with a shared-edge histogram so slots are
-  comparable -- the input the ROADMAP's adaptive-ordering work needs;
+* per **sweep** (one Phase-2 iteration): residue/score/volume and the
+  action count straight off the ``iteration`` record, the prefix the
+  sweep kept (``n_adopted``), the net lines it admitted and evicted, its
+  gain sum, one :class:`ClusterDecision` per cluster it acted on, and a
+  wall-time breakdown by span name when the trace was recorded with
+  ``emit_spans=True``;
+* per **cluster**: seed/reseed counts, action totals, gain sums, the
+  net lines its sweeps admitted and evicted, and the last residue/volume
+  the stream reported;
 * per **session** (one ``restart``/``trial`` context): the residue
   trajectory and sweep list, so one multi-restart JSONL file analyzes
   into separable runs.
@@ -23,10 +22,8 @@ parses a recorded trace -- a list of flat record dicts, typically from
 Everything here is pure and deterministic: the same trace produces the
 same :meth:`TraceAnalysis.to_dict` -- byte-identical once serialized
 with ``json.dumps(..., sort_keys=True)`` -- because no wall clock, RNG,
-or environment is consulted.  Consistency between the action stream and
-the ``iteration`` events (``n_actions`` must equal the actions observed
-in the sweep) is *checked*, not assumed; mismatches (e.g. a ring-buffer
-capture that dropped old records) surface in ``warnings``.
+or environment is consulted.  Record types it does not know (``action``
+records of older traces among them) are counted and otherwise ignored.
 
 :func:`diff_traces` aligns the ``iteration`` events of two twinned
 sessions -- same seed, same workload, one knob changed (canonically
@@ -43,13 +40,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .events import EVENT_TYPES, _as_float, _as_int
+from .events import _as_float, _as_int
 from .sinks import read_jsonl
 
 __all__ = [
     "DEFAULT_STRAGGLER_FACTOR",
-    "GainHistogram",
-    "SlotStats",
+    "ClusterDecision",
     "ClusterStats",
     "SweepStats",
     "SessionAnalysis",
@@ -79,81 +75,14 @@ _SESSION_KEYS: Tuple[str, ...] = ("trial", "restart", "attempt")
 #: elapsed time exceeds this multiple of its wave's median.
 DEFAULT_STRAGGLER_FACTOR = 2.0
 
-#: Number of buckets in the shared-edge gain histograms.
-_GAIN_BINS = 8
-
-
-@dataclass
-class GainHistogram:
-    """Bucketed gain counts; ``edges`` has ``len(counts) + 1`` entries."""
-
-    edges: List[float]
-    counts: List[int]
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"edges": list(self.edges), "counts": list(self.counts)}
-
-
-def _histogram(values: Sequence[float], lo: float, hi: float) -> GainHistogram:
-    """Fixed-edge histogram over ``[lo, hi]`` with ``_GAIN_BINS`` buckets.
-
-    Pure-python binning (no numpy) so the result is platform-stable and
-    trivially deterministic.  Degenerate ranges collapse to one bucket.
-    """
-    if not values or hi <= lo:
-        edges = [lo, hi if hi > lo else lo]
-        return GainHistogram(edges=edges, counts=[len(values)])
-    width = (hi - lo) / _GAIN_BINS
-    counts = [0] * _GAIN_BINS
-    for value in values:
-        index = int((value - lo) / width)
-        if index >= _GAIN_BINS:
-            index = _GAIN_BINS - 1
-        elif index < 0:
-            index = 0
-        counts[index] += 1
-    edges = [lo + i * width for i in range(_GAIN_BINS)] + [hi]
-    return GainHistogram(edges=edges, counts=counts)
-
-
-@dataclass
-class SlotStats:
-    """Gain telemetry for one ``(kind, cluster)`` action slot."""
-
-    kind: str
-    cluster: int
-    actions: int = 0
-    admissions: int = 0
-    evictions: int = 0
-    gain_sum: float = 0.0
-    gain_min: float = 0.0
-    gain_max: float = 0.0
-    histogram: Optional[GainHistogram] = None
-
-    @property
-    def gain_mean(self) -> float:
-        return self.gain_sum / self.actions if self.actions else 0.0
-
-    def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
-            "kind": self.kind,
-            "cluster": self.cluster,
-            "actions": self.actions,
-            "admissions": self.admissions,
-            "evictions": self.evictions,
-            "gain_sum": self.gain_sum,
-            "gain_mean": self.gain_mean,
-            "gain_min": self.gain_min,
-            "gain_max": self.gain_max,
-        }
-        if self.histogram is not None:
-            out["histogram"] = self.histogram.to_dict()
-        return out
-
-
 @dataclass
 class ClusterStats:
-    """Lifetime view of one cluster slot across the whole trace."""
+    """Lifetime view of one cluster slot across the whole trace.
+
+    ``actions`` and ``gain_sum`` count every performed toggle;
+    ``admissions`` and ``evictions`` count the lines the sweeps left
+    admitted and evicted (net of toggles a sweep undid or rolled back).
+    """
 
     cluster: int
     seeds: int = 0
@@ -180,14 +109,49 @@ class ClusterStats:
 
 
 @dataclass
-class SweepStats:
-    """One Phase-2 sweep: the ``iteration`` event plus its action stream.
+class ClusterDecision:
+    """What one sweep did to one cluster: its ``clusters`` entry.
 
-    The event-sourced fields (``residue`` ... ``elapsed_s``) are copied
-    verbatim from the ``iteration`` record; the derived fields are
-    recomputed from the ``action`` records observed since the previous
-    sweep.  ``actions_observed`` equalling ``n_actions`` is the
-    stream-consistency contract :func:`analyze_records` checks.
+    ``rows_in`` ... ``cols_out`` count the lines whose membership the
+    sweep left changed (0 after a rollback); ``residue_before`` is the
+    cluster's residue at the sweep start, ``residue`` and ``volume``
+    after the sweep kept its prefix or rolled back.
+    """
+
+    cluster: int
+    actions: int
+    gain_sum: float
+    rows_in: int
+    rows_out: int
+    cols_in: int
+    cols_out: int
+    residue_before: float
+    residue: float
+    volume: int
+
+    def to_dict(self) -> Dict[str, object]:
+        return {
+            "cluster": self.cluster,
+            "actions": self.actions,
+            "gain_sum": self.gain_sum,
+            "rows_in": self.rows_in,
+            "rows_out": self.rows_out,
+            "cols_in": self.cols_in,
+            "cols_out": self.cols_out,
+            "residue_before": self.residue_before,
+            "residue": self.residue,
+            "volume": self.volume,
+        }
+
+
+@dataclass
+class SweepStats:
+    """One Phase-2 sweep, read off its ``iteration`` record.
+
+    ``residue`` ... ``n_adopted`` are copied verbatim; ``decisions``
+    are the record's per-cluster entries, and ``admissions`` /
+    ``evictions`` / ``gain_sum`` / ``clusters_touched`` total them, so
+    admissions and evictions are the net line changes the sweep kept.
     """
 
     index: int
@@ -197,19 +161,30 @@ class SweepStats:
     n_actions: int
     improved: bool
     elapsed_s: float
-    actions_observed: int = 0
-    admissions: int = 0
-    evictions: int = 0
-    row_actions: int = 0
-    col_actions: int = 0
-    gain_sum: float = 0.0
-    clusters_touched: int = 0
+    n_adopted: int = 0
+    decisions: List[ClusterDecision] = field(default_factory=list)
     span_s: Dict[str, float] = field(default_factory=dict)
 
     @property
+    def admissions(self) -> int:
+        return sum(d.rows_in + d.cols_in for d in self.decisions)
+
+    @property
+    def evictions(self) -> int:
+        return sum(d.rows_out + d.cols_out for d in self.decisions)
+
+    @property
     def churn(self) -> int:
-        """Membership toggles this sweep (admissions + evictions)."""
+        """Net membership changes this sweep (admissions + evictions)."""
         return self.admissions + self.evictions
+
+    @property
+    def gain_sum(self) -> float:
+        return sum((d.gain_sum for d in self.decisions), 0.0)
+
+    @property
+    def clusters_touched(self) -> int:
+        return len(self.decisions)
 
     def to_dict(self) -> Dict[str, object]:
         out: Dict[str, object] = {
@@ -220,13 +195,12 @@ class SweepStats:
             "n_actions": self.n_actions,
             "improved": self.improved,
             "elapsed_s": self.elapsed_s,
-            "actions_observed": self.actions_observed,
+            "n_adopted": self.n_adopted,
             "admissions": self.admissions,
             "evictions": self.evictions,
-            "row_actions": self.row_actions,
-            "col_actions": self.col_actions,
             "gain_sum": self.gain_sum,
             "clusters_touched": self.clusters_touched,
+            "decisions": [d.to_dict() for d in self.decisions],
         }
         if self.span_s:
             out["span_s"] = dict(self.span_s)
@@ -239,7 +213,6 @@ class SessionAnalysis:
 
     key: Dict[str, object]
     sweeps: List[SweepStats] = field(default_factory=list)
-    dangling_actions: int = 0
 
     @property
     def residue_trajectory(self) -> List[float]:
@@ -247,7 +220,7 @@ class SessionAnalysis:
 
     @property
     def n_actions(self) -> int:
-        return sum(sweep.actions_observed for sweep in self.sweeps)
+        return sum(sweep.n_actions for sweep in self.sweeps)
 
     @property
     def improved_sweeps(self) -> int:
@@ -260,7 +233,6 @@ class SessionAnalysis:
             "residue_trajectory": self.residue_trajectory,
             "n_actions": self.n_actions,
             "improved_sweeps": self.improved_sweeps,
-            "dangling_actions": self.dangling_actions,
         }
 
 
@@ -365,7 +337,6 @@ class TraceAnalysis:
     event_counts: Dict[str, int]
     sessions: List[SessionAnalysis]
     clusters: List[ClusterStats]
-    slots: List[SlotStats]
     spans: Dict[str, Dict[str, float]]
     warnings: List[str]
     tasks: List[TaskRun] = field(default_factory=list)
@@ -379,7 +350,7 @@ class TraceAnalysis:
 
     @property
     def n_actions(self) -> int:
-        return self.event_counts.get("action", 0)
+        return sum(session.n_actions for session in self.sessions)
 
     @property
     def stragglers(self) -> List[TaskRun]:
@@ -390,12 +361,11 @@ class TraceAnalysis:
         """Plain nested dict; serialize with ``sort_keys=True`` for a
         byte-stable artifact (same trace -> same bytes)."""
         return {
-            "schema": 1,
+            "schema": 2,
             "n_records": self.n_records,
             "event_counts": dict(self.event_counts),
             "sessions": [session.to_dict() for session in self.sessions],
             "clusters": [cluster.to_dict() for cluster in self.clusters],
-            "slots": [slot.to_dict() for slot in self.slots],
             "spans": {name: dict(agg) for name, agg in self.spans.items()},
             "warnings": list(self.warnings),
             "tasks": [task.to_dict() for task in self.tasks],
@@ -435,11 +405,9 @@ def analyze_records(
 ) -> TraceAnalysis:
     """Aggregate an in-memory record stream into a :class:`TraceAnalysis`.
 
-    The stream is consumed in order: ``action`` (and emitted ``span``)
-    records accumulate per session until the session's next
-    ``iteration`` record closes the sweep.  Actions after the final
-    ``iteration`` of a session (an interrupted run) are reported as
-    ``dangling_actions`` rather than dropped silently.
+    The stream is consumed in order: each ``iteration`` record is one
+    sweep, and the ``span`` records emitted since the session's previous
+    sweep are its wall-time breakdown.
 
     Supervised-runtime streams additionally aggregate into a wave
     timeline (:class:`WaveStats`), terminal task attempts
@@ -449,14 +417,10 @@ def analyze_records(
     (:class:`ResourceStats`), and, for merged session traces, per-process
     record/span aggregates (:class:`ProcessStats`).
     """
-    known_types = set(EVENT_TYPES) | {"span", "trace_meta", "session_meta"}
     event_counts: Dict[str, int] = {}
     sessions: Dict[Tuple[object, ...], SessionAnalysis] = {}
-    pending_actions: Dict[Tuple[object, ...], List[Record]] = {}
     pending_spans: Dict[Tuple[object, ...], Dict[str, float]] = {}
     clusters: Dict[int, ClusterStats] = {}
-    slots: Dict[Tuple[str, int], SlotStats] = {}
-    slot_gains: Dict[Tuple[str, int], List[float]] = {}
     span_agg: Dict[str, Dict[str, float]] = {}
     warnings: List[str] = []
     tasks: List[TaskRun] = []
@@ -469,6 +433,12 @@ def analyze_records(
         found = sessions.get(key)
         if found is None:
             found = sessions[key] = SessionAnalysis(key=_key_dict(key))
+        return found
+
+    def cluster_stats(cluster_id: int) -> ClusterStats:
+        found = clusters.get(cluster_id)
+        if found is None:
+            found = clusters[cluster_id] = ClusterStats(cluster=cluster_id)
         return found
 
     for record in records:
@@ -493,52 +463,8 @@ def analyze_records(
         key = _session_key(record)
         session(key)
 
-        if kind == "action":
-            pending_actions.setdefault(key, []).append(record)
-            cluster_id = _as_int(record.get("cluster"))
-            gain = _as_float(record.get("gain"))
-            action_kind = str(record.get("kind", "row"))
-            is_removal = bool(record.get("is_removal", False))
-
-            cluster = clusters.get(cluster_id)
-            if cluster is None:
-                cluster = clusters[cluster_id] = ClusterStats(cluster=cluster_id)
-            cluster.actions += 1
-            cluster.gain_sum += gain
-            if is_removal:
-                cluster.evictions += 1
-            else:
-                cluster.admissions += 1
-            cluster.last_residue = _as_float(record.get("residue"))
-            cluster.last_volume = _as_int(record.get("volume"))
-
-            slot_key = (action_kind, cluster_id)
-            slot = slots.get(slot_key)
-            if slot is None:
-                slot = slots[slot_key] = SlotStats(
-                    kind=action_kind, cluster=cluster_id
-                )
-                slot_gains[slot_key] = []
-            slot.actions += 1
-            slot.gain_sum += gain
-            if is_removal:
-                slot.evictions += 1
-            else:
-                slot.admissions += 1
-            gains = slot_gains[slot_key]
-            if not gains:
-                slot.gain_min = gain
-                slot.gain_max = gain
-            else:
-                slot.gain_min = min(slot.gain_min, gain)
-                slot.gain_max = max(slot.gain_max, gain)
-            gains.append(gain)
-
-        elif kind == "seed":
-            cluster_id = _as_int(record.get("cluster"))
-            cluster = clusters.get(cluster_id)
-            if cluster is None:
-                cluster = clusters[cluster_id] = ClusterStats(cluster=cluster_id)
+        if kind == "seed":
+            cluster = cluster_stats(_as_int(record.get("cluster")))
             if record.get("origin") == "reseed":
                 cluster.reseeds += 1
             else:
@@ -563,7 +489,6 @@ def analyze_records(
             pending[name] = pending.get(name, 0.0) + elapsed
 
         elif kind == "iteration":
-            actions = pending_actions.pop(key, [])
             sweep = SweepStats(
                 index=_as_int(record.get("index")),
                 residue=_as_float(record.get("residue")),
@@ -572,29 +497,18 @@ def analyze_records(
                 n_actions=_as_int(record.get("n_actions")),
                 improved=bool(record.get("improved", False)),
                 elapsed_s=_as_float(record.get("elapsed_s")),
+                n_adopted=_as_int(record.get("n_adopted")),
+                decisions=_decisions(record.get("clusters")),
                 span_s=pending_spans.pop(key, {}),
             )
-            touched = set()
-            for action in actions:
-                sweep.actions_observed += 1
-                sweep.gain_sum += _as_float(action.get("gain"))
-                touched.add(_as_int(action.get("cluster")))
-                if bool(action.get("is_removal", False)):
-                    sweep.evictions += 1
-                else:
-                    sweep.admissions += 1
-                if str(action.get("kind", "row")) == "row":
-                    sweep.row_actions += 1
-                else:
-                    sweep.col_actions += 1
-            sweep.clusters_touched = len(touched)
-            if sweep.actions_observed != sweep.n_actions:
-                warnings.append(
-                    f"sweep {sweep.index} ({_key_dict(key) or 'no context'}): "
-                    f"iteration event reports n_actions={sweep.n_actions} but "
-                    f"{sweep.actions_observed} action record(s) observed "
-                    "(truncated or partial capture?)"
-                )
+            for decision in sweep.decisions:
+                cluster = cluster_stats(decision.cluster)
+                cluster.actions += decision.actions
+                cluster.gain_sum += decision.gain_sum
+                cluster.admissions += decision.rows_in + decision.cols_in
+                cluster.evictions += decision.rows_out + decision.cols_out
+                cluster.last_residue = decision.residue
+                cluster.last_volume = decision.volume
             session(key).sweeps.append(sweep)
 
         elif kind == "task":
@@ -626,29 +540,8 @@ def analyze_records(
                 user_cpu_s=_as_float(record.get("user_cpu_s")),
                 sys_cpu_s=_as_float(record.get("sys_cpu_s")),
             ))
-
-        elif kind not in known_types:
-            # Unknown event types are counted but otherwise ignored, so
-            # traces from newer emitters still analyze.
-            pass
-
-    for key, actions in sorted(
-        pending_actions.items(),
-        key=lambda item: tuple(_sort_token(part) for part in item[0]),
-    ):
-        if actions:
-            session(key).dangling_actions = len(actions)
-            warnings.append(
-                f"{len(actions)} action record(s) after the last iteration "
-                f"event ({_key_dict(key) or 'no context'}): interrupted run?"
-            )
-
-    # Shared-edge histograms across every slot so they are comparable.
-    all_gains = [gain for gains in slot_gains.values() for gain in gains]
-    if all_gains:
-        lo, hi = min(all_gains), max(all_gains)
-        for slot_key, slot in slots.items():
-            slot.histogram = _histogram(slot_gains[slot_key], lo, hi)
+        # Any other type is counted above and otherwise ignored, so
+        # older traces (``action`` records) and newer emitters analyze.
 
     ordered_sessions = [
         sessions[key]
@@ -658,7 +551,6 @@ def analyze_records(
         )
     ]
     ordered_clusters = [clusters[c] for c in sorted(clusters)]
-    ordered_slots = [slots[k] for k in sorted(slots)]
 
     # Wave timeline + straggler flags from the terminal task attempts.
     tasks.sort(key=lambda t: (t.wave, t.restart, t.attempt))
@@ -692,7 +584,6 @@ def analyze_records(
         event_counts=event_counts,
         sessions=ordered_sessions,
         clusters=ordered_clusters,
-        slots=ordered_slots,
         spans={name: span_agg[name] for name in sorted(span_agg)},
         warnings=warnings,
         tasks=tasks,
@@ -702,6 +593,34 @@ def analyze_records(
             process_stats[name] for name in sorted(process_stats)
         ],
     )
+
+
+def _decisions(entries: object) -> List[ClusterDecision]:
+    """The typed ``clusters`` entries of an ``iteration`` record (none
+    for a record that predates them or holds no list)."""
+    if not isinstance(entries, list):
+        return []
+
+    def lines(entry: Record, name: str) -> int:
+        value = entry.get(name)
+        return len(value) if isinstance(value, list) else 0
+
+    return [
+        ClusterDecision(
+            cluster=_as_int(entry.get("cluster")),
+            actions=_as_int(entry.get("actions")),
+            gain_sum=_as_float(entry.get("gain_sum")),
+            rows_in=lines(entry, "rows_in"),
+            rows_out=lines(entry, "rows_out"),
+            cols_in=lines(entry, "cols_in"),
+            cols_out=lines(entry, "cols_out"),
+            residue_before=_as_float(entry.get("residue_before")),
+            residue=_as_float(entry.get("residue")),
+            volume=_as_int(entry.get("volume")),
+        )
+        for entry in entries
+        if isinstance(entry, dict)
+    ]
 
 
 def analyze_trace(

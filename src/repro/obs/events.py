@@ -2,25 +2,26 @@
 
 Every record a :class:`~repro.obs.tracer.Tracer` hands to its sinks is a
 plain ``dict`` with a ``type`` key; the dataclasses here are the typed
-constructors for the domain events (iteration, action, seed) so call
-sites cannot misspell a field.  Span timings are emitted as ``"span"``
-records by the tracer itself (see :class:`~repro.obs.tracer.Span`).
+constructors for the domain events (iteration, seed, and the supervised
+runtime's) so call sites cannot misspell a field.  Span timings are
+emitted as ``"span"`` records by the tracer itself (see
+:class:`~repro.obs.tracer.Span`).
 
 The payloads mirror what the paper reports per iteration (Tables 1-5,
-Figs 8-10): residue trajectory, volumes, action gains, seed shapes --
-so a trace is a machine-readable convergence record rather than an
-opaque end-of-run aggregate.
+Figs 8-10): residue trajectory, volumes, seed shapes and, per sweep,
+which lines each cluster admitted and evicted -- so a trace is a
+machine-readable convergence record rather than an opaque end-of-run
+aggregate.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Optional, Type
 
 __all__ = [
     "TraceEvent",
     "IterationEvent",
-    "ActionEvent",
     "SeedEvent",
     "TaskEvent",
     "RetryEvent",
@@ -55,13 +56,23 @@ class TraceEvent:
 
 @dataclass(frozen=True)
 class IterationEvent(TraceEvent):
-    """One Phase-2 iteration completed.
+    """One Phase-2 iteration (sweep) completed.
 
     ``residue`` is the average residue of the best clustering after the
     iteration -- by construction identical to the corresponding entry of
     :attr:`repro.core.floc.FlocResult.history`.  ``score`` is the raw
     objective value (equal to ``residue`` in paper-literal mode, the
-    feasibility-weighted volume score in r-residue mode).
+    feasibility-weighted volume score in r-residue mode).  The sweep
+    performed ``n_actions`` toggles and kept the first ``n_adopted`` of
+    them (its best prefix; 0 when it rolled back).
+
+    ``clusters`` holds one entry per cluster the sweep acted on, in
+    ascending cluster order: ``cluster``; ``actions`` and ``gain_sum``
+    over its performed toggles; ``rows_in``/``rows_out``/``cols_in``/
+    ``cols_out``, the sorted line indices whose membership the sweep
+    left changed (empty after a rollback); ``residue_before`` at the
+    sweep start; and ``residue``/``volume`` after the sweep kept its
+    prefix or rolled back.
     """
 
     type: str = "iteration"
@@ -72,24 +83,8 @@ class IterationEvent(TraceEvent):
     n_actions: int = 0
     improved: bool = False
     elapsed_s: float = 0.0
-
-
-@dataclass(frozen=True)
-class ActionEvent(TraceEvent):
-    """One membership toggle was performed.
-
-    ``gain`` is the gain that selected the action; ``residue`` and
-    ``volume`` describe the acted cluster *after* the toggle.
-    """
-
-    type: str = "action"
-    kind: str = "row"
-    index: int = 0
-    cluster: int = 0
-    is_removal: bool = False
-    gain: float = 0.0
-    residue: float = 0.0
-    volume: int = 0
+    n_adopted: int = 0
+    clusters: List[Dict[str, object]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -186,7 +181,6 @@ class ResourceEvent(TraceEvent):
 #: (``"span"``) and from unknown types emitted by newer producers.
 EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
     "iteration": IterationEvent,
-    "action": ActionEvent,
     "seed": SeedEvent,
     "task": TaskEvent,
     "retry": RetryEvent,

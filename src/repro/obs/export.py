@@ -57,16 +57,15 @@ def chrome_trace(records: List[Dict[str, object]]) -> Dict[str, object]:
 
     Timestamps are microseconds relative to the earliest stamped record
     (Chrome's ``ts`` unit); durations come from each record's
-    ``elapsed_s``.  Per-action records are deliberately skipped (a run
-    emits thousands; they would swamp the viewer) and accounted for in
-    ``otherData``.
+    ``elapsed_s``.  Each ``iteration`` becomes one sweep slice whose
+    args carry its residue, volume, action count and adopted prefix;
+    its per-cluster ``clusters`` entries stay in the trace.
     """
     pids: Dict[str, int] = {}
     events: List[Dict[str, object]] = []
     dispatch_ts: Dict[Tuple[object, object], float] = {}
     wave_extent: Dict[int, List[float]] = {}
     wave_pid = 0
-    n_actions = 0
     n_unstamped = 0
     session = ""
 
@@ -91,9 +90,6 @@ def chrome_trace(records: List[Dict[str, object]]) -> Dict[str, object]:
         if kind in _SKIP_TYPES:
             if kind == "session_meta" and not session:
                 session = str(record.get("session", ""))
-            continue
-        if kind == "action":
-            n_actions += 1
             continue
         if not _is_number(record.get("ts")):
             n_unstamped += 1
@@ -125,6 +121,7 @@ def chrome_trace(records: List[Dict[str, object]]) -> Dict[str, object]:
                     "residue": record.get("residue"),
                     "total_volume": record.get("total_volume"),
                     "n_actions": record.get("n_actions"),
+                    "n_adopted": record.get("n_adopted"),
                     "improved": record.get("improved"),
                 },
             })
@@ -192,7 +189,6 @@ def chrome_trace(records: List[Dict[str, object]]) -> Dict[str, object]:
         "otherData": {
             "session": session,
             "n_records": len(records),
-            "n_actions_skipped": n_actions,
             "n_unstamped_skipped": n_unstamped,
         },
     }
@@ -301,6 +297,13 @@ def _any_value(value: object) -> Dict[str, object]:
         return {"doubleValue": value}
     if isinstance(value, str):
         return {"stringValue": value}
+    if isinstance(value, list):  # e.g. an iteration's ``clusters``
+        return {"arrayValue": {"values": [_any_value(v) for v in value]}}
+    if isinstance(value, dict):
+        return {"kvlistValue": {"values": [
+            {"key": str(key), "value": _any_value(v)}
+            for key, v in value.items()
+        ]}}
     return {"stringValue": str(_jsonable(value))}
 
 

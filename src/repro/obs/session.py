@@ -68,7 +68,9 @@ __all__ = [
 ]
 
 #: Schema version stamped into ``trace_meta`` / ``session_meta`` records.
-TRACE_SCHEMA = 1
+#: 2: one ``iteration`` record per sweep carries its per-cluster
+#: decisions, and no ``action`` records are written.
+TRACE_SCHEMA = 2
 
 #: Subdirectory of the run dir holding every per-process trace shard.
 TRACES_DIRNAME = "traces"

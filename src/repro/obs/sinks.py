@@ -26,7 +26,7 @@ from collections import deque
 from pathlib import Path
 from typing import Dict, IO, List, Optional, Union
 
-from .events import _is_number
+from .events import _as_int, _is_number
 
 __all__ = [
     "Sink",
@@ -179,8 +179,8 @@ class ConsoleProgressSink(Sink):
     """Human-readable progress lines on a text stream (stderr default).
 
     Prints one line per iteration event, plus compact notices for seeds
-    and restarts.  Action events are counted, not printed (a run can
-    perform thousands).
+    and restarts; the closing summary totals the seeds and the
+    iterations' ``n_actions``.
 
     Supervised-runtime events get the same treatment, so long
     ``repro mine --workers N --progress`` sessions narrate their
@@ -218,9 +218,7 @@ class ConsoleProgressSink(Sink):
         ):
             self._last_restart = restart
             self._print(f"-- restart {restart} --")
-        if kind == "action":
-            self._n_actions += 1
-        elif kind == "seed":
+        if kind == "seed":
             self._n_seeds += 1
             origin = record.get("origin", "phase1")
             if origin != "phase1":
@@ -229,6 +227,7 @@ class ConsoleProgressSink(Sink):
                     f"{record.get('n_rows')}x{record.get('n_cols')}"
                 )
         elif kind == "iteration":
+            self._n_actions += _as_int(record.get("n_actions"))
             improved = "+" if record.get("improved") else "="
             self._print(
                 f"  iter {record.get('index'):>3} [{improved}] "

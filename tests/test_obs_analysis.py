@@ -1,10 +1,11 @@
 """Trace analytics: aggregates must agree exactly with the source events.
 
-The acceptance contract: per-sweep action counts and gain sums derived by
-:func:`repro.obs.analysis.analyze_records` match the ``IterationEvent``
-fields and raw ``ActionEvent`` stream exactly, the residue trajectory is
-the run's ``history`` verbatim, and the whole analysis is deterministic
-(same trace -> byte-identical serialized output).  ``diff_traces`` is
+The acceptance contract: the per-sweep and per-cluster figures derived
+by :func:`repro.obs.analysis.analyze_records` match the raw
+``IterationEvent`` records and their per-cluster entries exactly, the
+residue trajectory is the run's ``history`` verbatim, and the whole
+analysis is deterministic (same trace -> byte-identical serialized
+output).  ``diff_traces`` is
 exercised on real twinned exact-vs-fast runs and on synthetic streams
 with known divergence.
 """
@@ -25,7 +26,6 @@ from repro.obs import (
     analyze_trace,
     diff_traces,
 )
-from repro.obs.analysis import _histogram
 
 pytestmark = pytest.mark.obs
 
@@ -65,10 +65,19 @@ class TestAgainstRealRuns:
         assert analysis.warnings == []
         sweeps = [s for sess in analysis.sessions for s in sess.sweeps]
         assert sweeps, "run produced no sweeps"
-        for sweep in sweeps:
-            assert sweep.actions_observed == sweep.n_actions
-            assert sweep.admissions + sweep.evictions == sweep.n_actions
-            assert sweep.row_actions + sweep.col_actions == sweep.n_actions
+        raw = [r for r in records if r.get("type") == "iteration"]
+        assert [s.n_actions for s in sweeps] == [r["n_actions"] for r in raw]
+        assert [s.n_adopted for s in sweeps] == [r["n_adopted"] for r in raw]
+        for sweep, record in zip(sweeps, raw):
+            entries = record["clusters"]
+            assert sum(d.actions for d in sweep.decisions) == sweep.n_actions
+            assert sweep.clusters_touched == len(entries)
+            assert sweep.admissions == sum(
+                len(e["rows_in"]) + len(e["cols_in"]) for e in entries
+            )
+            assert sweep.evictions == sum(
+                len(e["rows_out"]) + len(e["cols_out"]) for e in entries
+            )
 
     def test_residue_trajectory_matches_history(self, run):
         result, records = run
@@ -76,41 +85,45 @@ class TestAgainstRealRuns:
         [session] = analysis.sessions
         assert session.residue_trajectory == result.history
 
-    def test_gain_sums_match_action_stream(self, run):
+    def test_gain_sums_match_sweep_records(self, run):
         _, records = run
         analysis = analyze_records(records)
         raw_gain = sum(
-            r["gain"] for r in records if r.get("type") == "action"
+            entry["gain_sum"]
+            for r in records if r.get("type") == "iteration"
+            for entry in r["clusters"]
         )
         sweep_gain = sum(
             s.gain_sum for sess in analysis.sessions for s in sess.sweeps
         )
-        slot_gain = sum(slot.gain_sum for slot in analysis.slots)
         cluster_gain = sum(c.gain_sum for c in analysis.clusters)
         assert sweep_gain == pytest.approx(raw_gain, abs=1e-12)
-        assert slot_gain == pytest.approx(raw_gain, abs=1e-12)
         assert cluster_gain == pytest.approx(raw_gain, abs=1e-12)
 
     def test_event_counts_match_raw_stream(self, run):
-        _, records = run
+        result, records = run
         analysis = analyze_records(records)
         assert analysis.n_records == len(records)
-        for kind in ("seed", "action", "iteration"):
+        for kind in ("seed", "iteration"):
             expected = sum(1 for r in records if r.get("type") == kind)
             assert analysis.event_counts.get(kind, 0) == expected
-        assert analysis.n_actions == analysis.event_counts.get("action", 0)
+        assert analysis.n_actions == result.n_actions
 
-    def test_slot_histograms_account_for_every_action(self, run):
-        _, records = run
+    def test_cluster_actions_account_for_every_action(self, run):
+        result, records = run
         analysis = analyze_records(records)
-        for slot in analysis.slots:
-            assert slot.histogram is not None
-            assert sum(slot.histogram.counts) == slot.actions
-            assert slot.gain_min <= slot.gain_mean <= slot.gain_max
-        # Shared edges: every slot histogram spans the same range.
-        edges = {tuple(s.histogram.edges[:1] + s.histogram.edges[-1:])
-                 for s in analysis.slots}
-        assert len(edges) == 1
+        assert sum(c.actions for c in analysis.clusters) == result.n_actions
+        # Admissions and evictions are the net changes the sweeps kept.
+        kept = [
+            (e["cluster"], len(e["rows_in"]) + len(e["cols_in"]),
+             len(e["rows_out"]) + len(e["cols_out"]))
+            for r in records if r.get("type") == "iteration"
+            for e in r["clusters"]
+        ]
+        for cluster in analysis.clusters:
+            mine = [k for k in kept if k[0] == cluster.cluster]
+            assert cluster.admissions == sum(k[1] for k in mine)
+            assert cluster.evictions == sum(k[2] for k in mine)
 
     def test_cluster_seed_counts(self, run):
         _, records = run
@@ -186,35 +199,21 @@ class TestHandBuiltStreams:
         }
 
     @staticmethod
-    def action(cluster=0, kind="row", gain=1.0, is_removal=False, **extra):
+    def entry(cluster=0, actions=1, gain_sum=1.0, rows_in=(), rows_out=(),
+              cols_in=(), cols_out=()):
         return {
-            "type": "action", "kind": kind, "index": 0, "cluster": cluster,
-            "is_removal": is_removal, "gain": gain, "residue": 1.0,
-            "volume": 9, **extra,
+            "cluster": cluster, "actions": actions, "gain_sum": gain_sum,
+            "rows_in": list(rows_in), "rows_out": list(rows_out),
+            "cols_in": list(cols_in), "cols_out": list(cols_out),
+            "residue_before": 2.0, "residue": 1.0, "volume": 9,
         }
-
-    def test_count_mismatch_warns(self):
-        records = [self.action(), self.iteration(0, 1.0, n_actions=3)]
-        analysis = analyze_records(records)
-        assert len(analysis.warnings) == 1
-        assert "n_actions=3" in analysis.warnings[0]
-
-    def test_dangling_actions_warn(self):
-        records = [
-            self.action(), self.iteration(0, 1.0, n_actions=1),
-            self.action(), self.action(),
-        ]
-        analysis = analyze_records(records)
-        [session] = analysis.sessions
-        assert session.dangling_actions == 2
-        assert any("after the last iteration" in w for w in analysis.warnings)
 
     def test_sessions_separated_by_context(self):
         records = [
-            self.action(restart=0),
-            self.iteration(0, 2.0, n_actions=1, restart=0),
-            self.action(restart=1),
-            self.iteration(0, 3.0, n_actions=1, restart=1),
+            self.iteration(0, 2.0, n_actions=1, restart=0,
+                           clusters=[self.entry()]),
+            self.iteration(0, 3.0, n_actions=1, restart=1,
+                           clusters=[self.entry()]),
         ]
         analysis = analyze_records(records)
         assert len(analysis.sessions) == 2
@@ -236,27 +235,34 @@ class TestHandBuiltStreams:
         assert len(analysis.warnings) == 1
 
     def test_churn_property(self):
-        records = [
-            self.action(is_removal=False),
-            self.action(is_removal=True),
-            self.iteration(0, 1.0, n_actions=2),
-        ]
+        records = [self.iteration(0, 1.0, n_actions=3, n_adopted=3, clusters=[
+            self.entry(0, actions=2, rows_in=[4]),
+            self.entry(1, actions=1, cols_out=[2]),
+        ])]
         [session] = analyze_records(records).sessions
         [sweep] = session.sweeps
         assert sweep.admissions == 1
         assert sweep.evictions == 1
         assert sweep.churn == 2
+        assert sweep.clusters_touched == 2
+        assert sweep.n_adopted == 3
 
-    def test_histogram_degenerate_range(self):
-        hist = _histogram([2.0, 2.0, 2.0], 2.0, 2.0)
-        assert hist.counts == [3]
-        assert len(hist.edges) == len(hist.counts) + 1
-
-    def test_histogram_binning(self):
-        hist = _histogram([0.0, 0.5, 1.0], 0.0, 1.0)
-        assert sum(hist.counts) == 3
-        assert hist.counts[0] == 1   # 0.0 in the first bucket
-        assert hist.counts[-1] == 1  # hi lands in the last bucket
+    def test_older_traces_still_analyze(self):
+        """A trace written before the sweep record carried its clusters:
+        ``action`` records are counted and ignored, and the sweeps read
+        as having no decisions."""
+        records = [
+            {"type": "action", "kind": "row", "index": 0, "cluster": 0,
+             "is_removal": False, "gain": 1.0, "residue": 1.0, "volume": 9},
+            self.iteration(0, 1.0, n_actions=1),
+        ]
+        analysis = analyze_records(records)
+        assert analysis.warnings == []
+        assert analysis.event_counts == {"action": 1, "iteration": 1}
+        [session] = analysis.sessions
+        [sweep] = session.sweeps
+        assert (sweep.n_actions, sweep.n_adopted, sweep.decisions) == (1, 0, [])
+        assert analysis.clusters == []
 
 
 class TestDiffTraces:
@@ -536,7 +542,7 @@ class TestWaveTimeline:
             self._task(2, "completed", 0, 5.0),
         ]
         payload = analyze_records(records).to_dict()
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert [w["index"] for w in payload["waves"]] == [0]
         assert [t["restart"] for t in payload["stragglers"]] == [2]
         assert payload["tasks"][0]["status"] == "completed"

@@ -55,7 +55,7 @@ def test_trace_and_progress_smoke(matrix_path, tmp_path, capsys):
     assert lines
     for line in lines:
         record = json.loads(line)
-        assert record["type"] in {"seed", "action", "iteration"}
+        assert record["type"] in {"seed", "iteration"}
 
 
 def test_trace_residues_match_history(matrix_path, tmp_path):
@@ -111,7 +111,8 @@ class TestAnalyzeTraceCommand:
         assert "session [restart=0]" in out
         assert "session [restart=1]" in out
         assert "per-cluster lifetime" in out
-        assert "gain histogram" in out
+        assert "session [restart=0]: decisions" in out
+        assert "residue before -> after" in out
 
     def test_json_output_is_byte_identical(self, trace_path, capsys):
         assert main(["analyze-trace", str(trace_path), "--json"]) == 0
@@ -120,19 +121,20 @@ class TestAnalyzeTraceCommand:
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["schema"] == 1
+        assert payload["schema"] == 2
         assert payload["warnings"] == []
-        # Per-sweep counts agree with the raw IterationEvent fields.
+        # Per-sweep figures agree with the raw IterationEvent fields.
         raw = read_jsonl(trace_path)
-        iteration_actions = [
-            r["n_actions"] for r in raw if r["type"] == "iteration"
+        iterations = [
+            (r["n_actions"], r["n_adopted"], len(r["clusters"]))
+            for r in raw if r["type"] == "iteration"
         ]
-        analyzed_actions = [
-            sweep["actions_observed"]
+        analyzed = [
+            (sweep["n_actions"], sweep["n_adopted"], len(sweep["decisions"]))
             for session in payload["sessions"]
             for sweep in session["sweeps"]
         ]
-        assert analyzed_actions == iteration_actions
+        assert analyzed == iterations
 
     def test_missing_file_is_usage_error(self, capsys):
         assert main(["analyze-trace", "/no/such/trace.jsonl"]) == 2
@@ -179,7 +181,7 @@ class TestDiffTracesCommand:
         assert main(["diff-traces", str(trace_path), str(empty)]) == 0
         out = capsys.readouterr().out
         assert "0 aligned iteration(s)" in out
-        assert "first divergence at iteration 0 (only in A)" in out
+        assert "first divergence at iteration 0 of [restart=0] (only in A)" in out
         assert "no divergence" not in out
         assert main([
             "diff-traces", str(empty), str(trace_path), "--json",

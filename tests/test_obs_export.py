@@ -19,23 +19,25 @@ pytestmark = pytest.mark.obs
 GOLDEN_DIR = Path(__file__).parent / "data"
 
 #: A hand-written merged session trace (collect_session output shape):
-#: one supervised restart with a seed, one action, one sweep, and worker
-#: resource telemetry.
+#: one supervised restart with a seed, one sweep that acted on one
+#: cluster, and worker resource telemetry.
 SESSION_RECORDS = [
     {"type": "session_meta", "schema": 1, "session": "feedc0de00000000",
-     "processes": ["supervisor", "worker:00000:00"], "n_records": 6,
+     "processes": ["supervisor", "worker:00000:00"], "n_records": 5,
      "skipped_shards": [], "corrupt_lines": {}},
     {"process": "supervisor", "seq": 0, "ts": 0.0, "type": "task",
      "restart": 0, "attempt": 0, "status": "dispatched", "wave": 0},
     {"process": "worker:00000:00", "seq": 0, "ts": 0.01, "type": "seed",
      "cluster": 0, "origin": "phase1", "restart": 0, "attempt": 0},
-    {"process": "worker:00000:00", "seq": 1, "ts": 0.02, "type": "action",
-     "kind": "row", "index": 3, "cluster": 0, "is_removal": False,
-     "gain": 1.5, "restart": 0, "attempt": 0},
-    {"process": "worker:00000:00", "seq": 2, "ts": 0.05, "type": "iteration",
+    {"process": "worker:00000:00", "seq": 1, "ts": 0.05, "type": "iteration",
      "index": 0, "residue": 1.25, "total_volume": 42, "n_actions": 3,
-     "improved": True, "elapsed_s": 0.04, "restart": 0, "attempt": 0},
-    {"process": "worker:00000:00", "seq": 3, "ts": 0.06, "type": "resource",
+     "improved": True, "elapsed_s": 0.04, "n_adopted": 2,
+     "clusters": [{"cluster": 0, "actions": 3, "gain_sum": 4.5,
+                   "rows_in": [3, 7], "rows_out": [], "cols_in": [],
+                   "cols_out": [1], "residue_before": 2.0, "residue": 1.25,
+                   "volume": 42}],
+     "restart": 0, "attempt": 0},
+    {"process": "worker:00000:00", "seq": 2, "ts": 0.06, "type": "resource",
      "restart": 0, "attempt": 0, "max_rss_kb": 1000.0, "user_cpu_s": 0.01,
      "sys_cpu_s": 0.002},
     {"process": "supervisor", "seq": 1, "ts": 0.08, "type": "task",
@@ -61,7 +63,6 @@ class TestChromeTrace:
         assert doc["otherData"] == {
             "session": "feedc0de00000000",
             "n_records": len(SESSION_RECORDS),
-            "n_actions_skipped": 1,
             "n_unstamped_skipped": 0,
         }
         for event in doc["traceEvents"]:
@@ -111,6 +112,7 @@ class TestChromeTrace:
         assert sweep["ts"] == 10000.0  # starts elapsed_s before its stamp
         assert sweep["dur"] == 40000.0
         assert sweep["args"]["residue"] == 1.25
+        assert (sweep["args"]["n_actions"], sweep["args"]["n_adopted"]) == (3, 2)
 
     def test_instants_carry_scope(self):
         doc = chrome_trace(SESSION_RECORDS)
@@ -119,11 +121,6 @@ class TestChromeTrace:
         for event in instants:
             assert event["s"] == "t"
             assert "type" not in event["args"]
-
-    def test_actions_skipped_not_rendered(self):
-        doc = chrome_trace(SESSION_RECORDS)
-        assert not any(e.get("cat") == "action" for e in doc["traceEvents"])
-        assert doc["otherData"]["n_actions_skipped"] == 1
 
     def test_timestamps_monotonic_in_event_order(self):
         doc = chrome_trace(SESSION_RECORDS)
@@ -232,9 +229,15 @@ class TestExportFiles:
             {"key": "service.name", "value": {"stringValue": "repro-floc"}},
         ]
         (scope_logs,) = resource_logs["scopeLogs"]
-        # Meta records are skipped: 6 real records remain.
-        assert len(scope_logs["logRecords"]) == 6
+        # Meta records are skipped: 5 real records remain.
+        assert len(scope_logs["logRecords"]) == 5
         bodies = [r["body"]["stringValue"] for r in scope_logs["logRecords"]]
-        assert bodies == [
-            "task", "seed", "action", "iteration", "resource", "task",
-        ]
+        assert bodies == ["task", "seed", "iteration", "resource", "task"]
+        # A sweep's cluster entries stay structured: an array of kvlists.
+        iteration = scope_logs["logRecords"][2]
+        attrs = {a["key"]: a["value"] for a in iteration["attributes"]}
+        [entry] = attrs["clusters"]["arrayValue"]["values"]
+        fields = {kv["key"]: kv["value"] for kv in entry["kvlistValue"]["values"]}
+        assert fields["rows_in"] == {"arrayValue": {"values": [
+            {"intValue": "3"}, {"intValue": "7"},
+        ]}}

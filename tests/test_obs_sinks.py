@@ -26,15 +26,15 @@ class TestRingBuffer:
     def test_keeps_newest_records(self):
         sink = RingBufferSink(capacity=3)
         for index in range(5):
-            sink.write({"type": "action", "index": index})
+            sink.write({"type": "iteration", "index": index})
         assert len(sink) == 3
         assert [r["index"] for r in sink.records] == [2, 3, 4]
 
     def test_by_type_filters(self):
         sink = RingBufferSink()
-        sink.write({"type": "action"})
+        sink.write({"type": "seed"})
         sink.write({"type": "iteration"})
-        assert len(sink.by_type("action")) == 1
+        assert len(sink.by_type("seed")) == 1
         sink.clear()
         assert sink.records == []
 
@@ -76,7 +76,7 @@ class TestJsonl:
         path = tmp_path / "trace.jsonl"
         sink = JsonlSink(path)
         for index in range(20):
-            sink.write({"type": "action", "index": index})
+            sink.write({"type": "iteration", "index": index})
         sink.close()
         with path.open() as stream:
             lines = [line for line in stream if line.strip()]
@@ -192,7 +192,6 @@ class TestConsoleProgress:
         sink = ConsoleProgressSink(stream=stream)
         sink.write({"type": "seed", "cluster": 0, "origin": "phase1",
                     "n_rows": 4, "n_cols": 3})
-        sink.write({"type": "action", "kind": "row", "index": 1})
         sink.write({"type": "iteration", "index": 0, "residue": 2.5,
                     "total_volume": 60, "n_actions": 12, "improved": True,
                     "elapsed_s": 0.05})
@@ -200,7 +199,7 @@ class TestConsoleProgress:
         output = stream.getvalue()
         assert "iter   0 [+] residue 2.5" in output
         assert "actions 12" in output
-        assert "1 seeds, 1 actions total" in output
+        assert "1 seeds, 12 actions total" in output
 
     def test_announces_restarts_and_reseeds(self):
         stream = io.StringIO()
@@ -216,12 +215,19 @@ class TestConsoleProgress:
         assert "reseed cluster 2: 5x4" in output
 
     def test_actions_counted_not_printed(self):
+        """The summary totals the sweeps' ``n_actions``; no action gets a
+        line of its own (an older trace's ``action`` records print
+        nothing)."""
         stream = io.StringIO()
         sink = ConsoleProgressSink(stream=stream)
-        for index in range(50):
-            sink.write({"type": "action", "kind": "row", "index": index})
+        sink.write({"type": "action", "kind": "row", "index": 0})
         assert stream.getvalue() == ""
+        for index in range(5):
+            sink.write({"type": "iteration", "index": index, "residue": 1.0,
+                        "total_volume": 10, "n_actions": 10,
+                        "improved": True, "elapsed_s": 0.0})
         sink.close()
+        assert stream.getvalue().count("\n") == 6
         assert "50 actions total" in stream.getvalue()
 
 
@@ -330,7 +336,7 @@ class TestWriteAfterClose:
         stream = io.StringIO()
         sink = ConsoleProgressSink(stream=stream)
         sink.close()
-        sink.write({"type": "action"})
+        sink.write({"type": "seed"})
 
     def test_file_sink_raises(self, tmp_path):
         sink = JsonlSink(tmp_path / "a.jsonl")

@@ -12,7 +12,6 @@ from repro.core.floc import floc
 from repro.data.synthetic import generate_embedded
 from repro.obs import (
     NULL_TRACER,
-    ActionEvent,
     IterationEvent,
     MetricsRegistry,
     JsonlSink,
@@ -151,16 +150,73 @@ class TestFlocTracing:
         assert [e["index"] for e in events] == list(range(len(events)))
         assert sum(e["n_actions"] for e in events) == result.n_actions
 
-    def test_seed_and_action_events_emitted(self, dataset):
+    def test_one_record_per_seed_and_per_sweep(self, dataset):
         sink = RingBufferSink(capacity=100000)
         result = floc(dataset.matrix, k=3, rng=5,
                       tracer=Tracer(sinks=[sink]))
         seeds = sink.by_type("seed")
         assert len(seeds) == 3
         assert all(s["origin"] == "phase1" for s in seeds)
-        actions = sink.by_type("action")
-        assert len(actions) == result.n_actions
-        assert {a["kind"] for a in actions} <= {"row", "col"}
+        assert len(sink.by_type("iteration")) == result.n_iterations
+        assert {r["type"] for r in sink.records} == {"seed", "iteration"}
+
+    @staticmethod
+    def _reseeding_run(dataset, **kwargs):
+        sink = RingBufferSink(capacity=100000)
+        result = floc(dataset.matrix, k=4, p=0.3, residue_target=2.0,
+                      reseed_rounds=3, rng=3, tracer=Tracer(sinks=[sink]),
+                      **kwargs)
+        return result, sink.records
+
+    @pytest.mark.parametrize("gain_mode", ["exact", "fast"])
+    def test_sweep_cluster_actions_sum_to_n_actions(self, dataset, gain_mode):
+        result, records = self._reseeding_run(dataset, gain_mode=gain_mode)
+        sweeps = [r for r in records if r["type"] == "iteration"]
+        assert sum(s["n_actions"] for s in sweeps) == result.n_actions
+        for sweep in sweeps:
+            entries = sweep["clusters"]
+            assert sum(e["actions"] for e in entries) == sweep["n_actions"]
+            ids = [e["cluster"] for e in entries]
+            assert ids == sorted(set(ids))
+            assert 0 <= sweep["n_adopted"] <= sweep["n_actions"]
+
+    @pytest.mark.parametrize("gain_mode", ["exact", "fast"])
+    def test_non_improving_sweeps_adopt_nothing(self, dataset, gain_mode):
+        _, records = self._reseeding_run(dataset, gain_mode=gain_mode)
+        sweeps = [r for r in records if r["type"] == "iteration"]
+        rolled_back = [s for s in sweeps if not s["improved"]]
+        assert rolled_back
+        for sweep in rolled_back:
+            assert sweep["n_adopted"] == 0
+            for entry in sweep["clusters"]:
+                assert entry["rows_in"] == entry["rows_out"] == []
+                assert entry["cols_in"] == entry["cols_out"] == []
+                assert entry["residue"] == entry["residue_before"]
+        assert any(s["n_adopted"] > 0 for s in sweeps if s["improved"])
+
+    @pytest.mark.parametrize("gain_mode", ["exact", "fast"])
+    def test_seeds_plus_sweep_diffs_replay_final_clusters(
+        self, dataset, gain_mode
+    ):
+        """The trace explains the clustering: each slot's latest seed
+        shape plus the net lines every later sweep admitted and evicted
+        gives every final cluster's row and column count."""
+        result, records = self._reseeding_run(dataset, gain_mode=gain_mode)
+        assert any(r.get("origin") == "reseed" for r in records)
+        sizes = {}
+        for record in records:
+            if record["type"] == "seed":
+                sizes[record["cluster"]] = [record["n_rows"], record["n_cols"]]
+            elif record["type"] == "iteration":
+                for entry in record["clusters"]:
+                    size = sizes[entry["cluster"]]
+                    size[0] += len(entry["rows_in"]) - len(entry["rows_out"])
+                    size[1] += len(entry["cols_in"]) - len(entry["cols_out"])
+        final = {
+            c: [len(cluster.rows), len(cluster.cols)]
+            for c, cluster in enumerate(result.clustering.clusters)
+        }
+        assert sizes == final
 
     def test_iteration_times_always_populated(self, dataset):
         result = floc(dataset.matrix, k=2, rng=1)
@@ -192,10 +248,18 @@ class TestEventTypes:
         assert "residue" not in record  # None fields dropped
         assert record["type"] == "seed"
 
-    def test_action_event_payload(self):
-        record = ActionEvent(kind="col", index=4, cluster=1, is_removal=True,
-                             gain=0.25, residue=1.5, volume=30).to_dict()
+    def test_iteration_event_payload(self):
+        entry = {
+            "cluster": 1, "actions": 2, "gain_sum": 0.5, "rows_in": [4],
+            "rows_out": [], "cols_in": [], "cols_out": [2],
+            "residue_before": 2.0, "residue": 1.5, "volume": 30,
+        }
+        record = IterationEvent(index=3, residue=1.5, score=1.5,
+                                total_volume=30, n_actions=2, improved=True,
+                                elapsed_s=0.125, n_adopted=2,
+                                clusters=[entry]).to_dict()
         assert record == {
-            "type": "action", "kind": "col", "index": 4, "cluster": 1,
-            "is_removal": True, "gain": 0.25, "residue": 1.5, "volume": 30,
+            "type": "iteration", "index": 3, "residue": 1.5, "score": 1.5,
+            "total_volume": 30, "n_actions": 2, "improved": True,
+            "elapsed_s": 0.125, "n_adopted": 2, "clusters": [entry],
         }

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.eval.reporting import (
-    format_histogram,
     format_records,
     format_series,
     format_table,
@@ -68,25 +67,3 @@ class TestFormatSeries:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="points"):
             format_series("x", [1, 2], {"y": [1.0]})
-
-
-class TestFormatHistogram:
-    def test_bars_scale_to_peak(self):
-        text = format_histogram([0.0, 1.0, 2.0], [2, 4], width=8)
-        lines = text.splitlines()
-        assert "####" in lines[-2]      # 2/4 of width 8
-        assert "########" in lines[-1]  # the peak bucket
-        assert "[0, 1)" in lines[-2]
-        assert "[1, 2]" in lines[-1]    # last bucket is closed
-
-    def test_all_zero_counts_render(self):
-        text = format_histogram([0.0, 1.0], [0])
-        assert "#" not in text
-
-    def test_title_shown(self):
-        text = format_histogram([0.0, 1.0], [3], title="gains")
-        assert text.splitlines()[0] == "gains"
-
-    def test_edge_count_validated(self):
-        with pytest.raises(ValueError, match="edges"):
-            format_histogram([0.0, 1.0], [1, 2])

@@ -83,7 +83,8 @@ class TestSessionTraceHappyPath:
             "worker:00000:00", "worker:00001:00", "worker:00002:00",
         ]
         types = {line["type"] for line in lines[1:]}
-        assert {"task", "seed", "action", "iteration", "resource"} <= types
+        assert {"task", "seed", "iteration", "resource"} <= types
+        assert "action" not in types
         # Total session order: aligned timestamps are non-decreasing.
         stamps = [line["ts"] for line in lines[1:]]
         assert stamps == sorted(stamps)
