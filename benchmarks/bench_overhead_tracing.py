@@ -1,17 +1,16 @@
 """Tracing overhead guard: the disabled tracer must cost < 5% of a run.
 
-FLOC's hot loops are permanently instrumented (spans around gain
-evaluation and performed actions, metric write paths).  With no tracer
-attached every one of those sites degenerates to a flag check or a
-shared no-op span, but "negligible" must be *measured*, not assumed --
-this bench reconstructs the disabled-path cost from first principles:
+FLOC's hot loops are permanently instrumented with spans (around each
+sweep scan of the gain engine and each performed action); typed events
+are emitted only under an ``if tracer.enabled`` guard, and FLOC writes
+no metric.  With no tracer attached every span degenerates to a shared
+no-op span, but "negligible" must be *measured*, not assumed -- this
+bench reconstructs the disabled-path cost from first principles:
 
 1. time the standard run (no tracer) -- min of several repeats;
-2. run once fully traced to count every span / metric call site the run
-   actually executes;
-3. micro-time each disabled operation (no-op span cycle, ``inc``,
-   ``observe`` on the null tracer);
-4. assert  (count x unit cost)  <  5% of the run time.
+2. run once traced to count every span the run actually opens;
+3. micro-time one disabled span cycle on the null tracer;
+4. assert  (spans x unit cost)  <  5% of the run time.
 
 The reconstruction is deliberately pessimistic: it charges every call
 site at its micro-benchmarked cost with no allowance for what the
@@ -24,8 +23,8 @@ import time
 
 from repro.core.floc import floc
 from repro.data.synthetic import generate_embedded
-from repro.obs import NULL_TRACER, IterationEvent, JsonlSink, \
-    MetricsRegistry, RingBufferSink, Tracer, WorkCounters
+from repro.obs import NULL_TRACER, JsonlSink, RingBufferSink, Tracer, \
+    WorkCounters
 
 
 def _standard_run(matrix, tracer=None, work=None):
@@ -67,47 +66,32 @@ def test_disabled_tracer_overhead_under_5_percent(report):
 
     run_time = _best_of(lambda: _standard_run(matrix))
 
-    # Count the instrumentation sites the run actually executes, and
-    # the deterministic work totals (machine-independent context the
-    # wall-clock numbers can be normalized against).
+    # Count the spans the run actually opens (the per-scan ``gain_eval``
+    # span included), and the deterministic work totals
+    # (machine-independent context the wall-clock numbers can be
+    # normalized against).
     work = WorkCounters()
     traced = _standard_run(
         matrix,
-        tracer=Tracer(sinks=[RingBufferSink(capacity=2_000_000)],
-                      metrics=MetricsRegistry()),
+        tracer=Tracer(sinks=[RingBufferSink(capacity=2_000_000)]),
         work=work,
     )
     spans = traced.trace_summary["spans"]
-    counters = traced.metrics["counters"]
     n_spans = sum(entry["count"] for entry in spans.values())
-    n_observes = spans.get("gain_eval", {"count": 0})["count"]
-    n_incs = counters.get("seeds_generated", 0)
 
-    # Disabled-path unit costs.
+    # Disabled-path unit cost.
     def span_cycle():
         with NULL_TRACER.span("gain_eval"):
             pass
 
-    event = IterationEvent(index=0, residue=1.0)
     span_cost = _unit_cost(span_cycle)
-    inc_cost = _unit_cost(lambda: NULL_TRACER.inc("x"))
-    observe_cost = _unit_cost(lambda: NULL_TRACER.observe("x", 1.0))
-    emit_cost = _unit_cost(lambda: NULL_TRACER.emit(event))
-
-    overhead = (
-        n_spans * span_cost
-        + n_observes * observe_cost
-        + n_incs * inc_cost
-    )
+    overhead = n_spans * span_cost
     fraction = overhead / run_time
 
     report("overhead_tracing", "\n".join([
         "disabled-tracer overhead reconstruction",
         f"standard run            : {run_time * 1e3:9.2f} ms",
         f"spans executed          : {n_spans:9d} x {span_cost * 1e9:6.1f} ns",
-        f"observe() calls         : {n_observes:9d} x {observe_cost * 1e9:6.1f} ns",
-        f"inc() calls             : {n_incs:9d} x {inc_cost * 1e9:6.1f} ns",
-        f"emit() unit cost        : {emit_cost * 1e9:9.1f} ns (guarded sites)",
         f"reconstructed overhead  : {overhead * 1e3:9.3f} ms "
         f"({100 * fraction:.2f}% of the run)",
         f"work (deterministic)    : {work.total()} units "
@@ -144,7 +128,7 @@ def test_exporter_sink_write_cost_within_budget(report):
     run_time = _best_of(lambda: _standard_run(matrix))
     ring = RingBufferSink(capacity=2_000_000)
     traced = _standard_run(
-        matrix, tracer=Tracer(sinks=[ring], metrics=MetricsRegistry()),
+        matrix, tracer=Tracer(sinks=[ring]),
     )
     n_records = sum(traced.trace_summary["events"].values())
     assert n_records == len(ring)

@@ -162,9 +162,11 @@ def _check_writable(
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
-def _traced(args: argparse.Namespace) -> bool:
-    """Whether ``mine``'s flags ask for a tracer."""
-    return bool(args.trace or args.progress or args.metrics)
+def _traced(args: argparse.Namespace, supervised: bool) -> bool:
+    """Whether ``mine``'s flags ask for a tracer: ``--trace`` or
+    ``--progress``, or ``--metrics`` on a supervised run (whose
+    ``runtime.*`` metrics the tracer's registry collects)."""
+    return bool(args.trace or args.progress or (args.metrics and supervised))
 
 
 def _build_tracer(
@@ -176,7 +178,7 @@ def _build_tracer(
     trace machinery records the supervisor shard itself, and the merged
     session trace is copied to the ``--trace`` path afterwards.
     """
-    if not _traced(args):
+    if not _traced(args, supervised):
         return None
     from .obs.metrics import MetricsRegistry
     from .obs.sinks import ConsoleProgressSink, JsonlSink
@@ -186,16 +188,21 @@ def _build_tracer(
         sinks.append(JsonlSink(args.trace))
     if args.progress:
         sinks.append(ConsoleProgressSink())
-    metrics = MetricsRegistry() if args.metrics else None
+    metrics = MetricsRegistry() if args.metrics and supervised else None
     if not sinks and metrics is None:
         return None
     return Tracer(sinks=sinks, metrics=metrics)
 
 
-def _print_metrics(snapshot: Dict[str, Any]) -> None:
-    rows = []
-    for name, value in snapshot["counters"].items():
-        rows.append([name, "counter", value])
+def _print_metrics(result: MiningResult) -> None:
+    """The ``--metrics`` table: a supervised run's ``runtime.*`` metrics
+    and one ``perf.<counter>`` row per nonzero field of ``result.work``."""
+    snapshot = result.metrics or {"counters": {}, "gauges": {}, "histograms": {}}
+    counters = dict(snapshot["counters"])
+    if result.work is not None:
+        counters.update((f"perf.{name}", value) for name, value in result.work
+                        if value)
+    rows = [[name, "counter", counters[name]] for name in sorted(counters)]
     for name, value in snapshot["gauges"].items():
         rows.append([name, "gauge", round(value, 6) if value is not None else ""])
     for name, hist in snapshot["histograms"].items():
@@ -234,8 +241,8 @@ def _print_mining_result(
         print(f"clusters written to {args.out}")
     if args.trace:
         print(f"trace written to {args.trace}")
-    if args.metrics and result.metrics is not None:
-        _print_metrics(result.metrics)
+    if args.metrics:
+        _print_metrics(result)
 
 
 def _mining_params(args: argparse.Namespace) -> Dict[str, Any]:
@@ -339,7 +346,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     # cost, not mining time.
     if supervised:
         from .runtime import RunConfig
-    if _traced(args):
+    if _traced(args, supervised):
         from .obs import events, metrics, sinks  # noqa: F401
         if supervised and args.trace:
             from .obs import session  # noqa: F401
@@ -357,8 +364,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
     except ParameterError as exc:
         raise _UsageError(f"invalid {_MINE_FLAGS[exc.name]}: {exc}") from None
     tracer = _build_tracer(args, supervised=supervised)
-    # --metrics also turns on work counting so the perf.* counters show
-    # up in the metrics table (counting is inert: --out is unchanged).
+    # --metrics turns on work counting: its table prints result.work as
+    # perf.* rows (counting is inert: --out is unchanged).  Supervised
+    # workers always count.
     work = WorkCounters() if args.metrics else None
     try:
         if supervised:
@@ -411,13 +419,13 @@ def build_parser() -> argparse.ArgumentParser:
                       help="root seed, the same on every path (default 0)")
     mine.add_argument("--out", default=None, help="write clusters here")
     mine.add_argument("--trace", default=None, metavar="PATH",
-                      help="write a JSONL trace (seed/action/iteration "
-                           "events) to PATH")
+                      help="write a JSONL trace (seed and per-sweep "
+                           "iteration events) to PATH")
     mine.add_argument("--progress", action="store_true",
                       help="print per-iteration progress to stderr")
     mine.add_argument("--metrics", action="store_true",
-                      help="collect and print run metrics "
-                           "(actions, gain-eval timings, residue)")
+                      help="print the run's work counters (perf.*) and, "
+                           "when supervised, its runtime.* metrics")
     runtime = mine.add_argument_group(
         "supervised runtime",
         "any of these flags runs restarts as checkpointed, retried tasks "

@@ -259,20 +259,6 @@ def _print_analysis(analysis: TraceAnalysis) -> None:
             precision=4,
         ))
 
-    if analysis.spans:
-        rows = [
-            [name, int(agg["count"]), agg["total_s"],
-             agg["total_s"] / agg["count"] if agg["count"] else 0.0]
-            for name, agg in analysis.spans.items()
-        ]
-        print()
-        print(format_table(
-            rows,
-            headers=["span", "count", "total_s", "mean_s"],
-            title="wall-time by span",
-            precision=5,
-        ))
-
     if analysis.waves:
         rows = [
             [w.index, w.completed, w.failed, w.retries, w.faults,

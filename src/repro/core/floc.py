@@ -58,7 +58,9 @@ for the derivation.
 
 The run is observable end to end: pass a :class:`repro.obs.Tracer` to
 stream per-seed and per-sweep events into sinks (JSONL, ring buffer,
-console progress) and collect metrics -- see ``docs/OBSERVABILITY.md``.
+console progress) and time its phases as named spans, and a
+:class:`~repro.obs.perf.counters.WorkCounters` to count its work -- see
+``docs/OBSERVABILITY.md``.
 A sweep's record says which lines each acted cluster admitted and
 evicted, so a trace answers why a clustering came out without a record
 per action.  All timing goes through the tracer clock; instrumentation
@@ -124,23 +126,20 @@ class FlocResult:
         improve (as opposed to hitting ``max_iterations``).
     n_actions:
         Total number of actions performed across all iterations.
-    metrics:
-        :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` of the
-        tracer's registry at the end of the run, or ``None`` when the run
-        was not traced with metrics.  Shared tracers (e.g. one handed to
-        :func:`repro.core.mining.mine_delta_clusters`) accumulate across
-        runs, so the snapshot is cumulative up to this run's end.
     trace_summary:
         :meth:`~repro.obs.tracer.Tracer.summary` (event counts, span
-        aggregates), or ``None`` for untraced runs.  Cumulative under a
-        shared tracer, like ``metrics``.
+        aggregates), or ``None`` for untraced runs.  A tracer shared
+        across runs (e.g. one handed to
+        :func:`repro.core.mining.mine_delta_clusters`) accumulates, so
+        the summary is cumulative up to this run's end.
     work:
         The :class:`~repro.obs.perf.counters.WorkCounters` the run
         counted into, or ``None`` when counting was not requested.
         Deterministic: bit-identical across runs at a fixed seed,
         wall-clock free.  When one counter object is shared across runs
         (e.g. a mining session accumulator), this is that shared,
-        cumulative object -- the same sharing semantics as ``metrics``.
+        cumulative object -- the same sharing semantics as
+        ``trace_summary``.
     """
 
     clustering: Clustering
@@ -151,7 +150,6 @@ class FlocResult:
     elapsed_seconds: float = 0.0
     converged: bool = True
     n_actions: int = 0
-    metrics: Optional[Dict[str, object]] = None
     trace_summary: Optional[Dict[str, object]] = None
     work: Optional[WorkCounters] = None
 
@@ -547,7 +545,6 @@ def _build_seeds(
     for attempt in range(100):
         if all(constraints.seed_ok(r, c) for r, c in candidates):
             return candidates
-        tracer.inc("seed_retries")
         candidates = [
             seed
             if constraints.seed_ok(*seed)
@@ -662,27 +659,26 @@ def floc(
         continue.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  When given, the run
-        emits span timings (``phase1``, ``gain_eval`` -- one per sweep
-        scan of :meth:`~repro.core.gain_engine.GainEngine.next_action`,
-        ``perform_action``, ``reseed``) and typed events
+        times its phases as spans (``phase1``, ``ordering``,
+        ``gain_eval`` -- one per sweep scan of
+        :meth:`~repro.core.gain_engine.GainEngine.next_action`,
+        ``perform_action``, ``reseed``), aggregated per name in
+        ``trace_summary``, and emits typed events
         (:class:`~repro.obs.events.SeedEvent` per seed,
         :class:`~repro.obs.events.IterationEvent` per sweep, with each
         acted cluster's admitted and evicted lines) to the tracer's
-        sinks, and updates its metrics registry (``actions_performed``,
-        ``gain_eval_ns``, ``residue_after_iteration``, ...).  Tracing
-        never draws random numbers, never reaches the gain engine and
-        never changes the result: the clustering, history, work counts
-        and RNG stream are bit-identical with and without it.  ``None``
-        (the default) uses the shared disabled tracer at zero cost.
+        sinks.  It writes no metric.  Tracing never draws random
+        numbers, never reaches the gain engine and never changes the
+        result: the clustering, history, work counts and RNG stream are
+        bit-identical with and without it.  ``None`` (the default) uses
+        the shared disabled tracer at zero cost.
     work:
         Optional :class:`~repro.obs.perf.counters.WorkCounters` the run
         accumulates its deterministic work counts into (residue
         evaluations, cells scanned, toggle evaluations, rollbacks that
-        change the state, ...).  Counting obeys the same invariant as
-        tracing -- it never draws random numbers and never changes the
-        result -- and its contribution is additionally mirrored into the
-        tracer's metrics registry as ``perf.*`` counters when both are
-        given.  Pass the same object
+        change the state, ...), returned as ``result.work``.  Counting
+        obeys the same invariant as tracing -- it never draws random
+        numbers and never changes the result.  Pass the same object
         across runs to accumulate a session total.  ``None`` (the
         default) disables counting entirely.
 
@@ -705,12 +701,9 @@ def floc(
     active = constraints if constraints is not None else Constraints()
     if tracer is None:
         tracer = NULL_TRACER
-    # Snapshot so only THIS run's contribution is mirrored into perf.*
-    # metrics, even when one counter object is shared across runs.
-    work_before = work.as_dict() if work is not None else None
 
     started = tracer.clock()
-    with tracer.span("phase1", k=k):
+    with tracer.span("phase1"):
         seed_list = _build_seeds(matrix, k, p, seeds, active, generator, tracer)
         if alpha > 0.0:
             seed_list = [
@@ -762,7 +755,7 @@ def floc(
         converged = round_converged
         if round_index == rounds - 1:
             break
-        with tracer.span("reseed", round=round_index):
+        with tracer.span("reseed"):
             reseeded = _reseed_dead_slots(
                 state, p, active, generator, residue_target, tracer, alpha=alpha
             )
@@ -777,16 +770,6 @@ def floc(
         clusters.append(DeltaCluster(rows, cols))
     clustering = Clustering(matrix, clusters)
     elapsed = tracer.clock() - started
-    if (
-        work is not None
-        and work_before is not None
-        and tracer.enabled
-        and tracer.metrics is not None
-    ):
-        for name, value in work:
-            delta = value - work_before[name]
-            if delta:
-                tracer.inc(f"perf.{name}", delta)
     return FlocResult(
         clustering=clustering,
         n_iterations=n_iterations,
@@ -796,7 +779,6 @@ def floc(
         elapsed_seconds=elapsed,
         converged=converged,
         n_actions=n_actions,
-        metrics=tracer.snapshot_metrics() if tracer.enabled else None,
         trace_summary=tracer.summary() if tracer.enabled else None,
         work=work,
     )
@@ -842,7 +824,7 @@ def _phase2(
         # Deferred until the first performed action: an empty-action
         # sweep (the common terminal one) costs no snapshot deep copy.
         iteration_start: Optional[dict] = None
-        with tracer.span("ordering", scheme=ordering):
+        with tracer.span("ordering"):
             order = _ordered_slots(engine, slots, ordering, generator)
         # The sweep consults ``order`` front to back; the engine scans
         # it from one performed action to the next (rebuilding dirtied
@@ -855,11 +837,7 @@ def _phase2(
         iter_best_idx = -1
         position = 0
         while True:
-            if tracing:
-                with tracer.span("gain_eval") as gain_span:
-                    hit = engine.next_action(position)
-                tracer.observe("gain_eval_ns", gain_span.elapsed * 1e9)
-            else:
+            with tracer.span("gain_eval"):
                 hit = engine.next_action(position)
             if hit is None:
                 break
@@ -913,11 +891,6 @@ def _phase2(
             converged = True
         iteration_times.append(tracer.clock() - iteration_began)
         if tracing:
-            if performed:
-                tracer.inc("actions_performed", len(performed))
-            tracer.set_gauge("residue_after_iteration", history[-1])
-            tracer.observe("iteration_seconds", iteration_times[-1])
-            tracer.inc("iterations")
             tracer.emit(IterationEvent(
                 index=iteration_offset + n_iterations - 1,
                 residue=history[-1],
@@ -1087,7 +1060,6 @@ def _reseed_dead_slots(
         if tracer.enabled:
             from ..obs.events import SeedEvent
 
-            tracer.inc("reseeds")
             tracer.emit(SeedEvent(
                 cluster=c,
                 origin="reseed",

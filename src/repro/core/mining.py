@@ -63,9 +63,11 @@ __all__ = [
 class MiningResult:
     """Pooled outcome of a multi-restart mining session.
 
-    ``metrics`` / ``trace_summary`` are the tracer's end-of-session
-    aggregates over *all* restarts (``None`` when the session was not
-    traced); per-run convergence detail lives on each entry of ``runs``.
+    ``trace_summary`` is the tracer's end-of-session aggregate over *all*
+    restarts (``None`` when the session was not traced); per-run
+    convergence detail lives on each entry of ``runs``.  ``metrics`` is
+    the supervised runtime's ``runtime.*`` metrics snapshot (``None``
+    in process: no mining code writes a metric).
     ``work`` aggregates the restarts' deterministic
     :class:`~repro.obs.perf.counters.WorkCounters` (``None`` when no
     restart counted work).
@@ -159,30 +161,24 @@ def mine_delta_clusters(
     if tracer is None:
         tracer = NULL_TRACER
 
-    runs: List[FlocResult] = []
-    for restart in range(n_restarts):
-        if tracer.enabled:
-            tracer.push_context(restart=restart)
-        try:
-            with tracer.span("restart", index=restart):
-                runs.append(run_restart(
-                    matrix, restart,
-                    residue_target=residue_target,
-                    root_seed=root_seed,
-                    k=k,
-                    min_rows=min_rows,
-                    min_cols=min_cols,
-                    alpha=alpha,
-                    p=p,
-                    reseed_rounds=reseed_rounds,
-                    ordering=ordering,
-                    gain_mode=gain_mode,
-                    tracer=tracer,
-                    work=None if work is None else WorkCounters(),
-                ))
-        finally:
-            if tracer.enabled:
-                tracer.pop_context()
+    runs = [
+        run_restart(
+            matrix, restart,
+            residue_target=residue_target,
+            root_seed=root_seed,
+            k=k,
+            min_rows=min_rows,
+            min_cols=min_cols,
+            alpha=alpha,
+            p=p,
+            reseed_rounds=reseed_rounds,
+            ordering=ordering,
+            gain_mode=gain_mode,
+            tracer=tracer,
+            work=None if work is None else WorkCounters(),
+        )
+        for restart in range(n_restarts)
+    ]
 
     result_pool = pool_mining_results(
         matrix, runs,
@@ -196,7 +192,6 @@ def mine_delta_clusters(
     )
     if work is not None and result_pool.work is not None:
         work.merge(result_pool.work)
-    result_pool.metrics = tracer.snapshot_metrics() if tracer.enabled else None
     result_pool.trace_summary = tracer.summary() if tracer.enabled else None
     return result_pool
 
@@ -239,25 +234,36 @@ def run_restart(
     The restart draws only from ``restart_seed(root_seed, restart)``.
     :func:`mine_delta_clusters` (root seed: its integer ``rng``, or one
     draw from any other) and the runtime's workers both run restarts
-    here.  Other parameters are forwarded to :func:`floc`.
+    here.  Under ``tracer`` the restart runs in a ``restart`` span, and
+    its records carry a ``restart`` context key.  Other parameters are
+    forwarded to :func:`floc`.
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
+    if tracer is None:
+        tracer = NULL_TRACER
     constraints = Constraints(min_rows=min_rows, min_cols=min_cols)
-    return floc(
-        matrix, k,
-        p=p,
-        alpha=alpha,
-        ordering=ordering,
-        gain_mode=gain_mode,
-        residue_target=residue_target,
-        reseed_rounds=reseed_rounds,
-        constraints=constraints,
-        rng=restart_seed(root_seed, restart),
-        max_iterations=max_iterations,
-        tracer=tracer,
-        work=work,
-    )
+    if tracer.enabled:
+        tracer.push_context(restart=restart)
+    try:
+        with tracer.span("restart"):
+            return floc(
+                matrix, k,
+                p=p,
+                alpha=alpha,
+                ordering=ordering,
+                gain_mode=gain_mode,
+                residue_target=residue_target,
+                reseed_rounds=reseed_rounds,
+                constraints=constraints,
+                rng=restart_seed(root_seed, restart),
+                max_iterations=max_iterations,
+                tracer=tracer,
+                work=work,
+            )
+    finally:
+        if tracer.enabled:
+            tracer.pop_context()
 
 
 def pool_mining_results(

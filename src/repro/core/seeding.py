@@ -118,8 +118,8 @@ def mixed_seeds(
 ) -> List[Seed]:
     """Mixed-p seeding (Section 5.1): cycle through ``p_values`` per seed.
 
-    ``tracer`` (any scheme) times the draw as a ``seed_draw`` span and
-    counts ``seeds_generated``; it draws no random numbers itself.
+    ``tracer`` (any scheme) times the draw as a ``seed_draw`` span; it
+    draws no random numbers itself.
     """
     if tracer is None:
         tracer = NULL_TRACER
@@ -135,7 +135,7 @@ def mixed_seeds(
             f"matrix {n_rows}x{n_cols} too small for {min_rows}x{min_cols} seeds"
         )
     seeds: List[Seed] = []
-    with tracer.span("seed_draw", scheme="mixed", k=k):
+    with tracer.span("seed_draw"):
         for index in range(k):
             p = p_values[index % len(p_values)]
             row_member = rng.random(n_rows) < p
@@ -143,7 +143,6 @@ def mixed_seeds(
             _ensure_minimum(row_member, min_rows, rng)
             _ensure_minimum(col_member, min_cols, rng)
             seeds.append((row_member, col_member))
-    tracer.inc("seeds_generated", k)
     return seeds
 
 
@@ -166,7 +165,7 @@ def volume_seeds(
     if tracer is None:
         tracer = NULL_TRACER
     seeds: List[Seed] = []
-    with tracer.span("seed_draw", scheme="volume", k=len(volumes)):
+    with tracer.span("seed_draw"):
         for volume in volumes:
             if volume <= 0:
                 raise ValueError(f"seed volume must be positive, got {volume}")
@@ -180,7 +179,6 @@ def volume_seeds(
             row_member[rng.choice(n_rows, size=rows_target, replace=False)] = True
             col_member[rng.choice(n_cols, size=cols_target, replace=False)] = True
             seeds.append((row_member, col_member))
-    tracer.inc("seeds_generated", len(volumes))
     return seeds
 
 

@@ -9,7 +9,7 @@ Every piece is optional and zero-cost when not requested:
   plus the runtime's :class:`TaskEvent` / :class:`RetryEvent` /
   :class:`FaultEvent`) and the record-field readers its consumers share;
 * :mod:`repro.obs.metrics` -- counters / gauges / histograms with a
-  plain-dict snapshot;
+  plain-dict snapshot (the supervised runtime's ``runtime.*`` metrics);
 * :mod:`repro.obs.sinks` -- ring buffer, JSONL writer and console
   progress reporter;
 * :mod:`repro.obs.analysis` -- trace analytics: typed per-sweep /

@@ -9,21 +9,23 @@ aggregates:
 * per **sweep** (one Phase-2 iteration): residue/score/volume and the
   action count straight off the ``iteration`` record, the prefix the
   sweep kept (``n_adopted``), the net lines it admitted and evicted, its
-  gain sum, one :class:`ClusterDecision` per cluster it acted on, and a
-  wall-time breakdown by span name when the trace was recorded with
-  ``emit_spans=True``;
+  gain sum and one :class:`ClusterDecision` per cluster it acted on;
 * per **cluster**: seed/reseed counts, action totals, gain sums, the
   net lines its sweeps admitted and evicted, and the last residue/volume
   the stream reported;
-* per **session** (one ``restart``/``trial`` context): the residue
-  trajectory and sweep list, so one multi-restart JSONL file analyzes
-  into separable runs.
+* per **session** (one ``restart``/``trial`` context of the ``seed``
+  and ``iteration`` records): the residue trajectory and sweep list, so
+  one multi-restart JSONL file analyzes into separable runs.
+
+Span timings are not in a trace: the tracer aggregates them per name
+(:meth:`repro.obs.tracer.Tracer.summary`).
 
 Everything here is pure and deterministic: the same trace produces the
 same :meth:`TraceAnalysis.to_dict` -- byte-identical once serialized
 with ``json.dumps(..., sort_keys=True)`` -- because no wall clock, RNG,
-or environment is consulted.  Record types it does not know (``action``
-records of older traces among them) are counted and otherwise ignored.
+or environment is consulted.  Record types it does not know (the
+``action`` and ``span`` records of older traces among them) are counted
+and otherwise ignored.
 
 :func:`diff_traces` aligns the ``iteration`` events of two twinned
 sessions -- same seed, same workload, one knob changed (canonically
@@ -163,7 +165,6 @@ class SweepStats:
     elapsed_s: float
     n_adopted: int = 0
     decisions: List[ClusterDecision] = field(default_factory=list)
-    span_s: Dict[str, float] = field(default_factory=dict)
 
     @property
     def admissions(self) -> int:
@@ -187,7 +188,7 @@ class SweepStats:
         return len(self.decisions)
 
     def to_dict(self) -> Dict[str, object]:
-        out: Dict[str, object] = {
+        return {
             "index": self.index,
             "residue": self.residue,
             "score": self.score,
@@ -202,9 +203,6 @@ class SweepStats:
             "clusters_touched": self.clusters_touched,
             "decisions": [d.to_dict() for d in self.decisions],
         }
-        if self.span_s:
-            out["span_s"] = dict(self.span_s)
-        return out
 
 
 @dataclass
@@ -298,14 +296,12 @@ class ProcessStats:
     name: str
     n_records: int = 0
     event_counts: Dict[str, int] = field(default_factory=dict)
-    span_s: Dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "name": self.name,
             "n_records": self.n_records,
             "event_counts": dict(self.event_counts),
-            "span_s": dict(self.span_s),
         }
 
 
@@ -337,7 +333,6 @@ class TraceAnalysis:
     event_counts: Dict[str, int]
     sessions: List[SessionAnalysis]
     clusters: List[ClusterStats]
-    spans: Dict[str, Dict[str, float]]
     warnings: List[str]
     tasks: List[TaskRun] = field(default_factory=list)
     waves: List[WaveStats] = field(default_factory=list)
@@ -361,12 +356,11 @@ class TraceAnalysis:
         """Plain nested dict; serialize with ``sort_keys=True`` for a
         byte-stable artifact (same trace -> same bytes)."""
         return {
-            "schema": 2,
+            "schema": 3,
             "n_records": self.n_records,
             "event_counts": dict(self.event_counts),
             "sessions": [session.to_dict() for session in self.sessions],
             "clusters": [cluster.to_dict() for cluster in self.clusters],
-            "spans": {name: dict(agg) for name, agg in self.spans.items()},
             "warnings": list(self.warnings),
             "tasks": [task.to_dict() for task in self.tasks],
             "waves": [wave.to_dict() for wave in self.waves],
@@ -406,8 +400,9 @@ def analyze_records(
     """Aggregate an in-memory record stream into a :class:`TraceAnalysis`.
 
     The stream is consumed in order: each ``iteration`` record is one
-    sweep, and the ``span`` records emitted since the session's previous
-    sweep are its wall-time breakdown.
+    sweep of the session its context keys name.  Only ``seed`` and
+    ``iteration`` records open a session, so a supervisor's ``task`` and
+    ``session_meta`` records add none.
 
     Supervised-runtime streams additionally aggregate into a wave
     timeline (:class:`WaveStats`), terminal task attempts
@@ -415,13 +410,11 @@ def analyze_records(
     elapsed time exceeds ``straggler_factor`` times its wave's median,
     over waves with at least two completions -- worker resource reports
     (:class:`ResourceStats`), and, for merged session traces, per-process
-    record/span aggregates (:class:`ProcessStats`).
+    record counts (:class:`ProcessStats`).
     """
     event_counts: Dict[str, int] = {}
     sessions: Dict[Tuple[object, ...], SessionAnalysis] = {}
-    pending_spans: Dict[Tuple[object, ...], Dict[str, float]] = {}
     clusters: Dict[int, ClusterStats] = {}
-    span_agg: Dict[str, Dict[str, float]] = {}
     warnings: List[str] = []
     tasks: List[TaskRun] = []
     wave_retries: Dict[int, int] = {}
@@ -454,16 +447,9 @@ def analyze_records(
                 proc = process_stats[process] = ProcessStats(name=process)
             proc.n_records += 1
             proc.event_counts[kind] = proc.event_counts.get(kind, 0) + 1
-            if kind == "span":
-                span_name = str(record.get("name", ""))
-                proc.span_s[span_name] = (
-                    proc.span_s.get(span_name, 0.0)
-                    + _as_float(record.get("elapsed_s"))
-                )
-        key = _session_key(record)
-        session(key)
 
         if kind == "seed":
+            session(_session_key(record))
             cluster = cluster_stats(_as_int(record.get("cluster")))
             if record.get("origin") == "reseed":
                 cluster.reseeds += 1
@@ -476,18 +462,6 @@ def analyze_records(
             if volume is not None:
                 cluster.last_volume = _as_int(volume)
 
-        elif kind == "span":
-            name = str(record.get("name", ""))
-            elapsed = _as_float(record.get("elapsed_s"))
-            agg = span_agg.get(name)
-            if agg is None:
-                span_agg[name] = {"count": 1.0, "total_s": elapsed}
-            else:
-                agg["count"] += 1.0
-                agg["total_s"] += elapsed
-            pending = pending_spans.setdefault(key, {})
-            pending[name] = pending.get(name, 0.0) + elapsed
-
         elif kind == "iteration":
             sweep = SweepStats(
                 index=_as_int(record.get("index")),
@@ -499,7 +473,6 @@ def analyze_records(
                 elapsed_s=_as_float(record.get("elapsed_s")),
                 n_adopted=_as_int(record.get("n_adopted")),
                 decisions=_decisions(record.get("clusters")),
-                span_s=pending_spans.pop(key, {}),
             )
             for decision in sweep.decisions:
                 cluster = cluster_stats(decision.cluster)
@@ -509,7 +482,7 @@ def analyze_records(
                 cluster.evictions += decision.rows_out + decision.cols_out
                 cluster.last_residue = decision.residue
                 cluster.last_volume = decision.volume
-            session(key).sweeps.append(sweep)
+            session(_session_key(record)).sweeps.append(sweep)
 
         elif kind == "task":
             status = str(record.get("status", ""))
@@ -541,7 +514,8 @@ def analyze_records(
                 sys_cpu_s=_as_float(record.get("sys_cpu_s")),
             ))
         # Any other type is counted above and otherwise ignored, so
-        # older traces (``action`` records) and newer emitters analyze.
+        # older traces (``action`` and ``span`` records) and newer
+        # emitters analyze.
 
     ordered_sessions = [
         sessions[key]
@@ -584,7 +558,6 @@ def analyze_records(
         event_counts=event_counts,
         sessions=ordered_sessions,
         clusters=ordered_clusters,
-        spans={name: span_agg[name] for name in sorted(span_agg)},
         warnings=warnings,
         tasks=tasks,
         waves=waves,

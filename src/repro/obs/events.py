@@ -3,9 +3,9 @@
 Every record a :class:`~repro.obs.tracer.Tracer` hands to its sinks is a
 plain ``dict`` with a ``type`` key; the dataclasses here are the typed
 constructors for the domain events (iteration, seed, and the supervised
-runtime's) so call sites cannot misspell a field.  Span timings are
-emitted as ``"span"`` records by the tracer itself (see
-:class:`~repro.obs.tracer.Span`).
+runtime's) so call sites cannot misspell a field.  Span timings never
+become records: the tracer aggregates them per name (see
+:meth:`~repro.obs.tracer.Tracer.summary`).
 
 The payloads mirror what the paper reports per iteration (Tables 1-5,
 Figs 8-10): residue trajectory, volumes, seed shapes and, per sweep,
@@ -176,9 +176,10 @@ class ResourceEvent(TraceEvent):
 
 
 #: Registry: the ``type`` discriminator of every domain event mapped to
-#: its dataclass.  Trace *consumers* (:mod:`repro.obs.analysis`) use it
-#: to tell domain events apart from tracer-internal record types
-#: (``"span"``) and from unknown types emitted by newer producers.
+#: its dataclass.  Trace *consumers* use it to tell domain events apart
+#: from the session files' own records (``trace_meta``,
+#: ``session_meta``), from the ``action`` and ``span`` records of older
+#: traces, and from unknown types emitted by newer producers.
 EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
     "iteration": IterationEvent,
     "seed": SeedEvent,

@@ -125,18 +125,6 @@ def chrome_trace(records: List[Dict[str, object]]) -> Dict[str, object]:
                     "improved": record.get("improved"),
                 },
             })
-        elif kind == "span":
-            elapsed = _as_float(record.get("elapsed_s"))
-            events.append({
-                "name": str(record.get("name", "span")),
-                "cat": "span",
-                "ph": "X",
-                "ts": us(ts - elapsed),
-                "dur": round(max(elapsed, 0.0) * 1e6, 3),
-                "pid": pid,
-                "tid": _TID_SWEEPS if not supervisor else _TID_TASKS,
-                "args": {},
-            })
         else:
             name = {
                 "seed": f"seed c{record.get('cluster', '?')}",

@@ -1,10 +1,12 @@
 """Metrics registry: counters, gauges and histograms with dict snapshots.
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
-Instruments are get-or-create (``registry.counter("actions_performed")``
+Instruments are get-or-create (``registry.counter("runtime.waves")``
 returns the same object every call) so hot paths can cache them, and the
 whole registry renders to a plain nested dict via :meth:`snapshot` --
-the only export format; no external metrics stack is required.
+the only export format; no external metrics stack is required.  The
+supervised runtime writes its ``runtime.*`` metrics here; FLOC writes
+none.
 
 Histograms keep exact running aggregates (count / total / min / max)
 plus a bounded value sample for percentile estimates.  The sample is

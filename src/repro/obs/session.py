@@ -174,7 +174,8 @@ def open_worker_tracer(
         "pid": os.getpid(),
     })
     tracer = Tracer(sinks=[sink], stamp=True)
-    tracer.push_context(restart=restart, attempt=attempt)
+    # ``run_restart`` pushes the ``restart`` key itself.
+    tracer.push_context(attempt=attempt)
     return tracer
 
 

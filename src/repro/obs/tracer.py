@@ -3,16 +3,18 @@
 The tracer is the single instrumentation handle threaded through FLOC.
 It owns three optional facilities:
 
-* **spans** -- ``with tracer.span("phase1", k=k) as sp:`` times a region
-  (``sp.elapsed`` afterwards).  Span timings are always folded into the
-  per-name aggregates returned by :meth:`Tracer.summary`; the individual
-  records are forwarded to sinks only when ``emit_spans=True`` (the
-  per-scan ``gain_eval`` spans would otherwise flood a JSONL trace).
+* **spans** -- ``with tracer.span("phase1") as sp:`` times a region
+  (``sp.elapsed`` afterwards).  Span timings are folded into the
+  per-name count/total aggregates returned by :meth:`Tracer.summary`;
+  no per-span record reaches the sinks.
 * **typed events** -- :meth:`Tracer.emit` takes an
   :class:`~repro.obs.events.TraceEvent`, merges the current context
   (e.g. ``restart=2``) and hands the flat dict to every sink.
 * **metrics** -- :meth:`inc` / :meth:`set_gauge` / :meth:`observe`
   delegate to an attached :class:`~repro.obs.metrics.MetricsRegistry`.
+  The supervised runtime writes its ``runtime.*`` metrics here; FLOC
+  writes none (its facts are in the records, the span aggregates and
+  :class:`~repro.obs.perf.counters.WorkCounters`).
 
 A disabled tracer (``NULL_TRACER``, the default everywhere) costs one
 attribute check per call site: ``span()`` returns a shared no-op span,
@@ -67,9 +69,6 @@ class _NullSpan:
     ) -> bool:
         return False
 
-    def set(self, **attrs: object) -> None:
-        pass
-
 
 _NULL_SPAN = _NullSpan()
 
@@ -77,18 +76,13 @@ _NULL_SPAN = _NullSpan()
 class Span:
     """A timed region; created via :meth:`Tracer.span`."""
 
-    __slots__ = ("_tracer", "name", "attrs", "started", "elapsed")
+    __slots__ = ("_tracer", "name", "started", "elapsed")
 
-    def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, object]):
+    def __init__(self, tracer: "Tracer", name: str):
         self._tracer = tracer
         self.name = name
-        self.attrs = attrs
         self.started = 0.0
         self.elapsed = 0.0
-
-    def set(self, **attrs: object) -> None:
-        """Attach attributes discovered while the span is open."""
-        self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
         self.started = self._tracer.clock()
@@ -119,10 +113,6 @@ class Tracer:
     enabled:
         Master switch.  A disabled tracer ignores everything (this is
         what ``NULL_TRACER`` is).
-    emit_spans:
-        Also forward individual span records (``{"type": "span", ...}``)
-        to the sinks.  Off by default; span aggregates are always
-        available from :meth:`summary`.
     stamp:
         Annotate every dispatched record with a monotonic ``ts``
         (:attr:`clock` at emit time) and a per-process ``seq`` counter,
@@ -137,13 +127,11 @@ class Tracer:
         sinks: Sequence[Sink] = (),
         metrics: Optional[MetricsRegistry] = None,
         enabled: bool = True,
-        emit_spans: bool = False,
         stamp: bool = False,
     ) -> None:
         self.sinks: List[Sink] = list(sinks)
         self.metrics = metrics
         self.enabled = enabled
-        self.emit_spans = emit_spans
         self.stamp = stamp
         self._seq = 0
         self._context: List[Dict[str, object]] = []
@@ -165,11 +153,11 @@ class Tracer:
             }
 
     # -- spans ---------------------------------------------------------
-    def span(self, name: str, **attrs: object) -> Union[Span, "_NullSpan"]:
+    def span(self, name: str) -> Union[Span, "_NullSpan"]:
         """Timed region context manager; no-op singleton when disabled."""
         if not self.enabled:
             return _NULL_SPAN
-        return Span(self, name, attrs)
+        return Span(self, name)
 
     def _finish_span(self, span: Span) -> None:
         agg = self._span_agg.get(span.name)
@@ -178,15 +166,6 @@ class Tracer:
         else:
             agg[0] += 1
             agg[1] += span.elapsed
-        if self.emit_spans and self.sinks:
-            record = {"type": "span", "name": span.name,
-                      "elapsed_s": span.elapsed}
-            record.update(self._merged_context)
-            record.update(span.attrs)
-            if self.stamp:
-                self._stamp(record)
-            for sink in self.sinks:
-                sink.write(record)
 
     def _stamp(self, record: Dict[str, object]) -> None:
         """Attach the (ts, seq) ordering keys session merges sort on."""

@@ -791,24 +791,27 @@ class TestRunIdentity:
     def test_traced_metrics_match_sequential_reference(
         self, label, monkeypatch
     ):
-        """The scan's traced metrics (counters, gauges, histogram counts)
-        equal the slot-by-slot loop's."""
+        """The scan's traced observations (event counts, span counts
+        and the iteration records) equal the slot-by-slot loop's."""
         shape, kwargs = next(case[1:] for case in _IDENTITY_CASES
                              if case[0] == label)
 
-        def traced_metrics():
-            tracer = Tracer(metrics=MetricsRegistry())
+        def traced_observations():
+            sink = RingBufferSink(capacity=100_000)
+            tracer = Tracer(sinks=[sink])
             _identity_run(shape, kwargs, tracer=tracer)
-            snapshot = tracer.snapshot_metrics()
-            histograms = {
-                name: hist["count"]
-                for name, hist in snapshot["histograms"].items()
-            }
-            return snapshot["counters"], snapshot["gauges"], histograms
+            summary = tracer.summary()
+            spans = {name: agg["count"]
+                     for name, agg in summary["spans"].items()}
+            iterations = [
+                {k: v for k, v in record.items() if k != "elapsed_s"}
+                for record in sink.by_type("iteration")
+            ]
+            return summary["events"], spans, iterations
 
-        scanned = traced_metrics()
+        scanned = traced_observations()
         monkeypatch.setattr(ge, "GainEngine", _EagerEngine)
-        reference = traced_metrics()
+        reference = traced_observations()
         assert scanned == reference
 
     @pytest.mark.parametrize("label", [
@@ -831,7 +834,7 @@ class TestRunIdentity:
     def test_gain_eval_spans_track_performed_actions(self):
         """One ``gain_eval`` span per scan: one per performed action plus
         one closing scan per sweep, not one per slot."""
-        tracer = Tracer(metrics=MetricsRegistry())
+        tracer = Tracer()
         result = _identity_run((60, 16, 0.0), dict(gain_mode="fast"),
                                tracer=tracer)
         spans = result.trace_summary["spans"]["gain_eval"]["count"]

@@ -42,9 +42,9 @@ def matrix():
     return DataMatrix(values)
 
 
-def traced_run(matrix, *, emit_spans=False, **kwargs):
+def traced_run(matrix, **kwargs):
     sink = RingBufferSink(capacity=100000)
-    tracer = Tracer(sinks=[sink], emit_spans=emit_spans)
+    tracer = Tracer(sinks=[sink])
     kwargs.setdefault("k", 3)
     kwargs.setdefault("rng", 7)
     kwargs.setdefault("reseed_rounds", 2)
@@ -133,23 +133,6 @@ class TestAgainstRealRuns:
         raw = [r for r in records if r.get("type") == "seed"]
         assert seeds == sum(1 for r in raw if r.get("origin") == "phase1")
         assert reseeds == sum(1 for r in raw if r.get("origin") == "reseed")
-
-    def test_spans_aggregate_when_emitted(self, matrix):
-        _, records = traced_run(matrix, emit_spans=True)
-        analysis = analyze_records(records)
-        assert "phase1" in analysis.spans
-        assert "gain_eval" in analysis.spans
-        for agg in analysis.spans.values():
-            assert agg["count"] >= 1
-            assert agg["total_s"] >= 0.0
-        # Per-sweep wall-time breakdown picked up the span stream.
-        sweeps = [s for sess in analysis.sessions for s in sess.sweeps]
-        assert any(s.span_s for s in sweeps)
-
-    def test_no_spans_without_emit_spans(self, run):
-        _, records = run
-        analysis = analyze_records(records)
-        assert analysis.spans == {}
 
 
 class TestDeterminism:
@@ -249,16 +232,20 @@ class TestHandBuiltStreams:
 
     def test_older_traces_still_analyze(self):
         """A trace written before the sweep record carried its clusters:
-        ``action`` records are counted and ignored, and the sweeps read
-        as having no decisions."""
+        ``action`` and ``span`` records are counted and ignored, and the
+        sweeps read as having no decisions."""
         records = [
             {"type": "action", "kind": "row", "index": 0, "cluster": 0,
              "is_removal": False, "gain": 1.0, "residue": 1.0, "volume": 9},
+            {"type": "span", "name": "gain_eval", "elapsed_s": 0.25},
             self.iteration(0, 1.0, n_actions=1),
         ]
         analysis = analyze_records(records)
         assert analysis.warnings == []
-        assert analysis.event_counts == {"action": 1, "iteration": 1}
+        assert analysis.event_counts == {
+            "action": 1, "span": 1, "iteration": 1,
+        }
+        assert "spans" not in analysis.to_dict()
         [session] = analysis.sessions
         [sweep] = session.sweeps
         assert (sweep.n_actions, sweep.n_adopted, sweep.decisions) == (1, 0, [])
@@ -521,8 +508,6 @@ class TestWaveTimeline:
             {"type": "task", "process": "supervisor", "status": "completed",
              "restart": 0, "wave": 0, "elapsed_s": 1.0},
             {"type": "seed", "process": "worker:00000:00", "cluster": 0},
-            {"type": "span", "process": "worker:00000:00",
-             "name": "phase1_seeding", "elapsed_s": 0.25},
         ]
         analysis = analyze_records(records)
         assert [p.name for p in analysis.processes] == [
@@ -531,8 +516,8 @@ class TestWaveTimeline:
         supervisor, worker = analysis.processes
         assert supervisor.n_records == 1
         assert supervisor.event_counts == {"task": 1}
-        assert worker.n_records == 2
-        assert worker.span_s == {"phase1_seeding": 0.25}
+        assert worker.n_records == 1
+        assert worker.event_counts == {"seed": 1}
         assert analysis.warnings == []
 
     def test_to_dict_exposes_timeline_sections(self):
@@ -542,7 +527,7 @@ class TestWaveTimeline:
             self._task(2, "completed", 0, 5.0),
         ]
         payload = analyze_records(records).to_dict()
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert [w["index"] for w in payload["waves"]] == [0]
         assert [t["restart"] for t in payload["stragglers"]] == [2]
         assert payload["tasks"][0]["status"] == "completed"

@@ -46,7 +46,7 @@ def test_trace_and_progress_smoke(matrix_path, tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"trace written to {trace_path}" in captured.out
     assert "run metrics" in captured.out
-    assert "actions_performed" in captured.out
+    assert "perf.toggles" in captured.out
     assert "iter" in captured.err  # progress goes to stderr
 
     # Every line of the trace is a JSON object with a type.
@@ -121,7 +121,7 @@ class TestAnalyzeTraceCommand:
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["schema"] == 2
+        assert payload["schema"] == 3
         assert payload["warnings"] == []
         # Per-sweep figures agree with the raw IterationEvent fields.
         raw = read_jsonl(trace_path)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core.floc import floc
+from repro.core.mining import mine_delta_clusters
 from repro.data.synthetic import generate_embedded
 from repro.obs import (
     NULL_TRACER,
@@ -18,6 +19,7 @@ from repro.obs import (
     RingBufferSink,
     SeedEvent,
     Tracer,
+    WorkCounters,
 )
 
 pytestmark = pytest.mark.obs
@@ -31,7 +33,7 @@ def dataset():
 class TestSpans:
     def test_span_times_and_aggregates(self):
         tracer = Tracer()
-        with tracer.span("work", step=1) as span:
+        with tracer.span("work") as span:
             pass
         assert span.elapsed >= 0.0
         summary = tracer.summary()
@@ -42,23 +44,12 @@ class TestSpans:
 
     def test_disabled_span_is_shared_noop(self):
         first = NULL_TRACER.span("a")
-        second = NULL_TRACER.span("b", attr=1)
+        second = NULL_TRACER.span("b")
         assert first is second
         with first as span:
-            span.set(extra=2)
+            pass
         assert span.elapsed == 0.0
         assert NULL_TRACER.summary()["spans"] == {}
-
-    def test_emit_spans_forwards_records(self):
-        sink = RingBufferSink()
-        tracer = Tracer(sinks=[sink], emit_spans=True)
-        with tracer.span("phase1", k=3):
-            pass
-        [record] = sink.records
-        assert record["type"] == "span"
-        assert record["name"] == "phase1"
-        assert record["k"] == 3
-        assert record["elapsed_s"] >= 0.0
 
     def test_spans_not_forwarded_by_default(self):
         sink = RingBufferSink()
@@ -222,19 +213,36 @@ class TestFlocTracing:
         result = floc(dataset.matrix, k=2, rng=1)
         assert len(result.iteration_times) == len(result.history)
         assert all(t >= 0.0 for t in result.iteration_times)
-        assert result.metrics is None
         assert result.trace_summary is None
 
     def test_metrics_and_summary_attached_when_traced(self, dataset):
         tracer = Tracer(metrics=MetricsRegistry())
         result = floc(dataset.matrix, k=2, rng=1, tracer=tracer)
-        counters = result.metrics["counters"]
-        assert counters["actions_performed"] == result.n_actions
-        assert counters["iterations"] == result.n_iterations
         assert result.trace_summary["events"]["iteration"] == (
             result.n_iterations
         )
         assert "gain_eval" in result.trace_summary["spans"]
+
+    def test_core_writes_no_metrics(self, dataset):
+        """Every fact of a run has one channel -- records, span
+        aggregates or work counters -- so a traced ``floc`` and a traced
+        ``mine_delta_clusters`` leave a registry empty."""
+        for run in (
+            lambda tracer: floc(dataset.matrix, k=3, rng=11,
+                                residue_target=2.0, reseed_rounds=2,
+                                tracer=tracer, work=WorkCounters()),
+            lambda tracer: mine_delta_clusters(
+                dataset.matrix, 2.0, k=3, n_restarts=2, reseed_rounds=2,
+                rng=11, tracer=tracer, work=WorkCounters()),
+        ):
+            metrics = MetricsRegistry()
+            tracer = Tracer(sinks=[RingBufferSink(capacity=100000)],
+                            metrics=metrics)
+            result = run(tracer)
+            assert result.trace_summary["events"]["iteration"] > 0
+            assert metrics.snapshot() == {
+                "counters": {}, "gauges": {}, "histograms": {},
+            }
 
 
 class TestEventTypes:

@@ -9,17 +9,19 @@ The acceptance contract for :mod:`repro.obs.perf.counters`:
   counters (no wall-clock, no machine dependence);
 * **conservation** -- counters aggregate without double-counting across
   per-restart counters summed by pooling (in-process and supervised
-  mining alike), ``perf.*`` metric mirroring, and the checkpoint
-  round-trip.
+  mining alike), the ``perf.*`` rows ``repro mine --metrics`` prints,
+  and the checkpoint round-trip.
 """
 
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.floc import floc
 from repro.core.matrix import DataMatrix
 from repro.core.mining import mine_delta_clusters, pool_mining_results, run_restart
-from repro.obs import MetricsRegistry, Tracer, WorkCounters, WORK_COUNTER_FIELDS
+from repro.data.io import save_matrix_npz
+from repro.obs import WorkCounters, WORK_COUNTER_FIELDS
 
 pytestmark = pytest.mark.perf
 
@@ -129,35 +131,33 @@ class TestParity:
         assert fast.toggle_evals >= 3 * fast.batch_evals
 
 
-class TestMetricsMirroring:
-    def test_perf_metrics_equal_work_deltas(self, matrix):
+class TestMetricsRows:
+    @pytest.mark.parametrize("supervised", [False, True])
+    def test_cli_prints_one_perf_row_per_work_field(
+        self, matrix, tmp_path, capsys, supervised
+    ):
+        """``repro mine --metrics`` prints ``result.work``: one
+        ``perf.<name>`` row per nonzero field, with its value, in
+        process and supervised alike (their work is identical)."""
+        path = tmp_path / "m.npz"
+        save_matrix_npz(path, matrix)
         work = WorkCounters()
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics)
-        floc(matrix, k=3, residue_target=2.0, gain_mode="fast",
-             max_iterations=8, rng=7, tracer=tracer, work=work)
-        tracer.close()
-        counters = metrics.snapshot()["counters"]
-        for name, value in work:
-            if value:
-                assert counters[f"perf.{name}"] == value
-            else:
-                assert f"perf.{name}" not in counters
-
-    def test_shared_accumulator_mirrors_per_run_deltas(self, matrix):
-        # The same WorkCounters object across two runs: each run must
-        # inc perf.* by its own delta, so the registry total equals the
-        # accumulated counters -- never double-counts the carry-over.
-        work = WorkCounters()
-        metrics = MetricsRegistry()
-        tracer = Tracer(metrics=metrics)
-        for seed in (7, 8):
-            floc(matrix, k=3, residue_target=2.0, gain_mode="fast",
-                 max_iterations=8, rng=seed, tracer=tracer, work=work)
-        tracer.close()
-        counters = metrics.snapshot()["counters"]
-        for name, value in work:
-            assert counters.get(f"perf.{name}", 0) == value
+        mine_delta_clusters(matrix, 2.0, k=3, n_restarts=2, reseed_rounds=2,
+                            rng=7, work=work)
+        argv = ["mine", str(path), "--target", "2.0", "--k", "3",
+                "--restarts", "2", "--reseed-rounds", "2", "--seed", "7",
+                "--metrics"]
+        if supervised:
+            argv += ["--workers", "1", "--run-dir", str(tmp_path / "run")]
+        assert main(argv) == 0
+        printed = {}
+        for line in capsys.readouterr().out.splitlines():
+            cells = line.split()
+            if cells and cells[0].startswith("perf."):
+                assert cells[1] == "counter"
+                printed[cells[0]] = int(cells[2])
+        assert printed == {f"perf.{name}": value
+                           for name, value in work if value}
 
 
 class TestAggregation:

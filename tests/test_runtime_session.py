@@ -12,6 +12,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.cli import main
 from repro.core.matrix import DataMatrix
 from repro.obs import RingBufferSink, Tracer
 from repro.obs.analysis import analyze_trace
@@ -109,7 +110,9 @@ class TestSessionTraceHappyPath:
                                 session_trace=True)
         assert serialized(traced.result) == serialized(plain.result)
 
-    def test_merged_trace_analyzes_as_multiprocess(self, matrix, tmp_path):
+    def test_merged_trace_analyzes_as_multiprocess(
+        self, matrix, tmp_path, capsys
+    ):
         out = run_supervised(matrix, make_config(),
                              run_dir=tmp_path / "run", session_trace=True)
         analysis = analyze_trace(out.session_trace)
@@ -120,6 +123,15 @@ class TestSessionTraceHappyPath:
         names = [p.name for p in analysis.processes]
         assert "supervisor" in names
         assert "worker:00000:00" in names
+        # Only restarts' seed and sweep records open a session: the
+        # supervisor's task and session_meta records add no empty one.
+        keys = [session.key for session in analysis.sessions]
+        assert [key["restart"] for key in keys] == [0, 1, 2]
+        assert all(session.sweeps for session in analysis.sessions)
+        assert main(["analyze-trace", str(out.session_trace)]) == 0
+        text = capsys.readouterr().out
+        assert "session [-]" not in text
+        assert "session [attempt=0 restart=0]" in text
 
 
 class TestTelemetry:
