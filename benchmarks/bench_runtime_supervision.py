@@ -75,18 +75,12 @@ def test_supervision_overhead_and_parallel_payoff(report):
         def _plain_loop():
             runs = [
                 run_restart(
-                    matrix, restart,
-                    residue_target=config.residue_target,
-                    root_seed=config.root_seed, k=config.k,
-                    max_iterations=config.max_iterations,
-                    work=WorkCounters(),
+                    matrix, restart, config,
+                    root_seed=config.root_seed, work=WorkCounters(),
                 )
                 for restart in range(N_RESTARTS)
             ]
-            return pool_mining_results(
-                matrix, runs, residue_target=config.residue_target,
-                min_volume=config.min_volume,
-            )
+            return pool_mining_results(matrix, runs, config)
 
         plain, plain_s = _timed(_plain_loop)
 

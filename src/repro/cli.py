@@ -41,7 +41,7 @@ from typing import (
 from ._lazy import lazy_exports
 from .core.matrix import DataMatrix
 from .core.mining import MiningResult, mine_delta_clusters
-from .core.params import ParameterError, check_params
+from .core.params import MiningParams, ParameterError
 from .data.io import load_matrix_csv, load_matrix_npz, save_clusters
 from .eval.reporting import format_table
 from .obs.perf.counters import WorkCounters
@@ -197,14 +197,12 @@ def _build_tracer(
 def _print_metrics(result: MiningResult) -> None:
     """The ``--metrics`` table: a supervised run's ``runtime.*`` metrics
     and one ``perf.<counter>`` row per nonzero field of ``result.work``."""
-    snapshot = result.metrics or {"counters": {}, "gauges": {}, "histograms": {}}
+    snapshot = result.metrics or {"counters": {}, "histograms": {}}
     counters = dict(snapshot["counters"])
     if result.work is not None:
         counters.update((f"perf.{name}", value) for name, value in result.work
                         if value)
     rows = [[name, "counter", counters[name]] for name in sorted(counters)]
-    for name, value in snapshot["gauges"].items():
-        rows.append([name, "gauge", round(value, 6) if value is not None else ""])
     for name, hist in snapshot["histograms"].items():
         rows.append([
             name, "histogram",
@@ -245,15 +243,20 @@ def _print_mining_result(
         _print_metrics(result)
 
 
-def _mining_params(args: argparse.Namespace) -> Dict[str, Any]:
-    """``mine``'s mining parameters, named as both
-    :func:`mine_delta_clusters` and ``RunConfig`` take them."""
-    return dict(
+def _given(**flags: Any) -> Dict[str, Any]:
+    """The flags set on the command line: an unset one (``None``) takes
+    the default of :class:`MiningParams` or ``RunConfig``."""
+    return {name: value for name, value in flags.items() if value is not None}
+
+
+def _mining_params(args: argparse.Namespace) -> MiningParams:
+    """``mine``'s mining parameters, from its flags."""
+    return MiningParams(**_given(
         residue_target=args.target, n_restarts=args.restarts, k=args.k,
         min_rows=args.min_rows, min_cols=args.min_cols, alpha=args.alpha,
         p=args.p, reseed_rounds=args.reseed_rounds,
         max_clusters=args.max_clusters,
-    )
+    ))
 
 
 def _cmd_mine_supervised(
@@ -309,8 +312,8 @@ def _cmd_mine_supervised(
     return 0
 
 
-#: ``mine``'s flag of each parameter :func:`check_params` may refuse or
-#: a resumed session may differ in.
+#: ``mine``'s flag of each parameter that may be refused or that a
+#: resumed session may differ in.
 _MINE_FLAGS = {
     "residue_target": "--target", "n_restarts": "--restarts", "k": "--k",
     "root_seed": "--seed",
@@ -354,13 +357,15 @@ def cmd_mine(args: argparse.Namespace) -> int:
     # Refuse an out-of-range value once, before any restart runs or is
     # dispatched (every worker would fail on it alike).
     try:
-        check_params(
-            matrix.shape, residue_target=args.target, n_restarts=args.restarts,
-            k=args.k, min_rows=args.min_rows, min_cols=args.min_cols,
-            alpha=args.alpha, p=args.p, reseed_rounds=args.reseed_rounds,
-            max_clusters=args.max_clusters, workers=args.workers,
-            max_retries=args.max_retries, task_timeout=args.task_timeout,
-        )
+        params = _mining_params(args)
+        params.check_shape(matrix.shape)
+        if supervised:
+            config = RunConfig(
+                root_seed=args.seed,
+                **_given(workers=args.workers, task_timeout=args.task_timeout,
+                         max_retries=args.max_retries),
+                **params.mining_params(),
+            )
     except ParameterError as exc:
         raise _UsageError(f"invalid {_MINE_FLAGS[exc.name]}: {exc}") from None
     tracer = _build_tracer(args, supervised=supervised)
@@ -370,18 +375,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
     work = WorkCounters() if args.metrics else None
     try:
         if supervised:
-            config = RunConfig(
-                root_seed=args.seed,
-                workers=args.workers if args.workers is not None else 1,
-                task_timeout=args.task_timeout,
-                max_retries=args.max_retries
-                if args.max_retries is not None else 2,
-                **_mining_params(args),
-            )
             return _cmd_mine_supervised(args, matrix, config, tracer)
         result = mine_delta_clusters(
             matrix, rng=args.seed, tracer=tracer, work=work,
-            **_mining_params(args),
+            **params.mining_params(),
         )
     finally:
         if tracer is not None:
@@ -405,16 +402,17 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("matrix", help=".npz or .csv matrix (empty cell = missing)")
     mine.add_argument("--target", type=float, required=True,
                       help="residue target r (r-residue delta-clusters)")
-    mine.add_argument("--k", type=int, default=10)
-    mine.add_argument("--restarts", type=int, default=2)
-    mine.add_argument("--max-clusters", type=int, default=None)
-    mine.add_argument("--min-rows", type=int, default=3)
-    mine.add_argument("--min-cols", type=int, default=3)
-    mine.add_argument("--alpha", type=float, default=0.0,
+    # An unset mining flag takes MiningParams' default.
+    mine.add_argument("--k", type=int)
+    mine.add_argument("--restarts", type=int)
+    mine.add_argument("--max-clusters", type=int)
+    mine.add_argument("--min-rows", type=int)
+    mine.add_argument("--min-cols", type=int)
+    mine.add_argument("--alpha", type=float,
                       help="occupancy threshold (Definition 3.1)")
-    mine.add_argument("--p", type=float, default=0.2,
+    mine.add_argument("--p", type=float,
                       help="Phase-1 seed inclusion probability")
-    mine.add_argument("--reseed-rounds", type=int, default=10)
+    mine.add_argument("--reseed-rounds", type=int)
     mine.add_argument("--seed", type=_seed, default=0,
                       help="root seed, the same on every path (default 0)")
     mine.add_argument("--out", default=None, help="write clusters here")

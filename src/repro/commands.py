@@ -240,7 +240,7 @@ def _print_analysis(analysis: TraceAnalysis) -> None:
                       "left admitted and evicted)",
             ))
 
-    if analysis.clusters:
+    for session in analysis.sessions:
         rows = [
             [
                 c.cluster, c.seeds, c.reseeds, c.actions,
@@ -248,16 +248,18 @@ def _print_analysis(analysis: TraceAnalysis) -> None:
                 "-" if c.last_residue is None else c.last_residue,
                 "-" if c.last_volume is None else c.last_volume,
             ]
-            for c in analysis.clusters
+            for c in analysis.clusters if c.session == session.key
         ]
-        print()
-        print(format_table(
-            rows,
-            headers=["cluster", "seeds", "reseeds", "actions", "adm", "evi",
-                     "gain_sum", "last_residue", "last_volume"],
-            title="per-cluster lifetime",
-            precision=4,
-        ))
+        if rows:
+            print()
+            print(format_table(
+                rows,
+                headers=["cluster", "seeds", "reseeds", "actions", "adm",
+                         "evi", "gain_sum", "last_residue", "last_volume"],
+                title=f"session [{_session_label(session.key)}]: "
+                      "per-cluster lifetime",
+                precision=4,
+            ))
 
     if analysis.waves:
         rows = [

@@ -25,7 +25,7 @@ paper's perform-even-negative rule; ``reseed_rounds`` enables restarts.
 
 Two gain-evaluation modes are provided:
 
-``exact`` (default)
+``exact``
     The true after-toggle residue of every candidate -- the quantity the
     paper recomputes from scratch per action in Section 4.1.  It is now
     produced by the batched gain engine
@@ -39,7 +39,7 @@ Two gain-evaluation modes are provided:
     that recomputes exactly what the toggle moved -- the cross axis's
     counts and sums, the volume and the residue -- so the objective is
     always tracked exactly.  This trades a little per-move greediness
-    accuracy for an additional speedup; it is the mining default and is
+    accuracy for an additional speedup; it is the default and is
     benchmarked against ``exact`` as an ablation.
 
 What one action barely moves is kept in ledgers instead of being
@@ -84,14 +84,16 @@ from .cluster import DeltaCluster
 from .clustering import Clustering
 from .constraints import Constraints
 from .matrix import DataMatrix
-from .ordering import ORDERINGS, action_slots, make_order
-from .params import check_params
+from .ordering import action_slots, make_order
+from .params import DEFAULT_GAIN_MODE, GAIN_MODES, check_params
 from .rng import RngLike, resolve_rng
 from .seeding import Seed, bernoulli_seeds, mixed_seeds
 
 __all__ = ["FlocResult", "floc", "GAIN_MODES"]
 
-GAIN_MODES = ("exact", "fast")
+#: Minimum average-residue improvement a sweep must achieve to count
+#: as an improvement (and to continue Phase 2).
+TOL = 1e-12
 
 _PerformedAction = Tuple[str, int, int]  # (kind, index, cluster)
 
@@ -573,7 +575,7 @@ def floc(
     p: Union[float, Sequence[float]] = 0.3,
     alpha: float = 0.0,
     ordering: str = "weighted",
-    gain_mode: str = "exact",
+    gain_mode: str = DEFAULT_GAIN_MODE,
     residue_target: Optional[float] = None,
     mandatory_moves: bool = False,
     reseed_rounds: int = 0,
@@ -581,7 +583,6 @@ def floc(
     seeds: Optional[Sequence[Seed]] = None,
     rng: RngLike = None,
     max_iterations: int = 100,
-    tol: float = 1e-12,
     tracer: Optional[Tracer] = None,
     work: Optional[WorkCounters] = None,
 ) -> FlocResult:
@@ -654,9 +655,6 @@ def floc(
         ``None`` (fresh entropy), an ``int`` seed, or a ``Generator``.
     max_iterations:
         Safety cap on Phase-2 iterations.
-    tol:
-        Minimum average-residue improvement an iteration must achieve to
-        continue.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  When given, the run
         times its phases as spans (``phase1``, ``ordering``,
@@ -689,14 +687,10 @@ def floc(
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
     check_params(
-        residue_target=residue_target, k=k, alpha=alpha, reseed_rounds=reseed_rounds
+        residue_target=residue_target, k=k, alpha=alpha,
+        reseed_rounds=reseed_rounds, ordering=ordering, gain_mode=gain_mode,
+        max_iterations=max_iterations,
     )
-    if ordering not in ORDERINGS:
-        raise ValueError(f"ordering must be one of {ORDERINGS}, got {ordering!r}")
-    if gain_mode not in GAIN_MODES:
-        raise ValueError(f"gain_mode must be one of {GAIN_MODES}, got {gain_mode!r}")
-    if max_iterations < 1:
-        raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     generator = resolve_rng(rng)
     active = constraints if constraints is not None else Constraints()
     if tracer is None:
@@ -747,7 +741,7 @@ def floc(
     for round_index in range(rounds):
         iters, acts, round_converged = _phase2(
             state, engine, matrix, ordering, residue_target, generator,
-            max_iterations, tol, tracer,
+            max_iterations, tracer,
             history, iteration_times, n_iterations,
         )
         n_iterations += iters
@@ -792,7 +786,6 @@ def _phase2(
     residue_target: Optional[float],
     generator: np.random.Generator,
     max_iterations: int,
-    tol: float,
     tracer: Tracer,
     history: List[float],
     iteration_times: List[float],
@@ -869,7 +862,7 @@ def _phase2(
         n_actions += len(performed)
 
         n_adopted = 0
-        if iter_best < best_score - tol:
+        if iter_best < best_score - TOL:
             improved = True
             n_adopted = iter_best_idx + 1
             best_score = iter_best

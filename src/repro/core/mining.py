@@ -36,7 +36,7 @@ a supervised run with root seed 7 write the same clusters, bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Any, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .clustering import Clustering
 from .constraints import Constraints
 from .floc import FlocResult, floc
 from .matrix import DataMatrix
-from .params import check_params
+from .params import MiningParams
 from .rng import RngLike, resolve_rng
 
 __all__ = [
@@ -90,21 +90,10 @@ def mine_delta_clusters(
     matrix: Union[DataMatrix, np.ndarray],
     residue_target: float,
     *,
-    k: int = 10,
-    n_restarts: int = 3,
-    max_clusters: Optional[int] = None,
-    min_rows: int = 3,
-    min_cols: int = 3,
-    min_volume: int = 25,
-    max_overlap: float = 0.5,
-    alpha: float = 0.0,
-    p: float = 0.2,
-    reseed_rounds: int = 10,
-    ordering: str = "greedy",
-    gain_mode: str = "fast",
     rng: RngLike = None,
     tracer: Optional[Tracer] = None,
     work: Optional[WorkCounters] = None,
+    **params: Any,
 ) -> MiningResult:
     """Mine r-residue delta-clusters with restarts and deduplication.
 
@@ -112,22 +101,13 @@ def mine_delta_clusters(
     ----------
     matrix:
         Data matrix (``NaN`` = missing).
-    residue_target:
-        The ``r`` of the r-residue delta-cluster: every returned cluster
-        has mean absolute residue at most this.
-    k, p, reseed_rounds, ordering, gain_mode, alpha:
-        Forwarded to :func:`repro.core.floc.floc` per restart.
-    n_restarts:
-        Independent FLOC runs to pool.
-    max_clusters:
-        Keep at most this many clusters (largest volume first);
-        ``None`` keeps all.
-    min_rows, min_cols, min_volume:
-        Discard clusters smaller than this (``min_volume`` counts
-        *specified* entries).
-    max_overlap:
-        Pooled clusters overlapping a kept cluster by more than this
-        fraction (of the smaller one's cells) are dropped as duplicates.
+    residue_target, **params:
+        The session's :class:`~repro.core.params.MiningParams` (the ``r``
+        of the r-residue delta-cluster, ``k``, ``n_restarts``,
+        ``min_rows``, ...), with its defaults; an out-of-range value, or
+        a ``min_rows`` / ``min_cols`` above the matrix's shape, raises
+        :class:`~repro.core.params.ParameterError` before any restart
+        runs.
     rng:
         The root seed: an integer is the root itself, anything else gives
         one draw from ``resolve_rng(rng)``.  Restart ``i`` is
@@ -149,13 +129,9 @@ def mine_delta_clusters(
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    # Every restart would fail on the same bad value: refuse it first.
-    check_params(
-        matrix.shape, residue_target=residue_target, n_restarts=n_restarts,
-        k=k, min_rows=min_rows, min_cols=min_cols, alpha=alpha, p=p,
-        max_overlap=max_overlap, reseed_rounds=reseed_rounds,
-        max_clusters=max_clusters,
-    )
+    session = MiningParams(residue_target, **params)
+    # Every restart would fail on a seed that cannot fit: refuse it first.
+    session.check_shape(matrix.shape)
     root_seed = (int(rng) if isinstance(rng, (int, np.integer))
                  else int(resolve_rng(rng).integers(2**63)))
     if tracer is None:
@@ -163,33 +139,13 @@ def mine_delta_clusters(
 
     runs = [
         run_restart(
-            matrix, restart,
-            residue_target=residue_target,
-            root_seed=root_seed,
-            k=k,
-            min_rows=min_rows,
-            min_cols=min_cols,
-            alpha=alpha,
-            p=p,
-            reseed_rounds=reseed_rounds,
-            ordering=ordering,
-            gain_mode=gain_mode,
-            tracer=tracer,
+            matrix, restart, session, root_seed=root_seed, tracer=tracer,
             work=None if work is None else WorkCounters(),
         )
-        for restart in range(n_restarts)
+        for restart in range(session.n_restarts)
     ]
 
-    result_pool = pool_mining_results(
-        matrix, runs,
-        residue_target=residue_target,
-        min_rows=min_rows,
-        min_cols=min_cols,
-        min_volume=min_volume,
-        max_overlap=max_overlap,
-        max_clusters=max_clusters,
-        alpha=alpha,
-    )
+    result_pool = pool_mining_results(matrix, runs, session)
     if work is not None and result_pool.work is not None:
         work.merge(result_pool.work)
     result_pool.trace_summary = tracer.summary() if tracer.enabled else None
@@ -214,18 +170,9 @@ def restart_seed(root_seed: int, restart: int) -> np.random.SeedSequence:
 def run_restart(
     matrix: Union[DataMatrix, np.ndarray],
     restart: int,
+    params: MiningParams,
     *,
-    residue_target: float,
     root_seed: int,
-    k: int = 10,
-    min_rows: int = 3,
-    min_cols: int = 3,
-    alpha: float = 0.0,
-    p: Union[float, Sequence[float]] = 0.2,
-    reseed_rounds: int = 10,
-    ordering: str = "greedy",
-    gain_mode: str = "fast",
-    max_iterations: int = 100,
     tracer: Optional[Tracer] = None,
     work: Optional[WorkCounters] = None,
 ) -> FlocResult:
@@ -235,29 +182,30 @@ def run_restart(
     :func:`mine_delta_clusters` (root seed: its integer ``rng``, or one
     draw from any other) and the runtime's workers both run restarts
     here.  Under ``tracer`` the restart runs in a ``restart`` span, and
-    its records carry a ``restart`` context key.  Other parameters are
-    forwarded to :func:`floc`.
+    its records carry a ``restart`` context key.  ``params`` gives
+    :func:`floc` its parameters and its ``min_rows`` x ``min_cols``
+    floor.
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
     if tracer is None:
         tracer = NULL_TRACER
-    constraints = Constraints(min_rows=min_rows, min_cols=min_cols)
+    constraints = Constraints(min_rows=params.min_rows, min_cols=params.min_cols)
     if tracer.enabled:
         tracer.push_context(restart=restart)
     try:
         with tracer.span("restart"):
             return floc(
-                matrix, k,
-                p=p,
-                alpha=alpha,
-                ordering=ordering,
-                gain_mode=gain_mode,
-                residue_target=residue_target,
-                reseed_rounds=reseed_rounds,
+                matrix, params.k,
+                p=params.p,
+                alpha=params.alpha,
+                ordering=params.ordering,
+                gain_mode=params.gain_mode,
+                residue_target=params.residue_target,
+                reseed_rounds=params.reseed_rounds,
                 constraints=constraints,
                 rng=restart_seed(root_seed, restart),
-                max_iterations=max_iterations,
+                max_iterations=params.max_iterations,
                 tracer=tracer,
                 work=work,
             )
@@ -269,14 +217,7 @@ def run_restart(
 def pool_mining_results(
     matrix: Union[DataMatrix, np.ndarray],
     runs: Sequence[FlocResult],
-    *,
-    residue_target: float,
-    max_clusters: Optional[int] = None,
-    min_rows: int = 3,
-    min_cols: int = 3,
-    min_volume: int = 25,
-    max_overlap: float = 0.5,
-    alpha: float = 0.0,
+    params: MiningParams,
 ) -> MiningResult:
     """Pool restart results into a deduplicated :class:`MiningResult`.
 
@@ -286,17 +227,13 @@ def pool_mining_results(
     results replayed from a checkpoint store.  The outcome depends only
     on ``runs`` *in order* (pass them sorted by restart index), never on
     completion order or scheduling, which is what makes crash/resume
-    parity possible.  ``work`` sums the runs' own counters.  With
-    ``alpha > 0`` a cluster that fails the alpha-occupancy condition
-    (:meth:`~repro.core.cluster.DeltaCluster.occupancy_ok`) is dropped
-    like one above the residue target.
+    parity possible.  ``work`` sums the runs' own counters.  A cluster
+    is pooled when it meets ``params``' size floor, ``min_volume`` and
+    ``residue_target``, and, with ``alpha > 0``, the alpha-occupancy
+    condition (:meth:`~repro.core.cluster.DeltaCluster.occupancy_ok`).
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
-    check_params(
-        residue_target=residue_target, max_overlap=max_overlap, alpha=alpha,
-        max_clusters=max_clusters,
-    )
     work_total: Optional[WorkCounters] = None
     for result in runs:
         if result.work is not None:
@@ -306,19 +243,19 @@ def pool_mining_results(
     pooled: List[DeltaCluster] = []
     for result in runs:
         for cluster in result.clustering:
-            if cluster.n_rows < min_rows or cluster.n_cols < min_cols:
+            if cluster.n_rows < params.min_rows or cluster.n_cols < params.min_cols:
                 continue
-            if cluster.volume(matrix) < min_volume:
+            if cluster.volume(matrix) < params.min_volume:
                 continue
-            if cluster.residue(matrix) > residue_target:
+            if cluster.residue(matrix) > params.residue_target:
                 continue
-            if alpha > 0.0 and not cluster.occupancy_ok(matrix, alpha):
+            if params.alpha > 0.0 and not cluster.occupancy_ok(matrix, params.alpha):
                 continue
             pooled.append(cluster)
     n_pooled = len(pooled)
-    kept = _deduplicate(pooled, matrix, max_overlap)
-    if max_clusters is not None:
-        kept = kept[:max_clusters]
+    kept = _deduplicate(pooled, matrix, params.max_overlap)
+    if params.max_clusters is not None:
+        kept = kept[:params.max_clusters]
     return MiningResult(
         clustering=Clustering(matrix, kept),
         runs=list(runs),

@@ -361,22 +361,26 @@ def lint_paths(
     records; the CLI decides whether they fail the run.
     """
     report = LintReport()
-    project = ProjectSymbols()
-    for path in collect_files(paths):
-        try:
-            source = path.read_text(encoding="utf-8")
-        except OSError as exc:
-            report.parse_errors.append((str(path), str(exc)))
-            continue
-        report.files_checked += 1
-        try:
-            module = ModuleSymbols(module_name_for_path(str(path)), str(path), source)
-        except SyntaxError as exc:
-            report.parse_errors.append((str(path), f"syntax error: {exc}"))
-            continue
-        project.add_module(module)
+    sources = _read_sources(paths, report.parse_errors)
+    report.files_checked = len(sources)
+    project = build_project(sources, report.parse_errors)
     _check(project, all_rules() if rules is None else rules, report)
     return report
+
+
+def _read_sources(
+    paths: Iterable[str], errors: Optional[List[Tuple[str, str]]] = None
+) -> Dict[str, str]:
+    """``{path: source}`` of every ``*.py`` file under ``paths``; a file
+    that cannot be read is left out (and listed in ``errors``)."""
+    sources: Dict[str, str] = {}
+    for path in collect_files(paths):
+        try:
+            sources[str(path)] = path.read_text(encoding="utf-8")
+        except OSError as exc:
+            if errors is not None:
+                errors.append((str(path), str(exc)))
+    return sources
 
 
 def _check(
@@ -448,13 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_call_graph(paths: Sequence[str], pattern: str) -> int:
-    sources: Dict[str, str] = {}
-    for path in collect_files(paths):
-        try:
-            sources[str(path)] = path.read_text(encoding="utf-8")
-        except OSError:
-            continue
-    graph = build_callgraph(build_project(sources))
+    graph = build_callgraph(build_project(_read_sources(paths)))
     lines, matched = render_reach(graph, pattern)
     if not matched:
         print(f"error: no function matches '{pattern}'", file=sys.stderr)

@@ -26,17 +26,22 @@ function or module a name refers to.  This module builds that table:
 Module naming is lexical: the dotted name is the path after the last
 ``src/`` component (``src/repro/core/floc.py`` -> ``repro.core.floc``);
 trees without a ``src/`` layout fall back to walking ``__init__.py``
-markers on disk, then to the dotted relative path.  This keeps the
-table constructible from in-memory sources (the fixture self-tests) and
-byte-deterministic across runs.
+markers on disk, then to the dotted relative path.  Files that would
+share a name (``a/m.py`` and ``b/m.py`` outside any package) are named
+by their dotted paths instead, so each keeps its own functions and
+call edges.  This keeps the table constructible from in-memory sources
+(the fixture self-tests) and byte-deterministic across runs.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
+)
 
 __all__ = [
     "ClassSymbol",
@@ -94,6 +99,26 @@ def module_name_for_path(path: str) -> str:
     if leaf == "__init__":
         return ".".join(package) if package else leaf
     return ".".join(package + [leaf]) if package else leaf
+
+
+def _module_names(paths: Iterable[str]) -> Dict[str, str]:
+    """:func:`module_name_for_path` of each path, except that paths
+    sharing a name are each named by their dotted path (``a/m.py`` ->
+    ``a.m``), so no module of a project hides another."""
+    names = {path: module_name_for_path(path) for path in paths}
+    shared = Counter(names.values())
+    return {
+        path: _dotted_path(path) if shared[name] > 1 else name
+        for path, name in names.items()
+    }
+
+
+def _dotted_path(path: str) -> str:
+    parts = [part for part in Path(_posix(path)).with_suffix("").parts
+             if part not in ("/", ".", "..")]
+    if len(parts) > 1 and parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
 
 
 def _dotted_parts(expr: ast.AST) -> Optional[List[str]]:
@@ -351,8 +376,7 @@ class ProjectSymbols:
     """All modules of one analyzed tree, indexed by dotted name."""
 
     def __init__(self) -> None:
-        #: every parsed file by path -- two files can share a dotted
-        #: name (two trees without ``src/``), and each is still linted
+        #: every parsed file by path
         self.files: Dict[str, ModuleSymbols] = {}
         self.modules: Dict[str, ModuleSymbols] = {}
         self.functions: Dict[str, FunctionSymbol] = {}
@@ -462,17 +486,23 @@ class ProjectSymbols:
         return Resolution(reason="missing-method")
 
 
-def build_project(files: Mapping[str, str]) -> ProjectSymbols:
+def build_project(
+    files: Mapping[str, str],
+    parse_errors: Optional[List[Tuple[str, str]]] = None,
+) -> ProjectSymbols:
     """Build a :class:`ProjectSymbols` from ``{path: source}``.
 
-    Files that fail to parse are skipped (``lint_paths`` reports them
-    as parse errors).
+    Files that fail to parse are skipped, and listed as ``(path,
+    message)`` in ``parse_errors`` when it is given.
     """
     project = ProjectSymbols()
+    names = _module_names(files)
     for path in sorted(files):
         try:
-            module = ModuleSymbols(module_name_for_path(path), path, files[path])
-        except SyntaxError:
+            module = ModuleSymbols(names[path], path, files[path])
+        except SyntaxError as exc:
+            if parse_errors is not None:
+                parse_errors.append((path, f"syntax error: {exc}"))
             continue
         project.add_module(module)
     return project

@@ -8,7 +8,7 @@ Every piece is optional and zero-cost when not requested:
   (:class:`IterationEvent`, :class:`SeedEvent`,
   plus the runtime's :class:`TaskEvent` / :class:`RetryEvent` /
   :class:`FaultEvent`) and the record-field readers its consumers share;
-* :mod:`repro.obs.metrics` -- counters / gauges / histograms with a
+* :mod:`repro.obs.metrics` -- counters / histograms with a
   plain-dict snapshot (the supervised runtime's ``runtime.*`` metrics);
 * :mod:`repro.obs.sinks` -- ring buffer, JSONL writer and console
   progress reporter;
@@ -47,7 +47,7 @@ _resolve, __dir__ = lazy_exports(__name__, {
         "event_fields",
     ),
     ".export": ("chrome_trace", "export_chrome", "export_otlp", "otlp_logs"),
-    ".metrics": ("Counter", "Gauge", "Histogram", "MetricsRegistry"),
+    ".metrics": ("Counter", "Histogram", "MetricsRegistry"),
     ".perf.counters": ("WORK_COUNTER_FIELDS", "WorkCounters"),
     ".perf.fingerprint": ("environment_fingerprint", "git_revision"),
     ".session": (
@@ -68,7 +68,6 @@ __all__ = [
     "Counter",
     "EVENT_TYPES",
     "FaultEvent",
-    "Gauge",
     "Histogram",
     "IterationDelta",
     "IterationEvent",

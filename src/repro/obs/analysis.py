@@ -10,9 +10,9 @@ aggregates:
   action count straight off the ``iteration`` record, the prefix the
   sweep kept (``n_adopted``), the net lines it admitted and evicted, its
   gain sum and one :class:`ClusterDecision` per cluster it acted on;
-* per **cluster**: seed/reseed counts, action totals, gain sums, the
-  net lines its sweeps admitted and evicted, and the last residue/volume
-  the stream reported;
+* per **cluster** slot of each session: seed/reseed counts, action
+  totals, gain sums, the net lines its sweeps admitted and evicted, and
+  the last residue/volume the session reported;
 * per **session** (one ``restart``/``trial`` context of the ``seed``
   and ``iteration`` records): the residue trajectory and sweep list, so
   one multi-restart JSONL file analyzes into separable runs.
@@ -79,7 +79,9 @@ DEFAULT_STRAGGLER_FACTOR = 2.0
 
 @dataclass
 class ClusterStats:
-    """Lifetime view of one cluster slot across the whole trace.
+    """Lifetime view of one cluster slot of one session (``session`` is
+    its key, as in :attr:`SessionAnalysis.key`): slot ``c`` of another
+    restart is another cluster.
 
     ``actions`` and ``gain_sum`` count every performed toggle;
     ``admissions`` and ``evictions`` count the lines the sweeps left
@@ -87,6 +89,7 @@ class ClusterStats:
     """
 
     cluster: int
+    session: Dict[str, object] = field(default_factory=dict)
     seeds: int = 0
     reseeds: int = 0
     actions: int = 0
@@ -99,6 +102,7 @@ class ClusterStats:
     def to_dict(self) -> Dict[str, object]:
         return {
             "cluster": self.cluster,
+            "session": dict(self.session),
             "seeds": self.seeds,
             "reseeds": self.reseeds,
             "actions": self.actions,
@@ -356,7 +360,7 @@ class TraceAnalysis:
         """Plain nested dict; serialize with ``sort_keys=True`` for a
         byte-stable artifact (same trace -> same bytes)."""
         return {
-            "schema": 3,
+            "schema": 4,
             "n_records": self.n_records,
             "event_counts": dict(self.event_counts),
             "sessions": [session.to_dict() for session in self.sessions],
@@ -414,7 +418,7 @@ def analyze_records(
     """
     event_counts: Dict[str, int] = {}
     sessions: Dict[Tuple[object, ...], SessionAnalysis] = {}
-    clusters: Dict[int, ClusterStats] = {}
+    clusters: Dict[Tuple[Tuple[object, ...], int], ClusterStats] = {}
     warnings: List[str] = []
     tasks: List[TaskRun] = []
     wave_retries: Dict[int, int] = {}
@@ -428,10 +432,12 @@ def analyze_records(
             found = sessions[key] = SessionAnalysis(key=_key_dict(key))
         return found
 
-    def cluster_stats(cluster_id: int) -> ClusterStats:
-        found = clusters.get(cluster_id)
+    def cluster_stats(record: Record, cluster_id: int) -> ClusterStats:
+        key = (_session_key(record), cluster_id)
+        found = clusters.get(key)
         if found is None:
-            found = clusters[cluster_id] = ClusterStats(cluster=cluster_id)
+            found = clusters[key] = ClusterStats(
+                cluster=cluster_id, session=_key_dict(key[0]))
         return found
 
     for record in records:
@@ -450,7 +456,7 @@ def analyze_records(
 
         if kind == "seed":
             session(_session_key(record))
-            cluster = cluster_stats(_as_int(record.get("cluster")))
+            cluster = cluster_stats(record, _as_int(record.get("cluster")))
             if record.get("origin") == "reseed":
                 cluster.reseeds += 1
             else:
@@ -475,7 +481,7 @@ def analyze_records(
                 decisions=_decisions(record.get("clusters")),
             )
             for decision in sweep.decisions:
-                cluster = cluster_stats(decision.cluster)
+                cluster = cluster_stats(record, decision.cluster)
                 cluster.actions += decision.actions
                 cluster.gain_sum += decision.gain_sum
                 cluster.admissions += decision.rows_in + decision.cols_in
@@ -517,14 +523,14 @@ def analyze_records(
         # older traces (``action`` and ``span`` records) and newer
         # emitters analyze.
 
-    ordered_sessions = [
-        sessions[key]
-        for key in sorted(
-            sessions,
-            key=lambda k: tuple(_sort_token(part) for part in k),
-        )
+    def order(key: Tuple[object, ...]) -> Tuple[Tuple[int, float, str], ...]:
+        return tuple(_sort_token(part) for part in key)
+
+    ordered_sessions = [sessions[key] for key in sorted(sessions, key=order)]
+    ordered_clusters = [
+        clusters[key]
+        for key in sorted(clusters, key=lambda k: (order(k[0]), k[1]))
     ]
-    ordered_clusters = [clusters[c] for c in sorted(clusters)]
 
     # Wave timeline + straggler flags from the terminal task attempts.
     tasks.sort(key=lambda t: (t.wave, t.restart, t.attempt))

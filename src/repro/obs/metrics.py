@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms with dict snapshots.
+"""Metrics registry: counters and histograms with dict snapshots.
 
 A :class:`MetricsRegistry` is a flat namespace of named instruments.
 Instruments are get-or-create (``registry.counter("runtime.waves")``
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Histogram", "MetricsRegistry"]
 
 
 class Counter:
@@ -34,19 +34,6 @@ class Counter:
 
     def inc(self, n: int = 1) -> None:
         self.value += n
-
-
-class Gauge:
-    """Last-write-wins instantaneous value."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value: Optional[float] = None
-
-    def set(self, value: float) -> None:
-        self.value = float(value)
 
 
 class Histogram:
@@ -117,7 +104,6 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     # -- get-or-create -------------------------------------------------
@@ -125,12 +111,6 @@ class MetricsRegistry:
         inst = self._counters.get(name)
         if inst is None:
             inst = self._counters[name] = Counter(name)
-        return inst
-
-    def gauge(self, name: str) -> Gauge:
-        inst = self._gauges.get(name)
-        if inst is None:
-            inst = self._gauges[name] = Gauge(name)
         return inst
 
     def histogram(self, name: str, sample_cap: int = 4096) -> Histogram:
@@ -143,18 +123,14 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         self.counter(name).inc(n)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauge(name).set(value)
-
     def observe(self, name: str, value: float) -> None:
         self.histogram(name).observe(value)
 
     # -- export --------------------------------------------------------
     def snapshot(self) -> Dict[str, Dict[str, object]]:
-        """Three-section plain dict: counters, gauges, histograms."""
+        """Two-section plain dict: counters, histograms."""
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
                 n: h.as_dict() for n, h in sorted(self._histograms.items())
             },
@@ -162,5 +138,4 @@ class MetricsRegistry:
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
         self._histograms.clear()

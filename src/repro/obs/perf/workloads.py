@@ -209,26 +209,21 @@ def _smoke_floc(gain_mode: str) -> Runner:
 
 def _smoke_mining(work: WorkCounters) -> Dict[str, object]:
     from ...core.mining import pool_mining_results, run_restart
+    from ...core.params import MiningParams
     from ...data.synthetic import generate_embedded
 
     dataset = generate_embedded(
         100, 20, 3, cluster_shape=(15, 8), noise=1.0, rng=1
     )
-    runs = [
-        run_restart(
-            dataset.matrix, restart,
-            residue_target=2.0,
-            root_seed=11,
-            k=4,
-            reseed_rounds=2,
-            max_iterations=10,
-            work=work,
-        )
-        for restart in range(3)
-    ]
-    pooled = pool_mining_results(
-        dataset.matrix, runs, residue_target=2.0, min_volume=16
+    params = MiningParams(
+        residue_target=2.0, k=4, reseed_rounds=2, max_iterations=10,
+        min_volume=16,
     )
+    runs = [
+        run_restart(dataset.matrix, restart, params, root_seed=11, work=work)
+        for restart in range(params.n_restarts)
+    ]
+    pooled = pool_mining_results(dataset.matrix, runs, params)
     return {
         "n_restarts": len(runs),
         "n_pooled": pooled.n_pooled,
@@ -239,6 +234,7 @@ def _smoke_mining(work: WorkCounters) -> Dict[str, object]:
 
 def _smoke_mining_sparse(work: WorkCounters) -> Dict[str, object]:
     from ...core.mining import run_restart
+    from ...core.params import MiningParams
     from ...data.synthetic import generate_embedded
 
     # 20% missing entries: the estimate lane's overlays for lines
@@ -247,17 +243,12 @@ def _smoke_mining_sparse(work: WorkCounters) -> Dict[str, object]:
         100, 20, 3, cluster_shape=(15, 8), noise=1.0, missing_fraction=0.2,
         rng=1,
     )
+    params = MiningParams(
+        residue_target=4.0, k=4, reseed_rounds=2, max_iterations=10,
+    )
     runs = [
-        run_restart(
-            dataset.matrix, restart,
-            residue_target=4.0,
-            root_seed=13,
-            k=4,
-            reseed_rounds=2,
-            max_iterations=10,
-            work=work,
-        )
-        for restart in range(3)
+        run_restart(dataset.matrix, restart, params, root_seed=13, work=work)
+        for restart in range(params.n_restarts)
     ]
     return {
         "n_restarts": len(runs),

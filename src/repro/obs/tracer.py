@@ -10,7 +10,7 @@ It owns three optional facilities:
 * **typed events** -- :meth:`Tracer.emit` takes an
   :class:`~repro.obs.events.TraceEvent`, merges the current context
   (e.g. ``restart=2``) and hands the flat dict to every sink.
-* **metrics** -- :meth:`inc` / :meth:`set_gauge` / :meth:`observe`
+* **metrics** -- :meth:`inc` / :meth:`observe`
   delegate to an attached :class:`~repro.obs.metrics.MetricsRegistry`.
   The supervised runtime writes its ``runtime.*`` metrics here; FLOC
   writes none (its facts are in the records, the span aggregates and
@@ -191,10 +191,6 @@ class Tracer:
     def inc(self, name: str, n: int = 1) -> None:
         if self.enabled and self.metrics is not None:
             self.metrics.inc(name, n)
-
-    def set_gauge(self, name: str, value: float) -> None:
-        if self.enabled and self.metrics is not None:
-            self.metrics.set_gauge(name, value)
 
     def observe(self, name: str, value: float) -> None:
         if self.enabled and self.metrics is not None:

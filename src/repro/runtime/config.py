@@ -1,9 +1,9 @@
 """Run configuration for the supervised mining runtime.
 
 A :class:`RunConfig` captures *everything* a worker process needs to
-re-execute restart ``i`` of a mining session: the FLOC parameters, the
-pooling thresholds, and the root seed that
-:func:`repro.core.mining.restart_seed` expands into the restart's
+re-execute restart ``i`` of a mining session: the session's
+:class:`~repro.core.params.MiningParams` (it is one) and the root seed
+that :func:`repro.core.mining.restart_seed` expands into the restart's
 private stream.  It round-trips through plain JSON so the checkpoint
 manifest can embed it and a resumed run can verify it is continuing
 the *same* session (see :mod:`repro.runtime.checkpoint`).
@@ -12,40 +12,26 @@ the *same* session (see :mod:`repro.runtime.checkpoint`).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional
 
-from ..core.params import check_params
+from ..core.params import MiningParams, check_params
 
 __all__ = ["RunConfig"]
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(MiningParams):
     """Immutable description of one supervised mining session.
 
-    Mining parameters mirror
-    :func:`repro.core.mining.mine_delta_clusters`; supervision
-    parameters (``workers``, ``task_timeout``, ``max_retries``) shape
-    scheduling only and are deliberately *excluded* from the identity
-    digest -- re-running with more workers must resume the same session.
+    The mining parameters and their defaults are
+    :class:`~repro.core.params.MiningParams`'; with ``root_seed`` they
+    are the session's identity.  Supervision parameters (``workers``,
+    ``task_timeout``, ``max_retries``) shape scheduling only and are
+    deliberately *excluded* from the identity -- re-running with more
+    workers must resume the same session.
     """
 
-    # -- mining parameters (identity-bearing) --------------------------
-    residue_target: float
-    n_restarts: int = 1
     root_seed: int = 0
-    k: int = 10
-    min_rows: int = 3
-    min_cols: int = 3
-    alpha: float = 0.0
-    p: Union[float, Sequence[float]] = 0.2
-    reseed_rounds: int = 10
-    ordering: str = "greedy"
-    gain_mode: str = "fast"
-    max_iterations: int = 100
-    min_volume: int = 25
-    max_overlap: float = 0.5
-    max_clusters: Optional[int] = None
 
     # -- supervision parameters (schedule-only) ------------------------
     workers: int = 1
@@ -55,25 +41,15 @@ class RunConfig:
     #: Fields that define the session identity: two configs agreeing on
     #: these produce bit-identical results regardless of scheduling.
     IDENTITY_FIELDS = (
-        "residue_target", "n_restarts", "root_seed", "k", "min_rows",
-        "min_cols", "alpha", "p", "reseed_rounds", "ordering",
-        "gain_mode", "max_iterations", "min_volume", "max_overlap",
-        "max_clusters",
+        *(f.name for f in fields(MiningParams)), "root_seed",
     )
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         check_params(
-            residue_target=self.residue_target, n_restarts=self.n_restarts,
-            root_seed=self.root_seed, k=self.k, min_rows=self.min_rows,
-            min_cols=self.min_cols, alpha=self.alpha, p=self.p,
-            max_overlap=self.max_overlap, reseed_rounds=self.reseed_rounds,
-            max_clusters=self.max_clusters, workers=self.workers,
+            root_seed=self.root_seed, workers=self.workers,
             max_retries=self.max_retries, task_timeout=self.task_timeout,
         )
-        if isinstance(self.p, (list, tuple)):
-            # Normalize to a tuple so to_dict/from_dict round-trips and
-            # frozen instances hash consistently.
-            object.__setattr__(self, "p", tuple(float(x) for x in self.p))
 
     # ------------------------------------------------------------------
     # Serialization

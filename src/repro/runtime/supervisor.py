@@ -363,6 +363,8 @@ def run_supervised(
     """
     if not isinstance(matrix, DataMatrix):
         matrix = DataMatrix(matrix)
+    # Every worker would fail on a seed that cannot fit: refuse it first.
+    config.check_shape(matrix.shape)
     if run_dir is None:
         if resume:
             raise ValueError("resume=True requires an explicit run_dir")
@@ -494,16 +496,7 @@ def _finalize(
     runs = [store.load_result(i, matrix) for i in completed]
     result: Optional[MiningResult] = None
     if runs:
-        result = pool_mining_results(
-            matrix, runs,
-            residue_target=config.residue_target,
-            min_rows=config.min_rows,
-            min_cols=config.min_cols,
-            min_volume=config.min_volume,
-            max_overlap=config.max_overlap,
-            max_clusters=config.max_clusters,
-            alpha=config.alpha,
-        )
+        result = pool_mining_results(matrix, runs, config)
         result.metrics = tracer.snapshot_metrics() if tracer.enabled else None
         result.trace_summary = tracer.summary() if tracer.enabled else None
         pooled_payload = {

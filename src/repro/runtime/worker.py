@@ -143,21 +143,8 @@ def execute_restart_task(payload: TaskPayload) -> Dict[str, object]:
         # free.
         work = WorkCounters()
         result = run_restart(
-            matrix,
-            restart,
-            residue_target=config.residue_target,
-            root_seed=config.root_seed,
-            k=config.k,
-            min_rows=config.min_rows,
-            min_cols=config.min_cols,
-            alpha=config.alpha,
-            p=config.p,
-            reseed_rounds=config.reseed_rounds,
-            ordering=config.ordering,
-            gain_mode=config.gain_mode,
-            max_iterations=config.max_iterations,
-            tracer=tracer,
-            work=work,
+            matrix, restart, config,
+            root_seed=config.root_seed, tracer=tracer, work=work,
         )
 
         telemetry = _rusage_telemetry(rusage_before)

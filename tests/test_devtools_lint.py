@@ -842,6 +842,34 @@ class TestEngine:
         assert not report.clean
         assert report.parse_errors and "syntax error" in report.parse_errors[0][1]
 
+    def test_same_named_files_keep_their_call_edges(self, tmp_path):
+        # Two trees without src/ or __init__.py: both files are module
+        # ``m``, yet each keeps its functions and call edges.
+        a = tmp_path / "a" / "repro" / "core" / "m.py"
+        b = tmp_path / "b" / "repro" / "core" / "m.py"
+        for path, source in (
+            (a, "import time\n\n\ndef f():\n    return g()\n\n\n"
+                "def g():\n    return time.time()\n"),
+            (b, "import time\n\n\ndef h():\n    return time.time()\n"),
+        ):
+            path.parent.mkdir(parents=True)
+            path.write_text(source)
+
+        def findings(report, path):
+            return [(v.rule, v.line) for v in report.violations
+                    if v.path == str(path)]
+
+        alone = lint_paths([str(a)])
+        both = lint_paths([str(a), str(b)])
+        assert findings(alone, a) == [("DCL005", 1), ("DCL010", 4),
+                                      ("DCL010", 9)]
+        assert findings(both, a) == findings(alone, a)
+        assert findings(both, b) == [("DCL005", 1), ("DCL010", 5)]
+        assert (alone.call_graph["functions"], alone.call_graph["edges"]) \
+            == (2, 1)
+        assert (both.call_graph["functions"], both.call_graph["edges"],
+                both.call_graph["unresolved_calls"]["total"]) == (3, 1, 0)
+
     def test_main_json_format(self, tmp_path, capsys):
         mod = tmp_path / "repro" / "core" / "m.py"
         mod.parent.mkdir(parents=True)

@@ -21,24 +21,24 @@ NAN = float("nan")
 class TestTinyMatrices:
     def test_floc_on_2x2(self):
         matrix = DataMatrix([[1.0, 2.0], [3.0, 4.0]])
-        result = floc(matrix, 1, p=1.0, rng=0)
+        result = floc(matrix, 1, p=1.0, rng=0, gain_mode="exact")
         assert len(result.clustering) == 1
 
     def test_floc_on_single_column_matrix_rejected_by_floor(self):
         matrix = DataMatrix([[1.0], [2.0], [3.0]])
         with pytest.raises(ValueError, match="too small"):
-            floc(matrix, 1, p=0.5, rng=0)
+            floc(matrix, 1, p=0.5, rng=0, gain_mode="exact")
 
     def test_single_cluster_whole_matrix_seed(self):
         rng = np.random.default_rng(0)
         matrix = DataMatrix(rng.normal(size=(6, 4)))
-        result = floc(matrix, 1, p=1.0, rng=1, max_iterations=5)
+        result = floc(matrix, 1, p=1.0, rng=1, max_iterations=5, gain_mode="exact")
         assert result.n_iterations >= 1
 
     def test_k_larger_than_matrix_rows(self):
         rng = np.random.default_rng(1)
         matrix = DataMatrix(rng.normal(size=(5, 5)))
-        result = floc(matrix, 8, p=0.5, rng=2, max_iterations=5)
+        result = floc(matrix, 8, p=0.5, rng=2, max_iterations=5, gain_mode="exact")
         assert len(result.clustering) == 8
 
 
@@ -47,7 +47,7 @@ class TestHighlyMissingData:
         dataset = generate_embedded(
             60, 20, 1, cluster_shape=(10, 8), missing_fraction=0.8, rng=3
         )
-        result = floc(dataset.matrix, 2, p=0.4, rng=4, max_iterations=10)
+        result = floc(dataset.matrix, 2, p=0.4, rng=4, max_iterations=10, gain_mode="exact")
         assert len(result.clustering) == 2
 
     def test_cluster_of_fully_missing_region(self):
@@ -76,7 +76,7 @@ class TestConstantData:
 
     def test_floc_on_constant_matrix(self):
         matrix = DataMatrix(np.full((10, 8), 1.0))
-        result = floc(matrix, 2, p=0.4, rng=5, max_iterations=5)
+        result = floc(matrix, 2, p=0.4, rng=5, max_iterations=5, gain_mode="exact")
         assert result.average_residue == 0.0
 
 
@@ -134,13 +134,13 @@ class TestExtremeValues:
     def test_large_magnitudes(self):
         rng = np.random.default_rng(8)
         matrix = DataMatrix(rng.uniform(1e9, 2e9, size=(20, 8)))
-        result = floc(matrix, 1, p=0.4, rng=9, max_iterations=5)
+        result = floc(matrix, 1, p=0.4, rng=9, max_iterations=5, gain_mode="exact")
         assert np.isfinite(result.average_residue)
 
     def test_negative_values(self):
         rng = np.random.default_rng(10)
         matrix = DataMatrix(rng.uniform(-500, -100, size=(20, 8)))
-        result = floc(matrix, 1, p=0.4, rng=11, max_iterations=5)
+        result = floc(matrix, 1, p=0.4, rng=11, max_iterations=5, gain_mode="exact")
         assert result.average_residue >= 0.0
 
     def test_mixed_scale_columns(self):

@@ -28,11 +28,11 @@ class TestValidation:
 
     def test_k_positive(self):
         with pytest.raises(ValueError, match="k"):
-            floc(self.matrix, 0)
+            floc(self.matrix, 0, gain_mode="exact")
 
     def test_ordering_checked(self):
         with pytest.raises(ValueError, match="ordering"):
-            floc(self.matrix, 1, ordering="sorted")
+            floc(self.matrix, 1, ordering="sorted", gain_mode="exact")
 
     def test_gain_mode_checked(self):
         with pytest.raises(ValueError, match="gain_mode"):
@@ -40,36 +40,37 @@ class TestValidation:
 
     def test_alpha_checked(self):
         with pytest.raises(ValueError, match="alpha"):
-            floc(self.matrix, 1, alpha=2.0)
+            floc(self.matrix, 1, alpha=2.0, gain_mode="exact")
 
     @pytest.mark.parametrize("target", [0.0, -1.0])
     def test_residue_target_checked(self, target):
         with pytest.raises(ParameterError, match="residue_target"):
-            floc(self.matrix, 1, residue_target=target)
+            floc(self.matrix, 1, residue_target=target, gain_mode="exact")
 
     def test_max_iterations_checked(self):
         with pytest.raises(ValueError, match="max_iterations"):
-            floc(self.matrix, 1, max_iterations=0)
+            floc(self.matrix, 1, max_iterations=0, gain_mode="exact")
 
     def test_seed_count_checked(self):
         seeds = seeds_from_clusters(10, 6, [DeltaCluster((0, 1), (0, 1))])
         with pytest.raises(ValueError, match="seeds"):
-            floc(self.matrix, 2, seeds=seeds)
+            floc(self.matrix, 2, seeds=seeds, gain_mode="exact")
 
     def test_seed_shape_checked(self):
         bad = [(np.ones(3, dtype=bool), np.ones(6, dtype=bool))]
         with pytest.raises(ValueError, match="shape"):
-            floc(self.matrix, 1, seeds=bad)
+            floc(self.matrix, 1, seeds=bad, gain_mode="exact")
 
     def test_accepts_raw_array(self):
-        result = floc(np.random.default_rng(0).normal(size=(10, 6)), 1, rng=0)
+        result = floc(np.random.default_rng(0).normal(size=(10, 6)), 1, rng=0,
+                      gain_mode="exact")
         assert isinstance(result, FlocResult)
 
 
 class TestBasicBehaviour:
     def test_result_fields(self):
         matrix = DataMatrix(np.random.default_rng(0).uniform(0, 10, (20, 8)))
-        result = floc(matrix, 2, p=0.3, rng=1)
+        result = floc(matrix, 2, p=0.3, rng=1, gain_mode="exact")
         assert result.n_iterations >= 1
         assert len(result.clustering) == 2
         assert result.elapsed_seconds >= 0.0
@@ -78,26 +79,26 @@ class TestBasicBehaviour:
 
     def test_deterministic_with_int_seed(self):
         matrix = DataMatrix(np.random.default_rng(5).uniform(0, 10, (25, 10)))
-        a = floc(matrix, 3, p=0.3, rng=42)
-        b = floc(matrix, 3, p=0.3, rng=42)
+        a = floc(matrix, 3, p=0.3, rng=42, gain_mode="exact")
+        b = floc(matrix, 3, p=0.3, rng=42, gain_mode="exact")
         assert a.clustering.clusters == b.clustering.clusters
         assert a.n_iterations == b.n_iterations
 
     def test_history_non_increasing(self):
         matrix = DataMatrix(np.random.default_rng(2).uniform(0, 10, (30, 10)))
-        result = floc(matrix, 2, p=0.3, rng=3, mandatory_moves=True)
+        result = floc(matrix, 2, p=0.3, rng=3, mandatory_moves=True, gain_mode="exact")
         history = result.history
         assert all(b <= a + 1e-9 for a, b in zip(history, history[1:]))
 
     def test_final_not_worse_than_initial(self):
         matrix = DataMatrix(np.random.default_rng(4).uniform(0, 10, (30, 10)))
-        result = floc(matrix, 2, p=0.4, rng=5)
+        result = floc(matrix, 2, p=0.4, rng=5, gain_mode="exact")
         assert result.average_residue <= result.initial_residue + 1e-9
 
     def test_all_orderings_run(self):
         matrix = DataMatrix(np.random.default_rng(6).uniform(0, 10, (20, 8)))
         for ordering in ("fixed", "random", "weighted"):
-            result = floc(matrix, 2, p=0.3, ordering=ordering, rng=7)
+            result = floc(matrix, 2, p=0.3, ordering=ordering, rng=7, gain_mode="exact")
             assert len(result.clustering) == 2
 
     def test_fast_mode_runs(self):
@@ -107,7 +108,7 @@ class TestBasicBehaviour:
 
     def test_mandatory_moves_runs(self):
         matrix = DataMatrix(np.random.default_rng(8).uniform(0, 10, (15, 6)))
-        result = floc(matrix, 2, p=0.3, mandatory_moves=True, rng=9)
+        result = floc(matrix, 2, p=0.3, mandatory_moves=True, rng=9, gain_mode="exact")
         assert len(result.clustering) == 2
 
 
@@ -121,7 +122,8 @@ class TestWarmStartStability:
             dataset.matrix.n_rows, dataset.matrix.n_cols, dataset.embedded
         )
         result = floc(
-            dataset.matrix, len(seeds), seeds=seeds, rng=0, residue_target=1.0
+            dataset.matrix, len(seeds), seeds=seeds, rng=0, residue_target=1.0,
+            gain_mode="exact",
         )
         scores = recall_precision(
             dataset.embedded, result.clustering.clusters, dataset.matrix.shape
@@ -137,7 +139,7 @@ class TestWarmStartStability:
         emb = dataset.embedded_average_residue()
         result = floc(
             dataset.matrix, len(seeds), seeds=seeds, rng=0,
-            residue_target=3 * emb,
+            residue_target=3 * emb, gain_mode="exact",
         )
         scores = recall_precision(
             dataset.embedded, result.clustering.clusters, dataset.matrix.shape
@@ -165,7 +167,7 @@ class TestWarmStartStability:
         emb = dataset.embedded_average_residue()
         result = floc(
             dataset.matrix, 1, seeds=seeds, rng=5,
-            residue_target=2 * emb, ordering="greedy",
+            residue_target=2 * emb, ordering="greedy", gain_mode="exact",
         )
         found = result.clustering[0]
         assert set(found.rows) == set(target.rows)
@@ -194,7 +196,8 @@ class TestWarmStartStability:
         seeds = seeds_from_clusters(300, 60, [contaminated])
         emb = dataset.embedded_average_residue()
         result = floc(
-            dataset.matrix, 1, seeds=seeds, rng=5, residue_target=2 * emb
+            dataset.matrix, 1, seeds=seeds, rng=5, residue_target=2 * emb,
+            gain_mode="exact",
         )
         found = result.clustering[0]
         assert found.residue(dataset.matrix) <= 2 * emb
@@ -247,7 +250,7 @@ class TestConstraintsRespected:
     def test_structural_floor_in_output(self):
         matrix = DataMatrix(np.random.default_rng(0).uniform(0, 10, (30, 12)))
         cons = Constraints(min_rows=3, min_cols=3)
-        result = floc(matrix, 2, p=0.4, rng=1, constraints=cons)
+        result = floc(matrix, 2, p=0.4, rng=1, constraints=cons, gain_mode="exact")
         for cluster in result.clustering:
             assert cluster.n_rows >= 3
             assert cluster.n_cols >= 3
@@ -255,7 +258,7 @@ class TestConstraintsRespected:
     def test_max_volume_respected(self):
         matrix = DataMatrix(np.random.default_rng(0).uniform(0, 10, (30, 12)))
         cons = Constraints(max_volume=30)
-        result = floc(matrix, 2, p=0.1, rng=1, constraints=cons)
+        result = floc(matrix, 2, p=0.1, rng=1, constraints=cons, gain_mode="exact")
         for cluster in result.clustering:
             assert cluster.entry_count() <= 30
 
@@ -276,7 +279,7 @@ class TestMissingValues:
             60, 16, 2, cluster_shape=(10, 8), noise=1.0,
             missing_fraction=0.2, rng=21,
         )
-        result = floc(dataset.matrix, 2, p=0.25, rng=3, alpha=0.5)
+        result = floc(dataset.matrix, 2, p=0.25, rng=3, alpha=0.5, gain_mode="exact")
         assert len(result.clustering) == 2
 
     def test_alpha_enforced_on_output(self):
@@ -287,7 +290,7 @@ class TestMissingValues:
         emb = dataset.embedded_average_residue()
         result = floc(
             dataset.matrix, 2, p=0.25, rng=4, alpha=0.6,
-            residue_target=max(2 * emb, 1.0),
+            residue_target=max(2 * emb, 1.0), gain_mode="exact",
         )
         for cluster in result.clustering:
             # Additions were only admitted when the resulting cluster kept

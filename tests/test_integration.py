@@ -61,7 +61,7 @@ class TestFlocVsChengChurchPipeline:
             module_shape=(15, 6), noise=4.0, missing_fraction=0.1, rng=3,
         )
         # FLOC consumes the sparse matrix directly ...
-        result = floc(dataset.matrix, 2, p=0.25, rng=4, alpha=0.5)
+        result = floc(dataset.matrix, 2, p=0.25, rng=4, alpha=0.5, gain_mode="exact")
         assert len(result.clustering) == 2
         # ... while Cheng & Church needs random fill first.
         filled = fill_missing_with_random(dataset.matrix, rng=5)
@@ -81,7 +81,7 @@ class TestMovieLensPipeline:
         seeds = seeds_from_clusters(150, 120, dataset.groups)
         result = floc(
             dataset.matrix, 3, seeds=seeds, rng=8, alpha=0.6,
-            residue_target=1.0,
+            residue_target=1.0, gain_mode="exact",
         )
         scores = recall_precision(
             dataset.groups, result.clustering.clusters, dataset.matrix.shape

@@ -1,5 +1,7 @@
 """Unit tests for the multi-restart mining front end."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repro.core.matrix import DataMatrix
 from repro.core.mining import (
     MiningResult, mine_delta_clusters, pool_mining_results, run_restart,
 )
+from repro.core.params import MiningParams
 from repro.data.synthetic import generate_embedded
 from repro.eval.metrics import recall_precision
 
@@ -136,22 +139,23 @@ class TestPoolingOccupancy:
         matrix = DataMatrix(values)
         held = DeltaCluster(rows, cols)
         assert not held.occupancy_ok(matrix, alpha)
+        params = MiningParams(residue_target=8.0, k=8, alpha=alpha,
+                              reseed_rounds=2)
         runs = [
-            run_restart(matrix, restart, residue_target=8.0, root_seed=1,
-                        k=8, alpha=alpha, reseed_rounds=2)
+            run_restart(matrix, restart, params, root_seed=1)
             for restart in range(4)
         ]
         runs.append(FlocResult(
             clustering=Clustering(matrix, [held]), n_iterations=0,
             initial_residue=0.0,
         ))
-        unchecked = pool_mining_results(matrix, runs, residue_target=8.0)
-        checked = pool_mining_results(
-            matrix, runs, residue_target=8.0, alpha=alpha
+        unchecked = pool_mining_results(
+            matrix, runs, MiningParams(residue_target=8.0)
         )
+        checked = pool_mining_results(matrix, runs, params)
         assert any(not c.occupancy_ok(matrix, alpha) for c in unchecked.clustering)
         assert checked.clustering.clusters
         assert all(c.occupancy_ok(matrix, alpha) for c in checked.clustering)
         assert pool_mining_results(
-            matrix, runs, residue_target=8.0, alpha=0.0
+            matrix, runs, replace(params, alpha=0.0)
         ).clustering.clusters == unchecked.clustering.clusters

@@ -48,6 +48,7 @@ def traced_run(matrix, **kwargs):
     kwargs.setdefault("k", 3)
     kwargs.setdefault("rng", 7)
     kwargs.setdefault("reseed_rounds", 2)
+    kwargs.setdefault("gain_mode", "exact")
     result = floc(matrix, tracer=tracer, **kwargs)
     tracer.close()
     return result, sink.records
@@ -190,6 +191,31 @@ class TestHandBuiltStreams:
             "cols_in": list(cols_in), "cols_out": list(cols_out),
             "residue_before": 2.0, "residue": 1.0, "volume": 9,
         }
+
+    def test_cluster_lifetimes_kept_per_session(self):
+        # Slot 0 of two independent restarts: restart 0 reseeds it, the
+        # other does not, and each ends at its own residue.
+        def seed(restart, origin, residue):
+            return {"type": "seed", "cluster": 0, "origin": origin,
+                    "residue": residue, "volume": 9, "restart": restart}
+
+        records = [
+            seed(0, "phase1", 5.0), seed(0, "reseed", 4.0),
+            seed(1, "phase1", 3.0),
+            self.iteration(0, 2.0, n_actions=1, restart=1,
+                           clusters=[self.entry(rows_in=(4,))]),
+        ]
+        analysis = analyze_records(records)
+        assert [(c.session, c.cluster, c.seeds, c.reseeds, c.admissions,
+                 c.last_residue) for c in analysis.clusters] == [
+            ({"restart": 0}, 0, 1, 1, 0, 4.0),
+            ({"restart": 1}, 0, 1, 0, 1, 1.0),
+        ]
+        payload = analysis.to_dict()
+        assert payload["schema"] == 4
+        assert [c["session"] for c in payload["clusters"]] == [
+            {"restart": 0}, {"restart": 1},
+        ]
 
     def test_sessions_separated_by_context(self):
         records = [
@@ -527,7 +553,7 @@ class TestWaveTimeline:
             self._task(2, "completed", 0, 5.0),
         ]
         payload = analyze_records(records).to_dict()
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert [w["index"] for w in payload["waves"]] == [0]
         assert [t["restart"] for t in payload["stragglers"]] == [2]
         assert payload["tasks"][0]["status"] == "completed"

@@ -110,7 +110,8 @@ class TestAnalyzeTraceCommand:
         assert "records" in out
         assert "session [restart=0]" in out
         assert "session [restart=1]" in out
-        assert "per-cluster lifetime" in out
+        assert "session [restart=0]: per-cluster lifetime" in out
+        assert "session [restart=1]: per-cluster lifetime" in out
         assert "session [restart=0]: decisions" in out
         assert "residue before -> after" in out
 
@@ -121,7 +122,7 @@ class TestAnalyzeTraceCommand:
         second = capsys.readouterr().out
         assert first == second
         payload = json.loads(first)
-        assert payload["schema"] == 3
+        assert payload["schema"] == 4
         assert payload["warnings"] == []
         # Per-sweep figures agree with the raw IterationEvent fields.
         raw = read_jsonl(trace_path)

@@ -16,12 +16,6 @@ class TestInstruments:
         assert registry.counter("actions") is counter
         assert counter.value == 5
 
-    def test_gauge_last_write_wins(self):
-        registry = MetricsRegistry()
-        registry.set_gauge("residue", 4.0)
-        registry.set_gauge("residue", 2.5)
-        assert registry.gauge("residue").value == 2.5
-
     def test_histogram_aggregates_exact(self):
         hist = Histogram("t")
         for value in [1.0, 2.0, 3.0, 10.0]:
@@ -57,12 +51,10 @@ class TestSnapshot:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.inc("actions_performed", 3)
-        registry.set_gauge("residue_after_iteration", 1.25)
         registry.observe("gain_eval_ns", 1000.0)
         snapshot = registry.snapshot()
-        assert set(snapshot) == {"counters", "gauges", "histograms"}
+        assert set(snapshot) == {"counters", "histograms"}
         assert snapshot["counters"] == {"actions_performed": 3}
-        assert snapshot["gauges"] == {"residue_after_iteration": 1.25}
         hist = snapshot["histograms"]["gain_eval_ns"]
         assert set(hist) == {
             "count", "total", "mean", "min", "max", "p50", "p90", "p99"
@@ -71,7 +63,7 @@ class TestSnapshot:
 
     def test_snapshot_of_empty_registry(self):
         assert MetricsRegistry().snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
+            "counters": {}, "histograms": {}
         }
 
     def test_reset(self):
@@ -79,5 +71,5 @@ class TestSnapshot:
         registry.inc("n")
         registry.reset()
         assert registry.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
+            "counters": {}, "histograms": {}
         }

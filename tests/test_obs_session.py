@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.mining import run_restart
+from repro.core.params import MiningParams
 from repro.obs.events import IterationEvent, SeedEvent, TaskEvent
 from repro.obs.session import (
     SESSION_TRACE_FILENAME,
@@ -83,8 +84,9 @@ class TestWorkerShard:
         tracer = open_worker_tracer(tmp_path, ctx, 7, 0)
         # The restart the worker runs adds its own ``restart`` key.
         values = np.random.default_rng(0).normal(size=(12, 6))
-        run_restart(values, 7, residue_target=2.0, root_seed=1, k=2,
-                    reseed_rounds=0, tracer=tracer)
+        run_restart(values, 7, MiningParams(residue_target=2.0, k=2,
+                                            reseed_rounds=0),
+                    root_seed=1, tracer=tracer)
         # flush_every=1: the shard is tailable before close.
         lines = worker_shard_path(tmp_path, 7, 0).read_text().splitlines()
         tracer.close()

@@ -103,13 +103,13 @@ class TestFlocTracing:
     def test_exporter_sinks_preserve_parity(self, dataset, tmp_path):
         """JsonlSink + RingBufferSink attached: results stay bit-identical."""
         plain = floc(dataset.matrix, k=3, rng=11, residue_target=2.0,
-                     reseed_rounds=2)
+                     reseed_rounds=2, gain_mode="exact")
         tracer = Tracer(sinks=[
             JsonlSink(tmp_path / "trace.jsonl"),
             RingBufferSink(capacity=100000),
         ])
         traced = floc(dataset.matrix, k=3, rng=11, residue_target=2.0,
-                      reseed_rounds=2, tracer=tracer)
+                      reseed_rounds=2, tracer=tracer, gain_mode="exact")
         tracer.close()
         assert traced.history == plain.history
         assert traced.n_actions == plain.n_actions
@@ -122,10 +122,10 @@ class TestFlocTracing:
     def test_tracing_preserves_rng_stream(self, dataset):
         plain_rng = np.random.default_rng(7)
         traced_rng = np.random.default_rng(7)
-        floc(dataset.matrix, k=2, rng=plain_rng)
+        floc(dataset.matrix, k=2, rng=plain_rng, gain_mode="exact")
         tracer = Tracer(sinks=[RingBufferSink(capacity=100000)],
                         metrics=MetricsRegistry())
-        floc(dataset.matrix, k=2, rng=traced_rng, tracer=tracer)
+        floc(dataset.matrix, k=2, rng=traced_rng, tracer=tracer, gain_mode="exact")
         # Both generators must sit at the same stream position afterwards.
         assert np.array_equal(
             plain_rng.integers(0, 2**31, size=16),
@@ -135,7 +135,7 @@ class TestFlocTracing:
     def test_iteration_events_mirror_history(self, dataset):
         sink = RingBufferSink(capacity=100000)
         result = floc(dataset.matrix, k=3, rng=5,
-                      tracer=Tracer(sinks=[sink]))
+                      tracer=Tracer(sinks=[sink]), gain_mode="exact")
         events = sink.by_type("iteration")
         assert [e["residue"] for e in events] == result.history
         assert [e["index"] for e in events] == list(range(len(events)))
@@ -144,7 +144,7 @@ class TestFlocTracing:
     def test_one_record_per_seed_and_per_sweep(self, dataset):
         sink = RingBufferSink(capacity=100000)
         result = floc(dataset.matrix, k=3, rng=5,
-                      tracer=Tracer(sinks=[sink]))
+                      tracer=Tracer(sinks=[sink]), gain_mode="exact")
         seeds = sink.by_type("seed")
         assert len(seeds) == 3
         assert all(s["origin"] == "phase1" for s in seeds)
@@ -210,14 +210,14 @@ class TestFlocTracing:
         assert sizes == final
 
     def test_iteration_times_always_populated(self, dataset):
-        result = floc(dataset.matrix, k=2, rng=1)
+        result = floc(dataset.matrix, k=2, rng=1, gain_mode="exact")
         assert len(result.iteration_times) == len(result.history)
         assert all(t >= 0.0 for t in result.iteration_times)
         assert result.trace_summary is None
 
     def test_metrics_and_summary_attached_when_traced(self, dataset):
         tracer = Tracer(metrics=MetricsRegistry())
-        result = floc(dataset.matrix, k=2, rng=1, tracer=tracer)
+        result = floc(dataset.matrix, k=2, rng=1, tracer=tracer, gain_mode="exact")
         assert result.trace_summary["events"]["iteration"] == (
             result.n_iterations
         )
@@ -230,7 +230,7 @@ class TestFlocTracing:
         for run in (
             lambda tracer: floc(dataset.matrix, k=3, rng=11,
                                 residue_target=2.0, reseed_rounds=2,
-                                tracer=tracer, work=WorkCounters()),
+                                tracer=tracer, work=WorkCounters(), gain_mode="exact"),
             lambda tracer: mine_delta_clusters(
                 dataset.matrix, 2.0, k=3, n_restarts=2, reseed_rounds=2,
                 rng=11, tracer=tracer, work=WorkCounters()),
@@ -241,7 +241,7 @@ class TestFlocTracing:
             result = run(tracer)
             assert result.trace_summary["events"]["iteration"] > 0
             assert metrics.snapshot() == {
-                "counters": {}, "gauges": {}, "histograms": {},
+                "counters": {}, "histograms": {},
             }
 
 

@@ -20,10 +20,16 @@ from repro.cli import main
 from repro.core.floc import floc
 from repro.core.matrix import DataMatrix
 from repro.core.mining import mine_delta_clusters, pool_mining_results, run_restart
+from repro.core.params import MiningParams
 from repro.data.io import save_matrix_npz
 from repro.obs import WorkCounters, WORK_COUNTER_FIELDS
 
 pytestmark = pytest.mark.perf
+
+
+#: The restarts and pooling the aggregation and checkpoint tests run.
+PARAMS = MiningParams(residue_target=2.0, k=3, reseed_rounds=2,
+                      max_iterations=8, min_volume=9)
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +107,7 @@ class TestParity:
 
     def test_uncounted_run_has_no_work(self, matrix):
         result = floc(matrix, k=3, residue_target=2.0, rng=7,
-                      max_iterations=5)
+                      max_iterations=5, gain_mode="exact")
         assert result.work is None
 
     def test_counted_runs_are_deterministic(self, matrix):
@@ -196,16 +202,11 @@ class TestAggregation:
 
     def test_pooling_sums_distinct_per_run_objects(self, matrix):
         runs = [
-            run_restart(
-                matrix, restart, residue_target=2.0, root_seed=11,
-                k=3, reseed_rounds=2, max_iterations=8,
-                work=WorkCounters(),
-            )
+            run_restart(matrix, restart, PARAMS, root_seed=11,
+                        work=WorkCounters())
             for restart in range(3)
         ]
-        pooled = pool_mining_results(
-            matrix, runs, residue_target=2.0, min_volume=9
-        )
+        pooled = pool_mining_results(matrix, runs, PARAMS)
         assert pooled.work is not None
         expected = WorkCounters()
         for run in runs:
@@ -214,15 +215,10 @@ class TestAggregation:
 
     def test_pooling_without_counting_yields_none(self, matrix):
         runs = [
-            run_restart(
-                matrix, restart, residue_target=2.0, root_seed=11,
-                k=3, reseed_rounds=2, max_iterations=8,
-            )
+            run_restart(matrix, restart, PARAMS, root_seed=11)
             for restart in range(2)
         ]
-        pooled = pool_mining_results(
-            matrix, runs, residue_target=2.0, min_volume=9
-        )
+        pooled = pool_mining_results(matrix, runs, PARAMS)
         assert pooled.work is None
 
 
@@ -231,10 +227,7 @@ class TestCheckpointRoundTrip:
         from repro.runtime.checkpoint import record_to_result, result_to_record
 
         work = WorkCounters()
-        result = run_restart(
-            matrix, 0, residue_target=2.0, root_seed=11, k=3,
-            reseed_rounds=2, max_iterations=8, work=work,
-        )
+        result = run_restart(matrix, 0, PARAMS, root_seed=11, work=work)
         record = result_to_record(0, result)
         assert record["work"] == work.as_dict()
         restored = record_to_result(record, matrix)
@@ -244,10 +237,7 @@ class TestCheckpointRoundTrip:
     def test_uncounted_record_omits_work(self, matrix):
         from repro.runtime.checkpoint import record_to_result, result_to_record
 
-        result = run_restart(
-            matrix, 0, residue_target=2.0, root_seed=11, k=3,
-            reseed_rounds=2, max_iterations=8,
-        )
+        result = run_restart(matrix, 0, PARAMS, root_seed=11)
         record = result_to_record(0, result)
         assert "work" not in record
         assert record_to_result(record, matrix).work is None

@@ -75,9 +75,7 @@ class TestRunConfig:
 
 class TestRecordSerialization:
     def test_result_round_trips_bit_identically(self, matrix, config):
-        result = run_restart(matrix, 0, residue_target=config.residue_target,
-                             root_seed=config.root_seed, k=config.k,
-                             max_iterations=config.max_iterations)
+        result = run_restart(matrix, 0, config, root_seed=config.root_seed)
         record = result_to_record(0, result)
         # Through a JSON encode/decode cycle, like the on-disk path.
         reloaded = record_to_result(json.loads(json.dumps(record)), matrix)
@@ -90,9 +88,7 @@ class TestRecordSerialization:
         assert reloaded.converged == result.converged
 
     def test_digest_detects_tampering(self, matrix, config):
-        result = run_restart(matrix, 0, residue_target=config.residue_target,
-                             root_seed=config.root_seed, k=config.k,
-                             max_iterations=config.max_iterations)
+        result = run_restart(matrix, 0, config, root_seed=config.root_seed)
         record = result_to_record(0, result)
         assert record_digest(record) == record["digest"]
         record["n_actions"] = 999
@@ -122,9 +118,7 @@ class TestCheckpointStore:
 
     def test_record_round_trip(self, tmp_path, matrix, config):
         store = CheckpointStore.create(tmp_path / "run", config)
-        result = run_restart(matrix, 1, residue_target=config.residue_target,
-                             root_seed=config.root_seed, k=config.k,
-                             max_iterations=config.max_iterations)
+        result = run_restart(matrix, 1, config, root_seed=config.root_seed)
         record = result_to_record(1, result)
         from repro.data.io import write_json_atomic
         write_json_atomic(store.record_path(1), record)
@@ -137,9 +131,7 @@ class TestCheckpointStore:
 
     def test_corrupt_record_is_dropped(self, tmp_path, matrix, config):
         store = CheckpointStore.create(tmp_path / "run", config)
-        result = run_restart(matrix, 0, residue_target=config.residue_target,
-                             root_seed=config.root_seed, k=config.k,
-                             max_iterations=config.max_iterations)
+        result = run_restart(matrix, 0, config, root_seed=config.root_seed)
         record = result_to_record(0, result)
         from repro.data.io import write_json_atomic
         write_json_atomic(store.record_path(0), record)
@@ -155,9 +147,7 @@ class TestCheckpointStore:
 
     def test_wrong_restart_index_rejected(self, tmp_path, matrix, config):
         store = CheckpointStore.create(tmp_path / "run", config)
-        result = run_restart(matrix, 0, residue_target=config.residue_target,
-                             root_seed=config.root_seed, k=config.k,
-                             max_iterations=config.max_iterations)
+        result = run_restart(matrix, 0, config, root_seed=config.root_seed)
         record = result_to_record(0, result)
         from repro.data.io import write_json_atomic
         write_json_atomic(store.record_path(2), record)

@@ -250,6 +250,20 @@ class TestInProcessParity:
                 == [run.work for run in plain.runs]
             assert supervised.work == plain.work
 
+    def test_default_parameters_mine_the_same_session(self, workload,
+                                                       tmp_path):
+        # Only the residue target and the seed given: both paths take
+        # every other parameter from MiningParams, n_restarts included.
+        plain = mine_delta_clusters(workload, 8.0, rng=13)
+        supervised = run_supervised(
+            workload, RunConfig(residue_target=8.0, root_seed=13),
+            run_dir=tmp_path / "run",
+        ).result
+        assert len(supervised.runs) == len(plain.runs) == 3
+        assert cluster_shapes(supervised) == cluster_shapes(plain)
+        assert [run.history for run in supervised.runs] \
+            == [run.history for run in plain.runs]
+
     def test_non_integer_rng_gives_one_root_seed_draw(self, workload):
         root = int(np.random.default_rng(5).integers(2**63))
         drawn = mine_delta_clusters(

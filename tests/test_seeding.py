@@ -108,7 +108,7 @@ class TestAxisSeeds:
         rng = np.random.default_rng(3)
         matrix = DataMatrix(rng.normal(size=(30, 12)))
         seeds = axis_seeds(30, 12, 2, 0.2, 0.4, np.random.default_rng(4))
-        result = floc(matrix, 2, seeds=seeds, rng=5, max_iterations=5)
+        result = floc(matrix, 2, seeds=seeds, rng=5, max_iterations=5, gain_mode="exact")
         assert len(result.clustering) == 2
 
 
