@@ -176,22 +176,34 @@ def test_supervised_session_tracing_overhead_and_parity(report):
     """Session tracing on the supervised runtime: < 5% and bit-identical.
 
     Same reconstruction style as the single-process tests, applied to
-    the cross-process path (PR 10): an untraced supervised run sets the
-    budget baseline; a traced run (``session_trace=True``) provides the
-    real shard records; one durable ``flush_every=1`` shard write of the
-    largest of them is micro-timed; and the charge  (records x unit
-    write cost)  must stay under 5% of the untraced run.  The traced run's pooled result
-    must also serialize bit-identically to the untraced run's --
-    telemetry and trace shards are observation, never input.
+    the cross-process path: an untraced supervised run sets the budget
+    baseline, and a traced run (``session_trace=True``) provides the
+    real records.  Each record is charged at the measured cost of how it
+    is written:
+
+    * a supervisor-shard record at one ``flush_every=1`` shard write of
+      the largest of them;
+    * a worker record inside its restart's checkpoint record: encoding
+      the restart's records into its in-memory JSONL shard, plus what
+      the traced checkpoint record costs over its untraced twin to
+      write (digest and atomic write) and to verify on the supervisor
+      (two digest-checked reads: after the ack, and when pooling).
+
+    The charge must stay under 5% of the untraced run.  The traced
+    run's pooled result must also serialize bit-identically to the
+    untraced run's -- telemetry and trace sections are observation,
+    never input.
     """
     import shutil
     import tempfile
     from pathlib import Path
 
+    from repro.data.io import write_json_atomic
     from repro.data.synthetic import generate_embedded
     from repro.obs.sinks import read_jsonl
     from repro.obs.session import TRACES_DIRNAME
     from repro.runtime import RunConfig, run_supervised
+    from repro.runtime.checkpoint import read_record, record_digest
 
     dataset = generate_embedded(
         120, 24, 3, cluster_shape=(18, 8), noise=1.0, rng=0
@@ -222,35 +234,65 @@ def test_supervised_session_tracing_overhead_and_parity(report):
         )
         assert traced.ok
 
-        # Parity: shard-writing workers compute the identical result.
+        # Parity: tracing workers compute the identical result.
         assert _serialized(traced.result) == _serialized(untraced.result)
 
-        # The real records of the shards the traced run wrote.
+        # Supervisor records: one flushed shard write each, at the cost
+        # of the largest.
         traces = traced.run_dir / TRACES_DIRNAME
-        records = [
+        supervisor = [
             record
-            for shard in sorted(traces.glob("trace_*.jsonl"))
-            if shard.name != "trace_session.jsonl"
+            for shard in sorted(traces.glob("trace_supervisor*.jsonl"))
             for record in read_jsonl(shard)
         ]
-        shard_records = len(records)
-
-        # Unit cost of one durable shard write (flush_every=1, the
-        # worker configuration) of the largest record written.
-        record = _largest(records)
-        size = len(json.dumps(record, sort_keys=True))
+        largest = _largest(supervisor)
         sink = JsonlSink(scratch / "unit.jsonl", flush_every=1)
-        write_cost = _unit_cost(lambda: sink.write(record), reps=20_000)
+        flushed_cost = _unit_cost(lambda: sink.write(largest), reps=20_000)
         sink.close()
+        supervisor_charge = len(supervisor) * flushed_cost
 
-        overhead = shard_records * write_cost
+        # Worker records: each restart's shard encoding plus its traced
+        # checkpoint record's write and two verifications, over the
+        # same for the record without its trace section.
+        def checkpoint(record, path):
+            record_digest(record)
+            write_json_atomic(path, record)
+            read_record(path, record["restart"])
+            read_record(path, record["restart"])
+
+        worker_records = 0
+        worker_charge = 0.0
+        for path in sorted((traced.run_dir / "restarts").glob("*.json")):
+            record = json.loads(path.read_text(encoding="utf-8"))
+            section = [json.loads(line)
+                       for line in record["trace"].splitlines()]
+            worker_records += len(section)
+            twin = {k: v for k, v in record.items() if k != "trace"}
+            twin["digest"] = record_digest(twin)
+
+            def encode(section=section):
+                sink = JsonlSink(io.StringIO())
+                for line in section:
+                    sink.write(line)
+
+            worker_charge += _unit_cost(encode, reps=50)
+            worker_charge += max(0.0, _unit_cost(
+                lambda: checkpoint(record, scratch / "traced.json"), reps=50,
+            ) - _unit_cost(
+                lambda: checkpoint(twin, scratch / "twin.json"), reps=50,
+            ))
+
+        overhead = supervisor_charge + worker_charge
         fraction = overhead / run_time
         report("overhead_session_tracing", "\n".join([
             "supervised session-tracing overhead reconstruction",
             f"untraced supervised run : {run_time * 1e3:9.2f} ms",
-            f"shard records written   : {shard_records:9d} x "
-            f"{write_cost * 1e6:6.2f} us (the largest: {size} bytes, "
-            f"{record['type']!r})",
+            f"supervisor records      : {len(supervisor):9d} x "
+            f"{flushed_cost * 1e6:6.2f} us flushed (the largest: "
+            f"{len(json.dumps(largest, sort_keys=True))} bytes, "
+            f"{largest['type']!r}) = {supervisor_charge * 1e3:.3f} ms",
+            f"worker records          : {worker_records:9d} in "
+            f"checkpoint records = {worker_charge * 1e3:.3f} ms",
             f"reconstructed overhead  : {overhead * 1e3:9.3f} ms "
             f"({100 * fraction:.2f}% of the run)",
             "traced == untraced      : bit-identical pooled results",

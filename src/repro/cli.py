@@ -500,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     export.add_argument(
         "source",
         help="a merged session trace (JSONL file) or a run directory "
-             "whose traces/ shards are merged in-memory",
+             "whose supervisor shards and restart records are merged "
+             "in-memory",
     )
     export.add_argument("--format", choices=("chrome", "otlp", "jsonl"),
                         default="chrome",

@@ -351,7 +351,7 @@ def cmd_analyze_trace(args: argparse.Namespace) -> int:
 
 
 def _load_trace_source(args: argparse.Namespace) -> Optional[List[Dict[str, object]]]:
-    """Load records from a trace file or a run directory with shards.
+    """Load records from a trace file or a supervised run directory.
 
     A directory source is merged in-memory via
     :func:`~repro.obs.session.collect_session` (session meta first); a
@@ -366,7 +366,7 @@ def _load_trace_source(args: argparse.Namespace) -> Optional[List[Dict[str, obje
         skipped = meta.get("skipped_shards")
         if isinstance(skipped, list) and skipped:
             names = ", ".join(str(name) for name in sorted(skipped))
-            print(f"warning: {len(skipped)} unreadable shard(s) skipped: "
+            print(f"warning: {len(skipped)} damaged shard(s) skipped: "
                   f"{names}", file=sys.stderr)
         return [meta] + records
     if source.is_file():

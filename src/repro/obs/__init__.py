@@ -17,8 +17,9 @@ Every piece is optional and zero-cost when not requested:
   timelines with straggler detection for runtime traces, plus
   twinned-run diffing (``repro analyze-trace`` / ``repro diff-traces``);
 * :mod:`repro.obs.session` -- cross-process session traces for the
-  supervised runtime: per-process JSONL shards, clock alignment, and
-  the byte-deterministic merge;
+  supervised runtime: the supervisor's JSONL shard, each restart's
+  shard inside its checkpoint record, clock alignment, and the
+  byte-deterministic merge;
 * :mod:`repro.obs.export` -- Chrome trace-event / OTLP/JSON renderings
   of recorded and merged session traces (``repro export-trace``);
 * :mod:`repro.obs.perf` -- the deterministic work-counter cost model
@@ -52,7 +53,7 @@ _resolve, __dir__ = lazy_exports(__name__, {
     ".perf.fingerprint": ("environment_fingerprint", "git_revision"),
     ".session": (
         "SessionTrace", "TraceContext", "collect_session", "merge_session",
-        "open_worker_tracer", "session_id_for", "worker_shard_path",
+        "session_id_for",
     ),
     ".sinks": (
         "ConsoleProgressSink", "JsonlSink", "RingBufferSink", "Sink",
@@ -107,11 +108,9 @@ __all__ = [
     "export_otlp",
     "git_revision",
     "merge_session",
-    "open_worker_tracer",
     "otlp_logs",
     "read_jsonl",
     "session_id_for",
-    "worker_shard_path",
 ]
 
 

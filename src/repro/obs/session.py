@@ -1,49 +1,41 @@
 """Cross-process session traces for the supervised runtime.
 
-The supervised runtime (:mod:`repro.runtime`) farms FLOC restarts out to
-a process pool, which used to put a hard boundary through the trace: the
-supervisor recorded task/retry/fault events while each worker's sweep
-events evaporated inside the subprocess.  This module is the missing
-layer -- every process writes its own durable JSONL *shard* into
-``<run_dir>/traces/`` and a collector merges them into one totally
-ordered session trace.
-
-How the pieces fit together:
+The supervised runtime (:mod:`repro.runtime`) runs FLOC restarts in a
+process pool: the supervisor records task/retry/fault events, each
+worker its restart's sweeps.  This module joins them into one totally
+ordered session trace.  Each process contributes one *shard*: a leading
+``trace_meta`` record, then its records.
 
 * The supervisor calls :meth:`SessionTrace.create` /
   :meth:`SessionTrace.attach`, which opens the supervisor shard
-  (``trace_supervisor.jsonl``; resumed runs get generation-suffixed
-  shards) and anchors *session time*: second 0 is the supervisor's
-  monotonic clock reading at attach.
-* Each dispatched task carries a :class:`TraceContext` -- session id,
-  parent task span id, and the session-time anchor taken at dispatch.
-  The worker entrypoint hands it to :func:`open_worker_tracer`, which
-  opens the worker shard (``trace_worker_<restart>_<attempt>.jsonl``,
-  ``flush_every=1`` so a killed worker leaves at worst a truncated final
-  line) and records *both* clocks in the shard's leading ``trace_meta``
-  record: its own monotonic reading (``clock_anchor_local``) and the
-  dispatch-time session reading (``clock_anchor_session``).
+  (``<run_dir>/traces/trace_supervisor.jsonl``, generation-suffixed on
+  resume; flushed per record, so task and fault records are durable at
+  once) and anchors *session time* at the supervisor's clock reading.
+* Each dispatched task carries a :class:`TraceContext`: session id,
+  parent task span id, and the session time at dispatch.  The worker's
+  :func:`worker_trace` keeps its shard in memory, its ``trace_meta``
+  holding both clocks (``clock_anchor_local``, its own reading, and
+  ``clock_anchor_session``), and the worker writes the shard into the
+  restart's checkpoint record (:mod:`repro.runtime.checkpoint`): one
+  atomic, digest-checked write per restart.  A killed attempt leaves no
+  records; its deterministic retry writes the same sweeps.
 * :func:`collect_session` aligns every shard onto the session clock
   with ``offset = clock_anchor_session - clock_anchor_local`` and sorts
-  records by ``(aligned ts, process ordinal, seq)``.  The offsets come
-  purely from recorded file contents, so merging the same shards twice
-  is byte-identical -- :func:`merge_session` writes the result with
-  sorted keys and CI ``cmp``s two merges to enforce it.
+  records by ``(aligned ts, process ordinal, seq)``.  Offsets come from
+  recorded file contents only, so merging a run directory twice is
+  byte-identical (:func:`merge_session`; CI ``cmp``s two merges).
 
-Alignment accuracy is bounded by the pool's dispatch-to-pickup latency
-(the worker stamps its local anchor when it starts running, while the
-session anchor was stamped at submit time), which is plenty for
-wave/task/sweep timelines; ``seq`` breaks ties deterministically within
-a process regardless.
-
-All timing uses :attr:`~repro.obs.tracer.Tracer.clock` (monotonic);
-session ids are content hashes of the run identity -- nothing here reads
-the wall clock or draws randomness, so traced runs stay bit-identical.
+Alignment accuracy is bounded by the pool's dispatch-to-pickup latency,
+plenty for wave/task/sweep timelines; ``seq`` breaks ties within a
+process.  Nothing here reads the wall clock or draws randomness
+(session ids are content hashes of the run identity), so traced runs
+stay bit-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -62,9 +54,8 @@ __all__ = [
     "TraceContext",
     "collect_session",
     "merge_session",
-    "open_worker_tracer",
     "session_id_for",
-    "worker_shard_path",
+    "worker_trace",
 ]
 
 #: Schema version stamped into ``trace_meta`` / ``session_meta`` records.
@@ -72,7 +63,7 @@ __all__ = [
 #: decisions, and no ``action`` records are written.
 TRACE_SCHEMA = 2
 
-#: Subdirectory of the run dir holding every per-process trace shard.
+#: Subdirectory of the run dir holding the supervisor shards and the merge.
 TRACES_DIRNAME = "traces"
 
 #: Default filename (inside the traces dir) of the merged session trace.
@@ -133,34 +124,21 @@ class TraceContext:
         )
 
 
-def worker_shard_path(
-    run_dir: Union[str, Path], restart: int, attempt: int
-) -> Path:
-    """Where the worker for ``(restart, attempt)`` writes its shard."""
-    name = f"trace_worker_{restart:05d}_{attempt:02d}.jsonl"
-    return Path(run_dir) / TRACES_DIRNAME / name
-
-
-def open_worker_tracer(
-    run_dir: Union[str, Path],
+def worker_trace(
     context: Union[TraceContext, Dict[str, object]],
     restart: int,
     attempt: int,
-) -> Tracer:
-    """A stamping tracer backed by this worker's durable JSONL shard.
-
-    The shard's first record is ``trace_meta`` carrying both clock
-    anchors; ``flush_every=1`` keeps the shard valid-or-truncated even
-    when the worker is killed mid-task (``os._exit`` skips ``close``).
-    """
+) -> Tuple[Tracer, io.StringIO]:
+    """A stamping tracer for one restart attempt, and its JSONL shard:
+    an in-memory stream holding the ``trace_meta`` record with both
+    clock anchors, then every record the tracer dispatches."""
     ctx = (
         context
         if isinstance(context, TraceContext)
         else TraceContext.from_dict(context)
     )
-    path = worker_shard_path(run_dir, restart, attempt)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    sink = JsonlSink(path, flush_every=1)
+    shard = io.StringIO()
+    sink = JsonlSink(shard)
     sink.write({
         "type": "trace_meta",
         "schema": TRACE_SCHEMA,
@@ -176,7 +154,7 @@ def open_worker_tracer(
     tracer = Tracer(sinks=[sink], stamp=True)
     # ``run_restart`` pushes the ``restart`` key itself.
     tracer.push_context(attempt=attempt)
-    return tracer
+    return tracer, shard
 
 
 class SessionTrace:
@@ -286,49 +264,55 @@ class SessionTrace:
             sink.close()
 
     def merge(self, out: Optional[Union[str, Path]] = None) -> Path:
-        """Merge every shard in the run dir (:func:`merge_session`)."""
+        """Merge the run dir's session trace (:func:`merge_session`)."""
         return merge_session(self.run_dir, out)
 
 
 def collect_session(
     run_dir: Union[str, Path],
 ) -> Tuple[Dict[str, object], List[Dict[str, object]]]:
-    """Load and align every shard under ``run_dir`` into session order.
+    """Load and align every shard of ``run_dir`` into session order.
 
-    Returns ``(session_meta, records)``.  Each returned record carries
-    an aligned ``ts`` (session seconds), the owning ``process`` name,
-    and a ``seq``; the list is sorted by ``(ts, process ordinal, seq)``
-    so two collections of the same files are identical.
+    The shards are the supervisor shards under ``traces/``, then the
+    ``trace`` sections of the restart records that verify, in restart
+    order.  Returns ``(session_meta, records)``.  Each returned record
+    carries an aligned ``ts`` (session seconds), the owning ``process``
+    name, and a ``seq``; the list is sorted by ``(ts, process ordinal,
+    seq)`` so two collections of the same files are identical.
 
-    Damage tolerance: shards whose leading ``trace_meta`` is missing or
-    whose file cannot be read are listed in ``session_meta
-    ["skipped_shards"]``; corrupt interior/truncated final lines (a
-    killed worker) are skipped per :func:`~repro.obs.sinks.read_jsonl`
-    and reported in ``session_meta["corrupt_lines"]``.
+    Damage tolerance: a supervisor shard that cannot be read or lacks
+    its ``trace_meta``, and a restart record that fails its digest
+    check, add no records and are named in ``skipped_shards``; corrupt
+    lines of a supervisor shard (a killed supervisor's truncated last
+    line) are skipped and listed in ``corrupt_lines``.
     """
-    traces = Path(run_dir) / TRACES_DIRNAME
-    shards = sorted(traces.glob("trace_supervisor*.jsonl")) + sorted(
-        traces.glob("trace_worker_*.jsonl")
-    )
-    keyed: List[Tuple[float, int, int, Dict[str, object]]] = []
-    processes: List[str] = []
+    from ..runtime.checkpoint import restart_traces
+
+    shards: List[Tuple[str, List[Dict[str, object]]]] = []
     skipped_shards: List[str] = []
     corrupt_lines: Dict[str, List[int]] = {}
-    session_id = ""
-    for shard in shards:
+    traces = Path(run_dir) / TRACES_DIRNAME
+    for path in sorted(traces.glob("trace_supervisor*.jsonl")):
         skipped: List[int] = []
         try:
-            records = read_jsonl(shard, skipped=skipped)
+            shards.append((path.name, read_jsonl(path, skipped=skipped)))
         except OSError:
-            skipped_shards.append(shard.name)
-            continue
+            skipped_shards.append(path.name)
         if skipped:
-            corrupt_lines[shard.name] = skipped
+            corrupt_lines[path.name] = skipped
+    sections, damaged = restart_traces(run_dir)
+    shards.extend(sections)
+    skipped_shards.extend(damaged)
+
+    keyed: List[Tuple[float, int, int, Dict[str, object]]] = []
+    processes: List[str] = []
+    session_id = ""
+    for name, records in shards:
         if not records or records[0].get("type") != "trace_meta":
-            skipped_shards.append(shard.name)
+            skipped_shards.append(name)
             continue
         meta = records[0]
-        process = str(meta.get("process", shard.stem))
+        process = str(meta.get("process", name))
         if not session_id and "session" in meta:
             session_id = str(meta["session"])
         anchor_local = meta.get("clock_anchor_local")
@@ -357,7 +341,7 @@ def collect_session(
         "session": session_id,
         "processes": processes,
         "n_records": len(keyed),
-        "skipped_shards": skipped_shards,
+        "skipped_shards": sorted(skipped_shards),
         "corrupt_lines": corrupt_lines,
     }
     return session_meta, [item[3] for item in keyed]
@@ -370,8 +354,8 @@ def merge_session(
 
     The first line is the ``session_meta`` record, followed by every
     aligned record in session order.  Keys are sorted, so merging the
-    same shard files twice produces byte-identical output (CI enforces
-    this with ``cmp``).
+    same run directory twice produces byte-identical output (CI
+    enforces this with ``cmp``).
     """
     session_meta, records = collect_session(run_dir)
     out_path = (

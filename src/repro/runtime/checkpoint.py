@@ -8,6 +8,7 @@ Layout of a run directory::
             restart-00000.json    # one durable record per finished restart
             restart-00001.json
             ...
+        traces/                   # supervisor trace shards (--trace runs)
 
 Every write is atomic (:func:`repro.data.io.write_json_atomic`: temp
 file + fsync + rename), so a kill at any instant leaves either the old
@@ -21,6 +22,12 @@ Determinism contract: a restart record serializes floats through
 bit-identical to the in-memory original.  The supervisor always pools
 from reloaded records, which makes an uninterrupted run and a resumed
 run byte-for-byte identical by construction.
+
+A traced restart's record also carries a digest-covered ``trace`` key:
+the worker's JSONL shard (:func:`repro.obs.session.worker_trace`) as
+one string.  :func:`restart_traces` hands the session collector the
+sections of the records that verify.  Untraced records have no
+``trace`` key.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from __future__ import annotations
 import hashlib
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cluster import DeltaCluster
 from ..core.clustering import Clustering
@@ -43,8 +50,10 @@ __all__ = [
     "CheckpointCorruptionError",
     "CheckpointMismatchError",
     "CheckpointStore",
+    "read_record",
     "record_digest",
     "record_to_result",
+    "restart_traces",
     "result_to_record",
 ]
 
@@ -86,17 +95,28 @@ def record_digest(payload: Dict[str, object]) -> str:
 
     Excludes :data:`_UNDIGESTED_KEYS` so resource telemetry can ride the
     durable record without breaking resumed-vs-uninterrupted parity.
+    A ``trace`` section is hashed as raw text after the rest, sparing
+    the JSON escaping of tens of kilobytes on every verification.
     """
     body = {k: v for k, v in payload.items() if k not in _UNDIGESTED_KEYS}
-    return hashlib.sha256(_canonical(body).encode("utf-8")).hexdigest()
+    trace = body.pop("trace", None)
+    digest = hashlib.sha256(_canonical(body).encode("utf-8"))
+    if trace is not None:
+        digest.update(str(trace).encode("utf-8"))
+    return digest.hexdigest()
 
 
-def result_to_record(restart: int, result: FlocResult) -> Dict[str, object]:
+def result_to_record(
+    restart: int,
+    result: FlocResult,
+    trace: Optional[str] = None,
+) -> Dict[str, object]:
     """Serialize one restart's :class:`FlocResult` to a durable record.
 
     Tracer aggregates (``metrics`` / ``trace_summary``) are dropped:
     they are session-cumulative observations, not part of the restart's
-    deterministic output.
+    deterministic output.  ``trace``, a traced restart's JSONL shard,
+    becomes the digest-covered ``trace`` key.
     """
     payload: Dict[str, object] = {
         "schema": MANIFEST_SCHEMA,
@@ -116,6 +136,8 @@ def result_to_record(restart: int, result: FlocResult) -> Dict[str, object]:
         # Work counters are deterministic restart output (unlike the
         # tracer aggregates), so they round-trip and feed the digest.
         payload["work"] = result.work.as_dict()
+    if trace is not None:
+        payload["trace"] = trace
     payload["digest"] = record_digest(payload)
     return payload
 
@@ -141,6 +163,59 @@ def record_to_result(
         n_actions=int(record["n_actions"]),  # type: ignore[arg-type]
         work=WorkCounters(**work) if isinstance(work, dict) else None,
     )
+
+
+def read_record(path: Path, restart: int) -> Dict[str, object]:
+    """Load the record of ``restart`` at ``path`` and verify its digest."""
+    if not path.exists():
+        raise CheckpointError(f"no record for restart {restart}: {path}")
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise CheckpointCorruptionError(
+            f"restart {restart} record is not valid JSON: {path}"
+        ) from exc
+    if not isinstance(record, dict):
+        raise CheckpointCorruptionError(
+            f"restart {restart} record is not an object: {path}"
+        )
+    digest = record.get("digest")
+    if digest != record_digest(record):
+        raise CheckpointCorruptionError(
+            f"restart {restart} record failed digest check: {path}"
+        )
+    if record.get("restart") != restart:
+        raise CheckpointCorruptionError(
+            f"record at {path} claims restart {record.get('restart')!r}"
+        )
+    return record
+
+
+def restart_traces(
+    run_dir: PathLike,
+) -> Tuple[List[Tuple[str, List[Dict[str, object]]]], List[str]]:
+    """The trace sections of the restart records under ``run_dir``.
+
+    Returns ``(sections, damaged)``: ``(name, records)`` for every
+    record that verifies and carries a ``trace`` section, in restart
+    order, with the section's JSONL decoded, and the names of the
+    records that do not verify.  Names are relative to the run
+    directory (``restarts/restart-00001.json``).
+    """
+    sections: List[Tuple[str, List[Dict[str, object]]]] = []
+    damaged: List[str] = []
+    for path in sorted((Path(run_dir) / "restarts").glob("restart-*.json")):
+        name = f"restarts/{path.name}"
+        try:
+            restart = int(path.stem.partition("-")[2])
+            trace = read_record(path, restart).get("trace")
+            if isinstance(trace, str):
+                sections.append(
+                    (name, [json.loads(line) for line in trace.splitlines()])
+                )
+        except (CheckpointError, OSError, ValueError):
+            damaged.append(name)
+    return sections, damaged
 
 
 class CheckpointStore:
@@ -238,7 +313,11 @@ class CheckpointStore:
         """Restart indices the manifest marks done AND whose record on
         disk verifies; corrupt/missing records are dropped from the
         manifest so the supervisor re-executes them."""
-        done: Set[int] = set()
+        return set(self.completed_records())
+
+    def completed_records(self) -> Dict[int, Dict[str, object]]:
+        """The verified records of :meth:`completed_restarts`, by index."""
+        done: Dict[int, Dict[str, object]] = {}
         stale: List[str] = []
         restarts = self._manifest.setdefault("restarts", {})
         assert isinstance(restarts, dict)
@@ -254,7 +333,7 @@ class CheckpointStore:
             if record.get("digest") != entry.get("digest"):
                 stale.append(key)
                 continue
-            done.add(restart)
+            done[restart] = record
         if stale:
             for key in stale:
                 del restarts[key]
@@ -263,32 +342,7 @@ class CheckpointStore:
 
     def load_record(self, restart: int) -> Dict[str, object]:
         """Load and digest-verify one restart record."""
-        path = self.record_path(restart)
-        if not path.exists():
-            raise CheckpointError(f"no record for restart {restart}: {path}")
-        try:
-            record = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CheckpointCorruptionError(
-                f"restart {restart} record is not valid JSON: {path}"
-            ) from exc
-        if not isinstance(record, dict):
-            raise CheckpointCorruptionError(
-                f"restart {restart} record is not an object: {path}"
-            )
-        digest = record.get("digest")
-        if digest != record_digest(record):
-            raise CheckpointCorruptionError(
-                f"restart {restart} record failed digest check: {path}"
-            )
-        if record.get("restart") != restart:
-            raise CheckpointCorruptionError(
-                f"record at {path} claims restart {record.get('restart')!r}"
-            )
-        return record
-
-    def load_result(self, restart: int, matrix: DataMatrix) -> FlocResult:
-        return record_to_result(self.load_record(restart), matrix)
+        return read_record(self.record_path(restart), restart)
 
     def best_digest(self) -> Optional[str]:
         best = self._manifest.get("best")

@@ -60,6 +60,7 @@ from .checkpoint import (
     CheckpointError,
     CheckpointStore,
     record_digest,
+    record_to_result,
 )
 from .config import RunConfig
 from .faults import load_plan_from_env
@@ -255,7 +256,7 @@ def _run_wave(
             }
             if session is not None:
                 # Dispatch-time anchor: the worker pairs this session
-                # clock reading with its own to align shard timestamps.
+                # clock reading with its own to align its timestamps.
                 payload["trace"] = session.task_context(
                     task.restart, task.attempt
                 )
@@ -355,9 +356,10 @@ def run_supervised(
         multiplicative jitter in ``[0.5, 1.0)``.
     session_trace:
         Record a cross-process session trace
-        (:mod:`repro.obs.session`): the supervisor and every worker
-        write durable JSONL shards under ``<run_dir>/traces/``, merged
-        into ``trace_session.jsonl`` on completion
+        (:mod:`repro.obs.session`): the supervisor writes a JSONL shard
+        under ``<run_dir>/traces/``, each worker writes its restart's
+        records into that restart's checkpoint record, and the two are
+        merged into ``traces/trace_session.jsonl`` on completion
         (:attr:`RuntimeResult.session_trace`).  Tracing never perturbs
         mining -- traced runs stay bit-identical to untraced ones.
     """
@@ -476,7 +478,7 @@ def run_supervised(
 
     if session is not None:
         # Merge after detach so the supervisor shard is closed/durable;
-        # merging the same shards is byte-deterministic.
+        # merging the same run directory is byte-deterministic.
         outcome.session_trace = session.merge()
     return outcome
 
@@ -492,8 +494,9 @@ def _finalize(
     failures: List[TaskFailure],
 ) -> RuntimeResult:
     """Pool the durable records into the session result."""
-    completed = sorted(store.completed_restarts())
-    runs = [store.load_result(i, matrix) for i in completed]
+    records = store.completed_records()
+    completed = sorted(records)
+    runs = [record_to_result(records[i], matrix) for i in completed]
     result: Optional[MiningResult] = None
     if runs:
         result = pool_mining_results(matrix, runs, config)

@@ -15,24 +15,25 @@ around the checkpoint write, and at worker end -- keyed off the
 ``REPRO_FAULT_PLAN`` environment variable, which child processes
 inherit.
 
-Session tracing: when the payload carries a ``trace`` context
-(:class:`~repro.obs.session.TraceContext` dict, attached by the
-supervisor for ``--trace`` runs), the restart executes under a real
-tracer backed by this worker's durable JSONL shard
-(:func:`~repro.obs.session.open_worker_tracer`), and the worker samples
-``resource.getrusage`` around the restart -- peak RSS plus user/sys CPU
-*deltas*, since pool processes are reused -- reporting the telemetry in
-both the shard (:class:`~repro.obs.events.ResourceEvent`) and the
-durable record/ack (digest-exempt: telemetry is nondeterministic
-observation, never part of the restart's identity).
+The worker samples ``resource.getrusage`` around the restart (peak RSS
+plus user/sys CPU *deltas*, since pool processes are reused) into the
+record and the ack, digest-exempt: telemetry is nondeterministic
+observation, never part of the restart's identity.  When the payload
+carries a ``trace`` context (a :class:`~repro.obs.session.TraceContext`
+dict, for ``--trace`` runs), the restart runs under
+:func:`~repro.obs.session.worker_trace`'s tracer, whose in-memory shard
+(with a :class:`~repro.obs.events.ResourceEvent` of the telemetry)
+becomes the record's ``trace`` section: an attempt killed before its
+checkpoint leaves no trace records.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 try:  # pragma: no cover - resource is stdlib on every POSIX platform
     import resource
@@ -44,7 +45,7 @@ from ..core.mining import run_restart
 from ..data.io import write_json_atomic
 from ..obs.perf.counters import WorkCounters
 from ..obs.tracer import NULL_TRACER, Tracer
-from .checkpoint import record_digest, result_to_record
+from .checkpoint import result_to_record
 from .config import RunConfig
 from .faults import FaultSpec, inject
 
@@ -124,58 +125,58 @@ def execute_restart_task(payload: TaskPayload) -> Dict[str, object]:
     trace_ctx = payload.get("trace")
 
     tracer: Tracer = NULL_TRACER
+    shard: Optional[io.StringIO] = None
     if isinstance(trace_ctx, dict):
-        from ..obs.session import open_worker_tracer
+        from ..obs.session import worker_trace
 
-        tracer = open_worker_tracer(run_dir, trace_ctx, restart, attempt)
-    try:
-        inject("worker_start", restart, attempt)
+        tracer, shard = worker_trace(trace_ctx, restart, attempt)
+    inject("worker_start", restart, attempt)
 
-        rusage_before = (
-            resource.getrusage(resource.RUSAGE_SELF)
-            if resource is not None
-            else None
-        )
+    rusage_before = (
+        resource.getrusage(resource.RUSAGE_SELF)
+        if resource is not None
+        else None
+    )
 
-        # Supervised restarts always count work: counting never changes
-        # the result, and the counters ride the checkpoint record so
-        # resumed and uninterrupted sessions report identical totals for
-        # free.
-        work = WorkCounters()
-        result = run_restart(
-            matrix, restart, config,
-            root_seed=config.root_seed, tracer=tracer, work=work,
-        )
+    # Supervised restarts always count work: counting never changes
+    # the result, and the counters ride the checkpoint record so
+    # resumed and uninterrupted sessions report identical totals for
+    # free.
+    work = WorkCounters()
+    result = run_restart(
+        matrix, restart, config,
+        root_seed=config.root_seed, tracer=tracer, work=work,
+    )
 
-        telemetry = _rusage_telemetry(rusage_before)
+    telemetry = _rusage_telemetry(rusage_before)
+    if telemetry is not None and tracer.enabled:
+        from ..obs.events import ResourceEvent
 
-        # Telemetry is attached *after* the digest is computed inside
-        # result_to_record and is digest-exempt (see record_digest), so
-        # the record still verifies and pooled results stay bit-exact.
-        record = result_to_record(restart, result)
-        if telemetry is not None:
-            record["telemetry"] = telemetry
-            if tracer.enabled:
-                from ..obs.events import ResourceEvent
+        tracer.emit(ResourceEvent(
+            restart=restart,
+            attempt=attempt,
+            max_rss_kb=telemetry["max_rss_kb"],
+            user_cpu_s=telemetry["user_cpu_s"],
+            sys_cpu_s=telemetry["sys_cpu_s"],
+        ))
+    # The trace shard is digest-covered; telemetry is attached *after*
+    # the digest and is digest-exempt (see record_digest), so pooled
+    # results stay bit-exact.
+    record = result_to_record(
+        restart, result,
+        trace=shard.getvalue() if shard is not None else None,
+    )
+    if telemetry is not None:
+        record["telemetry"] = telemetry
+    corrupt = inject("checkpoint", restart, attempt)
+    _write_record(run_dir, restart, record, corrupt)
 
-                tracer.emit(ResourceEvent(
-                    restart=restart,
-                    attempt=attempt,
-                    max_rss_kb=telemetry["max_rss_kb"],
-                    user_cpu_s=telemetry["user_cpu_s"],
-                    sys_cpu_s=telemetry["sys_cpu_s"],
-                ))
-        corrupt = inject("checkpoint", restart, attempt)
-        _write_record(run_dir, restart, record, corrupt)
-
-        inject("worker_end", restart, attempt)
-        ack: Dict[str, object] = {
-            "restart": restart,
-            "attempt": attempt,
-            "digest": record_digest(record),
-        }
-        if telemetry is not None:
-            ack["telemetry"] = telemetry
-        return ack
-    finally:
-        tracer.close()
+    inject("worker_end", restart, attempt)
+    ack: Dict[str, object] = {
+        "restart": restart,
+        "attempt": attempt,
+        "digest": record["digest"],
+    }
+    if telemetry is not None:
+        ack["telemetry"] = telemetry
+    return ack

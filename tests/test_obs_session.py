@@ -1,4 +1,8 @@
-"""Tests for repro.obs.session: cross-process trace shards + merge."""
+"""Tests for repro.obs.session: cross-process trace shards + merge.
+
+A supervisor shard is a JSONL file under ``traces/``; a worker's shard
+is the ``trace`` section of its restart's checkpoint record.
+"""
 
 import json
 
@@ -16,18 +20,31 @@ from repro.obs.session import (
     TraceContext,
     collect_session,
     merge_session,
-    open_worker_tracer,
     session_id_for,
-    worker_shard_path,
+    worker_trace,
 )
 from repro.obs.sinks import RingBufferSink
 from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.runtime.checkpoint import record_digest
 
 
 def _write_shard(path, meta, records):
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [json.dumps(meta)] + [json.dumps(r) for r in records]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_restart(run_dir, restart, records):
+    """A digest-checked restart record whose trace section holds
+    ``records`` (a list of dicts, or a shard's JSONL text)."""
+    if not isinstance(records, str):
+        records = "".join(json.dumps(r) + "\n" for r in records)
+    record = {"restart": restart, "trace": records}
+    record["digest"] = record_digest(record)
+    path = run_dir / "restarts" / f"restart-{restart:05d}.json"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(record, sort_keys=True), encoding="utf-8")
+    return path
 
 
 def _meta(process, anchor_local, anchor_session, session="abc123"):
@@ -74,23 +91,17 @@ class TestTraceContext:
 
 
 class TestWorkerShard:
-    def test_shard_path_naming(self, tmp_path):
-        path = worker_shard_path(tmp_path, 3, 1)
-        assert path == tmp_path / TRACES_DIRNAME / "trace_worker_00003_01.jsonl"
-
-    def test_open_worker_tracer_writes_meta_first(self, tmp_path):
+    def test_worker_trace_keeps_meta_first_in_memory(self, tmp_path):
         ctx = TraceContext(session="s1", parent_span="task:7:0",
                            anchor_session=0.5)
-        tracer = open_worker_tracer(tmp_path, ctx, 7, 0)
+        tracer, stream = worker_trace(ctx, 7, 0)
         # The restart the worker runs adds its own ``restart`` key.
         values = np.random.default_rng(0).normal(size=(12, 6))
-        run_restart(values, 7, MiningParams(residue_target=2.0, k=2,
-                                            reseed_rounds=0),
-                    root_seed=1, tracer=tracer)
-        # flush_every=1: the shard is tailable before close.
-        lines = worker_shard_path(tmp_path, 7, 0).read_text().splitlines()
-        tracer.close()
-        meta = json.loads(lines[0])
+        result = run_restart(values, 7, MiningParams(residue_target=2.0, k=2,
+                                                     reseed_rounds=0),
+                             root_seed=1, tracer=tracer)
+        shard = [json.loads(line) for line in stream.getvalue().splitlines()]
+        meta = shard[0]
         assert meta["type"] == "trace_meta"
         assert meta["schema"] == TRACE_SCHEMA
         assert meta["session"] == "s1"
@@ -98,22 +109,25 @@ class TestWorkerShard:
         assert meta["parent_span"] == "task:7:0"
         assert meta["clock_anchor_session"] == 0.5
         assert isinstance(meta["clock_anchor_local"], float)
-        event = json.loads(lines[1])
+        event = shard[1]
         assert event["type"] == "seed"
         # Stamped and contextualised for the merge.
         assert event["seq"] == 0
         assert isinstance(event["ts"], float)
         assert event["restart"] == 7
         assert event["attempt"] == 0
+        residues = [r["residue"] for r in shard if r["type"] == "iteration"]
+        assert residues == result.history
+        # Nothing reaches the disk until the record is written.
+        assert list(tmp_path.iterdir()) == []
 
-    def test_accepts_context_dict(self, tmp_path):
-        tracer = open_worker_tracer(
-            tmp_path, {"session": "s2", "parent_span": "task:0:0",
-                       "anchor_session": 0.0}, 0, 0)
-        tracer.close()
-        meta = json.loads(
-            worker_shard_path(tmp_path, 0, 0).read_text().splitlines()[0])
-        assert meta["session"] == "s2"
+    def test_accepts_context_dict(self):
+        _tracer, stream = worker_trace(
+            {"session": "s2", "parent_span": "task:0:0",
+             "anchor_session": 0.0}, 0, 0)
+        lines = stream.getvalue().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["session"] == "s2"
 
 
 class TestSessionTraceLifecycle:
@@ -192,11 +206,10 @@ class TestCollectSession:
             [{"type": "task", "status": "dispatched", "ts": 100.5, "seq": 0}],
         )
         # Worker clock reads 50.0 when the session clock reads 0.2.
-        _write_shard(
-            traces / "trace_worker_00000_00.jsonl",
+        _write_restart(tmp_path, 0, [
             _meta("worker:00000:00", 50.0, 0.2),
-            [{"type": "seed", "ts": 50.1, "seq": 0}],
-        )
+            {"type": "seed", "ts": 50.1, "seq": 0},
+        ])
         meta, records = collect_session(tmp_path)
         assert meta["session"] == "abc123"
         assert meta["processes"] == ["supervisor", "worker:00000:00"]
@@ -217,23 +230,20 @@ class TestCollectSession:
             [{"type": "task", "ts": 1.0, "seq": 1},
              {"type": "task", "ts": 1.0, "seq": 0}],
         )
-        _write_shard(
-            traces / "trace_worker_00000_00.jsonl",
+        _write_restart(tmp_path, 0, [
             _meta("worker:00000:00", 0.0, 0.0),
-            [{"type": "seed", "ts": 1.0, "seq": 0}],
-        )
+            {"type": "seed", "ts": 1.0, "seq": 0},
+        ])
         _, records = collect_session(tmp_path)
         assert [(r["process"], r["seq"]) for r in records] == [
             ("supervisor", 0), ("supervisor", 1), ("worker:00000:00", 0),
         ]
 
     def test_unstamped_record_falls_back_to_anchor(self, tmp_path):
-        traces = tmp_path / TRACES_DIRNAME
-        _write_shard(
-            traces / "trace_worker_00000_00.jsonl",
+        _write_restart(tmp_path, 0, [
             _meta("worker:00000:00", 10.0, 0.75),
-            [{"type": "seed"}],
-        )
+            {"type": "seed"},
+        ])
         _, records = collect_session(tmp_path)
         assert records[0]["ts"] == pytest.approx(0.75)
         assert records[0]["seq"] == 0
@@ -245,26 +255,53 @@ class TestCollectSession:
             _meta("supervisor", 0.0, 0.0),
             [{"type": "task", "ts": 1.0, "seq": 0}],
         )
-        bad = traces / "trace_worker_00001_00.jsonl"
-        bad.write_text('{"type": "seed", "ts": 1.0}\n', encoding="utf-8")
+        bad = traces / "trace_supervisor_01.jsonl"
+        bad.write_text('{"type": "task", "ts": 2.0}\n', encoding="utf-8")
         meta, records = collect_session(tmp_path)
-        assert meta["skipped_shards"] == ["trace_worker_00001_00.jsonl"]
-        assert [r["type"] for r in records] == ["task"]
+        assert meta["skipped_shards"] == ["trace_supervisor_01.jsonl"]
+        assert meta["processes"] == ["supervisor"]
+        assert [r["ts"] for r in records] == [1.0]
 
     def test_truncated_final_line_skipped_and_reported(self, tmp_path):
         traces = tmp_path / TRACES_DIRNAME
-        shard = traces / "trace_worker_00000_00.jsonl"
+        shard = traces / "trace_supervisor.jsonl"
         _write_shard(
             shard,
-            _meta("worker:00000:00", 0.0, 0.0),
-            [{"type": "seed", "ts": 1.0, "seq": 0}],
+            _meta("supervisor", 0.0, 0.0),
+            [{"type": "task", "ts": 1.0, "seq": 0}],
         )
-        # Simulate a worker killed mid-write: partial trailing line.
+        # Simulate a supervisor killed mid-write: partial trailing line.
         with shard.open("a", encoding="utf-8") as handle:
-            handle.write('{"type": "iter')
+            handle.write('{"type": "ta')
         meta, records = collect_session(tmp_path)
-        assert meta["corrupt_lines"] == {"trace_worker_00000_00.jsonl": [3]}
-        assert [r["type"] for r in records] == ["seed"]
+        assert meta["corrupt_lines"] == {"trace_supervisor.jsonl": [3]}
+        assert [r["type"] for r in records] == ["task"]
+
+    def test_record_failing_digest_contributes_nothing(self, tmp_path):
+        _write_restart(tmp_path, 0, [
+            _meta("worker:00000:00", 0.0, 0.0),
+            {"type": "seed", "ts": 1.0, "seq": 0},
+        ])
+        bad = _write_restart(tmp_path, 1, [
+            _meta("worker:00001:00", 0.0, 0.0),
+            {"type": "seed", "ts": 2.0, "seq": 0},
+        ])
+        # Damage the trace section, not the JSON: the digest catches it.
+        bad.write_text(bad.read_text().replace("2.0", "3.0"))
+        meta, records = collect_session(tmp_path)
+        assert meta["skipped_shards"] == ["restarts/restart-00001.json"]
+        assert meta["processes"] == ["worker:00000:00"]
+        assert [r["process"] for r in records] == ["worker:00000:00"]
+
+    def test_untraced_record_contributes_nothing(self, tmp_path):
+        record = {"restart": 0}
+        record["digest"] = record_digest(record)
+        (tmp_path / "restarts").mkdir()
+        (tmp_path / "restarts" / "restart-00000.json").write_text(
+            json.dumps(record))
+        meta, records = collect_session(tmp_path)
+        assert records == []
+        assert meta["skipped_shards"] == []
 
     def test_empty_traces_dir(self, tmp_path):
         (tmp_path / TRACES_DIRNAME).mkdir()
@@ -283,12 +320,11 @@ class TestMergeSession:
             [{"type": "task", "status": "dispatched", "ts": 100.1, "seq": 0},
              {"type": "task", "status": "completed", "ts": 100.9, "seq": 1}],
         )
-        _write_shard(
-            traces / "trace_worker_00000_00.jsonl",
+        _write_restart(tmp_path, 0, [
             _meta("worker:00000:00", 7.0, 0.15),
-            [{"type": "seed", "ts": 7.05, "seq": 0},
-             {"type": "iteration", "ts": 7.5, "seq": 1}],
-        )
+            {"type": "seed", "ts": 7.05, "seq": 0},
+            {"type": "iteration", "ts": 7.5, "seq": 1},
+        ])
 
     def test_merge_layout_and_determinism(self, tmp_path):
         self._populate(tmp_path)
@@ -318,10 +354,10 @@ class TestMergeSession:
         tracer = session.attach(NULL_TRACER)
         tracer.emit(TaskEvent(restart=0, status="dispatched"))
         ctx = session.task_context(0, 0)
-        worker = open_worker_tracer(tmp_path, ctx, 0, 0)
+        worker, stream = worker_trace(ctx, 0, 0)
         worker.emit(SeedEvent(cluster=0))
         worker.emit(IterationEvent(index=0, residue=1.0))
-        worker.close()
+        _write_restart(tmp_path, 0, stream.getvalue())
         tracer.emit(TaskEvent(restart=0, status="completed"))
         session.detach()
         out = session.merge()

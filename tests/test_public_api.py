@@ -50,6 +50,8 @@ MODULES = [
     "repro.data.categorical",
     "repro.data.distributions",
     "repro.data.io",
+    "repro.obs.session",
+    "repro.runtime.checkpoint",
     "repro.eval.metrics",
     "repro.eval.experiment",
     "repro.eval.reporting",
@@ -120,6 +122,20 @@ def _is_type_alias(obj):
     # typing aliases like Seed = Tuple[np.ndarray, np.ndarray] are
     # "callable" but carry typing's docstring, not their own.
     return getattr(obj, "__module__", "") == "typing"
+
+
+def test_worker_shards_have_no_file_helpers():
+    """A worker's trace shard is a section of its restart's checkpoint
+    record, so neither ``repro.obs`` nor its session module names a
+    shard file or opens one."""
+    import repro.obs
+    import repro.obs.session as session
+
+    for name in ("worker_shard_path", "open_worker_tracer"):
+        assert name not in repro.obs.__all__
+        assert not hasattr(repro.obs, name)
+        assert not hasattr(session, name)
+    assert "worker_trace" in session.__all__
 
 
 def test_version_string():

@@ -124,7 +124,7 @@ class TestCheckpointStore:
         write_json_atomic(store.record_path(1), record)
         store.mark_done(1, str(record["digest"]))
         assert store.completed_restarts() == {1}
-        loaded = store.load_result(1, matrix)
+        loaded = record_to_result(store.completed_records()[1], matrix)
         assert [
             (c.rows, c.cols) for c in loaded.clustering
         ] == [(c.rows, c.cols) for c in result.clustering]

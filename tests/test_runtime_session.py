@@ -1,10 +1,11 @@
 """Session tracing across the supervised runtime (PR 10 tentpole).
 
-Real process pools, real shards: these tests drive ``run_supervised``
-with ``session_trace=True`` and check the cross-process contract -- every
-worker writes a durable shard, the collector merges them
-byte-deterministically, killed workers leave merge-tolerable shards, and
-tracing never perturbs the mined result.
+Real process pools, real records: these tests drive ``run_supervised``
+with ``session_trace=True`` and check the cross-process contract -- the
+supervisor writes a shard, every restart record carries its worker's
+trace section, the collector merges them byte-deterministically, a
+killed attempt leaves none of its sweeps, and tracing never perturbs
+the mined result.
 """
 
 import json
@@ -17,7 +18,7 @@ from repro.core.matrix import DataMatrix
 from repro.obs import RingBufferSink, Tracer
 from repro.obs.analysis import analyze_trace
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.session import TRACES_DIRNAME, merge_session, worker_shard_path
+from repro.obs.session import TRACES_DIRNAME, merge_session
 from repro.runtime import (
     FAULT_PLAN_ENV,
     FaultPlan,
@@ -64,15 +65,31 @@ def merged_lines(path):
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
+def restart_record(run_dir, restart):
+    path = run_dir / "restarts" / f"restart-{restart:05d}.json"
+    return json.loads(path.read_text())
+
+
+def sweep_records(lines, restart):
+    return [line for line in lines
+            if line["type"] in ("seed", "iteration", "resource")
+            and line["restart"] == restart]
+
+
 class TestSessionTraceHappyPath:
     def test_shards_and_merged_trace_written(self, matrix, tmp_path):
         out = run_supervised(matrix, make_config(),
                              run_dir=tmp_path / "run", session_trace=True)
         assert out.ok
         traces = out.run_dir / TRACES_DIRNAME
-        assert (traces / "trace_supervisor.jsonl").is_file()
+        assert sorted(p.name for p in traces.iterdir()) == [
+            "trace_session.jsonl", "trace_supervisor.jsonl",
+        ]
         for restart in range(3):
-            assert worker_shard_path(out.run_dir, restart, 0).is_file()
+            trace = restart_record(out.run_dir, restart)["trace"]
+            meta = json.loads(trace.splitlines()[0])
+            assert meta["type"] == "trace_meta"
+            assert meta["process"] == f"worker:{restart:05d}:00"
         assert out.session_trace is not None and out.session_trace.is_file()
 
         lines = merged_lines(out.session_trace)
@@ -101,6 +118,12 @@ class TestSessionTraceHappyPath:
         assert out.ok
         assert out.session_trace is None
         assert not (out.run_dir / TRACES_DIRNAME).exists()
+        # An untraced record carries no trace section.
+        assert sorted(restart_record(out.run_dir, 0)) == [
+            "clusters", "converged", "digest", "elapsed_seconds",
+            "history", "initial_residue", "iteration_times", "n_actions",
+            "n_iterations", "restart", "schema", "telemetry", "work",
+        ]
 
     def test_traced_result_bit_identical_to_untraced(self, matrix, tmp_path):
         plain = run_supervised(matrix, make_config(),
@@ -177,7 +200,7 @@ class TestTelemetry:
 
 
 class TestFaultTolerance:
-    def test_kill_at_checkpoint_leaves_mergeable_shard(
+    def test_kill_at_checkpoint_keeps_only_the_retrys_sweeps(
         self, matrix, tmp_path, monkeypatch
     ):
         plan = FaultPlan((
@@ -188,36 +211,52 @@ class TestFaultTolerance:
                              run_dir=tmp_path / "run", session_trace=True,
                              sleep=lambda _s: None)
         assert out.ok  # retry budget absorbs the kill
-        # Both the killed attempt's shard and the retry's shard exist;
-        # flush_every=1 means the killed shard is still line-valid.
-        assert worker_shard_path(out.run_dir, 1, 0).is_file()
-        assert worker_shard_path(out.run_dir, 1, 1).is_file()
-        head = merged_lines(out.session_trace)[0]
+        lines = merged_lines(out.session_trace)
+        head = lines[0]
         assert head["skipped_shards"] == []
-        processes = head["processes"]
-        assert "worker:00001:00" in processes
-        assert "worker:00001:01" in processes
+        assert "worker:00001:00" not in head["processes"]
+        assert "worker:00001:01" in head["processes"]
+        # The retry's sweeps, each once; the killed attempt left none.
+        sweeps = sweep_records(lines, 1)
+        assert {line["attempt"] for line in sweeps} == {1}
+        iterations = [line for line in sweeps if line["type"] == "iteration"]
+        assert [line["index"] for line in iterations] == list(
+            range(len(out.result.runs[1].history)))
+        assert [line["residue"] for line in iterations] == \
+            out.result.runs[1].history
+        assert [line["type"] for line in sweeps].count("resource") == 1
+        # export-trace over the run directory is the same merge.
+        exported = tmp_path / "exported.jsonl"
+        assert main(["export-trace", str(out.run_dir), "--format", "jsonl",
+                     "--out", str(exported)]) == 0
+        assert exported.read_bytes() == out.session_trace.read_bytes()
 
-    def test_truncated_shard_tail_is_skipped_not_fatal(
-        self, matrix, tmp_path, monkeypatch
+    def test_corrupt_record_contributes_no_records(
+        self, matrix, tmp_path, monkeypatch, capsys
     ):
         plan = FaultPlan((
-            FaultSpec(site="checkpoint", kind="kill", restart=0),
+            FaultSpec(site="checkpoint", kind="corrupt", restart=1),
         ))
         monkeypatch.setenv(FAULT_PLAN_ENV, plan.to_json())
-        out = run_supervised(matrix, make_config(),
-                             run_dir=tmp_path / "run", session_trace=True,
-                             sleep=lambda _s: None)
-        assert out.ok
-        # Simulate mid-write death harder: chop the killed shard's last
-        # line in half and re-merge -- the collector reports, not fails.
-        shard = worker_shard_path(out.run_dir, 0, 0)
-        text = shard.read_text()
-        shard.write_text(text[: len(text) - len(text.splitlines()[-1]) // 2 - 1])
-        merged = merge_session(out.run_dir, tmp_path / "remerged.jsonl")
-        head = merged_lines(merged)[0]
-        assert head["corrupt_lines"] == {shard.name: [len(text.splitlines())]}
-        assert head["skipped_shards"] == []
+        out = run_supervised(matrix, make_config(max_retries=0),
+                             run_dir=tmp_path / "run", session_trace=True)
+        assert out.degradation is not None
+        assert out.degradation.missing == [1]
+        lines = merged_lines(out.session_trace)
+        head = lines[0]
+        assert head["skipped_shards"] == ["restarts/restart-00001.json"]
+        assert head["processes"] == [
+            "supervisor", "worker:00000:00", "worker:00002:00",
+        ]
+        assert sweep_records(lines, 1) == []
+        assert sweep_records(lines, 0) and sweep_records(lines, 2)
+        # export-trace names the damaged record and still merges.
+        exported = tmp_path / "exported.jsonl"
+        assert main(["export-trace", str(out.run_dir), "--format", "jsonl",
+                     "--out", str(exported)]) == 0
+        assert ("warning: 1 damaged shard(s) skipped: "
+                "restarts/restart-00001.json") in capsys.readouterr().err
+        assert exported.read_bytes() == out.session_trace.read_bytes()
 
     def test_faulted_run_trace_is_deterministic_to_remerge(
         self, matrix, tmp_path, monkeypatch
