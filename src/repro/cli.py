@@ -576,9 +576,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--select", default=None, metavar="CODES",
                       help="comma-separated rule codes (e.g. DCL005,DCL011)")
     lint.add_argument("--list-rules", action="store_true")
-    lint.add_argument("--call-graph", default=None, metavar="FN",
-                      help="print a function's transitive reach "
-                           "(qualname or dotted suffix) and exit")
     lint.add_argument("--strict-suppressions", action="store_true",
                       help="fail on malformed, unknown, or stale "
                            "suppression comments")

@@ -565,8 +565,6 @@ def cmd_lint(args: argparse.Namespace) -> int:
         argv += ["--select", args.select]
     if args.list_rules:
         argv += ["--list-rules"]
-    if args.call_graph:
-        argv += ["--call-graph", args.call_graph]
     if args.strict_suppressions:
         argv += ["--strict-suppressions"]
     return lint_main(argv)

@@ -8,19 +8,19 @@ residue math on matrices with missing entries, and ``__all__`` hygiene.
 
     python -m repro.devtools.lint src/
     repro lint --format json src/
-    repro lint --call-graph floc src/ # print a function's reach
 
 One pass parses every file once into a project-wide symbol table
-(:mod:`repro.devtools.symbols`), builds a conservative cross-module
-call graph over it (:mod:`repro.devtools.callgraph`), and runs one rule
-per invariant: the module rules of :mod:`repro.devtools.rules` and the
-fixpoint dataflow rules of :mod:`repro.devtools.dataflow` -- wall-clock
-reads, direct and transitive (DCL010), RNG threading, direct and
-transitive (DCL011), ndarray-parameter mutation (DCL012), float
-equality (DCL013).
+(:mod:`repro.devtools.symbols`) and runs one rule per invariant: the
+module rules of :mod:`repro.devtools.rules` and the cross-module rules
+of :mod:`repro.devtools.dataflow` -- wall-clock reads plus core's
+import boundary (DCL010), RNG threading, direct and over call edges
+(DCL011, the one rule that follows calls, through
+:mod:`repro.devtools.callgraph`), ndarray-parameter mutation (DCL012),
+float equality (DCL013).
 
-See ``docs/DEVELOPMENT.md`` for the rule catalogue and the rationale
-behind each invariant.
+See ``docs/DEVELOPMENT.md`` for the rule catalogue, the mutation
+census of what each rule catches, and the rationale behind each
+invariant.
 
 Re-exports are lazy (PEP 562, :mod:`repro._lazy`) so
 ``python -m repro.devtools.lint`` does not import the submodule twice

@@ -1,28 +1,33 @@
-"""Fixpoint dataflow over the call graph: the whole-program DCL rules.
+"""The DCL rules that read more than one module: DCL010-DCL013.
 
-:func:`propagate` is a generic backward taint engine: given *seed*
-functions (each with a human-readable reason) it walks caller edges to
-a fixpoint and records, for every reached function, the call site and
-callee it inherited the taint from -- so each violation can print a
-witness chain (``floc -> _phase2 -> timed_helper``) instead of a bare
-"transitively reaches".  Iteration order is sorted everywhere, so the
-result -- and therefore ``repro lint --format json`` -- is
+These rules see the whole symbol table (:mod:`repro.devtools.symbols`):
+names are read through re-export chains, and a class named in an
+annotation resolves to its definition in whatever module holds it.
+Only DCL011 follows calls.  :func:`propagate` is its backward taint
+engine over the call edges of :mod:`repro.devtools.callgraph`: given
+*seed* functions (each with a human-readable reason) it walks caller
+edges to a fixpoint and records, for every reached function, the call
+site and callee it inherited the taint from -- so each violation can
+print a witness chain (``outer -> middle -> consume``) instead of a
+bare "transitively reaches".  Iteration order is sorted everywhere, so
+the result -- and therefore ``repro lint --format json`` -- is
 byte-deterministic.
-
-The four rules here see the whole symbol table and the call graph.
-DCL010 and DCL011 each check one reproducibility invariant in full:
-the direct case in any module they scope, and its closure over calls.
 
 DCL010
     Timing goes only through the tracer clock seam.  No wall-clock
     read (``time.*`` / ``datetime.*``) anywhere in ``src/repro/core/``
-    or ``src/repro/obs/perf/`` -- module level and class bodies
-    included -- and no core function whose callees (at any depth,
-    across modules) read one.  The tracer clock seam (``Tracer.clock``)
-    is a class attribute, not a ``def``, so calls through it stay
-    unresolved rather than tainting callers -- the seam is sanctioned
-    by construction -- and the perf package's bench clock is injected
-    (``bench.DEFAULT_CLOCK``), so counted runs stay bit-identical.
+    or ``src/repro/obs/perf/``, nor in the other modules core may
+    import (``repro._lazy``, ``repro.obs.tracer``, ``repro.obs.events``)
+    -- module level and class bodies included.  And core keeps to that
+    import boundary: every import in ``repro.core`` (function-local and
+    ``TYPE_CHECKING`` ones too) names numpy, the standard library,
+    ``repro.core``, ``repro._lazy``, ``repro.obs.tracer``,
+    ``repro.obs.events`` or ``repro.obs.perf``, and so does every
+    runtime import of a module core reaches that way.  The tracer clock
+    seam (``Tracer.clock = staticmethod(time.perf_counter)``) is an
+    attribute, not a call, and the perf package's bench clock is
+    injected (``bench.DEFAULT_CLOCK``), so counted runs stay
+    bit-identical.
 DCL011
     Every random draw comes from a threaded generator.  No legacy
     global-state ``np.random.<fn>`` / ``random.<fn>`` call and no bare
@@ -52,10 +57,15 @@ DCL013
 from __future__ import annotations
 
 import ast
+import functools
+import sys
+import sysconfig
 from dataclasses import dataclass
+from pathlib import Path
 from typing import (
     Callable,
     Dict,
+    FrozenSet,
     Iterator,
     List,
     Mapping,
@@ -65,14 +75,9 @@ from typing import (
     Tuple,
 )
 
-from .callgraph import CallGraph, CallSite
-from .rules import Rule, Violation, _in_core, _in_perf, _in_tests
-from .symbols import (
-    ClassSymbol,
-    FunctionSymbol,
-    ModuleSymbols,
-    ProjectSymbols,
-)
+from .callgraph import CallGraph, CallSite, build_callgraph
+from .rules import Rule, Violation, _in_core, _in_perf, _in_tests, _posix
+from .symbols import FunctionSymbol, ModuleSymbols, ProjectSymbols
 
 __all__ = [
     "ClockSeamRule",
@@ -151,6 +156,51 @@ _CLOCK_CALLS = frozenset({
     "datetime.datetime.now", "datetime.datetime.utcnow",
     "datetime.datetime.today", "datetime.date.today",
 })
+#: The project modules ``repro.core`` may import (each with its
+#: submodules), beside numpy and the standard library.
+_CORE_IMPORTS = (
+    "repro.core", "repro._lazy", "repro.obs.tracer", "repro.obs.events",
+    "repro.obs.perf",
+)
+#: Files of the allow-listed modules outside core/ and obs/perf/: they
+#: get the same direct wall-clock check.
+_BOUNDARY_FILES = ("repro/_lazy.py", "repro/obs/tracer.py", "repro/obs/events.py")
+
+
+@functools.lru_cache(maxsize=None)
+def _stdlib_modules() -> FrozenSet[str]:
+    """Top-level names of the running interpreter's standard library."""
+    names = getattr(sys, "stdlib_module_names", None)
+    if names is not None:
+        return frozenset(names)
+    # Python 3.9 has no stdlib_module_names: list the library itself.
+    found = set(sys.builtin_module_names)
+    root = Path(sysconfig.get_paths()["stdlib"])
+    for entry in (*root.iterdir(), *(root / "lib-dynload").glob("*")):
+        found.add(entry.name.split(".")[0])
+    return frozenset(found)
+
+
+def _core_may_import(target: str) -> bool:
+    root = target.split(".")[0]
+    if root == "numpy" or root in _stdlib_modules():
+        return True
+    return any(
+        target == allowed or target.startswith(allowed + ".")
+        for allowed in _CORE_IMPORTS
+    )
+
+
+def _type_checking_only(module: ModuleSymbols) -> Set[int]:
+    """``id()`` of every import under an ``if TYPE_CHECKING:`` block."""
+    out: Set[int] = set()
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+            "TYPE_CHECKING", "typing.TYPE_CHECKING",
+        ):
+            for stmt in node.body:
+                out.update(id(sub) for sub in ast.walk(stmt))
+    return out
 
 
 class ClockSeamRule(Rule):
@@ -158,17 +208,17 @@ class ClockSeamRule(Rule):
 
     code = "DCL010"
     summary = (
-        "no wall-clock reads (time.* / datetime.*) in src/repro/core/ or "
-        "src/repro/obs/perf/, and no core function reaching one through "
-        "its callees at any depth: timing goes through the tracer clock "
-        "seam (Tracer.clock) or bench.DEFAULT_CLOCK"
+        "no wall-clock reads (time.* / datetime.*) in src/repro/core/, "
+        "src/repro/obs/perf/ or the other modules core may import, and "
+        "core imports only numpy, the standard library, repro.core, "
+        "repro._lazy, repro.obs.tracer, repro.obs.events and "
+        "repro.obs.perf: timing goes through the tracer clock seam "
+        "(Tracer.clock) or bench.DEFAULT_CLOCK"
     )
 
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
+    def check(self, project: ProjectSymbols) -> Iterator[Violation]:
         yield from self._direct(project)
-        yield from self._reach(graph)
+        yield from self._boundary(project)
 
     def _direct(self, project: ProjectSymbols) -> Iterator[Violation]:
         """Every wall-clock call in a scoped module, wherever it sits."""
@@ -184,43 +234,54 @@ class ClockSeamRule(Rule):
                     "bench.DEFAULT_CLOCK so counters and records stay "
                     "deterministic"
                 )
+            elif _posix(module.path).endswith(_BOUNDARY_FILES):
+                advice = (
+                    f"inside {module.name}, which repro.core may import; "
+                    "time through Tracer.clock instead"
+                )
             else:
                 continue
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                dotted = module.dotted(node.func)
+                dotted = project.dotted(module, node.func)
                 if dotted in _CLOCK_CALLS:
                     yield self._at(
                         module, node,
                         f"{dotted}() reads the wall clock {advice}",
                     )
 
-    def _reach(self, graph: CallGraph) -> Iterator[Violation]:
-        """Core functions that reach a wall-clock read through calls."""
-        seeds: Dict[str, str] = {}
-        for qualname in sorted(graph.nodes):
-            node = graph.nodes[qualname]
-            hits = sorted(set(node.external_calls) & _CLOCK_CALLS)
-            if hits:
-                seeds[qualname] = hits[0]
-        tainted = propagate(graph, seeds)
-        for qualname in sorted(tainted):
-            taint = tainted[qualname]
-            sym = graph.nodes[qualname].sym
-            if taint.parent is None or not _in_core(sym.path):
-                continue  # a reader itself is reported at its call
-            chain = witness_chain(tainted, qualname)
-            yield self._violation(
-                sym.path,
-                sym.lineno,
-                sym.col,
-                (
-                    f"'{sym.name}' transitively reaches wall-clock call "
-                    f"{taint.reason} via {_short_chain(chain)}; core timing "
-                    "goes through the tracer clock seam"
-                ),
+    def _boundary(self, project: ProjectSymbols) -> Iterator[Violation]:
+        """Imports that leave the boundary: any import in core, and the
+        runtime imports of every project module core reaches through
+        allowed imports (breadth first, in sorted order)."""
+        queue = [m for m in project.iter_files() if _in_core(m.path)]
+        reached = {module.name for module in queue}
+        while queue:
+            module = queue.pop(0)
+            skip: Set[int] = (
+                set() if _in_core(module.path) else _type_checking_only(module)
             )
+            for node, target in module.import_sites:
+                if id(node) in skip:
+                    continue
+                if not _core_may_import(target):
+                    who = "repro.core" if _in_core(module.path) else (
+                        f"{module.name}, which repro.core imports,"
+                    )
+                    yield self._at(
+                        module, node,
+                        f"{who} imports {target}: core may import only "
+                        "numpy, the standard library, repro.core, "
+                        "repro._lazy, repro.obs.tracer, repro.obs.events "
+                        "and repro.obs.perf, whose clock reads DCL010 "
+                        "checks",
+                    )
+                    continue
+                name = project.module_prefix(target)[0]
+                if name is not None and name not in reached:
+                    reached.add(name)
+                    queue.append(project.modules[name])
 
 
 #: ``numpy.random`` names that construct explicit streams and are
@@ -249,16 +310,14 @@ class RngThreadingRule(Rule):
         "callers of an RNG consumer pass one at every call site"
     )
 
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
+    def check(self, project: ProjectSymbols) -> Iterator[Violation]:
         # A bare default_rng() in a public core function is both global
         # state and an internal construction: report the call once.
         seen: Set[Tuple[str, int, int]] = set()
         for found in (
             self._global_state(project),
             self._constructions(project),
-            self._threading(graph),
+            self._threading(build_callgraph(project)),
         ):
             for violation in found:
                 key = (violation.path, violation.line, violation.col)
@@ -274,7 +333,7 @@ class RngThreadingRule(Rule):
             for node in ast.walk(module.tree):
                 if not isinstance(node, ast.Call):
                     continue
-                dotted = module.dotted(node.func)
+                dotted = project.dotted(module, node.func)
                 if dotted is None:
                     continue
                 parts = dotted.split(".")
@@ -314,12 +373,11 @@ class RngThreadingRule(Rule):
                 if (
                     any(part.startswith("_") for part in name.split("."))
                     or sym.rng_parameter() is not None
-                    or sym.node is None
                 ):
                     continue
                 for node in ast.walk(sym.node):
                     if isinstance(node, ast.Call) and self._mints(
-                        module, node.func
+                        project.dotted(module, node.func), node.func
                     ):
                         yield self._at(
                             module, node,
@@ -330,8 +388,7 @@ class RngThreadingRule(Rule):
                         break
 
     @staticmethod
-    def _mints(module: ModuleSymbols, func: ast.AST) -> bool:
-        dotted = module.dotted(func)
+    def _mints(dotted: Optional[str], func: ast.AST) -> bool:
         if dotted in _RNG_FACTORIES:
             return True
         name = dotted.rsplit(".", 1)[-1] if dotted else _name_tail(func)
@@ -425,9 +482,7 @@ class _MutationWalker:
 
     def run(self, tracked: Sequence[str]) -> List[Violation]:
         self.env = {param: param for param in tracked}
-        assert self.sym.node is not None
-        body = getattr(self.sym.node, "body", [])
-        self._block(body)
+        self._block(self.sym.node.body)
         return self.found
 
     # -- alias queries ---------------------------------------------------
@@ -442,29 +497,18 @@ class _MutationWalker:
             return None
         if isinstance(expr, ast.Call):
             func = expr.func
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _VIEW_FUNCS
-                and expr.args
-            ):
+            if _name_tail(func) in _VIEW_FUNCS and expr.args:
                 # np.asarray(x), np.reshape(x, ...)
                 return self._root(expr.args[0])
             if isinstance(func, ast.Attribute) and func.attr in _VIEW_METHODS:
                 return self._root(func.value)
-            if (
-                isinstance(func, ast.Name)
-                and func.id in _VIEW_FUNCS
-                and expr.args
-            ):
-                return self._root(expr.args[0])
-            return None
         return None
 
     def _flag(self, node: ast.AST, param: str, kind: str) -> None:
         self.found.append(
             self.rule._violation(
                 self.sym.path,
-                getattr(node, "lineno", self.sym.lineno),
+                getattr(node, "lineno", self.sym.node.lineno),
                 getattr(node, "col_offset", 0),
                 (
                     f"'{self.sym.name}' mutates ndarray parameter "
@@ -487,14 +531,10 @@ class _MutationWalker:
                 recv_root = self._root(func.value)
                 if func.attr in _MUTATOR_METHODS and recv_root is not None:
                     self._flag(sub, recv_root, f".{func.attr}() call")
-                elif (
-                    func.attr in _MUTATOR_FUNCS
-                    and sub.args
-                    and self._root(sub.args[0]) is not None
-                ):
+                elif func.attr in _MUTATOR_FUNCS and sub.args:
                     root = self._root(sub.args[0])
-                    assert root is not None
-                    self._flag(sub, root, f"np.{func.attr}() call")
+                    if root is not None:
+                        self._flag(sub, root, f"np.{func.attr}() call")
             for keyword in sub.keywords:
                 if keyword.arg == "out":
                     root = self._root(keyword.value)
@@ -512,7 +552,8 @@ class _MutationWalker:
                 self.env.pop(sub.id, None)
 
     def _store_target(self, target: ast.AST) -> None:
-        """A write *through* a target expression (not a rebind)."""
+        """A write *through* a target expression (not a rebind); the
+        names a tuple target rebinds lose their alias."""
         if isinstance(target, ast.Subscript):
             root = self._root(target.value)
             if root is not None:
@@ -523,44 +564,31 @@ class _MutationWalker:
                 self._flag(target, root, f".{target.attr} assignment")
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._store_target(element)
+                if isinstance(element, ast.Name):
+                    self.env.pop(element.id, None)
+                else:
+                    self._store_target(element)
 
     def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
             self._scan(stmt.value)
-            root = self._root(stmt.value)
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    if root is not None:
-                        self.env[target.id] = root
-                    else:
-                        self.env.pop(target.id, None)
-                else:
+            root = self._root(stmt.value) if stmt.value is not None else None
+            targets: List[ast.expr] = (
+                list(stmt.targets) if isinstance(stmt, ast.Assign)
+                else [stmt.target]
+            )
+            for target in targets:
+                if not isinstance(target, ast.Name):
                     self._store_target(target)
-                    self._kill_targets_in_tuples(target)
-        elif isinstance(stmt, ast.AnnAssign):
-            self._scan(stmt.value)
-            if isinstance(stmt.target, ast.Name):
-                root = (
-                    self._root(stmt.value) if stmt.value is not None else None
-                )
-                if root is not None:
-                    self.env[stmt.target.id] = root
+                elif root is not None:
+                    self.env[target.id] = root
                 else:
-                    self.env.pop(stmt.target.id, None)
-            else:
-                self._store_target(stmt.target)
+                    self.env.pop(target.id, None)
         elif isinstance(stmt, ast.AugAssign):
             self._scan(stmt.value)
-            target = stmt.target
-            if isinstance(target, ast.Name):
-                root = self.env.get(target.id)
-                if root is not None:
-                    self._flag(stmt, root, "augmented assignment")
-            else:
-                root = self._root(target)
-                if root is not None:
-                    self._flag(stmt, root, "augmented assignment")
+            root = self._root(stmt.target)
+            if root is not None:
+                self._flag(stmt, root, "augmented assignment")
         elif isinstance(stmt, ast.Delete):
             for target in stmt.targets:
                 if isinstance(target, ast.Subscript):
@@ -569,47 +597,27 @@ class _MutationWalker:
                         self._flag(stmt, root, "del of item/slice")
                 elif isinstance(target, ast.Name):
                     self.env.pop(target.id, None)
-        elif isinstance(stmt, (ast.Expr, ast.Return)):
-            self._scan(stmt.value)
-        elif isinstance(stmt, ast.If):
-            self._scan(stmt.test)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan(stmt.iter)
-            self._kill_targets(stmt.target)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-        elif isinstance(stmt, ast.While):
-            self._scan(stmt.test)
-            self._block(stmt.body)
-            self._block(stmt.orelse)
-        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._scan(item.context_expr)
-                if item.optional_vars is not None:
-                    self._kill_targets(item.optional_vars)
-            self._block(stmt.body)
-        elif isinstance(stmt, ast.Try):
-            self._block(stmt.body)
-            for handler in stmt.handlers:
-                self._block(handler.body)
-            self._block(stmt.orelse)
-            self._block(stmt.finalbody)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested defs capture the parameter by closure; walk them
-            # with the current env (shadowing params would be rare and
-            # only costs a reviewable false positive).
-            self._block(stmt.body)
-        elif isinstance(stmt, (ast.Raise, ast.Assert)):
-            for value in ast.iter_child_nodes(stmt):
-                self._scan(value)
-
-    def _kill_targets_in_tuples(self, target: ast.AST) -> None:
-        if isinstance(target, (ast.Tuple, ast.List)):
-            for element in target.elts:
-                if isinstance(element, ast.Name):
-                    self.env.pop(element.id, None)
+        else:
+            # Any other statement, field by field in source order: scan
+            # its expressions, unbind loop and ``with`` targets, walk its
+            # nested bodies.  A nested def captures the parameter by
+            # closure, so it is walked with the current env (shadowing
+            # params would be rare and only costs a reviewable false
+            # positive).
+            for name, value in ast.iter_fields(stmt):
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, ast.stmt):
+                        self._stmt(item)
+                    elif isinstance(item, ast.ExceptHandler):
+                        self._block(item.body)
+                    elif isinstance(item, ast.withitem):
+                        self._scan(item.context_expr)
+                        if item.optional_vars is not None:
+                            self._kill_targets(item.optional_vars)
+                    elif name == "target":
+                        self._kill_targets(item)
+                    elif isinstance(item, ast.expr):
+                        self._scan(item)
 
 
 class NdarrayParamMutationRule(Rule):
@@ -622,16 +630,14 @@ class NdarrayParamMutationRule(Rule):
         "buffers are exempt"
     )
 
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
+    def check(self, project: ProjectSymbols) -> Iterator[Violation]:
         for module in project.iter_files():
             if not _in_core(module.path):
                 continue
             for name in sorted(module.functions):
                 sym = module.functions[name]
                 tracked = self._tracked_params(project, module, sym)
-                if tracked and sym.node is not None:
+                if tracked:
                     yield from _MutationWalker(self, sym).run(tracked)
 
     def _tracked_params(
@@ -657,12 +663,10 @@ class NdarrayParamMutationRule(Rule):
         annotation: str,
     ) -> bool:
         """Annotation names a project ``*State`` class (cross-module)."""
-        cls: Optional[ClassSymbol]
-        for token in annotation.replace('"', " ").replace("'", " ").split():
-            cls = project.resolve_class_name(module, token.strip("[],"))
-            if cls is not None and cls.name.lstrip("_").endswith("State"):
-                return True
-        return False
+        return any(
+            cls.name.lstrip("_").endswith("State")
+            for cls in project.annotation_classes(module, annotation)
+        )
 
 
 class FloatEqualityRule(Rule):
@@ -676,10 +680,9 @@ class FloatEqualityRule(Rule):
     )
 
     _FLOAT_CONST_TAILS = frozenset({"nan", "inf", "infty", "infinity"})
+    _FLOAT_RETURNS = ("float", "np.float64", "numpy.float64")
 
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
+    def check(self, project: ProjectSymbols) -> Iterator[Violation]:
         for module in project.iter_files():
             if not _in_core(module.path):
                 continue
@@ -728,25 +731,13 @@ class FloatEqualityRule(Rule):
             if isinstance(func, ast.Name) and func.id == "float":
                 return "against float(...)"
             dotted = module.dotted(func)
-            if dotted is not None:
-                resolution = project.resolve_callable(dotted)
-                if (
-                    resolution.function is not None
-                    and resolution.function.returns is not None
-                    and _returns_float(resolution.function.returns)
-                ):
-                    return (
-                        "against the float return of "
-                        f"'{resolution.function.qualname}'"
-                    )
+            callee = project.resolve_callable(dotted).function if dotted else None
+            if callee is not None and callee.returns in self._FLOAT_RETURNS:
+                return f"against the float return of '{callee.qualname}'"
         tail = _name_tail(expr)
         if tail is not None and tail.lower() in self._FLOAT_CONST_TAILS:
             return f"against {tail}"
         return None
-
-
-def _returns_float(annotation: str) -> bool:
-    return annotation in ("float", "np.float64", "numpy.float64")
 
 
 def _name_tail(expr: ast.AST) -> Optional[str]:

@@ -1,15 +1,15 @@
 """The linter engine and CLI: ``python -m repro.devtools.lint src/``.
 
 Walks the given files/directories, parses every ``*.py`` file once into
-one project-wide symbol table (:mod:`repro.devtools.symbols`), builds
-its cross-module call graph (:mod:`repro.devtools.callgraph`), runs
-every rule of :data:`RULES` over the two, applies suppression comments,
-and reports in a human (``path:line:col: CODE message``) or JSON format.
-The JSON report carries per-rule violation counts plus the call graph's
-unresolved-call statistics, and is byte-identical across runs.  Exit
-status is 0 when the tree is clean, 1 when violations were found, 2 on
-usage errors.  ``--call-graph FN`` prints a function's transitive reach
-(project edges, external calls, unresolved buckets) for debugging.
+one project-wide symbol table (:mod:`repro.devtools.symbols`), runs
+every rule of :data:`RULES` over it, applies suppression comments, and
+reports in a human (``path:line:col: CODE message``) or JSON format.
+The JSON report carries per-rule violation counts and is byte-identical
+across runs.  Exit status is 0 when the tree is clean, 1 when
+violations were found or a file could not be read or parsed (a
+``PARSE`` line: a syntax error, or a file that is not UTF-8), 2 on
+usage errors -- a path that does not exist, arguments that name no
+Python file, an unknown rule code.
 
 Suppression syntax
 ------------------
@@ -40,11 +40,10 @@ import json
 import re
 import sys
 import tokenize
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
 
-from .callgraph import build_callgraph, render_reach
 from .dataflow import (
     ClockSeamRule,
     FloatEqualityRule,
@@ -98,11 +97,14 @@ RULES: Tuple[Type[Rule], ...] = (
 
 
 def all_rules(select: Optional[Sequence[str]] = None) -> List[Rule]:
-    """Instantiate the registry, optionally filtered to ``select`` codes."""
+    """Instantiate the registry, optionally filtered to ``select`` codes
+    (blank entries, as a trailing comma leaves, are ignored)."""
     rules = [cls() for cls in RULES]
     if select is None:
         return rules
-    wanted = {code.strip().upper() for code in select}
+    wanted = {code.strip().upper() for code in select if code.strip()}
+    if not wanted:
+        raise ValueError("no rule code selected")
     unknown = wanted - {r.code for r in rules}
     if unknown:
         raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
@@ -125,13 +127,7 @@ class SuppressionWarning:
     message: str
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "kind": self.kind,
-            "code": self.code,
-            "message": self.message,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:0: {self.kind} {self.message}"
@@ -146,8 +142,6 @@ class LintReport:
         self.parse_errors: List[Tuple[str, str]] = []
         self.suppression_warnings: List[SuppressionWarning] = []
         self.stale_suppressions: List[SuppressionWarning] = []
-        #: the call graph's statistics (functions, edges, unresolved calls)
-        self.call_graph: Dict[str, object] = {}
 
     @property
     def clean(self) -> bool:
@@ -183,7 +177,6 @@ class LintReport:
             "stale_suppressions": [
                 w.to_dict() for w in self.stale_suppressions
             ],
-            "call_graph": self.call_graph,
         }
 
 
@@ -231,33 +224,20 @@ class _Suppressions:
                 if not code:
                     continue
                 if not _CODE_RE.match(code):
-                    self.warnings.append(
-                        SuppressionWarning(
-                            path=self.path,
-                            line=lineno,
-                            kind="malformed-code",
-                            code=code,
-                            message=(
-                                f"malformed suppression code '{code}' "
-                                "(expected DCLnnn or 'all'); it is ignored"
-                            ),
-                        )
+                    kind, problem = "malformed-code", (
+                        f"malformed suppression code '{code}' "
+                        "(expected DCLnnn or 'all'); it is ignored"
                     )
-                    continue
-                if code != "ALL" and code not in known_codes():
-                    self.warnings.append(
-                        SuppressionWarning(
-                            path=self.path,
-                            line=lineno,
-                            kind="unknown-code",
-                            code=code,
-                            message=(
-                                f"suppression names unknown rule '{code}'"
-                            ),
-                        )
+                elif code != "ALL" and code not in known_codes():
+                    kind, problem = "unknown-code", (
+                        f"suppression names unknown rule '{code}'"
                     )
+                else:
+                    valid.append(code)
                     continue
-                valid.append(code)
+                self.warnings.append(
+                    SuppressionWarning(self.path, lineno, kind, code, problem)
+                )
             file_level = physical_line[:col].strip() == ""
             self.directives.append(
                 _Directive(lineno, tuple(valid), file_level)
@@ -332,9 +312,15 @@ def lint_source(
 
 
 def collect_files(paths: Iterable[str]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``*.py`` files."""
+    """Expand files/directories into a sorted list of ``*.py`` files.
+
+    A path that does not exist, or arguments that yield no Python file
+    at all (a ``README.md``, an empty directory), raise
+    :class:`FileNotFoundError`: a lint of nothing is not a clean lint.
+    """
+    raws = list(paths)
     out: Set[Path] = set()
-    for raw in paths:
+    for raw in raws:
         path = Path(raw)
         if path.is_dir():
             for sub in path.rglob("*.py"):
@@ -344,10 +330,12 @@ def collect_files(paths: Iterable[str]) -> List[Path]:
                 ):
                     continue
                 out.add(sub)
-        elif path.suffix == ".py":
-            out.add(path)
         elif not path.exists():
             raise FileNotFoundError(f"no such file or directory: {raw}")
+        elif path.suffix == ".py":
+            out.add(path)
+    if not out:
+        raise FileNotFoundError(f"no Python files in: {' '.join(raws)}")
     return sorted(out)
 
 
@@ -372,7 +360,8 @@ def _read_sources(
     paths: Iterable[str], errors: Optional[List[Tuple[str, str]]] = None
 ) -> Dict[str, str]:
     """``{path: source}`` of every ``*.py`` file under ``paths``; a file
-    that cannot be read is left out (and listed in ``errors``)."""
+    that cannot be read, or is not UTF-8, is left out (and listed in
+    ``errors``)."""
     sources: Dict[str, str] = {}
     for path in collect_files(paths):
         try:
@@ -380,20 +369,21 @@ def _read_sources(
         except OSError as exc:
             if errors is not None:
                 errors.append((str(path), str(exc)))
+        except UnicodeDecodeError as exc:
+            if errors is not None:
+                errors.append((str(path), f"not UTF-8: {exc}"))
     return sources
 
 
 def _check(
     project: ProjectSymbols, rules: Sequence[Rule], report: LintReport
 ) -> None:
-    """Run ``rules`` over ``project`` and its call graph into ``report``:
-    the violations no comment suppresses, the suppression warnings and
-    the stale suppressions, and the call graph's statistics."""
-    graph = build_callgraph(project)
-    report.call_graph = graph.stats()
+    """Run ``rules`` over ``project`` into ``report``: the violations no
+    comment suppresses, the suppression warnings and the stale
+    suppressions."""
     raw: Dict[str, List[Violation]] = {path: [] for path in project.files}
     for rule in rules:
-        for violation in rule.check(project, graph):
+        for violation in rule.check(project):
             raw.setdefault(violation.path, []).append(violation)
     for path in sorted(project.files):
         tables = _Suppressions(path, project.files[path].source)
@@ -412,9 +402,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro lint",
         description=(
             "AST-based invariant linter for the repro tree "
-            "(determinism, clock seam, count-aware residue math, "
-            "RNG threading, __all__ hygiene): one pass over one "
-            "project-wide symbol table and its cross-module call graph"
+            "(determinism, clock seam and core's import boundary, "
+            "count-aware residue math, RNG threading, __all__ "
+            "hygiene): one pass over one project-wide symbol table"
         ),
     )
     parser.add_argument(
@@ -434,14 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the rule registry and exit",
     )
     parser.add_argument(
-        "--call-graph", default=None, metavar="FN",
-        help=(
-            "print the transitive reach of a function (qualname or "
-            "dotted suffix, e.g. 'floc' or 'repro.core.floc.floc') "
-            "and exit"
-        ),
-    )
-    parser.add_argument(
         "--strict-suppressions", action="store_true",
         help=(
             "fail on malformed suppression codes, suppressions naming "
@@ -449,17 +431,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     return parser
-
-
-def _run_call_graph(paths: Sequence[str], pattern: str) -> int:
-    graph = build_callgraph(build_project(_read_sources(paths)))
-    lines, matched = render_reach(graph, pattern)
-    if not matched:
-        print(f"error: no function matches '{pattern}'", file=sys.stderr)
-        return 2
-    for line in lines:
-        print(line)
-    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -475,8 +446,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.call_graph is not None:
-            return _run_call_graph(args.paths, args.call_graph)
         report = lint_paths(args.paths, rules)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -499,13 +468,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         status = "clean" if report.clean else (
             f"{len(report.violations)} violation(s)"
         )
-        stats = report.call_graph
-        unresolved = stats["unresolved_calls"]
-        assert isinstance(unresolved, dict)
         print(
-            f"checked {report.files_checked} file(s): {status} "
-            f"[call graph: {stats['functions']} functions, "
-            f"{stats['edges']} edges, {unresolved['total']} unresolved calls]",
+            f"checked {report.files_checked} file(s): {status}",
             file=sys.stderr,
         )
     return 0 if not failed else 1

@@ -3,12 +3,12 @@
 Each rule is a small class with a ``code`` (``DCL003`` ...), a
 ``summary`` shown by ``--list-rules``, a path predicate (``applies``)
 and a ``check`` generator yielding :class:`Violation` records from the
-project's symbol table (:class:`repro.devtools.symbols.ProjectSymbols`)
-and its call graph.  Rules never execute the code under analysis --
-everything is derived from the one parse per file the symbol table
-holds, so the linter is safe to run on arbitrary trees.  A
-:class:`ModuleRule` looks at each module on its own; the rules that
-follow calls across modules (DCL010-DCL013) live in
+project's symbol table (:class:`repro.devtools.symbols.ProjectSymbols`).
+Rules never execute the code under analysis -- everything is derived
+from the one parse per file the symbol table holds, so the linter is
+safe to run on arbitrary trees.  A :class:`ModuleRule` looks at each
+module on its own (reading names through the table); the rules that
+read across modules (DCL010-DCL013) live in
 :mod:`repro.devtools.dataflow`.
 
 The module rules (see ``docs/DEVELOPMENT.md`` for the full rationale):
@@ -44,13 +44,10 @@ DCL007
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .symbols import ModuleSymbols, ProjectSymbols
-
-if TYPE_CHECKING:  # pragma: no cover - annotations only
-    from .callgraph import CallGraph
+from .symbols import ModuleSymbols, ProjectSymbols, _posix
 
 __all__ = [
     "Violation",
@@ -74,20 +71,10 @@ class Violation:
     message: str
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-        }
+        return asdict(self)
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
-
-
-def _posix(path: str) -> str:
-    return path.replace("\\", "/")
 
 
 def _in_core(path: str) -> bool:
@@ -120,9 +107,7 @@ class Rule:
     def applies(self, path: str) -> bool:
         return True
 
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
+    def check(self, project: ProjectSymbols) -> Iterator[Violation]:
         raise NotImplementedError
 
     def _violation(
@@ -146,14 +131,14 @@ class Rule:
 class ModuleRule(Rule):
     """A rule that checks each module it applies to on its own."""
 
-    def check(
-        self, project: ProjectSymbols, graph: CallGraph
-    ) -> Iterator[Violation]:
+    def check(self, project: ProjectSymbols) -> Iterator[Violation]:
         for module in project.iter_files():
             if self.applies(module.path):
-                yield from self.check_module(module)
+                yield from self.check_module(project, module)
 
-    def check_module(self, module: ModuleSymbols) -> Iterator[Violation]:
+    def check_module(
+        self, project: ProjectSymbols, module: ModuleSymbols
+    ) -> Iterator[Violation]:
         raise NotImplementedError
 
 
@@ -179,11 +164,13 @@ class NanAggregationRule(ModuleRule):
     def applies(self, path: str) -> bool:
         return _in_core(path)
 
-    def check_module(self, module: ModuleSymbols) -> Iterator[Violation]:
+    def check_module(
+        self, project: ProjectSymbols, module: ModuleSymbols
+    ) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue
-            dotted = module.dotted(node.func)
+            dotted = project.dotted(module, node.func)
             if dotted is None:
                 continue
             parts = dotted.split(".")
@@ -214,7 +201,9 @@ class DunderAllRule(ModuleRule):
     def applies(self, path: str) -> bool:
         return _posix(path).rsplit("/", 1)[-1] not in self._EXEMPT and not _in_tests(path)
 
-    def check_module(self, module: ModuleSymbols) -> Iterator[Violation]:
+    def check_module(
+        self, project: ProjectSymbols, module: ModuleSymbols
+    ) -> Iterator[Violation]:
         dunder_all = self._find_dunder_all(module.tree)
         public_defs = self._public_definitions(module.tree)
         if dunder_all is None:
@@ -294,9 +283,15 @@ class DunderAllRule(ModuleRule):
 
     @staticmethod
     def _bound_names(tree: ast.Module) -> Set[str]:
-        """Every name bound at module top level (defs, imports, assigns)."""
-        out: Set[str] = set()
+        """Every name bound at module top level (defs, imports, assigns),
+        including under top-level guards (``TYPE_CHECKING``,
+        optional-dependency ``try``/``except``)."""
+        stmts: List[ast.AST] = list(tree.body)
         for node in tree.body:
+            if isinstance(node, (ast.If, ast.Try)):
+                stmts.extend(ast.walk(node))
+        out: Set[str] = set()
+        for node in stmts:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 out.add(node.name)
             elif isinstance(node, ast.Import):
@@ -314,24 +309,6 @@ class DunderAllRule(ModuleRule):
                     for sub in ast.walk(target):
                         if isinstance(sub, ast.Name):
                             out.add(sub.id)
-            elif isinstance(node, (ast.If, ast.Try)):
-                # names bound inside top-level guards (TYPE_CHECKING,
-                # optional-dependency try/except) still count
-                for sub in ast.walk(node):
-                    if isinstance(sub, (ast.FunctionDef, ast.ClassDef)):
-                        out.add(sub.name)
-                    elif isinstance(sub, ast.ImportFrom):
-                        for alias in sub.names:
-                            if alias.name != "*":
-                                out.add(alias.asname or alias.name)
-                    elif isinstance(sub, ast.Import):
-                        for alias in sub.names:
-                            out.add(alias.asname or alias.name.split(".")[0])
-                    elif isinstance(sub, ast.Assign):
-                        for target in sub.targets:
-                            for name in ast.walk(target):
-                                if isinstance(name, ast.Name):
-                                    out.add(name.id)
         return out
 
 
@@ -370,7 +347,9 @@ class MutableGlobalWriteRule(ModuleRule):
     def applies(self, path: str) -> bool:
         return _in_core(path)
 
-    def check_module(self, module: ModuleSymbols) -> Iterator[Violation]:
+    def check_module(
+        self, project: ProjectSymbols, module: ModuleSymbols
+    ) -> Iterator[Violation]:
         mutables = self._mutable_globals(module.tree)
         for node in ast.walk(module.tree):
             yield from self._check_environ(module, node)
@@ -543,7 +522,9 @@ class ExceptionSwallowRule(ModuleRule):
     def applies(self, path: str) -> bool:
         return _in_core(path) or _in_runtime(path)
 
-    def check_module(self, module: ModuleSymbols) -> Iterator[Violation]:
+    def check_module(
+        self, project: ProjectSymbols, module: ModuleSymbols
+    ) -> Iterator[Violation]:
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -555,10 +536,9 @@ class ExceptionSwallowRule(ModuleRule):
                     "specific exception instead",
                 )
             elif self._is_broad(node.type) and self._swallows(node.body):
-                caught = self._render_type(node.type)
                 yield self._at(
                     module, node,
-                    f"'except {caught}:' with an empty body silently "
+                    f"'except {ast.unparse(node.type)}:' with an empty body silently "
                     "swallows every failure; catch the specific "
                     "exception, or handle and record it",
                 )
@@ -594,10 +574,3 @@ class ExceptionSwallowRule(ModuleRule):
                 continue  # docstring or Ellipsis literal
             return False
         return True
-
-    @staticmethod
-    def _render_type(type_expr: ast.expr) -> str:
-        try:
-            return ast.unparse(type_expr)
-        except Exception:  # pragma: no cover - unparse is total on exprs
-            return "Exception"

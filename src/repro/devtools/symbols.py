@@ -1,27 +1,27 @@
 """Project-wide symbol table: the one parse every lint rule reads.
 
-Every rule of :mod:`repro.devtools` -- the ones that look at one module
-and the ones that follow calls across the tree -- needs to know which
-function or module a name refers to.  This module builds that table:
+Every rule of :mod:`repro.devtools` needs to know which function,
+class or module a name refers to.  This module builds that table:
 
 * :class:`ModuleSymbols` -- one parsed module: its top-level functions,
   classes (with methods), and an import table mapping every local alias
   to the fully-dotted name it denotes (``from .actions import
   evaluate_toggle`` binds ``evaluate_toggle`` to
   ``repro.core.actions.evaluate_toggle``; relative imports are resolved
-  against the module's package).  :meth:`ModuleSymbols.dotted` turns a
-  call target into that dotted name (``np.random.seed`` ->
-  ``numpy.random.seed``).
+  against the module's package).  Imports are read wherever they sit:
+  module level, under ``if TYPE_CHECKING:``, or inside a function.
+  :meth:`ModuleSymbols.dotted` turns a call target into that dotted
+  name (``np.random.seed`` -> ``numpy.random.seed``).
 * :class:`FunctionSymbol` / :class:`ClassSymbol` -- one definition,
   addressed by *qualname* (``repro.core.floc.floc``,
   ``repro.core.floc._State.toggle``).
 * :class:`ProjectSymbols` -- the project: every module keyed by dotted
-  name, every function/class keyed by qualname, plus
-  :meth:`ProjectSymbols.resolve_callable`, which chases an arbitrary
-  dotted name (through re-export chains) to the function or class it
-  names -- or reports *why* it could not (external module, dynamic
-  attribute, ...).  The callgraph builder turns those reasons into the
-  unresolved-call statistics ``repro lint`` reports.
+  name, every function keyed by qualname, plus
+  :meth:`ProjectSymbols.canonical`, which chases a dotted name through
+  re-export chains (``repro.core.helper.perf_counter`` re-exported from
+  ``time`` -> ``time.perf_counter``), and the lookups built on it: the
+  function or class a name denotes, and a method on a class or its
+  project bases.
 
 Module naming is lexical: the dotted name is the path after the last
 ``src/`` component (``src/repro/core/floc.py`` -> ``repro.core.floc``);
@@ -36,11 +36,13 @@ call edges.  This keeps the table constructible from in-memory sources
 from __future__ import annotations
 
 import ast
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Dict, Iterable, Iterator, List, Mapping, Optional, Tuple, Union,
+    Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Tuple,
+    Union,
 )
 
 __all__ = [
@@ -54,6 +56,10 @@ __all__ = [
 ]
 
 _FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
+
+#: Re-export hops (and base-class hops) followed before giving up: a
+#: guard against import cycles.
+_MAX_HOPS = 8
 
 
 def _posix(path: str) -> str:
@@ -135,60 +141,66 @@ def _dotted_parts(expr: ast.AST) -> Optional[List[str]]:
     return parts
 
 
-def _parameter_names(node: _FunctionNode) -> Tuple[str, ...]:
-    args = node.args
-    names = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)]
-    return tuple(names)
+_ANNOTATION_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_.]*")
 
-
-def _annotation_strings(node: _FunctionNode) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    args = node.args
-    for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs):
-        if arg.annotation is not None:
-            try:
-                out[arg.arg] = ast.unparse(arg.annotation)
-            except ValueError:  # pragma: no cover - unparse is total here
-                continue
-    return out
-
-
-def _decorator_names(node: _FunctionNode) -> Tuple[str, ...]:
-    names: List[str] = []
-    for dec in node.decorator_list:
-        expr = dec.func if isinstance(dec, ast.Call) else dec
-        try:
-            names.append(ast.unparse(expr))
-        except ValueError:  # pragma: no cover
-            continue
-    return tuple(names)
+#: Parameter names that (by convention, enforced by DCL011) carry the
+#: caller-controlled RNG stream.
+_RNG_PARAM_NAMES = ("rng", "generator", "random_state")
 
 
 @dataclass(frozen=True)
 class FunctionSymbol:
-    """One function or method definition, addressed by qualname."""
+    """One function or method definition, addressed by qualname.
 
-    qualname: str
+    Everything but the owner is read off the definition's AST node.
+    """
+
     module: str
-    name: str  #: local name: ``f`` or ``Cls.m``
     path: str
-    lineno: int
-    col: int
-    params: Tuple[str, ...]
-    annotations: Mapping[str, str]
-    decorators: Tuple[str, ...]
-    returns: Optional[str] = None
+    node: _FunctionNode = field(compare=False, repr=False)
     class_name: Optional[str] = None
-    node: Optional[ast.AST] = field(default=None, compare=False, repr=False)
 
     @property
-    def is_method(self) -> bool:
-        return self.class_name is not None
+    def name(self) -> str:
+        """Local name: ``f`` or ``Cls.m``."""
+        if self.class_name is None:
+            return self.node.name
+        return f"{self.class_name}.{self.node.name}"
+
+    @property
+    def qualname(self) -> str:
+        return f"{self.module}.{self.name}"
+
+    @property
+    def params(self) -> Tuple[str, ...]:
+        args = self.node.args
+        return tuple(
+            a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+        )
+
+    @property
+    def annotations(self) -> Dict[str, str]:
+        """Parameter name -> its annotation's source text."""
+        args = self.node.args
+        return {
+            a.arg: ast.unparse(a.annotation)
+            for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+            if a.annotation is not None
+        }
+
+    @property
+    def returns(self) -> Optional[str]:
+        """The return annotation's source text, if any."""
+        node = self.node.returns
+        return ast.unparse(node) if node is not None else None
 
     @property
     def has_implicit_self(self) -> bool:
         """True for instance/class methods (``self``/``cls`` bound)."""
-        return self.is_method and "staticmethod" not in self.decorators
+        return self.class_name is not None and not any(
+            ast.unparse(dec) == "staticmethod"
+            for dec in self.node.decorator_list
+        )
 
     def rng_parameter(self) -> Optional[Tuple[str, int]]:
         """``(name, index)`` of the RNG-threading parameter, if any.
@@ -202,11 +214,6 @@ class FunctionSymbol:
         return None
 
 
-#: Parameter names that (by convention, enforced by DCL011) carry the
-#: caller-controlled RNG stream.
-_RNG_PARAM_NAMES = ("rng", "generator", "random_state")
-
-
 @dataclass(frozen=True)
 class ClassSymbol:
     """One class definition with its directly-defined methods."""
@@ -214,11 +221,8 @@ class ClassSymbol:
     qualname: str
     module: str
     name: str
-    path: str
-    lineno: int
     bases: Tuple[str, ...]
     methods: Mapping[str, FunctionSymbol]
-    node: Optional[ast.AST] = field(default=None, compare=False, repr=False)
 
 
 class ModuleSymbols:
@@ -235,6 +239,10 @@ class ModuleSymbols:
         #: denote a module (``numpy``), a module attribute
         #: (``repro.core.actions.evaluate_toggle``) or anything external.
         self.imports: Dict[str, str] = {}
+        #: every import statement with the full dotted name each of its
+        #: aliases imports (``import a.b`` -> ``a.b``, ``from m import
+        #: n`` -> ``m.n``), in source order
+        self.import_sites: List[Tuple[ast.stmt, str]] = []
         self.functions: Dict[str, FunctionSymbol] = {}
         self.classes: Dict[str, ClassSymbol] = {}
         self._index()
@@ -243,28 +251,31 @@ class ModuleSymbols:
     def _index(self) -> None:
         for node in self.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                sym = self._function_symbol(node, class_name=None)
-                self.functions[sym.name] = sym
+                self.functions[node.name] = FunctionSymbol(
+                    self.name, self.path, node
+                )
             elif isinstance(node, ast.ClassDef):
                 self._index_class(node)
         # Imports may appear under top-level guards (TYPE_CHECKING,
-        # try/except optional deps), so walk the whole tree for them.
+        # try/except optional deps) and inside functions, so walk the
+        # whole tree for them.
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     target = alias.name if alias.asname else alias.name.split(".")[0]
                     self.imports[bound] = target
+                    self.import_sites.append((node, alias.name))
             elif isinstance(node, ast.ImportFrom):
                 base = self._import_base(node)
                 if base is None:
                     continue
                 for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    bound = alias.asname or alias.name
                     target = f"{base}.{alias.name}" if base else alias.name
-                    self.imports[bound] = target
+                    self.import_sites.append((node, target))
+                    if alias.name != "*":
+                        self.imports[alias.asname or alias.name] = target
+        self.import_sites.sort(key=lambda site: site[0].lineno)
 
     def _import_base(self, node: ast.ImportFrom) -> Optional[str]:
         """Absolute dotted prefix an ``ImportFrom`` resolves against."""
@@ -281,53 +292,19 @@ class ModuleSymbols:
             parts.append(node.module)
         return ".".join(parts) if parts else None
 
-    def _function_symbol(
-        self, node: _FunctionNode, class_name: Optional[str]
-    ) -> FunctionSymbol:
-        local = f"{class_name}.{node.name}" if class_name else node.name
-        returns: Optional[str] = None
-        if node.returns is not None:
-            try:
-                returns = ast.unparse(node.returns)
-            except ValueError:  # pragma: no cover
-                returns = None
-        return FunctionSymbol(
-            qualname=f"{self.name}.{local}",
-            module=self.name,
-            name=local,
-            path=self.path,
-            lineno=node.lineno,
-            col=node.col_offset,
-            params=_parameter_names(node),
-            annotations=_annotation_strings(node),
-            decorators=_decorator_names(node),
-            returns=returns,
-            class_name=class_name,
-            node=node,
-        )
-
     def _index_class(self, node: ast.ClassDef) -> None:
         methods: Dict[str, FunctionSymbol] = {}
         for sub in node.body:
             if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                sym = self._function_symbol(sub, class_name=node.name)
+                sym = FunctionSymbol(self.name, self.path, sub, node.name)
                 methods[sub.name] = sym
                 self.functions[sym.name] = sym
-        bases: List[str] = []
-        for base in node.bases:
-            try:
-                bases.append(ast.unparse(base))
-            except ValueError:  # pragma: no cover
-                continue
         self.classes[node.name] = ClassSymbol(
             qualname=f"{self.name}.{node.name}",
             module=self.name,
             name=node.name,
-            path=self.path,
-            lineno=node.lineno,
-            bases=tuple(bases),
+            bases=tuple(ast.unparse(base) for base in node.bases),
             methods=methods,
-            node=node,
         )
 
     # -- name resolution -------------------------------------------------
@@ -337,8 +314,9 @@ class ModuleSymbols:
 
         ``np.random.seed`` -> ``numpy.random.seed`` (given ``import
         numpy as np``); ``from time import time`` + ``time`` ->
-        ``time.time``; a top-level ``def f`` -> ``<module>.f``.
-        ``None`` for anything else (method calls on objects, locals,
+        ``time.time``; a top-level ``def f`` -> ``<module>.f``; a
+        top-level ``class K`` + ``K.m`` -> ``<module>.K.m``.  ``None``
+        for anything else (method calls on objects, locals,
         subscripts, ...).
         """
         parts = _dotted_parts(expr)
@@ -347,29 +325,19 @@ class ModuleSymbols:
         base = parts[0]
         if base in self.functions:
             return f"{self.name}.{base}" if len(parts) == 1 else None
+        if base in self.classes:
+            return ".".join([self.name, *parts])
         if base in self.imports:
             return ".".join([self.imports[base], *parts[1:]])
         return None
 
 
-@dataclass(frozen=True)
-class Resolution:
-    """Outcome of resolving a dotted name to a callable.
-
-    Exactly one of ``function`` / ``cls`` is set on success; on failure
-    both are ``None`` and ``reason`` says why (``external`` for names
-    rooted outside the project, ``missing-attribute`` for a project
-    module that has no such definition, ``module`` when the name denotes
-    a module rather than a callable).
-    """
+class Resolution(NamedTuple):
+    """The function or class a dotted name denotes (neither when it
+    names a module, something external, or nothing the table holds)."""
 
     function: Optional[FunctionSymbol] = None
     cls: Optional[ClassSymbol] = None
-    reason: Optional[str] = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.function is not None or self.cls is not None
 
 
 class ProjectSymbols:
@@ -380,15 +348,12 @@ class ProjectSymbols:
         self.files: Dict[str, ModuleSymbols] = {}
         self.modules: Dict[str, ModuleSymbols] = {}
         self.functions: Dict[str, FunctionSymbol] = {}
-        self.classes: Dict[str, ClassSymbol] = {}
 
     def add_module(self, module: ModuleSymbols) -> None:
         self.files[module.path] = module
         self.modules[module.name] = module
         for sym in module.functions.values():
             self.functions[sym.qualname] = sym
-        for cls in module.classes.values():
-            self.classes[cls.qualname] = cls
 
     def iter_files(self) -> Iterator[ModuleSymbols]:
         for path in sorted(self.files):
@@ -399,7 +364,7 @@ class ProjectSymbols:
             yield self.functions[qualname]
 
     # -- name resolution -------------------------------------------------
-    def _module_prefix(self, dotted: str) -> Tuple[Optional[str], List[str]]:
+    def module_prefix(self, dotted: str) -> Tuple[Optional[str], List[str]]:
         """Longest known module prefix of ``dotted`` plus the remainder."""
         parts = dotted.split(".")
         for cut in range(len(parts), 0, -1):
@@ -408,46 +373,40 @@ class ProjectSymbols:
                 return prefix, parts[cut:]
         return None, parts
 
-    def is_project_name(self, dotted: str) -> bool:
-        """True when ``dotted`` is rooted in an analyzed module tree."""
-        root = dotted.split(".")[0]
-        return any(
-            name == root or name.startswith(root + ".") for name in self.modules
-        )
+    def canonical(self, dotted: str) -> str:
+        """Chase ``dotted`` through re-export chains: while it names an
+        import of a project module, replace it by that import's target."""
+        for _ in range(_MAX_HOPS):
+            name, rest = self.module_prefix(dotted)
+            if name is None or not rest:
+                return dotted
+            module = self.modules[name]
+            head = rest[0]
+            if head in module.functions or head in module.classes:
+                return dotted
+            if head not in module.imports:
+                return dotted
+            dotted = ".".join([module.imports[head], *rest[1:]])
+        return dotted
 
-    def resolve_callable(self, dotted: str, _depth: int = 0) -> Resolution:
-        """Chase ``dotted`` (through re-exports) to a function or class."""
-        if _depth > 8:  # re-export cycle guard
-            return Resolution(reason="import-cycle")
-        module_name, rest = self._module_prefix(dotted)
-        if module_name is None:
-            if self.is_project_name(dotted):
-                # Rooted in the project but pointing at a module we did
-                # not analyze (partial lint invocation).
-                return Resolution(reason="unanalyzed-module")
-            return Resolution(reason="external")
-        module = self.modules[module_name]
-        if not rest:
-            return Resolution(reason="module")
-        head = rest[0]
+    def dotted(self, module: ModuleSymbols, expr: ast.AST) -> Optional[str]:
+        """:meth:`ModuleSymbols.dotted`, chased to its canonical name."""
+        dotted = module.dotted(expr)
+        return self.canonical(dotted) if dotted is not None else None
+
+    def resolve_callable(self, dotted: str) -> Resolution:
+        """The function, class or method ``dotted`` denotes."""
+        name, rest = self.module_prefix(self.canonical(dotted))
+        if name is None:
+            return Resolution()
+        module = self.modules[name]
         if len(rest) == 1:
-            if head in module.functions:
-                return Resolution(function=module.functions[head])
-            if head in module.classes:
-                return Resolution(cls=module.classes[head])
-            if head in module.imports:
-                return self.resolve_callable(module.imports[head], _depth + 1)
-            return Resolution(reason="missing-attribute")
+            return Resolution(
+                module.functions.get(rest[0]), module.classes.get(rest[0])
+            )
         if len(rest) == 2 and rest[0] in module.classes:
-            cls = module.classes[rest[0]]
-            method = cls.methods.get(rest[1])
-            if method is not None:
-                return Resolution(function=method)
-            return self.resolve_method(cls, rest[1], _depth + 1)
-        if head in module.imports:
-            target = ".".join([module.imports[head], *rest[1:]])
-            return self.resolve_callable(target, _depth + 1)
-        return Resolution(reason="missing-attribute")
+            return Resolution(self.resolve_method(module.classes[rest[0]], rest[1]))
+        return Resolution()
 
     def resolve_class_name(
         self, module: ModuleSymbols, name: str
@@ -455,35 +414,39 @@ class ProjectSymbols:
         """Resolve a (possibly dotted) class name used inside ``module``."""
         if name in module.classes:
             return module.classes[name]
-        root = name.split(".")[0]
-        if root in module.imports:
-            target = ".".join([module.imports[root], *name.split(".")[1:]])
-            resolution = self.resolve_callable(target)
-            return resolution.cls
-        return None
+        root, _, rest = name.partition(".")
+        if root not in module.imports:
+            return None
+        target = module.imports[root] + ("." + rest if rest else "")
+        return self.resolve_callable(target).cls
+
+    def annotation_classes(
+        self, module: ModuleSymbols, annotation: str
+    ) -> Iterator[ClassSymbol]:
+        """The project classes the names in ``annotation`` (source text,
+        quoted or not) resolve to, as seen from ``module``."""
+        for token in _ANNOTATION_TOKEN.findall(annotation):
+            cls = self.resolve_class_name(module, token)
+            if cls is not None:
+                yield cls
 
     def resolve_method(
         self, cls: ClassSymbol, method: str, _depth: int = 0
-    ) -> Resolution:
+    ) -> Optional[FunctionSymbol]:
         """Find ``method`` on ``cls`` or (linearly) on its project bases."""
-        if _depth > 8:
-            return Resolution(reason="import-cycle")
-        sym = cls.methods.get(method)
-        if sym is not None:
-            return Resolution(function=sym)
+        if method in cls.methods:
+            return cls.methods[method]
         module = self.modules.get(cls.module)
+        if module is None or _depth >= _MAX_HOPS:
+            return None
         for base_name in cls.bases:
-            base = (
-                self.resolve_class_name(module, base_name)
-                if module is not None
-                else None
-            )
+            base = self.resolve_class_name(module, base_name)
             if base is None or base.qualname == cls.qualname:
                 continue
             found = self.resolve_method(base, method, _depth + 1)
-            if found.resolved:
+            if found is not None:
                 return found
-        return Resolution(reason="missing-method")
+        return None
 
 
 def build_project(
@@ -500,7 +463,7 @@ def build_project(
     for path in sorted(files):
         try:
             module = ModuleSymbols(names[path], path, files[path])
-        except SyntaxError as exc:
+        except (SyntaxError, ValueError) as exc:  # ValueError: NUL bytes
             if parse_errors is not None:
                 parse_errors.append((path, f"syntax error: {exc}"))
             continue

@@ -1,12 +1,11 @@
-"""Self-tests for the whole-program side of ``repro lint``.
+"""Self-tests for the cross-module side of ``repro lint``.
 
-Covers the three analysis layers (symbol table, call graph, dataflow)
-plus the four rules that read them, DCL010-DCL013.  Each rule gets at
-least one *transitive* positive fixture -- a violation spread across
-two modules that no single-file AST rule could see -- alongside
+Covers the analysis layers (symbol table, DCL011's call edges, the
+taint fixpoint) plus the four rules that read across modules,
+DCL010-DCL013.  Each rule gets at least one positive fixture spread
+across two modules that no single-file AST rule could see -- alongside
 negative, suppression, and path-scoping cases, following the
-``tests/test_devtools_lint.py`` pattern.  A golden-file test pins the
-call graph of a small synthetic package, and a determinism test asserts
+``tests/test_devtools_lint.py`` pattern.  A determinism test asserts
 two ``--format json`` runs over the real ``src/`` tree are
 byte-identical.
 """
@@ -19,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.devtools import dataflow
-from repro.devtools.callgraph import build_callgraph, render_reach
+from repro.devtools.callgraph import build_callgraph
 from repro.devtools.dataflow import propagate, witness_chain
 from repro.devtools.lint import RULES, all_rules, lint_paths, main
 from repro.devtools.symbols import build_project, module_name_for_path
@@ -28,7 +27,6 @@ pytestmark = pytest.mark.devtools
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"
-DATA = Path(__file__).resolve().parent / "data"
 
 CORE_A = "src/repro/core/alpha.py"
 CORE_B = "src/repro/core/beta.py"
@@ -39,11 +37,10 @@ OTHER_B = "src/repro/data/beta.py"
 def lint_files(files, select):
     """The ``select`` rules' unsuppressed findings on ``{path: source}``."""
     project = build_project(files)
-    graph = build_callgraph(project)
     found = [
         violation
         for rule in all_rules(select)
-        for violation in rule.check(project, graph)
+        for violation in rule.check(project)
     ]
     return sorted(found, key=lambda v: (v.path, v.line, v.col, v.rule))
 
@@ -105,14 +102,6 @@ class TestSymbols:
         callees = [s.callee for s in graph.nodes["app.run"].calls]
         assert callees == ["pkg.impl.work"]
 
-    def test_unanalyzed_project_module_is_accounted(self):
-        project = build_project(
-            {"src/repro/core/alpha.py": "__all__ = []\n"}
-        )
-        resolution = project.resolve_callable("repro.core.missing.fn")
-        assert not resolution.resolved
-        assert resolution.reason == "unanalyzed-module"
-
 
 # ----------------------------------------------------------------------
 # Call graph
@@ -143,15 +132,6 @@ _GOLDEN_FILES = {
 
 
 class TestCallGraph:
-    def test_golden_file(self):
-        graph = build_callgraph(build_project(_GOLDEN_FILES))
-        payload = json.dumps(graph.to_dict(), indent=2, sort_keys=True)
-        golden = (DATA / "callgraph_golden.json").read_text()
-        assert payload == golden, (
-            "call graph drifted from tests/data/callgraph_golden.json; "
-            "if the change is intended, regenerate the golden file"
-        )
-
     def test_method_dispatch_and_constructor_edges(self):
         graph = build_callgraph(build_project(_GOLDEN_FILES))
         main_calls = [s.callee for s in graph.nodes["mypkg.app.main"].calls]
@@ -160,40 +140,11 @@ class TestCallGraph:
         go_calls = [s.callee for s in graph.nodes["mypkg.app.Runner.go"].calls]
         assert go_calls == ["mypkg.util.tick"]
 
-    def test_unresolved_accounting(self):
-        graph = build_callgraph(build_project(_GOLDEN_FILES))
-        reasons = [
-            u.reason for u in graph.nodes["mypkg.app.main"].unresolved
-        ]
-        assert reasons == ["callable-parameter"]
-        stats = graph.stats()
-        assert stats["unresolved_calls"]["by_reason"] == {
-            "callable-parameter": 1
-        }
-        assert stats["functions"] == 4
-
     def test_external_calls_are_canonical(self):
         graph = build_callgraph(build_project(_GOLDEN_FILES))
         assert "time.perf_counter" in (
             graph.nodes["mypkg.util.tick"].external_calls
         )
-
-    def test_transitive_callees(self):
-        graph = build_callgraph(build_project(_GOLDEN_FILES))
-        assert graph.transitive_callees("mypkg.app.main") == [
-            "mypkg.app.Runner.__init__",
-            "mypkg.app.Runner.go",
-            "mypkg.util.tick",
-        ]
-
-    def test_render_reach_matches_suffix(self):
-        graph = build_callgraph(build_project(_GOLDEN_FILES))
-        lines, matched = render_reach(graph, "main")
-        assert matched
-        assert lines[0] == "mypkg.app.main"
-        assert any("mypkg.util.tick" in line for line in lines)
-        _, matched = render_reach(graph, "nope")
-        assert not matched
 
 
 # ----------------------------------------------------------------------
@@ -242,7 +193,7 @@ class TestPropagate:
 
 
 # ----------------------------------------------------------------------
-# DCL010 -- wall-clock reach from core, direct and transitive
+# DCL010 -- wall-clock reads, and core's import boundary
 # ----------------------------------------------------------------------
 class TestTransitiveWallClock:
     FILES = {
@@ -257,16 +208,18 @@ class TestTransitiveWallClock:
     }
 
     def test_transitive_reach_fires_in_core(self):
-        violations = [
-            v for v in lint_files(self.FILES, ["DCL010"]) if v.path == CORE_A
-        ]
-        assert [v.rule for v in violations] == ["DCL010"]
-        v = violations[0]
-        # The *caller* that only reaches the clock through another
-        # module is flagged -- invisible to any single-file rule.
-        assert v.path == CORE_A
-        assert "time.perf_counter" in v.message
-        assert "run -> helper" in v.message
+        # A core module that can reach a clock outside the checked
+        # modules is flagged in core, at the import that leaves the
+        # boundary -- invisible to any single-file clock check.  (A core
+        # caller of a *core* reader is not flagged: the reader is, at
+        # its clock call.)
+        files = {
+            CORE_A: self.FILES[CORE_A].replace(".beta", "..data.beta"),
+            OTHER_B: self.FILES[CORE_B],
+        }
+        violations = lint_files(files, ["DCL010"])
+        assert [(v.path, v.line) for v in violations] == [(CORE_A, 1)]
+        assert "imports repro.data.beta.helper" in violations[0].message
 
     def test_direct_reader_is_reported_at_its_call(self):
         # The reader is flagged once, at the clock call itself -- not
@@ -275,6 +228,15 @@ class TestTransitiveWallClock:
         assert [(v.path, v.line) for v in violations if v.path == CORE_B] == [
             (CORE_B, 4)
         ]
+
+    def test_stdlib_names_without_stdlib_module_names(self, monkeypatch):
+        # Python 3.9 has no sys.stdlib_module_names: the boundary then
+        # lists the standard library directory instead.
+        monkeypatch.delattr(sys, "stdlib_module_names", raising=False)
+        names = dataflow._stdlib_modules.__wrapped__()
+        assert {"__future__", "dataclasses", "math", "os", "time",
+                "typing"} <= names
+        assert "numpy" not in names and "repro" not in names
 
     def test_clean_chain_is_silent(self):
         files = {
@@ -590,16 +552,14 @@ class TestDeepEngine:
         )
         payload = json.loads(capsys.readouterr().out)
         assert status == 1
-        # the reader (direct) and its caller (transitive)
-        assert payload["rule_counts"] == {"DCL010": 2}
+        # the reader, at its clock call
+        assert payload["rule_counts"] == {"DCL010": 1}
 
     def test_real_tree_is_deep_clean(self):
         report = lint_paths([str(SRC)])
         assert report.violations == []
         assert report.parse_errors == []
-        assert report.call_graph["functions"] > 400
-        stats = report.call_graph["unresolved_calls"]
-        assert stats["total"] > 0  # conservatism is visible, not silent
+        assert report.files_checked > 40
         assert report.suppression_warnings == []
         assert report.stale_suppressions == []
 
@@ -625,7 +585,7 @@ class TestDeepEngine:
         assert runs[0].returncode == 0, runs[0].stdout + runs[0].stderr
         assert runs[0].stdout == runs[1].stdout
         payload = json.loads(runs[0].stdout)
-        assert payload["call_graph"]["unresolved_calls"]["total"] > 0
+        assert payload["files_checked"] > 40
         assert payload["rule_counts"] == {}
 
     def test_cli_deep_subcommand(self, capsys):
@@ -639,12 +599,11 @@ class TestDeepEngine:
         assert "--deep" in capsys.readouterr().err
 
     def test_cli_call_graph_subcommand(self, capsys):
+        # --call-graph is retired with the whole-program graph's reach
+        # report: the old flag is a usage error, not a silent no-op.
         from repro.cli import main as cli_main
 
-        status = cli_main(
-            ["lint", "--call-graph", "mine_delta_clusters", str(SRC)]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "repro.core.mining.mine_delta_clusters" in out
-        assert "repro.core.rng.resolve_rng [rng]" in out
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["lint", "--call-graph", "floc", str(SRC)])
+        assert exit_info.value.code == 2
+        assert "--call-graph" in capsys.readouterr().err

@@ -9,7 +9,9 @@ codes DCL001/002/004/008) are checked here under the one rule per
 invariant that now owns them, DCL010 and DCL011; :class:`TestFold`
 pins that they find exactly what the per-file codes found, line for
 line, and that a planted violation in a copy of ``src/`` fails the
-lint.
+lint.  :class:`TestCensus` is the mutation census of
+``docs/DEVELOPMENT.md``: every rule's violation planted at every kind
+of site it covers, each with the findings the linter reports there.
 """
 
 import json
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.devtools.callgraph import build_callgraph
 from repro.devtools.lint import (
     RULES,
     LintReport,
@@ -29,6 +32,7 @@ from repro.devtools.lint import (
     lint_source,
     main,
 )
+from repro.devtools.symbols import build_project
 
 pytestmark = pytest.mark.devtools
 
@@ -638,7 +642,7 @@ class TestSuppressionValidation:
         assert payload["rule_counts"] == {"DCL011": 1}
         assert payload["suppression_warnings"] == []
         assert payload["stale_suppressions"] == []
-        assert payload["call_graph"]["functions"] == 0
+        assert "call_graph" not in payload
 
 
 # ----------------------------------------------------------------------
@@ -755,6 +759,11 @@ MUTATIONS = [
     ("core/seeding.py",
      "import numpy as np\ndef fresh_stream():\n"
      "    return np.random.default_rng(7)\n", "DCL011"),
+    # The import boundary: a clock read in a module core imports, and
+    # a core import of a module outside the boundary.
+    ("obs/events.py",
+     "import time\ndef _stamp():\n    return time.perf_counter()\n", "DCL010"),
+    ("core/mining.py", "from ..obs.analysis import analyze_records\n", "DCL010"),
 ]
 
 
@@ -859,16 +868,20 @@ class TestEngine:
             return [(v.rule, v.line) for v in report.violations
                     if v.path == str(path)]
 
+        def shape(*paths):
+            graph = build_callgraph(
+                build_project({str(p): p.read_text() for p in paths})
+            )
+            edges = sum(len(node.calls) for node in graph.nodes.values())
+            return len(graph.nodes), edges
+
         alone = lint_paths([str(a)])
         both = lint_paths([str(a), str(b)])
-        assert findings(alone, a) == [("DCL005", 1), ("DCL010", 4),
-                                      ("DCL010", 9)]
+        assert findings(alone, a) == [("DCL005", 1), ("DCL010", 9)]
         assert findings(both, a) == findings(alone, a)
         assert findings(both, b) == [("DCL005", 1), ("DCL010", 5)]
-        assert (alone.call_graph["functions"], alone.call_graph["edges"]) \
-            == (2, 1)
-        assert (both.call_graph["functions"], both.call_graph["edges"],
-                both.call_graph["unresolved_calls"]["total"]) == (3, 1, 0)
+        assert shape(a) == (2, 1)
+        assert shape(a, b) == (3, 1)
 
     def test_main_json_format(self, tmp_path, capsys):
         mod = tmp_path / "repro" / "core" / "m.py"
@@ -883,6 +896,51 @@ class TestEngine:
     def test_main_missing_path_is_usage_error(self, capsys):
         assert main(["definitely/not/a/path"]) == 2
         assert "error" in capsys.readouterr().err
+        assert main(["definitely/not/a/file.py"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no such file or directory: definitely/not/a/file.py\n"
+        )
+
+    def test_no_python_file_is_usage_error(self, tmp_path, capsys):
+        # A lint of nothing is not a clean lint: a non-.py file, or a
+        # directory without Python files, exits 2 with one stderr line.
+        readme = tmp_path / "README.md"
+        readme.write_text("# not python\n")
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for target in (readme, empty):
+            assert main([str(target)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: no Python files in: {target}\n"
+
+    @pytest.mark.parametrize("fmt", ["human", "json"])
+    def test_non_utf8_file_is_a_parse_error(self, fmt, tmp_path, capsys):
+        bad = tmp_path / "bad.py"
+        bad.write_bytes(b"\xff\xfe__all__ = []\n")
+        (tmp_path / "good.py").write_text("__all__ = []\n")
+        assert main([str(tmp_path), "--format", fmt]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        if fmt == "json":
+            payload = json.loads(captured.out)
+            assert [e["path"] for e in payload["parse_errors"]] == [str(bad)]
+            assert payload["files_checked"] == 1
+        else:
+            assert captured.out.startswith(f"{bad}:1:0: PARSE not UTF-8: ")
+
+    def test_blank_select_entry_is_ignored(self, tmp_path, capsys):
+        # ``--select DCL010, src`` leaves a trailing comma: it selects
+        # DCL010 instead of failing with an empty unknown-code list.
+        mod = tmp_path / "repro" / "core" / "m.py"
+        mod.parent.mkdir(parents=True)
+        mod.write_text("import time\nt = time.time()\n")
+        assert main(["--select", "DCL010,", str(tmp_path), "--format", "json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["rule_counts"] == {"DCL010": 1}
+        assert [r.code for r in all_rules(["DCL010", " ", ""])] == ["DCL010"]
+        assert main(["--select", ",", str(tmp_path)]) == 2
+        assert "no rule code selected" in capsys.readouterr().err
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == 0
@@ -917,3 +975,165 @@ class TestRealTree:
         from repro.cli import main as cli_main
 
         assert cli_main(["lint", str(SRC)]) == 0
+
+
+# ----------------------------------------------------------------------
+# The mutation census (docs/DEVELOPMENT.md): each rule's violation
+# planted at every kind of site it covers
+# ----------------------------------------------------------------------
+_C = "src/repro/core/census.py"
+_HELPER = "src/repro/core/helper.py"
+_CORE_INIT = "src/repro/core/__init__.py"
+_DATA = "src/repro/data/helper.py"
+_TC = "from typing import TYPE_CHECKING\n"
+_ENGINE = (
+    "__all__ = ['Engine']\nclass Engine:\n"
+    "    def draw(self, data, rng=None):\n        return data\n"
+)
+_CONSUME = "__all__ = ['consume']\ndef consume(data, rng=None):\n    return data\n"
+_CLOCK = (
+    "import time\n__all__ = ['stamp']\n"
+    "def stamp():\n    return time.perf_counter()\n"
+)
+_STATE = "__all__ = ['MiningState']\nclass MiningState:\n    pass\n"
+_MUTATE = (
+    "def _f(buf: 'MiningState | np.ndarray', a: np.ndarray) -> None:\n"
+    "    buf[0] = 1\n    a[0] = 1\n"
+)
+_RESIDUE = "__all__ = ['residue']\ndef residue(sub) -> float:\n    return 0.0\n"
+
+#: ``(code, site, {path: source}, findings)``: the ``(path, line)``
+#: findings are the census table's "change" column.  An empty list is
+#: a site the rule does not claim (a blind spot, or the clock seam).
+CENSUS = [
+    ("DCL003", "module", {_C: "import numpy as np\n__all__ = []\nX = np.nanmean([1.0])\n"}, [(_C, 3)]),
+    ("DCL003", "class", {_C: "import numpy as np\n__all__ = ['K']\nclass K:\n    X = np.nansum([1.0])\n"}, [(_C, 4)]),
+    ("DCL003", "function", {_C: "import numpy as np\n__all__ = []\ndef _f(a):\n    return np.nanstd(a)\n"}, [(_C, 4)]),
+    ("DCL003", "local-import", {_C: "__all__ = []\ndef _f(a):\n    import numpy as np\n    return np.nanmean(a)\n"}, [(_C, 4)]),
+    ("DCL003", "type-checking", {_C: _TC + "if TYPE_CHECKING:\n    import numpy as np\n__all__ = []\ndef _f(a):\n    return np.nanmean(a)\n"}, [(_C, 6)]),
+    ("DCL003", "re-export", {
+        _HELPER: "from numpy import nanmean\n__all__ = ['nanmean']\n",
+        _C: "from .helper import nanmean\n__all__ = []\ndef _f(a):\n    return nanmean(a)\n"}, [(_C, 4)]),
+    ("DCL005", "module", {_DATA: "def public():\n    return 1\n"}, [(_DATA, 1)]),
+    ("DCL005", "class", {_DATA: "__all__ = []\nclass Public:\n    pass\n"}, [(_DATA, 1)]),
+    ("DCL005", "function", {_DATA: "__all__ = ['a']\ndef a():\n    pass\ndef b():\n    pass\n"}, [(_DATA, 1)]),
+    ("DCL005", "local-import", {_DATA: "__all__ = ['join']\ndef _f():\n    from os.path import join\n    return join\n"}, [(_DATA, 1)]),
+    ("DCL005", "type-checking", {_DATA: _TC + "if TYPE_CHECKING:\n    from os import PathLike\n__all__ = ['PathLike', 'ghost']\n"}, [(_DATA, 4)]),
+    ("DCL005", "re-export", {_DATA: "from .use import ghost\n__all__ = ['ghost', 'ghost']\n"}, [(_DATA, 2)]),
+    ("DCL006", "module", {_C: "import os\n__all__ = []\nos.environ['SEED'] = '1'\n"}, [(_C, 3)]),
+    ("DCL006", "class", {_C: "__all__ = ['K']\nCACHE = {}\nclass K:\n    def put(self, k):\n        CACHE[k] = 1\n"}, [(_C, 5)]),
+    ("DCL006", "function", {_C: "__all__ = []\nSEEN = []\ndef _f(x):\n    SEEN.append(x)\n"}, [(_C, 4)]),
+    ("DCL006", "local-import", {_C: "__all__ = []\ndef _f():\n    import os\n    os.environ['SEED'] = '1'\n"}, [(_C, 4)]),
+    ("DCL006", "re-export", {
+        _HELPER: "__all__ = ['CACHE']\nCACHE = {}\n",
+        _C: "from .helper import CACHE\n__all__ = []\ndef _f(k):\n    CACHE[k] = 1\n"}, []),
+    ("DCL007", "module", {_C: "__all__ = []\ntry:\n    import fast\nexcept:\n    fast = None\n"}, [(_C, 4)]),
+    ("DCL007", "class", {RUNTIME_PATH: "__all__ = ['K']\nclass K:\n    def run(self):\n        try:\n            return 1\n        except Exception:\n            pass\n"}, [(RUNTIME_PATH, 6)]),
+    ("DCL007", "function", {_C: "__all__ = []\ndef _f():\n    try:\n        return 1\n    except BaseException:\n        ...\n"}, [(_C, 5)]),
+    ("DCL010", "module", {_C: "import time\n__all__ = []\nT0 = time.time()\n"}, [(_C, 3)]),
+    ("DCL010", "class", {_C: "import time\n__all__ = ['K']\nclass K:\n    T0 = time.monotonic()\n"}, [(_C, 4)]),
+    ("DCL010", "function", {_C: "from time import perf_counter\n__all__ = []\ndef _f():\n    return perf_counter()\n"}, [(_C, 4)]),
+    ("DCL010", "perf-module", {PERF_PATH: "from datetime import datetime\n__all__ = []\nT0 = datetime.now()\n"}, [(PERF_PATH, 3)]),
+    ("DCL010", "local-import", {_C: "__all__ = []\ndef _f():\n    import time\n    return time.time()\n"}, [(_C, 4)]),
+    ("DCL010", "type-checking", {_C: _TC + "if TYPE_CHECKING:\n    from ..obs.analysis import TraceAnalysis\n__all__ = []\n"}, [(_C, 3)]),
+    ("DCL010", "outside-import", {_C: "from ..obs.analysis import analyze_records\n__all__ = []\n"}, [(_C, 1)]),
+    ("DCL010", "cross-module-core", {
+        _HELPER: _CLOCK,
+        _C: "from .helper import stamp\n__all__ = []\ndef run():\n    return stamp()\n"}, [(_HELPER, 4)]),
+    ("DCL010", "cross-module-outside", {
+        _DATA: _CLOCK,
+        _C: "from ..data.helper import stamp\n__all__ = []\ndef run():\n    return stamp()\n"}, [(_C, 1)]),
+    ("DCL010", "cross-module-boundary", {
+        "src/repro/obs/events.py": _CLOCK,
+        _C: "from ..obs.events import stamp\n__all__ = []\ndef run():\n    return stamp()\n"}, [("src/repro/obs/events.py", 4)]),
+    ("DCL010", "re-export-core", {
+        _HELPER: "from time import perf_counter\n__all__ = ['perf_counter']\n",
+        _C: "from .helper import perf_counter\n__all__ = []\ndef run():\n    return perf_counter()\n"}, [(_C, 4)]),
+    ("DCL010", "re-export-outside", {
+        _DATA: _CLOCK,
+        "src/repro/data/__init__.py": "from .helper import stamp\n__all__ = ['stamp']\n",
+        _C: "from ..data import stamp\n__all__ = []\ndef run():\n    return stamp()\n"}, [(_C, 1)]),
+    ("DCL010", "re-export-boundary", {
+        "src/repro/obs/analysis.py": _CLOCK,
+        "src/repro/obs/tracer.py": "from .analysis import stamp\n__all__ = ['stamp']\n",
+        _C: "from ..obs.tracer import stamp\n__all__ = []\ndef run():\n    return stamp()\n"}, [("src/repro/obs/tracer.py", 1)]),
+    ("DCL010", "tracer-seam", {_C: "__all__ = []\ndef run(tracer):\n    return tracer.clock()\n"}, []),
+    ("DCL011", "module", {_DATA: "import numpy as np\n__all__ = []\nX = np.random.rand(3)\n"}, [(_DATA, 3)]),
+    ("DCL011", "class", {_DATA: "import random\n__all__ = ['K']\nclass K:\n    X = random.random()\n"}, [(_DATA, 4)]),
+    ("DCL011", "function", {_C: "import numpy as np\n__all__ = ['sample']\ndef sample(n):\n    return np.random.default_rng(0).uniform(size=n)\n"}, [(_C, 4)]),
+    ("DCL011", "local-import", {_DATA: "__all__ = []\ndef _f():\n    import random\n    return random.random()\n"}, [(_DATA, 4)]),
+    ("DCL011", "type-checking", {
+        _HELPER: _ENGINE,
+        _C: _TC + "if TYPE_CHECKING:\n    from .helper import Engine\n__all__ = []\n"
+        "def _run(engine: 'Engine', data):\n    return engine.draw(data)\n"}, [(_C, 6)]),
+    ("DCL011", "cross-module", {
+        _HELPER: _CONSUME,
+        _C: "from .helper import consume\n__all__ = []\ndef _middle(data):\n    return consume(data)\n"
+        "def _outer(data):\n    return _middle(data)\n"}, [(_C, 4), (_C, 6)]),
+    ("DCL011", "re-export", {
+        _HELPER: _CONSUME,
+        _CORE_INIT: "from .helper import consume\n__all__ = ['consume']\n",
+        _C: "from . import consume\n__all__ = []\ndef _run(data):\n    return consume(data)\n"}, [(_C, 4)]),
+    ("DCL011", "re-export-global", {
+        "src/repro/data/rngs.py": "from numpy.random import default_rng\n__all__ = ['default_rng']\n",
+        "src/repro/data/use.py": "from .rngs import default_rng\n__all__ = []\nG = default_rng()\n"}, [("src/repro/data/use.py", 3)]),
+    ("DCL011", "method-self", {
+        _C: "__all__ = ['K']\nclass K:\n    def run(self, data):\n        return self._draw(data)\n"
+        "    def _draw(self, data, rng=None):\n        return data\n"}, [(_C, 4)]),
+    ("DCL011", "method-annotated", {
+        _HELPER: _ENGINE,
+        _C: "from .helper import Engine\n__all__ = []\ndef _run(engine: Engine, data):\n    return engine.draw(data)\n"}, [(_C, 4)]),
+    ("DCL011", "method-constructed", {
+        _HELPER: _ENGINE,
+        _C: "from .helper import Engine\n__all__ = []\ndef _run(data):\n    engine = Engine()\n    return engine.draw(data)\n"}, [(_C, 5)]),
+    ("DCL011", "method-unannotated", {
+        _HELPER: _ENGINE,
+        _C: "__all__ = []\ndef _run(engine, data):\n    return engine.draw(data)\n"}, []),
+    ("DCL012", "function", {_C: "import numpy as np\n__all__ = []\ndef _f(a: np.ndarray) -> None:\n    a[0] = 1\n"}, [(_C, 4)]),
+    ("DCL012", "class", {_C: "import numpy as np\n__all__ = ['K']\nclass K:\n    def m(self, a: np.ndarray) -> None:\n        a.sort()\n"}, [(_C, 5)]),
+    ("DCL012", "nested", {_C: "import numpy as np\n__all__ = []\ndef _f(a: np.ndarray) -> None:\n    def _g():\n        a.fill(0)\n    _g()\n"}, [(_C, 5)]),
+    ("DCL012", "cross-module", {
+        _HELPER: _STATE,
+        _C: "import numpy as np\nfrom .helper import MiningState\n__all__ = []\n" + _MUTATE}, [(_C, 6)]),
+    ("DCL012", "re-export", {
+        _HELPER: _STATE,
+        _CORE_INIT: "from .helper import MiningState\n__all__ = ['MiningState']\n",
+        _C: "import numpy as np\nfrom . import MiningState\n__all__ = []\n" + _MUTATE}, [(_C, 6)]),
+    ("DCL012", "type-checking", {
+        _HELPER: _STATE,
+        _C: "import numpy as np\n" + _TC + "if TYPE_CHECKING:\n    from .helper import MiningState\n__all__ = []\n" + _MUTATE}, [(_C, 8)]),
+    ("DCL013", "module", {_C: "__all__ = []\nX = 1.0\nFLAG = X == 0.5\n"}, [(_C, 3)]),
+    ("DCL013", "class", {_C: "__all__ = ['K']\nclass K:\n    FLAG = 1.0 != float('nan')\n"}, [(_C, 3)]),
+    ("DCL013", "function", {_C: "__all__ = []\ndef _f(x):\n    return x == -0.5\n"}, [(_C, 3)]),
+    ("DCL013", "cross-module", {
+        _HELPER: _RESIDUE,
+        _C: "from .helper import residue\n__all__ = []\ndef _f(s, best):\n    return residue(s) == best\n"}, [(_C, 4)]),
+    ("DCL013", "re-export", {
+        _HELPER: _RESIDUE,
+        _CORE_INIT: "from .helper import residue\n__all__ = ['residue']\n",
+        _C: "from . import residue\n__all__ = []\ndef _f(s, best):\n    return residue(s) == best\n"}, [(_C, 4)]),
+    ("DCL013", "local-import", {
+        _HELPER: _RESIDUE,
+        _C: "__all__ = []\ndef _f(s, best):\n    from .helper import residue\n    return residue(s) != best\n"}, [(_C, 4)]),
+]
+
+
+class TestCensus:
+    @pytest.mark.parametrize(
+        "code,site,files,expected", CENSUS,
+        ids=[f"{row[0]}-{row[1]}" for row in CENSUS],
+    )
+    def test_census_row(self, code, site, files, expected, tmp_path):
+        for rel, source in files.items():
+            target = tmp_path / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(source)
+        report = lint_paths([str(tmp_path)], all_rules([code]))
+        found = sorted(
+            (Path(v.path).relative_to(tmp_path).as_posix(), v.line)
+            for v in report.violations
+        )
+        assert found == sorted(expected)
+
+    def test_every_rule_has_rows(self):
+        assert {row[0] for row in CENSUS} == {cls.code for cls in RULES}
