@@ -90,6 +90,11 @@ class Constraints:
             )
         if self.min_rows < 1 or self.min_cols < 1:
             raise ValueError("min_rows and min_cols must be at least 1")
+        if self.max_volume is not None and self.max_volume < self.min_rows * self.min_cols:
+            raise ValueError(
+                f"max_volume {self.max_volume} < min_rows * min_cols "
+                f"= {self.min_rows * self.min_cols}: no seed can pass"
+            )
 
     # ------------------------------------------------------------------
     def blocks(

@@ -87,7 +87,7 @@ from .matrix import DataMatrix
 from .ordering import action_slots, make_order
 from .params import DEFAULT_GAIN_MODE, GAIN_MODES, check_params
 from .rng import RngLike, resolve_rng
-from .seeding import Seed, bernoulli_seeds, mixed_seeds
+from .seeding import Seed, mixed_seeds
 
 __all__ = ["FlocResult", "floc", "GAIN_MODES"]
 
@@ -96,6 +96,9 @@ __all__ = ["FlocResult", "floc", "GAIN_MODES"]
 TOL = 1e-12
 
 _PerformedAction = Tuple[str, int, int]  # (kind, index, cluster)
+
+#: Draw rounds a seed slot gets to pass admission (:func:`_admit_seeds`).
+_SEED_ROUNDS = 100
 
 
 @dataclass
@@ -513,51 +516,64 @@ def _block_residuals(
     return block
 
 
-def _build_seeds(
-    matrix: DataMatrix,
-    k: int,
+def _admit_seeds(
+    slots: Sequence[int],
     p: Union[float, Sequence[float]],
-    seeds: Optional[Sequence[Seed]],
+    mask: np.ndarray,
     constraints: Constraints,
+    alpha: float,
     rng: np.random.Generator,
     tracer: Tracer = NULL_TRACER,
+    explicit: Optional[Sequence[Seed]] = None,
 ) -> List[Seed]:
-    if seeds is not None:
-        seeds = list(seeds)
-        if len(seeds) != k:
-            raise ValueError(f"got {len(seeds)} seeds but k={k}")
-        for row_member, col_member in seeds:
-            if row_member.shape != (matrix.n_rows,) or col_member.shape != (
-                matrix.n_cols,
-            ):
-                raise ValueError("seed membership vector shape mismatch")
-        return seeds
-    if np.isscalar(p):
-        candidates = bernoulli_seeds(
-            matrix.n_rows, matrix.n_cols, k, float(p), rng,
-            constraints.min_rows, constraints.min_cols, tracer=tracer,
-        )
-    else:
-        candidates = mixed_seeds(
-            matrix.n_rows, matrix.n_cols, k, list(p), rng,
-            constraints.min_rows, constraints.min_cols, tracer=tracer,
-        )
-    # Phase 1 must emit constraint-compliant seeds (Section 4.3); retry the
-    # cheap structural checks a bounded number of times.
-    for attempt in range(100):
-        if all(constraints.seed_ok(r, c) for r, c in candidates):
-            return candidates
-        candidates = [
-            seed
-            if constraints.seed_ok(*seed)
-            else bernoulli_seeds(
-                matrix.n_rows, matrix.n_cols, 1, _slot_p(p, c),
-                rng, constraints.min_rows, constraints.min_cols,
-                tracer=tracer,
-            )[0]
-            for c, seed in enumerate(candidates)
-        ]
-    raise RuntimeError("could not generate constraint-compliant seeds")
+    """Seed admission, of Phase 1 and of every reseed round: one seed
+    per slot of ``slots``, in that order.
+
+    Phase 1 must emit constraint-compliant seeds (Section 4.3), and a
+    delta-cluster meets alpha occupancy (Definition 3.1).  Each slot is
+    drawn at its own ``p``; it is admitted when the draw passes
+    :meth:`~repro.core.constraints.Constraints.seed_ok` and, at
+    ``alpha > 0``, trims to alpha.  The slots not admitted are redrawn
+    in slot order, for up to :data:`_SEED_ROUNDS` rounds.  Then a slot
+    whose last draw still fails ``seed_ok`` raises ``RuntimeError``,
+    while one whose trims never reached alpha starts empty: it blocks
+    every toggle until a reseed round redraws it.  ``explicit`` seeds
+    take the place of the draws and are only trimmed, never redrawn.
+    """
+    n_rows, n_cols = mask.shape
+    admitted: Dict[int, Seed] = {}
+    pending = list(slots)
+    for __ in range(_SEED_ROUNDS if explicit is None else 1):
+        if explicit is None:
+            with tracer.span("seed_draw"):
+                drawn = [
+                    mixed_seeds(
+                        n_rows, n_cols, 1, [_slot_p(p, c)], rng,
+                        constraints.min_rows, constraints.min_cols,
+                    )[0]
+                    for c in pending
+                ]
+        else:
+            drawn = list(explicit)
+        unfit: List[int] = []
+        for c, seed in zip(pending, drawn):
+            if explicit is None and not constraints.seed_ok(*seed):
+                unfit.append(c)
+                continue
+            trimmed = seed if alpha <= 0.0 else _trim_seed_to_alpha(
+                *seed, mask, alpha, constraints.min_rows, constraints.min_cols
+            )
+            if trimmed is not None:
+                admitted[c] = trimmed
+        pending = [c for c in pending if c not in admitted]
+        if not pending:
+            break
+    if unfit:
+        raise RuntimeError("could not generate constraint-compliant seeds")
+    return [
+        admitted.get(c) or (np.zeros(n_rows, dtype=bool), np.zeros(n_cols, dtype=bool))
+        for c in slots
+    ]
 
 
 def _slot_p(p: Union[float, Sequence[float]], c: int) -> float:
@@ -599,9 +615,14 @@ def floc(
         of Section 5.1 (cycled across seeds).  Ignored when ``seeds`` is
         given.
     alpha:
-        Occupancy threshold of Definition 3.1; actions producing a cluster
-        that violates it are blocked.  0 disables the check; on a fully
-        specified matrix every cluster meets any alpha.
+        Occupancy threshold of Definition 3.1.  Every cluster the run
+        holds meets it or is empty: a seed is trimmed to alpha (a
+        drawn seed that cannot be is redrawn, up to 100 times, then its
+        slot starts empty), and actions producing a cluster that
+        violates it are blocked.  An empty slot blocks every toggle
+        until a reseed round redraws it, so without reseeds it ends
+        empty.  0 disables the check; on a fully specified matrix every
+        cluster meets any alpha.
     ordering:
         Action order per iteration: ``"fixed"``, ``"random"`` or
         ``"weighted"`` (Section 5.2; ``weighted`` is the paper's best),
@@ -651,6 +672,8 @@ def floc(
     seeds:
         Explicit Phase-1 seeds (e.g. from
         :func:`~repro.core.seeding.volume_seeds`); must have length ``k``.
+        They are trimmed to ``alpha`` but never redrawn, so one that
+        cannot reach it starts empty.
     rng:
         ``None`` (fresh entropy), an ``int`` seed, or a ``Generator``.
     max_iterations:
@@ -698,32 +721,21 @@ def floc(
 
     started = tracer.clock()
     with tracer.span("phase1"):
-        seed_list = _build_seeds(matrix, k, p, seeds, active, generator, tracer)
-        if alpha > 0.0:
-            seed_list = [
-                _trim_seed_to_alpha(
-                    row_member, col_member, matrix.mask, alpha,
-                    active.min_rows, active.min_cols,
-                )
-                for row_member, col_member in seed_list
-            ]
+        if seeds is not None:
+            seeds = list(seeds)
+            if len(seeds) != k:
+                raise ValueError(f"got {len(seeds)} seeds but k={k}")
+            shape = ((matrix.n_rows,), (matrix.n_cols,))
+            if any((rows.shape, cols.shape) != shape for rows, cols in seeds):
+                raise ValueError("seed membership vector shape mismatch")
+        seed_list = _admit_seeds(
+            range(k), p, matrix.mask, active, alpha, generator, tracer, explicit=seeds,
+        )
         state = _State(
             matrix.values, seed_list, work=work, residue_target=residue_target,
         )
     initial_residue = float(state.residues.mean())
-    if tracer.enabled:
-        # The event vocabulary loads only for a traced run.
-        from ..obs.events import SeedEvent
-
-        for c in range(state.k):
-            tracer.emit(SeedEvent(
-                cluster=c,
-                origin="phase1",
-                n_rows=int(state.row_member[c].sum()),
-                n_cols=int(state.col_member[c].sum()),
-                residue=float(state.residues[c]),
-                volume=int(state.volumes[c]),
-            ))
+    _emit_seeds(tracer, state, range(k), "phase1")
 
     # One engine for every round: the lanes of clusters a reseed round
     # leaves alone stay cached, while ``refresh_cluster`` moves the
@@ -984,84 +996,62 @@ def _reseed_dead_slots(
     """Replace dead or duplicate clusters with fresh random seeds.
 
     A slot is *dead* when it sits at (or near) the structural floor --
-    the search cannot recover it because nothing fits its junk core -- or
-    when its residue still exceeds the target.  Of two locked clusters
-    covering nearly the same cells, the smaller is reseeded too.  With
-    ``alpha > 0`` the fresh seeds are trimmed to alpha occupancy, as
-    Phase 1 trims its own.  Returns ``True`` when at least one slot was
+    the search cannot recover it because nothing fits its junk core, and
+    an empty slot is there too -- or when its residue still exceeds the
+    target.  Of two locked clusters covering nearly the same cells, the
+    smaller is reseeded too.  The fresh seeds pass Phase 1's admission
+    (:func:`_admit_seeds`).  Returns ``True`` when at least one slot was
     reseeded.
     """
-    n_rows = state.row_member.shape[1]
-    n_cols = state.col_member.shape[1]
-    floor_rows = active.min_rows + 1
-    floor_cols = active.min_cols + 1
+    sizes = [state.sizes(c) for c in range(state.k)]
     dead = []
     locked = []
-    for c in range(state.k):
-        rows = int(state.row_member[c].sum())
-        cols = int(state.col_member[c].sum())
-        at_floor = rows <= floor_rows and cols <= floor_cols
-        infeasible = (
-            residue_target is not None and state.residues[c] > residue_target
-        )
-        if at_floor or infeasible:
-            dead.append(c)
-        else:
-            locked.append(c)
+    for c, (rows, cols) in enumerate(sizes):
+        at_floor = rows <= active.min_rows + 1 and cols <= active.min_cols + 1
+        infeasible = residue_target is not None and state.residues[c] > residue_target
+        (dead if at_floor or infeasible else locked).append(c)
 
     # Deduplicate locked clusters that converged onto the same submatrix.
     for i, first in enumerate(locked):
         for second in locked[i + 1:]:
             if second in dead:
                 continue
-            shared_rows = int(
-                (state.row_member[first] & state.row_member[second]).sum()
-            )
-            shared_cols = int(
-                (state.col_member[first] & state.col_member[second]).sum()
-            )
-            cells_first = int(state.row_member[first].sum()) * int(
-                state.col_member[first].sum()
-            )
-            cells_second = int(state.row_member[second].sum()) * int(
-                state.col_member[second].sum()
-            )
+            shared = state.member[first] & state.member[second]
+            shared_cells = (int(np.count_nonzero(shared[:state.n_rows]))
+                            * int(np.count_nonzero(shared[state.n_rows:])))
+            cells_first = sizes[first][0] * sizes[first][1]
+            cells_second = sizes[second][0] * sizes[second][1]
             smaller = min(cells_first, cells_second)
-            if smaller and shared_rows * shared_cols / smaller > 0.8:
+            if smaller and shared_cells / smaller > 0.8:
                 victim = first if cells_first < cells_second else second
                 if victim not in dead:
                     dead.append(victim)
 
     if not dead:
         return False
-    fresh = mixed_seeds(
-        n_rows, n_cols, len(dead), [_slot_p(p, c) for c in dead], generator,
-        active.min_rows, active.min_cols, tracer=tracer,
-    )
-    if alpha > 0.0:
-        fresh = [
-            _trim_seed_to_alpha(
-                row_member, col_member, state.mask, alpha,
-                active.min_rows, active.min_cols,
-            )
-            for row_member, col_member in fresh
-        ]
+    fresh = _admit_seeds(dead, p, state.mask, active, alpha, generator, tracer)
     for c, (row_member, col_member) in zip(dead, fresh):
         state.row_member[c] = row_member
         state.col_member[c] = col_member
         state.refresh_cluster(c)
-        if tracer.enabled:
-            from ..obs.events import SeedEvent
-
-            tracer.emit(SeedEvent(
-                cluster=c,
-                origin="reseed",
-                n_rows=int(row_member.sum()),
-                n_cols=int(col_member.sum()),
-                residue=float(state.residues[c]),
-                volume=int(state.volumes[c]),
-            ))
+    _emit_seeds(tracer, state, dead, "reseed")
     return True
+
+
+def _emit_seeds(tracer: Tracer, state: _State, slots: Sequence[int], origin: str) -> None:
+    """Emit a traced run's :class:`~repro.obs.events.SeedEvent` for each
+    freshly seeded slot of ``slots``."""
+    if not tracer.enabled:
+        return
+    # The event vocabulary loads only for a traced run.
+    from ..obs.events import SeedEvent
+
+    for c in slots:
+        n_rows, n_cols = state.sizes(c)
+        tracer.emit(SeedEvent(
+            cluster=c, origin=origin, n_rows=n_rows, n_cols=n_cols,
+            residue=float(state.residues[c]), volume=int(state.volumes[c]),
+        ))
 
 
 def _trim_seed_to_alpha(
@@ -1071,23 +1061,20 @@ def _trim_seed_to_alpha(
     alpha: float,
     min_rows: int,
     min_cols: int,
-) -> Seed:
-    """Shrink a random seed until it satisfies the alpha occupancy rule.
+) -> Optional[Seed]:
+    """Shrink a seed until it satisfies the alpha occupancy rule, or
+    return ``None`` when trimming reaches the structural floor first.
 
-    Iteratively removes the sparsest offending row or column.  Phase 1
-    must emit constraint-compliant seeds (Section 4.3); combined with the
-    no-new-violations action blocking this keeps every clustering FLOC
-    ever holds alpha-valid.  If trimming hits the structural floor before
-    reaching validity, the seed is returned as-is (the blocking rule then
-    lets it keep moving until it heals).
+    Iteratively removes the sparsest offending row or column; the input
+    vectors are left as they are.
     """
     row_member = row_member.copy()
     col_member = col_member.copy()
     while True:
         rows = np.flatnonzero(row_member)
         cols = np.flatnonzero(col_member)
-        if rows.size <= min_rows or cols.size <= min_cols:
-            return row_member, col_member
+        if not rows.size or not cols.size:
+            return None
         sub_mask = mask[np.ix_(rows, cols)]
         row_frac = sub_mask.sum(axis=1) / cols.size
         col_frac = sub_mask.sum(axis=0) / rows.size
@@ -1095,6 +1082,8 @@ def _trim_seed_to_alpha(
         worst_col = int(np.argmin(col_frac))
         if row_frac[worst_row] >= alpha and col_frac[worst_col] >= alpha:
             return row_member, col_member
+        if rows.size <= min_rows or cols.size <= min_cols:
+            return None
         if row_frac[worst_row] <= col_frac[worst_col]:
             row_member[rows[worst_row]] = False
         else:

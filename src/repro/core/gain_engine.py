@@ -597,17 +597,18 @@ def _structural_bounds(
 def occupancy_blocked(
     state: "_State", alpha: float, kind: str, c: int,
     sel: Optional[np.ndarray] = None,
-) -> Optional[np.ndarray]:
+) -> np.ndarray:
     """Definition 3.1's alpha-occupancy over one lane: whether each
     toggle of one kind's lines (or of the ``sel`` window) against
-    cluster ``c`` is blocked, or ``None`` when none is.
+    cluster ``c`` is blocked.
 
     A toggle is blocked when a line of the toggled cluster fails
     ``count / width >= alpha`` (the comparison of
-    :func:`~repro.core.actions.toggle_occupancy_ok`) while the cluster
-    meets alpha now: a cluster below alpha may still move, so it can
-    heal, and one without rows or columns meets alpha.  Read from the
-    exact integer ``counts[c]`` and the candidates' mask cells.
+    :func:`~repro.core.actions.toggle_occupancy_ok`).  Every cluster
+    FLOC holds meets alpha or has no rows or no columns (a seed that
+    never trimmed to alpha starts empty), and an empty cluster blocks
+    every toggle: it stays inert until a reseed round redraws it.  Read
+    from the exact integer ``counts[c]`` and the candidates' mask cells.
     """
     split = state.n_rows
     member, counts = state.member[c], state.counts[c]
@@ -615,15 +616,13 @@ def occupancy_blocked(
         own, cross, mask = slice(0, split), slice(split, None), state.mask
     else:
         own, cross, mask = slice(split, None), slice(0, split), state.mask_T
-    cross_idx = member[cross].nonzero()[0]
-    if cross_idx.size == 0:  # every toggled cluster lacks the other kind
-        return None
     own_member = member[own]
-    own_fits = counts[own] / cross_idx.size >= alpha
     n = int(np.count_nonzero(own_member))
+    cross_idx = member[cross].nonzero()[0]
+    if not n or not cross_idx.size:
+        return np.ones(own_member.size if sel is None else sel.size, dtype=bool)
+    own_fits = counts[own] / cross_idx.size >= alpha
     cross_counts = counts[cross].take(cross_idx)
-    if n and not (own_fits[own_member].all() and (cross_counts / n >= alpha).all()):
-        return None
     cand = np.arange(own_member.size) if sel is None else sel
     if sel is not None:
         own_member, own_fits = own_member.take(sel), own_fits.take(sel)
@@ -880,9 +879,7 @@ class GainEngine:
             elif rb or ab:
                 gains[lo:hi][(removing if rb else is_addition)[lo:hi]] = BLOCKED_GAIN
             if self.alpha > 0.0:
-                blocked = occupancy_blocked(state, self.alpha, kind, c, sel)
-                if blocked is not None:
-                    gains[lo:hi][blocked] = BLOCKED_GAIN
+                gains[lo:hi][occupancy_blocked(state, self.alpha, kind, c, sel)] = BLOCKED_GAIN
         if sel is None:
             part.scores[c] = scores
             lanes.gains[c, part.lo:part.hi] = gains

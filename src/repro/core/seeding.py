@@ -15,11 +15,9 @@ A seed is represented as a pair of boolean membership vectors
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
-
-from ..obs.tracer import NULL_TRACER, Tracer
 
 __all__ = [
     "Seed",
@@ -63,12 +61,9 @@ def bernoulli_seeds(
     rng: np.random.Generator,
     min_rows: int = 2,
     min_cols: int = 2,
-    tracer: Optional[Tracer] = None,
 ) -> List[Seed]:
     """The paper's basic Phase 1: each row/column joins with probability p."""
-    return mixed_seeds(
-        n_rows, n_cols, k, [p], rng, min_rows, min_cols, tracer=tracer
-    )
+    return mixed_seeds(n_rows, n_cols, k, [p], rng, min_rows, min_cols)
 
 
 def axis_seeds(
@@ -114,15 +109,8 @@ def mixed_seeds(
     rng: np.random.Generator,
     min_rows: int = 2,
     min_cols: int = 2,
-    tracer: Optional[Tracer] = None,
 ) -> List[Seed]:
-    """Mixed-p seeding (Section 5.1): cycle through ``p_values`` per seed.
-
-    ``tracer`` (any scheme) times the draw as a ``seed_draw`` span; it
-    draws no random numbers itself.
-    """
-    if tracer is None:
-        tracer = NULL_TRACER
+    """Mixed-p seeding (Section 5.1): cycle through ``p_values`` per seed."""
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if not p_values:
@@ -135,14 +123,13 @@ def mixed_seeds(
             f"matrix {n_rows}x{n_cols} too small for {min_rows}x{min_cols} seeds"
         )
     seeds: List[Seed] = []
-    with tracer.span("seed_draw"):
-        for index in range(k):
-            p = p_values[index % len(p_values)]
-            row_member = rng.random(n_rows) < p
-            col_member = rng.random(n_cols) < p
-            _ensure_minimum(row_member, min_rows, rng)
-            _ensure_minimum(col_member, min_cols, rng)
-            seeds.append((row_member, col_member))
+    for index in range(k):
+        p = p_values[index % len(p_values)]
+        row_member = rng.random(n_rows) < p
+        col_member = rng.random(n_cols) < p
+        _ensure_minimum(row_member, min_rows, rng)
+        _ensure_minimum(col_member, min_cols, rng)
+        seeds.append((row_member, col_member))
     return seeds
 
 
@@ -153,7 +140,6 @@ def volume_seeds(
     rng: np.random.Generator,
     min_rows: int = 2,
     min_cols: int = 2,
-    tracer: Optional[Tracer] = None,
 ) -> List[Seed]:
     """Seeds whose expected volumes match ``volumes`` (one seed per entry).
 
@@ -162,23 +148,20 @@ def volume_seeds(
     column count proportional to the matrix aspect ratio, then that many
     distinct random rows/columns are drawn.
     """
-    if tracer is None:
-        tracer = NULL_TRACER
     seeds: List[Seed] = []
-    with tracer.span("seed_draw"):
-        for volume in volumes:
-            if volume <= 0:
-                raise ValueError(f"seed volume must be positive, got {volume}")
-            aspect = n_rows / n_cols
-            rows_target = int(round(np.sqrt(volume * aspect)))
-            rows_target = min(max(rows_target, min_rows), n_rows)
-            cols_target = int(round(volume / rows_target))
-            cols_target = min(max(cols_target, min_cols), n_cols)
-            row_member = np.zeros(n_rows, dtype=bool)
-            col_member = np.zeros(n_cols, dtype=bool)
-            row_member[rng.choice(n_rows, size=rows_target, replace=False)] = True
-            col_member[rng.choice(n_cols, size=cols_target, replace=False)] = True
-            seeds.append((row_member, col_member))
+    for volume in volumes:
+        if volume <= 0:
+            raise ValueError(f"seed volume must be positive, got {volume}")
+        aspect = n_rows / n_cols
+        rows_target = int(round(np.sqrt(volume * aspect)))
+        rows_target = min(max(rows_target, min_rows), n_rows)
+        cols_target = int(round(volume / rows_target))
+        cols_target = min(max(cols_target, min_cols), n_cols)
+        row_member = np.zeros(n_rows, dtype=bool)
+        col_member = np.zeros(n_cols, dtype=bool)
+        row_member[rng.choice(n_rows, size=rows_target, replace=False)] = True
+        col_member[rng.choice(n_cols, size=cols_target, replace=False)] = True
+        seeds.append((row_member, col_member))
     return seeds
 
 

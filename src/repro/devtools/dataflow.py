@@ -497,11 +497,15 @@ class _MutationWalker:
             return None
         if isinstance(expr, ast.Call):
             func = expr.func
+            if isinstance(func, ast.Attribute) and func.attr in _VIEW_METHODS:
+                # x.reshape(3, 4); a receiver that is no alias may be
+                # numpy itself, so the function form is tried next
+                root = self._root(func.value)
+                if root is not None:
+                    return root
             if _name_tail(func) in _VIEW_FUNCS and expr.args:
                 # np.asarray(x), np.reshape(x, ...)
                 return self._root(expr.args[0])
-            if isinstance(func, ast.Attribute) and func.attr in _VIEW_METHODS:
-                return self._root(func.value)
         return None
 
     def _flag(self, node: ast.AST, param: str, kind: str) -> None:

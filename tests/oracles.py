@@ -115,21 +115,13 @@ def per_kind_estimate_lane(state, kind: str, c: int) -> LaneScores:
 
 def occupancy_blocked_reference(state, alpha: float, kind: str, index: int, c: int) -> bool:
     """Whether alpha-occupancy blocks one toggle against cluster ``c``:
-    the toggled cluster fails ``toggle_occupancy_ok`` (Definition 3.1)
-    while the cluster meets alpha now, rescanned from the mask.  A
-    cluster below alpha may move (it can heal); one without rows or
-    columns meets alpha."""
+    the toggled cluster fails ``toggle_occupancy_ok`` (Definition 3.1),
+    rescanned from the mask.  A cluster without rows or columns blocks
+    every toggle."""
     row_member, col_member = state.row_member[c], state.col_member[c]
-    if toggle_occupancy_ok(state.mask, row_member, col_member, kind, index, alpha):
-        return False
-    rows, cols = np.flatnonzero(row_member), np.flatnonzero(col_member)
-    if rows.size == 0 or cols.size == 0:
+    if not row_member.any() or not col_member.any():
         return True
-    sub_mask = state.mask[np.ix_(rows, cols)]
-    return bool(
-        (sub_mask.sum(axis=1) / cols.size >= alpha).all()
-        and (sub_mask.sum(axis=0) / rows.size >= alpha).all()
-    )
+    return not toggle_occupancy_ok(state.mask, row_member, col_member, kind, index, alpha)
 
 
 def per_kind_lane_gains(state, constraints, alpha, residue_target, kind, c):

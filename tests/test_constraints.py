@@ -32,6 +32,13 @@ class TestValidation:
         with pytest.raises(ValueError, match="at least 1"):
             Constraints(min_rows=0)
 
+    def test_max_volume_below_the_floor_refused(self):
+        """No seed at the structural floor fits: refused up front, not
+        after the seed draws run out."""
+        with pytest.raises(ValueError, match="max_volume"):
+            Constraints(min_rows=3, min_cols=3, max_volume=8)
+        assert Constraints(min_rows=3, min_cols=3, max_volume=9).max_volume == 9
+
 
 class TestStructuralFloor:
     def setup_method(self):

@@ -1092,6 +1092,7 @@ CENSUS = [
     ("DCL012", "function", {_C: "import numpy as np\n__all__ = []\ndef _f(a: np.ndarray) -> None:\n    a[0] = 1\n"}, [(_C, 4)]),
     ("DCL012", "class", {_C: "import numpy as np\n__all__ = ['K']\nclass K:\n    def m(self, a: np.ndarray) -> None:\n        a.sort()\n"}, [(_C, 5)]),
     ("DCL012", "nested", {_C: "import numpy as np\n__all__ = []\ndef _f(a: np.ndarray) -> None:\n    def _g():\n        a.fill(0)\n    _g()\n"}, [(_C, 5)]),
+    ("DCL012", "view-method", {_C: "import numpy as np\n__all__ = []\ndef _f(a: np.ndarray) -> None:\n    v = a.reshape(3, 4)\n    v[0] = 1\n"}, [(_C, 5)]),
     ("DCL012", "cross-module", {
         _HELPER: _STATE,
         _C: "import numpy as np\nfrom .helper import MiningState\n__all__ = []\n" + _MUTATE}, [(_C, 6)]),

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cluster import DeltaCluster
 from repro.core.constraints import Constraints
-from repro.core.floc import FlocResult, floc
+from repro.core.floc import GAIN_MODES, FlocResult, floc
 from repro.core.matrix import DataMatrix
 from repro.core.params import ParameterError
 from repro.core.seeding import seeds_from_clusters
@@ -13,6 +15,32 @@ from repro.data.synthetic import generate_embedded
 from repro.eval.metrics import recall_precision
 
 NAN = float("nan")
+
+
+@st.composite
+def sparse_floc_runs(draw):
+    """A small matrix, NaN-free to NaN-heavy, with any number of
+    all-missing rows and columns, and ``floc`` arguments at alpha > 0:
+    both gain modes, every ordering, reseed rounds and Cons_o."""
+    n_rows, n_cols = draw(st.integers(4, 12)), draw(st.integers(4, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(scale=3.0, size=(n_rows, n_cols))
+    density = draw(st.sampled_from((1.0, 0.8, 0.6, 0.3)))
+    values[rng.random(values.shape) >= density] = NAN
+    values[draw(st.lists(st.integers(0, n_rows - 1), max_size=n_rows)), :] = NAN
+    values[:, draw(st.lists(st.integers(0, n_cols - 1), max_size=n_cols))] = NAN
+    kwargs = dict(
+        alpha=draw(st.sampled_from((1 / 3, 0.5, 0.6, 1.0))),
+        gain_mode=draw(st.sampled_from(GAIN_MODES)),
+        ordering=draw(st.sampled_from(("fixed", "random", "weighted", "greedy"))),
+        residue_target=draw(st.sampled_from((None, 2.0))),
+        reseed_rounds=draw(st.integers(0, 2)),
+        constraints=Constraints(max_overlap=draw(st.sampled_from((None, 0.3)))),
+        p=draw(st.sampled_from((0.3, (0.2, 0.6)))),
+        rng=draw(st.integers(0, 2**16)),
+        max_iterations=8,
+    )
+    return DataMatrix(values), draw(st.integers(1, 3)), kwargs
 
 
 def planted_dataset(rng=3, noise=2.0):
@@ -292,12 +320,49 @@ class TestMissingValues:
             dataset.matrix, 2, p=0.25, rng=4, alpha=0.6,
             residue_target=max(2 * emb, 1.0), gain_mode="exact",
         )
+        # Seeds are admitted at alpha and no action may break it.
         for cluster in result.clustering:
-            # Additions were only admitted when the resulting cluster kept
-            # every line above alpha occupancy; seeds may predate the
-            # check, so verify the property only for clusters FLOC grew.
-            if cluster.volume(dataset.matrix) > 0:
-                assert cluster.occupancy_ok(dataset.matrix, alpha=0.4)
+            assert cluster.occupancy_ok(dataset.matrix, alpha=0.6)
+
+    def test_sparse_run_ends_with_every_cluster_at_alpha(self):
+        """A run of the sparse benchmark's shape in which some seeds do
+        not trim to alpha: each is redrawn, so no cluster ends below
+        alpha (handed on untrimmed, two such seeds end below it)."""
+        dataset = generate_embedded(
+            80, 20, 2, cluster_shape=(16, 8), noise=2.0,
+            missing_fraction=0.2, rng=0,
+        )
+        result = floc(
+            dataset.matrix, 4, p=0.2, rng=2, alpha=0.5, residue_target=8.0,
+            reseed_rounds=2, constraints=Constraints(min_rows=3, min_cols=3),
+        )
+        for cluster in result.clustering:
+            assert not cluster.is_empty
+            assert cluster.occupancy_ok(dataset.matrix, alpha=0.5)
+
+    def test_seed_below_alpha_starts_empty_until_reseeded(self):
+        """An explicit seed that cannot trim to alpha starts empty and
+        blocks every toggle; a reseed round redraws it."""
+        values = np.random.default_rng(5).normal(size=(30, 10))
+        values[:4, :4] = NAN
+        seeds = [
+            (np.arange(30) < 4, np.arange(10) < 4),  # all missing
+            (np.arange(30) >= 20, np.arange(10) >= 5),
+        ]
+        kwargs = dict(seeds=seeds, alpha=1.0, residue_target=2.0, rng=1)
+        idle = floc(values, 2, **kwargs).clustering
+        assert idle[0].is_empty and not idle[1].is_empty
+        refilled = floc(values, 2, reseed_rounds=2, **kwargs).clustering
+        assert not refilled[0].is_empty
+        assert all(cluster.occupancy_ok(refilled.matrix, 1.0) for cluster in refilled)
+
+    @given(sparse_floc_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_every_cluster_meets_alpha_or_is_empty(self, run):
+        matrix, k, kwargs = run
+        result = floc(matrix, k, **kwargs)
+        for cluster in result.clustering:
+            assert cluster.is_empty or cluster.occupancy_ok(matrix, kwargs["alpha"])
 
 
 class TestResidueTargetMode:

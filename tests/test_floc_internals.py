@@ -19,7 +19,7 @@ from repro.core.cluster import DeltaCluster
 from repro.core.constraints import Constraints
 from repro.core.matrix import DataMatrix
 from repro.core.floc import (
-    _build_seeds,
+    _admit_seeds,
     _State,
     _gain,
     _reseed_dead_slots,
@@ -137,12 +137,49 @@ class TestTrimSeedToAlpha:
         mask = np.zeros((4, 4), dtype=bool)  # everything missing
         rows = np.array([True, True, False, False])
         cols = np.array([True, True, False, False])
-        trimmed_rows, trimmed_cols = _trim_seed_to_alpha(
-            rows, cols, mask, 0.9, 2, 2
+        # Cannot trim below the structural floor, and the seed is still
+        # invalid there: the trim reports failure.
+        assert _trim_seed_to_alpha(rows, cols, mask, 0.9, 2, 2) is None
+
+    def test_valid_seed_at_the_floor_kept(self):
+        mask = np.ones((4, 4), dtype=bool)
+        mask[0, 0] = False  # row 0 and column 0: 1 of 2 cells
+        rows = np.array([True, True, False, False])
+        cols = np.array([True, True, False, False])
+        trimmed = _trim_seed_to_alpha(rows, cols, mask, 0.5, 2, 2)
+        assert trimmed is not None
+        assert (trimmed[0] == rows).all() and (trimmed[1] == cols).all()
+        assert _trim_seed_to_alpha(rows, cols, mask, 0.6, 2, 2) is None
+
+
+class TestAdmitSeeds:
+    def test_alpha_zero_draws_the_basic_phase1_stream(self):
+        """Slot-by-slot draws at one p are ``bernoulli_seeds``' seeds."""
+        mask = np.ones((30, 12), dtype=bool)
+        admitted = _admit_seeds(
+            range(4), 0.3, mask, Constraints(), 0.0, np.random.default_rng(1)
         )
-        # Cannot trim below the structural floor even if still invalid.
-        assert trimmed_rows.sum() == 2
-        assert trimmed_cols.sum() == 2
+        expected = bernoulli_seeds(30, 12, 4, 0.3, np.random.default_rng(1))
+        for (rows, cols), (want_rows, want_cols) in zip(admitted, expected):
+            assert (rows == want_rows).all() and (cols == want_cols).all()
+
+    def test_no_seed_passing_seed_ok_raises(self):
+        mask = np.ones((30, 12), dtype=bool)
+        with pytest.raises(RuntimeError, match="constraint-compliant"):
+            _admit_seeds(
+                range(2), 1.0, mask, Constraints(max_volume=4), 0.0,
+                np.random.default_rng(0),
+            )
+
+    def test_slot_that_never_trims_starts_empty(self):
+        """On a matrix without specified cells no trim reaches alpha:
+        after the last round the slot is empty (and no error)."""
+        rows, cols = _admit_seeds(
+            [1], [0.3, 0.5], np.zeros((30, 12), dtype=bool), Constraints(), 0.5,
+            np.random.default_rng(0),
+        )[0]
+        assert rows.shape == (30,) and cols.shape == (12,)
+        assert not rows.any() and not cols.any()
 
 
 class TestReseedDeadSlots:
@@ -195,8 +232,9 @@ class TestReseedDeadSlots:
         same1 = (state.row_member[1] == member_rows).all()
         assert same0 != same1
 
-    def test_mixed_p_redraws_use_the_slots_p(self, monkeypatch):
-        state, rng = self.make_state(rng_seed=1, k=5)
+    @staticmethod
+    def record_draws(monkeypatch):
+        """Record the ``p`` of every seed ``mixed_seeds`` draws."""
         drawn = []
         original = floc_module.mixed_seeds
 
@@ -205,6 +243,11 @@ class TestReseedDeadSlots:
             return original(n_rows, n_cols, k, p_values, *args, **kwargs)
 
         monkeypatch.setattr(floc_module, "mixed_seeds", recording)
+        return drawn
+
+    def test_mixed_p_redraws_use_the_slots_p(self, monkeypatch):
+        state, rng = self.make_state(rng_seed=1, k=5)
+        drawn = self.record_draws(monkeypatch)
         p = [0.1, 0.5, 0.9]
         # Random clusters on uniform data are all far above the target,
         # so every slot is redrawn, each with its own p.
@@ -212,29 +255,22 @@ class TestReseedDeadSlots:
         assert drawn == [p[c % 3] for c in range(5)]
 
     def test_phase1_retries_use_the_slots_p(self, monkeypatch):
-        drawn = []
-        original = floc_module.bernoulli_seeds
-
-        def recording(n_rows, n_cols, k, p, *args, **kwargs):
-            drawn.append(p)
-            return original(n_rows, n_cols, k, p, *args, **kwargs)
-
-        monkeypatch.setattr(floc_module, "bernoulli_seeds", recording)
-        matrix = DataMatrix(np.random.default_rng(0).normal(size=(40, 20)))
+        drawn = self.record_draws(monkeypatch)
+        mask = np.ones((40, 20), dtype=bool)
         # Seeds drawn at p 0.5 (slots 1 and 3) hold about 200 cells, so
         # about half break the volume bound and are redrawn -- at 0.5,
         # not at the list's first p.
         constraints = Constraints(max_volume=200)
-        seeds = _build_seeds(
-            matrix, 4, [0.05, 0.5], None, constraints, np.random.default_rng(5)
+        seeds = _admit_seeds(
+            range(4), [0.05, 0.5], mask, constraints, 0.0, np.random.default_rng(5)
         )
         assert all(constraints.seed_ok(*seed) for seed in seeds)
-        assert drawn and set(drawn) == {0.5}
+        assert drawn[:4] == [0.05, 0.5, 0.05, 0.5]
+        assert len(drawn) > 4 and set(drawn[4:]) == {0.5}
 
     def test_reseeds_trimmed_to_alpha(self):
-        """With alpha > 0 a reseeded slot gets Phase 1's trimmed seed:
-        a subset of the same draw that meets alpha unless trimming
-        stopped at the structural floor."""
+        """With alpha > 0 a reseeded slot gets Phase 1's admission: a
+        subset of its draw that meets alpha, or an empty seed."""
         rng = np.random.default_rng(8)
         values = rng.uniform(0, 100, size=(40, 20))
         values[rng.random((40, 20)) < 0.4] = np.nan
@@ -257,10 +293,7 @@ class TestReseedDeadSlots:
                 np.flatnonzero(trimmed.row_member[c]),
                 np.flatnonzero(trimmed.col_member[c]),
             )
-            assert cluster.occupancy_ok(matrix, 0.8) or (
-                cluster.n_rows <= constraints.min_rows
-                or cluster.n_cols <= constraints.min_cols
-            )
+            assert cluster.occupancy_ok(matrix, 0.8)
 
     def test_healthy_state_untouched(self):
         state, rng = self.make_state(rng_seed=3)

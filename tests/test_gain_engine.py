@@ -19,7 +19,7 @@ from hypothesis.extra.numpy import arrays
 import repro.core.gain_engine as ge
 from repro.core.actions import BLOCKED_GAIN, evaluate_toggle
 from repro.core.constraints import Constraints
-from repro.core.floc import _State, _gain, floc
+from repro.core.floc import _State, _gain, _trim_seed_to_alpha, floc
 from repro.core.gain_engine import (
     GainEngine, estimate_lane, exact_context, exact_lane, gain_lane,
     occupancy_blocked,
@@ -72,6 +72,17 @@ def make_state(values, seed, k, work=None):
     rng = np.random.default_rng(seed)
     seeds = bernoulli_seeds(values.shape[0], values.shape[1], k, 0.4, rng)
     return _State(values, seeds, work=work)
+
+
+def held_seeds(values, seeds, alpha, min_rows=1, min_cols=1):
+    """The seeds as FLOC would hold them at ``alpha``: trimmed to it,
+    or empty where the trim reaches the floor first."""
+    mask = ~np.isnan(values)
+    return [
+        _trim_seed_to_alpha(rows, cols, mask, alpha, min_rows, min_cols)
+        or (np.zeros_like(rows), np.zeros_like(cols))
+        for rows, cols in seeds
+    ]
 
 
 def lane_size(values, kind):
@@ -205,7 +216,10 @@ class TestEstimateLane:
 
     def test_overlays_and_per_kind_bounds(self):
         """Untouched and emptied overlays, and a cluster at the row floor
-        but not the column floor: only its row removals are blocked."""
+        but not the column floor: only its row removals are blocked.  At
+        alpha 0.7 the clusters are ones FLOC can hold: cluster 1 cannot
+        trim to it above the floor and is empty, cluster 2 is taken
+        without the all-missing column 7."""
         rng = np.random.default_rng(12)
         values = rng.normal(size=(12, 9))
         values[3, :] = NAN  # untouched by every cluster
@@ -231,7 +245,13 @@ class TestEstimateLane:
         for c in range(3):
             lane = self._assert_concatenation(state, c)
             assert state.counts[c, 3] == 0  # untouched
+        cols = np.arange(9) != 7
+        held = _State(values, held_seeds(values, seeds[:2] + [(rows, cols)], 0.7, 3, 3))
+        assert not held.member[1].any()
+        assert (held.row_member[2] == rows).all() and (held.col_member[2] == cols).all()
         for target, alpha in ((None, 0.0), (2.0, 0.0), (2.0, 0.7)):
+            if alpha > 0.0:
+                state = held
             engine = GainEngine(state, constraints, alpha, target, "fast")
             engine.best_action("row", 0)
             for c in range(3):
@@ -316,7 +336,7 @@ class TestOccupancyMask:
         estimate lanes of fast mode, the full exact lanes and ``sel``
         windows of them."""
         values, seeds = spec
-        state = _State(values, seeds)
+        state = _State(values, held_seeds(values, seeds, alpha))
         constraints = Constraints(min_rows=1, min_cols=1)
         split = values.shape[0]
 
@@ -329,9 +349,7 @@ class TestOccupancyMask:
                 for i in lines
             ], dtype=bool)
             got = occupancy_blocked(state, alpha, kind, c, lines)
-            assert np.array_equal(
-                alpha_blocked, np.zeros_like(alpha_blocked) if got is None else got
-            ), (kind, c, lines)
+            assert np.array_equal(alpha_blocked, got), (kind, c, lines)
             return alpha_blocked | np.where(member.take(lines), removal, addition)
 
         fast = GainEngine(state, constraints, alpha, 2.0, "fast")
@@ -356,8 +374,8 @@ class TestOccupancyMask:
     def test_removal_that_breaks_a_column_is_blocked(self):
         """Removing the one member row specified on a member column at
         the alpha boundary is blocked in every lane, and the other
-        removal and the additions are not; a cluster below alpha blocks
-        nothing."""
+        removal and the additions are not; an empty cluster blocks every
+        toggle."""
         values = np.arange(12.0).reshape(4, 3)
         values[1, 0] = NAN  # column 0: 1 of the 2 member rows
         rows = np.array([True, True, False, False])
@@ -370,7 +388,11 @@ class TestOccupancyMask:
             engine = GainEngine(state, constraints, 0.5, 2.0, gain_mode)
             engine.best_action("row", 0)
             assert (engine._move.gains[0, :4] == BLOCKED_GAIN).tolist() == blocked.tolist()
-        assert occupancy_blocked(state, 0.7, "row", 0) is None  # row 1: 2/3
+        empty = _State(values, [(np.zeros(4, dtype=bool), np.zeros(3, dtype=bool))])
+        for kind, size in (("row", 4), ("col", 3)):
+            assert occupancy_blocked(empty, 0.5, kind, 0).tolist() == [True] * size
+        sel = np.array([2, 0], dtype=np.intp)
+        assert occupancy_blocked(empty, 0.5, "row", 0, sel).tolist() == [True, True]
 
 
 # -- block windows are bitwise-identical to the full lane --------------
